@@ -118,6 +118,7 @@ for b in barnes chol fft fmm lu_cb lu_ncb oc_cp oc_ncp radio radix rayt volr wat
         echo "$b $p"
     done
 done > "$SERVE_DIR/batch.txt"
+cargo build --release -q -p experiments --bin tg-serve
 TG_SERVE="$PWD/target/release/tg-serve"
 "$TG_SERVE" --batch="$SERVE_DIR/batch.txt" --tiny --quiet \
     --cache="$SERVE_DIR/cache" --telemetry="$SERVE_DIR/cold" \
@@ -150,6 +151,16 @@ cargo run --release -q -p experiments --bin tg-verify -- \
     --fast --seed=0xC1 --threads=2 --report=target/ci/verify_b.txt
 cmp target/ci/verify_a.txt target/ci/verify_b.txt
 
+echo "== tg-verify: an unknown SIMKIT_SOLVER is a usage error (exit 2) =="
+# gs named the Gauss–Seidel backend, which no longer exists; it must be
+# rejected loudly rather than silently run under Auto.
+set +e
+SIMKIT_SOLVER=gs target/release/tg-verify --fast > /dev/null 2> target/ci/verify_gs.err
+rc=$?
+set -e
+test "$rc" -eq 2
+grep -q 'auto | direct | cg | mgcg' target/ci/verify_gs.err
+
 echo "== tg-verify: pinned solver backends (direct, cg, mgcg must all pass) =="
 # The default leg above runs under Auto; these pin the direct LDLT path,
 # the Jacobi-CG path, and the multigrid-CG path end-to-end, so every
@@ -181,10 +192,11 @@ for backend in mgcg direct; do
 done
 
 echo "== engine equivalence under mgcg (the pinned backend test leg) =="
-# run_emits_telemetry_and_solver_profile asserts the solve events carry
-# the backend SIMKIT_SOLVER resolves to (thermal.transient_mgcg /
-# pdn.ir_mgcg here); solver_backends_agree_over_a_full_run re-checks the
-# cross-backend physics equality from a process whose default is mgcg.
+# run_emits_telemetry_and_solver_profile asserts the transient steps
+# report thermal.transient_cg under every backend and the PDN solves
+# carry the backend SIMKIT_SOLVER resolves to (pdn.ir_mgcg here);
+# solver_backends_agree_over_a_full_run re-checks the cross-backend
+# physics equality from a process whose default is mgcg.
 SIMKIT_SOLVER=mgcg cargo test --release -q -p thermogater -- \
     run_emits_telemetry_and_solver_profile solver_backends_agree_over_a_full_run
 
@@ -203,5 +215,8 @@ cargo run --release -q -p experiments --bin tg-obs -- diff --solver-agnostic \
     "$TELEMETRY_DIR/cg" "$TELEMETRY_DIR/direct"
 cargo run --release -q -p experiments --bin tg-obs -- diff --solver-agnostic \
     "$TELEMETRY_DIR/cg" "$TELEMETRY_DIR/mgcg"
+
+echo "== benchmark smoke: every workload's outputs match benchmark/expected =="
+bash benchmark/run.sh --smoke
 
 echo "CI OK"

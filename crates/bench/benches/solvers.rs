@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the numerical kernels every experiment leans on:
 //! the blocked-CSR SpMV kernel, the thermal steady-state solve per
 //! backend (Jacobi-CG vs multigrid-CG vs direct), the backward-Euler
-//! transient step per solver backend, the sparse LDLᵀ
+//! transient step (warm Jacobi-CG under every backend), the sparse LDLᵀ
 //! factor/refactor/solve kernels, the PDN IR-drop solve per backend,
 //! the transient-noise convolution, and workload trace generation.
 
@@ -77,31 +77,6 @@ fn thermal_solvers(c: &mut Criterion) {
                     .steady_state_with_scratch(black_box(&pm), &mut state, &mut scratch)
                     .unwrap()
             })
-        });
-    }
-
-    // The same step under each pinned backend: BENCH.md's honest
-    // direct-vs-iterative transient comparison comes from these rows.
-    for backend in [
-        SolverBackend::Direct,
-        SolverBackend::GaussSeidel,
-        SolverBackend::Cg,
-        SolverBackend::Mgcg,
-    ] {
-        let config = ThermalConfig {
-            solver: backend,
-            ..ThermalConfig::coarse()
-        };
-        let model = ThermalModel::new(&chip, config);
-        let mut pm = PowerMap::new(&model);
-        for block in chip.blocks() {
-            pm.add_block(block.id(), Watts::new(2.0)).unwrap();
-        }
-        let mut stepper = model.stepper(Seconds::from_micros(20.0));
-        let mut state = model.steady_state(&pm).unwrap();
-        let name = format!("thermal/transient_step_32x32_{}", backend.name());
-        c.bench_function(&name, |b| {
-            b.iter(|| stepper.step(black_box(&mut state), &pm).unwrap())
         });
     }
 }

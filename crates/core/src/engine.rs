@@ -77,7 +77,8 @@ pub struct EngineConfig {
     /// Number of noise windows sampled evenly over the run (the paper
     /// uses 200 per application).
     pub noise_window_count: usize,
-    /// Linear-solver family for the thermal and PDN systems. Engine
+    /// Linear-solver family for the thermal steady-state and PDN systems
+    /// (transient steps are warm Jacobi-CG under every backend). Engine
     /// construction copies this into the thermal and PDN configurations
     /// it instantiates, so one knob steers the whole stack; the
     /// `SIMKIT_SOLVER` environment variable overrides the default.
@@ -1614,20 +1615,18 @@ mod tests {
         for span in ["engine.trace", "engine.steady", "engine.run"] {
             assert!(names.iter().any(|n| n == span), "missing span {span}");
         }
-        // Solve events carry the backend the engine resolved to: Auto
-        // pins warm CG for transient stepping and direct for the PDN IR
-        // solves (the measured break-even split — DESIGN.md §11).
-        let (transient_event, ir_event) = match engine.config().solver {
-            SolverBackend::GaussSeidel => ("thermal.gs", "pdn.ir_cg"),
-            SolverBackend::Cg => ("thermal.transient_cg", "pdn.ir_cg"),
-            SolverBackend::Mgcg => ("thermal.transient_mgcg", "pdn.ir_mgcg"),
-            SolverBackend::Auto => ("thermal.transient_cg", "pdn.ir_direct"),
-            SolverBackend::Direct => ("thermal.transient_direct", "pdn.ir_direct"),
-        };
+        // Transient steps are warm CG under every backend; the PDN IR
+        // solves carry the backend the engine resolved to (Auto factors
+        // them — the measured break-even split, DESIGN.md §11).
         assert!(
-            names.iter().any(|n| n == transient_event),
-            "missing {transient_event}"
+            names.iter().any(|n| n == "thermal.transient_cg"),
+            "missing thermal.transient_cg"
         );
+        let ir_event = match engine.config().solver {
+            SolverBackend::Cg => "pdn.ir_cg",
+            SolverBackend::Mgcg => "pdn.ir_mgcg",
+            SolverBackend::Auto | SolverBackend::Direct => "pdn.ir_direct",
+        };
         assert!(names.iter().any(|n| n == ir_event), "missing {ir_event}");
     }
 
@@ -1650,10 +1649,9 @@ mod tests {
             engine.run_trace(&trace, PolicyKind::OracVT).unwrap()
         };
         let direct = run_with(SolverBackend::Direct);
-        let gs = run_with(SolverBackend::GaussSeidel);
         let cg = run_with(SolverBackend::Cg);
         let mgcg = run_with(SolverBackend::Mgcg);
-        for (name, other) in [("gs", &gs), ("cg", &cg), ("mgcg", &mgcg)] {
+        for (name, other) in [("cg", &cg), ("mgcg", &mgcg)] {
             let dt = (direct.max_temperature().get() - other.max_temperature().get()).abs();
             assert!(dt < 1e-2, "direct vs {name} T_max gap {dt} °C");
             let dn =

@@ -218,8 +218,8 @@ impl SimulationResult {
 
     /// Aggregated linear-solver convergence statistics, keyed by the
     /// phase that issued the solves: `steady` (the leakage-feedback CG
-    /// init), `transient` (per-step Gauss-Seidel), and `noise` (the IR
-    /// CG solves behind every analyzed window).
+    /// init), `transient` (per-step warm CG), and `noise` (the IR
+    /// solves behind every analyzed window).
     pub fn solver_profile(&self) -> &SolverProfile {
         &self.solver_profile
     }

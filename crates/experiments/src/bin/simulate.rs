@@ -19,6 +19,7 @@
 use experiments::report::{self, banner, metrics_report, render_heatmap, solver_report};
 use experiments::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
+use simkit::linalg::SolverBackend;
 use simkit::telemetry::manifest::{CellManifest, RunManifest};
 use simkit::units::Seconds;
 use std::fs::File;
@@ -154,6 +155,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = SolverBackend::from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {

@@ -23,6 +23,7 @@ use experiments::obs::{diff_analyses, diff_manifests, diff_snapshots, DiffConfig
 use experiments::report::{analysis_json, analysis_report};
 use experiments::snapshot::{self, BenchSnapshot};
 use experiments::sweep::policy_from_tag;
+use simkit::linalg::SolverBackend;
 use simkit::telemetry::analyze::{series_points, TraceAnalysis, TraceReader, TraceTailer};
 use simkit::telemetry::live::LiveStats;
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
@@ -675,6 +676,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
+    SolverBackend::from_env().map_err(|e| e.to_string())?;
     let mut label = "local".to_string();
     let mut out_dir = PathBuf::from(".");
     let mut policies = vec![PolicyKind::AllOn, PolicyKind::OracT, PolicyKind::PracVT];

@@ -7,7 +7,7 @@
 //!   sizing, Eqn-1 loss consistency, η ≤ η_peak, efficiency-curve shape
 //!   consistency, policy active-set exactness, emergency all-on overlay,
 //!   thermal energy balance, PDN KCL and linearity);
-//! * the CG vs Gauss–Seidel solver differential;
+//! * the direct-vs-CG and multigrid-vs-Jacobi-CG solver differentials;
 //! * the serial vs parallel sweep differential (cache cleared, both legs
 //!   recompute) and the golden-run comparison against the committed
 //!   fixture.
@@ -19,6 +19,7 @@
 //! with `cmp`).
 
 use experiments::verify::{self, VerifyOptions};
+use simkit::linalg::SolverBackend;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -42,7 +43,8 @@ OPTIONS:
     --report=<file>   Also write the report to a file
     -h, --help        This help
 
-Exit status is 0 when every check passes, 1 otherwise.
+Exit status is 0 when every check passes, 1 otherwise, and 2 when
+SIMKIT_SOLVER names no solver backend (auto | direct | cg | mgcg).
 ";
 
 fn parse_u64(text: &str) -> Option<u64> {
@@ -54,6 +56,10 @@ fn parse_u64(text: &str) -> Option<u64> {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = SolverBackend::from_env() {
+        eprintln!("tg-verify: {e}");
+        return ExitCode::from(2);
+    }
     let mut opts = VerifyOptions::default();
     let mut report_path: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {

@@ -1,5 +1,6 @@
 //! Experiment options and engine configurations.
 
+use simkit::linalg::SolverBackend;
 use simkit::units::Seconds;
 use std::path::PathBuf;
 use thermal::ThermalConfig;
@@ -44,7 +45,14 @@ impl ExpOptions {
     /// with self-reported overhead counters. Also installs the quiet
     /// preference into [`crate::report`], so tables printed through it
     /// honour `--quiet`.
+    ///
+    /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
+    /// solver backend, rather than silently running under `Auto`.
     pub fn from_args() -> Self {
+        if let Err(e) = SolverBackend::from_env() {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
         let quick =
             std::env::args().any(|a| a == "--quick") || std::env::var("THERMOGATER_QUICK").is_ok();
         let tiny = std::env::args().any(|a| a == "--tiny");

@@ -53,7 +53,7 @@ pub enum Verdict {
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
-    /// Metric name, e.g. `"solver.thermal.gs.iters_p95"`.
+    /// Metric name, e.g. `"solver.thermal.transient_cg.iters_p95"`.
     pub metric: String,
     /// Baseline value.
     pub a: f64,
@@ -216,11 +216,13 @@ pub const PHYS_TOL: f64 = 1e-6;
 
 /// Backend-stripped canonical solver-site name: `thermal.steady_cg`,
 /// `thermal.steady_mgcg`, and `thermal.steady_direct` all solve the
-/// steady conductance system, and `thermal.gs` / `thermal.transient_cg`
-/// / `thermal.transient_mgcg` / `thermal.transient_direct` all solve
-/// the backward-Euler step — a cross-backend diff matches sites by
-/// *what* they solve, not how. (`_mgcg` strips before `_cg`: the
-/// suffixes overlap.)
+/// steady conductance system. Every backend steps the backward-Euler
+/// system as `thermal.transient_cg`, but traces from before the stepper
+/// was unified name the same solve `thermal.gs`, `thermal.transient_mgcg`
+/// or `thermal.transient_direct`; all of them map to `thermal.transient`
+/// so those traces still diff — a cross-backend diff
+/// matches sites by *what* they solve, not how. (`_mgcg` strips before
+/// `_cg`: the suffixes overlap.)
 fn canonical_site(name: &str) -> &str {
     match name {
         "thermal.gs" => "thermal.transient",

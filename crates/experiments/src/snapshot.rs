@@ -38,7 +38,7 @@ pub const SNAPSHOT_BENCH: Benchmark = Benchmark::LuNcb;
 /// entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSnapshot {
-    /// Solve site, e.g. `"thermal.gs"`.
+    /// Solve site, e.g. `"thermal.transient_cg"`.
     pub site: String,
     /// Number of solves recorded.
     pub solves: u64,
@@ -480,10 +480,7 @@ pub fn capture(label: &str, policies: &[PolicyKind]) -> Result<BenchSnapshot, St
     })
 }
 
-/// Backends the grid-scaling axis measures. Gauss–Seidel is absent
-/// because the steady path has no distinct GS solver: a pinned
-/// `GaussSeidel` backend routes steady solves through Jacobi-CG (GS is a
-/// transient-stepper backend — see `thermal::model`).
+/// Backends the grid-scaling axis measures: every pinned steady path.
 pub const SCALING_BACKENDS: [SolverBackend; 3] = [
     SolverBackend::Cg,
     SolverBackend::Mgcg,

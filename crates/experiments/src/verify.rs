@@ -13,11 +13,10 @@
 //!    the closed-loop governor control properties (setpoint tracking,
 //!    bounded oscillation, anti-windup, gain-adaptation monotonicity)
 //!    exercised against a first-order reference plant.
-//! 2. **Differential checks** — CG vs Gauss–Seidel agreement on the same
-//!    SPD system, direct LDLᵀ vs CG and multigrid-CG vs Jacobi-CG
-//!    agreement on random SPD grids and on the real thermal / PDN
-//!    matrices, and serial vs parallel sweep bit-equality (the cache is
-//!    cleared between legs so both actually recompute).
+//! 2. **Differential checks** — direct LDLᵀ vs CG and multigrid-CG vs
+//!    Jacobi-CG agreement on random SPD grids and on the real thermal /
+//!    PDN matrices, and serial vs parallel sweep bit-equality (the cache
+//!    is cleared between legs so both actually recompute).
 //! 3. **Golden-run comparison** — a committed fixture of tiny-sweep
 //!    records, compared field-by-field at relative tolerance; regenerate
 //!    with `tg-verify --bless` after an intentional physics change.
@@ -817,51 +816,6 @@ pub fn oracle_govern_gain_monotone(opts: &VerifyOptions) -> CheckReport {
 // Differential checks
 // ---------------------------------------------------------------------------
 
-/// CG and Gauss–Seidel agree on the same SPD grid system.
-pub fn diff_cg_vs_gs(opts: &VerifyOptions) -> CheckReport {
-    let cases = if opts.fast { 2 } else { 4 };
-    let n = 16usize; // 16×16 grid Laplacian, 256 unknowns
-    let nn = n * n;
-    let gen = (
-        check::vec_of(check::f64_in(0.1, 2.0), nn, nn),
-        check::vec_of(check::f64_in(0.0, 1.0), nn, nn),
-    );
-    let outcome = checker(opts, cases).run("diff.cg_vs_gs", &gen, |(loading, b)| {
-        let mut builder = TripletBuilder::new(nn, nn);
-        for j in 0..n {
-            for i in 0..n {
-                let cell = j * n + i;
-                let mut degree = 0.0;
-                for (di, dj) in [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)] {
-                    let (ni, nj) = (i as i64 + di, j as i64 + dj);
-                    if (0..n as i64).contains(&ni) && (0..n as i64).contains(&nj) {
-                        builder.add(cell, (nj * n as i64 + ni) as usize, -1.0);
-                        degree += 1.0;
-                    }
-                }
-                // Positive diagonal loading keeps the system SPD.
-                builder.add(cell, cell, degree + loading[cell]);
-            }
-        }
-        let a = builder.build();
-        let x_cg = a.solve_cg(b, None, 1e-11, 20 * nn).map_err(err_str)?;
-        let mut x_gs = vec![0.0; nn];
-        a.solve_gauss_seidel(b, &mut x_gs, 1.0, 1e-12, 50_000)
-            .map_err(err_str)?;
-        let diff = vec_ops::max_abs_diff(&x_cg, &x_gs);
-        let scale = x_cg.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-        check::ensure(diff <= 1e-6 * scale, || {
-            format!("CG and Gauss–Seidel solutions differ by {diff:e}")
-        })?;
-        for (tag, x) in [("cg", &x_cg), ("gs", &x_gs)] {
-            let r = a.relative_residual(b, x);
-            check::ensure(r <= 1e-7, || format!("{tag} residual {r:e} above 1e-7"))?;
-        }
-        Ok(())
-    });
-    to_report("diff.cg_vs_gs", cases, outcome, opts)
-}
-
 /// Solves `A·x = b` with both the tightly-converged CG path and the
 /// direct LDLᵀ factorization and demands max-abs agreement within
 /// `1e-8 × scale`.
@@ -1399,7 +1353,6 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         oracle_govern_no_oscillation(opts),
         oracle_govern_anti_windup(opts),
         oracle_govern_gain_monotone(opts),
-        diff_cg_vs_gs(opts),
         diff_direct_vs_cg(opts),
         diff_mgcg_vs_cg(opts),
     ];

@@ -41,9 +41,8 @@ pub struct PdnConfig {
     /// Constructors default this to [`SolverBackend::env_default`]
     /// (`SIMKIT_SOLVER` override, else [`SolverBackend::Auto`]). `Auto`
     /// and `Direct` factor each domain's grid once and refactor only when
-    /// a gating change patches the matrix values; `Cg` (and
-    /// `GaussSeidel`, which the PDN maps to CG — the grids have no
-    /// Gauss–Seidel path) keep the previous iterative behaviour.
+    /// a gating change patches the matrix values; `Cg` and `Mgcg` solve
+    /// iteratively with the Jacobi or multigrid preconditioner.
     pub solver: SolverBackend,
 }
 

@@ -439,8 +439,7 @@ impl PdnModel {
         // is shared across all gating states of a domain and a repeated
         // state skips even the numeric refactor (the per-domain grids sit
         // far below the multigrid crossover, so `Auto` never picks mgcg
-        // here). `GaussSeidel` maps to CG because the PDN grids have no
-        // Gauss–Seidel path.
+        // here).
         let use_mgcg = matches!(self.config.solver, SolverBackend::Mgcg);
         let use_direct = matches!(
             self.config.solver,

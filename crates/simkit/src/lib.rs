@@ -11,9 +11,10 @@
 //!   (SplitMix64 seeding + xoshiro256++ core) so every experiment is
 //!   reproducible bit-for-bit without pulling thread-local state;
 //! * [`series`] — uniformly sampled time series and multi-channel traces;
-//! * [`linalg`] — dense vectors, CSR sparse matrices, and the iterative
-//!   solvers (conjugate gradient, Gauss–Seidel/SOR) that the thermal RC
-//!   network and the power-delivery-network models require;
+//! * [`linalg`] — dense vectors, CSR sparse matrices, and the solvers
+//!   (preconditioned conjugate gradient, sparse LDLᵀ, multigrid) that
+//!   the thermal RC network and the power-delivery-network models
+//!   require;
 //! * [`interp`] — piecewise-linear interpolation used for regulator
 //!   efficiency curves;
 //! * [`check`] — hand-rolled property-based testing (composable

@@ -47,7 +47,10 @@ use crate::error::{Error, Result};
 ///   warm iterative step converges in a handful of iterations and beats
 ///   streaming the full factor through a triangular solve.
 ///
-/// The `SIMKIT_SOLVER` environment variable (`auto | direct | cg | gs`)
+/// The thermal transient stepper is the same warm-started Jacobi-CG under
+/// every backend; the backend governs steady and PDN solves.
+///
+/// The `SIMKIT_SOLVER` environment variable (`auto | direct | cg | mgcg`)
 /// overrides the configured value everywhere a config constructor
 /// consults [`SolverBackend::env_default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,9 +68,6 @@ pub enum SolverBackend {
     /// iteration counts, the backend of choice for grids an order of
     /// magnitude finer than the paper's configs.
     Mgcg,
-    /// Colored Gauss–Seidel sweeps (transient stepping only; steady and
-    /// PDN solves fall back to CG, which shares their tolerances).
-    GaussSeidel,
 }
 
 /// Break-even solve count for [`SolverBackend::Auto`]: a scratch that has
@@ -92,23 +92,35 @@ impl SolverBackend {
             "direct" | "ldlt" => Some(SolverBackend::Direct),
             "cg" => Some(SolverBackend::Cg),
             "mgcg" | "multigrid" => Some(SolverBackend::Mgcg),
-            "gs" | "gauss-seidel" | "gauss_seidel" => Some(SolverBackend::GaussSeidel),
             _ => None,
         }
     }
 
     /// The backend requested by the `SIMKIT_SOLVER` environment variable,
-    /// or `None` when unset or unparseable.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("SIMKIT_SOLVER")
-            .ok()
-            .and_then(|v| Self::parse(&v))
+    /// or `None` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] listing the accepted names when the
+    /// variable is set to anything [`SolverBackend::parse`] rejects.
+    pub fn from_env() -> Result<Option<Self>> {
+        match std::env::var("SIMKIT_SOLVER") {
+            Ok(value) => Self::parse(&value).map(Some).ok_or_else(|| {
+                Error::invalid_argument(format!(
+                    "SIMKIT_SOLVER={value:?} is not a solver backend \
+                     (expected auto | direct | cg | mgcg)"
+                ))
+            }),
+            Err(_) => Ok(None),
+        }
     }
 
     /// Default for config constructors: the `SIMKIT_SOLVER` override when
-    /// present, [`SolverBackend::Auto`] otherwise.
+    /// present, [`SolverBackend::Auto`] otherwise. An unparseable value
+    /// also yields `Auto` here; binaries reject it at start-up through
+    /// [`SolverBackend::from_env`].
     pub fn env_default() -> Self {
-        Self::from_env().unwrap_or_default()
+        Self::from_env().ok().flatten().unwrap_or_default()
     }
 
     /// Stable lowercase name (telemetry field value, CLI echo).
@@ -118,7 +130,6 @@ impl SolverBackend {
             SolverBackend::Direct => "direct",
             SolverBackend::Cg => "cg",
             SolverBackend::Mgcg => "mgcg",
-            SolverBackend::GaussSeidel => "gs",
         }
     }
 }
@@ -905,10 +916,8 @@ mod tests {
         assert_eq!(SolverBackend::parse("direct"), Some(SolverBackend::Direct));
         assert_eq!(SolverBackend::parse("LDLT"), Some(SolverBackend::Direct));
         assert_eq!(SolverBackend::parse(" cg "), Some(SolverBackend::Cg));
-        assert_eq!(
-            SolverBackend::parse("gauss-seidel"),
-            Some(SolverBackend::GaussSeidel)
-        );
+        assert_eq!(SolverBackend::parse("gs"), None);
+        assert_eq!(SolverBackend::parse("gauss-seidel"), None);
         assert_eq!(SolverBackend::parse("auto"), Some(SolverBackend::Auto));
         assert_eq!(SolverBackend::parse("mgcg"), Some(SolverBackend::Mgcg));
         assert_eq!(SolverBackend::parse("Multigrid"), Some(SolverBackend::Mgcg));
@@ -919,7 +928,6 @@ mod tests {
             SolverBackend::Direct,
             SolverBackend::Cg,
             SolverBackend::Mgcg,
-            SolverBackend::GaussSeidel,
         ] {
             assert_eq!(SolverBackend::parse(b.name()), Some(b));
         }

@@ -2,25 +2,18 @@
 //!
 //! The thermal model discretises the die into a grid whose conductance
 //! matrix is sparse, symmetric, and positive definite; the PDN's grid
-//! conductance matrix has the same structure. Two solvers cover both:
+//! conductance matrix has the same structure. [`CsrMatrix::solve_cg`] —
+//! conjugate gradient with Jacobi preconditioning — covers both, for
+//! steady-state solves and for backward-Euler transient steps warm-started
+//! from the previous step.
 //!
-//! * [`CsrMatrix::solve_cg`] — conjugate gradient with Jacobi
-//!   preconditioning, for steady-state solves;
-//! * [`CsrMatrix::solve_gauss_seidel`] — Gauss–Seidel sweeps with optional
-//!   successive over-relaxation, for backward-Euler transient steps where
-//!   an excellent initial guess (the previous step) is available.
-//!
-//! Both solvers have workspace-based variants for hot loops that must not
-//! allocate: [`CsrMatrix::solve_cg_with`] takes a [`CgWorkspace`] and a
-//! pre-built [`JacobiPreconditioner`], and
-//! [`CsrMatrix::solve_gauss_seidel_colored`] takes a [`GsWorkspace`]
-//! holding a multicolor (red-black on grid stencils) row ordering plus the
-//! cached inverse diagonal. Build the workspaces once per matrix, then
-//! solve thousands of times with zero heap traffic.
+//! For hot loops that must not allocate, [`CsrMatrix::solve_cg_with`]
+//! takes a [`CgWorkspace`] and a pre-built preconditioner. Build them once
+//! per matrix, then solve thousands of times with zero heap traffic.
 //!
 //! For systems that are solved many times with a fixed sparsity pattern —
-//! transient thermal stepping, per-domain PDN IR drop, steady-state
-//! feedback loops — the [`direct`] submodule adds a dependency-free sparse
+//! per-domain PDN IR drop, steady-state feedback loops — the [`direct`]
+//! submodule adds a dependency-free sparse
 //! LDLᵀ factorization ([`LdltFactor`]) with a fill-reducing minimum-degree
 //! ordering, a values-only [`LdltFactor::refactor`] fast path, and
 //! allocation-free triangular solves. For grids one to two orders of
@@ -51,7 +44,7 @@ use crate::error::{Error, Result};
 /// of different scales.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
-    /// Iterations (CG) or sweeps (Gauss–Seidel) performed.
+    /// Iterations performed (one for a direct solve).
     pub iterations: usize,
     /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` at exit.
     pub residual: f64,
@@ -581,8 +574,8 @@ impl CsrMatrix {
 
     /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a candidate solution,
     /// computed in one pass over the matrix with no allocation (scalar
-    /// accumulators only) — cheap enough for the transient hot loop,
-    /// where it costs about one extra Gauss–Seidel sweep.
+    /// accumulators only) — about the cost of one SpMV, cheap enough to
+    /// report after every direct solve.
     pub fn relative_residual(&self, b: &[f64], x: &[f64]) -> f64 {
         debug_assert_eq!(b.len(), self.rows);
         debug_assert_eq!(x.len(), self.rows);
@@ -598,135 +591,6 @@ impl CsrMatrix {
             den_sq += b_row * b_row;
         }
         num_sq.sqrt() / den_sq.sqrt().max(f64::MIN_POSITIVE)
-    }
-
-    /// Solves `A·x = b` in place by Gauss–Seidel sweeps with relaxation
-    /// factor `omega` (1.0 = plain Gauss–Seidel; 1 < ω < 2 = SOR).
-    /// Converges for the diagonally dominant matrices our grids produce and
-    /// is very fast when `x` starts near the solution. The returned
-    /// [`SolveStats`] carry the true final relative residual (one extra
-    /// matrix pass), not the update norm the sweep loop tests against.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::DimensionMismatch`] — vector lengths differ from `rows`;
-    /// * [`Error::SingularMatrix`] — zero diagonal entry;
-    /// * [`Error::NonConverged`] — update norm still above `tolerance`
-    ///   after `max_sweeps`.
-    pub fn solve_gauss_seidel(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        omega: f64,
-        tolerance: f64,
-        max_sweeps: usize,
-    ) -> Result<SolveStats> {
-        if b.len() != self.rows {
-            return Err(Error::DimensionMismatch {
-                expected: self.rows,
-                actual: b.len(),
-            });
-        }
-        if x.len() != self.rows {
-            return Err(Error::DimensionMismatch {
-                expected: self.rows,
-                actual: x.len(),
-            });
-        }
-        for sweep in 0..max_sweeps {
-            let mut max_update = 0.0f64;
-            for row in 0..self.rows {
-                let mut sigma = 0.0;
-                let mut diag = 0.0;
-                for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                    let col = self.col_idx[k];
-                    if col == row {
-                        diag = self.values[k];
-                    } else {
-                        sigma += self.values[k] * x[col];
-                    }
-                }
-                if diag == 0.0 {
-                    return Err(Error::SingularMatrix { index: row });
-                }
-                let gs = (b[row] - sigma) / diag;
-                let new = (1.0 - omega) * x[row] + omega * gs;
-                max_update = max_update.max((new - x[row]).abs());
-                x[row] = new;
-            }
-            if max_update <= tolerance {
-                return Ok(SolveStats {
-                    iterations: sweep + 1,
-                    residual: self.relative_residual(b, x),
-                });
-            }
-        }
-        Err(Error::NonConverged {
-            iterations: max_sweeps,
-            residual: self.relative_residual(b, x),
-        })
-    }
-
-    /// Gauss–Seidel sweeps in multicolor (red-black on grid stencils)
-    /// order, using the row ordering and cached inverse diagonal in `ws`.
-    ///
-    /// Same contract as [`CsrMatrix::solve_gauss_seidel`], with two
-    /// differences that matter in hot loops: the diagonal is not searched
-    /// for (or divided by) per row per sweep, and rows of equal color have
-    /// no data dependence, so the sweep order is cache-friendly and
-    /// deterministic regardless of how the matrix was assembled. Converges
-    /// to the same fixed point as the natural ordering; the iterates along
-    /// the way differ, so compare solutions, not sweep counts.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::DimensionMismatch`] — vector or workspace length differs
-    ///   from `rows`;
-    /// * [`Error::NonConverged`] — update norm still above `tolerance`
-    ///   after `max_sweeps`.
-    pub fn solve_gauss_seidel_colored(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        ws: &GsWorkspace,
-        omega: f64,
-        tolerance: f64,
-        max_sweeps: usize,
-    ) -> Result<SolveStats> {
-        for len in [b.len(), x.len(), ws.len()] {
-            if len != self.rows {
-                return Err(Error::DimensionMismatch {
-                    expected: self.rows,
-                    actual: len,
-                });
-            }
-        }
-        for sweep in 0..max_sweeps {
-            let mut max_update = 0.0f64;
-            for &row in &ws.order {
-                // Accumulate the full row product, then cancel the
-                // diagonal term instead of branching on `col == row`.
-                let mut sigma = 0.0;
-                for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                    sigma += self.values[k] * x[self.col_idx[k]];
-                }
-                sigma -= ws.diag[row] * x[row];
-                let gs = (b[row] - sigma) * ws.inv_diag[row];
-                let new = (1.0 - omega) * x[row] + omega * gs;
-                max_update = max_update.max((new - x[row]).abs());
-                x[row] = new;
-            }
-            if max_update <= tolerance {
-                return Ok(SolveStats {
-                    iterations: sweep + 1,
-                    residual: self.relative_residual(b, x),
-                });
-            }
-        }
-        Err(Error::NonConverged {
-            iterations: max_sweeps,
-            residual: self.relative_residual(b, x),
-        })
     }
 }
 
@@ -890,97 +754,6 @@ impl CgWorkspace {
     }
 }
 
-/// Precomputed row ordering and diagonal data for
-/// [`CsrMatrix::solve_gauss_seidel_colored`]: a greedy multicoloring of
-/// the matrix graph (two colors — red-black — on grid stencils, one more
-/// for dense coupling rows like a heat-sink node) plus the diagonal and
-/// its inverse. Build once per matrix, reuse for every solve.
-#[derive(Debug, Clone)]
-pub struct GsWorkspace {
-    order: Vec<usize>,
-    color_ptr: Vec<usize>,
-    diag: Vec<f64>,
-    inv_diag: Vec<f64>,
-}
-
-impl GsWorkspace {
-    /// Colors the matrix graph and caches the diagonal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] on a zero diagonal entry.
-    pub fn new(matrix: &CsrMatrix) -> Result<Self> {
-        let n = matrix.rows();
-        let diag = matrix.diagonal();
-        if let Some(i) = diag.iter().position(|&d| d == 0.0) {
-            return Err(Error::SingularMatrix { index: i });
-        }
-        // Greedy sequential coloring: each row takes the smallest color
-        // not used by an already-colored neighbor. Grid stencils come out
-        // checkerboard (2 colors); irregular rows add at most a few more.
-        let mut color = vec![usize::MAX; n];
-        let mut n_colors = 0;
-        let mut used = Vec::new();
-        for row in 0..n {
-            used.clear();
-            used.resize(n_colors, false);
-            for (col, _) in matrix.row_entries(row) {
-                if col != row && color[col] != usize::MAX {
-                    used[color[col]] = true;
-                }
-            }
-            let c = used.iter().position(|&u| !u).unwrap_or(n_colors);
-            if c == n_colors {
-                n_colors += 1;
-            }
-            color[row] = c;
-        }
-        let mut color_ptr = vec![0usize; n_colors + 1];
-        for &c in &color {
-            color_ptr[c + 1] += 1;
-        }
-        for c in 0..n_colors {
-            color_ptr[c + 1] += color_ptr[c];
-        }
-        let mut cursor = color_ptr.clone();
-        let mut order = vec![0usize; n];
-        for (row, &c) in color.iter().enumerate() {
-            order[cursor[c]] = row;
-            cursor[c] += 1;
-        }
-        Ok(GsWorkspace {
-            order,
-            color_ptr,
-            diag: diag.clone(),
-            inv_diag: diag.into_iter().map(|d| 1.0 / d).collect(),
-        })
-    }
-
-    /// Dimension the workspace was built for.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the workspace is empty (zero-dimensional).
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Number of colors in the ordering (2 for pure grid stencils).
-    pub fn color_count(&self) -> usize {
-        self.color_ptr.len() - 1
-    }
-
-    /// Rows of one color — mutually independent under Gauss–Seidel.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `color >= color_count()`.
-    pub fn color_rows(&self, color: usize) -> &[usize] {
-        &self.order[self.color_ptr[color]..self.color_ptr[color + 1]]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,41 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn gs_non_convergence_reports_real_residual() {
-        // Starved of sweeps, both GS variants must still report the true
-        // relative residual of the iterate they stopped at — not NaN.
-        let n = 60;
-        let m = tridiag(n);
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let err = m.solve_gauss_seidel(&b, &mut x, 1.0, 1e-15, 1).unwrap_err();
-        let expected = m.relative_residual(&b, &x);
-        match err {
-            Error::NonConverged {
-                iterations,
-                residual,
-            } => {
-                assert_eq!(iterations, 1);
-                assert!(residual.is_finite(), "plain GS residual is NaN");
-                assert!((residual - expected).abs() < 1e-12);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        let ws = GsWorkspace::new(&m).unwrap();
-        let mut x = vec![0.0; n];
-        let err = m
-            .solve_gauss_seidel_colored(&b, &mut x, &ws, 1.0, 1e-15, 1)
-            .unwrap_err();
-        match err {
-            Error::NonConverged { residual, .. } => {
-                assert!(residual.is_finite(), "colored GS residual is NaN");
-                assert!(residual > 0.0);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
     fn relative_residual_matches_definition() {
         let n = 10;
         let m = tridiag(n);
@@ -1129,71 +867,6 @@ mod tests {
         // An exact solution has (near-)zero residual.
         let exact = m.solve_cg(&b, None, 1e-14, 1000).unwrap();
         assert!(m.relative_residual(&b, &exact) < 1e-12);
-    }
-
-    #[test]
-    fn gauss_seidel_solves_diagonally_dominant() {
-        let n = 40;
-        let m = tridiag(n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
-        let b = m.mul_vec(&x_true).unwrap();
-        let mut x = vec![0.0; n];
-        let stats = m
-            .solve_gauss_seidel(&b, &mut x, 1.0, 1e-12, 10_000)
-            .unwrap();
-        assert!(stats.iterations > 0);
-        assert!(
-            stats.residual.is_finite() && stats.residual < 1e-8,
-            "GS must report a real final residual, got {}",
-            stats.residual
-        );
-        assert!(vec_ops::max_abs_diff(&x, &x_true) < 1e-8);
-    }
-
-    #[test]
-    fn sor_converges_faster_than_gs() {
-        // 1-D Laplacian [-1, 2, -1]: Gauss–Seidel is slow, SOR with a
-        // near-optimal relaxation factor is dramatically faster.
-        let n = 60;
-        let mut builder = TripletBuilder::new(n, n);
-        for i in 0..n {
-            builder.add(i, i, 2.0);
-            if i > 0 {
-                builder.add(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                builder.add(i, i + 1, -1.0);
-            }
-        }
-        let m = builder.build();
-        let b = vec![1.0; n];
-        let omega_opt = 2.0 / (1.0 + (std::f64::consts::PI / (n as f64 + 1.0)).sin());
-        let mut x_gs = vec![0.0; n];
-        let mut x_sor = vec![0.0; n];
-        let gs = m
-            .solve_gauss_seidel(&b, &mut x_gs, 1.0, 1e-8, 1_000_000)
-            .unwrap()
-            .iterations;
-        let sor = m
-            .solve_gauss_seidel(&b, &mut x_sor, omega_opt, 1e-8, 1_000_000)
-            .unwrap()
-            .iterations;
-        assert!(sor < gs, "SOR {sor} sweeps vs GS {gs}");
-        assert!(vec_ops::max_abs_diff(&x_gs, &x_sor) < 1e-4);
-    }
-
-    #[test]
-    fn gauss_seidel_warm_start_is_cheap() {
-        let n = 40;
-        let m = tridiag(n);
-        let x_true: Vec<f64> = (0..n).map(|i| i as f64 * 0.01).collect();
-        let b = m.mul_vec(&x_true).unwrap();
-        let mut x = x_true.clone();
-        let sweeps = m
-            .solve_gauss_seidel(&b, &mut x, 1.0, 1e-12, 100)
-            .unwrap()
-            .iterations;
-        assert!(sweeps <= 2, "warm start took {sweeps} sweeps");
     }
 
     #[test]
@@ -1328,99 +1001,5 @@ mod tests {
                 .unwrap();
             assert_eq!(ws.min_capacity(), cap);
         }
-    }
-
-    #[test]
-    fn colored_gs_matches_plain_gs() {
-        let n = 40;
-        let m = tridiag(n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
-        let b = m.mul_vec(&x_true).unwrap();
-        let mut x_plain = vec![0.0; n];
-        m.solve_gauss_seidel(&b, &mut x_plain, 1.0, 1e-14, 100_000)
-            .unwrap();
-        let ws = GsWorkspace::new(&m).unwrap();
-        let mut x_colored = vec![0.0; n];
-        let stats = m
-            .solve_gauss_seidel_colored(&b, &mut x_colored, &ws, 1.0, 1e-14, 100_000)
-            .unwrap();
-        assert!(stats.iterations > 0);
-        assert!(stats.residual.is_finite(), "colored GS residual is NaN");
-        assert!(vec_ops::max_abs_diff(&x_colored, &x_plain) < 1e-12);
-        assert!(vec_ops::max_abs_diff(&x_colored, &x_true) < 1e-10);
-    }
-
-    #[test]
-    fn coloring_is_a_proper_coloring() {
-        // A 2-D 5-point Laplacian plus one "sink" row coupled to every
-        // node — the same shape as the thermal conductance matrix.
-        let (nx, ny) = (6, 5);
-        let n = nx * ny + 1;
-        let sink = nx * ny;
-        let mut b = TripletBuilder::new(n, n);
-        for j in 0..ny {
-            for i in 0..nx {
-                let at = j * nx + i;
-                b.add(at, at, 4.5);
-                let mut couple = |other: usize| {
-                    b.add(at, other, -1.0);
-                };
-                if i > 0 {
-                    couple(at - 1);
-                }
-                if i + 1 < nx {
-                    couple(at + 1);
-                }
-                if j > 0 {
-                    couple(at - nx);
-                }
-                if j + 1 < ny {
-                    couple(at + nx);
-                }
-                b.add(at, sink, -0.1);
-                b.add(sink, at, -0.1);
-            }
-        }
-        b.add(sink, sink, 0.1 * (nx * ny) as f64 + 1.0);
-        let m = b.build();
-        let ws = GsWorkspace::new(&m).unwrap();
-        // Grid part is red-black; the dense sink row forces a third color.
-        assert_eq!(ws.color_count(), 3);
-        assert_eq!(ws.len(), n);
-        // Proper coloring: no two coupled rows share a color.
-        for color in 0..ws.color_count() {
-            let rows = ws.color_rows(color);
-            for &row in rows {
-                for (col, _) in m.row_entries(row) {
-                    if col != row {
-                        assert!(
-                            !rows.contains(&col),
-                            "rows {row} and {col} are coupled but share color {color}"
-                        );
-                    }
-                }
-            }
-        }
-        // The ordering is a permutation of 0..n.
-        let mut seen = vec![false; n];
-        for c in 0..ws.color_count() {
-            for &row in ws.color_rows(c) {
-                assert!(!seen[row]);
-                seen[row] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn gs_workspace_rejects_zero_diagonal() {
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 1.0);
-        b.add(1, 0, 1.0);
-        let m = b.build();
-        assert!(matches!(
-            GsWorkspace::new(&m),
-            Err(Error::SingularMatrix { index: 1 })
-        ));
     }
 }

@@ -32,7 +32,7 @@
 //! {
 //!     let _span = tel.span("engine.run");
 //!     tel.gauge("thermal.max_c", 81.5);
-//!     tel.solve("thermal.gs", 12, 1e-9);
+//!     tel.solve("thermal.transient_cg", 12, 1e-9);
 //! }
 //! let trace: String = sink
 //!     .events()
@@ -43,7 +43,7 @@
 //! assert_eq!(analysis.events, 4);
 //! assert_eq!(analysis.kind_count(EventKind::SpanEnd), 1);
 //! assert_eq!(analysis.rollup("thermal.max_c").unwrap().count(), 1);
-//! assert_eq!(analysis.solver("thermal.gs").unwrap().solves(), 1);
+//! assert_eq!(analysis.solver("thermal.transient_cg").unwrap().solves(), 1);
 //! ```
 
 use super::json::JsonValue;
@@ -412,7 +412,7 @@ impl SpanStats {
     }
 }
 
-/// Solver-convergence rollup for one solve site (`thermal.gs`,
+/// Solver-convergence rollup for one solve site (`thermal.transient_cg`,
 /// `pdn.ir_cg`, …): iteration-count and final-residual distributions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverRollup {

@@ -13,7 +13,7 @@
 //!      "fail_below": 1},
 //!     {"name": "noise p95 sane", "metric": "p95:engine.window_noise_pct",
 //!      "warn_above": 25, "fail_above": 60},
-//!     {"name": "no solver blowup", "metric": "solver_iters_max:thermal.gs",
+//!     {"name": "no solver blowup", "metric": "solver_iters_max:thermal.transient_cg",
 //!      "fail_above": 500, "missing": "ok"}
 //!   ]
 //! }

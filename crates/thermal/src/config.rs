@@ -115,16 +115,16 @@ pub struct ThermalConfig {
     /// a small residual sub-cell bump; raise it to study
     /// self-heating-dominated designs.
     pub vr_self_resistance: f64,
-    /// Solver family for the steady-state and transient systems.
+    /// Solver family for the steady-state system.
     ///
     /// Constructors default this to [`SolverBackend::env_default`]
     /// (`SIMKIT_SOLVER` override, else [`SolverBackend::Auto`]): under
     /// `Auto`, steady scratches switch to the cached-LDLᵀ direct path
-    /// after the break-even solve count, while transient steppers keep
-    /// warm-started CG (the `C/Δt`-dominated system makes an iterative
-    /// step cheaper than a triangular solve — BENCH.md). `Direct` pins
-    /// the factored path everywhere, `Cg`/`GaussSeidel` the iterative
-    /// solvers.
+    /// after the break-even solve count (or use multigrid-CG from the
+    /// first solve past the grid-size crossover). `Direct`, `Cg` and
+    /// `Mgcg` pin one steady path. Transient steppers use warm-started
+    /// Jacobi-CG under every backend: the `C/Δt`-dominated system makes
+    /// an iterative step cheaper than a triangular solve (BENCH.md).
     pub solver: SolverBackend,
 }
 

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! Steady state solves `G·T = P` by conjugate gradient; transients use
-//! backward Euler (`(C/Δt + G)·T' = C/Δt·T + P`), warm-started
-//! Gauss–Seidel, unconditionally stable at any step size.
+//! backward Euler (`(C/Δt + G)·T' = C/Δt·T + P`), each step a
+//! Jacobi-CG solve warm-started from the previous one, unconditionally
+//! stable at any step size.
 //!
 //! Component voltage regulators are much smaller than a grid cell, so
 //! their self-heating above the local silicon temperature is modelled by

@@ -6,9 +6,9 @@ use crate::state::ThermalState;
 use floorplan::{BlockId, Floorplan, VrId};
 use simkit::linalg::multigrid::MGCG_MIN_NODES;
 use simkit::linalg::{
-    CgWorkspace, CsrMatrix, GridGeometry, GsWorkspace, JacobiPreconditioner, LdltFactor,
-    LdltWorkspace, MultigridPreconditioner, Preconditioner, SolveStats, SolverBackend,
-    TripletBuilder, DIRECT_BREAK_EVEN,
+    CgWorkspace, CsrMatrix, GridGeometry, JacobiPreconditioner, LdltFactor, LdltWorkspace,
+    MultigridPreconditioner, Preconditioner, SolveStats, SolverBackend, TripletBuilder,
+    DIRECT_BREAK_EVEN,
 };
 use simkit::perf::SolverAgg;
 use simkit::telemetry::Telemetry;
@@ -177,7 +177,7 @@ impl ThermalModel {
 
     /// Installs a telemetry handle; steady solves emit
     /// `thermal.steady_cg` solve events and steppers created afterwards
-    /// emit per-step `thermal.gs` solve events plus a
+    /// emit per-step `thermal.transient_cg` solve events plus a
     /// `thermal.max_silicon_c` hotspot gauge.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -358,7 +358,7 @@ impl ThermalModel {
             && match self.config.solver {
                 SolverBackend::Direct => true,
                 SolverBackend::Auto => solves_so_far >= DIRECT_BREAK_EVEN,
-                SolverBackend::Cg | SolverBackend::Mgcg | SolverBackend::GaussSeidel => false,
+                SolverBackend::Cg | SolverBackend::Mgcg => false,
             };
         if use_mgcg {
             let setup_started = Instant::now();
@@ -504,11 +504,11 @@ impl ThermalModel {
     /// The system `G + C/Δt` is fixed for the stepper's lifetime and
     /// solved once per thermal step. At simulation time steps the `C/Δt`
     /// diagonal dominates the stencil couplings, so a warm-started
-    /// iterative step converges in a handful of iterations and beats
-    /// streaming the LDLᵀ factor through a triangular solve (measured
-    /// ≈16 µs vs ≈120 µs per step at 32×32 — see BENCH.md);
-    /// [`SolverBackend::Auto`] therefore pins warm-started CG, and the
-    /// direct stepper is an explicit `Direct` opt-in.
+    /// Jacobi-CG step converges in a handful of iterations and beats
+    /// streaming an LDLᵀ factor through a triangular solve (measured
+    /// ≈16 µs vs ≈120 µs per step at 32×32), Gauss–Seidel sweeps, and a
+    /// multigrid V-cycle per iteration (see BENCH.md). Every backend
+    /// therefore builds the same warm-started CG stepper.
     ///
     /// # Panics
     ///
@@ -522,32 +522,13 @@ impl ThermalModel {
         }
         let a = add_matrices(&self.conductance, b.build());
         let factor_started = Instant::now();
-        let solver = match self.config.solver {
-            SolverBackend::Direct => TransientSolver::Direct {
-                factor: LdltFactor::new(&a).expect("backward-Euler system is SPD"),
-                ws: LdltWorkspace::new(),
-            },
-            SolverBackend::GaussSeidel => TransientSolver::Gs {
-                ws: GsWorkspace::new(&a).expect("backward-Euler system has a full diagonal"),
-            },
-            SolverBackend::Mgcg => TransientSolver::Mgcg {
-                pre: Box::new(
-                    MultigridPreconditioner::new(&a, self.grid_geometry())
-                        .expect("backward-Euler system is SPD"),
-                ),
-                ws: CgWorkspace::new(),
-            },
-            SolverBackend::Auto | SolverBackend::Cg => TransientSolver::Cg {
-                pre: JacobiPreconditioner::new(&a)
-                    .expect("backward-Euler system has a full diagonal"),
-                ws: CgWorkspace::new(),
-            },
-        };
+        let pre = JacobiPreconditioner::new(&a).expect("backward-Euler system has a full diagonal");
         TransientStepper {
             model: self,
             dt,
             system: a,
-            solver,
+            pre,
+            ws: CgWorkspace::new(),
             pending_factor_s: factor_started.elapsed().as_secs_f64(),
             rhs: vec![0.0; self.n_nodes],
             telemetry: self.telemetry.clone(),
@@ -622,69 +603,28 @@ fn add_matrices(a: &CsrMatrix, b: CsrMatrix) -> CsrMatrix {
     out.build()
 }
 
-/// Per-backend solver state of a [`TransientStepper`]: the factor or
-/// workspace is built once at [`ThermalModel::stepper`] time and reused
-/// allocation-free by every step.
-#[derive(Debug, Clone)]
-enum TransientSolver {
-    /// Cached LDLᵀ factor of `G + C/Δt` plus its solve workspace.
-    Direct {
-        factor: LdltFactor,
-        ws: LdltWorkspace,
-    },
-    /// Multicolor Gauss–Seidel ordering and cached diagonal.
-    Gs { ws: GsWorkspace },
-    /// Jacobi preconditioner and CG scratch, warm-started per step.
-    Cg {
-        pre: JacobiPreconditioner,
-        ws: CgWorkspace,
-    },
-    /// Multigrid hierarchy of `G + C/Δt` and CG scratch, warm-started
-    /// per step. Boxed: the hierarchy dwarfs the other variants.
-    Mgcg {
-        pre: Box<MultigridPreconditioner>,
-        ws: CgWorkspace,
-    },
-}
-
-impl TransientSolver {
-    /// Telemetry event name of the per-step solve.
-    fn event_name(&self) -> &'static str {
-        match self {
-            TransientSolver::Direct { .. } => "thermal.transient_direct",
-            TransientSolver::Gs { .. } => "thermal.gs",
-            TransientSolver::Cg { .. } => "thermal.transient_cg",
-            TransientSolver::Mgcg { .. } => "thermal.transient_mgcg",
-        }
-    }
-
-    /// Stable backend name for the telemetry `backend` field.
-    fn backend_name(&self) -> &'static str {
-        match self {
-            TransientSolver::Direct { .. } => SolverBackend::Direct.name(),
-            TransientSolver::Gs { .. } => SolverBackend::GaussSeidel.name(),
-            TransientSolver::Cg { .. } => SolverBackend::Cg.name(),
-            TransientSolver::Mgcg { .. } => SolverBackend::Mgcg.name(),
-        }
-    }
-}
+/// Telemetry event name of every transient step's solve.
+const TRANSIENT_SOLVE_EVENT: &str = "thermal.transient_cg";
 
 /// A prepared backward-Euler integrator bound to one [`ThermalModel`] and
-/// a fixed step size.
+/// a fixed step size, solving each step by Jacobi-preconditioned CG
+/// warm-started from the previous step's temperatures.
 ///
-/// The system matrix `G + C/Δt`, its per-backend solver state (LDLᵀ
-/// factor, Gauss–Seidel ordering, or CG preconditioner — see
-/// [`ThermalConfig::solver`]), and the right-hand-side buffer are all
-/// built once here, so [`TransientStepper::step`] performs no heap
-/// allocation — the inner loop of every simulation run.
+/// The system matrix `G + C/Δt`, its Jacobi preconditioner, the CG
+/// workspace, and the right-hand-side buffer are all built once here, so
+/// [`TransientStepper::step`] performs no heap allocation — the inner
+/// loop of every simulation run. The stepper is the same under every
+/// [`ThermalConfig::solver`] backend; the backend governs steady solves
+/// only.
 #[derive(Debug, Clone)]
 pub struct TransientStepper<'m> {
     model: &'m ThermalModel,
     dt: Seconds,
     system: CsrMatrix,
-    solver: TransientSolver,
-    /// Factorization time not yet reported: attributed to the first
-    /// step's solve event, zero afterwards.
+    pre: JacobiPreconditioner,
+    ws: CgWorkspace,
+    /// Preconditioner setup time not yet reported: attributed to the
+    /// first step's solve event, zero afterwards.
     pending_factor_s: f64,
     rhs: Vec<f64>,
     telemetry: Telemetry,
@@ -697,15 +637,13 @@ impl TransientStepper<'_> {
     }
 
     /// Telemetry event name this stepper's solves are reported under
-    /// (`thermal.transient_direct`, `thermal.gs`, or
-    /// `thermal.transient_cg`).
+    /// (`thermal.transient_cg`).
     pub fn solve_event_name(&self) -> &'static str {
-        self.solver.event_name()
+        TRANSIENT_SOLVE_EVENT
     }
 
     /// Advances `state` by one step under the given power map and
-    /// returns the solver's convergence statistics (one "iteration" and
-    /// the true relative residual for the direct backend).
+    /// returns the CG convergence statistics.
     ///
     /// Solves in place: the state's own buffer is the warm start and the
     /// solution, and the right-hand side lives in the stepper.
@@ -726,45 +664,23 @@ impl TransientStepper<'_> {
             *r += c * inv_dt * t;
         }
         let solve_started = Instant::now();
-        let stats = match &mut self.solver {
-            TransientSolver::Direct { factor, ws } => {
-                factor.solve_into(&self.rhs, state.raw_mut(), ws)?;
-                LdltFactor::stats_for(&self.system, &self.rhs, state.raw())
-            }
-            TransientSolver::Gs { ws } => self.system.solve_gauss_seidel_colored(
-                &self.rhs,
-                state.raw_mut(),
-                ws,
-                1.1,
-                1e-7,
-                2_000,
-            )?,
-            // The sink node's C/Δt term dominates ‖b‖, so the relative
-            // tolerance must be far below the steady 1e-10 to bound the
-            // *absolute* temperature error on silicon nodes.
-            TransientSolver::Cg { pre, ws } => self.system.solve_cg_with(
-                &self.rhs,
-                state.raw_mut(),
-                pre,
-                ws,
-                1e-13,
-                10 * n.max(1),
-            )?,
-            TransientSolver::Mgcg { pre, ws } => self.system.solve_cg_with(
-                &self.rhs,
-                state.raw_mut(),
-                &**pre,
-                ws,
-                1e-13,
-                10 * n.max(1),
-            )?,
-        };
+        // The sink node's C/Δt term dominates ‖b‖, so the relative
+        // tolerance must be far below the steady 1e-10 to bound the
+        // *absolute* temperature error on silicon nodes.
+        let stats = self.system.solve_cg_with(
+            &self.rhs,
+            state.raw_mut(),
+            &self.pre,
+            &mut self.ws,
+            1e-13,
+            10 * n.max(1),
+        )?;
         if self.telemetry.is_enabled() {
             self.telemetry.solve_timed(
-                self.solver.event_name(),
+                TRANSIENT_SOLVE_EVENT,
                 stats.iterations,
                 stats.residual,
-                self.solver.backend_name(),
+                SolverBackend::Cg.name(),
                 self.pending_factor_s,
                 solve_started.elapsed().as_secs_f64(),
             );
@@ -956,12 +872,42 @@ mod tests {
 
     #[test]
     fn transient_backends_agree() {
-        let chip = power8_like();
-        let mut power = None;
-        let mut states = Vec::new();
+        let (chip, model) = setup();
+        let mut power = PowerMap::new(&model);
+        for (i, block) in chip.blocks().iter().enumerate() {
+            power
+                .add_block(block.id(), Watts::new(0.5 + (i % 7) as f64 * 0.4))
+                .unwrap();
+        }
+        let dt = Seconds::from_micros(50.0);
+        // Reference: LDLᵀ of G + C/Δt, fed the same right-hand side.
+        let mut diag = TripletBuilder::new(model.n_nodes, model.n_nodes);
+        for (row, &c) in model.capacitance.iter().enumerate() {
+            diag.add(row, row, c / dt.get());
+        }
+        let factor = LdltFactor::new(&add_matrices(&model.conductance, diag.build())).unwrap();
+        let mut ldlt_ws = LdltWorkspace::new();
+        let mut reference = model.ambient_state();
+        let mut rhs = vec![0.0; model.n_nodes];
+        let mut stepper = model.stepper(dt);
+        let mut state = model.ambient_state();
+        for _ in 0..50 {
+            model.rhs_into(&power, &mut rhs);
+            for ((r, &c), &t) in rhs.iter_mut().zip(&model.capacitance).zip(reference.raw()) {
+                *r += c / dt.get() * t;
+            }
+            factor
+                .solve_into(&rhs, reference.raw_mut(), &mut ldlt_ws)
+                .unwrap();
+            stepper.step(&mut state, &power).unwrap();
+        }
+        let gap = reference.max_abs_difference(&state);
+        assert!(gap < 1e-4, "CG stepper vs LDLᵀ diverged by {gap} °C");
+        // The backend knob governs steady solves only: every backend
+        // builds the same CG stepper.
         for backend in [
+            SolverBackend::Auto,
             SolverBackend::Direct,
-            SolverBackend::GaussSeidel,
             SolverBackend::Cg,
             SolverBackend::Mgcg,
         ] {
@@ -970,28 +916,11 @@ mod tests {
                 ..ThermalConfig::coarse()
             };
             let model = ThermalModel::new(&chip, config);
-            let pm = power.get_or_insert_with(|| {
-                let mut pm = std::collections::BTreeMap::new();
-                for (i, block) in chip.blocks().iter().enumerate() {
-                    pm.insert(block.id(), 0.5 + (i % 7) as f64 * 0.4);
-                }
-                pm
-            });
-            let mut map = PowerMap::new(&model);
-            for (&b, &w) in pm.iter() {
-                map.add_block(b, Watts::new(w)).unwrap();
-            }
-            let mut stepper = model.stepper(Seconds::from_micros(50.0));
-            let mut state = model.ambient_state();
-            for _ in 0..50 {
-                stepper.step(&mut state, &map).unwrap();
-            }
-            states.push(state);
-        }
-        let direct = &states[0];
-        for (other, name) in states[1..].iter().zip(["gs", "cg", "mgcg"]) {
-            let gap = direct.max_abs_difference(other);
-            assert!(gap < 1e-4, "direct vs {name} diverged by {gap} °C");
+            assert_eq!(
+                model.stepper(dt).solve_event_name(),
+                "thermal.transient_cg",
+                "{backend:?}"
+            );
         }
     }
 
