@@ -150,6 +150,9 @@ cargo run --release -q -p experiments --bin tg-verify -- \
 cargo run --release -q -p experiments --bin tg-verify -- \
     --fast --seed=0xC1 --threads=2 --report=target/ci/verify_b.txt
 cmp target/ci/verify_a.txt target/ci/verify_b.txt
+# The separable di/dt differential must be registered and passing, so it
+# cannot silently drop out of run_all.
+grep -q '^ok   diff.noise_separable_vs_direct ' target/ci/verify_a.txt
 
 echo "== tg-verify: an unknown SIMKIT_SOLVER is a usage error (exit 2) =="
 # gs named the Gauss–Seidel backend, which no longer exists; it must be

@@ -36,10 +36,8 @@ use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
 use floorplan::{DomainId, Floorplan};
-use pdn::transient::{cycles_over, noise_series, TransientParams};
-use pdn::{
-    EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel, WindowInputs,
-};
+use pdn::transient::DidtResponse;
+use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
 use power::{PowerModel, TechnologyParams};
 use simkit::linalg::SolverBackend;
 use simkit::perf::{PhaseTimes, SolverProfile, Timer};
@@ -940,11 +938,16 @@ impl<'c> SimulationEngine<'c> {
             // stream is identical across policies (one benchmark = one
             // set of sampled windows, as in the paper's methodology) and
             // (b) the VT policies' oracle judges the *same* windows that
-            // will be measured.
-            let interval_windows: Vec<(usize, Vec<Vec<f64>>)> = window_steps
+            // will be measured. Each window is reduced to its
+            // gating-independent di/dt responses here, once; the truth
+            // check and the measurement only scale them. The off-chip
+            // policy analyses no noise and draws no windows. Generation
+            // counts as noise time, not policy time.
+            let t_windows = Timer::start();
+            let interval_windows: Vec<(usize, Vec<DidtResponse>)> = window_steps
                 .iter()
                 .copied()
-                .filter(|&s| s >= step0 && s < step0 + self.steps_per_decision)
+                .filter(|&s| analyze_noise && s >= step0 && s < step0 + self.steps_per_decision)
                 .map(|s| {
                     (
                         s,
@@ -952,6 +955,7 @@ impl<'c> SimulationEngine<'c> {
                     )
                 })
                 .collect();
+            noise_secs += t_windows.elapsed_seconds();
 
             // --- Decide ------------------------------------------------
             let no_emergency = vec![false; n_domains];
@@ -972,16 +976,13 @@ impl<'c> SimulationEngine<'c> {
                 // measurement windows?
                 let t_truth = Timer::start();
                 let mut truth = vec![false; n_domains];
-                for (_, mults) in &interval_windows {
-                    let report = self.analyzer.analyze(
+                for (_, responses) in &interval_windows {
+                    let report = self.analyzer.analyze_responses(
                         self.chip,
                         &self.pdn,
                         &gating,
-                        &WindowInputs {
-                            block_powers: &block_powers_next,
-                            domain_multipliers: mults,
-                            warmup: WARMUP_CYCLES,
-                        },
+                        &block_powers_next,
+                        responses,
                     )?;
                     solver_profile.merge_agg("noise", &report.ir_solve_stats());
                     for (d, flag) in truth.iter_mut().enumerate() {
@@ -1142,26 +1143,18 @@ impl<'c> SimulationEngine<'c> {
                     max_gradient = max_gradient.max(gradient);
 
                     // Noise windows.
-                    let window_here = if analyze_noise {
-                        interval_windows
-                            .iter()
-                            .find(|&&(s, _)| s == view.step)
-                            .map(|(_, m)| m)
-                    } else {
-                        None
-                    };
-                    if let Some(mults) = window_here {
-                        let mults: &Vec<Vec<f64>> = mults;
+                    let window_here = interval_windows
+                        .iter()
+                        .find(|&&(s, _)| s == view.step)
+                        .map(|(_, r)| r);
+                    if let Some(responses) = window_here {
                         let t_noise = Timer::start();
-                        let report = self.analyzer.analyze(
+                        let report = self.analyzer.analyze_responses(
                             self.chip,
                             &self.pdn,
                             view.gating,
-                            &WindowInputs {
-                                block_powers: view.block_powers,
-                                domain_multipliers: mults,
-                                warmup: WARMUP_CYCLES,
-                            },
+                            view.block_powers,
+                            responses,
                         )?;
                         solver_profile.merge_agg("noise", &report.ir_solve_stats());
                         // Per-domain fractions, with the VT policies'
@@ -1190,16 +1183,13 @@ impl<'c> SimulationEngine<'c> {
 
                         // Emergency residency (Table 2) + worst trace
                         // (Fig. 14). The analyzer's report carries the
-                        // static IR component, so no second grid solve.
+                        // static IR component and each domain's transient
+                        // scale, so neither a second grid solve nor a
+                        // second convolution.
                         let mut window_emergency_cycles = 0usize;
-                        for (d, domain) in self.chip.domains().iter().enumerate() {
-                            let params =
-                                self.transient_params(domain, view.gating, view.block_powers);
-                            let mut over = cycles_over(
-                                &cfg.pdn,
-                                &params,
-                                &mults[d],
-                                WARMUP_CYCLES,
+                        for (d, response) in responses.iter().enumerate() {
+                            let mut over = response.cycles_over(
+                                report.domain_transient_scale(DomainId(d)),
                                 report.domain_ir_fraction(DomainId(d)),
                                 threshold,
                             );
@@ -1222,22 +1212,13 @@ impl<'c> SimulationEngine<'c> {
                                         .expect("finite noise")
                                 })
                                 .expect("at least one domain");
-                            let params = self.transient_params(
-                                &self.chip.domains()[worst_domain],
-                                view.gating,
-                                view.block_powers,
-                            );
-                            let trace: Vec<f64> = noise_series(
-                                &cfg.pdn,
-                                &params,
-                                &mults[worst_domain],
-                                WARMUP_CYCLES,
-                            )
-                            .into_iter()
-                            .map(|t| {
-                                (t + report.domain_ir_fraction(DomainId(worst_domain))) * 100.0
-                            })
-                            .collect();
+                            let scale = report.domain_transient_scale(DomainId(worst_domain));
+                            let ir = report.domain_ir_fraction(DomainId(worst_domain));
+                            let trace: Vec<f64> = responses[worst_domain]
+                                .magnitudes()
+                                .iter()
+                                .map(|&c| (scale * c + ir) * 100.0)
+                                .collect();
                             worst_window = Some((pct, trace));
                         }
                         noise_secs += t_noise.elapsed_seconds();
@@ -1340,15 +1321,16 @@ impl<'c> SimulationEngine<'c> {
         out
     }
 
-    /// Generates the per-domain cycle windows for one noise evaluation.
-    /// `didt_severity` is indexed by domain, so multiprogrammed mixes
-    /// give each core domain its own benchmark's di/dt character.
+    /// Generates the per-domain cycle windows for one noise evaluation
+    /// and reduces each to its di/dt response. `didt_severity` is
+    /// indexed by domain, so multiprogrammed mixes give each core domain
+    /// its own benchmark's di/dt character.
     fn domain_windows(
         &self,
         activities: &[f64],
         didt_severity: &[f64],
         rng: &mut DeterministicRng,
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<DidtResponse> {
         self.chip
             .domains()
             .iter()
@@ -1359,37 +1341,12 @@ impl<'c> SimulationEngine<'c> {
                     .map(|&b| activities[b.0])
                     .sum::<f64>()
                     / domain.blocks().len() as f64;
-                generate_window(rng, WINDOW_CYCLES, mean_act, didt_severity[domain.id().0])
-                    .multipliers()
-                    .to_vec()
+                let window =
+                    generate_window(rng, WINDOW_CYCLES, mean_act, didt_severity[domain.id().0]);
+                self.analyzer
+                    .response(self.pdn.config(), window.multipliers(), WARMUP_CYCLES)
             })
             .collect()
-    }
-
-    /// Transient parameters of one domain under the current gating.
-    fn transient_params(
-        &self,
-        domain: &floorplan::VddDomain,
-        gating: &GatingState,
-        block_powers: &[Watts],
-    ) -> TransientParams {
-        let vdd = self.config.tech.vdd;
-        let mean_current = domain
-            .blocks()
-            .iter()
-            .map(|&b| block_powers[b.0])
-            .sum::<Watts>()
-            / vdd;
-        TransientParams {
-            mean_current,
-            n_active: gating.active_among(domain.vrs()).max(1),
-            n_total: domain.vr_count(),
-            distance_factor: self
-                .pdn
-                .active_distance_factor(domain.id(), gating, block_powers),
-            response_time: self.config.design.response_time(),
-            frequency: self.config.tech.frequency,
-        }
     }
 }
 

@@ -15,8 +15,10 @@
 //!    exercised against a first-order reference plant.
 //! 2. **Differential checks** — direct LDLᵀ vs CG and multigrid-CG vs
 //!    Jacobi-CG agreement on random SPD grids and on the real thermal /
-//!    PDN matrices, and serial vs parallel sweep bit-equality (the cache
-//!    is cleared between legs so both actually recompute).
+//!    PDN matrices, the separable di/dt response vs the direct
+//!    convolution on random windows, and serial vs parallel sweep
+//!    bit-equality (the cache is cleared between legs so both actually
+//!    recompute).
 //! 3. **Golden-run comparison** — a committed fixture of tiny-sweep
 //!    records, compared field-by-field at relative tolerance; regenerate
 //!    with `tg-verify --bless` after an intentional physics change.
@@ -1086,6 +1088,100 @@ pub fn diff_mgcg_vs_cg(opts: &VerifyOptions) -> CheckReport {
     to_report("diff.mgcg_vs_cg", cases, outcome, opts)
 }
 
+/// The di/dt convolution as the engine computed it before the separable
+/// response: the gating-dependent kernel applied to the current steps of
+/// every analysis cycle, summed tap by tap. An oracle only.
+fn direct_noise_series(
+    config: &pdn::PdnConfig,
+    params: &pdn::transient::TransientParams,
+    multipliers: &[f64],
+    warmup: usize,
+) -> Vec<f64> {
+    let kernel = pdn::transient::impulse_kernel(config, params);
+    let i_mean = params.mean_current.get().max(0.0);
+    (warmup..multipliers.len())
+        .map(|n| {
+            let mut v = 0.0;
+            for (k, &h) in kernel.iter().take(kernel.len().min(n)).enumerate() {
+                v += h * (i_mean * (multipliers[n - k] - multipliers[n - k - 1]));
+            }
+            v.abs() / config.vdd.get()
+        })
+        .collect()
+}
+
+/// The separable di/dt evaluation (one gating-independent response per
+/// window, scaled per gating) matches the direct convolution on random
+/// `generate_window` windows, warm-ups, gatings, loads and both regulator
+/// response times (0.8 ns LDO, 15 ns FIVR): the peak and every cycle of
+/// the series within 1e-12 of the reference peak, and `cycles_over`
+/// exactly whenever no cycle lies within 1e-12 of the threshold. The
+/// corpus pins a zero warm-up and a one-cycle analysis region.
+pub fn diff_noise_separable_vs_direct(opts: &VerifyOptions) -> CheckReport {
+    use pdn::transient::{cycles_over, noise_series, peak_transient_fraction, TransientParams};
+    use simkit::units::{Hertz, Seconds};
+    use workload::microtrace::{generate_window, WINDOW_CYCLES};
+
+    let cases = if opts.fast { 32 } else { 128 };
+    let config = pdn::PdnConfig::default();
+    // Knobs, each in [0, 1): activity, di/dt severity, distance factor,
+    // mean current, regulator (< 0.5 = LDO), IR fraction, and the
+    // threshold's height above the IR floor as a share of 1.5× the peak.
+    let gen = (
+        check::usize_in(0, 1 << 20),
+        check::usize_in(0, WINDOW_CYCLES - 1),
+        check::usize_in(1, 9),
+        check::vec_of(check::f64_in(0.0, 1.0), 7, 7),
+    );
+    let outcome = checker(opts, cases).run(
+        "diff.noise_separable_vs_direct",
+        &gen,
+        |(seed, warmup, n_active, knobs)| {
+            let mut rng = simkit::DeterministicRng::new(*seed as u64);
+            let window = generate_window(&mut rng, WINDOW_CYCLES, knobs[0], knobs[1]);
+            let multipliers = window.multipliers();
+            let params = TransientParams {
+                mean_current: Amps::new(40.0 * knobs[3]),
+                n_active: *n_active,
+                n_total: 9,
+                distance_factor: 0.05 + 3.95 * knobs[2],
+                response_time: Seconds::from_nanos(if knobs[4] < 0.5 { 0.8 } else { 15.0 }),
+                frequency: Hertz::from_ghz(4.0),
+            };
+            let reference = direct_noise_series(&config, &params, multipliers, *warmup);
+            let ref_peak = reference.iter().copied().fold(0.0, f64::max);
+            let tol = 1e-12 * ref_peak;
+
+            let peak = peak_transient_fraction(&config, &params, multipliers, *warmup);
+            check::ensure((peak - ref_peak).abs() <= tol, || {
+                format!("peak {peak:e} vs direct {ref_peak:e}")
+            })?;
+            let series = noise_series(&config, &params, multipliers, *warmup);
+            check::ensure(series.len() == reference.len(), || {
+                format!("series length {} vs {}", series.len(), reference.len())
+            })?;
+            for (n, (a, b)) in series.iter().zip(&reference).enumerate() {
+                check::ensure((a - b).abs() <= tol, || {
+                    format!("cycle {n}: {a:e} vs direct {b:e} (peak {ref_peak:e})")
+                })?;
+            }
+
+            let ir = 0.05 * knobs[5];
+            let threshold = ir + 1.5 * knobs[6] * ref_peak;
+            let near = 1e-12 * threshold.max(f64::MIN_POSITIVE);
+            if reference.iter().all(|v| (v + ir - threshold).abs() > near) {
+                let expected = reference.iter().filter(|&&v| v + ir > threshold).count();
+                let got = cycles_over(&config, &params, multipliers, *warmup, ir, threshold);
+                check::ensure(got == expected, || {
+                    format!("cycles_over {got} vs direct {expected} at threshold {threshold:e}")
+                })?;
+            }
+            Ok(())
+        },
+    );
+    to_report("diff.noise_separable_vs_direct", cases, outcome, opts)
+}
+
 /// The benchmark × policy cells of the sweep differential / golden runs.
 pub fn verify_grid() -> ([Benchmark; 2], [PolicyKind; 2]) {
     (
@@ -1355,6 +1451,7 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         oracle_govern_gain_monotone(opts),
         diff_direct_vs_cg(opts),
         diff_mgcg_vs_cg(opts),
+        diff_noise_separable_vs_direct(opts),
     ];
     if !opts.skip_sweep {
         let (sweep_report, records) = diff_sweep_parallel(opts);

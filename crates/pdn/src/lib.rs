@@ -17,7 +17,9 @@
 //!   windows (the paper's VoltSpot sampling methodology), via an
 //!   underdamped impulse-response kernel whose magnitude shrinks with the
 //!   number of active regulators and with regulator response speed (the
-//!   LDO-vs-FIVR distinction of Fig. 15).
+//!   LDO-vs-FIVR distinction of Fig. 15). The kernel's gating dependence
+//!   is a single scale, so each window is convolved once into a
+//!   gating-independent [`transient::DidtResponse`].
 //! * [`NoiseAnalyzer`] — combines both into the per-domain maximum
 //!   voltage-noise percentages reported in Figs. 11/14/15.
 //! * [`EmergencyDetector`] / [`EmergencyPredictor`] — the 10 %-of-Vdd

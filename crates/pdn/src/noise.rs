@@ -2,7 +2,7 @@
 
 use crate::config::PdnConfig;
 use crate::grid::PdnModel;
-use crate::transient::{peak_transient_fraction, TransientParams};
+use crate::transient::{response_scale, DidtResponse, TransientParams};
 use floorplan::{DomainId, Floorplan};
 use simkit::perf::SolverAgg;
 use simkit::telemetry::Telemetry;
@@ -15,6 +15,7 @@ use vreg::GatingState;
 pub struct NoiseReport {
     per_domain: Vec<f64>,
     per_domain_ir: Vec<f64>,
+    per_domain_scale: Vec<f64>,
     ir_solve: SolverAgg,
 }
 
@@ -22,12 +23,14 @@ impl NoiseReport {
     /// Builds a report from raw per-domain total-noise fractions
     /// (indexed by [`DomainId`]) — mainly for tests and external tooling;
     /// [`NoiseAnalyzer::analyze`] is the normal source of reports. The
-    /// static IR component is taken as zero.
+    /// static IR component and the transient scales are taken as zero.
     pub fn from_fractions(per_domain: Vec<f64>) -> Self {
         let per_domain_ir = vec![0.0; per_domain.len()];
+        let per_domain_scale = vec![0.0; per_domain.len()];
         NoiseReport {
             per_domain,
             per_domain_ir,
+            per_domain_scale,
             ir_solve: SolverAgg::default(),
         }
     }
@@ -46,6 +49,17 @@ impl NoiseReport {
     /// Panics when the domain id is out of range.
     pub fn domain_ir_fraction(&self, domain: DomainId) -> f64 {
         self.per_domain_ir[domain.0]
+    }
+
+    /// The transient scale `a = Z_eff · i_mean / Vdd` of one domain under
+    /// the analysed gating: a [`DidtResponse`] magnitude times `a` is
+    /// that cycle's transient noise as a fraction of Vdd.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the domain id is out of range.
+    pub fn domain_transient_scale(&self, domain: DomainId) -> f64 {
+        self.per_domain_scale[domain.0]
     }
 
     /// Noise of one domain as a fraction of Vdd.
@@ -135,6 +149,22 @@ impl NoiseAnalyzer {
         self.response_time
     }
 
+    /// The gating-independent di/dt response of one domain window, for
+    /// [`NoiseAnalyzer::analyze_responses`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `warmup >= multipliers.len()`.
+    pub fn response(&self, config: &PdnConfig, multipliers: &[f64], warmup: usize) -> DidtResponse {
+        DidtResponse::new(
+            config,
+            self.response_time,
+            self.frequency,
+            multipliers,
+            warmup,
+        )
+    }
+
     /// Evaluates the total (IR + transient) noise of every domain for one
     /// sampled window under the given gating state.
     ///
@@ -148,44 +178,66 @@ impl NoiseAnalyzer {
         gating: &GatingState,
         inputs: &WindowInputs<'_>,
     ) -> Result<NoiseReport> {
-        let ir = model.ir_drop(gating, inputs.block_powers)?;
+        let responses: Vec<DidtResponse> = inputs
+            .domain_multipliers
+            .iter()
+            .map(|m| self.response(model.config(), m, inputs.warmup))
+            .collect();
+        self.analyze_responses(chip, model, gating, inputs.block_powers, &responses)
+    }
+
+    /// [`NoiseAnalyzer::analyze`] over windows already reduced to their
+    /// responses (indexed by [`DomainId`]): one IR solve, then each
+    /// domain's transient peak is its response peak times the gating's
+    /// scale.
+    ///
+    /// # Errors
+    ///
+    /// Propagates IR-solve errors (floating domains, size mismatches).
+    pub fn analyze_responses(
+        &self,
+        chip: &Floorplan,
+        model: &PdnModel,
+        gating: &GatingState,
+        block_powers: &[Watts],
+        responses: &[DidtResponse],
+    ) -> Result<NoiseReport> {
+        let ir = model.ir_drop(gating, block_powers)?;
         let config: &PdnConfig = model.config();
         let vdd = config.vdd;
 
-        let mut per_domain_ir = Vec::with_capacity(chip.domains().len());
+        let n_domains = chip.domains().len();
+        let mut per_domain_ir = Vec::with_capacity(n_domains);
+        let mut per_domain_scale = Vec::with_capacity(n_domains);
         let per_domain = chip
             .domains()
             .iter()
             .map(|domain| {
                 let d = domain.id();
-                per_domain_ir.push(ir.domain_fraction(d));
                 let mean_current = domain
                     .blocks()
                     .iter()
-                    .map(|&b| inputs.block_powers[b.0])
+                    .map(|&b| block_powers[b.0])
                     .sum::<Watts>()
                     / vdd;
-                let n_active = gating.active_among(domain.vrs()).max(1);
                 let params = TransientParams {
                     mean_current,
-                    n_active,
+                    n_active: gating.active_among(domain.vrs()).max(1),
                     n_total: domain.vr_count(),
-                    distance_factor: model.active_distance_factor(d, gating, inputs.block_powers),
+                    distance_factor: model.active_distance_factor(d, gating, block_powers),
                     response_time: self.response_time,
                     frequency: self.frequency,
                 };
-                let transient = peak_transient_fraction(
-                    config,
-                    &params,
-                    &inputs.domain_multipliers[d.0],
-                    inputs.warmup,
-                );
-                ir.domain_fraction(d) + transient
+                let scale = response_scale(config, &params) / vdd.get();
+                per_domain_ir.push(ir.domain_fraction(d));
+                per_domain_scale.push(scale);
+                ir.domain_fraction(d) + scale * responses[d.0].peak()
             })
             .collect();
         let report = NoiseReport {
             per_domain,
             per_domain_ir,
+            per_domain_scale,
             ir_solve: ir.solve_stats(),
         };
         if self.telemetry.is_enabled() {
@@ -296,6 +348,52 @@ mod tests {
             worse.max_percent(),
             base.max_percent()
         );
+    }
+
+    #[test]
+    fn report_scales_reproduce_the_transient_peak() {
+        use crate::transient::peak_transient_fraction;
+
+        let (chip, model, analyzer) = setup();
+        let powers = vec![Watts::new(1.2); chip.blocks().len()];
+        let windows: Vec<Vec<f64>> = (0..chip.domains().len())
+            .map(|i| step_window(2000, 1100 + 53 * i, 0.3))
+            .collect();
+        let mut gating = GatingState::all_on(chip.vr_sites().len());
+        for &v in chip.domains()[0].vrs().iter().skip(2) {
+            gating.set(v, false).unwrap();
+        }
+        let inputs = WindowInputs {
+            block_powers: &powers,
+            domain_multipliers: &windows,
+            warmup: 1000,
+        };
+        let report = analyzer.analyze(&chip, &model, &gating, &inputs).unwrap();
+        let responses: Vec<DidtResponse> = windows
+            .iter()
+            .map(|w| analyzer.response(model.config(), w, 1000))
+            .collect();
+        let again = analyzer
+            .analyze_responses(&chip, &model, &gating, &powers, &responses)
+            .unwrap();
+        assert_eq!(report.fractions(), again.fractions());
+        for domain in chip.domains() {
+            let d = domain.id();
+            let params = TransientParams {
+                mean_current: domain.blocks().iter().map(|&b| powers[b.0]).sum::<Watts>()
+                    / model.config().vdd,
+                n_active: gating.active_among(domain.vrs()).max(1),
+                n_total: domain.vr_count(),
+                distance_factor: model.active_distance_factor(d, &gating, &powers),
+                response_time: analyzer.response_time(),
+                frequency: analyzer.frequency(),
+            };
+            let transient = report.domain_fraction(d) - report.domain_ir_fraction(d);
+            let scaled = report.domain_transient_scale(d) * responses[d.0].peak();
+            assert!((transient - scaled).abs() <= 1e-15, "D{}", d.0);
+            let direct = peak_transient_fraction(model.config(), &params, &windows[d.0], 1000);
+            assert!((transient - direct).abs() <= 1e-12 * direct, "D{}", d.0);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! underdamped impulse-response kernel:
 //!
 //! ```text
-//! h[k] = Z_eff · cos(2π k / T_ring) · decay(k)
+//! h[k] = Z_eff · shape[k],   shape[k] = cos(2π k / T_ring) · decay(k)
 //! ```
 //!
 //! `Z_eff` grows when fewer regulators are active and when the active set
@@ -15,6 +15,22 @@
 //! `response_cycles`), then a fast regulated decay — which is how a
 //! faster regulator (POWER8-style LDO vs. FIVR, Fig. 15) earns its lower
 //! transient noise.
+//!
+//! # Separable evaluation
+//!
+//! The current steps are `di[n] = i_mean · Δm[n]`, and only `Z_eff`
+//! depends on the gating. A cycle's noise therefore factors into a
+//! gating-dependent scale and a gating-independent magnitude:
+//!
+//! ```text
+//! v[n] / Vdd = a · c[n],   a = Z_eff · i_mean / Vdd,   c[n] = |Σ_k shape[k] · Δm[n−k]|
+//! ```
+//!
+//! [`DidtResponse`] convolves a window once, when it is drawn, and keeps
+//! `c[n]` over the analysis region; [`response_scale`] gives `Z_eff ·
+//! i_mean` for a gating. Every check on the window — the peak, the
+//! per-cycle series, the emergency-cycle count — then scales the stored
+//! magnitudes instead of convolving again.
 
 use crate::config::PdnConfig;
 use simkit::units::{Amps, Hertz, Seconds};
@@ -37,6 +53,110 @@ pub struct TransientParams {
     pub frequency: Hertz,
 }
 
+/// The gating-independent di/dt response of one cycle window: the
+/// per-cycle magnitudes `c[n] = |Σ_k shape[k] · Δm[n−k]|` over the
+/// analysis region, where `shape` is the unit-impedance impulse kernel
+/// and `Δm` the per-cycle multiplier steps.
+///
+/// Multiplying by `a` = [`response_scale`] / Vdd turns a magnitude
+/// into a fraction of Vdd for one gating, so a window is convolved once
+/// however many gatings and checks it is evaluated under.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DidtResponse {
+    magnitudes: Vec<f64>,
+    peak: f64,
+}
+
+impl DidtResponse {
+    /// Convolves one window of per-cycle current multipliers (around a
+    /// mean of 1, see `workload::microtrace`) with the kernel shape of a
+    /// regulator responding in `response_time` at clock `frequency`. The
+    /// first `warmup` cycles seed the convolution but are excluded from
+    /// the analysis region.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `warmup >= multipliers.len()`.
+    pub fn new(
+        config: &PdnConfig,
+        response_time: Seconds,
+        frequency: Hertz,
+        multipliers: &[f64],
+        warmup: usize,
+    ) -> Self {
+        let len = multipliers.len();
+        assert!(warmup < len, "warm-up swallows the window");
+        let shape = kernel_shape(config, response_cycles(response_time, frequency));
+        // Per-cycle steps; `steps[0]` has no predecessor and is never read.
+        let mut steps = vec![0.0; len];
+        for (s, m) in steps[1..].iter_mut().zip(multipliers.windows(2)) {
+            *s = m[1] - m[0];
+        }
+        // Tap-outer (axpy) order: cycle n takes taps k = 0, 1, … up to
+        // min(len(shape), n) − 1 in turn, so every sum adds its terms in
+        // increasing k, and the inner loop carries no reduction.
+        let mut acc = vec![0.0; len - warmup];
+        for (k, &tap) in shape.iter().enumerate() {
+            let first = warmup.max(k + 1);
+            if first >= len {
+                break;
+            }
+            for (out, &step) in acc[first - warmup..]
+                .iter_mut()
+                .zip(&steps[first - k..len - k])
+            {
+                *out += tap * step;
+            }
+        }
+        let mut peak = 0.0f64;
+        for c in &mut acc {
+            *c = c.abs();
+            peak = peak.max(*c);
+        }
+        DidtResponse {
+            magnitudes: acc,
+            peak,
+        }
+    }
+
+    /// Per-cycle magnitudes `c[n]` over the analysis region.
+    pub fn magnitudes(&self) -> &[f64] {
+        &self.magnitudes
+    }
+
+    /// The largest magnitude over the analysis region (0 for a quiet
+    /// window).
+    pub fn peak(&self) -> f64 {
+        self.peak
+    }
+
+    /// Analysis cycles whose total noise `scale · c[n] + ir_fraction`
+    /// exceeds `threshold_fraction`, with `scale` = [`response_scale`]
+    /// / Vdd.
+    pub fn cycles_over(&self, scale: f64, ir_fraction: f64, threshold_fraction: f64) -> usize {
+        self.magnitudes
+            .iter()
+            .filter(|&&c| scale * c + ir_fraction > threshold_fraction)
+            .count()
+    }
+}
+
+/// `Z_eff · i_mean`: the gating-dependent factor that turns a
+/// [`DidtResponse`] magnitude into volts. Divide by Vdd for fractions.
+///
+/// # Panics
+///
+/// Panics when `n_active` is zero or exceeds `n_total`.
+pub fn response_scale(config: &PdnConfig, params: &TransientParams) -> f64 {
+    assert!(
+        params.n_active > 0 && params.n_active <= params.n_total,
+        "n_active {} outside [1, {}]",
+        params.n_active,
+        params.n_total
+    );
+    z_eff(config, params) * params.mean_current.get().max(0.0)
+}
+
 /// Peak transient noise over a cycle window, as a fraction of Vdd.
 ///
 /// `multipliers` are per-cycle current multipliers around a mean of 1
@@ -53,33 +173,8 @@ pub fn peak_transient_fraction(
     multipliers: &[f64],
     warmup: usize,
 ) -> f64 {
-    assert!(
-        params.n_active > 0 && params.n_active <= params.n_total,
-        "n_active {} outside [1, {}]",
-        params.n_active,
-        params.n_total
-    );
-    assert!(warmup < multipliers.len(), "warm-up swallows the window");
-
-    let kernel = impulse_kernel(config, params);
-    let i_mean = params.mean_current.get().max(0.0);
-    let vdd = config.vdd.get();
-
-    // Per-cycle current steps.
-    let mut peak = 0.0f64;
-    // Direct convolution: windows are 2 K cycles and kernels O(100), so
-    // this stays cheap.
-    for n in warmup..multipliers.len() {
-        let mut v = 0.0;
-        let k_max = kernel.len().min(n);
-        for (k, &h) in kernel.iter().take(k_max).enumerate() {
-            let idx = n - k;
-            let di = i_mean * (multipliers[idx] - multipliers[idx - 1]);
-            v += h * di;
-        }
-        peak = peak.max(v.abs());
-    }
-    peak / vdd
+    let scale = response_scale(config, params) / config.vdd.get();
+    scale * response(config, params, multipliers, warmup).peak()
 }
 
 /// The full per-cycle transient-noise magnitude over the analysis region
@@ -95,27 +190,11 @@ pub fn noise_series(
     multipliers: &[f64],
     warmup: usize,
 ) -> Vec<f64> {
-    assert!(
-        params.n_active > 0 && params.n_active <= params.n_total,
-        "n_active {} outside [1, {}]",
-        params.n_active,
-        params.n_total
-    );
-    assert!(warmup < multipliers.len(), "warm-up swallows the window");
-    let kernel = impulse_kernel(config, params);
-    let i_mean = params.mean_current.get().max(0.0);
-    let vdd = config.vdd.get();
-    (warmup..multipliers.len())
-        .map(|n| {
-            let mut v = 0.0;
-            let k_max = kernel.len().min(n);
-            for (k, &h) in kernel.iter().take(k_max).enumerate() {
-                let idx = n - k;
-                let di = i_mean * (multipliers[idx] - multipliers[idx - 1]);
-                v += h * di;
-            }
-            v.abs() / vdd
-        })
+    let scale = response_scale(config, params) / config.vdd.get();
+    response(config, params, multipliers, warmup)
+        .magnitudes()
+        .iter()
+        .map(|&c| scale * c)
         .collect()
 }
 
@@ -135,25 +214,63 @@ pub fn cycles_over(
     ir_fraction: f64,
     threshold_fraction: f64,
 ) -> usize {
-    noise_series(config, params, multipliers, warmup)
-        .into_iter()
-        .filter(|v| v + ir_fraction > threshold_fraction)
-        .count()
+    let scale = response_scale(config, params) / config.vdd.get();
+    response(config, params, multipliers, warmup).cycles_over(
+        scale,
+        ir_fraction,
+        threshold_fraction,
+    )
 }
 
 /// The impulse-response kernel for the given configuration.
 pub fn impulse_kernel(config: &PdnConfig, params: &TransientParams) -> Vec<f64> {
-    let response_cycles = (params.response_time.get() * params.frequency.get()).max(1.0);
+    let z_eff = z_eff(config, params);
+    kernel_shape(
+        config,
+        response_cycles(params.response_time, params.frequency),
+    )
+    .into_iter()
+    .map(|s| z_eff * s)
+    .collect()
+}
+
+fn response(
+    config: &PdnConfig,
+    params: &TransientParams,
+    multipliers: &[f64],
+    warmup: usize,
+) -> DidtResponse {
+    DidtResponse::new(
+        config,
+        params.response_time,
+        params.frequency,
+        multipliers,
+        warmup,
+    )
+}
+
+fn response_cycles(response_time: Seconds, frequency: Hertz) -> f64 {
+    (response_time.get() * frequency.get()).max(1.0)
+}
+
+/// The kernel's impedance: the only factor of `h[k]` that depends on the
+/// gating (through `n_active` and `distance_factor`).
+fn z_eff(config: &PdnConfig, params: &TransientParams) -> f64 {
+    let response_cycles = response_cycles(params.response_time, params.frequency);
     // A regulator that reacts within the first droop (≈ a quarter of the
     // ring period) partially suppresses even the initial undershoot; a
     // slow loop only helps the tail. This is the (modest) LDO-vs-FIVR
     // advantage of Fig. 15.
     let quarter = config.ring_period_cycles / 4.0;
     let first_droop_suppression = 1.0 - 0.25 * quarter / (quarter + response_cycles);
-    let z_eff = config.z_transient_ohm
+    config.z_transient_ohm
         * (config.z_reference_active / params.n_active as f64).sqrt()
         * params.distance_factor.max(0.1)
-        * first_droop_suppression;
+        * first_droop_suppression
+}
+
+/// The unit-impedance kernel `shape[k] = cos(2π k / T_ring) · decay(k)`.
+fn kernel_shape(config: &PdnConfig, response_cycles: f64) -> Vec<f64> {
     // Regulated decay: a few cycles once the loop has reacted.
     let regulated_tau = 8.0;
     let len = (response_cycles + 5.0 * regulated_tau).ceil() as usize;
@@ -167,7 +284,7 @@ pub fn impulse_kernel(config: &PdnConfig, params: &TransientParams) -> Vec<f64> 
             } else {
                 1.0
             };
-            z_eff * (omega * kf).cos() * passive * regulated
+            (omega * kf).cos() * passive * regulated
         })
         .collect()
 }
@@ -296,6 +413,106 @@ mod tests {
         let peak = peak_transient_fraction(&cfg, &p, &w, 1000);
         let some = cycles_over(&cfg, &p, &w, 1000, 0.0, peak * 0.5);
         assert!(some > 0 && some < 1000, "crossings {some}");
+    }
+
+    /// The convolution as it was written before the separable response:
+    /// one full gating-dependent kernel per cycle, summed tap by tap.
+    fn direct_series(
+        cfg: &PdnConfig,
+        p: &TransientParams,
+        multipliers: &[f64],
+        warmup: usize,
+    ) -> Vec<f64> {
+        let kernel = impulse_kernel(cfg, p);
+        let i_mean = p.mean_current.get().max(0.0);
+        (warmup..multipliers.len())
+            .map(|n| {
+                let mut v = 0.0;
+                for (k, &h) in kernel.iter().take(kernel.len().min(n)).enumerate() {
+                    v += h * (i_mean * (multipliers[n - k] - multipliers[n - k - 1]));
+                }
+                v.abs() / cfg.vdd.get()
+            })
+            .collect()
+    }
+
+    fn noisy_window(len: usize, seed: u64) -> Vec<f64> {
+        let mut rng = simkit::DeterministicRng::new(seed);
+        (0..len).map(|_| 0.8 + 0.4 * rng.uniform_f64()).collect()
+    }
+
+    fn response(p: &TransientParams, w: &[f64], warmup: usize) -> DidtResponse {
+        DidtResponse::new(
+            &PdnConfig::default(),
+            p.response_time,
+            p.frequency,
+            w,
+            warmup,
+        )
+    }
+
+    #[test]
+    fn response_is_independent_of_gating() {
+        // Every gating's series is its own scale times one shared set of
+        // magnitudes: dividing the scale back out recovers the response.
+        let cfg = PdnConfig::default();
+        let w = noisy_window(2000, 3);
+        let shared = response(&params(9, 15.0), &w, 1000);
+        for (n_active, distance) in [(1, 1.0), (4, 0.05), (9, 2.5)] {
+            let mut p = params(n_active, 15.0);
+            p.distance_factor = distance;
+            let scale = response_scale(&cfg, &p) / cfg.vdd.get();
+            assert_eq!(response(&p, &w, 1000), shared);
+            for (v, &c) in noise_series(&cfg, &p, &w, 1000)
+                .iter()
+                .zip(shared.magnitudes())
+            {
+                assert!((v / scale - c).abs() <= 1e-12 * shared.peak(), "{v} vs {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn peak_is_the_largest_magnitude() {
+        let w = noisy_window(2000, 4);
+        let r = response(&params(9, 0.8), &w, 1000);
+        assert_eq!(r.magnitudes().len(), 1000);
+        let max = r.magnitudes().iter().copied().fold(0.0, f64::max);
+        assert!(max > 0.0);
+        assert_eq!(r.peak(), max);
+    }
+
+    #[test]
+    fn peak_fraction_is_the_scaled_peak() {
+        let cfg = PdnConfig::default();
+        let w = noisy_window(2000, 5);
+        let p = params(3, 15.0);
+        let expected = response_scale(&cfg, &p) / cfg.vdd.get() * response(&p, &w, 1000).peak();
+        assert_eq!(peak_transient_fraction(&cfg, &p, &w, 1000), expected);
+    }
+
+    #[test]
+    fn warmup_shorter_than_the_kernel_matches_direct_convolution() {
+        let cfg = PdnConfig::default();
+        let w = noisy_window(400, 6);
+        for response_ns in [0.8, 15.0] {
+            let p = params(5, response_ns);
+            let taps = impulse_kernel(&cfg, &p).len();
+            for warmup in [0, 1, taps / 2, taps - 1, taps, taps + 1] {
+                let reference = direct_series(&cfg, &p, &w, warmup);
+                let series = noise_series(&cfg, &p, &w, warmup);
+                assert_eq!(series.len(), reference.len());
+                let peak = reference.iter().copied().fold(0.0, f64::max);
+                for (n, (a, b)) in series.iter().zip(&reference).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * peak,
+                        "warm-up {warmup}, cycle {n}: {a} vs {b}"
+                    );
+                }
+                let got = peak_transient_fraction(&cfg, &p, &w, warmup);
+                assert!((got - peak).abs() <= 1e-12 * peak, "{got} vs {peak}");
+            }
+        }
     }
 
     #[test]
