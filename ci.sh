@@ -26,7 +26,7 @@ cargo run --release -q -p experiments --bin simulate -- \
     --frames 25 --quiet --telemetry="$TELEMETRY_DIR"
 test -s "$TELEMETRY_DIR/trace.jsonl"
 test -s "$TELEMETRY_DIR/manifest.json"
-cargo run --release -q -p experiments --bin telemetry_check -- "$TELEMETRY_DIR" \
+cargo run --release -q -p experiments --bin tg-obs -- validate "$TELEMETRY_DIR" \
     --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress,frame
 
 echo "== tg-obs: summarize, export, self-diff (must be zero-drift) =="
@@ -124,6 +124,10 @@ TG_SERVE="$PWD/target/release/tg-serve"
     --cache="$SERVE_DIR/cache" --telemetry="$SERVE_DIR/cold" \
     > "$SERVE_DIR/cold.txt" 2> "$SERVE_DIR/cold.err"
 grep -q 'scenarios=112 hits=0 misses=112' "$SERVE_DIR/cold.err"
+# The cold trace interleaves 112 cells on per-cell tracks: spans must
+# pair per (track, name) and the manifest must count every line.
+"$PWD/target/release/tg-obs" validate "$SERVE_DIR/cold" \
+    --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress
 "$TG_SERVE" --batch="$SERVE_DIR/batch.txt" --tiny --quiet \
     --cache="$SERVE_DIR/cache" --telemetry="$SERVE_DIR/warm" \
     > "$SERVE_DIR/warm.txt" 2> "$SERVE_DIR/warm.err"

@@ -1,17 +1,15 @@
 //! Telemetry overhead: the acceptance bar is that a run with the no-op
 //! sink installed stays within 1 % of a run with telemetry disabled
-//! (the default), while the full JSONL + metrics pipeline is measured
-//! separately to quantify the cost of actually recording, and the
-//! spatial frame recorder's extra cost on top of that pipeline is
+//! (the default), while the full JSONL + live-aggregation pipeline is
+//! measured separately to quantify the cost of actually recording, and
+//! the spatial frame recorder's extra cost on top of that pipeline is
 //! measured as its own row.
 
 use bench::bench_config;
 use criterion::{criterion_group, criterion_main, Criterion};
 use floorplan::reference::power8_like;
-use simkit::telemetry::{
-    CountingSink, FanoutSink, JsonlSink, MetricsRegistry, MetricsSink, NoopSink, Telemetry,
-    TelemetrySink,
-};
+use simkit::telemetry::live::LiveSink;
+use simkit::telemetry::{CountingSink, FanoutSink, JsonlSink, NoopSink, Telemetry, TelemetrySink};
 use std::hint::black_box;
 use std::sync::Arc;
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
@@ -35,6 +33,17 @@ fn traced_run(telemetry: Telemetry) {
     traced_run_with_frames(telemetry, 0);
 }
 
+/// What `--telemetry=<dir> --live` installs: the JSONL file plus the
+/// streaming aggregate, behind the run's event counter.
+fn jsonl_live_sink(trace: &std::path::Path) -> Arc<dyn TelemetrySink> {
+    let jsonl = Arc::new(JsonlSink::create(trace).unwrap());
+    let fanout = Arc::new(FanoutSink::new(vec![
+        jsonl as Arc<dyn TelemetrySink>,
+        Arc::new(LiveSink::new()),
+    ]));
+    Arc::new(CountingSink::new(fanout))
+}
+
 fn telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(20);
@@ -50,41 +59,29 @@ fn telemetry_overhead(c: &mut Criterion) {
         b.iter(|| traced_run(Telemetry::with_sink(Arc::new(NoopSink))))
     });
 
-    // Full pipeline: JSONL file + metrics registry + event counter —
-    // what `--telemetry=<dir>` installs.
-    group.bench_function("jsonl_metrics", |b| {
+    // Full pipeline: JSONL file + live aggregate + event counter.
+    group.bench_function("jsonl_live", |b| {
         let dir = std::env::temp_dir().join(format!("tg-bench-telemetry-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         b.iter(|| {
-            let jsonl = Arc::new(JsonlSink::create(&dir.join("trace.jsonl")).unwrap());
-            let registry = Arc::new(MetricsRegistry::new());
-            let fanout = Arc::new(FanoutSink::new(vec![
-                jsonl as Arc<dyn TelemetrySink>,
-                Arc::new(MetricsSink::new(registry)),
-            ]));
-            let counter = Arc::new(CountingSink::new(fanout as Arc<dyn TelemetrySink>));
-            traced_run(Telemetry::with_sink(counter));
+            traced_run(Telemetry::with_sink(jsonl_live_sink(
+                &dir.join("trace.jsonl"),
+            )))
         });
         let _ = std::fs::remove_dir_all(&dir);
     });
 
     // Frames on top of the full pipeline: the spatial frame recorder
-    // sampling every 50 steps. The delta against `jsonl_metrics` is the
+    // sampling every 50 steps. The delta against `jsonl_live` is the
     // recorder's cost; the gated BENCH axis tracks the same quantity
     // from the recorder's own `telemetry.overhead` counter.
-    group.bench_function("jsonl_metrics_frames", |b| {
+    group.bench_function("jsonl_live_frames", |b| {
         let dir =
             std::env::temp_dir().join(format!("tg-bench-telemetry-fr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         b.iter(|| {
-            let jsonl = Arc::new(JsonlSink::create(&dir.join("trace.jsonl")).unwrap());
-            let registry = Arc::new(MetricsRegistry::new());
-            let fanout = Arc::new(FanoutSink::new(vec![
-                jsonl as Arc<dyn TelemetrySink>,
-                Arc::new(MetricsSink::new(registry)),
-            ]));
-            let counter = Arc::new(CountingSink::new(fanout as Arc<dyn TelemetrySink>));
-            traced_run_with_frames(Telemetry::with_sink(counter), 50);
+            let sink = jsonl_live_sink(&dir.join("trace.jsonl"));
+            traced_run_with_frames(Telemetry::with_sink(sink), 50);
         });
         let _ = std::fs::remove_dir_all(&dir);
     });

@@ -20,6 +20,7 @@ use experiments::report::{self, banner, metrics_report, render_heatmap, solver_r
 use experiments::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
 use simkit::linalg::SolverBackend;
+use simkit::telemetry::analyze::TraceAnalysis;
 use simkit::telemetry::manifest::{CellManifest, RunManifest};
 use simkit::units::Seconds;
 use std::fs::File;
@@ -351,9 +352,15 @@ fn main() -> ExitCode {
         );
     }
     if let Some(ctx) = &telemetry_ctx {
-        let metrics = metrics_report(ctx.registry());
-        if !metrics.is_empty() {
-            print!("\ntelemetry metrics:\n{metrics}");
+        // `finish` flushed the trace above, so its fold is complete.
+        match TraceAnalysis::from_path(&ctx.trace_path()) {
+            Ok(analysis) => {
+                let metrics = metrics_report(&analysis);
+                if !metrics.is_empty() {
+                    print!("\ntelemetry metrics:\n{metrics}");
+                }
+            }
+            Err(e) => eprintln!("warning: cannot read the telemetry trace back: {e}"),
         }
     }
     if args.heatmap {

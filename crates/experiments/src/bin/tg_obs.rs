@@ -8,6 +8,9 @@
 //!
 //! ```text
 //! tg-obs summarize <run-dir>                  # human-readable report
+//! tg-obs validate <run-dir> [--require k,k]   # trace + manifest checks
+//! tg-obs watch <run-dir> [--rules <json>]     # follow a live trace
+//! tg-obs check <run-dir> --rules <json>       # gate on health rules
 //! tg-obs export <run-dir> [--out <csv>]       # CSV time series
 //! tg-obs timeline <run-dir> [--out <json>]    # Chrome-trace / Perfetto
 //! tg-obs flame <run-dir> [--out <txt>]        # collapsed stacks
@@ -16,8 +19,9 @@
 //! tg-obs bench-snapshot [--label <l>] [--out <dir>] [--policies t,t]
 //! ```
 //!
-//! `diff` exits non-zero when a gated metric regresses beyond its
-//! tolerance, so it can guard CI.
+//! `validate`, `check`, and `diff` exit 1 on a violation, a failed rule,
+//! or a regression beyond tolerance, so they can guard CI; every
+//! subcommand exits 2 on a usage error.
 
 use experiments::obs::{diff_analyses, diff_manifests, diff_snapshots, DiffConfig, DiffReport};
 use experiments::report::{analysis_json, analysis_report};
@@ -25,11 +29,10 @@ use experiments::snapshot::{self, BenchSnapshot};
 use experiments::sweep::policy_from_tag;
 use simkit::linalg::SolverBackend;
 use simkit::telemetry::analyze::{series_points, TraceAnalysis, TraceReader, TraceTailer};
-use simkit::telemetry::live::LiveStats;
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
 use simkit::telemetry::prof::Profile;
 use simkit::telemetry::rules::{RuleSet, Severity};
-use simkit::telemetry::timeline;
+use simkit::telemetry::{timeline, EventKind};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -46,6 +49,17 @@ USAGE:
         --json writes one stable-key-order JSON document (schema
         thermogater.summary/v1) instead of the human tables.
 
+    tg-obs validate <run-dir> [--require <kind,kind,..>]
+        Check a run directory: manifest.json parses and its
+        events_total equals the trace's event count; every trace line
+        is a well-formed event (a bad line fails, naming its number)
+        with a non-negative integer track; span ends pair with starts
+        per (track, name) and none stays open; timestamps never step
+        back more than 0.1 s when the manifest lists at most one cell;
+        each --require kind appears. Kinds: span_start span_end counter
+        gauge histogram gating emergency solve progress frame. Exits 1
+        on the first violation, naming it on stderr.
+
     tg-obs watch <run-dir> [--once] [--rules <file.json>]
                  [--status-every <n>] [--interval-ms <n>] [--timeout-s <n>]
         Follow a live trace as it is written: streaming aggregation
@@ -54,11 +68,13 @@ USAGE:
         completes (manifest written), goes idle for timeout-s (default
         30), or --once drains the current file — a final summary that
         is byte-identical to `summarize` on the finished trace, below a
-        `--- summary ---` marker. Exits 1 when a rule fails.
+        `--- summary ---` marker. Percentile rules read bounded-memory
+        P² estimates while streaming. Exits 1 when a rule fails.
 
     tg-obs check <run-dir> --rules <file.json> [--strict]
-        Batch-evaluate a rules file against a finished trace. Prints
-        the deterministic rule report and exits 1 when any rule fails
+        Batch-evaluate a rules file against a finished trace, with the
+        exact percentiles `summarize` prints. Prints the deterministic
+        rule report and exits 1 when any rule fails
         (with `failed: <rule>` on stderr, mirroring diff's contract);
         --strict also gates warnings. Usage errors exit 2.
 
@@ -128,6 +144,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("summarize") => cmd_summarize(&args[1..]),
+        Some("validate") => cmd_validate(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
@@ -223,28 +240,140 @@ fn render_summarize(input: &Path) -> Result<String, String> {
     Ok(text)
 }
 
+/// Largest backward timestamp step `validate` tolerates, in seconds:
+/// run-level and cell-level handles have separate epochs a few
+/// milliseconds apart, so exact monotonicity would be a false positive.
+const MONO_SLACK_S: f64 = 0.1;
+
+fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
+    let usage = "usage: tg-obs validate <run-dir> [--require <kind,kind,..>]";
+    let mut run_dir: Option<&str> = None;
+    let mut require = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--require" => {
+                let list = iter
+                    .next()
+                    .ok_or_else(|| format!("--require needs a kind list\n\n{usage}"))?;
+                for tag in list.split(',').filter(|t| !t.is_empty()) {
+                    require.push(
+                        EventKind::parse(tag)
+                            .ok_or_else(|| format!("unknown event kind `{tag}`\n\n{usage}"))?,
+                    );
+                }
+            }
+            _ if run_dir.is_none() && !arg.starts_with('-') => run_dir = Some(arg),
+            other => return Err(format!("unexpected argument `{other}`\n\n{usage}")),
+        }
+    }
+    let Some(run_dir) = run_dir else {
+        return Err(format!("{usage}\n\n{USAGE}"));
+    };
+    match validate_run(Path::new(run_dir), &require) {
+        Ok(summary) => {
+            println!("ok: {summary}");
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(msg) => {
+            eprintln!("validate: {msg}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Runs every `validate` check over a run directory, stopping at the
+/// first violation; on success returns the one-line verdict.
+fn validate_run(dir: &Path, require: &[EventKind]) -> Result<String, String> {
+    let manifest_path = dir.join(MANIFEST_FILE);
+    let text = std::fs::read_to_string(&manifest_path)
+        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
+    // `from_json` re-checks the schema tag, config hash, and event total.
+    let manifest = RunManifest::from_json(text.trim())
+        .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
+    let trace = dir.join(TRACE_FILE);
+    let mut reader =
+        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
+    // Parallel sweep cells interleave their (per-handle-epoch)
+    // timestamps arbitrarily; only single-cell traces are ordered.
+    let check_mono = manifest.cells.len() <= 1;
+    let mut analysis = TraceAnalysis::streaming();
+    let mut prev_t = f64::NEG_INFINITY;
+    loop {
+        let event = reader
+            .next_event()
+            .map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
+        if let Some((line, error)) = reader.first_error() {
+            return Err(format!("{TRACE_FILE}:{line}: {error}"));
+        }
+        let Some(event) = event else { break };
+        let at = |what: String| format!("{TRACE_FILE}:{}: {what}", reader.line());
+        let track = match event.field("track") {
+            None => 0,
+            Some(v) => v
+                .as_f64()
+                .filter(|t| t.is_finite() && *t >= 0.0 && t.fract() == 0.0)
+                .ok_or_else(|| at("field \"track\" is not a non-negative integer".into()))?
+                as u64,
+        };
+        let unmatched =
+            |a: &TraceAnalysis| a.span(&event.name).map_or(0, |span| span.unmatched_ends);
+        let before = unmatched(&analysis);
+        analysis.observe(&event);
+        if unmatched(&analysis) > before {
+            return Err(at(format!(
+                "span_end {:?} on track {track} without a matching span_start",
+                event.name
+            )));
+        }
+        if check_mono && event.t_s + MONO_SLACK_S < prev_t {
+            return Err(at(format!(
+                "timestamp went backwards: {:.6}s after {prev_t:.6}s (slack {MONO_SLACK_S}s)",
+                event.t_s
+            )));
+        }
+        prev_t = prev_t.max(event.t_s);
+    }
+    let unclosed: Vec<String> = analysis
+        .open_spans()
+        .iter()
+        .map(|(track, name, _)| format!("{name} (track {track})"))
+        .collect();
+    if !unclosed.is_empty() {
+        return Err(format!(
+            "{} span(s) never closed: {}",
+            unclosed.len(),
+            unclosed.join(", ")
+        ));
+    }
+    if analysis.events != manifest.total_events() {
+        return Err(format!(
+            "event count mismatch: {} trace lines vs events_total {}",
+            analysis.events,
+            manifest.total_events()
+        ));
+    }
+    if let Some(kind) = require.iter().find(|k| analysis.kind_count(**k) == 0) {
+        return Err(format!(
+            "required event kind {:?} never appears",
+            kind.as_str()
+        ));
+    }
+    let kinds = EventKind::ALL
+        .iter()
+        .filter(|k| analysis.kind_count(**k) > 0)
+        .count();
+    Ok(format!(
+        "{} valid events across {kinds} kinds in {} (spans paired, timestamps ordered)",
+        analysis.events,
+        dir.display()
+    ))
+}
+
 fn load_rules(path: &str) -> Result<RuleSet, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read rules file {path}: {e}"))?;
     RuleSet::from_json(&text).map_err(|e| format!("invalid rules file {path}: {e}"))
-}
-
-/// Folds a finished trace into the same streaming aggregates `watch`
-/// maintains incrementally.
-fn live_stats_from_trace(input: &Path) -> Result<LiveStats, String> {
-    let trace = trace_path(input);
-    let mut reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
-    let mut stats = LiveStats::new();
-    while let Some(event) = reader
-        .next_event()
-        .map_err(|e| format!("cannot read {}: {e}", trace.display()))?
-    {
-        stats.observe(&event);
-    }
-    stats.malformed_lines = reader.malformed_lines();
-    stats.truncated = reader.truncated();
-    Ok(stats)
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -270,7 +399,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("{usage}\n\n{USAGE}"));
     };
     let rules = load_rules(rules_path)?;
-    let stats = live_stats_from_trace(Path::new(run_dir))?;
+    let stats = load_analysis(Path::new(run_dir))?;
     let report = rules.evaluate(&stats);
     print!("{}", report.render());
     let gate = if strict {
@@ -292,8 +421,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 /// the trace prefix folded so far — counts and aggregates only, never
 /// wall-clock times — so two watches of identical runs render
 /// identical lines.
-fn watch_status(stats: &LiveStats, rules: Option<&RuleSet>) -> String {
-    use simkit::telemetry::EventKind;
+fn watch_status(stats: &TraceAnalysis, rules: Option<&RuleSet>) -> String {
     let mut line = format!(
         "[watch] events={} decisions={} churn={} solves={} emergencies={} progress={}",
         stats.events,
@@ -318,7 +446,11 @@ fn watch_status(stats: &LiveStats, rules: Option<&RuleSet>) -> String {
 /// The run is complete once the manifest has landed and the trace has
 /// yielded every event it claims (malformed lines count toward the
 /// total — they occupy trace lines) with no partial line pending.
-fn watch_complete(input: &Path, stats: &LiveStats, tailer: &TraceTailer) -> Result<bool, String> {
+fn watch_complete(
+    input: &Path,
+    stats: &TraceAnalysis,
+    tailer: &TraceTailer,
+) -> Result<bool, String> {
     if tailer.partial_tail() {
         return Ok(false);
     }
@@ -360,9 +492,15 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("--interval-ms needs an integer\n\n{usage}"))?;
             }
             "--timeout-s" => {
+                // NaN compares false against every elapsed time, so it
+                // would never time out; a negative value always would.
                 timeout_s = value("--timeout-s")?
                     .parse()
-                    .map_err(|_| format!("--timeout-s needs a number\n\n{usage}"))?;
+                    .ok()
+                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+                    .ok_or_else(|| {
+                        format!("--timeout-s needs a finite number of seconds >= 0\n\n{usage}")
+                    })?;
             }
             _ if run_dir.is_none() && !arg.starts_with('-') => run_dir = Some(arg),
             other => return Err(format!("unexpected argument `{other}`\n\n{usage}")),
@@ -389,7 +527,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     };
 
-    let mut stats = LiveStats::new();
+    let mut stats = TraceAnalysis::streaming();
     let mut last_event = Instant::now();
     loop {
         let events = tailer

@@ -20,7 +20,7 @@
 
 use crate::report::TextTable;
 use crate::snapshot::BenchSnapshot;
-use simkit::telemetry::analyze::TraceAnalysis;
+use simkit::telemetry::analyze::{Rollup, TraceAnalysis};
 use simkit::telemetry::manifest::RunManifest;
 use simkit::telemetry::EventKind;
 
@@ -459,7 +459,7 @@ enum Rollfn {
 }
 
 impl Rollfn {
-    fn eval(&self, r: &simkit::telemetry::analyze::Rollup) -> Option<f64> {
+    fn eval(&self, r: &Rollup) -> Option<f64> {
         match self {
             Rollfn::Mean => r.mean(),
             Rollfn::P(p) => r.percentile(*p),
@@ -856,7 +856,7 @@ mod tests {
             .field_u64("turned_on", 1)
             .field_u64("turned_off", 0)
             .emit();
-        let mut analysis = TraceAnalysis::new();
+        let mut analysis = TraceAnalysis::exact();
         for event in sink.events() {
             analysis.observe(&ParsedEvent::from_line(&event.to_json()).unwrap());
         }
@@ -902,7 +902,7 @@ mod tests {
         for _ in 0..solves {
             tel.solve(site, if site.ends_with("_direct") { 1 } else { 42 }, 1e-9);
         }
-        let mut analysis = TraceAnalysis::new();
+        let mut analysis = TraceAnalysis::exact();
         for event in sink.events() {
             analysis.observe(&ParsedEvent::from_line(&event.to_json()).unwrap());
         }

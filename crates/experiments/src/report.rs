@@ -2,7 +2,6 @@
 
 use simkit::perf::SolverProfile;
 use simkit::telemetry::analyze::TraceAnalysis;
-use simkit::telemetry::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide quiet preference (`--quiet`/`-q`): when set,
@@ -177,32 +176,30 @@ pub fn solver_report(profile: &SolverProfile) -> String {
     t.render()
 }
 
-/// Renders the counters and histogram summaries a telemetry-enabled run
-/// accumulated, as two column-aligned tables (counters first). Empty
-/// sections are omitted; an empty registry renders to an empty string.
-pub fn metrics_report(registry: &MetricsRegistry) -> String {
+/// Renders the counter totals and value rollups of a telemetry-enabled
+/// run's trace, as two column-aligned tables (counters first). Empty
+/// sections are omitted; an empty trace renders to an empty string.
+pub fn metrics_report(analysis: &TraceAnalysis) -> String {
     let mut out = String::new();
-    let counters = registry.counters();
-    if !counters.is_empty() {
+    if !analysis.counters.is_empty() {
         let mut t = TextTable::new(&["counter", "total"]);
-        for (name, total) in counters {
-            t.add_row(vec![name, total.to_string()]);
+        for (name, total) in &analysis.counters {
+            t.add_row(vec![name.clone(), total.to_string()]);
         }
         out.push_str(&t.render());
     }
-    let histograms = registry.histograms();
-    if !histograms.is_empty() {
+    if !analysis.rollups.is_empty() {
         if !out.is_empty() {
             out.push('\n');
         }
         let mut t = TextTable::new(&["histogram", "samples", "min", "mean", "max"]);
-        for (name, h) in histograms {
+        for (name, r) in &analysis.rollups {
             t.add_row(vec![
-                name,
-                h.count.to_string(),
-                format!("{:.4}", h.min),
-                format!("{:.4}", h.mean()),
-                format!("{:.4}", h.max),
+                name.clone(),
+                r.count().to_string(),
+                fmt_opt(r.min(), 4),
+                fmt_opt(r.mean(), 4),
+                fmt_opt(r.max(), 4),
             ]);
         }
         out.push_str(&t.render());
@@ -629,12 +626,18 @@ mod tests {
 
     #[test]
     fn metrics_report_renders_counters_and_histograms() {
-        let registry = MetricsRegistry::new();
-        assert_eq!(metrics_report(&registry), "");
-        registry.add_counter("engine.decisions", 20);
-        registry.observe("engine.window_noise_pct", 8.5);
-        registry.observe("engine.window_noise_pct", 11.5);
-        let s = metrics_report(&registry);
+        use simkit::telemetry::Telemetry;
+
+        assert_eq!(metrics_report(&TraceAnalysis::exact()), "");
+        let (tel, sink) = Telemetry::recorder();
+        tel.counter("engine.decisions", 20);
+        tel.histogram("engine.window_noise_pct", 8.5);
+        tel.histogram("engine.window_noise_pct", 11.5);
+        let mut analysis = TraceAnalysis::exact();
+        for event in sink.events() {
+            analysis.observe(&event);
+        }
+        let s = metrics_report(&analysis);
         assert!(s.contains("engine.decisions"));
         assert!(s.contains("20"));
         assert!(s.contains("engine.window_noise_pct"));
@@ -643,7 +646,6 @@ mod tests {
 
     #[test]
     fn analysis_report_notes_traces_with_no_paired_spans() {
-        use simkit::telemetry::analyze::TraceAnalysis;
         use std::io::Cursor;
 
         // No span events at all.
@@ -729,7 +731,7 @@ mod tests {
                 .field_u64("turned_off", 0)
                 .emit();
         }
-        let mut analysis = TraceAnalysis::new();
+        let mut analysis = TraceAnalysis::exact();
         for event in sink.events() {
             let parsed = ParsedEvent::from_line(&event.to_json()).unwrap();
             analysis.observe(&parsed);

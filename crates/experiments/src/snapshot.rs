@@ -15,7 +15,7 @@
 //! counts are deterministic and gate tightly.
 
 use simkit::linalg::SolverBackend;
-use simkit::telemetry::analyze::{ParsedEvent, TraceAnalysis};
+use simkit::telemetry::analyze::TraceAnalysis;
 use simkit::telemetry::json::{self, JsonValue};
 use simkit::telemetry::Telemetry;
 use simkit::units::Watts;
@@ -237,11 +237,9 @@ pub fn measure_policy(policy: PolicyKind) -> Result<PolicyEntry, String> {
         .map_err(|e| format!("{policy:?} run failed: {e}"))?;
     let wall_s = started.elapsed().as_secs_f64();
 
-    let mut analysis = TraceAnalysis::new();
+    let mut analysis = TraceAnalysis::exact();
     for event in sink.events() {
-        if let Ok(parsed) = ParsedEvent::from_line(&event.to_json()) {
-            analysis.observe(&parsed);
-        }
+        analysis.observe(&event);
     }
     let solver = analysis
         .solvers
@@ -299,11 +297,9 @@ pub fn measure_telemetry_overhead() -> Result<TelemetryOverhead, String> {
             .run(SNAPSHOT_BENCH, PolicyKind::PracVT)
             .map_err(|e| format!("overhead run failed: {e}"))?;
         let wall_s = started.elapsed().as_secs_f64();
-        let mut analysis = TraceAnalysis::new();
+        let mut analysis = TraceAnalysis::exact();
         for event in sink.events() {
-            if let Ok(parsed) = ParsedEvent::from_line(&event.to_json()) {
-                analysis.observe(&parsed);
-            }
+            analysis.observe(&event);
         }
         Ok((wall_s, analysis))
     };

@@ -1,25 +1,25 @@
 //! Wiring between experiment binaries and `simkit::telemetry`.
 //!
 //! A [`TelemetryCtx`] owns one telemetry output directory for a run:
-//! every event goes to a `trace.jsonl` JSONL writer and, in parallel,
-//! into an in-process [`MetricsRegistry`] so binaries can print a
-//! counter/histogram summary table next to their phase tables. Event
-//! counts are tracked at two levels — per run and per sweep cell — so
-//! [`TelemetryCtx::finish`] can write a `manifest.json` whose
-//! `events_total` provably matches the number of trace lines.
+//! every event goes to a `trace.jsonl` JSONL writer and, with `--live`,
+//! also into an in-process [`LiveSink`]. Event counts are tracked at two
+//! levels — per run and per sweep cell — so [`TelemetryCtx::finish`] can
+//! write a `manifest.json` whose `events_total` provably matches the
+//! number of trace lines. A binary that prints a counter/histogram
+//! table folds the finished trace
+//! ([`TraceAnalysis::from_path`](simkit::telemetry::analyze::TraceAnalysis::from_path)
+//! over [`TelemetryCtx::trace_path`]).
 //!
 //! ```text
-//! Telemetry handle ──► CountingSink (run or cell) ──► Fanout
-//!                                                       ├─► JsonlSink   (trace.jsonl)
-//!                                                       └─► MetricsSink (registry)
+//! Telemetry handle ──► CountingSink (run or cell) ──► JsonlSink (trace.jsonl)
+//!                                            └ with --live: Fanout ─► + LiveSink
 //! ```
 
 use crate::context::ExpOptions;
-use simkit::telemetry::live::{LiveSink, LiveStats};
+use simkit::telemetry::analyze::TraceAnalysis;
+use simkit::telemetry::live::LiveSink;
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
-use simkit::telemetry::{
-    CountingSink, FanoutSink, JsonlSink, MetricsRegistry, MetricsSink, Telemetry, TelemetrySink,
-};
+use simkit::telemetry::{CountingSink, FanoutSink, JsonlSink, Telemetry, TelemetrySink};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,16 +40,16 @@ fn flush_every_from_env() -> u64 {
         .unwrap_or(DEFAULT_FLUSH_EVERY)
 }
 
-/// One run's telemetry outputs: a JSONL trace, an aggregated metrics
-/// registry, and the bookkeeping needed to write a consistent manifest.
+/// One run's telemetry outputs: a JSONL trace, the optional live
+/// aggregate, and the bookkeeping needed to write a consistent manifest.
 #[derive(Debug)]
 pub struct TelemetryCtx {
     dir: PathBuf,
-    /// JSONL + metrics fanout every event ends up in.
-    shared: Arc<FanoutSink>,
+    /// The sink every event ends up in: the JSONL writer, fanned out to
+    /// the live sink when one is attached.
+    shared: Arc<dyn TelemetrySink>,
     /// Counts run-level events (everything not attributed to a cell).
     run_counter: Arc<CountingSink>,
-    registry: Arc<MetricsRegistry>,
     telemetry: Telemetry,
     /// In-process live aggregation (`--live`), when requested.
     live: Option<Arc<LiveSink>>,
@@ -83,25 +83,17 @@ impl TelemetryCtx {
         std::fs::create_dir_all(&dir)?;
         let jsonl =
             Arc::new(JsonlSink::create(&dir.join(TRACE_FILE))?.flush_every(flush_every_from_env()));
-        let registry = Arc::new(MetricsRegistry::new());
         let live_sink = live.then(|| Arc::new(LiveSink::new()));
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = vec![
-            jsonl as Arc<dyn TelemetrySink>,
-            Arc::new(MetricsSink::new(Arc::clone(&registry))),
-        ];
-        if let Some(sink) = &live_sink {
-            sinks.push(Arc::clone(sink) as Arc<dyn TelemetrySink>);
-        }
-        let shared = Arc::new(FanoutSink::new(sinks));
-        let run_counter = Arc::new(CountingSink::new(
-            Arc::clone(&shared) as Arc<dyn TelemetrySink>
-        ));
+        let shared: Arc<dyn TelemetrySink> = match &live_sink {
+            Some(sink) => Arc::new(FanoutSink::new(vec![jsonl, Arc::clone(sink) as _])),
+            None => jsonl,
+        };
+        let run_counter = Arc::new(CountingSink::new(Arc::clone(&shared)));
         let telemetry = Telemetry::with_sink(Arc::clone(&run_counter) as Arc<dyn TelemetrySink>);
         Ok(TelemetryCtx {
             dir,
             shared,
             run_counter,
-            registry,
             telemetry,
             live: live_sink,
             next_track: AtomicU64::new(1),
@@ -126,13 +118,19 @@ impl TelemetryCtx {
 
     /// A snapshot of the in-process live aggregate (`None` unless the
     /// context was created with live aggregation).
-    pub fn live_stats(&self) -> Option<LiveStats> {
+    pub fn live_stats(&self) -> Option<TraceAnalysis> {
         self.live.as_ref().map(|sink| sink.snapshot())
     }
 
     /// The output directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The `trace.jsonl` file every event is written to (complete once
+    /// [`TelemetryCtx::finish`] has flushed it).
+    pub fn trace_path(&self) -> PathBuf {
+        self.dir.join(TRACE_FILE)
     }
 
     /// The run-level telemetry handle (events count toward
@@ -146,21 +144,13 @@ impl TelemetryCtx {
     /// `run_events`) and a unique track id (1, 2, …) stamped onto every
     /// event, so concurrent cells stay on separate timeline lanes.
     /// Sinks are shared, so the cell's events land in the same trace
-    /// and registry.
+    /// (and live aggregate).
     pub fn cell_handle(&self) -> (Telemetry, Arc<CountingSink>) {
-        let counter = Arc::new(CountingSink::new(
-            Arc::clone(&self.shared) as Arc<dyn TelemetrySink>
-        ));
+        let counter = Arc::new(CountingSink::new(Arc::clone(&self.shared)));
         let track = self.next_track.fetch_add(1, Ordering::Relaxed);
         let telemetry =
             Telemetry::with_sink_tracked(Arc::clone(&counter) as Arc<dyn TelemetrySink>, track);
         (telemetry, counter)
-    }
-
-    /// The aggregated counters/histograms of everything emitted so far
-    /// (render with [`crate::report::metrics_report`]).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Events emitted through the run-level handle so far.
@@ -232,11 +222,12 @@ mod tests {
         assert_eq!(back.total_events(), 3);
 
         // Trace line count matches the manifest total.
-        let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
+        let trace = std::fs::read_to_string(ctx.trace_path()).unwrap();
         assert_eq!(trace.lines().count() as u64, back.total_events());
-        // Both handles fed the one registry.
-        assert_eq!(ctx.registry().counter("run.level"), 1);
-        assert_eq!(ctx.registry().histogram("cell.level").unwrap().count, 2);
+        // Both handles wrote into the one trace.
+        let analysis = TraceAnalysis::from_path(&ctx.trace_path()).unwrap();
+        assert_eq!(analysis.counter("run.level"), 1);
+        assert_eq!(analysis.rollup("cell.level").unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
-//! End-to-end tests of the `tg-obs` and `telemetry_check` binaries:
-//! summarize/export/diff over the committed fixture run, regression
-//! gating with non-zero exits and named metrics, snapshot capture, and
-//! the extended trace validation (span pairing, timestamp ordering).
+//! End-to-end tests of the `tg-obs` binary: summarize/export/diff over
+//! the committed fixture run, regression gating with non-zero exits and
+//! named metrics, snapshot capture, rules checks, watch, and `validate`
+//! (span pairing, timestamp ordering).
 
 use experiments::snapshot::{BenchSnapshot, PolicyEntry, ScalingEntry, SolverSnapshot};
 use std::path::{Path, PathBuf};
@@ -23,13 +23,6 @@ fn tg_obs(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("tg-obs runs")
-}
-
-fn telemetry_check(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_telemetry_check"))
-        .args(args)
-        .output()
-        .expect("telemetry_check runs")
 }
 
 fn stdout(out: &Output) -> String {
@@ -335,11 +328,29 @@ fn unknown_subcommand_and_bad_policy_fail_cleanly() {
 }
 
 #[test]
-fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
+fn validate_accepts_the_fixture_and_rejects_broken_traces() {
     let run = fixture_run();
-    let out = telemetry_check(&[run.to_str().unwrap(), "--require", "gating,emergency,solve"]);
+    let out = tg_obs(&[
+        "validate",
+        run.to_str().unwrap(),
+        "--require",
+        "gating,emergency,solve",
+    ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("spans paired"));
+
+    // A required kind the trace lacks is a violation (exit 1)…
+    let out = tg_obs(&["validate", run.to_str().unwrap(), "--require", "frame"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("required event kind \"frame\" never appears"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // …while an unknown kind or a missing run dir is a usage error.
+    let out = tg_obs(&["validate", run.to_str().unwrap(), "--require", "bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(tg_obs(&["validate"]).status.code(), Some(2));
 
     // An extra span_end with no opener must fail pairing...
     let dir = temp_dir("check-span");
@@ -353,10 +364,12 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
     )
     .expect("doctored trace written");
     std::fs::copy(run.join("manifest.json"), dir.join("manifest.json")).expect("manifest copied");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
-    assert!(!out.status.success());
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(
-        stderr(&out).contains("without a matching span_start"),
+        stderr(&out).contains(
+            "trace.jsonl:13: span_end \"engine.orphan\" on track 0 without a matching span_start"
+        ),
         "stderr: {}",
         stderr(&out)
     );
@@ -370,38 +383,88 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
         ),
     )
     .expect("doctored trace written");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
-    assert!(!out.status.success());
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(
-        stderr(&out).contains("never closed"),
+        stderr(&out).contains("1 span(s) never closed: engine.run (track 0)"),
         "stderr: {}",
         stderr(&out)
     );
 
-    // ...and a timestamp jumping backwards beyond the slack must fail.
-    std::fs::write(
-        dir.join("trace.jsonl"),
+    // ...a timestamp jumping backwards beyond the 0.1 s slack must
+    // fail (0.110 s → 0.000 s)...
+    let with_progress_at = |t: &str| {
         trace.replace(
             "{\"t\":0.120,\"kind\":\"progress\",\"name\":\"workload.trace\",\"workload\":\"lu_ncb\"}",
-            "{\"t\":0.020,\"kind\":\"progress\",\"name\":\"workload.trace\",\"workload\":\"lu_ncb\"}",
-        ),
-    )
-    .expect("doctored trace written");
-    let out = telemetry_check(&[dir.to_str().unwrap(), "--mono-slack", "0.01"]);
-    assert!(!out.status.success());
+            &format!(
+                "{{\"t\":{t},\"kind\":\"progress\",\"name\":\"workload.trace\",\"workload\":\"lu_ncb\"}}"
+            ),
+        )
+    };
+    std::fs::write(dir.join("trace.jsonl"), with_progress_at("0.000")).expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(
-        stderr(&out).contains("timestamp went backwards"),
+        stderr(&out).contains("trace.jsonl:13: timestamp went backwards"),
         "stderr: {}",
         stderr(&out)
     );
-    // The default slack (0.1 s) tolerates the same wobble.
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
+    // ...while the slack tolerates a smaller wobble (0.110 s → 0.020 s)...
+    std::fs::write(dir.join("trace.jsonl"), with_progress_at("0.020")).expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
+
+    // ...a malformed line fails, naming its line number...
+    std::fs::write(
+        dir.join("trace.jsonl"),
+        trace.replace("\"kind\":\"gating\"", "\"kind\":gating"),
+    )
+    .expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("trace.jsonl:11: bad JSON"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // ...as does a truncated final line...
+    std::fs::write(dir.join("trace.jsonl"), &trace[..trace.len() - 10]).expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("trace.jsonl:14: bad JSON"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // ...a track that is not a non-negative integer...
+    std::fs::write(
+        dir.join("trace.jsonl"),
+        with_progress_at("0.120,\"track\":-1"),
+    )
+    .expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("trace.jsonl:13: field \"track\" is not a non-negative integer"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // ...and a trace whose event count disagrees with the manifest.
+    let mut lines: Vec<&str> = trace.lines().collect();
+    lines.remove(12);
+    std::fs::write(dir.join("trace.jsonl"), lines.join("\n") + "\n").expect("doctored trace");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("event count mismatch: 13 trace lines vs events_total 14"),
+        "stderr: {}",
+        stderr(&out)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn telemetry_check_pairs_spans_per_track() {
+fn validate_pairs_spans_per_track() {
     // A span_end on track 2 must not be paired with the run-track
     // (track 0) span_start of the same name: pairing is keyed by
     // (track, name), not name alone.
@@ -417,8 +480,8 @@ fn telemetry_check_pairs_spans_per_track() {
     )
     .expect("doctored trace written");
     std::fs::copy(run.join("manifest.json"), dir.join("manifest.json")).expect("manifest copied");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
-    assert!(!out.status.success(), "cross-track pairing must fail");
+    let out = tg_obs(&["validate", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "cross-track pairing must fail");
     assert!(
         stderr(&out).contains("on track 2 without a matching span_start"),
         "stderr: {}",
@@ -657,5 +720,91 @@ fn watch_follows_a_growing_trace_to_completion() {
     let tail = &text[text.find(marker).expect("summary marker") + marker.len()..];
     let summarize = tg_obs(&["summarize", dir.to_str().unwrap()]);
     assert_eq!(tail, stdout(&summarize));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watch_rejects_a_timeout_that_never_or_always_expires() {
+    let run = fixture_run();
+    for bad in ["nan", "inf", "-1", "soon"] {
+        let out = tg_obs(&["watch", run.to_str().unwrap(), "--timeout-s", bad]);
+        assert_eq!(out.status.code(), Some(2), "--timeout-s {bad}");
+        assert!(
+            stderr(&out).contains("--timeout-s needs a finite number of seconds >= 0"),
+            "--timeout-s {bad}: {}",
+            stderr(&out)
+        );
+    }
+    let out = tg_obs(&["watch", run.to_str().unwrap(), "--once", "--timeout-s", "0"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn check_percentile_rules_use_the_exact_percentiles_summarize_prints() {
+    use simkit::telemetry::live::P2Grid;
+
+    // A bimodal gauge with more samples than the P² grid holds
+    // verbatim (13), so the streaming estimate and the exact p95 part.
+    let values: Vec<f64> = (0..20)
+        .map(|k| {
+            if k % 5 == 4 {
+                90.0 + k as f64
+            } else {
+                1.0 + 0.1 * k as f64
+            }
+        })
+        .collect();
+    let exact = simkit::stats::percentile(&values, 95.0).unwrap();
+    let mut grid = P2Grid::new();
+    values.iter().for_each(|&v| grid.observe(v));
+    let estimate = grid.estimate(0.95).unwrap();
+    assert!(
+        (exact - estimate).abs() > 1.0,
+        "the sample must separate the stores: exact {exact}, P² {estimate}"
+    );
+
+    let dir = temp_dir("exact-check");
+    let trace: String = values
+        .iter()
+        .enumerate()
+        .map(|(k, v)| {
+            format!(
+                "{{\"t\":{:.3},\"kind\":\"gauge\",\"name\":\"bimodal\",\"value\":{v}}}\n",
+                k as f64 * 0.01
+            )
+        })
+        .collect();
+    std::fs::write(dir.join("trace.jsonl"), trace).unwrap();
+
+    // summarize prints the exact p95.
+    let out = tg_obs(&["summarize", dir.to_str().unwrap(), "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let doc = simkit::telemetry::json::parse(stdout(&out).trim()).unwrap();
+    let rollup = &doc.get("rollups").and_then(|r| r.as_array()).unwrap()[0];
+    assert_eq!(rollup.get("p95").and_then(|v| v.as_f64()), Some(exact));
+
+    // A bound between the two: check's verdict is the exact one.
+    let bound = (exact + estimate) / 2.0;
+    let rules = dir.join("rules.json");
+    std::fs::write(
+        &rules,
+        format!(
+            r#"{{"schema":"thermogater.rules/v1","rules":[{{"name":"p95-bound","metric":"p95:bimodal","fail_above":{bound}}}]}}"#
+        ),
+    )
+    .unwrap();
+    let out = tg_obs(&[
+        "check",
+        dir.to_str().unwrap(),
+        "--rules",
+        rules.to_str().unwrap(),
+    ]);
+    let expected = if exact > bound { 1 } else { 0 };
+    assert_eq!(
+        out.status.code(),
+        Some(expected),
+        "exact p95 {exact}, P² {estimate}, bound {bound}:\n{}",
+        stdout(&out)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

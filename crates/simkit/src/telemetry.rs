@@ -1,4 +1,4 @@
-//! Structured run telemetry: events, sinks, and a metrics registry.
+//! Structured run telemetry: events and sinks.
 //!
 //! Every layer of the simulation stack (solvers, thermal stepper, PDN
 //! analyzer, engine, sweep executor) can emit structured events —
@@ -15,19 +15,16 @@
 //! * **pluggable** — backends implement [`TelemetrySink`]:
 //!   [`NoopSink`] (discard, reports itself inactive), [`MemorySink`]
 //!   (in-memory recorder for tests), [`JsonlSink`] (JSON-lines file
-//!   writer), plus the combinators [`FanoutSink`], [`CountingSink`],
-//!   and [`MetricsSink`].
-//!
-//! Aggregated counter/histogram statistics live in a [`MetricsRegistry`]
-//! (usually fed by a [`MetricsSink`]) which renders the summary table
-//! shown by `experiments::report` next to the phase-time table.
+//!   writer), plus the combinators [`FanoutSink`] and [`CountingSink`].
 //!
 //! The [`json`] submodule holds the dependency-free JSON writer/parser
 //! the JSONL sink and the manifest validator share; [`manifest`] holds
 //! the machine-readable per-run `manifest.json` schema; [`analyze`]
-//! closes the loop with a streaming trace reader and per-run rollups
-//! (event counts, percentile summaries, span durations, solver /
-//! gating / emergency aggregates) consumed by the `tg-obs` CLI.
+//! closes the loop with a streaming trace reader and the one trace
+//! aggregate (event counts, counters, percentile rollups, span
+//! durations, solver / gating / emergency aggregates) behind the
+//! `tg-obs` CLI, the run summary tables, and — through
+//! [`live::LiveSink`] — in-process health monitoring.
 //!
 //! # Examples
 //!
@@ -370,7 +367,7 @@ impl Drop for JsonlSink {
 }
 
 /// Forwards every event to each of several sinks (e.g. a JSONL file
-/// plus a [`MetricsSink`]).
+/// plus a [`live::LiveSink`]).
 #[derive(Debug, Default)]
 pub struct FanoutSink {
     sinks: Vec<Arc<dyn TelemetrySink>>,
@@ -438,51 +435,6 @@ impl TelemetrySink for CountingSink {
 
     fn flush(&self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// Feeds counter/gauge/histogram events into a [`MetricsRegistry`] so a
-/// run can print an aggregate summary table without replaying the trace.
-#[derive(Debug)]
-pub struct MetricsSink {
-    registry: Arc<MetricsRegistry>,
-}
-
-impl MetricsSink {
-    /// Builds a sink updating `registry`.
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
-        MetricsSink { registry }
-    }
-}
-
-impl TelemetrySink for MetricsSink {
-    fn record(&self, event: &Event) {
-        match event.kind {
-            EventKind::Counter => {
-                let delta = event
-                    .fields
-                    .iter()
-                    .find_map(|(k, v)| match (k.as_ref(), v) {
-                        ("delta", FieldValue::U64(d)) => Some(*d),
-                        _ => None,
-                    })
-                    .unwrap_or(1);
-                self.registry.add_counter(&event.name, delta);
-            }
-            EventKind::Gauge | EventKind::Histogram => {
-                if let Some(value) = event
-                    .fields
-                    .iter()
-                    .find_map(|(k, v)| match (k.as_ref(), v) {
-                        ("value", FieldValue::F64(x)) => Some(*x),
-                        _ => None,
-                    })
-                {
-                    self.registry.observe(&event.name, value);
-                }
-            }
-            _ => {}
-        }
     }
 }
 
@@ -806,202 +758,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Aggregate of one histogram metric: count, sum, min, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
-}
-
-impl HistogramSummary {
-    /// An empty summary (count 0).
-    pub fn new() -> Self {
-        HistogramSummary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Folds one observation in.
-    pub fn observe(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Merges another summary in.
-    pub fn merge(&mut self, other: &HistogramSummary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-impl Default for HistogramSummary {
-    fn default() -> Self {
-        HistogramSummary::new()
-    }
-}
-
-/// Thread-safe named counters and histogram summaries.
-///
-/// Names are kept in first-insertion order so rendered tables are
-/// deterministic for a deterministic event stream.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistogramSummary)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to the named counter (creating it at 0).
-    pub fn add_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some(entry) = inner.counters.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += delta;
-        } else {
-            inner.counters.push((name.to_string(), delta));
-        }
-    }
-
-    /// Folds one observation into the named histogram.
-    pub fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some(entry) = inner.histograms.iter_mut().find(|(n, _)| n == name) {
-            entry.1.observe(value);
-        } else {
-            let mut summary = HistogramSummary::new();
-            summary.observe(value);
-            inner.histograms.push((name.to_string(), summary));
-        }
-    }
-
-    /// Current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Summary of a histogram, when any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<HistogramSummary> {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-    }
-
-    /// Snapshot of all counters in insertion order.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .counters
-            .clone()
-    }
-
-    /// Snapshot of all histograms in insertion order.
-    pub fn histograms(&self) -> Vec<(String, HistogramSummary)> {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .histograms
-            .clone()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.is_empty() && inner.histograms.is_empty()
-    }
-
-    /// Merges a snapshot of `other` into `self`.
-    pub fn merge(&self, other: &MetricsRegistry) {
-        let (counters, histograms) = {
-            let inner = other.inner.lock().expect("metrics registry poisoned");
-            (inner.counters.clone(), inner.histograms.clone())
-        };
-        for (name, delta) in counters {
-            self.add_counter(&name, delta);
-        }
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        for (name, summary) in histograms {
-            if let Some(entry) = inner.histograms.iter_mut().find(|(n, _)| *n == name) {
-                entry.1.merge(&summary);
-            } else {
-                inner.histograms.push((name, summary));
-            }
-        }
-    }
-
-    /// Renders the counter table then the histogram table, one metric
-    /// per line — the summary `experiments::report` prints next to the
-    /// phase table.
-    pub fn render(&self) -> String {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        let mut out = String::new();
-        if !inner.counters.is_empty() {
-            out.push_str(&format!("{:<28} {:>12}\n", "counter", "total"));
-            for (name, value) in &inner.counters {
-                out.push_str(&format!("{name:<28} {value:>12}\n"));
-            }
-        }
-        if !inner.histograms.is_empty() {
-            out.push_str(&format!(
-                "{:<28} {:>8} {:>12} {:>12} {:>12}\n",
-                "histogram", "count", "mean", "min", "max"
-            ));
-            for (name, s) in &inner.histograms {
-                out.push_str(&format!(
-                    "{:<28} {:>8} {:>12.4e} {:>12.4e} {:>12.4e}\n",
-                    name,
-                    s.count,
-                    s.mean(),
-                    s.min,
-                    s.max
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,66 +864,6 @@ mod tests {
         assert_eq!(counting.count(), 2);
         assert_eq!(mem_a.len(), 2);
         assert_eq!(mem_b.len(), 2);
-    }
-
-    #[test]
-    fn metrics_sink_aggregates_counters_and_histograms() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let tel = Telemetry::with_sink(Arc::new(MetricsSink::new(registry.clone())));
-        tel.counter("engine.steps", 100);
-        tel.counter("engine.steps", 50);
-        tel.histogram("noise.pct", 1.0);
-        tel.histogram("noise.pct", 3.0);
-        tel.gauge("thermal.max_c", 85.0);
-        assert_eq!(registry.counter("engine.steps"), 150);
-        let h = registry.histogram("noise.pct").expect("histogram exists");
-        assert_eq!(h.count, 2);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        let g = registry.histogram("thermal.max_c").expect("gauge recorded");
-        assert_eq!(g.count, 1);
-        let table = registry.render();
-        assert!(table.contains("engine.steps"));
-        assert!(table.contains("noise.pct"));
-    }
-
-    #[test]
-    fn registry_is_thread_safe() {
-        let registry = Arc::new(MetricsRegistry::new());
-        thread::scope(|scope| {
-            for _ in 0..8 {
-                let registry = registry.clone();
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        registry.add_counter("hits", 1);
-                        registry.observe("vals", i as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(registry.counter("hits"), 8000);
-        let h = registry.histogram("vals").expect("histogram exists");
-        assert_eq!(h.count, 8000);
-        assert_eq!(h.min, 0.0);
-        assert_eq!(h.max, 999.0);
-    }
-
-    #[test]
-    fn registry_merge_sums_snapshots() {
-        let a = MetricsRegistry::new();
-        a.add_counter("c", 1);
-        a.observe("h", 1.0);
-        let b = MetricsRegistry::new();
-        b.add_counter("c", 2);
-        b.add_counter("only_b", 5);
-        b.observe("h", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("only_b"), 5);
-        let h = a.histogram("h").expect("histogram exists");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, 3.0);
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Trace analytics: streaming consumption of JSONL telemetry traces.
+//! Trace analytics: reading JSONL telemetry traces and folding events
+//! into one aggregate.
 //!
 //! The [`telemetry`](crate::telemetry) module *emits* structured traces;
 //! this module *consumes* them. A [`TraceReader`] streams a
 //! `trace.jsonl` file line by line through the hand-rolled
-//! [`json`] parser (skipping corrupt interior lines and recovering from
-//! a truncated final line, so a trace cut mid-write still analyzes), and
-//! a [`TraceAnalysis`] folds the event stream into:
+//! [`json`](super::json) parser (skipping corrupt interior lines and
+//! recovering from a truncated final line, so a trace cut mid-write
+//! still analyzes), a
+//! [`TraceTailer`] follows one that is still being written, and a
+//! [`TraceAnalysis`] folds the event stream — parsed lines or emit-side
+//! events, through the [`EventView`] trait — into:
 //!
-//! * per-[`EventKind`] event counts;
+//! * per-[`EventKind`] event counts and per-name counter totals;
 //! * per-name value [`Rollup`]s for gauges and histograms, with
-//!   p50/p95/p99 percentiles via [`crate::stats::percentile`];
-//! * span begin/end pairing into per-name duration rollups
-//!   ([`SpanStats`], with unmatched starts/ends surfaced rather than
-//!   silently dropped);
+//!   p50/p95/p99 percentiles — exact ([`TraceAnalysis::exact`]) or
+//!   bounded-memory P² estimates ([`TraceAnalysis::streaming`]);
+//! * span begin/end pairing per `(track, name)` into per-name duration
+//!   rollups ([`SpanStats`], with unmatched starts/ends surfaced rather
+//!   than silently dropped);
 //! * solver-convergence aggregates per solve site ([`SolverRollup`]:
 //!   iteration and residual distributions);
 //! * gating-churn ([`GatingStats`]) and voltage-emergency
@@ -44,10 +49,18 @@
 //! assert_eq!(analysis.kind_count(EventKind::SpanEnd), 1);
 //! assert_eq!(analysis.rollup("thermal.max_c").unwrap().count(), 1);
 //! assert_eq!(analysis.solver("thermal.transient_cg").unwrap().solves(), 1);
+//!
+//! // Emit-side events fold through the same `observe`.
+//! let mut live = TraceAnalysis::streaming();
+//! for event in sink.events() {
+//!     live.observe(&event);
+//! }
+//! assert_eq!(live.events, analysis.events);
 //! ```
 
 use super::json::JsonValue;
-use super::EventKind;
+use super::live::P2Grid;
+use super::{Event, EventKind, FieldValue};
 use crate::stats;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
@@ -55,7 +68,7 @@ use std::path::Path;
 
 /// One trace line decoded into its envelope and payload fields.
 ///
-/// Unlike the emit-side [`Event`](super::Event), field values are parsed
+/// Unlike the emit-side [`Event`], field values are parsed
 /// [`JsonValue`]s: a consumer cannot know the original Rust type, and
 /// non-finite floats arrive as `null`.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,14 +147,18 @@ impl ParsedEvent {
 /// [`malformed_lines`](TraceReader::malformed_lines) and skipped; a
 /// malformed *final* line without one (the writer died mid-line, or the
 /// file is still being appended to) ends the stream cleanly and sets
-/// [`truncated`](TraceReader::truncated). Blank lines are ignored.
+/// [`truncated`](TraceReader::truncated). Blank lines are ignored. The
+/// first problem of either sort is kept, with its line number, in
+/// [`first_error`](TraceReader::first_error).
 #[derive(Debug)]
 pub struct TraceReader<R> {
     reader: R,
     buf: String,
+    line: u64,
     lines_read: u64,
     malformed: u64,
     truncated: bool,
+    first_error: Option<(u64, String)>,
 }
 
 impl<R: BufRead> TraceReader<R> {
@@ -150,9 +167,11 @@ impl<R: BufRead> TraceReader<R> {
         TraceReader {
             reader,
             buf: String::new(),
+            line: 0,
             lines_read: 0,
             malformed: 0,
             truncated: false,
+            first_error: None,
         }
     }
 
@@ -168,24 +187,41 @@ impl<R: BufRead> TraceReader<R> {
             if self.reader.read_line(&mut self.buf)? == 0 {
                 return Ok(None);
             }
+            self.line += 1;
             let complete = self.buf.ends_with('\n');
             let line = self.buf.trim();
             if line.is_empty() {
                 continue;
             }
             self.lines_read += 1;
-            match ParsedEvent::from_line(line) {
+            let error = match ParsedEvent::from_line(line) {
                 Ok(event) => return Ok(Some(event)),
-                Err(_) if !complete => {
-                    // Final unterminated line: a writer cut mid-record.
-                    self.truncated = true;
-                    return Ok(None);
-                }
-                Err(_) => {
-                    self.malformed += 1;
-                }
+                Err(e) => e,
+            };
+            if self.first_error.is_none() {
+                self.first_error = Some((self.line, error));
             }
+            if !complete {
+                // Final unterminated line: a writer cut mid-record.
+                self.truncated = true;
+                return Ok(None);
+            }
+            self.malformed += 1;
         }
+    }
+
+    /// The 1-based line number of the line read last (blank lines
+    /// count).
+    pub fn line(&self) -> u64 {
+        self.line
+    }
+
+    /// The first malformed or truncated line seen so far: its line
+    /// number and what was wrong with it.
+    pub fn first_error(&self) -> Option<(u64, &str)> {
+        self.first_error
+            .as_ref()
+            .map(|(line, error)| (*line, error.as_str()))
     }
 
     /// Non-blank lines consumed so far (including bad ones).
@@ -322,38 +358,159 @@ impl TraceTailer {
     }
 }
 
-/// Distribution rollup of one named value stream.
+/// The event fields the aggregate reads, abstracted over the emit-side
+/// [`Event`] (in-process sinks, recorders) and the consume-side
+/// [`ParsedEvent`] (trace files) so both fold through one
+/// [`TraceAnalysis::observe`].
 ///
-/// Keeps every finite observation so percentiles are exact (traces are
-/// bounded by run length; a full run emits thousands, not billions, of
-/// observations per name). Non-finite observations — including `null`s
+/// Numeric access mirrors the JSONL round trip: an emit-side non-finite
+/// float reads as `None`, exactly as its `null` wire form would.
+pub trait EventView {
+    /// Event kind.
+    fn kind(&self) -> EventKind;
+    /// Event name.
+    fn name(&self) -> &str;
+    /// Seconds since the producing handle's epoch.
+    fn t_s(&self) -> f64;
+    /// A payload field as a finite number.
+    fn num(&self, key: &str) -> Option<f64>;
+
+    /// A payload field as an unsigned integer (negative values clamp
+    /// to 0, fractional values truncate).
+    fn num_u64(&self, key: &str) -> Option<u64> {
+        self.num(key).map(|v| v.max(0.0) as u64)
+    }
+
+    /// The track id stamped on the event (0 when absent).
+    fn track(&self) -> u64 {
+        self.num_u64("track").unwrap_or(0)
+    }
+}
+
+impl EventView for ParsedEvent {
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn t_s(&self) -> f64 {
+        self.t_s
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.field_f64(key)
+    }
+}
+
+impl EventView for Event {
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn t_s(&self) -> f64 {
+        self.t_s
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| match v {
+                FieldValue::U64(x) => Some(*x as f64),
+                FieldValue::I64(x) => Some(*x as f64),
+                FieldValue::F64(x) => x.is_finite().then_some(*x),
+                FieldValue::Bool(_) | FieldValue::Str(_) => None,
+            })
+    }
+}
+
+/// Where a [`Rollup`] keeps what its percentiles are computed from.
+#[derive(Debug, Clone, PartialEq)]
+enum Quantiles {
+    /// Every finite observation, in arrival order: exact percentiles.
+    Exact(Vec<f64>),
+    /// A thirteen-marker P² grid: bounded memory, estimated p50/p95/p99.
+    P2(P2Grid),
+}
+
+/// Distribution rollup of one named value stream: exact count /
+/// non-finite count / sum / min / max / mean, plus percentiles from one
+/// of two quantile stores.
+///
+/// [`Rollup::exact`] keeps every finite observation, so any percentile
+/// is exact (a finished trace is bounded by run length).
+/// [`Rollup::streaming`] keeps a [`P2Grid`] instead — O(1) memory for a
+/// watcher following a multi-hour sweep — and answers p0/p50/p95/p99/
+/// p100 only. Both stores agree bit for bit on everything but the
+/// interior percentiles. Non-finite observations — including `null`s
 /// the JSON writer substitutes for NaN — are counted separately.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rollup {
-    values: Vec<f64>,
+    count: u64,
     non_finite: u64,
+    min: f64,
+    max: f64,
+    sum: f64,
+    quantiles: Quantiles,
 }
 
 impl Rollup {
-    /// Folds one observation in (non-finite values are counted but not
-    /// ranked).
-    pub fn observe(&mut self, value: f64) {
-        if value.is_finite() {
-            self.values.push(value);
-        } else {
-            self.non_finite += 1;
+    /// An empty rollup with exact percentiles.
+    pub fn exact() -> Self {
+        Rollup::with(Quantiles::Exact(Vec::new()))
+    }
+
+    /// An empty rollup with bounded-memory P² percentile estimates.
+    pub fn streaming() -> Self {
+        Rollup::with(Quantiles::P2(P2Grid::new()))
+    }
+
+    fn with(quantiles: Quantiles) -> Self {
+        Rollup {
+            count: 0,
+            non_finite: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            // `Iterator::sum` over f64 starts at -0.0; so does this, so
+            // the running sum equals summing the kept values.
+            sum: -0.0,
+            quantiles,
         }
     }
 
-    /// Counts an observation that carried no usable number (absent
-    /// field, or a `null` from a non-finite float).
-    pub fn note_invalid(&mut self) {
-        self.non_finite += 1;
+    /// Folds one observation in (non-finite values are counted but not
+    /// ranked).
+    pub fn observe(&mut self, value: f64) {
+        if !value.is_finite() {
+            self.non_finite += 1;
+            return;
+        }
+        self.count += 1;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.sum += value;
+        match &mut self.quantiles {
+            Quantiles::Exact(values) => values.push(value),
+            Quantiles::P2(grid) => grid.observe(value),
+        }
+    }
+
+    /// Folds a field that may be absent or `null`: a missing number is
+    /// counted as non-finite.
+    fn observe_field(&mut self, value: Option<f64>) {
+        self.observe(value.unwrap_or(f64::NAN));
     }
 
     /// Number of finite observations.
     pub fn count(&self) -> u64 {
-        self.values.len() as u64
+        self.count
     }
 
     /// Number of non-finite / unusable observations.
@@ -363,45 +520,51 @@ impl Rollup {
 
     /// Sum of finite observations.
     pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
+        self.sum
     }
 
     /// Mean of finite observations; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        stats::mean(&self.values)
+        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
     /// Smallest finite observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        stats::min(&self.values)
+        (self.count > 0).then_some(self.min)
     }
 
     /// Largest finite observation; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        stats::max(&self.values)
+        (self.count > 0).then_some(self.max)
     }
 
     /// Linear-interpolated percentile over the finite observations.
+    /// The exact store answers any `p`; the streaming store answers 0
+    /// and 100 (exact min/max) and 50, 95, 99 (P² estimates), and
+    /// `None` for anything else.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        stats::percentile(&self.values, p)
-    }
-
-    /// The raw finite observations, in arrival order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+        match &self.quantiles {
+            Quantiles::Exact(values) => stats::percentile(values, p),
+            Quantiles::P2(grid) => match p {
+                0.0 => self.min(),
+                50.0 | 95.0 | 99.0 => grid.estimate(p / 100.0),
+                100.0 => self.max(),
+                _ => None,
+            },
+        }
     }
 }
 
 /// Span begin/end pairing state and completed-duration rollup for one
 /// span name.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanStats {
-    /// Starts not yet matched by an end (non-zero at end of trace means
-    /// the run died inside this span).
+    /// Starts not yet matched by an end, over all tracks (non-zero at
+    /// end of trace means the run died inside this span).
     pub open: u64,
     /// Durations (`dur_s`) of completed spans.
     pub durations: Rollup,
-    /// Ends that arrived with no matching start.
+    /// Ends that arrived with no matching start on their track.
     pub unmatched_ends: u64,
 }
 
@@ -414,7 +577,7 @@ impl SpanStats {
 
 /// Solver-convergence rollup for one solve site (`thermal.transient_cg`,
 /// `pdn.ir_cg`, …): iteration-count and final-residual distributions.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverRollup {
     /// Iterations per solve.
     pub iters: Rollup,
@@ -430,7 +593,7 @@ impl SolverRollup {
 }
 
 /// Aggregate over the regulator gating decisions of a trace.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatingStats {
     /// Gating events seen.
     pub decisions: u64,
@@ -485,21 +648,30 @@ impl EmergencyStats {
     }
 }
 
-/// Full rollup of one JSONL trace.
+/// The one trace aggregate: per-kind event counts, counter totals,
+/// value rollups, span pairing, and solver / gating / emergency
+/// aggregates, folded one event at a time by [`TraceAnalysis::observe`].
 ///
-/// Build it with [`TraceAnalysis::from_path`] /
-/// [`TraceAnalysis::from_reader`], or fold events in one at a time with
-/// [`TraceAnalysis::observe`]. All name-keyed collections preserve
-/// first-appearance order, so reports over a deterministic trace are
-/// deterministic.
-#[derive(Debug, Clone, Default)]
+/// The constructor picks the rollups' quantile store:
+/// [`TraceAnalysis::exact`] for a finished trace (`summarize`, `diff`,
+/// `check`, snapshots), [`TraceAnalysis::streaming`] for bounded memory
+/// over a live one ([`LiveSink`](super::live::LiveSink), `watch`).
+/// Everything but the interior rollup percentiles is identical between
+/// the two.
+///
+/// Rollups, counters, and solver sites are keyed by name across tracks.
+/// Spans pair per `(track, name)` — a sweep worker's end never closes
+/// another worker's start — and report per name. All name-keyed
+/// collections preserve first-appearance order, so reports over a
+/// deterministic trace are deterministic.
+#[derive(Debug, Clone)]
 pub struct TraceAnalysis {
     /// Well-formed events folded in.
     pub events: u64,
     kind_counts: [u64; EventKind::ALL.len()],
     /// Counter totals by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge/histogram value rollups by name.
+    /// Gauge/histogram (and frame hotspot) value rollups by name.
     pub rollups: Vec<(String, Rollup)>,
     /// Span pairing and durations by name.
     pub spans: Vec<(String, SpanStats)>,
@@ -517,6 +689,11 @@ pub struct TraceAnalysis {
     pub malformed_lines: u64,
     /// Whether the trace ended in a truncated final line.
     pub truncated: bool,
+    /// Open span depth per `(track, name)`; an entry leaves when its
+    /// depth returns to zero, so this holds only what is open now.
+    open: Vec<((u64, String), u64)>,
+    /// An empty rollup of the chosen store, cloned for each new name.
+    blank: Rollup,
 }
 
 fn kind_index(kind: EventKind) -> usize {
@@ -526,22 +703,56 @@ fn kind_index(kind: EventKind) -> usize {
         .expect("kind is in ALL")
 }
 
-/// Finds or inserts `name` in an order-preserving name-keyed vector.
-fn entry<'v, T: Default>(vec: &'v mut Vec<(String, T)>, name: &str) -> &'v mut T {
-    if let Some(i) = vec.iter().position(|(n, _)| n == name) {
-        return &mut vec[i].1;
-    }
-    vec.push((name.to_string(), T::default()));
-    &mut vec.last_mut().expect("just pushed").1
+/// Finds `name` in an order-preserving name-keyed vector, inserting
+/// `make()` when absent.
+fn entry<'v, T>(vec: &'v mut Vec<(String, T)>, name: &str, make: impl FnOnce() -> T) -> &'v mut T {
+    let i = match vec.iter().position(|(n, _)| n == name) {
+        Some(i) => i,
+        None => {
+            vec.push((name.to_string(), make()));
+            vec.len() - 1
+        }
+    };
+    &mut vec[i].1
 }
 
 impl TraceAnalysis {
-    /// An empty analysis.
-    pub fn new() -> Self {
-        TraceAnalysis::default()
+    /// An empty aggregate with exact percentiles.
+    pub fn exact() -> Self {
+        TraceAnalysis::with(Rollup::exact())
     }
 
-    /// Streams every event of a byte source into a fresh analysis.
+    /// An empty aggregate with bounded-memory P² percentile estimates.
+    pub fn streaming() -> Self {
+        TraceAnalysis::with(Rollup::streaming())
+    }
+
+    fn with(blank: Rollup) -> Self {
+        TraceAnalysis {
+            events: 0,
+            kind_counts: [0; EventKind::ALL.len()],
+            counters: Vec::new(),
+            rollups: Vec::new(),
+            spans: Vec::new(),
+            solvers: Vec::new(),
+            gating: GatingStats {
+                decisions: 0,
+                turned_on: 0,
+                turned_off: 0,
+                active: blank.clone(),
+            },
+            emergency: EmergencyStats::default(),
+            first_t_s: None,
+            last_t_s: None,
+            malformed_lines: 0,
+            truncated: false,
+            open: Vec::new(),
+            blank,
+        }
+    }
+
+    /// Streams every event of a byte source into a fresh exact
+    /// analysis.
     ///
     /// # Errors
     ///
@@ -550,7 +761,7 @@ impl TraceAnalysis {
     /// [`truncated`](TraceAnalysis::truncated).
     pub fn from_reader(reader: impl BufRead) -> io::Result<Self> {
         let mut trace = TraceReader::new(reader);
-        let mut analysis = TraceAnalysis::new();
+        let mut analysis = TraceAnalysis::exact();
         while let Some(event) = trace.next_event()? {
             analysis.observe(&event);
         }
@@ -560,7 +771,7 @@ impl TraceAnalysis {
     }
 
     /// Streams a trace file (conventionally `trace.jsonl`) into a fresh
-    /// analysis.
+    /// exact analysis.
     ///
     /// # Errors
     ///
@@ -570,76 +781,91 @@ impl TraceAnalysis {
         TraceAnalysis::from_reader(BufReader::new(file))
     }
 
-    /// Folds one event in.
-    pub fn observe(&mut self, event: &ParsedEvent) {
+    /// Folds one event in — a parsed trace line or an emit-side event
+    /// alike.
+    pub fn observe<E: EventView>(&mut self, event: &E) {
         self.events += 1;
-        self.kind_counts[kind_index(event.kind)] += 1;
+        self.kind_counts[kind_index(event.kind())] += 1;
+        let t = event.t_s();
         if self.first_t_s.is_none() {
-            self.first_t_s = Some(event.t_s);
+            self.first_t_s = Some(t);
         }
-        self.last_t_s = Some(self.last_t_s.map_or(event.t_s, |t| t.max(event.t_s)));
-        match event.kind {
+        self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
+        let name = event.name();
+        let blank = &self.blank;
+        let new_span = || SpanStats {
+            open: 0,
+            durations: blank.clone(),
+            unmatched_ends: 0,
+        };
+        match event.kind() {
             EventKind::Counter => {
-                *entry(&mut self.counters, &event.name) += event.field_u64("delta").unwrap_or(1);
+                *entry(&mut self.counters, name, || 0) += event.num_u64("delta").unwrap_or(1);
             }
             EventKind::Gauge | EventKind::Histogram => {
-                let rollup = entry(&mut self.rollups, &event.name);
-                match event.field_f64("value") {
-                    Some(v) => rollup.observe(v),
-                    None => rollup.note_invalid(),
-                }
+                entry(&mut self.rollups, name, || blank.clone()).observe_field(event.num("value"));
             }
             EventKind::SpanStart => {
-                entry::<SpanStats>(&mut self.spans, &event.name).open += 1;
+                let track = event.track();
+                match self
+                    .open
+                    .iter_mut()
+                    .find(|((t, n), _)| *t == track && n == name)
+                {
+                    Some((_, depth)) => *depth += 1,
+                    None => self.open.push(((track, name.to_string()), 1)),
+                }
+                entry(&mut self.spans, name, new_span).open += 1;
             }
             EventKind::SpanEnd => {
-                let span = entry::<SpanStats>(&mut self.spans, &event.name);
-                if span.open > 0 {
-                    span.open -= 1;
-                    match event.field_f64("dur_s") {
-                        Some(d) => span.durations.observe(d),
-                        None => span.durations.note_invalid(),
+                let track = event.track();
+                let opener = self
+                    .open
+                    .iter()
+                    .position(|((t, n), _)| *t == track && n == name);
+                let span = entry(&mut self.spans, name, new_span);
+                match opener {
+                    Some(i) => {
+                        self.open[i].1 -= 1;
+                        if self.open[i].1 == 0 {
+                            self.open.remove(i);
+                        }
+                        span.open -= 1;
+                        span.durations.observe_field(event.num("dur_s"));
                     }
-                } else {
-                    span.unmatched_ends += 1;
+                    None => span.unmatched_ends += 1,
                 }
             }
             EventKind::Solve => {
-                let solver = entry::<SolverRollup>(&mut self.solvers, &event.name);
-                match event.field_f64("iters") {
-                    Some(i) => solver.iters.observe(i),
-                    None => solver.iters.note_invalid(),
-                }
-                match event.field_f64("residual") {
-                    Some(r) => solver.residuals.observe(r),
-                    None => solver.residuals.note_invalid(),
-                }
+                let solver = entry(&mut self.solvers, name, || SolverRollup {
+                    iters: blank.clone(),
+                    residuals: blank.clone(),
+                });
+                solver.iters.observe_field(event.num("iters"));
+                solver.residuals.observe_field(event.num("residual"));
             }
             EventKind::Gating => {
                 self.gating.decisions += 1;
-                self.gating.turned_on += event.field_u64("turned_on").unwrap_or(0);
-                self.gating.turned_off += event.field_u64("turned_off").unwrap_or(0);
-                match event.field_f64("active") {
-                    Some(a) => self.gating.active.observe(a),
-                    None => self.gating.active.note_invalid(),
-                }
+                self.gating.turned_on += event.num_u64("turned_on").unwrap_or(0);
+                self.gating.turned_off += event.num_u64("turned_off").unwrap_or(0);
+                self.gating.active.observe_field(event.num("active"));
             }
             EventKind::Emergency => {
                 self.emergency.checks += 1;
-                let flagged = event.field_u64("flagged_domains").unwrap_or(0);
+                let flagged = event.num_u64("flagged_domains").unwrap_or(0);
                 if flagged > 0 {
                     self.emergency.with_emergency += 1;
                 }
                 self.emergency.flagged_domains += flagged;
-                self.emergency.true_domains += event.field_u64("true_domains").unwrap_or(0);
-                self.emergency.mispredicted += event.field_u64("mispredicted").unwrap_or(0);
+                self.emergency.true_domains += event.num_u64("true_domains").unwrap_or(0);
+                self.emergency.mispredicted += event.num_u64("mispredicted").unwrap_or(0);
             }
             // Frame payloads (grid data, lanes) are consumed by the
             // timeline exporter, not the aggregate rollups; hotspot
             // magnitude rides along as a plain value rollup when present.
             EventKind::Frame => {
-                if let Some(v) = event.field_f64("value") {
-                    entry::<Rollup>(&mut self.rollups, &event.name).observe(v);
+                if let Some(v) = event.num("value") {
+                    entry(&mut self.rollups, name, || blank.clone()).observe(v);
                 }
             }
             EventKind::Progress => {}
@@ -674,6 +900,11 @@ impl TraceAnalysis {
         self.solvers.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
+    /// Total solve events across all sites.
+    pub fn total_solves(&self) -> u64 {
+        self.solvers.iter().map(|(_, s)| s.solves()).sum()
+    }
+
     /// Span of event timestamps (0.0 for empty or single-event traces).
     pub fn duration_s(&self) -> f64 {
         match (self.first_t_s, self.last_t_s) {
@@ -689,6 +920,18 @@ impl TraceAnalysis {
             .iter()
             .map(|(_, s)| s.open + s.unmatched_ends)
             .sum()
+    }
+
+    /// The spans open right now as `(track, name, depth)`, sorted by
+    /// track then name.
+    pub fn open_spans(&self) -> Vec<(u64, &str, u64)> {
+        let mut open: Vec<(u64, &str, u64)> = self
+            .open
+            .iter()
+            .map(|((track, name), depth)| (*track, name.as_str(), *depth))
+            .collect();
+        open.sort_unstable();
+        open
     }
 }
 
@@ -886,6 +1129,46 @@ mod tests {
         assert_eq!(a.span("a").unwrap().unmatched_ends, 1);
         assert_eq!(a.span("b").unwrap().open, 1);
         assert_eq!(a.unpaired_spans(), 2);
+    }
+
+    #[test]
+    fn spans_pair_per_track_and_report_per_name() {
+        let lines = "\
+            {\"t\":0.1,\"kind\":\"span_start\",\"name\":\"cell\",\"track\":1}\n\
+            {\"t\":0.2,\"kind\":\"span_start\",\"name\":\"cell\",\"track\":2}\n\
+            {\"t\":0.3,\"kind\":\"span_end\",\"name\":\"cell\",\"dur_s\":0.2,\"track\":1}\n\
+            {\"t\":0.4,\"kind\":\"span_end\",\"name\":\"cell\",\"dur_s\":0.1,\"track\":3}\n";
+        let a = TraceAnalysis::from_reader(lines.as_bytes()).unwrap();
+        let cell = a.span("cell").unwrap();
+        assert_eq!(cell.completed(), 1);
+        // Track 3's end cannot close track 2's start.
+        assert_eq!(cell.unmatched_ends, 1);
+        assert_eq!(cell.open, 1);
+        assert_eq!(a.open_spans(), [(2, "cell", 1)]);
+        assert_eq!(a.unpaired_spans(), 2);
+    }
+
+    #[test]
+    fn reader_keeps_the_first_bad_line_number() {
+        let good = sample_trace();
+        let lines: Vec<&str> = good.lines().collect();
+        let text = format!("{}\n\n{}\nnot json\n{}\n", lines[0], lines[1], lines[2]);
+        let mut reader = TraceReader::new(text.as_bytes());
+        while reader.next_event().unwrap().is_some() {}
+        assert_eq!(reader.line(), 5);
+        let (line, error) = reader.first_error().expect("bad line recorded");
+        assert_eq!(line, 4, "blank lines count toward line numbers");
+        assert!(error.contains("bad JSON"), "{error}");
+
+        let mut cut = sample_trace();
+        cut.truncate(cut.len() - 15);
+        let mut reader = TraceReader::new(cut.as_bytes());
+        while reader.next_event().unwrap().is_some() {}
+        assert!(reader.truncated());
+        assert_eq!(
+            reader.first_error().map(|(line, _)| line),
+            Some(sample_trace().lines().count() as u64)
+        );
     }
 
     #[test]

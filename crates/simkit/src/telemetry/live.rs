@@ -1,11 +1,11 @@
 //! Live (streaming) trace aggregation with bounded memory.
 //!
-//! [`analyze`](super::analyze) keeps every finite observation so its
-//! percentiles are exact — the right trade for a finished trace, but a
-//! watcher that follows a multi-hour sweep cannot afford a growing
-//! buffer per metric, and an in-process health monitor must not turn
-//! the run it watches into an allocation benchmark. This module is the
-//! streaming half of that story:
+//! A finished trace folds into an exact [`TraceAnalysis`], keeping every
+//! observation so its percentiles are exact. A watcher that follows a
+//! multi-hour sweep cannot afford a growing buffer per metric, and an
+//! in-process health monitor must not turn the run it watches into an
+//! allocation benchmark. This module holds the two pieces that make the
+//! same aggregate live:
 //!
 //! * [`P2Grid`] — an extended-P² (Jain & Chlamtac; Raatikainen's
 //!   multi-quantile extension) marker grid: thirteen markers tracking
@@ -14,26 +14,19 @@
 //!   exact [`stats::percentile`](crate::stats::percentile) in tests.
 //!   The dense grid keeps every reported quantile's interpolation
 //!   bracket narrow, which is what lets the estimate survive bimodal
-//!   gaps and heavy tails that defeat the classic five-marker form;
-//! * [`StreamingRollup`] — exact count / min / max / mean plus grid
-//!   estimates for p50/p95/p99, mirroring the fields of the batch
-//!   [`Rollup`](super::analyze::Rollup);
-//! * [`LiveStats`] — a full incremental trace aggregate: per-kind
-//!   event counts, counter totals, per-`(track, name)` value rollups,
-//!   gating / emergency / solver aggregates. Counter, gating, and
-//!   emergency totals are *exact* and match
-//!   [`TraceAnalysis`](super::analyze::TraceAnalysis) on a completed
-//!   trace; only rollup percentiles are estimates;
-//! * [`LiveSink`] — a [`TelemetrySink`] folding events into a
-//!   [`LiveStats`] as they are emitted, self-timing its own cost so a
-//!   run can report (and CI can gate) the overhead of being watched.
+//!   gaps and heavy tails that defeat the classic five-marker form. It
+//!   is the quantile store of
+//!   [`TraceAnalysis::streaming`](super::analyze::TraceAnalysis::streaming);
+//! * [`LiveSink`] — a [`TelemetrySink`] folding events into a streaming
+//!   [`TraceAnalysis`] as they are emitted, self-timing its own cost so
+//!   a run can report (and CI can gate) the overhead of being watched.
 //!
 //! The [`rules`](super::rules) module evaluates health rules over a
-//! [`LiveStats`]; `tg-obs watch` re-renders one as a live status line.
+//! [`TraceAnalysis`]; `tg-obs watch` re-renders one as a live status
+//! line.
 
-use super::analyze::{EmergencyStats, ParsedEvent};
-use super::json::JsonValue;
-use super::{Event, EventKind, FieldValue, TelemetrySink};
+use super::analyze::TraceAnalysis;
+use super::{Event, TelemetrySink};
 use crate::stats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -181,507 +174,40 @@ impl P2Grid {
     }
 }
 
-/// Bounded-memory distribution rollup of one named value stream: exact
-/// count / non-finite count / min / max / mean, streaming p50/p95/p99.
-///
-/// The streaming counterpart of the batch
-/// [`Rollup`](super::analyze::Rollup); the exact fields agree with it
-/// bit for bit, the percentiles within the P² tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingRollup {
-    count: u64,
-    non_finite: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-    quantiles: P2Grid,
-}
-
-impl Default for StreamingRollup {
-    fn default() -> Self {
-        StreamingRollup {
-            count: 0,
-            non_finite: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            quantiles: P2Grid::new(),
-        }
-    }
-}
-
-impl StreamingRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        StreamingRollup::default()
-    }
-
-    /// Folds one observation in (non-finite values are counted but not
-    /// ranked, matching the batch rollup).
-    pub fn observe(&mut self, value: f64) {
-        if value.is_finite() {
-            self.count += 1;
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-            self.sum += value;
-            self.quantiles.observe(value);
-        } else {
-            self.non_finite += 1;
-        }
-    }
-
-    /// Counts an observation that carried no usable number.
-    pub fn note_invalid(&mut self) {
-        self.non_finite += 1;
-    }
-
-    /// Number of finite observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of non-finite / unusable observations.
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
-    /// Sum of finite observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of finite observations; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest finite observation; `None` when empty (exact).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest finite observation; `None` when empty (exact).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Streaming percentile estimate. Supported points: 0 and 100
-    /// (exact min/max), 50, 95, and 99 (P² grid estimates); anything
-    /// else returns `None` — the streaming layer only tracks the
-    /// quantiles the reports and rules use.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        match p {
-            0.0 => self.min(),
-            50.0 | 95.0 | 99.0 => self.quantiles.estimate(p / 100.0),
-            100.0 => self.max(),
-            _ => None,
-        }
-    }
-}
-
-/// Exact gating aggregate (streaming twin of
-/// [`GatingStats`](super::analyze::GatingStats); only the active-count
-/// distribution is estimated).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LiveGating {
-    /// Gating events seen.
-    pub decisions: u64,
-    /// Regulators switched on across all decisions.
-    pub turned_on: u64,
-    /// Regulators switched off across all decisions.
-    pub turned_off: u64,
-    /// Active-regulator count per decision.
-    pub active: StreamingRollup,
-}
-
-impl LiveGating {
-    /// Total switching activity (on + off transitions).
-    pub fn churn(&self) -> u64 {
-        self.turned_on + self.turned_off
-    }
-
-    /// Mean switching activity per decision; `None` with no decisions.
-    pub fn churn_per_decision(&self) -> Option<f64> {
-        if self.decisions == 0 {
-            None
-        } else {
-            Some(self.churn() as f64 / self.decisions as f64)
-        }
-    }
-}
-
-/// Solver-convergence streaming rollup for one solve site.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LiveSolver {
-    /// Iterations per solve.
-    pub iters: StreamingRollup,
-    /// Final relative residual per solve.
-    pub residuals: StreamingRollup,
-}
-
-impl LiveSolver {
-    /// Number of solve events folded in.
-    pub fn solves(&self) -> u64 {
-        self.iters.count() + self.iters.non_finite()
-    }
-}
-
-/// The event fields the live aggregator reads, abstracted over the
-/// emit-side [`Event`] (in-process [`LiveSink`]) and the consume-side
-/// [`ParsedEvent`] (trace tailing) so both fold through one code path.
-///
-/// Numeric access mirrors the JSONL round trip: an emit-side non-finite
-/// float reads as `None`, exactly as its `null` wire form would.
-trait EventView {
-    fn kind(&self) -> EventKind;
-    fn name(&self) -> &str;
-    fn t_s(&self) -> f64;
-    fn num(&self, key: &str) -> Option<f64>;
-
-    fn num_u64(&self, key: &str) -> Option<u64> {
-        self.num(key).map(|v| v.max(0.0) as u64)
-    }
-
-    /// The track id stamped on the event (0 when absent).
-    fn track(&self) -> u64 {
-        self.num_u64("track").unwrap_or(0)
-    }
-}
-
-impl EventView for ParsedEvent {
-    fn kind(&self) -> EventKind {
-        self.kind
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn t_s(&self) -> f64 {
-        self.t_s
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        self.field(key).and_then(JsonValue::as_f64)
-    }
-}
-
-impl EventView for Event {
-    fn kind(&self) -> EventKind {
-        self.kind
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn t_s(&self) -> f64 {
-        self.t_s
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                FieldValue::U64(x) => Some(*x as f64),
-                FieldValue::I64(x) => Some(*x as f64),
-                FieldValue::F64(x) => x.is_finite().then_some(*x),
-                FieldValue::Bool(_) | FieldValue::Str(_) => None,
-            })
-    }
-}
-
-/// Finds or inserts a key in an order-preserving keyed vector.
-fn entry<K: PartialEq, T: Default>(vec: &mut Vec<(K, T)>, key: K) -> &mut T {
-    if let Some(i) = vec.iter().position(|(k, _)| *k == key) {
-        return &mut vec[i].1;
-    }
-    vec.push((key, T::default()));
-    &mut vec.last_mut().expect("just pushed").1
-}
-
-/// A full incremental trace aggregate with bounded memory.
-///
-/// Fold events in with [`LiveStats::observe`] (parsed trace lines) or
-/// [`LiveStats::observe_event`] (in-process emit-side events); both
-/// produce identical state for the same stream. On a completed trace:
-///
-/// * event totals, per-kind counts, counter totals, gating decision /
-///   churn counts, and every emergency field **equal** the batch
-///   [`TraceAnalysis`](super::analyze::TraceAnalysis) exactly;
-/// * rollup count / non-finite / min / max / mean are exact; p50 / p95
-///   / p99 are P² estimates.
-///
-/// Value rollups are keyed by `(track, name)` so concurrent sweep cells
-/// aggregate separately; [`LiveStats::merged_rollup`] combines the
-/// tracks of one name (exact moments, count-weighted percentile
-/// estimates) for name-level queries. All keyed collections preserve
-/// first-appearance order, so renderings over a deterministic stream
-/// are deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct LiveStats {
-    /// Events folded in.
-    pub events: u64,
-    kind_counts: [u64; EventKind::ALL.len()],
-    /// Counter totals by name (summed across tracks).
-    pub counters: Vec<(String, u64)>,
-    /// Gauge/histogram/frame value rollups by `(track, name)`.
-    pub rollups: Vec<((u64, String), StreamingRollup)>,
-    /// Solver-convergence rollups by solve site.
-    pub solvers: Vec<(String, LiveSolver)>,
-    /// Gating-churn aggregate.
-    pub gating: LiveGating,
-    /// Voltage-emergency aggregate (shared with the batch layer — all
-    /// fields exact).
-    pub emergency: EmergencyStats,
-    /// Timestamp of the first event.
-    pub first_t_s: Option<f64>,
-    /// Timestamp of the last event.
-    pub last_t_s: Option<f64>,
-    /// Malformed lines reported by the feeding reader.
-    pub malformed_lines: u64,
-    /// Whether the feeding reader currently sees a truncated tail.
-    pub truncated: bool,
-}
-
-/// A name-level view over the per-track rollups of one name: exact
-/// moments (summed/compared across tracks), count-weighted percentile
-/// estimates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedRollup {
-    /// Finite observations across all tracks.
-    pub count: u64,
-    /// Non-finite observations across all tracks.
-    pub non_finite: u64,
-    /// Smallest finite observation (exact).
-    pub min: Option<f64>,
-    /// Largest finite observation (exact).
-    pub max: Option<f64>,
-    /// Mean of finite observations (exact).
-    pub mean: Option<f64>,
-    /// Count-weighted p50 estimate.
-    pub p50: Option<f64>,
-    /// Count-weighted p95 estimate.
-    pub p95: Option<f64>,
-    /// Count-weighted p99 estimate.
-    pub p99: Option<f64>,
-}
-
-impl MergedRollup {
-    /// The merged percentile estimate for a supported point (0, 50, 95,
-    /// 99, 100).
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        match p {
-            0.0 => self.min,
-            50.0 => self.p50,
-            95.0 => self.p95,
-            99.0 => self.p99,
-            100.0 => self.max,
-            _ => None,
-        }
-    }
-}
-
-fn kind_index(kind: EventKind) -> usize {
-    EventKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind is in ALL")
-}
-
-impl LiveStats {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        LiveStats::default()
-    }
-
-    /// Folds one parsed trace event in.
-    pub fn observe(&mut self, event: &ParsedEvent) {
-        self.fold(event);
-    }
-
-    /// Folds one emit-side event in (used by [`LiveSink`]; equivalent
-    /// to parsing the event's JSONL form and calling
-    /// [`LiveStats::observe`]).
-    pub fn observe_event(&mut self, event: &Event) {
-        self.fold(event);
-    }
-
-    fn fold<E: EventView>(&mut self, event: &E) {
-        self.events += 1;
-        self.kind_counts[kind_index(event.kind())] += 1;
-        let t = event.t_s();
-        if self.first_t_s.is_none() {
-            self.first_t_s = Some(t);
-        }
-        self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
-        match event.kind() {
-            EventKind::Counter => {
-                *entry(&mut self.counters, event.name().to_string()) +=
-                    event.num_u64("delta").unwrap_or(1);
-            }
-            EventKind::Gauge | EventKind::Histogram => {
-                let key = (event.track(), event.name().to_string());
-                let rollup = entry(&mut self.rollups, key);
-                match event.num("value") {
-                    Some(v) => rollup.observe(v),
-                    None => rollup.note_invalid(),
-                }
-            }
-            EventKind::Solve => {
-                let solver = entry::<_, LiveSolver>(&mut self.solvers, event.name().to_string());
-                match event.num("iters") {
-                    Some(i) => solver.iters.observe(i),
-                    None => solver.iters.note_invalid(),
-                }
-                match event.num("residual") {
-                    Some(r) => solver.residuals.observe(r),
-                    None => solver.residuals.note_invalid(),
-                }
-            }
-            EventKind::Gating => {
-                self.gating.decisions += 1;
-                self.gating.turned_on += event.num_u64("turned_on").unwrap_or(0);
-                self.gating.turned_off += event.num_u64("turned_off").unwrap_or(0);
-                match event.num("active") {
-                    Some(a) => self.gating.active.observe(a),
-                    None => self.gating.active.note_invalid(),
-                }
-            }
-            EventKind::Emergency => {
-                self.emergency.checks += 1;
-                let flagged = event.num_u64("flagged_domains").unwrap_or(0);
-                if flagged > 0 {
-                    self.emergency.with_emergency += 1;
-                }
-                self.emergency.flagged_domains += flagged;
-                self.emergency.true_domains += event.num_u64("true_domains").unwrap_or(0);
-                self.emergency.mispredicted += event.num_u64("mispredicted").unwrap_or(0);
-            }
-            // Frame hotspot magnitude rides along as a value rollup,
-            // matching the batch analyzer.
-            EventKind::Frame => {
-                if let Some(v) = event.num("value") {
-                    let key = (event.track(), event.name().to_string());
-                    entry::<_, StreamingRollup>(&mut self.rollups, key).observe(v);
-                }
-            }
-            EventKind::SpanStart | EventKind::SpanEnd | EventKind::Progress => {}
-        }
-    }
-
-    /// Number of events of one kind.
-    pub fn kind_count(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind_index(kind)]
-    }
-
-    /// Total of one named counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// The value rollup of one `(track, name)` key.
-    pub fn rollup(&self, track: u64, name: &str) -> Option<&StreamingRollup> {
-        self.rollups
-            .iter()
-            .find(|((t, n), _)| *t == track && n == name)
-            .map(|(_, r)| r)
-    }
-
-    /// A name-level view merging the per-track rollups of `name`:
-    /// moments are exact; percentile estimates are count-weighted
-    /// averages of the per-track estimates (identical to the single
-    /// estimator when only one track carries the name — the common
-    /// case).
-    pub fn merged_rollup(&self, name: &str) -> Option<MergedRollup> {
-        let parts: Vec<&StreamingRollup> = self
-            .rollups
-            .iter()
-            .filter(|((_, n), _)| n == name)
-            .map(|(_, r)| r)
-            .collect();
-        if parts.is_empty() {
-            return None;
-        }
-        let count: u64 = parts.iter().map(|r| r.count()).sum();
-        let non_finite: u64 = parts.iter().map(|r| r.non_finite()).sum();
-        let sum: f64 = parts.iter().map(|r| r.sum()).sum();
-        let weighted = |pick: fn(&StreamingRollup) -> Option<f64>| -> Option<f64> {
-            let mut acc = 0.0;
-            let mut weight = 0u64;
-            for r in &parts {
-                if let Some(v) = pick(r) {
-                    acc += v * r.count() as f64;
-                    weight += r.count();
-                }
-            }
-            (weight > 0).then(|| acc / weight as f64)
-        };
-        Some(MergedRollup {
-            count,
-            non_finite,
-            min: parts
-                .iter()
-                .filter_map(|r| r.min())
-                .fold(None, |a, v| Some(a.map_or(v, |x: f64| x.min(v)))),
-            max: parts
-                .iter()
-                .filter_map(|r| r.max())
-                .fold(None, |a, v| Some(a.map_or(v, |x: f64| x.max(v)))),
-            mean: (count > 0).then(|| sum / count as f64),
-            p50: weighted(|r| r.percentile(50.0)),
-            p95: weighted(|r| r.percentile(95.0)),
-            p99: weighted(|r| r.percentile(99.0)),
-        })
-    }
-
-    /// The solver rollup of one solve site.
-    pub fn solver(&self, site: &str) -> Option<&LiveSolver> {
-        self.solvers.iter().find(|(n, _)| n == site).map(|(_, s)| s)
-    }
-
-    /// Total solve events across all sites.
-    pub fn total_solves(&self) -> u64 {
-        self.solvers.iter().map(|(_, s)| s.solves()).sum()
-    }
-
-    /// Span of event timestamps (0.0 for empty or single-event streams).
-    pub fn duration_s(&self) -> f64 {
-        match (self.first_t_s, self.last_t_s) {
-            (Some(a), Some(b)) => (b - a).max(0.0),
-            _ => 0.0,
-        }
-    }
-}
-
-/// A [`TelemetrySink`] that folds every event into a [`LiveStats`] as
-/// it is emitted, timing itself so the run can report what live
-/// aggregation cost.
+/// A [`TelemetrySink`] that folds every event into a streaming
+/// [`TraceAnalysis`] as it is emitted, timing itself so the run can
+/// report what live aggregation cost.
 ///
 /// Intended to ride in a fanout next to the JSONL sink: the run gains
 /// an in-process health view (queryable mid-run via
 /// [`LiveSink::snapshot`], fed to the rules engine) at a measured,
 /// self-reported price — [`LiveSink::overhead_us`] backs the
 /// `telemetry.live.overhead` counter and the BENCH live-overhead axis.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LiveSink {
-    stats: Mutex<LiveStats>,
+    stats: Mutex<TraceAnalysis>,
     events: AtomicU64,
     overhead_ns: AtomicU64,
+}
+
+impl Default for LiveSink {
+    fn default() -> Self {
+        LiveSink::new()
+    }
 }
 
 impl LiveSink {
     /// An empty sink.
     pub fn new() -> Self {
-        LiveSink::default()
+        LiveSink {
+            stats: Mutex::new(TraceAnalysis::streaming()),
+            events: AtomicU64::new(0),
+            overhead_ns: AtomicU64::new(0),
+        }
     }
 
     /// A snapshot of the aggregate state so far.
-    pub fn snapshot(&self) -> LiveStats {
+    pub fn snapshot(&self) -> TraceAnalysis {
         self.stats.lock().expect("live sink poisoned").clone()
     }
 
@@ -702,7 +228,7 @@ impl TelemetrySink for LiveSink {
         self.stats
             .lock()
             .expect("live sink poisoned")
-            .observe_event(event);
+            .observe(event);
         self.overhead_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.events.fetch_add(1, Ordering::Relaxed);
@@ -713,8 +239,8 @@ impl TelemetrySink for LiveSink {
 mod tests {
     use super::*;
     use crate::rng::DeterministicRng;
-    use crate::telemetry::analyze::TraceAnalysis;
-    use crate::telemetry::Telemetry;
+    use crate::telemetry::analyze::{ParsedEvent, Rollup};
+    use crate::telemetry::{EventKind, Telemetry};
 
     /// Exact reference percentile over a sample.
     fn exact(values: &[f64], p: f64) -> f64 {
@@ -837,26 +363,36 @@ mod tests {
     }
 
     #[test]
-    fn streaming_rollup_moments_are_exact() {
-        let mut streaming = StreamingRollup::new();
-        let mut batch = crate::telemetry::analyze::Rollup::default();
+    fn streaming_and_exact_rollups_agree_bit_for_bit_on_moments() {
+        let mut streaming = Rollup::streaming();
+        let mut exact_store = Rollup::exact();
         let mut rng = DeterministicRng::new(0x5eed);
+        let mut values = Vec::new();
         for _ in 0..500 {
             let v = rng.uniform_f64() * 200.0 - 100.0;
             streaming.observe(v);
-            batch.observe(v);
+            exact_store.observe(v);
+            values.push(v);
         }
         streaming.observe(f64::NAN);
-        batch.observe(f64::NAN);
-        assert_eq!(streaming.count(), batch.count());
-        assert_eq!(streaming.non_finite(), batch.non_finite());
-        assert_eq!(streaming.min(), batch.min());
-        assert_eq!(streaming.max(), batch.max());
-        let mean_err = (streaming.mean().unwrap() - batch.mean().unwrap()).abs();
-        assert!(mean_err < 1e-9, "mean drift {mean_err}");
-        assert_eq!(streaming.percentile(0.0), batch.min());
-        assert_eq!(streaming.percentile(100.0), batch.max());
+        exact_store.observe(f64::NAN);
+        assert_eq!(streaming.count(), exact_store.count());
+        assert_eq!(streaming.non_finite(), exact_store.non_finite());
+        assert_eq!(streaming.min(), exact_store.min());
+        assert_eq!(streaming.max(), exact_store.max());
+        assert_eq!(streaming.sum().to_bits(), exact_store.sum().to_bits());
+        assert_eq!(streaming.mean(), exact_store.mean());
+        // The running moments equal the slice helpers over the sample.
+        assert_eq!(exact_store.mean(), stats::mean(&values));
+        assert_eq!(
+            exact_store.percentile(50.0),
+            stats::percentile(&values, 50.0)
+        );
+        assert_eq!(streaming.percentile(0.0), exact_store.min());
+        assert_eq!(streaming.percentile(100.0), exact_store.max());
+        // Only the exact store answers arbitrary percentiles.
         assert_eq!(streaming.percentile(42.0), None);
+        assert!(exact_store.percentile(42.0).is_some());
     }
 
     /// A synthetic run exercising every aggregated kind.
@@ -886,73 +422,85 @@ mod tests {
         sink.events()
     }
 
-    #[test]
-    fn live_stats_match_batch_analysis_on_a_completed_trace() {
-        let events = sample_events();
-        let mut live_wire = LiveStats::new();
-        let mut live_emit = LiveStats::new();
-        let mut batch = TraceAnalysis::new();
-        for event in &events {
-            let parsed = ParsedEvent::from_line(&event.to_json()).unwrap();
-            live_wire.observe(&parsed);
-            live_emit.observe_event(event);
-            batch.observe(&parsed);
-        }
-
-        // Wire-side and emit-side folding agree completely.
-        assert_eq!(live_wire.events, live_emit.events);
-        assert_eq!(live_wire.counters, live_emit.counters);
-        assert_eq!(live_wire.rollups, live_emit.rollups);
-        assert_eq!(live_wire.gating, live_emit.gating);
-        assert_eq!(live_wire.emergency, live_emit.emergency);
-
-        // Exact aggregates equal the batch analyzer.
-        assert_eq!(live_wire.events, batch.events);
-        for kind in EventKind::ALL {
-            assert_eq!(
-                live_wire.kind_count(kind),
-                batch.kind_count(kind),
-                "{kind:?}"
+    /// The exact and streaming moments of two rollups match bit for
+    /// bit; each streaming p50/p95/p99 lies within a tenth of the
+    /// sample's range of the exact one. (These streams are short and
+    /// integer-valued, where the rank tolerance above — stated for
+    /// n ≥ 200 — is ill-defined.)
+    fn assert_stores_agree(what: &str, exact: &Rollup, streaming: &Rollup) {
+        assert_eq!(exact.count(), streaming.count(), "{what}");
+        assert_eq!(exact.non_finite(), streaming.non_finite(), "{what}");
+        assert_eq!(exact.min(), streaming.min(), "{what}");
+        assert_eq!(exact.max(), streaming.max(), "{what}");
+        assert_eq!(exact.sum().to_bits(), streaming.sum().to_bits(), "{what}");
+        assert_eq!(exact.mean(), streaming.mean(), "{what}");
+        let tol = 0.1 * (exact.max().unwrap() - exact.min().unwrap());
+        for p in [50.0, 95.0, 99.0] {
+            let estimate = streaming.percentile(p).unwrap();
+            let truth = exact.percentile(p).unwrap();
+            assert!(
+                (estimate - truth).abs() <= tol,
+                "{what} p{p}: estimate {estimate} vs exact {truth} (tol {tol})"
             );
         }
-        assert_eq!(
-            live_wire.counter("engine.decisions"),
-            batch.counter("engine.decisions")
-        );
-        assert_eq!(live_wire.gating.decisions, batch.gating.decisions);
-        assert_eq!(live_wire.gating.turned_on, batch.gating.turned_on);
-        assert_eq!(live_wire.gating.turned_off, batch.gating.turned_off);
-        assert_eq!(live_wire.gating.churn(), batch.gating.churn());
-        assert_eq!(live_wire.emergency, batch.emergency);
-        assert_eq!(live_wire.first_t_s, batch.first_t_s);
-        assert_eq!(live_wire.last_t_s, batch.last_t_s);
-
-        // Rollup moments are exact; percentiles near the exact values.
-        let live_noise = live_wire.merged_rollup("engine.window_noise_pct").unwrap();
-        let batch_noise = batch.rollup("engine.window_noise_pct").unwrap();
-        assert_eq!(live_noise.count, batch_noise.count());
-        assert_eq!(live_noise.min, batch_noise.min());
-        assert_eq!(live_noise.max, batch_noise.max());
-        assert!((live_noise.mean.unwrap() - batch_noise.mean().unwrap()).abs() < 1e-12);
-        let p50_err = (live_noise.p50.unwrap() - batch_noise.percentile(50.0).unwrap()).abs();
-        assert!(p50_err <= 1.0, "p50 estimate off by {p50_err}");
-
-        // Non-finite gauges are counted, not ranked.
-        let bad = live_wire.merged_rollup("bad.gauge").unwrap();
-        assert_eq!((bad.count, bad.non_finite), (0, 1));
-
-        // Solver sites roll up with exact solve counts.
-        let gs = live_wire.solver("thermal.gs").unwrap();
-        assert_eq!(gs.solves(), batch.solver("thermal.gs").unwrap().solves());
-        assert_eq!(
-            gs.iters.min(),
-            batch.solver("thermal.gs").unwrap().iters.min()
-        );
-        assert_eq!(live_wire.total_solves(), 40);
     }
 
     #[test]
-    fn rollups_are_keyed_per_track() {
+    fn streaming_and_exact_stores_agree_on_a_completed_trace() {
+        let events = sample_events();
+        let mut wire = TraceAnalysis::streaming();
+        let mut emit = TraceAnalysis::streaming();
+        let mut exact = TraceAnalysis::exact();
+        for event in &events {
+            let parsed = ParsedEvent::from_line(&event.to_json()).unwrap();
+            wire.observe(&parsed);
+            emit.observe(event);
+            exact.observe(&parsed);
+        }
+
+        // Wire-side and emit-side folding agree completely.
+        assert_eq!(wire.events, emit.events);
+        assert_eq!(wire.counters, emit.counters);
+        assert_eq!(wire.rollups, emit.rollups);
+        assert_eq!(wire.solvers, emit.solvers);
+        assert_eq!(wire.gating, emit.gating);
+        assert_eq!(wire.emergency, emit.emergency);
+
+        // Counts and domain aggregates are store-independent.
+        assert_eq!(wire.events, exact.events);
+        for kind in EventKind::ALL {
+            assert_eq!(wire.kind_count(kind), exact.kind_count(kind), "{kind:?}");
+        }
+        assert_eq!(wire.counters, exact.counters);
+        assert_eq!(wire.gating.decisions, exact.gating.decisions);
+        assert_eq!(wire.gating.churn(), exact.gating.churn());
+        assert_eq!(wire.emergency, exact.emergency);
+        assert_eq!(wire.first_t_s, exact.first_t_s);
+        assert_eq!(wire.last_t_s, exact.last_t_s);
+        assert_eq!(wire.span("engine.run").unwrap().completed(), 1);
+        assert_eq!(wire.unpaired_spans(), exact.unpaired_spans());
+
+        // Rollup moments match bit for bit; percentiles within tolerance.
+        assert_stores_agree(
+            "noise",
+            exact.rollup("engine.window_noise_pct").unwrap(),
+            wire.rollup("engine.window_noise_pct").unwrap(),
+        );
+        assert_stores_agree(
+            "iters",
+            &exact.solver("thermal.gs").unwrap().iters,
+            &wire.solver("thermal.gs").unwrap().iters,
+        );
+        assert_stores_agree("active", &exact.gating.active, &wire.gating.active);
+
+        // Non-finite gauges are counted, not ranked.
+        let bad = wire.rollup("bad.gauge").unwrap();
+        assert_eq!((bad.count(), bad.non_finite()), (0, 1));
+        assert_eq!(wire.total_solves(), 40);
+    }
+
+    #[test]
+    fn rollups_merge_tracks_by_name() {
         let sink = std::sync::Arc::new(LiveSink::new());
         let t0 = Telemetry::with_sink(sink.clone());
         let t1 = Telemetry::with_sink_tracked(sink.clone(), 1);
@@ -960,14 +508,12 @@ mod tests {
         t1.gauge("cell.metric", 100.0);
         t1.gauge("cell.metric", 200.0);
         let stats = sink.snapshot();
-        assert_eq!(stats.rollup(0, "cell.metric").unwrap().count(), 1);
-        assert_eq!(stats.rollup(1, "cell.metric").unwrap().count(), 2);
-        assert_eq!(stats.rollup(2, "cell.metric"), None);
-        let merged = stats.merged_rollup("cell.metric").unwrap();
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.min, Some(1.0));
-        assert_eq!(merged.max, Some(200.0));
-        assert!((merged.mean.unwrap() - 301.0 / 3.0).abs() < 1e-12);
+        assert_eq!(stats.rollups.len(), 1);
+        let merged = stats.rollup("cell.metric").unwrap();
+        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.min(), Some(1.0));
+        assert_eq!(merged.max(), Some(200.0));
+        assert_eq!(merged.mean(), Some(301.0 / 3.0));
     }
 
     #[test]
@@ -988,10 +534,10 @@ mod tests {
 
     #[test]
     fn empty_stats_answer_safely() {
-        let stats = LiveStats::new();
+        let stats = LiveSink::new().snapshot();
         assert_eq!(stats.events, 0);
         assert_eq!(stats.counter("nope"), 0);
-        assert!(stats.merged_rollup("nope").is_none());
+        assert!(stats.rollup("nope").is_none());
         assert_eq!(stats.duration_s(), 0.0);
         assert_eq!(stats.gating.churn_per_decision(), None);
         assert_eq!(stats.emergency.emergency_rate(), None);

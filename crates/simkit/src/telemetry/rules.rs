@@ -2,8 +2,8 @@
 //!
 //! A rules file is a small JSON document (schema
 //! [`RULES_SCHEMA`] = `thermogater.rules/v1`) listing thresholds over
-//! the metrics a [`LiveStats`] tracks — counters, rollup percentiles,
-//! emergency rate, solver iteration spikes, gating churn:
+//! the metrics a [`TraceAnalysis`] tracks — counters, rollup
+//! percentiles, emergency rate, solver iteration spikes, gating churn:
 //!
 //! ```json
 //! {
@@ -25,13 +25,16 @@
 //! severity (default `warn`). Evaluation is a pure function of the
 //! current aggregate state, so `tg-obs watch` can re-evaluate the same
 //! [`RuleSet`] incrementally as events stream in, and `tg-obs check`
-//! can gate CI on a finished trace — same file, same verdicts. Reports
+//! can gate CI on a finished trace — same file, same rules. `check`
+//! folds the trace exactly, so its percentile verdicts agree with the
+//! numbers `tg-obs summarize` prints; `watch` folds with the streaming
+//! store, so its percentiles are P² estimates. Reports
 //! render deterministically: rules appear in file order with stable
 //! number formatting, so two identical runs produce byte-identical
 //! reports.
 
+use super::analyze::TraceAnalysis;
 use super::json::{self, JsonValue};
-use super::live::LiveStats;
 use std::fmt;
 
 /// Schema identifier required of every rules file.
@@ -72,11 +75,11 @@ impl Severity {
 /// Which rollup statistic a rollup selector reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollupStat {
-    /// Streaming p50 estimate.
+    /// p50 (exact or P²-estimated, by the aggregate's store).
     P50,
-    /// Streaming p95 estimate.
+    /// p95 (exact or P²-estimated, by the aggregate's store).
     P95,
-    /// Streaming p99 estimate.
+    /// p99 (exact or P²-estimated, by the aggregate's store).
     P99,
     /// Exact mean.
     Mean,
@@ -112,7 +115,7 @@ pub enum MetricSelector {
     MalformedLines,
     /// A counter total: `counter:<name>`.
     Counter(String),
-    /// A statistic of a name-level merged value rollup:
+    /// A statistic of a name's value rollup (all tracks):
     /// `p50|p95|p99|mean|min|max|samples:<name>`.
     Rollup(RollupStat, String),
     /// Fraction of emergency checks that flagged a domain:
@@ -129,7 +132,7 @@ pub enum MetricSelector {
     GatingChurnPerDecision,
     /// Gating decision events seen: `gating_decisions`.
     GatingDecisions,
-    /// Streaming p95 of a solve site's iteration counts:
+    /// p95 of a solve site's iteration counts:
     /// `solver_iters_p95:<site>`.
     SolverItersP95(String),
     /// Maximum iterations of a solve site: `solver_iters_max:<site>`.
@@ -194,7 +197,7 @@ impl MetricSelector {
 
     /// Reads the selected metric from an aggregate; `None` when the
     /// trace does not (yet) carry it.
-    pub fn resolve(&self, stats: &LiveStats) -> Option<f64> {
+    pub fn resolve(&self, stats: &TraceAnalysis) -> Option<f64> {
         match self {
             MetricSelector::Events => Some(stats.events as f64),
             MetricSelector::MalformedLines => Some(stats.malformed_lines as f64),
@@ -204,15 +207,15 @@ impl MetricSelector {
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| *v as f64),
             MetricSelector::Rollup(stat, name) => {
-                let merged = stats.merged_rollup(name)?;
+                let rollup = stats.rollup(name)?;
                 match stat {
-                    RollupStat::P50 => merged.p50,
-                    RollupStat::P95 => merged.p95,
-                    RollupStat::P99 => merged.p99,
-                    RollupStat::Mean => merged.mean,
-                    RollupStat::Min => merged.min,
-                    RollupStat::Max => merged.max,
-                    RollupStat::Samples => Some(merged.count as f64),
+                    RollupStat::P50 => rollup.percentile(50.0),
+                    RollupStat::P95 => rollup.percentile(95.0),
+                    RollupStat::P99 => rollup.percentile(99.0),
+                    RollupStat::Mean => rollup.mean(),
+                    RollupStat::Min => rollup.min(),
+                    RollupStat::Max => rollup.max(),
+                    RollupStat::Samples => Some(rollup.count() as f64),
                 }
             }
             MetricSelector::EmergencyRate => stats.emergency.emergency_rate(),
@@ -296,7 +299,7 @@ impl Rule {
     }
 
     /// Evaluates the rule against the current aggregate state.
-    pub fn evaluate(&self, stats: &LiveStats) -> RuleOutcome {
+    pub fn evaluate(&self, stats: &TraceAnalysis) -> RuleOutcome {
         let value = self.metric.resolve(stats);
         let (severity, note) = match value {
             None => (self.missing, "metric missing".to_string()),
@@ -405,7 +408,7 @@ impl RuleSet {
 
     /// Evaluates every rule against the current aggregate state, in
     /// file order.
-    pub fn evaluate(&self, stats: &LiveStats) -> RuleReport {
+    pub fn evaluate(&self, stats: &TraceAnalysis) -> RuleReport {
         RuleReport {
             outcomes: self.rules.iter().map(|r| r.evaluate(stats)).collect(),
         }
@@ -540,7 +543,7 @@ mod tests {
 
     /// A small aggregate with gating, counters, a rollup, solves, and
     /// emergencies.
-    fn sample_stats() -> LiveStats {
+    fn sample_stats() -> TraceAnalysis {
         let (tel, sink) = Telemetry::recorder();
         for k in 0..20u64 {
             tel.counter("engine.decisions", 1);
@@ -557,9 +560,9 @@ mod tests {
                 .field_u64("mispredicted", 0)
                 .emit();
         }
-        let mut stats = LiveStats::new();
+        let mut stats = TraceAnalysis::streaming();
         for event in sink.events() {
-            stats.observe_event(&event);
+            stats.observe(&event);
         }
         stats
     }
@@ -632,9 +635,9 @@ mod tests {
         let set = RuleSet::from_json(&rules_doc()).unwrap();
         let (tel, sink) = Telemetry::recorder();
         tel.counter("engine.decisions", 1);
-        let mut partial = LiveStats::new();
+        let mut partial = TraceAnalysis::streaming();
         for event in sink.events() {
-            partial.observe_event(&event);
+            partial.observe(&event);
         }
         let early = set.evaluate(&partial);
         // Only the counter rule can resolve yet.
@@ -720,7 +723,7 @@ mod tests {
 
     #[test]
     fn absent_domain_aggregates_resolve_to_none() {
-        let empty = LiveStats::new();
+        let empty = TraceAnalysis::exact();
         for selector in [
             "emergency_rate",
             "emergency_checks",

@@ -7,6 +7,7 @@
 use experiments::context::ExpOptions;
 use experiments::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
+use simkit::telemetry::analyze::TraceAnalysis;
 use simkit::telemetry::json::{parse, JsonValue};
 use simkit::telemetry::manifest::{CellManifest, RunManifest, MANIFEST_FILE, TRACE_FILE};
 use simkit::telemetry::EventKind;
@@ -113,12 +114,12 @@ fn engine_run_produces_valid_trace_and_manifest() {
             required.as_str()
         );
     }
-    // The registry aggregated what the trace recorded.
-    assert!(ctx.registry().counter("engine.decisions") > 0);
-    assert!(ctx
-        .registry()
-        .histogram("engine.window_noise_pct")
-        .is_some_and(|h| h.count > 0));
+    // The trace folds into the counters and histograms it recorded.
+    let analysis = TraceAnalysis::from_path(&ctx.trace_path()).unwrap();
+    assert!(analysis.counter("engine.decisions") > 0);
+    assert!(analysis
+        .rollup("engine.window_noise_pct")
+        .is_some_and(|h| h.count() > 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
