@@ -44,7 +44,7 @@ use simkit::perf::{PhaseTimes, SolverProfile, Timer};
 use simkit::series::{TimeSeries, TraceMatrix};
 use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::{Seconds, Watts};
-use simkit::{DeterministicRng, Result};
+use simkit::{DeterministicRng, Error, Result};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window, WARMUP_CYCLES, WINDOW_CYCLES};
@@ -172,6 +172,47 @@ impl EngineConfig {
         self.governor.config_fields("governor.", &mut out);
         out
     }
+
+    /// Checks that an engine can be built from this configuration: a
+    /// non-empty thermal grid, a thermal step that divides the decision
+    /// interval, and a finite duration of at least one decision
+    /// interval. Front ends call it to reject bad input with a message
+    /// instead of the panic [`SimulationEngine::new`] raises.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] naming the first rule broken.
+    pub fn validate(&self) -> Result<()> {
+        self.step_counts().map(|_| ())
+    }
+
+    /// `(thermal steps per decision, decisions)` of a valid
+    /// configuration; see [`EngineConfig::validate`].
+    fn step_counts(&self) -> Result<(usize, usize)> {
+        let (nx, ny) = (self.thermal.nx, self.thermal.ny);
+        if nx == 0 || ny == 0 {
+            return Err(Error::invalid_argument(format!(
+                "thermal grid must be non-empty, got {nx}×{ny}"
+            )));
+        }
+        let interval = self.decision_interval.get();
+        let step = self.thermal_step.get();
+        let spd = (interval / step).round();
+        if !(spd >= 1.0 && spd.is_finite() && (interval - spd * step).abs() < 1e-12) {
+            return Err(Error::invalid_argument(format!(
+                "thermal step must divide the decision interval, got {} and {}",
+                self.thermal_step, self.decision_interval
+            )));
+        }
+        let duration = self.duration.get();
+        if !(duration.is_finite() && duration >= interval * (1.0 - 1e-9)) {
+            return Err(Error::invalid_argument(format!(
+                "duration must be finite and at least one decision interval ({}), got {}",
+                self.decision_interval, self.duration
+            )));
+        }
+        Ok((spd as usize, (duration / interval).round() as usize))
+    }
 }
 
 impl Default for EngineConfig {
@@ -203,6 +244,22 @@ pub struct SimulationEngine<'c> {
     n_decisions: usize,
 }
 
+/// Per-step buffers of [`SimulationEngine::simulate_interval`], built
+/// once per run and reused by every step.
+struct StepScratch<'m> {
+    power: PowerMap<'m>,
+    block_powers: Vec<Watts>,
+}
+
+impl<'m> StepScratch<'m> {
+    fn new(thermal: &'m ThermalModel) -> Self {
+        StepScratch {
+            power: PowerMap::new(thermal),
+            block_powers: Vec::new(),
+        }
+    }
+}
+
 /// What a per-step observer sees.
 struct StepView<'a> {
     step: usize,
@@ -219,22 +276,12 @@ impl<'c> SimulationEngine<'c> {
     ///
     /// # Panics
     ///
-    /// Panics when the thermal step does not divide the decision
-    /// interval, or the duration is not a whole number of decision
-    /// intervals.
+    /// Panics when [`EngineConfig::validate`] rejects the configuration:
+    /// an empty thermal grid, a thermal step that does not divide the
+    /// decision interval, or a duration that is not finite or is shorter
+    /// than one decision interval.
     pub fn new(chip: &'c Floorplan, config: EngineConfig) -> Self {
-        let spd = (config.decision_interval.get() / config.thermal_step.get()).round() as usize;
-        assert!(
-            spd > 0
-                && (config.decision_interval.get() - spd as f64 * config.thermal_step.get()).abs()
-                    < 1e-12,
-            "thermal step must divide the decision interval"
-        );
-        let n_decisions = (config.duration.get() / config.decision_interval.get()).round() as usize;
-        assert!(
-            n_decisions > 0,
-            "duration shorter than one decision interval"
-        );
+        let (spd, n_decisions) = config.step_counts().unwrap_or_else(|e| panic!("{e}"));
 
         let power = PowerModel::calibrated(chip, config.tech.clone());
         // The engine-level solver choice wins over whatever the thermal /
@@ -343,14 +390,18 @@ impl<'c> SimulationEngine<'c> {
     /// Per-block powers for one step's activities at the given state's
     /// temperatures.
     fn block_powers(&self, activities: &[f64], state: &ThermalState) -> Vec<Watts> {
-        self.chip
-            .blocks()
-            .iter()
-            .map(|b| {
-                let t = state.block_temperature(&self.thermal, b.id());
-                self.power.block_power(b.id(), activities[b.id().0], t)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.chip.blocks().len());
+        self.block_powers_into(activities, state, &mut out);
+        out
+    }
+
+    /// [`Self::block_powers`] into a caller-owned buffer.
+    fn block_powers_into(&self, activities: &[f64], state: &ThermalState, out: &mut Vec<Watts>) {
+        out.clear();
+        out.extend(self.chip.blocks().iter().map(|b| {
+            let t = state.block_temperature(&self.thermal, b.id());
+            self.power.block_power(b.id(), activities[b.id().0], t)
+        }));
     }
 
     /// Per-domain demand currents implied by block powers.
@@ -385,15 +436,19 @@ impl<'c> SimulationEngine<'c> {
     /// True regulator temperatures (cell + self-heating) for the current
     /// state and per-VR losses.
     fn vr_temperatures(&self, state: &ThermalState, vr_losses: &[f64]) -> Vec<f64> {
-        self.chip
-            .vr_sites()
-            .iter()
-            .map(|site| {
-                state
-                    .vr_temperature(&self.thermal, site.id(), Watts::new(vr_losses[site.id().0]))
-                    .get()
-            })
-            .collect()
+        let mut out = Vec::with_capacity(vr_losses.len());
+        self.vr_temperatures_into(state, vr_losses, &mut out);
+        out
+    }
+
+    /// [`Self::vr_temperatures`] into a caller-owned buffer.
+    fn vr_temperatures_into(&self, state: &ThermalState, vr_losses: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.chip.vr_sites().iter().map(|site| {
+            state
+                .vr_temperature(&self.thermal, site.id(), Watts::new(vr_losses[site.id().0]))
+                .get()
+        }));
     }
 
     /// Initial thermal state: leakage-feedback steady state at the first
@@ -432,16 +487,18 @@ impl<'c> SimulationEngine<'c> {
     /// Simulates one decision interval under a fixed gating state (the
     /// thermally-aware policies hold their selected set for a full 1 ms
     /// decision interval — Section 6.2), calling `observe` after each
-    /// thermal step.
+    /// thermal step. Every per-step buffer lives in `scratch`, so a step
+    /// allocates nothing.
     #[allow(clippy::too_many_arguments)]
-    fn simulate_interval<F>(
-        &self,
+    fn simulate_interval<'m, F>(
+        &'m self,
         acts: &[Vec<f64>],
         k: usize,
         gating: &GatingState,
         state: &mut ThermalState,
         stepper: &mut thermal::TransientStepper<'_>,
         vr_losses: &mut [f64],
+        scratch: &mut StepScratch<'m>,
         mut observe: F,
     ) -> Result<()>
     where
@@ -449,13 +506,17 @@ impl<'c> SimulationEngine<'c> {
     {
         let vdd = self.config.tech.vdd;
         let lo = k * self.steps_per_decision;
+        let StepScratch {
+            power: pm,
+            block_powers,
+        } = scratch;
         for (s, act) in acts
             .iter()
             .enumerate()
             .skip(lo)
             .take(self.steps_per_decision)
         {
-            let block_powers = self.block_powers(act, state);
+            self.block_powers_into(act, state, block_powers);
             // Per-VR conversion losses under the current gating.
             vr_losses.iter_mut().for_each(|l| *l = 0.0);
             for domain in self.chip.domains() {
@@ -473,7 +534,7 @@ impl<'c> SimulationEngine<'c> {
                 }
             }
             // Inject heat and advance.
-            let mut pm = PowerMap::new(&self.thermal);
+            pm.clear();
             for b in self.chip.blocks() {
                 pm.add_block(b.id(), block_powers[b.id().0])?;
             }
@@ -483,11 +544,11 @@ impl<'c> SimulationEngine<'c> {
                     pm.add_vr(site.id(), Watts::new(l))?;
                 }
             }
-            let solve = stepper.step(state, &pm)?;
+            let solve = stepper.step(state, pm)?;
             observe(StepView {
                 step: s,
                 state,
-                block_powers: &block_powers,
+                block_powers,
                 vr_losses,
                 gating,
                 solve,
@@ -533,6 +594,7 @@ impl<'c> SimulationEngine<'c> {
     ) -> Result<(ThermalPredictor, f64)> {
         let (mut state, _feedback) = self.initial_state(acts, true)?;
         let mut stepper = self.thermal.stepper(self.config.thermal_step);
+        let mut scratch = StepScratch::new(&self.thermal);
         let n_vrs = self.chip.vr_sites().len();
         let mut vr_losses = vec![0.0f64; n_vrs];
 
@@ -566,6 +628,7 @@ impl<'c> SimulationEngine<'c> {
                 &mut state,
                 &mut stepper,
                 &mut vr_losses,
+                &mut scratch,
                 |view| {
                     for (acc, &l) in loss_acc.iter_mut().zip(view.vr_losses) {
                         *acc += l;
@@ -743,6 +806,7 @@ impl<'c> SimulationEngine<'c> {
         solver_profile.merge_agg("steady", &steady_fb.cg);
         perf.add("steady", t_steady.elapsed_seconds());
         let mut stepper = self.thermal.stepper(cfg.thermal_step);
+        let mut scratch = StepScratch::new(&self.thermal);
 
         let mut vr_losses = vec![0.0f64; n_vrs];
         let mut sensors = ThermalSensorArray::new(n_vrs, cfg.sensor_latency, cfg.thermal_step);
@@ -776,7 +840,10 @@ impl<'c> SimulationEngine<'c> {
         let mut vr_temps = TraceMatrix::new(n_vrs, cfg.thermal_step);
         let mut max_t = f64::MIN;
         let mut max_gradient = f64::MIN;
-        let mut heatmap_at_tmax = state.heatmap();
+        // The silicon layer at the running T_max, copied into one reused
+        // buffer; the heat map is built from it once, after the run.
+        let mut silicon_at_tmax = state.silicon().to_vec();
+        let mut vr_temps_now = Vec::with_capacity(n_vrs);
         let mut pout_acc = 0.0f64;
         let mut pin_acc = 0.0f64;
         let mut loss_acc = 0.0f64;
@@ -1089,6 +1156,7 @@ impl<'c> SimulationEngine<'c> {
                 &mut state,
                 &mut stepper,
                 &mut vr_losses,
+                &mut scratch,
                 |view| {
                     solver_profile.record("transient", view.solve);
                     // Power + efficiency accounting.
@@ -1129,15 +1197,16 @@ impl<'c> SimulationEngine<'c> {
                     loss_acc += step_loss;
 
                     // Thermal accounting (silicon + regulator hotspots).
-                    let temps = self.vr_temperatures(view.state, view.vr_losses);
-                    sensors.record(&temps);
-                    vr_temps.push_column(&temps)?;
+                    self.vr_temperatures_into(view.state, view.vr_losses, &mut vr_temps_now);
+                    let temps = &vr_temps_now;
+                    sensors.record(temps);
+                    vr_temps.push_column(temps)?;
                     let si_max = view.state.max_silicon().get();
                     let vr_max = temps.iter().copied().fold(f64::MIN, f64::max);
                     let t_max = si_max.max(vr_max);
                     if t_max > max_t {
                         max_t = t_max;
-                        heatmap_at_tmax = view.state.heatmap();
+                        silicon_at_tmax.copy_from_slice(view.state.silicon());
                     }
                     let gradient = t_max - view.state.min_silicon().get();
                     max_gradient = max_gradient.max(gradient);
@@ -1262,6 +1331,10 @@ impl<'c> SimulationEngine<'c> {
         run_span.finish();
 
         let steps_f = total_steps as f64;
+        let heatmap_at_tmax = silicon_at_tmax
+            .chunks(self.thermal.grid_size().0)
+            .map(<[f64]>::to_vec)
+            .collect();
         Ok(SimulationResult {
             spec: spec.clone(),
             policy,
@@ -1362,6 +1435,54 @@ mod tests {
             profiling_decisions: 4,
             thermal: ThermalConfig::coarse(),
             ..EngineConfig::standard()
+        }
+    }
+
+    #[test]
+    fn validate_rejects_configs_no_engine_can_run() {
+        assert!(EngineConfig::standard().validate().is_ok());
+        assert!(tiny_config().validate().is_ok());
+        let one_cell = EngineConfig {
+            thermal: ThermalConfig {
+                nx: 1,
+                ny: 1,
+                ..ThermalConfig::coarse()
+            },
+            ..tiny_config()
+        };
+        assert!(one_cell.validate().is_ok());
+        let bad = [
+            EngineConfig {
+                thermal: ThermalConfig {
+                    nx: 0,
+                    ..ThermalConfig::coarse()
+                },
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::new(0.0),
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::new(f64::NAN),
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::from_micros(600.0),
+                ..tiny_config()
+            },
+            EngineConfig {
+                thermal_step: Seconds::from_micros(30.0),
+                ..tiny_config()
+            },
+            EngineConfig {
+                thermal_step: Seconds::new(0.0),
+                ..tiny_config()
+            },
+        ];
+        for config in bad {
+            let err = config.validate().unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
         }
     }
 

@@ -160,14 +160,19 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
+    // Usage errors — an unknown flag, an unparsable value, or a
+    // configuration no engine can be built from — exit 2 before any
+    // simulation; `--help` prints the usage and succeeds.
     let args = match parse_args() {
         Ok(a) => a,
+        Err(msg) if msg.is_empty() => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
+            eprintln!("error: {msg}\n");
             eprintln!("{}", usage());
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
@@ -192,6 +197,10 @@ fn main() -> ExitCode {
     }
     if let Some(every) = args.frames {
         config.frame_every = every;
+    }
+    if let Err(e) = config.validate() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
     }
     let duration = config.duration;
     let noise_windows = config.noise_window_count;

@@ -34,7 +34,7 @@ use simkit::linalg::vec_ops;
 use simkit::linalg::TripletBuilder;
 use simkit::units::{Amps, Volts, Watts};
 use std::path::{Path, PathBuf};
-use thermal::{PowerMap, ThermalConfig, ThermalModel};
+use thermal::{PowerMap, ThermalConfig, ThermalModel, ThermalOperator};
 use thermogater::{
     actuation_level, adaptive_gain, select_gating, GovernorConfig, IntegralController,
     PolicyInputs, PolicyKind,
@@ -1088,6 +1088,144 @@ pub fn diff_mgcg_vs_cg(opts: &VerifyOptions) -> CheckReport {
     to_report("diff.mgcg_vs_cg", cases, outcome, opts)
 }
 
+/// The thermal system in both forms: the assembled CSR matrix (`G`,
+/// or `G + C/Δt` when `dt` is given) and the matrix-free
+/// [`ThermalOperator`] the solvers apply.
+fn thermal_system_forms(
+    model: &ThermalModel,
+    dt: Option<simkit::units::Seconds>,
+) -> (simkit::linalg::CsrMatrix, ThermalOperator) {
+    match dt {
+        Some(dt) => (
+            model.backward_euler_matrix(dt),
+            model.stepper(dt).operator().clone(),
+        ),
+        None => (model.conductance_matrix().clone(), model.operator().clone()),
+    }
+}
+
+/// The stencil reproduces CSR·x to 1e-12 relative, and CG over the
+/// stencil solves `A x = b` to the same answer (1e-8 relative) as CG over
+/// the CSR matrix, both Jacobi-preconditioned.
+fn stencil_matches_csr(
+    tag: &str,
+    csr: &simkit::linalg::CsrMatrix,
+    op: &ThermalOperator,
+    x: &[f64],
+) -> Result<(), String> {
+    use simkit::linalg::{solve_cg, CgWorkspace, JacobiPreconditioner, LinearOperator};
+    let n = csr.rows();
+    if op.dim() != n {
+        return Err(format!("{tag}: stencil dimension {} vs CSR {n}", op.dim()));
+    }
+    let mut want = vec![0.0; n];
+    csr.mul_vec_into(x, &mut want);
+    let mut got = vec![f64::NAN; n];
+    op.apply_into(x, &mut got);
+    let scale = want.iter().fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
+    let diff = vec_ops::max_abs_diff(&got, &want);
+    if diff > 1e-12 * scale {
+        return Err(format!(
+            "{tag}: stencil·x and CSR·x differ by {diff:e} (scale {scale:e})"
+        ));
+    }
+    let pre = JacobiPreconditioner::new(csr).map_err(|e| format!("{tag}: {e}"))?;
+    let mut ws = CgWorkspace::new();
+    let mut x_csr = vec![0.0; n];
+    csr.solve_cg_with(x, &mut x_csr, &pre, &mut ws, 1e-12, 40 * n.max(1))
+        .map_err(|e| format!("{tag}: CSR CG failed: {e}"))?;
+    let mut x_op = vec![0.0; n];
+    solve_cg(op, x, &mut x_op, &pre, &mut ws, 1e-12, 40 * n.max(1))
+        .map_err(|e| format!("{tag}: stencil CG failed: {e}"))?;
+    let diff = vec_ops::max_abs_diff(&x_csr, &x_op);
+    let scale = x_csr.iter().fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
+    if diff > 1e-8 * scale {
+        return Err(format!(
+            "{tag}: stencil and CSR CG solutions differ by {diff:e} (scale {scale:e})"
+        ));
+    }
+    Ok(())
+}
+
+/// A power8-like thermal model on an `nx × ny` grid.
+fn thermal_model(nx: usize, ny: usize) -> ThermalModel {
+    ThermalModel::new(
+        &power8_like(),
+        ThermalConfig {
+            nx,
+            ny,
+            ..ThermalConfig::coarse()
+        },
+    )
+}
+
+/// The stencil against the CSR matrix on the real 16×16 model, steady
+/// (`d = 0`) and backward-Euler (`d = C/Δt`); and a steady state solved
+/// through the stencil balances the CSR `G` to the solver tolerance.
+fn stencil_vs_csr_real_model() -> Result<(), String> {
+    let chip = power8_like();
+    let model = thermal_model(16, 16);
+    let n = model.node_count();
+    let x: Vec<f64> = (0..n).map(|i| 45.0 + 0.5 * (i % 7) as f64).collect();
+    for dt in [None, Some(simkit::units::Seconds::from_micros(20.0))] {
+        let (csr, op) = thermal_system_forms(&model, dt);
+        stencil_matches_csr(&format!("16x16 model, dt {dt:?}"), &csr, &op, &x)?;
+    }
+    let mut power = PowerMap::new(&model);
+    for (i, block) in chip.blocks().iter().enumerate() {
+        power
+            .add_block(block.id(), Watts::new(0.5 + 0.25 * (i % 5) as f64))
+            .map_err(err_str)?;
+    }
+    let state = model.steady_state(&power).map_err(err_str)?;
+    let residual = model.balance_residual(&power, &state);
+    if residual > 1e-9 {
+        return Err(format!(
+            "16x16 model: stencil steady state leaves CSR residual {residual:e}"
+        ));
+    }
+    Ok(())
+}
+
+/// The matrix-free thermal stencil matches the assembled CSR system:
+/// on random `nx × ny` grids (1..=12 per edge, steady and
+/// backward-Euler diagonals) its product and its CG solution equal the
+/// CSR ones, and on the real 16×16 model a steady state solved through
+/// the stencil balances the CSR `G`. The corpus pins the 1×1 grid (no
+/// lateral couplings at all) and a 1×N strip (no x-neighbours).
+pub fn diff_thermal_stencil_vs_csr(opts: &VerifyOptions) -> CheckReport {
+    let cases = if opts.fast { 6 } else { 24 };
+    if let Err(detail) = stencil_vs_csr_real_model() {
+        return CheckReport {
+            name: "diff.thermal_stencil_vs_csr".to_string(),
+            cases: 0,
+            corpus_cases: 0,
+            failure: Some(detail),
+            note: None,
+        };
+    }
+    let gen = (
+        check::usize_in(1, 12),
+        check::usize_in(1, 12),
+        check::vec_of(check::f64_in(-1.0, 1.0), 1, 16),
+        check::bool_any(),
+    );
+    let outcome = checker(opts, cases).run(
+        "diff.thermal_stencil_vs_csr",
+        &gen,
+        |(nx, ny, values, transient)| {
+            let model = thermal_model(*nx, *ny);
+            let dt = transient.then(|| simkit::units::Seconds::from_micros(20.0));
+            let (csr, op) = thermal_system_forms(&model, dt);
+            let x: Vec<f64> = (0..model.node_count())
+                .map(|i| values[i % values.len()])
+                .collect();
+            stencil_matches_csr(&format!("{nx}x{ny} grid"), &csr, &op, &x)
+        },
+    );
+    to_report("diff.thermal_stencil_vs_csr", cases, outcome, opts)
+}
+
 /// The di/dt convolution as the engine computed it before the separable
 /// response: the gating-dependent kernel applied to the current steps of
 /// every analysis cycle, summed tap by tap. An oracle only.
@@ -1451,6 +1589,7 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         oracle_govern_gain_monotone(opts),
         diff_direct_vs_cg(opts),
         diff_mgcg_vs_cg(opts),
+        diff_thermal_stencil_vs_csr(opts),
         diff_noise_separable_vs_direct(opts),
     ];
     if !opts.skip_sweep {

@@ -10,6 +10,10 @@
 //! For hot loops that must not allocate, [`CsrMatrix::solve_cg_with`]
 //! takes a [`CgWorkspace`] and a pre-built preconditioner. Build them once
 //! per matrix, then solve thousands of times with zero heap traffic.
+//! Underneath is one CG, [`solve_cg`], generic over a [`LinearOperator`]
+//! as well as the preconditioner: a CSR matrix is one operator, and a
+//! matrix-free stencil that never stores its matrix (the thermal grid's)
+//! is another.
 //!
 //! For systems that are solved many times with a fixed sparsity pattern —
 //! per-domain PDN IR drop, steady-state feedback loops — the [`direct`]
@@ -52,31 +56,40 @@ pub struct SolveStats {
 
 /// Dense vector helpers used by the solvers.
 pub mod vec_ops {
-    /// Dot product.
+    /// Dot product, summed in four independent lanes (see `LANES`).
     ///
     /// # Panics
     ///
     /// Panics in debug builds when lengths differ.
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-
-    /// Euclidean norm.
-    pub fn norm(a: &[f64]) -> f64 {
-        dot(a, a).sqrt()
-    }
-
-    /// `y ← y + alpha·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when lengths differ.
-    pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), y.len());
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
+        let mut lanes = super::Lanes::default();
+        let mut ac = a.chunks_exact(super::LANES);
+        let mut bc = b.chunks_exact(super::LANES);
+        for (a, b) in ac.by_ref().zip(bc.by_ref()) {
+            for k in 0..super::LANES {
+                lanes.0[k] += a[k] * b[k];
+            }
         }
+        let tail: f64 = ac
+            .remainder()
+            .iter()
+            .zip(bc.remainder())
+            .map(|(x, y)| x * y)
+            .sum();
+        lanes.sum() + tail
+    }
+
+    /// Sum of the entries, in four independent lanes (see `LANES`).
+    pub fn sum(a: &[f64]) -> f64 {
+        let mut lanes = super::Lanes::default();
+        let mut chunks = a.chunks_exact(super::LANES);
+        for c in chunks.by_ref() {
+            for (lane, v) in lanes.0.iter_mut().zip(c) {
+                *lane += v;
+            }
+        }
+        lanes.sum() + chunks.remainder().iter().sum::<f64>()
     }
 
     /// Maximum absolute difference between two vectors.
@@ -497,7 +510,8 @@ impl CsrMatrix {
     /// initial guess in and the solution out, the preconditioner is built
     /// once per matrix, and all scratch vectors live in `ws` (grown on
     /// first use, reused afterwards). Returns the iteration count and
-    /// final relative residual as [`SolveStats`].
+    /// final relative residual as [`SolveStats`]. The CSR case of
+    /// [`solve_cg`]; see there for the stopping rule.
     ///
     /// # Errors
     ///
@@ -513,63 +527,7 @@ impl CsrMatrix {
         tolerance: f64,
         max_iter: usize,
     ) -> Result<SolveStats> {
-        let n = self.rows;
-        for len in [b.len(), x.len(), pre.dim()] {
-            if len != n {
-                return Err(Error::DimensionMismatch {
-                    expected: n,
-                    actual: len,
-                });
-            }
-        }
-        ws.ensure(n);
-        let CgWorkspace { r, z, p, ap } = ws;
-        self.mul_vec_into(x, r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
-        let b_norm = vec_ops::norm(b).max(f64::MIN_POSITIVE);
-        let initial_rel = vec_ops::norm(r) / b_norm;
-        if initial_rel <= tolerance {
-            return Ok(SolveStats {
-                iterations: 0,
-                residual: initial_rel,
-            });
-        }
-        pre.apply_into(r, z);
-        p.copy_from_slice(z);
-        let mut rz = vec_ops::dot(r, z);
-        for iteration in 0..max_iter {
-            self.mul_vec_into(p, ap);
-            let denom = vec_ops::dot(p, ap);
-            if denom.abs() < f64::MIN_POSITIVE {
-                return Err(Error::NonConverged {
-                    iterations: iteration,
-                    residual: vec_ops::norm(r) / b_norm,
-                });
-            }
-            let alpha = rz / denom;
-            vec_ops::axpy(alpha, p, x);
-            vec_ops::axpy(-alpha, ap, r);
-            let rel = vec_ops::norm(r) / b_norm;
-            if rel <= tolerance {
-                return Ok(SolveStats {
-                    iterations: iteration + 1,
-                    residual: rel,
-                });
-            }
-            pre.apply_into(r, z);
-            let rz_new = vec_ops::dot(r, z);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
-            }
-        }
-        Err(Error::NonConverged {
-            iterations: max_iter,
-            residual: vec_ops::norm(r) / b_norm,
-        })
+        solve_cg(self, b, x, pre, ws, tolerance, max_iter)
     }
 
     /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a candidate solution,
@@ -614,6 +572,15 @@ pub trait Preconditioner {
     /// May panic (at least in debug builds) when `r` or `z` length
     /// differs from [`Preconditioner::dim`].
     fn apply_into(&self, r: &[f64], z: &mut [f64]);
+
+    /// `z ← M⁻¹·r`, returning `rᵀz`. The default applies and then takes
+    /// the dot product; a preconditioner that can produce `rᵀz` in the
+    /// same pass (Jacobi) overrides it, saving CG one sweep per
+    /// iteration.
+    fn apply_dot(&self, r: &[f64], z: &mut [f64]) -> f64 {
+        self.apply_into(r, z);
+        vec_ops::dot(r, z)
+    }
 }
 
 impl Preconditioner for JacobiPreconditioner {
@@ -624,6 +591,213 @@ impl Preconditioner for JacobiPreconditioner {
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         JacobiPreconditioner::apply_into(self, r, z);
     }
+
+    fn apply_dot(&self, r: &[f64], z: &mut [f64]) -> f64 {
+        debug_assert_eq!(r.len(), self.inv_diag.len());
+        debug_assert_eq!(z.len(), self.inv_diag.len());
+        let mut lanes = Lanes::default();
+        let mut rc = r.chunks_exact(LANES);
+        let mut dc = self.inv_diag.chunks_exact(LANES);
+        let mut zc = z.chunks_exact_mut(LANES);
+        for ((r, d), z) in rc.by_ref().zip(dc.by_ref()).zip(zc.by_ref()) {
+            for k in 0..LANES {
+                z[k] = r[k] * d[k];
+                lanes.0[k] += r[k] * z[k];
+            }
+        }
+        let mut tail = 0.0;
+        for ((r, d), z) in rc
+            .remainder()
+            .iter()
+            .zip(dc.remainder())
+            .zip(zc.into_remainder())
+        {
+            *z = r * d;
+            tail += r * *z;
+        }
+        lanes.sum() + tail
+    }
+}
+
+/// A square linear operator `y ← A·x`: what [`solve_cg`] needs of its
+/// system. [`CsrMatrix`] implements it by SpMV; a matrix-free stencil
+/// (the thermal grid's) implements it without storing `A` at all.
+/// Implementations used with CG must be symmetric positive definite.
+pub trait LinearOperator {
+    /// Dimension `n` of the (square) operator.
+    fn dim(&self) -> usize;
+
+    /// `y ← A·x`.
+    ///
+    /// # Panics
+    ///
+    /// May panic (at least in debug builds) when `x` or `y` length
+    /// differs from [`LinearOperator::dim`].
+    fn apply_into(&self, x: &[f64], y: &mut [f64]);
+}
+
+impl LinearOperator for CsrMatrix {
+    fn dim(&self) -> usize {
+        self.rows
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.mul_vec_into(x, y);
+    }
+}
+
+/// Width of the multi-lane accumulators in the CG reductions: four
+/// independent partial sums break the serial add chain so the
+/// autovectorizer can keep them in SIMD registers. Summation order (and
+/// so the last bits of a reduction) differs from a serial loop.
+const LANES: usize = 4;
+
+#[derive(Default)]
+struct Lanes([f64; LANES]);
+
+impl Lanes {
+    fn sum(&self) -> f64 {
+        (self.0[0] + self.0[2]) + (self.0[1] + self.0[3])
+    }
+}
+
+/// `r ← b − r` (where `r` holds `A·x` on entry), returning `(‖r‖², ‖b‖²)`.
+fn residual_and_norms(b: &[f64], r: &mut [f64]) -> (f64, f64) {
+    let (mut rr, mut bb) = (Lanes::default(), Lanes::default());
+    let mut bc = b.chunks_exact(LANES);
+    let mut rc = r.chunks_exact_mut(LANES);
+    for (b, r) in bc.by_ref().zip(rc.by_ref()) {
+        for k in 0..LANES {
+            r[k] = b[k] - r[k];
+            rr.0[k] += r[k] * r[k];
+            bb.0[k] += b[k] * b[k];
+        }
+    }
+    let (mut rr_tail, mut bb_tail) = (0.0, 0.0);
+    for (b, r) in bc.remainder().iter().zip(rc.into_remainder()) {
+        *r = b - *r;
+        rr_tail += *r * *r;
+        bb_tail += b * b;
+    }
+    (rr.sum() + rr_tail, bb.sum() + bb_tail)
+}
+
+/// `x ← x + α·p` and `r ← r − α·Ap` in one pass, returning `‖r‖²`.
+fn update_and_norm(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
+    let mut rr = Lanes::default();
+    let mut pc = p.chunks_exact(LANES);
+    let mut apc = ap.chunks_exact(LANES);
+    let mut xc = x.chunks_exact_mut(LANES);
+    let mut rc = r.chunks_exact_mut(LANES);
+    for (((p, ap), x), r) in pc
+        .by_ref()
+        .zip(apc.by_ref())
+        .zip(xc.by_ref())
+        .zip(rc.by_ref())
+    {
+        for k in 0..LANES {
+            x[k] += alpha * p[k];
+            r[k] -= alpha * ap[k];
+            rr.0[k] += r[k] * r[k];
+        }
+    }
+    let mut tail = 0.0;
+    for (((p, ap), x), r) in pc
+        .remainder()
+        .iter()
+        .zip(apc.remainder())
+        .zip(xc.into_remainder())
+        .zip(rc.into_remainder())
+    {
+        *x += alpha * p;
+        *r -= alpha * ap;
+        tail += *r * *r;
+    }
+    rr.sum() + tail
+}
+
+/// Preconditioned conjugate gradient on any [`LinearOperator`] — the one
+/// CG of this crate ([`CsrMatrix::solve_cg_with`] delegates here).
+/// `x` carries the initial guess in and the solution out; every scratch
+/// vector lives in `ws`, so a warmed-up solve does not allocate.
+///
+/// Stops when the relative residual `‖b − A·x‖₂ / ‖b‖₂` reaches
+/// `tolerance` (checked before the first iteration, so an exact warm
+/// start returns after zero iterations). Per iteration it makes one
+/// operator application and four vector passes: `pᵀAp`; the fused
+/// `x += αp`, `r −= αAp`, `‖r‖²`; the fused `z = M⁻¹r`, `rᵀz`; and
+/// `p = z + βp`.
+///
+/// # Errors
+///
+/// * [`Error::DimensionMismatch`] — `b`, `x`, or the preconditioner
+///   does not match the operator's dimension;
+/// * [`Error::NonConverged`] — tolerance not met in `max_iter`, or a
+///   vanishing `pᵀAp` (the operator is not positive definite).
+pub fn solve_cg<A, P>(
+    a: &A,
+    b: &[f64],
+    x: &mut [f64],
+    pre: &P,
+    ws: &mut CgWorkspace,
+    tolerance: f64,
+    max_iter: usize,
+) -> Result<SolveStats>
+where
+    A: LinearOperator + ?Sized,
+    P: Preconditioner + ?Sized,
+{
+    let n = a.dim();
+    for len in [b.len(), x.len(), pre.dim()] {
+        if len != n {
+            return Err(Error::DimensionMismatch {
+                expected: n,
+                actual: len,
+            });
+        }
+    }
+    ws.ensure(n);
+    let CgWorkspace { r, z, p, ap } = ws;
+    a.apply_into(x, r);
+    let (rr, bb) = residual_and_norms(b, r);
+    let b_norm = bb.sqrt().max(f64::MIN_POSITIVE);
+    let mut rel = rr.sqrt() / b_norm;
+    if rel <= tolerance {
+        return Ok(SolveStats {
+            iterations: 0,
+            residual: rel,
+        });
+    }
+    let mut rz = pre.apply_dot(r, z);
+    p.copy_from_slice(z);
+    for iteration in 0..max_iter {
+        a.apply_into(p, ap);
+        let denom = vec_ops::dot(p, ap);
+        if denom.abs() < f64::MIN_POSITIVE {
+            return Err(Error::NonConverged {
+                iterations: iteration,
+                residual: rel,
+            });
+        }
+        let alpha = rz / denom;
+        rel = update_and_norm(alpha, p, ap, x, r).sqrt() / b_norm;
+        if rel <= tolerance {
+            return Ok(SolveStats {
+                iterations: iteration + 1,
+                residual: rel,
+            });
+        }
+        let rz_new = pre.apply_dot(r, z);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        for (p, z) in p.iter_mut().zip(z.iter()) {
+            *p = z + beta * *p;
+        }
+    }
+    Err(Error::NonConverged {
+        iterations: max_iter,
+        residual: rel,
+    })
 }
 
 /// Inverse diagonal of a matrix, computed once and applied per CG
@@ -652,6 +826,30 @@ impl JacobiPreconditioner {
         let mut pre = JacobiPreconditioner::default();
         pre.update(matrix)?;
         Ok(pre)
+    }
+
+    /// Builds the preconditioner from an explicit diagonal — for
+    /// matrix-free operators, which store their diagonal but no matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SingularMatrix`] on a zero entry.
+    pub fn from_diagonal(diag: &[f64]) -> Result<Self> {
+        let inv_diag = diag
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                if d == 0.0 {
+                    Err(Error::SingularMatrix { index: i })
+                } else {
+                    Ok(1.0 / d)
+                }
+            })
+            .collect::<Result<_>>()?;
+        Ok(JacobiPreconditioner {
+            inv_diag,
+            diag_idx: Vec::new(),
+        })
     }
 
     /// Recomputes the inverse diagonal from `matrix`, reusing the buffer
@@ -862,7 +1060,7 @@ mod tests {
         let b = vec![1.0; n];
         let ax = m.mul_vec(&x).unwrap();
         let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, yi)| bi - yi).collect();
-        let expected = vec_ops::norm(&r) / vec_ops::norm(&b);
+        let expected = (vec_ops::dot(&r, &r) / vec_ops::dot(&b, &b)).sqrt();
         assert!((m.relative_residual(&b, &x) - expected).abs() < 1e-14);
         // An exact solution has (near-)zero residual.
         let exact = m.solve_cg(&b, None, 1e-14, 1000).unwrap();
@@ -872,10 +1070,10 @@ mod tests {
     #[test]
     fn vec_ops_behave() {
         assert_eq!(vec_ops::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((vec_ops::norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        let mut y = vec![1.0, 1.0];
-        vec_ops::axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
+        // Five entries: one full lane block plus a remainder.
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(vec_ops::dot(&v, &v), 55.0);
+        assert_eq!(vec_ops::sum(&v), 15.0);
         assert_eq!(vec_ops::max_abs_diff(&[1.0, 5.0], &[2.0, 3.0]), 2.0);
     }
 

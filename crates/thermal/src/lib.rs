@@ -21,7 +21,9 @@
 //! Steady state solves `G·T = P` by conjugate gradient; transients use
 //! backward Euler (`(C/Δt + G)·T' = C/Δt·T + P`), each step a
 //! Jacobi-CG solve warm-started from the previous one, unconditionally
-//! stable at any step size.
+//! stable at any step size. CG applies `G + diag(d)` as a matrix-free
+//! stencil ([`ThermalOperator`]); the assembled CSR `G` is kept only for
+//! the multigrid hierarchy and the direct factor.
 //!
 //! Component voltage regulators are much smaller than a grid cell, so
 //! their self-heating above the local silicon temperature is modelled by
@@ -53,10 +55,12 @@ mod block_model;
 mod config;
 mod map;
 mod model;
+mod operator;
 mod state;
 
 pub use block_model::BlockThermalModel;
 pub use config::{PackageParams, ThermalConfig};
 pub use map::PowerMap;
 pub use model::{FeedbackStats, SteadyScratch, ThermalModel, TransientStepper};
+pub use operator::ThermalOperator;
 pub use state::ThermalState;

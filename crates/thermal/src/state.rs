@@ -44,7 +44,10 @@ impl ThermalState {
         self.ambient
     }
 
-    fn silicon(&self) -> &[f64] {
+    /// Silicon-layer temperatures, °C, row-major from the lower-left
+    /// cell (`nx` per row) — the flat form of [`ThermalState::heatmap`],
+    /// for callers that snapshot the layer into a reused buffer.
+    pub fn silicon(&self) -> &[f64] {
         &self.temps[..self.nx * self.ny]
     }
 
