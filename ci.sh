@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI: formatting, lints, build, and the full test suite.
-# `crates/bench` is excluded (its Criterion harness needs registry
-# access); everything below runs with no network.
+# Everything below runs with no network.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -115,15 +115,18 @@ USAGE:
     tg-obs bench-snapshot [--label <l>] [--out <dir>] [--policies <t,t>]
                           [--grids <n,n>] [--scaling-solves <k>] [--serve]
         Run the pinned fast-config workload per policy and write
-        BENCH_<label>.json (schema thermogater.bench/v1). Default
-        label `local`, directory `.`, policies allon,oract,pracvt;
-        `--policies all` measures all ten (the paper's eight plus
-        the integralt/integralp governors). `--grids 64,128` also
-        measures the steady-solve grid-scaling axis (cg/mgcg/direct
-        per grid edge, `--scaling-solves` cache-warm solves each,
-        default 3) into the snapshot's `scaling` member. `--serve`
-        measures the scenario-service cache-hit-throughput axis (a
-        repeated tiny batch, cold vs warm) into the `serve` member.
+        BENCH_<label>.json (schema thermogater.bench/v2: a label,
+        config and bench header plus one row per metric, each with its
+        key, value, better direction and tolerance). Default label
+        `local`, directory `.`, policies allon,oract,pracvt;
+        `--policies all` measures all ten (the paper's eight plus the
+        integralt/integralp governors). `--grids 64,128` also measures
+        the steady-solve grid-scaling axis (cg/mgcg/direct per grid
+        edge, `--scaling-solves` cache-warm solves each, default 3) as
+        `snap.scaling.*` rows. `--serve` measures the scenario-service
+        cache-hit-throughput axis (a repeated tiny batch, cold vs warm)
+        as `snap.serve.*` rows. `diff` compares only the axes both
+        snapshots measured.
 
 A <run-dir> is a directory holding trace.jsonl (and usually
 manifest.json), as written by any experiment binary under
@@ -896,11 +899,12 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
             "measuring the grid-scaling axis at {} grid edge(s)…",
             grids.len()
         );
-        snap.scaling = snapshot::capture_scaling(&grids, scaling_solves)?;
+        snap.rows
+            .extend(snapshot::capture_scaling(&grids, scaling_solves)?);
     }
     if serve {
         eprintln!("measuring the scenario-service cache-hit-throughput axis…");
-        snap.serve = Some(snapshot::measure_serve_throughput()?);
+        snap.rows.extend(snapshot::measure_serve_throughput()?);
     }
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
@@ -908,61 +912,16 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
         .write(&out_dir)
         .map_err(|e| format!("cannot write snapshot: {e}"))?;
 
-    let mut t = experiments::report::TextTable::new(&["policy", "steps", "steps/s", "wall s"]);
-    for entry in &snap.entries {
+    let mut t = experiments::report::TextTable::new(&["metric", "value", "better", "tol%"]);
+    for row in &snap.rows {
         t.add_row(vec![
-            entry.policy.clone(),
-            entry.steps.to_string(),
-            format!("{:.0}", entry.steps_per_sec),
-            format!("{:.3}", entry.wall_s),
+            row.key.clone(),
+            format!("{:.6}", row.value),
+            row.better.better_tag().to_string(),
+            format!("{:.2}", row.tol * 100.0),
         ]);
     }
     print!("{}", t.render());
-    if !snap.scaling.is_empty() {
-        let mut t = experiments::report::TextTable::new(&[
-            "grid", "nodes", "backend", "iters", "setup s", "wall s",
-        ]);
-        for s in &snap.scaling {
-            t.add_row(vec![
-                format!("{0}x{0}", s.grid),
-                s.nodes.to_string(),
-                s.backend.clone(),
-                format!("{:.1}", s.iters_mean),
-                format!("{:.3}", s.setup_s),
-                format!("{:.3}", s.wall_s),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-    if let Some(rss) = snap.peak_rss_bytes {
-        println!("peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
-    }
-    if let Some(t) = &snap.telemetry {
-        println!(
-            "frame recorder: {} frames in {} µs ({:.3}% of the run)",
-            t.frames,
-            t.overhead_us,
-            t.overhead_share() * 100.0
-        );
-    }
-    if let Some(l) = &snap.live {
-        println!(
-            "live aggregation: {} events folded in {} µs ({:.3}% of the run)",
-            l.events,
-            l.overhead_us,
-            l.overhead_share() * 100.0
-        );
-    }
-    if let Some(s) = &snap.serve {
-        println!(
-            "scenario service: {} scenarios ({} unique), cold {:.3} s, warm {:.3} s ({:.0} answers/s from cache)",
-            s.scenarios,
-            s.unique,
-            s.cold_wall_s,
-            s.warm_wall_s,
-            s.warm_per_sec()
-        );
-    }
     println!("wrote {}", path.display());
     Ok(ExitCode::SUCCESS)
 }

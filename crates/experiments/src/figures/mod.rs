@@ -1,7 +1,7 @@
 //! Per-artefact data builders.
 //!
-//! Every module returns plain data the binaries (and the Criterion
-//! benches) render; nothing here prints.
+//! Every module returns plain data the binaries render; nothing here
+//! prints.
 
 pub mod ablations;
 pub mod noise_figs;

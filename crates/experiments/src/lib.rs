@@ -3,7 +3,7 @@
 //!
 //! Each `fig*`/`table*`/`ablation_*` binary in `src/bin/` reproduces one
 //! artefact of the paper's evaluation section; the shared logic lives
-//! here so the Criterion benches in the `bench` crate can reuse it:
+//! here:
 //!
 //! * [`context`] — common CLI options (`--quick`) and engine
 //!   configurations;
@@ -19,8 +19,10 @@
 //! * [`figures`] — the per-artefact data builders;
 //! * [`obs`] — run/snapshot diffing with per-metric directional
 //!   tolerances (the engine behind `tg-obs diff`);
-//! * [`snapshot`] — pinned-workload performance snapshots
-//!   (`BENCH_*.json`, schema `thermogater.bench/v1`);
+//! * [`snapshot`] — performance snapshots (`BENCH_*.json`, schema
+//!   `thermogater.bench/v2`): a header plus one flat list of metric
+//!   rows, each with its own direction and tolerance (v1 documents are
+//!   still read);
 //! * [`verify`] — physics-invariant oracles, differential checks, and
 //!   golden-run comparison (the engine behind `tg-verify`).
 //!

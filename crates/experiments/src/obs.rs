@@ -13,16 +13,18 @@
 //! * snapshot performance metrics gate **directionally** with loose
 //!   tolerances (throughput may only drop so far, solver iterations and
 //!   peak RSS may only grow so far) — an improvement is never a
-//!   failure.
+//!   failure. Each snapshot row carries its own direction and tolerance
+//!   ([`crate::snapshot::Row`]), so one loop diffs every axis.
 //!
 //! A diff with at least one [`Verdict::Regression`] is a non-zero exit
 //! for the CLI; the offending metrics are named in the rendered table.
 
 use crate::report::TextTable;
-use crate::snapshot::BenchSnapshot;
+use crate::snapshot::{BenchSnapshot, Row};
 use simkit::telemetry::analyze::{Rollup, TraceAnalysis};
 use simkit::telemetry::manifest::RunManifest;
 use simkit::telemetry::EventKind;
+use std::collections::{HashMap, HashSet};
 
 /// How a metric is allowed to move between baseline `a` and candidate
 /// `b`.
@@ -37,6 +39,31 @@ pub enum Direction {
     LowerIsWorse,
     /// Never gates; reported for context (wall-clock noise).
     Informational,
+}
+
+impl Direction {
+    /// The snapshot row's `better` tag: which way the metric improves
+    /// (`exact` when any change beyond tolerance gates, `info` when
+    /// none does).
+    pub fn better_tag(self) -> &'static str {
+        match self {
+            Direction::BothWays => "exact",
+            Direction::HigherIsWorse => "lower",
+            Direction::LowerIsWorse => "higher",
+            Direction::Informational => "info",
+        }
+    }
+
+    /// The inverse of [`Direction::better_tag`].
+    pub fn from_better_tag(tag: &str) -> Option<Self> {
+        match tag {
+            "exact" => Some(Direction::BothWays),
+            "lower" => Some(Direction::HigherIsWorse),
+            "higher" => Some(Direction::LowerIsWorse),
+            "info" => Some(Direction::Informational),
+            _ => None,
+        }
+    }
 }
 
 /// The outcome for one metric.
@@ -511,330 +538,38 @@ pub fn diff_manifests(a: &RunManifest, b: &RunManifest, config: &DiffConfig) -> 
     report
 }
 
-/// Default tolerances for snapshot (performance) comparisons.
-pub mod snapshot_tolerances {
-    /// Throughput may drop this much before gating (wall-clock noise on
-    /// shared CI hardware is real).
-    pub const STEPS_PER_SEC: f64 = 0.25;
-    /// Solver iterations are deterministic; a growth beyond this is a
-    /// real algorithmic regression.
-    pub const SOLVER_ITERS: f64 = 0.10;
-    /// Peak RSS may grow this much before gating.
-    pub const PEAK_RSS: f64 = 0.30;
-    /// The frame recorder's share of run wall time may grow this much
-    /// before gating (both the numerator and denominator are
-    /// wall-clock, so the ratio is doubly env-sensitive; an order of
-    /// magnitude means the recorder's cost model actually changed).
-    pub const TELEMETRY_OVERHEAD: f64 = 9.0;
-}
-
-/// Compares two performance snapshots (`BENCH_*.json`).
+/// Compares two performance snapshots (`BENCH_*.json`), row by row
+/// under the baseline `a`'s direction and tolerance.
 ///
-/// Entries are matched by policy tag; an entry present on one side only
-/// gates via the entry-count metric. Throughput gates downward, solver
-/// iterations and peak RSS gate upward, phase/wall seconds are
-/// informational.
+/// Only axes (a key's first segment after `snap.`, see
+/// [`Row::axis`]) that both sides measured are compared, so a snapshot
+/// captured without, say, `--grids` diffs cleanly against one with the
+/// scaling axis. Within a shared axis, a row present on one side only
+/// is a regression under its key whatever its direction: a dropped
+/// policy phase, solver site or scaling cell cannot pass silently.
 pub fn diff_snapshots(a: &BenchSnapshot, b: &BenchSnapshot, config: &DiffConfig) -> DiffReport {
+    let axes_a: HashSet<&str> = a.rows.iter().map(Row::axis).collect();
+    let axes_b: HashSet<&str> = b.rows.iter().map(Row::axis).collect();
+    let shared = |row: &&Row| axes_a.contains(row.axis()) && axes_b.contains(row.axis());
+    let keys_a: HashSet<&str> = a.rows.iter().map(|r| r.key.as_str()).collect();
+    let values_b: HashMap<&str, f64> = b.rows.iter().map(|r| (r.key.as_str(), r.value)).collect();
+
     let mut report = DiffReport::default();
-    report.push(
-        config,
-        "snap.entries".into(),
-        a.entries.len() as f64,
-        b.entries.len() as f64,
-        0.0,
-        Direction::BothWays,
-    );
-    if let (Some(ra), Some(rb)) = (a.peak_rss_bytes, b.peak_rss_bytes) {
-        report.push(
-            config,
-            "snap.peak_rss_bytes".into(),
-            ra as f64,
-            rb as f64,
-            snapshot_tolerances::PEAK_RSS,
-            Direction::HigherIsWorse,
-        );
-    }
-    // Frame-recorder overhead axis: the frame count is deterministic
-    // for the pinned config and gates exactly; the recorder's share of
-    // wall time gates loosely upward; raw wall seconds are for eyes.
-    if let (Some(ta), Some(tb)) = (&a.telemetry, &b.telemetry) {
-        report.push(
-            config,
-            "snap.telemetry.frames".into(),
-            ta.frames as f64,
-            tb.frames as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.telemetry.overhead_share".into(),
-            ta.overhead_share(),
-            tb.overhead_share(),
-            snapshot_tolerances::TELEMETRY_OVERHEAD,
-            Direction::HigherIsWorse,
-        );
-        report.push(
-            config,
-            "snap.telemetry.frames_wall_s".into(),
-            ta.frames_wall_s,
-            tb.frames_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-        report.push(
-            config,
-            "snap.telemetry.base_wall_s".into(),
-            ta.base_wall_s,
-            tb.base_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-    }
-    // Live-aggregation overhead axis: mirrors the frame-recorder axis —
-    // folded-event count is deterministic and gates exactly, the fold's
-    // share of wall time gates loosely upward, raw walls are for eyes.
-    if let (Some(la), Some(lb)) = (&a.live, &b.live) {
-        report.push(
-            config,
-            "snap.live.events".into(),
-            la.events as f64,
-            lb.events as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.live.overhead_share".into(),
-            la.overhead_share(),
-            lb.overhead_share(),
-            snapshot_tolerances::TELEMETRY_OVERHEAD,
-            Direction::HigherIsWorse,
-        );
-        report.push(
-            config,
-            "snap.live.live_wall_s".into(),
-            la.live_wall_s,
-            lb.live_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-        report.push(
-            config,
-            "snap.live.base_wall_s".into(),
-            la.base_wall_s,
-            lb.base_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-    }
-    // Scenario-service cache-hit axis: the counters are deterministic
-    // for the pinned batch (cold engine runs = unique hashes, warm
-    // answers = all from cache) and gate exactly — any drift means the
-    // cache key or the executor's coalescing semantics changed. Walls
-    // and the derived warm throughput are env-sensitive, so they stay
-    // informational like every other wall-clock metric here.
-    if let (Some(sa), Some(sb)) = (&a.serve, &b.serve) {
-        report.push(
-            config,
-            "snap.serve.scenarios".into(),
-            sa.scenarios as f64,
-            sb.scenarios as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.serve.unique".into(),
-            sa.unique as f64,
-            sb.unique as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.serve.cold_misses".into(),
-            sa.cold_misses as f64,
-            sb.cold_misses as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.serve.cold_served".into(),
-            sa.cold_served as f64,
-            sb.cold_served as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.serve.warm_hits".into(),
-            sa.warm_hits as f64,
-            sb.warm_hits as f64,
-            0.0,
-            Direction::BothWays,
-        );
-        report.push(
-            config,
-            "snap.serve.cold_wall_s".into(),
-            sa.cold_wall_s,
-            sb.cold_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-        report.push(
-            config,
-            "snap.serve.warm_wall_s".into(),
-            sa.warm_wall_s,
-            sb.warm_wall_s,
-            0.0,
-            Direction::Informational,
-        );
-        report.push(
-            config,
-            "snap.serve.warm_per_sec".into(),
-            sa.warm_per_sec(),
-            sb.warm_per_sec(),
-            0.0,
-            Direction::Informational,
-        );
-    }
-    for ea in &a.entries {
-        let Some(eb) = b.entries.iter().find(|e| e.policy == ea.policy) else {
-            continue;
-        };
-        let p = &ea.policy;
-        report.push(
-            config,
-            format!("snap.{p}.steps_per_sec"),
-            ea.steps_per_sec,
-            eb.steps_per_sec,
-            snapshot_tolerances::STEPS_PER_SEC,
-            Direction::LowerIsWorse,
-        );
-        report.push(
-            config,
-            format!("snap.{p}.wall_s"),
-            ea.wall_s,
-            eb.wall_s,
-            0.0,
-            Direction::Informational,
-        );
-        for (phase, seconds) in &ea.phases {
-            let other = eb
-                .phases
-                .iter()
-                .find(|(n, _)| n == phase)
-                .map_or(0.0, |(_, s)| *s);
-            report.push(
-                config,
-                format!("snap.{p}.phase.{phase}_s"),
-                *seconds,
-                other,
-                0.0,
-                Direction::Informational,
-            );
+    let mut compare = |row: &Row, a: Option<f64>, b: Option<f64>| {
+        let (va, vb) = (a.unwrap_or(0.0), b.unwrap_or(0.0));
+        report.push(config, row.key.clone(), va, vb, row.tol, row.better);
+        if a.is_none() || b.is_none() {
+            if let Some(delta) = report.deltas.last_mut() {
+                delta.verdict = Verdict::Regression;
+            }
         }
-        for sa in &ea.solver {
-            let Some(sb) = eb.solver.iter().find(|s| s.site == sa.site) else {
-                report.push(
-                    config,
-                    format!("snap.{p}.solver.{}.solves", sa.site),
-                    sa.solves as f64,
-                    0.0,
-                    0.0,
-                    Direction::BothWays,
-                );
-                continue;
-            };
-            report.push(
-                config,
-                format!("snap.{p}.solver.{}.iters_p50", sa.site),
-                sa.iters_p50,
-                sb.iters_p50,
-                snapshot_tolerances::SOLVER_ITERS,
-                Direction::HigherIsWorse,
-            );
-            report.push(
-                config,
-                format!("snap.{p}.solver.{}.iters_p95", sa.site),
-                sa.iters_p95,
-                sb.iters_p95,
-                snapshot_tolerances::SOLVER_ITERS,
-                Direction::HigherIsWorse,
-            );
-            report.push(
-                config,
-                format!("snap.{p}.solver.{}.residual_max", sa.site),
-                sa.residual_max,
-                sb.residual_max,
-                0.0,
-                Direction::Informational,
-            );
-        }
+    };
+    for ra in a.rows.iter().filter(shared) {
+        compare(ra, Some(ra.value), values_b.get(ra.key.as_str()).copied());
     }
-    // Grid-scaling axis: (grid, backend) cells are matched pairwise.
-    // Iteration counts are deterministic and gate tightly; setup and
-    // wall seconds are env-sensitive and stay informational. A cell
-    // present on one side only gates via the solves metric, so dropping
-    // a grid or backend from the axis cannot pass silently.
-    for sa in &a.scaling {
-        let cell = format!("snap.scaling.{}.{}", sa.grid, sa.backend);
-        let Some(sb) = b
-            .scaling
-            .iter()
-            .find(|s| s.grid == sa.grid && s.backend == sa.backend)
-        else {
-            report.push(
-                config,
-                format!("{cell}.solves"),
-                sa.solves as f64,
-                0.0,
-                0.0,
-                Direction::BothWays,
-            );
-            continue;
-        };
-        report.push(
-            config,
-            format!("{cell}.iters_mean"),
-            sa.iters_mean,
-            sb.iters_mean,
-            snapshot_tolerances::SOLVER_ITERS,
-            Direction::HigherIsWorse,
-        );
-        report.push(
-            config,
-            format!("{cell}.setup_s"),
-            sa.setup_s,
-            sb.setup_s,
-            0.0,
-            Direction::Informational,
-        );
-        report.push(
-            config,
-            format!("{cell}.wall_s"),
-            sa.wall_s,
-            sb.wall_s,
-            0.0,
-            Direction::Informational,
-        );
-    }
-    for sb in &b.scaling {
-        if !a
-            .scaling
-            .iter()
-            .any(|s| s.grid == sb.grid && s.backend == sb.backend)
-        {
-            report.push(
-                config,
-                format!("snap.scaling.{}.{}.solves", sb.grid, sb.backend),
-                0.0,
-                sb.solves as f64,
-                0.0,
-                Direction::BothWays,
-            );
+    for rb in b.rows.iter().filter(shared) {
+        if !keys_a.contains(rb.key.as_str()) {
+            compare(rb, None, Some(rb.value));
         }
     }
     report
@@ -843,6 +578,7 @@ pub fn diff_snapshots(a: &BenchSnapshot, b: &BenchSnapshot, config: &DiffConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::row_mut;
     use simkit::telemetry::analyze::ParsedEvent;
     use simkit::telemetry::Telemetry;
 
@@ -996,12 +732,7 @@ mod tests {
 
         // Multigrid losing its iteration advantage at a grid gates.
         let mut worse = base.clone();
-        worse
-            .scaling
-            .iter_mut()
-            .find(|s| s.backend == "mgcg")
-            .unwrap()
-            .iters_mean *= 3.0;
+        row_mut(&mut worse, "snap.scaling.64.mgcg.iters_mean").value *= 3.0;
         let report = diff_snapshots(&base, &worse, &DiffConfig::new());
         assert!(report
             .regressions()
@@ -1009,9 +740,10 @@ mod tests {
 
         // Wall-clock drift alone stays informational.
         let mut slower = base.clone();
-        for s in &mut slower.scaling {
-            s.wall_s *= 5.0;
-            s.setup_s *= 5.0;
+        for row in &mut slower.rows {
+            if row.key.ends_with("_s") && row.axis() == "scaling" {
+                row.value *= 5.0;
+            }
         }
         let report = diff_snapshots(&base, &slower, &DiffConfig::new());
         assert!(!report.has_regression(), "{}", report.render(true));
@@ -1019,7 +751,9 @@ mod tests {
         // Dropping a (grid, backend) cell cannot pass silently — in
         // either direction.
         let mut missing = base.clone();
-        missing.scaling.retain(|s| s.backend != "mgcg");
+        missing
+            .rows
+            .retain(|r| !r.key.starts_with("snap.scaling.64.mgcg."));
         let report = diff_snapshots(&base, &missing, &DiffConfig::new());
         assert!(report
             .regressions()
@@ -1031,12 +765,29 @@ mod tests {
     }
 
     #[test]
+    fn a_side_without_the_scaling_axis_skips_it() {
+        // The committed baseline carries the scaling axis; a default
+        // capture (no --grids) does not, and must still diff clean.
+        let base = crate::snapshot::tests::sample("a", 4.0);
+        let mut plain = base.clone();
+        plain.rows.retain(|r| r.axis() != "scaling");
+        for (a, b) in [(&base, &plain), (&plain, &base)] {
+            let report = diff_snapshots(a, b, &DiffConfig::new());
+            assert!(!report.has_regression(), "{}", report.render(true));
+            assert!(report
+                .deltas
+                .iter()
+                .all(|d| !d.metric.starts_with("snap.scaling")));
+        }
+    }
+
+    #[test]
     fn telemetry_overhead_axis_gates_on_frames_and_share() {
         let base = crate::snapshot::tests::sample("a", 4.0);
 
         // A changed frame count means the sampling schedule changed.
         let mut fewer = base.clone();
-        fewer.telemetry.as_mut().unwrap().frames -= 1;
+        row_mut(&mut fewer, "snap.telemetry.frames").value -= 1.0;
         let report = diff_snapshots(&base, &fewer, &DiffConfig::new());
         assert!(report
             .regressions()
@@ -1045,19 +796,19 @@ mod tests {
         // An order-of-magnitude overhead-share blowup gates; wall-clock
         // wobble inside the loose tolerance does not.
         let mut costly = base.clone();
-        costly.telemetry.as_mut().unwrap().overhead_us *= 20;
+        row_mut(&mut costly, "snap.telemetry.overhead_share").value *= 20.0;
         let report = diff_snapshots(&base, &costly, &DiffConfig::new());
         assert!(report
             .regressions()
             .any(|d| d.metric == "snap.telemetry.overhead_share"));
         let mut wobble = base.clone();
-        wobble.telemetry.as_mut().unwrap().overhead_us *= 2;
+        row_mut(&mut wobble, "snap.telemetry.overhead_share").value *= 2.0;
         let report = diff_snapshots(&base, &wobble, &DiffConfig::new());
         assert!(!report.has_regression(), "{}", report.render(true));
 
         // A side without the axis skips it instead of failing.
         let mut absent = base.clone();
-        absent.telemetry = None;
+        absent.rows.retain(|r| r.axis() != "telemetry");
         let report = diff_snapshots(&base, &absent, &DiffConfig::new());
         assert!(report
             .deltas
@@ -1071,7 +822,7 @@ mod tests {
 
         // An extra cold engine run means the cache key drifted.
         let mut leaky = base.clone();
-        leaky.serve.as_mut().unwrap().cold_misses += 1;
+        row_mut(&mut leaky, "snap.serve.cold_misses").value += 1.0;
         let report = diff_snapshots(&base, &leaky, &DiffConfig::new());
         assert!(report
             .regressions()
@@ -1080,7 +831,7 @@ mod tests {
         // A warm pass that fell short of pure cache hits gates — in
         // either direction.
         let mut cold = base.clone();
-        cold.serve.as_mut().unwrap().warm_hits -= 1;
+        row_mut(&mut cold, "snap.serve.warm_hits").value -= 1.0;
         let report = diff_snapshots(&base, &cold, &DiffConfig::new());
         assert!(report
             .regressions()
@@ -1092,14 +843,15 @@ mod tests {
 
         // Wall-clock (and hence throughput) drift stays informational.
         let mut slower = base.clone();
-        slower.serve.as_mut().unwrap().warm_wall_s *= 10.0;
-        slower.serve.as_mut().unwrap().cold_wall_s *= 10.0;
+        row_mut(&mut slower, "snap.serve.warm_wall_s").value *= 10.0;
+        row_mut(&mut slower, "snap.serve.cold_wall_s").value *= 10.0;
+        row_mut(&mut slower, "snap.serve.warm_per_sec").value /= 10.0;
         let report = diff_snapshots(&base, &slower, &DiffConfig::new());
         assert!(!report.has_regression(), "{}", report.render(true));
 
         // A side without the axis skips it instead of failing.
         let mut absent = base.clone();
-        absent.serve = None;
+        absent.rows.retain(|r| r.axis() != "serve");
         let report = diff_snapshots(&base, &absent, &DiffConfig::new());
         assert!(report
             .deltas
@@ -1111,7 +863,7 @@ mod tests {
     fn throughput_drop_beyond_tolerance_gates() {
         let base = crate::snapshot::tests::sample("a", 4.0);
         let mut slow = base.clone();
-        slow.entries[0].steps_per_sec *= 0.5;
+        row_mut(&mut slow, "snap.oract.steps_per_sec").value *= 0.5;
         let report = diff_snapshots(&base, &slow, &DiffConfig::new());
         assert!(report
             .regressions()

@@ -3,7 +3,7 @@
 //! named metrics, snapshot capture, rules checks, watch, and `validate`
 //! (span pairing, timestamp ordering).
 
-use experiments::snapshot::{BenchSnapshot, PolicyEntry, ScalingEntry, SolverSnapshot};
+use experiments::snapshot::BenchSnapshot;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -219,41 +219,42 @@ fn doctored_run_diff_exits_nonzero_and_names_the_metric() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn sample_snapshot(label: &str, iters_p95: f64) -> BenchSnapshot {
-    BenchSnapshot {
-        label: label.to_string(),
-        config: "fast".to_string(),
-        bench: "lu_ncb".to_string(),
-        peak_rss_bytes: Some(32 * 1024 * 1024),
-        telemetry: None,
-        live: None,
-        serve: None,
-        entries: vec![PolicyEntry {
-            policy: "oract".to_string(),
-            grid_n: 32,
-            wall_s: 0.5,
-            steps: 300,
-            steps_per_sec: 600.0,
-            phases: vec![("noise".to_string(), 0.3)],
-            solver: vec![SolverSnapshot {
-                site: "transient".to_string(),
-                solves: 300,
-                iters_mean: 3.0,
-                iters_p50: 3.0,
-                iters_p95,
-                residual_max: 1e-12,
-            }],
-        }],
-        scaling: vec![ScalingEntry {
-            grid: 64,
-            nodes: 8193,
-            backend: "mgcg".to_string(),
-            solves: 3,
-            iters_mean: 14.0,
-            setup_s: 0.01,
-            wall_s: 0.03,
-        }],
-    }
+/// A small `thermogater.bench/v2` document: one policy, one solver
+/// site, one scaling cell.
+fn sample_snapshot(label: &str, iters_p95: f64) -> String {
+    let rows = [
+        ("snap.entries", 1.0, "exact", 0.0),
+        ("snap.peak_rss_bytes", 32.0 * 1024.0 * 1024.0, "lower", 0.3),
+        ("snap.oract.steps_per_sec", 600.0, "higher", 0.25),
+        ("snap.oract.wall_s", 0.5, "info", 0.0),
+        ("snap.oract.steps", 300.0, "info", 0.0),
+        ("snap.oract.phase.noise_s", 0.3, "info", 0.0),
+        ("snap.oract.solver.transient.solves", 300.0, "info", 0.0),
+        ("snap.oract.solver.transient.iters_p50", 3.0, "lower", 0.1),
+        (
+            "snap.oract.solver.transient.iters_p95",
+            iters_p95,
+            "lower",
+            0.1,
+        ),
+        (
+            "snap.oract.solver.transient.residual_max",
+            1e-12,
+            "info",
+            0.0,
+        ),
+        ("snap.scaling.64.mgcg.solves", 3.0, "info", 0.0),
+        ("snap.scaling.64.mgcg.iters_mean", 14.0, "lower", 0.1),
+        ("snap.scaling.64.mgcg.setup_s", 0.01, "info", 0.0),
+        ("snap.scaling.64.mgcg.wall_s", 0.03, "info", 0.0),
+    ]
+    .map(|(key, value, better, tol)| {
+        format!(r#"{{"key":"{key}","value":{value},"better":"{better}","tol":{tol}}}"#)
+    });
+    format!(
+        r#"{{"schema":"thermogater.bench/v2","label":"{label}","config":"fast","bench":"lu_ncb","rows":[{}]}}"#,
+        rows.join(",\n")
+    )
 }
 
 #[test]
@@ -261,8 +262,8 @@ fn snapshot_diff_gates_on_injected_iteration_regression() {
     let dir = temp_dir("snapdiff");
     let base = dir.join("BENCH_base.json");
     let worse = dir.join("BENCH_worse.json");
-    std::fs::write(&base, sample_snapshot("base", 4.0).to_json()).expect("base written");
-    std::fs::write(&worse, sample_snapshot("worse", 8.0).to_json()).expect("worse written");
+    std::fs::write(&base, sample_snapshot("base", 4.0)).expect("base written");
+    std::fs::write(&worse, sample_snapshot("worse", 8.0)).expect("worse written");
 
     // Self-diff of a snapshot: clean.
     let out = tg_obs(&["diff", base.to_str().unwrap(), base.to_str().unwrap()]);
@@ -285,6 +286,25 @@ fn snapshot_diff_gates_on_injected_iteration_regression() {
 }
 
 #[test]
+fn snapshot_diff_rejects_an_unrepresentable_value_with_exit_2() {
+    let dir = temp_dir("snapbad");
+    let base = dir.join("BENCH_base.json");
+    let bad = dir.join("BENCH_bad.json");
+    std::fs::write(&base, sample_snapshot("base", 4.0)).expect("base written");
+    // 1e999 parses to +inf, which no row can hold (nor be written back).
+    let overflow = sample_snapshot("bad", 4.0).replace("\"value\":600", "\"value\":1e999");
+    std::fs::write(&bad, overflow).expect("bad written");
+    let out = tg_obs(&["diff", base.to_str().unwrap(), bad.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("snap.oract.steps_per_sec: value is not finite"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bench_snapshot_captures_a_valid_schema_file() {
     let dir = temp_dir("bench");
     let out = tg_obs(&[
@@ -301,14 +321,17 @@ fn bench_snapshot_captures_a_valid_schema_file() {
     let text = std::fs::read_to_string(&path).expect("snapshot written");
     let snap = BenchSnapshot::from_json(&text).expect("schema-valid snapshot");
     assert_eq!(snap.label, "e2e");
-    assert_eq!(snap.entries.len(), 1);
-    assert_eq!(snap.entries[0].policy, "allon");
-    assert!(snap.entries[0].steps > 0);
-    assert!(snap.entries[0].steps_per_sec > 0.0);
+    assert_eq!(snap.get("snap.entries"), Some(1.0));
+    assert!(snap.rows.iter().any(|r| r.axis() == "allon"));
+    assert!(snap.get("snap.allon.steps").unwrap() > 0.0);
+    assert!(snap.get("snap.allon.steps_per_sec").unwrap() > 0.0);
     // The frame-recorder overhead axis was captured alongside.
-    let overhead = snap.telemetry.as_ref().expect("overhead axis captured");
-    assert!(overhead.frames >= 5);
-    assert!(overhead.frames_wall_s > 0.0 && overhead.base_wall_s > 0.0);
+    let frames = snap
+        .get("snap.telemetry.frames")
+        .expect("overhead axis captured");
+    assert!(frames >= 5.0);
+    assert!(snap.get("snap.telemetry.frames_wall_s").unwrap() > 0.0);
+    assert!(snap.get("snap.telemetry.base_wall_s").unwrap() > 0.0);
 
     // The file it just captured self-diffs clean.
     let out = tg_obs(&["diff", path.to_str().unwrap(), path.to_str().unwrap()]);

@@ -8,7 +8,7 @@
 
 use experiments::obs::{diff_analyses, diff_snapshots, DiffConfig};
 use experiments::report::analysis_report;
-use experiments::snapshot::{BenchSnapshot, SNAPSHOT_SCHEMA};
+use experiments::snapshot::{BenchSnapshot, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1};
 use simkit::telemetry::analyze::TraceAnalysis;
 use std::path::{Path, PathBuf};
 
@@ -121,9 +121,10 @@ fn fixture_self_diff_has_zero_drift() {
     assert!(report.deltas.iter().all(|d| d.rel_change == 0.0));
 }
 
-/// Every committed BENCH_*.json must carry the schema tag and parse
-/// back losslessly; an injected solver-iteration regression against it
-/// must gate with the offending metric named.
+/// Every committed BENCH_*.json must carry a schema tag this reader
+/// knows (the current one, or the v1 layout it flattens) and parse back
+/// losslessly; an injected solver-iteration regression against it must
+/// gate with the offending metric named.
 #[test]
 fn committed_bench_snapshots_validate_and_gate() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -136,13 +137,22 @@ fn committed_bench_snapshots_validate_and_gate() {
         }
         found += 1;
         let text = std::fs::read_to_string(&path).expect("snapshot readable");
+        let schema = simkit::telemetry::json::parse(&text)
+            .ok()
+            .and_then(|doc| doc.get("schema")?.as_str().map(str::to_string));
         assert!(
-            text.contains(SNAPSHOT_SCHEMA),
-            "{name} lacks the {SNAPSHOT_SCHEMA} schema tag"
+            matches!(
+                schema.as_deref(),
+                Some(SNAPSHOT_SCHEMA | SNAPSHOT_SCHEMA_V1)
+            ),
+            "{name} carries neither the {SNAPSHOT_SCHEMA} nor the {SNAPSHOT_SCHEMA_V1} schema tag"
         );
         let snap = BenchSnapshot::from_json(&text)
             .unwrap_or_else(|e| panic!("{name} fails schema validation: {e}"));
-        assert!(!snap.entries.is_empty(), "{name} has no policy entries");
+        assert!(
+            snap.get("snap.entries").unwrap_or(0.0) > 0.0,
+            "{name} has no policy entries"
+        );
 
         // Round trip.
         let again = BenchSnapshot::from_json(&snap.to_json()).expect("round trip");
@@ -151,12 +161,14 @@ fn committed_bench_snapshots_validate_and_gate() {
         // Self-diff: zero drift. Injected regression: named and gating.
         assert!(!diff_snapshots(&snap, &snap, &DiffConfig::new()).has_regression());
         let mut worse = snap.clone();
-        let entry = &mut worse.entries[0];
-        let policy = entry.policy.clone();
-        let site = entry.solver[0].site.clone();
-        entry.solver[0].iters_p95 *= 2.0;
+        let row = worse
+            .rows
+            .iter_mut()
+            .find(|r| r.key.contains(".solver.") && r.key.ends_with(".iters_p95"))
+            .unwrap_or_else(|| panic!("{name} has no solver iters_p95 row"));
+        row.value *= 2.0;
+        let metric = row.key.clone();
         let report = diff_snapshots(&snap, &worse, &DiffConfig::new());
-        let metric = format!("snap.{policy}.solver.{site}.iters_p95");
         assert!(
             report.regressions().any(|d| d.metric == metric),
             "expected {metric} to regress"
@@ -177,34 +189,33 @@ fn committed_scaling_axis_proves_the_multigrid_win() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ref.json");
     let text = std::fs::read_to_string(&path).expect("BENCH_ref.json readable");
     let snap = BenchSnapshot::from_json(&text).expect("reference snapshot parses");
-    assert!(
-        !snap.scaling.is_empty(),
-        "BENCH_ref.json lacks the grid-scaling axis"
-    );
-    let finest = snap.scaling.iter().map(|s| s.grid).max().unwrap();
+    // Keys are `snap.scaling.<grid>.<backend>.<stat>`.
+    let finest = snap
+        .rows
+        .iter()
+        .filter_map(|r| r.key.strip_prefix("snap.scaling.")?.split('.').next())
+        .filter_map(|grid| grid.parse::<u64>().ok())
+        .max()
+        .expect("BENCH_ref.json lacks the grid-scaling axis");
     assert!(
         finest * finest >= 10 * 64 * 64,
         "finest committed grid {finest}² is under 10× the production cell count"
     );
-    let cell = |backend: &str| {
-        snap.scaling
-            .iter()
-            .find(|s| s.grid == finest && s.backend == backend)
-            .unwrap_or_else(|| panic!("no {backend} cell at {finest}×{finest}"))
+    let cell = |backend: &str, stat: &str| {
+        snap.get(&format!("snap.scaling.{finest}.{backend}.{stat}"))
+            .unwrap_or_else(|| panic!("no {backend} {stat} at {finest}×{finest}"))
     };
-    let (cg, mgcg, direct) = (cell("cg"), cell("mgcg"), cell("direct"));
+    let (cg, mgcg) = (cell("cg", "iters_mean"), cell("mgcg", "iters_mean"));
     assert!(
-        mgcg.iters_mean * 5.0 <= cg.iters_mean,
-        "mgcg {} vs cg {} iterations at {finest}×{finest}: advantage under 5×",
-        mgcg.iters_mean,
-        cg.iters_mean
+        mgcg * 5.0 <= cg,
+        "mgcg {mgcg} vs cg {cg} iterations at {finest}×{finest}: advantage under 5×"
     );
-    let total = |s: &experiments::snapshot::ScalingEntry| s.setup_s + s.wall_s;
-    let best_other = total(cg).min(total(direct));
+    let total = |backend: &str| cell(backend, "setup_s") + cell(backend, "wall_s");
+    let best_other = total("cg").min(total("direct"));
     assert!(
-        total(mgcg) * 2.0 <= best_other,
+        total("mgcg") * 2.0 <= best_other,
         "mgcg total {:.3}s vs best alternative {best_other:.3}s at {finest}×{finest}: \
          advantage under 2×",
-        total(mgcg)
+        total("mgcg")
     );
 }
