@@ -136,11 +136,31 @@ grep -q 'scenarios=112 hits=112 misses=0 coalesced=0 invalid=0' "$SERVE_DIR/warm
 grep -q '"name":"serve.misses","delta":0' "$SERVE_DIR/warm/trace.jsonl"
 grep -q '"name":"serve.hits","delta":112' "$SERVE_DIR/warm/trace.jsonl"
 
+echo "== repro: the artefact registry renders its summary table deterministically =="
+# Two passes over every artefact at the tiny config (the second from a
+# warm sweep cache) must print byte-identical summary tables, one row
+# per registry entry (the ids `--help` lists, in order), and an unknown
+# id is a usage error.
+mkdir -p target/ci
+cargo build --release -q -p experiments --bin repro
+REPRO="$PWD/target/release/repro"
+"$REPRO" all --tiny --quiet > target/ci/repro_a.md 2> target/ci/repro_a.err
+"$REPRO" all --tiny --quiet > target/ci/repro_b.md 2> target/ci/repro_b.err
+cmp target/ci/repro_a.md target/ci/repro_b.md
+"$REPRO" --help | sed -n 's/^ids: //p' | tr ' ' '\n' > target/ci/repro_ids.txt
+tail -n +3 target/ci/repro_a.md | cut -d '|' -f 2 | tr -d ' ' > target/ci/repro_rows.txt
+cmp target/ci/repro_ids.txt target/ci/repro_rows.txt
+set +e
+"$REPRO" nope > /dev/null 2> target/ci/repro_nope.err
+rc=$?
+set -e
+test "$rc" -eq 2
+grep -q 'ablation_vr_count' target/ci/repro_nope.err
+
 echo "== tg-obs: perf snapshot (CI artifact at target/ci/BENCH_ci.json) =="
 # --grids adds the steady-solve grid-scaling axis (cg/mgcg/direct per
 # grid edge) to the snapshot; --serve the scenario-service cache-hit
 # axis; the self-diff covers their regression gates.
-mkdir -p target/ci
 cargo run --release -q -p experiments --bin tg-obs -- bench-snapshot \
     --label ci --policies allon,oract,pracvt --out target/ci \
     --grids 64,128 --scaling-solves 2 --serve

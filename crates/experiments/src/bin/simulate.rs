@@ -16,7 +16,7 @@
 //!     --bench lu_ncb --export-trace lu_ncb.csv
 //! ```
 
-use experiments::report::{self, banner, metrics_report, render_heatmap, solver_report};
+use experiments::report::{banner, metrics_report, render_heatmap, solver_report};
 use experiments::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
 use simkit::linalg::SolverBackend;
@@ -176,7 +176,6 @@ fn main() -> ExitCode {
         }
     };
 
-    report::set_quiet(args.quiet);
     let chip = power8_like();
     let mut config = EngineConfig::standard();
     if let Some(ms) = args.duration_ms {
@@ -258,7 +257,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    banner("simulate", &format!("{} under {}", args.spec, args.policy));
+    if !args.quiet {
+        banner("simulate", &format!("{} under {}", args.spec, args.policy));
+    }
     let run_started = Instant::now();
     let result = if let Some(path) = &args.trace_path {
         let file = match File::open(path) {

@@ -29,7 +29,7 @@
 //! under `--telemetry=<dir>`, as `serve.*` counters in the trace: a
 //! warm batch proves "zero engine executions" via `serve.misses` = 0.
 
-use experiments::context::ExpOptions;
+use experiments::context::{count_flag, ExpOptions};
 use experiments::service::{
     self, BatchOptions, BatchOutcome, ScenarioCache, ScenarioSpec, ServeCounters,
 };
@@ -155,8 +155,7 @@ fn main() {
     }
     let opts = ExpOptions::from_args();
     let batch_file = std::env::args().find_map(|a| a.strip_prefix("--batch=").map(PathBuf::from));
-    let queue =
-        std::env::args().find_map(|a| a.strip_prefix("--queue=").and_then(|n| n.parse().ok()));
+    let queue = count_flag("--queue=");
     let cache_dir = std::env::args()
         .find_map(|a| a.strip_prefix("--cache=").map(PathBuf::from))
         .unwrap_or_else(|| sweep::cache_dir(&opts));
@@ -186,8 +185,10 @@ fn run_batch_mode(
     base: &EngineConfig,
     queue: Option<usize>,
 ) -> u64 {
-    let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| panic!("cannot open batch file {}: {e}", path.display()));
+    let file = std::fs::File::open(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot open batch file {}: {e}", path.display());
+        std::process::exit(2);
+    });
     let reader = io::BufReader::new(file);
     let malformed = AtomicU64::new(0);
     // Lazy request parsing: the executor's bounded queue pulls lines

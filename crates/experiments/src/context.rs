@@ -6,6 +6,19 @@ use std::path::PathBuf;
 use thermal::ThermalConfig;
 use thermogater::EngineConfig;
 
+/// The flags [`ExpOptions::from_args`] reads; those ending in `=` take a
+/// value.
+pub const FLAGS: [&str; 8] = [
+    "--quick",
+    "--tiny",
+    "--quiet",
+    "-q",
+    "--live",
+    "--threads=",
+    "--telemetry=",
+    "--frames=",
+];
+
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExpOptions {
@@ -42,12 +55,11 @@ impl ExpOptions {
     /// absent. `--frames=N` / `SIMKIT_FRAMES=N` turns on the spatial
     /// frame recorder with a capture every N thermal steps; `--live` /
     /// `SIMKIT_LIVE` folds events into an in-process live aggregate
-    /// with self-reported overhead counters. Also installs the quiet
-    /// preference into [`crate::report`], so tables printed through it
-    /// honour `--quiet`.
+    /// with self-reported overhead counters.
     ///
     /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
-    /// solver backend, rather than silently running under `Auto`.
+    /// solver backend, rather than silently running under `Auto`, and
+    /// when `--threads=` or `--frames=` is not a non-negative integer.
     pub fn from_args() -> Self {
         if let Err(e) = SolverBackend::from_env() {
             eprintln!("error: {e}");
@@ -56,21 +68,17 @@ impl ExpOptions {
         let quick =
             std::env::args().any(|a| a == "--quick") || std::env::var("THERMOGATER_QUICK").is_ok();
         let tiny = std::env::args().any(|a| a == "--tiny");
-        let threads = std::env::args()
-            .find_map(|a| a.strip_prefix("--threads=").and_then(|n| n.parse().ok()));
+        let threads = count_flag("--threads=");
         let quiet = std::env::args().any(|a| a == "--quiet" || a == "-q");
         let telemetry = std::env::args()
             .find_map(|a| a.strip_prefix("--telemetry=").map(PathBuf::from))
             .or_else(|| std::env::var("SIMKIT_TELEMETRY").ok().map(PathBuf::from));
-        let frames = std::env::args()
-            .find_map(|a| a.strip_prefix("--frames=").and_then(|n| n.parse().ok()))
-            .or_else(|| {
-                std::env::var("SIMKIT_FRAMES")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            });
+        let frames = count_flag("--frames=").or_else(|| {
+            std::env::var("SIMKIT_FRAMES")
+                .ok()
+                .and_then(|v| v.trim().parse().ok())
+        });
         let live = std::env::args().any(|a| a == "--live") || std::env::var("SIMKIT_LIVE").is_ok();
-        crate::report::set_quiet(quiet);
         ExpOptions {
             quick,
             tiny,
@@ -188,6 +196,20 @@ impl ExpOptions {
             "quick"
         } else {
             "full"
+        }
+    }
+}
+
+/// The value of the first `<prefix><n>` process argument (e.g.
+/// `--threads=`); exits the process with status 2 when `<n>` is not a
+/// non-negative integer.
+pub fn count_flag(prefix: &str) -> Option<usize> {
+    let value = std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))?;
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("error: {prefix}<n> expects a non-negative integer, got `{value}`");
+            std::process::exit(2);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Experiment drivers that regenerate every table and figure of the
 //! ThermoGater paper.
 //!
-//! Each `fig*`/`table*`/`ablation_*` binary in `src/bin/` reproduces one
-//! artefact of the paper's evaluation section; the shared logic lives
-//! here:
+//! The `repro` binary reproduces every artefact of the paper's evaluation
+//! section from the [`repro`] registry; the shared logic lives here:
 //!
 //! * [`context`] — common CLI options (`--quick`) and engine
 //!   configurations;
@@ -16,7 +15,8 @@
 //!   behind the `tg-serve` bin;
 //! * [`telemetry`] — per-run JSONL traces, metrics registries, and
 //!   `manifest.json` writing (`--telemetry=<dir>`);
-//! * [`figures`] — the per-artefact data builders;
+//! * [`repro`] — the artefact registry: one entry per figure, table and
+//!   ablation, with its data builder, detail report and shape grade;
 //! * [`obs`] — run/snapshot diffing with per-metric directional
 //!   tolerances (the engine behind `tg-obs diff`);
 //! * [`snapshot`] — performance snapshots (`BENCH_*.json`, schema
@@ -29,17 +29,18 @@
 //! Run an experiment with e.g.
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig09            # full
-//! cargo run --release -p experiments --bin fig09 -- --quick # reduced
+//! cargo run --release -p experiments --bin repro -- fig09            # full
+//! cargo run --release -p experiments --bin repro -- fig09 --quick    # reduced
+//! cargo run --release -p experiments --bin repro -- all --quiet      # EXPERIMENTS.md's table
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod figures;
 pub mod obs;
 pub mod report;
+pub mod repro;
 pub mod service;
 pub mod snapshot;
 pub mod sweep;

@@ -2,23 +2,6 @@
 
 use simkit::perf::SolverProfile;
 use simkit::telemetry::analyze::TraceAnalysis;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide quiet preference (`--quiet`/`-q`): when set,
-/// [`banner`] and [`TextTable::print`] become no-ops while renderers
-/// keep working, so telemetry files and machine-readable output are
-/// unaffected.
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide quiet preference.
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
-
-/// Whether human-readable output is suppressed.
-pub fn is_quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
 
 /// A column-aligned text table.
 ///
@@ -102,13 +85,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Prints the rendered table to stdout (a no-op under `--quiet`).
-    pub fn print(&self) {
-        if !is_quiet() {
-            print!("{}", self.render());
-        }
-    }
 }
 
 /// Renders a per-phase wall-clock breakdown (from
@@ -147,12 +123,8 @@ pub fn fmt_opt(value: Option<f64>, precision: usize) -> String {
     }
 }
 
-/// Prints an experiment banner with the artefact id and a description
-/// (a no-op under `--quiet`).
+/// Prints an experiment banner with the artefact id and a description.
 pub fn banner(artefact: &str, description: &str) {
-    if is_quiet() {
-        return;
-    }
     println!("================================================================");
     println!("{artefact} — {description}");
     println!("================================================================");
@@ -678,14 +650,6 @@ mod tests {
     fn fmt_opt_renders_dash_for_none() {
         assert_eq!(fmt_opt(None, 2), "-");
         assert_eq!(fmt_opt(Some(1.234), 2), "1.23");
-    }
-
-    #[test]
-    fn quiet_flag_roundtrips() {
-        set_quiet(true);
-        assert!(is_quiet());
-        set_quiet(false);
-        assert!(!is_quiet());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Fig. 14, Fig. 15, and Table 2 — voltage-noise artefacts. (Fig. 11
 //! reads the shared sweep directly.)
 
+use super::{range, span, table, Claim, Report};
 use crate::context::ExpOptions;
+use crate::report::{downsample, fmt_opt};
 use crate::sweep;
 use floorplan::reference::power8_like;
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
@@ -127,6 +129,79 @@ fn paper_emergency_pct(benchmark: Benchmark) -> Option<f64> {
 
 /// The paper's reported average emergency residency (0.13 %).
 pub const PAPER_AVERAGE_EMERGENCY_PCT: f64 = 0.13;
+
+/// Fig. 14: both worst-window traces; OracV must cut the peak by about
+/// the paper's 28.2 %.
+pub fn fig14_report(opts: &ExpOptions) -> Report {
+    let data = fig14(opts);
+    let points = 50;
+    let [oract, oracv] = [&data.oract, &data.oracv].map(|t| downsample(t, points));
+    let cell = |s: &[f64], k: usize| s.get(k).map_or("-".into(), |v| format!("{v:.2}"));
+    let rows = (0..oract.len().max(oracv.len())).map(|k| {
+        let bucket = format!("{}", k * data.oract.len() / points);
+        vec![bucket, cell(&oract, k), cell(&oracv, k)]
+    });
+    let detail = table(&["cycle bucket", "OracT (%Vdd)", "OracV (%Vdd)"], rows);
+    let peak = |t: &[f64]| t.iter().copied().fold(0.0f64, f64::max);
+    let (p_t, p_v) = (peak(&data.oract), peak(&data.oracv));
+    let cut = (1.0 - p_v / p_t) * 100.0;
+    let measured = format!("OracV cuts the peak by {cut:.0} % (OracT {p_t:.1} → OracV {p_v:.1} %)");
+    let claims = [Claim::Near(cut, PAPER_ORACV_CUT_PCT)];
+    Report::new(detail, measured, true, &claims, None)
+}
+
+/// The paper's cut of fft's critical-window noise under OracV (28.2 %).
+pub const PAPER_ORACV_CUT_PCT: f64 = 28.2;
+
+/// Fig. 15: LDO vs FIVR per benchmark; the LDO must be quieter by about
+/// the paper's ≈0.7 % of Vdd on average and ≈1.1 % at the overall max.
+pub fn fig15_report(opts: &ExpOptions) -> Report {
+    let rows = fig15(opts);
+    let max = |f: fn(&Fig15Row) -> f64| rows.iter().map(f).fold(0.0f64, f64::max);
+    let (max_ldo, max_fivr) = (max(|r| r.ldo_pct), max(|r| r.fivr_pct));
+    let cells = |label: &str, ldo: f64, fivr: f64| {
+        let delta = format!("{:+.2}", ldo - fivr);
+        vec![
+            label.to_string(),
+            format!("{ldo:.2}"),
+            format!("{fivr:.2}"),
+            delta,
+        ]
+    };
+    let rows_out = rows
+        .iter()
+        .map(|r| cells(r.benchmark.label(), r.ldo_pct, r.fivr_pct));
+    let headers = ["benchmark", "LDO (%Vdd)", "FIVR (%Vdd)", "Δ"];
+    let detail = table(&headers, rows_out.chain([cells("MAX", max_ldo, max_fivr)]));
+    let avg = rows.iter().map(|r| r.fivr_pct - r.ldo_pct).sum::<f64>() / rows.len() as f64;
+    let at_max = max_fivr - max_ldo;
+    let measured =
+        format!("LDO lower by {avg:.2} % of Vdd on average, {at_max:.2} % at the overall max");
+    let claims = [Claim::Near(avg, 0.7), Claim::Near(at_max, 1.1)];
+    Report::new(detail, measured, true, &claims, None)
+}
+
+/// Table 2: emergency residency per benchmark; every application must
+/// stay under 1 %, and the average near the paper's 0.13 %.
+pub fn table2_report(opts: &ExpOptions) -> Report {
+    let rows = table2(opts);
+    let avg = rows.iter().map(|r| r.pct).sum::<f64>() / rows.len() as f64;
+    let cells = |label: &str, pct: f64, paper: Option<f64>| {
+        vec![label.to_string(), format!("{pct:.3}"), fmt_opt(paper, 3)]
+    };
+    let rows_out = rows
+        .iter()
+        .map(|r| cells(r.benchmark.label(), r.pct, r.paper_pct));
+    let avg_row = cells("AVG", avg, Some(PAPER_AVERAGE_EMERGENCY_PCT));
+    let detail = table(
+        &["benchmark", "% exec. time", "paper (%)"],
+        rows_out.chain([avg_row]),
+    );
+    let (lo, hi) = span(rows.iter().map(|r| r.pct));
+    let measured = format!("{} %, AVG {avg:.3} %", range(lo, hi, 3));
+    let claims = [Claim::Near(avg, PAPER_AVERAGE_EMERGENCY_PCT)];
+    Report::new(detail, measured, hi < 1.0, &claims, None)
+}
 
 #[cfg(test)]
 mod tests {

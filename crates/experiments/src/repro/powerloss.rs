@@ -1,9 +1,12 @@
 //! Fig. 6 and Fig. 7 — regulator-count tracking and conversion-loss
 //! savings.
 
+use super::{span, table, Claim, Report};
 use crate::context::ExpOptions;
+use crate::report::{downsample, fmt_opt};
 use crate::sweep;
 use floorplan::reference::power8_like;
+use simkit::stats::pearson;
 use thermogater::{PolicyKind, SimulationEngine};
 use workload::Benchmark;
 
@@ -81,6 +84,73 @@ fn paper_saving(benchmark: Benchmark) -> Option<f64> {
 
 /// The paper's reported average saving across the suite (26.5 %).
 pub const PAPER_AVERAGE_SAVING_PCT: f64 = 26.5;
+
+/// Fig. 6: demand and active count over time; they must correlate at
+/// r ≥ 0.9 (closely tracking) at full resolution.
+pub fn fig06_report(opts: &ExpOptions) -> Report {
+    let data = fig06(opts);
+    // 100 µs buckets resolve the program phases without drowning the
+    // table (the decision interval is 1 ms).
+    let points = (data.time_ms.len() / 5).clamp(1, 200);
+    let [time, power, active] =
+        [&data.time_ms, &data.power_w, &data.active].map(|s| downsample(s, points));
+    let rows = (0..time.len()).step_by((time.len() / 50).max(1)).map(|k| {
+        vec![
+            format!("{:.2}", time[k]),
+            format!("{:.1}", power[k]),
+            format!("{:.1}", active[k]),
+        ]
+    });
+    let detail = table(
+        &["time (ms)", "total power (W)", "# active regulators"],
+        rows,
+    );
+    let r = pearson(&data.power_w, &data.active).unwrap_or(f64::NAN);
+    let (p_lo, p_hi) = span(data.power_w.iter().copied());
+    let (a_lo, a_hi) = span(data.active.iter().copied());
+    let measured = format!(
+        "Pearson r = {r:.3} between demand and required count; power swings \
+         {p_lo:.0}–{p_hi:.0} W, count {a_lo:.0}–{a_hi:.0}"
+    );
+    Report::new(detail, measured, r >= 0.9, &[], None)
+}
+
+/// Fig. 7: savings per benchmark; cholesky must save least and raytrace
+/// most, near the paper's quoted savings and average.
+pub fn fig07_report(opts: &ExpOptions) -> Report {
+    let rows = fig07(opts);
+    let avg = rows.iter().map(|r| r.saving_pct).sum::<f64>() / rows.len() as f64;
+    let cells = |label: &str, saving: f64, paper: Option<f64>| {
+        vec![label.to_string(), format!("{saving:.1}"), fmt_opt(paper, 1)]
+    };
+    let rows_out = rows
+        .iter()
+        .map(|r| cells(r.benchmark.label(), r.saving_pct, r.paper_pct));
+    let avg_row = cells("AVG", avg, Some(PAPER_AVERAGE_SAVING_PCT));
+    let detail = table(
+        &["benchmark", "saving (%)", "paper (%)"],
+        rows_out.chain([avg_row]),
+    );
+    let saving = |b| {
+        rows.iter()
+            .find(|r| r.benchmark == b)
+            .expect("every benchmark")
+    };
+    let (chol, rayt) = (saving(Benchmark::Cholesky), saving(Benchmark::Raytrace));
+    let (lo, hi) = span(rows.iter().map(|r| r.saving_pct));
+    let measured = format!(
+        "chol {:.1} %, rayt {:.1} %, AVG {avg:.1} %",
+        chol.saving_pct, rayt.saving_pct
+    );
+    let quoted = |r: &Fig07Row| Claim::Near(r.saving_pct, r.paper_pct.unwrap_or(f64::NAN));
+    let claims = [
+        quoted(chol),
+        quoted(rayt),
+        Claim::Near(avg, PAPER_AVERAGE_SAVING_PCT),
+    ];
+    let shape = chol.saving_pct == lo && rayt.saving_pct == hi;
+    Report::new(detail, measured, shape, &claims, None)
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,7 @@
 //! Fig. 1, Fig. 2, and Fig. 5 — regulator efficiency characteristics.
 
+use super::{range, span, table, Claim, Report};
+use crate::context::ExpOptions;
 use simkit::units::Amps;
 use vreg::{survey, EfficiencyCurve, RegulatorBank, RegulatorDesign};
 
@@ -97,6 +99,122 @@ pub fn fig02_family() -> PhaseFamily {
 /// per-core domain of 9 FIVR-like phases (1.5 A each at η_peak = 90 %).
 pub fn fig05_family() -> PhaseFamily {
     phase_family(&RegulatorDesign::fivr(), 9, &[2, 3, 4, 6, 8, 9], 120)
+}
+
+/// The `(I_out, η)` sample where a curve peaks.
+fn peak(curve: &LabelledCurve) -> (f64, f64) {
+    let points = curve.points.iter().copied();
+    points.fold(
+        (0.0, f64::MIN),
+        |best, p| if p.1 > best.1 { p } else { best },
+    )
+}
+
+/// Fig. 1: every survey curve; each must peak at 40–95 % and be lower at
+/// both ends of its range.
+pub fn fig01_report(_opts: &ExpOptions) -> Report {
+    let curves = fig01_curves();
+    let mut detail = String::new();
+    for c in &curves {
+        let rows = c
+            .points
+            .iter()
+            .map(|(i, eta)| vec![format!("{i:.6}"), format!("{:.1}", eta * 100.0)]);
+        detail += &format!("\n{}\n{}", c.label, table(&["I_out (A)", "η (%)"], rows));
+    }
+    let n = curves.len();
+    let flanked = curves
+        .iter()
+        .filter(|c| {
+            let top = peak(c).1;
+            c.points[0].1 < top && c.points[c.points.len() - 1].1 < top
+        })
+        .count();
+    let (lo, hi) = span(curves.iter().map(|c| peak(c).1 * 100.0));
+    let measured = format!(
+        "{n}-design dataset, peaks {} %, {flanked} of {n} degrade on both flanks",
+        range(lo, hi, 0)
+    );
+    let shape = n == 8 && flanked == n && lo >= 40.0 && hi <= 95.0;
+    Report::new(detail, measured, shape, &[], None)
+}
+
+/// A phase family as one table, every 6th sample.
+fn family_table(family: &PhaseFamily) -> String {
+    let mut headers = vec!["I_out (A)"];
+    headers.extend(family.per_count.iter().map(|c| c.label.as_str()));
+    headers.push(&family.effective.label);
+    let rows = (0..family.effective.points.len()).step_by(6).map(|k| {
+        let mut row = vec![format!("{:.2}", family.effective.points[k].0)];
+        for curve in family.per_count.iter().chain([&family.effective]) {
+            row.push(format!("{:.1}", curve.points[k].1 * 100.0));
+        }
+        row
+    });
+    table(&headers, rows)
+}
+
+/// Whether each active-phase count peaks at a higher current than the
+/// one before it.
+fn peaks_rise(family: &PhaseFamily) -> bool {
+    let peaks: Vec<f64> = family.per_count.iter().map(|c| peak(c).0).collect();
+    peaks.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Fig. 2: the 16-phase family; per-count peaks must rise with current
+/// and the effective curve stay within 3 points of its peak past 1 A.
+pub fn fig02_report(_opts: &ExpOptions) -> Report {
+    let family = fig02_family();
+    let effective = family.effective.points.iter();
+    let floor = effective
+        .filter(|p| p.0 > 1.0)
+        .map(|p| p.1 * 100.0)
+        .fold(f64::INFINITY, f64::min);
+    let rising = peaks_rise(&family);
+    let measured = format!(
+        "per-count peaks {} with I_out; effective-curve floor {floor:.1} % past 1 A",
+        if rising { "rise" } else { "do not rise" }
+    );
+    let flat = floor >= peak(&family.effective).1 * 100.0 - 3.0;
+    Report::new(family_table(&family), measured, rising && flat, &[], None)
+}
+
+/// Fig. 5: the calibration family; each count must peak at ≈1.5 A per
+/// phase and η_peak ≈ 90 %.
+pub fn fig05_report(_opts: &ExpOptions) -> Report {
+    let family = fig05_family();
+    // A curve's label leads with its phase count ("6 active").
+    let per_phase: Vec<(f64, f64)> = family
+        .per_count
+        .iter()
+        .map(|c| {
+            let count = c
+                .label
+                .split(' ')
+                .next()
+                .and_then(|n| n.parse::<f64>().ok());
+            let (i, eta) = peak(c);
+            (i / count.expect("label leads with the count"), eta * 100.0)
+        })
+        .collect();
+    let claims: Vec<Claim> = per_phase
+        .iter()
+        .flat_map(|&(i, eta)| [Claim::Near(i, 1.5), Claim::Near(eta, 90.0)])
+        .collect();
+    let (i_lo, i_hi) = span(per_phase.iter().map(|p| p.0));
+    let (e_lo, e_hi) = span(per_phase.iter().map(|p| p.1));
+    let measured = format!(
+        "each phase peaks at {} A, η_peak {} %",
+        range(i_lo, i_hi, 2),
+        range(e_lo, e_hi, 1)
+    );
+    Report::new(
+        family_table(&family),
+        measured,
+        peaks_rise(&family),
+        &claims,
+        None,
+    )
 }
 
 #[cfg(test)]

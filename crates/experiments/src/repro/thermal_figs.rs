@@ -1,7 +1,9 @@
 //! Fig. 8, Fig. 12, and Fig. 13 — thermal traces, heat maps, and
 //! regulator activity. (Figs. 9/10 read the shared sweep directly.)
 
+use super::{table, Claim, Report};
 use crate::context::ExpOptions;
+use crate::report::render_heatmap;
 use floorplan::reference::power8_like;
 use floorplan::{DomainKind, VrId, VrNeighborhood};
 use thermogater::{PolicyKind, SimulationEngine};
@@ -165,6 +167,88 @@ pub fn fig13(opts: &ExpOptions, policy: PolicyKind) -> Fig13Data {
         memory_mean: mean(VrNeighborhood::Memory),
         bars,
     }
+}
+
+/// Fig. 8: the showcased regulator's trace; it must toggle, and swing by
+/// the paper's "more than 5 °C".
+pub fn fig08_report(opts: &ExpOptions) -> Report {
+    let data = fig08(opts);
+    let step = (data.time_ms.len() / 50).max(1);
+    let rows = (0..data.time_ms.len()).step_by(step).map(|k| {
+        vec![
+            format!("{:.2}", data.time_ms[k]),
+            format!("{:.2}", data.temperature_c[k]),
+            if data.state_on[k] { "ON" } else { "off" }.to_string(),
+        ]
+    });
+    let rows = table(&["time (ms)", "T (°C)", "state"], rows);
+    let detail = format!("showcased regulator: {}\n\n{rows}", data.vr);
+    let toggles = data.state_on.windows(2).filter(|w| w[0] != w[1]).count();
+    let measured = format!("{toggles} toggles, swing {:.2} °C", data.swing_c);
+    let claims = [Claim::AtLeast(data.swing_c, 5.0)];
+    Report::new(detail, measured, toggles >= 2, &claims, Some("weaker"))
+}
+
+/// Fig. 12: the four heat maps; T_max must order off-chip < OracT <
+/// all-on < OracV with the paper's offsets from all-on (off-chip ≤ 66,
+/// OracT ≈ 71.2, all-on 73, OracV > 90 °C).
+pub fn fig12_report(opts: &ExpOptions) -> Report {
+    let frames = fig12(opts);
+    let mut detail = String::new();
+    for f in &frames {
+        let map = render_heatmap(&f.heatmap);
+        detail += &format!("\n--- {} (T_max {:.1} °C) ---\n{map}", f.policy, f.tmax_c);
+    }
+    // The builder's order: off-chip, all-on, OracT, OracV.
+    let [off, on, oract, oracv] = [0, 1, 2, 3].map(|k| frames[k].tmax_c);
+    let measured =
+        format!("off-chip {off:.1}, OracT {oract:.1}, all-on {on:.1}, OracV {oracv:.1} °C");
+    let claims = [
+        Claim::AtLeast(on - off, 73.0 - 66.0),
+        Claim::Near(on - oract, 73.0 - 71.2),
+        Claim::AtLeast(oracv - on, 90.0 - 73.0),
+    ];
+    let ordered = off < oract && oract < on && on < oracv;
+    Report::new(detail, measured, ordered, &claims, Some("OracV weaker"))
+}
+
+/// Fig. 13: per-regulator activity under OracT, OracV and PracVT; OracT
+/// must favour the memory side and OracV the logic side.
+pub fn fig13_report(opts: &ExpOptions) -> Report {
+    let panels = [PolicyKind::OracT, PolicyKind::OracV, PolicyKind::PracVT].map(|p| fig13(opts, p));
+    let [oract, oracv, pracvt] = &panels;
+    let pct = |a: f64| format!("{:.0}", a * 100.0);
+    let bars = oract.bars.iter().zip(&oracv.bars).zip(&pracvt.bars);
+    let rows = bars.map(|((a, b), c)| {
+        assert!(a.vr == b.vr && a.vr == c.vr, "bar ordering must match");
+        let group = match a.neighborhood {
+            VrNeighborhood::Logic => "logic",
+            VrNeighborhood::Memory => "memory",
+        };
+        let on = [a, b, c].map(|bar| pct(bar.activity));
+        [vec![a.vr.to_string(), group.to_string()], on.to_vec()].concat()
+    });
+    let headers = [
+        "regulator",
+        "group",
+        "OracT on-%",
+        "OracV on-%",
+        "PracVT on-%",
+    ];
+    let mut detail = table(&headers, rows) + "\nGroup means (% of decisions on):\n";
+    for (label, p) in ["OracT: ", "OracV: ", "PracVT:"].iter().zip(&panels) {
+        let (logic, memory) = (pct(p.logic_mean), pct(p.memory_mean));
+        detail += &format!("{label} logic {logic} %, memory {memory} %\n");
+    }
+    let measured = format!(
+        "OracT: logic {} % / memory {} %; OracV: logic {} % / memory {} %",
+        pct(oract.logic_mean),
+        pct(oract.memory_mean),
+        pct(oracv.logic_mean),
+        pct(oracv.memory_mean)
+    );
+    let shape = oract.memory_mean > oract.logic_mean && oracv.logic_mean > oracv.memory_mean;
+    Report::new(detail, measured, shape, &[], None)
 }
 
 #[cfg(test)]

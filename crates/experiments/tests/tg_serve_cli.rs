@@ -1,8 +1,9 @@
 //! End-to-end tests of the `tg-serve` binary: batch mode answers a
 //! request file deterministically cold versus warm (the warm pass from
 //! cache alone), the stdin loop answers interactively, override keys
-//! change the scenario hash, and malformed requests are skipped loudly
-//! with a non-zero exit.
+//! change the scenario hash, malformed requests are skipped loudly
+//! with a non-zero exit, and usage errors (a missing batch file, a
+//! malformed count flag) exit 2 instead of panicking.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -120,5 +121,28 @@ fn malformed_requests_are_skipped_loudly_with_exit_2() {
     let err = stderr(&out);
     assert!(err.contains("malformed"), "stderr: {err}");
     assert!(err.contains("not-a-benchmark"), "stderr: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn usage_errors_exit_2_without_panicking() {
+    let dir = temp_dir("usage");
+    let cache_arg = format!("--cache={}", dir.join("cache").display());
+    let missing = format!("--batch={}", dir.join("no-such-file.txt").display());
+    for (flag, expect) in [
+        (missing.as_str(), "cannot open batch file"),
+        ("--threads=abc", "--threads=<n>"),
+        ("--frames=x", "--frames=<n>"),
+        ("--queue=-1", "--queue=<n>"),
+    ] {
+        let out = tg_serve(&[flag, cache_arg.as_str(), "--tiny", "--quiet"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {err}");
+        assert!(
+            err.contains("error:") && err.contains(expect),
+            "{flag}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{flag}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

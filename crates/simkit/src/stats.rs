@@ -110,6 +110,40 @@ pub fn r_squared(observed: &[f64], predicted: &[f64]) -> Result<f64> {
     Ok(1.0 - ss_res / ss_tot)
 }
 
+/// Pearson correlation coefficient of two equally long series: their
+/// covariance over the product of their standard deviations, in
+/// `[-1, 1]`.
+///
+/// # Errors
+///
+/// * [`Error::DimensionMismatch`] when the slices differ in length;
+/// * [`Error::InvalidArgument`] when fewer than two observations are given
+///   or either series has zero variance (the coefficient is undefined).
+pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
+    if a.len() != b.len() {
+        return Err(Error::DimensionMismatch {
+            expected: a.len(),
+            actual: b.len(),
+        });
+    }
+    if a.len() < 2 {
+        return Err(Error::invalid_argument(
+            "correlation needs at least two observations",
+        ));
+    }
+    let ma = mean(a).expect("non-empty");
+    let mb = mean(b).expect("non-empty");
+    let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+    let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
+    let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
+    if va == 0.0 || vb == 0.0 {
+        return Err(Error::invalid_argument(
+            "a series has zero variance; correlation undefined",
+        ));
+    }
+    Ok(cov / (va.sqrt() * vb.sqrt()))
+}
+
 /// Ordinary least squares fit of `y ≈ slope·x` (no intercept), the form of
 /// the paper's ΔT = θ·ΔP model.
 ///
@@ -290,6 +324,29 @@ mod tests {
         assert!(r_squared(&[1.0, 2.0], &[1.0]).is_err());
         assert!(r_squared(&[1.0], &[1.0]).is_err());
         assert!(r_squared(&[5.0, 5.0], &[5.0, 5.0]).is_err());
+    }
+
+    #[test]
+    fn pearson_perfect_and_anti_correlation() {
+        let a = [1.0, 2.0, 3.0, 4.0];
+        let up: Vec<f64> = a.iter().map(|v| 3.0 * v + 1.0).collect();
+        let down: Vec<f64> = a.iter().map(|v| -0.5 * v).collect();
+        assert!((pearson(&a, &up).unwrap() - 1.0).abs() < 1e-15);
+        assert!((pearson(&a, &down).unwrap() + 1.0).abs() < 1e-15);
+        // Uncorrelated by symmetry.
+        assert!(pearson(&a, &[1.0, -1.0, -1.0, 1.0]).unwrap().abs() < 1e-15);
+    }
+
+    #[test]
+    fn pearson_errors() {
+        assert!(matches!(
+            pearson(&[1.0, 2.0], &[1.0]),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        assert!(pearson(&[1.0], &[1.0]).is_err());
+        // A constant series has no correlation (it used to divide by zero).
+        assert!(pearson(&[5.0, 5.0, 5.0], &[1.0, 2.0, 3.0]).is_err());
+        assert!(pearson(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).is_err());
     }
 
     #[test]

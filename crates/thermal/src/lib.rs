@@ -51,14 +51,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block_model;
 mod config;
 mod map;
 mod model;
 mod operator;
 mod state;
 
-pub use block_model::BlockThermalModel;
 pub use config::{PackageParams, ThermalConfig};
 pub use map::PowerMap;
 pub use model::{FeedbackStats, SteadyScratch, ThermalModel, TransientStepper};

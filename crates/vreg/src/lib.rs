@@ -39,7 +39,6 @@ mod bank;
 mod curve;
 mod design;
 mod gating;
-mod hetero;
 pub mod loss;
 pub mod survey;
 
@@ -47,4 +46,3 @@ pub use bank::RegulatorBank;
 pub use curve::EfficiencyCurve;
 pub use design::{RegulatorDesign, RegulatorTopology};
 pub use gating::GatingState;
-pub use hetero::HeterogeneousBank;

@@ -1,12 +1,11 @@
 //! Integration tests for the discussion-section extensions:
-//! multiprogramming (Section 7), aging (Section 7), heterogeneous
-//! regulator networks (Section 3.1), and better cooling (Section 5).
+//! multiprogramming (Section 7), aging (Section 7), and better cooling
+//! (Section 5).
 
 use floorplan::reference::power8_like;
-use simkit::units::{Amps, Seconds};
+use simkit::units::Seconds;
 use thermal::{PackageParams, ThermalConfig};
 use thermogater::{AgingModel, EngineConfig, PolicyKind, SimulationEngine};
-use vreg::{HeterogeneousBank, RegulatorDesign};
 use workload::{Benchmark, TraceGenerator, WorkloadMix, WorkloadSpec};
 
 fn tiny_config() -> EngineConfig {
@@ -87,29 +86,6 @@ fn aging_assessment_separates_policies() {
     );
     assert_eq!(all_on.wear_values().len(), chip.vr_sites().len());
     assert!(all_on.relative_mttf() > 0.0);
-}
-
-#[test]
-fn heterogeneous_bank_covers_a_core_demand() {
-    // A mixed network (bucks + LDO trimmers) can serve the same demand
-    // band a homogeneous 9-phase bank covers.
-    let bank = HeterogeneousBank::new(vec![
-        RegulatorDesign::fivr(),
-        RegulatorDesign::fivr(),
-        RegulatorDesign::fivr(),
-        RegulatorDesign::fivr(),
-        RegulatorDesign::fivr(),
-        RegulatorDesign::fivr(),
-        RegulatorDesign::power8_ldo(),
-        RegulatorDesign::power8_ldo(),
-        RegulatorDesign::power8_ldo(),
-    ]);
-    assert!(bank.peak_capacity().get() > 13.0);
-    for demand in [0.5, 3.0, 7.5, 12.0] {
-        let active = bank.required_active(Amps::new(demand));
-        let eta = bank.efficiency(Amps::new(demand), &active).unwrap();
-        assert!(eta > 0.8, "η {eta} at {demand} A");
-    }
 }
 
 #[test]
