@@ -189,6 +189,15 @@ set -e
 test "$rc" -eq 2
 grep -q 'auto | direct | cg | mgcg' target/ci/verify_gs.err
 
+echo "== repro: a malformed SIMKIT_THREADS is a usage error (exit 2) =="
+# A typo in the thread count must not silently fall back to every core.
+set +e
+SIMKIT_THREADS=abc "$REPRO" fig01 --quiet > /dev/null 2> target/ci/repro_threads.err
+rc=$?
+set -e
+test "$rc" -eq 2
+grep -q 'SIMKIT_THREADS' target/ci/repro_threads.err
+
 echo "== tg-verify: pinned solver backends (direct, cg, mgcg must all pass) =="
 # The default leg above runs under Auto; these pin the direct LDLT path,
 # the Jacobi-CG path, and the multigrid-CG path end-to-end, so every

@@ -173,17 +173,25 @@ impl EngineConfig {
         out
     }
 
-    /// Checks that an engine can be built from this configuration: a
-    /// non-empty thermal grid, a thermal step that divides the decision
-    /// interval, and a finite duration of at least one decision
-    /// interval. Front ends call it to reject bad input with a message
-    /// instead of the panic [`SimulationEngine::new`] raises.
+    /// Checks that an engine can be built and run from this
+    /// configuration: a non-empty thermal grid, a thermal step that
+    /// divides the decision interval, a finite duration of at least one
+    /// decision interval, and a predictor accuracy in [0, 1]. Front ends
+    /// call it to reject bad input with a message instead of the panic
+    /// [`SimulationEngine::new`] or a run raises.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidArgument`] naming the first rule broken.
     pub fn validate(&self) -> Result<()> {
-        self.step_counts().map(|_| ())
+        self.step_counts()?;
+        if !(0.0..=1.0).contains(&self.predictor_accuracy) {
+            return Err(Error::invalid_argument(format!(
+                "predictor accuracy must be in [0, 1], got {}",
+                self.predictor_accuracy
+            )));
+        }
+        Ok(())
     }
 
     /// `(thermal steps per decision, decisions)` of a valid
@@ -1451,6 +1459,13 @@ mod tests {
             ..tiny_config()
         };
         assert!(one_cell.validate().is_ok());
+        for accuracy in [0.0, 1.0] {
+            let edge = EngineConfig {
+                predictor_accuracy: accuracy,
+                ..tiny_config()
+            };
+            assert!(edge.validate().is_ok(), "{accuracy}");
+        }
         let bad = [
             EngineConfig {
                 thermal: ThermalConfig {
@@ -1477,6 +1492,22 @@ mod tests {
             },
             EngineConfig {
                 thermal_step: Seconds::new(0.0),
+                ..tiny_config()
+            },
+            EngineConfig {
+                predictor_accuracy: 1.5,
+                ..tiny_config()
+            },
+            EngineConfig {
+                predictor_accuracy: -0.1,
+                ..tiny_config()
+            },
+            EngineConfig {
+                predictor_accuracy: f64::NAN,
+                ..tiny_config()
+            },
+            EngineConfig {
+                predictor_accuracy: f64::INFINITY,
                 ..tiny_config()
             },
         ];
@@ -1695,16 +1726,12 @@ mod tests {
         }
         // Transient steps are warm CG under every backend; the PDN IR
         // solves carry the backend the engine resolved to (Auto factors
-        // them — the measured break-even split, DESIGN.md §11).
+        // them, DESIGN.md §11).
         assert!(
             names.iter().any(|n| n == "thermal.transient_cg"),
             "missing thermal.transient_cg"
         );
-        let ir_event = match engine.config().solver {
-            SolverBackend::Cg => "pdn.ir_cg",
-            SolverBackend::Mgcg => "pdn.ir_mgcg",
-            SolverBackend::Auto | SolverBackend::Direct => "pdn.ir_direct",
-        };
+        let ir_event = pdn::IR_SITES.of(engine.config().solver);
         assert!(names.iter().any(|n| n == ir_event), "missing {ir_event}");
     }
 

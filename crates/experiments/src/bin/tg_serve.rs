@@ -28,6 +28,10 @@
 //! tallies land on stderr (`serve: scenarios=… hits=… misses=…`) and,
 //! under `--telemetry=<dir>`, as `serve.*` counters in the trace: a
 //! warm batch proves "zero engine executions" via `serve.misses` = 0.
+//!
+//! A line that cannot be read (an I/O error, invalid UTF-8) ends the
+//! input: the answers already accepted are delivered, then `error:`
+//! names the file and line and the process exits 2.
 
 use experiments::context::{count_flag, ExpOptions};
 use experiments::service::{
@@ -38,8 +42,9 @@ use experiments::telemetry::TelemetryCtx;
 use simkit::telemetry::manifest::RunManifest;
 use simkit::units::Seconds;
 use std::io::{self, BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use thermogater::EngineConfig;
 
 const USAGE: &str = "\
@@ -164,7 +169,7 @@ fn main() {
     let counters = ServeCounters::default();
     let base = opts.engine_config();
 
-    let malformed = match &batch_file {
+    let (malformed, read_error) = match &batch_file {
         Some(path) => run_batch_mode(path, &opts, &cache, &ctx, &counters, &base, queue),
         None => run_stdin_loop(&opts, &cache, &ctx, &counters, &base),
     };
@@ -172,8 +177,36 @@ fn main() {
     eprintln!("serve: {}", counters.summary());
     if malformed > 0 {
         eprintln!("serve: {malformed} malformed request line(s) skipped");
+    }
+    if let Some(e) = &read_error {
+        eprintln!("error: {e}");
+    }
+    if malformed > 0 || read_error.is_some() {
         std::process::exit(2);
     }
+}
+
+/// The lines of `reader` up to the first one that cannot be read; that
+/// failure, naming `source` and the line number, goes into `error`.
+fn readable_lines<'a>(
+    reader: impl BufRead + 'a,
+    source: &'a Path,
+    error: &'a OnceLock<String>,
+) -> impl Iterator<Item = String> + 'a {
+    reader
+        .lines()
+        .enumerate()
+        .map_while(move |(i, line)| match line {
+            Ok(line) => Some(line),
+            Err(e) => {
+                let _ = error.set(format!(
+                    "cannot read {} line {}: {e}",
+                    source.display(),
+                    i + 1
+                ));
+                None
+            }
+        })
 }
 
 fn run_batch_mode(
@@ -184,18 +217,18 @@ fn run_batch_mode(
     counters: &ServeCounters,
     base: &EngineConfig,
     queue: Option<usize>,
-) -> u64 {
+) -> (u64, Option<String>) {
     let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("error: cannot open batch file {}: {e}", path.display());
         std::process::exit(2);
     });
-    let reader = io::BufReader::new(file);
     let malformed = AtomicU64::new(0);
+    let read_error = OnceLock::new();
     // Lazy request parsing: the executor's bounded queue pulls lines
     // from the file only as workers free up, so a huge batch file never
     // materializes in memory.
-    let specs = reader.lines().filter_map(|line| {
-        let line = line.expect("read batch file line");
+    let lines = readable_lines(io::BufReader::new(file), path, &read_error);
+    let specs = lines.filter_map(|line| {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return None;
@@ -235,7 +268,7 @@ fn run_batch_mode(
     if let Some(ctx) = ctx {
         finish_manifest(ctx, counters, cells, opts, "batch", batch.threads);
     }
-    malformed.load(Ordering::Relaxed)
+    (malformed.load(Ordering::Relaxed), read_error.into_inner())
 }
 
 fn run_stdin_loop(
@@ -244,12 +277,12 @@ fn run_stdin_loop(
     ctx: &Option<TelemetryCtx>,
     counters: &ServeCounters,
     base: &EngineConfig,
-) -> u64 {
+) -> (u64, Option<String>) {
     let stdin = io::stdin();
     let mut malformed = 0u64;
     let mut cells = Vec::new();
-    for line in stdin.lock().lines() {
-        let line = line.expect("read stdin request");
+    let read_error = OnceLock::new();
+    for line in readable_lines(stdin.lock(), Path::new("stdin"), &read_error) {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -281,5 +314,5 @@ fn run_stdin_loop(
     if let Some(ctx) = ctx {
         finish_manifest(ctx, counters, cells, opts, "stdin", 1);
     }
-    malformed
+    (malformed, read_error.into_inner())
 }

@@ -59,12 +59,16 @@ impl ExpOptions {
     ///
     /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
     /// solver backend, rather than silently running under `Auto`, and
-    /// when `--threads=` or `--frames=` is not a non-negative integer.
+    /// when `--threads=`, `--frames=`, `SIMKIT_THREADS` or
+    /// `SIMKIT_FRAMES` is not a non-negative integer.
     pub fn from_args() -> Self {
         if let Err(e) = SolverBackend::from_env() {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
+        // Read again by `resolved_threads`; checked here so that a typo
+        // fails loudly instead of falling back to every core.
+        count_env("SIMKIT_THREADS");
         let quick =
             std::env::args().any(|a| a == "--quick") || std::env::var("THERMOGATER_QUICK").is_ok();
         let tiny = std::env::args().any(|a| a == "--tiny");
@@ -73,11 +77,8 @@ impl ExpOptions {
         let telemetry = std::env::args()
             .find_map(|a| a.strip_prefix("--telemetry=").map(PathBuf::from))
             .or_else(|| std::env::var("SIMKIT_TELEMETRY").ok().map(PathBuf::from));
-        let frames = count_flag("--frames=").or_else(|| {
-            std::env::var("SIMKIT_FRAMES")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        });
+        // The variable is checked even when the flag overrides it.
+        let frames = count_flag("--frames=").or(count_env("SIMKIT_FRAMES"));
         let live = std::env::args().any(|a| a == "--live") || std::env::var("SIMKIT_LIVE").is_ok();
         ExpOptions {
             quick,
@@ -209,6 +210,20 @@ pub fn count_flag(prefix: &str) -> Option<usize> {
         Ok(n) => Some(n),
         Err(_) => {
             eprintln!("error: {prefix}<n> expects a non-negative integer, got `{value}`");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value of environment variable `name`, `None` when it is unset;
+/// exits the process with status 2 when it is not a non-negative
+/// integer.
+fn count_env(name: &str) -> Option<usize> {
+    let value = std::env::var_os(name)?;
+    match value.to_str().and_then(|v| v.trim().parse().ok()) {
+        Some(n) => Some(n),
+        None => {
+            eprintln!("error: {name} expects a non-negative integer, got {value:?}");
             std::process::exit(2);
         }
     }

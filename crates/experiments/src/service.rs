@@ -15,7 +15,9 @@
 //!   first line is a versioned header carrying the schema and hash and
 //!   whose second line is the lossless `{:e}` CSV record; a header or
 //!   body mismatch invalidates loudly (stderr + `serve.invalid`
-//!   counter) instead of silently serving stale data.
+//!   counter) instead of silently serving stale data. Entries are
+//!   written to a temporary file and renamed into place, so a reader
+//!   sharing the directory sees no entry or a whole one.
 //! * [`run_batch`] — a sharded executor that streams arbitrarily large
 //!   scenario batches through bounded memory: a bounded work queue
 //!   with backpressure (the feeder blocks when `queue_cap` scenarios
@@ -130,8 +132,14 @@ impl ScenarioCache {
     /// `<dir>/<bench>-<policy>-<hash:016x>.csv`. The label prefix is
     /// redundant with the hash but keeps the directory humane to `ls`.
     pub fn path(&self, spec: &ScenarioSpec) -> PathBuf {
-        self.dir
-            .join(format!("{}-{:016x}.csv", spec.label(), spec.content_hash()))
+        self.entry_path(spec, spec.content_hash())
+    }
+
+    /// [`ScenarioCache::path`] for the hash of `spec`, which the caller
+    /// already holds: hashing every config field costs more than the
+    /// write itself.
+    fn entry_path(&self, spec: &ScenarioSpec, hash: u64) -> PathBuf {
+        self.dir.join(format!("{}-{hash:016x}.csv", spec.label()))
     }
 
     fn header(hash: u64) -> String {
@@ -175,7 +183,12 @@ impl ScenarioCache {
         CacheLookup::Hit(record)
     }
 
-    /// Writes `record` as the entry for `spec` (header + CSV line).
+    /// Writes `record` as the entry for `spec` (header + CSV line),
+    /// atomically: the text goes to a temporary file in the cache
+    /// directory (unique per process and store), which is then renamed
+    /// over the entry. A concurrent [`ScenarioCache::load`], in this
+    /// process or another, sees the old entry or the new one, never a
+    /// torn write.
     ///
     /// # Panics
     ///
@@ -183,14 +196,18 @@ impl ScenarioCache {
     /// cannot be written — a sweep without a working cache would
     /// silently re-simulate everything forever.
     pub fn store(&self, spec: &ScenarioSpec, record: &SweepRecord) -> PathBuf {
+        static STORES: AtomicU64 = AtomicU64::new(0);
         fs::create_dir_all(&self.dir).expect("create scenario cache directory");
-        let path = self.path(spec);
-        let text = format!(
-            "{}\n{}\n",
-            Self::header(spec.content_hash()),
-            record.to_csv()
-        );
-        fs::write(&path, text).expect("write scenario cache entry");
+        let hash = spec.content_hash();
+        let path = self.entry_path(spec, hash);
+        let text = format!("{}\n{}\n", Self::header(hash), record.to_csv());
+        let tmp = self.dir.join(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            STORES.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::write(&tmp, text).expect("write scenario cache entry");
+        fs::rename(&tmp, &path).expect("move scenario cache entry into place");
         path
     }
 }
@@ -668,6 +685,48 @@ mod tests {
         fs::create_dir_all(cache.dir()).unwrap();
         fs::write(cache.path(&s), text).unwrap();
         assert!(matches!(cache.load(&s), CacheLookup::Invalid(_)));
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_and_loads_never_see_a_torn_entry() {
+        let cache = temp_cache("atomic");
+        let s = spec();
+        // Records of different lengths, so a torn write would show as a
+        // short or mixed body.
+        let records = [
+            record(),
+            SweepRecord {
+                max_noise_pct: None,
+                emergency_fraction: None,
+                r_squared: Some(0.123_456_789),
+                ..record()
+            },
+        ];
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..400 {
+                    cache.store(&s, &records[i % 2]);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut loads = 0;
+            while !done.load(Ordering::SeqCst) || loads == 0 {
+                match cache.load(&s) {
+                    CacheLookup::Invalid(why) => panic!("torn entry after {loads} loads: {why}"),
+                    CacheLookup::Hit(r) => assert!(records.contains(&r)),
+                    CacheLookup::Miss => {}
+                }
+                loads += 1;
+            }
+        });
+        let names: Vec<String> = fs::read_dir(cache.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 1, "temporary files left behind: {names:?}");
+        assert!(cache.path(&s).ends_with(&names[0]));
         let _ = fs::remove_dir_all(cache.dir());
     }
 }

@@ -949,7 +949,9 @@ fn mgcg_matches_cg(
     geometry: simkit::linalg::multigrid::GridGeometry,
     b: &[f64],
 ) -> Result<(), String> {
-    use simkit::linalg::{multigrid::MultigridPreconditioner, CgWorkspace, Preconditioner};
+    use simkit::linalg::{
+        multigrid::MultigridPreconditioner, solve_cg, CgWorkspace, Preconditioner,
+    };
     let n = a.rows();
     let x_cg = a
         .solve_cg(b, None, 1e-12, 40 * n.max(1))
@@ -959,7 +961,7 @@ fn mgcg_matches_cg(
     debug_assert_eq!(mg.dim(), n);
     let mut x = vec![0.0; n];
     let mut ws = CgWorkspace::new();
-    a.solve_cg_with(b, &mut x, &mg, &mut ws, 1e-12, 40 * n.max(1))
+    solve_cg(a, b, &mut x, &mg, &mut ws, 1e-12, 40 * n.max(1))
         .map_err(|e| format!("{tag}: mgcg solve failed: {e}"))?;
     let diff = vec_ops::max_abs_diff(&x_cg, &x);
     let scale = x_cg.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
@@ -1132,7 +1134,7 @@ fn stencil_matches_csr(
     let pre = JacobiPreconditioner::new(csr).map_err(|e| format!("{tag}: {e}"))?;
     let mut ws = CgWorkspace::new();
     let mut x_csr = vec![0.0; n];
-    csr.solve_cg_with(x, &mut x_csr, &pre, &mut ws, 1e-12, 40 * n.max(1))
+    solve_cg(csr, x, &mut x_csr, &pre, &mut ws, 1e-12, 40 * n.max(1))
         .map_err(|e| format!("{tag}: CSR CG failed: {e}"))?;
     let mut x_op = vec![0.0; n];
     solve_cg(op, x, &mut x_op, &pre, &mut ws, 1e-12, 40 * n.max(1))

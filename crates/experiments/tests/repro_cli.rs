@@ -1,6 +1,7 @@
 //! End-to-end tests of the `repro` binary on the artefacts that need no
-//! simulation: `--quiet` prints exactly the summary table, and an
-//! unknown id or flag is a usage error (exit 2) that lists the ids.
+//! simulation: `--quiet` prints exactly the summary table, an unknown
+//! id or flag is a usage error (exit 2) that lists the ids, and so is a
+//! malformed count in the environment.
 
 use experiments::repro::{ARTEFACTS, SUMMARY_HEADER};
 use std::process::{Command, Output};
@@ -50,4 +51,30 @@ fn unknown_ids_and_flags_exit_2_and_list_the_ids() {
     }
     let out = repro(&["fig01", "--threads=abc"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn malformed_count_env_vars_exit_2_and_name_the_variable() {
+    for (var, value) in [
+        ("SIMKIT_THREADS", "abc"),
+        ("SIMKIT_THREADS", "-1"),
+        ("SIMKIT_FRAMES", "x"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["fig01", "--quiet"])
+            .env(var, value)
+            .output()
+            .expect("repro runs");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {err}");
+        assert!(out.stdout.is_empty(), "{var}={value}");
+        assert!(err.starts_with("error: ") && err.contains(var), "{err}");
+    }
+    // A well-formed value still runs.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig01", "--quiet"])
+        .env("SIMKIT_THREADS", " 2 ")
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success());
 }

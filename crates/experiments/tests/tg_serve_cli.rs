@@ -3,7 +3,8 @@
 //! cache alone), the stdin loop answers interactively, override keys
 //! change the scenario hash, malformed requests are skipped loudly
 //! with a non-zero exit, and usage errors (a missing batch file, a
-//! malformed count flag) exit 2 instead of panicking.
+//! malformed count flag, an unreadable line) exit 2 instead of
+//! panicking.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -145,4 +146,52 @@ fn usage_errors_exit_2_without_panicking() {
         assert!(!err.contains("panicked"), "{flag}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unreadable_batch_line_stops_the_batch_with_exit_2() {
+    let dir = temp_dir("unreadable");
+    let cache = dir.join("cache");
+    let batch = dir.join("requests.txt");
+    // Line 2 is not UTF-8; line 3 is never read.
+    std::fs::write(&batch, b"fft allon\nfft \xff\xfe allon\nfft oract\n").unwrap();
+    let cache_arg = format!("--cache={}", cache.display());
+    let batch_arg = format!("--batch={}", batch.display());
+    let out = tg_serve(&[batch_arg.as_str(), cache_arg.as_str(), "--tiny", "--quiet"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(
+        err.contains("error: cannot read") && err.contains("requests.txt line 2"),
+        "stderr: {err}"
+    );
+    // The request accepted before the bad line is still answered.
+    assert_eq!(stdout(&out).lines().count(), 1, "stdout: {}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unreadable_stdin_line_stops_the_loop_with_exit_2() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tg-serve"))
+        .args(["--tiny", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tg-serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"stats\n\xff\nstats\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("tg-serve exits");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(
+        err.contains("error: cannot read stdin line 2"),
+        "stderr: {err}"
+    );
+    assert_eq!(stdout(&out).lines().count(), 1, "stdout: {}", stdout(&out));
 }

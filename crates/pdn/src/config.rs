@@ -40,9 +40,10 @@ pub struct PdnConfig {
     ///
     /// Constructors default this to [`SolverBackend::env_default`]
     /// (`SIMKIT_SOLVER` override, else [`SolverBackend::Auto`]). `Auto`
-    /// and `Direct` factor each domain's grid once and refactor only when
-    /// a gating change patches the matrix values; `Cg` and `Mgcg` solve
-    /// iteratively with the Jacobi or multigrid preconditioner.
+    /// resolves to `Direct`. Each domain keeps one solver (factor,
+    /// hierarchy or Jacobi diagonal), built on its first solve and
+    /// refreshed only when its active-regulator set changes; `Cg` and
+    /// `Mgcg` solve iteratively, warm-started while the set is unchanged.
     pub solver: SolverBackend,
 }
 

@@ -3,15 +3,21 @@
 use crate::config::PdnConfig;
 use floorplan::{DomainId, Floorplan, VrId};
 use simkit::linalg::{
-    CgWorkspace, CsrMatrix, GridGeometry, JacobiPreconditioner, LdltFactor, LdltWorkspace,
-    MultigridPreconditioner, SolveStats, SolverBackend, TripletBuilder,
+    CsrMatrix, GridGeometry, SolveSites, SolveStats, SolverBackend, SpdSolver, SpdWorkspace,
+    TripletBuilder,
 };
 use simkit::perf::SolverAgg;
 use simkit::units::Watts;
 use simkit::{Error, Result};
 use std::sync::Mutex;
-use std::time::Instant;
 use vreg::GatingState;
+
+/// Telemetry sites of the IR-drop solves.
+pub const IR_SITES: SolveSites = SolveSites {
+    cg: "pdn.ir_cg",
+    mgcg: "pdn.ir_mgcg",
+    direct: "pdn.ir_direct",
+};
 
 /// Result of one static IR-drop analysis.
 #[derive(Debug, Clone)]
@@ -23,10 +29,10 @@ pub struct IrReport {
     vdd: f64,
     /// Aggregate over the per-domain solves that produced the report.
     solve: SolverAgg,
-    /// Solver family that produced the report (`"direct"` or `"cg"`).
-    backend: &'static str,
-    /// Wall-clock spent factoring / refactoring domain matrices, seconds
-    /// (zero on the iterative path and on factor-cache hits).
+    /// Solver family that produced the report.
+    backend: SolverBackend,
+    /// Wall-clock spent building or refreshing domain solvers, seconds
+    /// (zero when every domain's active-regulator set repeats).
     factor_seconds: f64,
     /// Wall-clock spent in the triangular / iterative solves, seconds.
     solve_seconds: f64,
@@ -87,13 +93,21 @@ impl IrReport {
         self.solve
     }
 
-    /// Solver family that produced the report: `"direct"` or `"cg"`.
+    /// Solver family that produced the report: `"direct"`, `"cg"` or
+    /// `"mgcg"`.
     pub fn backend(&self) -> &'static str {
-        self.backend
+        self.backend.name()
     }
 
-    /// Wall-clock spent factoring domain matrices, seconds (zero on the
-    /// iterative path and when every factor cache hit).
+    /// The telemetry site of the solves behind the report
+    /// ([`IR_SITES`]).
+    pub fn site(&self) -> &'static str {
+        IR_SITES.of(self.backend)
+    }
+
+    /// Wall-clock spent building or refreshing domain solvers (factor,
+    /// hierarchy or Jacobi diagonal), seconds; zero when every domain's
+    /// active-regulator set repeats.
     pub fn factor_seconds(&self) -> f64 {
         self.factor_seconds
     }
@@ -125,32 +139,32 @@ struct DomainGrid {
 }
 
 /// Per-domain solver scratch, reused across [`PdnModel::ir_drop`] calls:
-/// the patched conductance matrix, its preconditioner, the load/solution
-/// vectors, the CG workspace, and (on the direct path) the cached LDLᵀ
-/// factorization keyed by the matrix values it was computed from.
+/// the patched conductance matrix, its solver, the load/solution vectors
+/// and the solver workspace.
+///
+/// The matrix and its solver are keyed by the active-regulator count per
+/// diagonal slot (regulators sharing a cell share its slot), which fixes
+/// the patched values exactly. While a key repeats, nothing is patched
+/// or refreshed: a factor is reused as is, and CG warm-starts from the
+/// previous IR solution (consecutive decision windows mostly re-solve
+/// one configuration with similar loads, which cuts cold ~2 050-iteration
+/// solves to a handful). A new key patches the values, refreshes the
+/// solver (a numeric `refactor`; the symbolic structure survives) and
+/// restarts CG from zero.
 #[derive(Debug, Clone)]
 struct DomainScratch {
     matrix: CsrMatrix,
-    pre: JacobiPreconditioner,
     i_load: Vec<f64>,
     volts: Vec<f64>,
-    cg: CgWorkspace,
-    /// Cached factorization of `matrix`; the symbolic structure survives
-    /// gating changes (only values are patched), so later gating states
-    /// pay a numeric `refactor` and repeated states pay nothing.
-    ldlt: Option<LdltFactor>,
-    /// Matrix values `ldlt` was factored from — the cache key.
-    ldlt_values: Vec<f64>,
-    ldlt_ws: LdltWorkspace,
-    /// Multigrid hierarchy for the mgcg backend (values-only `update`
-    /// across gating changes).
-    mg: Option<MultigridPreconditioner>,
-    /// Matrix values the iterative preconditioner (Jacobi or multigrid)
-    /// was last refreshed from. Doubles as the warm-start key: while the
-    /// gating set — and therefore the patched values — is unchanged,
-    /// `volts` carries the previous IR solution into the next solve
-    /// instead of restarting CG from zero.
-    warm_values: Vec<f64>,
+    ws: SpdWorkspace,
+    /// The solver of `matrix`, built on the domain's first solve.
+    solver: Option<SpdSolver>,
+    /// The diagonal slots of the active regulators that `matrix` and
+    /// `solver` hold, sorted: each slot appears once per active
+    /// regulator on it. Empty until the first solve.
+    key: Vec<usize>,
+    /// The key of the gating state being solved.
+    next_key: Vec<usize>,
 }
 
 /// Totals accumulated by [`PdnModel::solve_domains`] across the domains.
@@ -158,7 +172,6 @@ struct DomainSolveTotals {
     total_current: f64,
     factor_seconds: f64,
     solve_seconds: f64,
-    backend: &'static str,
 }
 
 impl DomainGrid {
@@ -167,6 +180,40 @@ impl DomainGrid {
         let j = cell / self.nx;
         (i as f64 * self.cell_mm, j as f64 * self.cell_mm)
     }
+
+    /// Writes the sorted diagonal slots of `gating`'s active regulators
+    /// into `key` (the solver key of [`DomainScratch`]) and returns how
+    /// many there are.
+    fn active_key(&self, gating: &GatingState, key: &mut Vec<usize>) -> usize {
+        key.clear();
+        key.extend(
+            self.vr_entries
+                .iter()
+                .filter(|&&(vid, _)| gating.is_on(vid))
+                .map(|&(_, k)| k),
+        );
+        key.sort_unstable();
+        key.len()
+    }
+
+    /// Writes the sheet conductances into `values`, then adds each
+    /// active regulator's low-impedance path to the supply onto its
+    /// cell's diagonal.
+    fn patch(&self, gating: &GatingState, g_vr: f64, values: &mut [f64]) {
+        values.copy_from_slice(self.base.values());
+        for &(vid, k) in &self.vr_entries {
+            if gating.is_on(vid) {
+                values[k] += g_vr;
+            }
+        }
+    }
+}
+
+/// The error for a domain whose regulators are all gated off.
+fn floating(domain: usize) -> Error {
+    Error::invalid_argument(format!(
+        "domain D{domain} has no active regulator; its grid is floating"
+    ))
 }
 
 /// The assembled PDN model of one chip.
@@ -176,6 +223,8 @@ impl DomainGrid {
 #[derive(Debug)]
 pub struct PdnModel {
     config: PdnConfig,
+    /// The IR backend, `Auto` resolved to direct at construction.
+    backend: SolverBackend,
     grids: Vec<DomainGrid>,
     /// Interior-mutable solver scratch: `ir_drop` keeps its `&self`
     /// signature while reusing buffers across calls. The mutex keeps the
@@ -190,6 +239,7 @@ impl Clone for PdnModel {
     fn clone(&self) -> Self {
         PdnModel {
             config: self.config.clone(),
+            backend: self.backend,
             grids: self.grids.clone(),
             scratch: Mutex::new(
                 self.scratch
@@ -330,19 +380,19 @@ impl PdnModel {
                 let n = grid.nx * grid.ny;
                 DomainScratch {
                     matrix: grid.base.clone(),
-                    pre: JacobiPreconditioner::default(),
                     i_load: vec![0.0; n],
                     volts: vec![0.0; n],
-                    cg: CgWorkspace::with_size(n),
-                    ldlt: None,
-                    ldlt_values: Vec::new(),
-                    ldlt_ws: LdltWorkspace::new(),
-                    mg: None,
-                    warm_values: Vec::new(),
+                    ws: SpdWorkspace::default(),
+                    solver: None,
+                    key: Vec::new(),
+                    next_key: Vec::new(),
                 }
             })
             .collect();
         PdnModel {
+            // Cold IR solves at every gating state: `Auto` factors, and
+            // the symbolic analysis serves every state of a domain.
+            backend: config.solver.resolve(SolverBackend::Direct),
             config,
             grids,
             scratch: Mutex::new(scratch),
@@ -379,7 +429,7 @@ impl PdnModel {
             global_volts: totals.total_current * self.config.r_global_ohm,
             vdd: self.config.vdd.get(),
             solve,
-            backend: totals.backend,
+            backend: self.backend,
             factor_seconds: totals.factor_seconds,
             solve_seconds: totals.solve_seconds,
         })
@@ -434,18 +484,6 @@ impl PdnModel {
         }
         let vdd = self.config.vdd.get();
         let g_vr = 1.0 / self.config.r_vr_ohm;
-        // The IR systems are solved cold at every gating state, so `Auto`
-        // resolves to the direct path immediately: the symbolic analysis
-        // is shared across all gating states of a domain and a repeated
-        // state skips even the numeric refactor (the per-domain grids sit
-        // far below the multigrid crossover, so `Auto` never picks mgcg
-        // here).
-        let use_mgcg = matches!(self.config.solver, SolverBackend::Mgcg);
-        let use_direct = matches!(
-            self.config.solver,
-            SolverBackend::Auto | SolverBackend::Direct
-        );
-
         let mut scratches = self
             .scratch
             .lock()
@@ -454,113 +492,49 @@ impl PdnModel {
             total_current: 0.0,
             factor_seconds: 0.0,
             solve_seconds: 0.0,
-            backend: if use_direct {
-                "direct"
-            } else if use_mgcg {
-                "mgcg"
-            } else {
-                "cg"
-            },
         };
         for (d, (grid, scratch)) in self.grids.iter().zip(scratches.iter_mut()).enumerate() {
             let n = grid.nx * grid.ny;
-            let DomainScratch {
-                matrix,
-                pre,
-                i_load,
-                volts,
-                cg,
-                ldlt,
-                ldlt_values,
-                ldlt_ws,
-                mg,
-                warm_values,
-            } = scratch;
             // Load currents.
-            i_load.iter_mut().for_each(|v| *v = 0.0);
+            scratch.i_load.iter_mut().for_each(|v| *v = 0.0);
             for (block, cover) in &grid.block_cells {
                 let amps = block_powers[*block].get().max(0.0) / vdd;
                 totals.total_current += amps;
                 for &(cell, fraction) in cover {
-                    i_load[cell] += amps * fraction;
+                    scratch.i_load[cell] += amps * fraction;
                 }
             }
-            // Refresh the cached matrix: sheet conductances from the base
-            // pattern, then the active regulators' low-impedance paths to
-            // the supply patched onto their diagonal slots.
-            matrix.values_mut().copy_from_slice(grid.base.values());
-            let mut active = 0;
-            for &(vid, k) in &grid.vr_entries {
-                if gating.is_on(vid) {
-                    matrix.values_mut()[k] += g_vr;
-                    active += 1;
-                }
+            if grid.active_key(gating, &mut scratch.next_key) == 0 {
+                return Err(floating(d));
             }
-            if active == 0 {
-                return Err(Error::invalid_argument(format!(
-                    "domain D{d} has no active regulator; its grid is floating"
-                )));
-            }
-            let stats = if use_direct {
-                let fresh = match ldlt {
-                    Some(f) => f.order() != n,
-                    None => true,
-                };
-                let stale = fresh || ldlt_values.as_slice() != matrix.values();
-                if stale {
-                    let t = Instant::now();
-                    match ldlt {
-                        Some(f) if !fresh => f.refactor(matrix)?,
-                        _ => *ldlt = Some(LdltFactor::new(matrix)?),
+            if scratch.key != scratch.next_key {
+                // Stale until the refresh below succeeds.
+                scratch.key.clear();
+                grid.patch(gating, g_vr, scratch.matrix.values_mut());
+                totals.factor_seconds += match &mut scratch.solver {
+                    Some(solver) => solver.refresh(&scratch.matrix)?,
+                    None => {
+                        let geometry = GridGeometry::new(grid.nx, grid.ny, 1, 0);
+                        let (solver, factor_s) =
+                            SpdSolver::build(self.backend, &scratch.matrix, geometry)?;
+                        scratch.solver = Some(solver);
+                        factor_s
                     }
-                    ldlt_values.clear();
-                    ldlt_values.extend_from_slice(matrix.values());
-                    totals.factor_seconds += t.elapsed().as_secs_f64();
-                }
-                let factor = ldlt.as_ref().expect("factored above");
-                let t = Instant::now();
-                factor.solve_into(i_load, volts, ldlt_ws)?;
-                totals.solve_seconds += t.elapsed().as_secs_f64();
-                LdltFactor::stats_for(matrix, i_load, volts)
-            } else {
-                // Warm start: while the gating set (and therefore the
-                // patched matrix values) is unchanged, the previous IR
-                // solution is an excellent initial guess — consecutive
-                // decision windows mostly re-solve the same configuration
-                // with similar loads, which cuts the cold ~2050-iteration
-                // solves to a handful (BENCH.md). A gating change resets
-                // both the preconditioner and the start vector.
-                if warm_values.as_slice() != matrix.values() {
-                    let t = Instant::now();
-                    if use_mgcg {
-                        match mg {
-                            Some(m) => m.update(matrix)?,
-                            None => {
-                                *mg = Some(MultigridPreconditioner::new(
-                                    matrix,
-                                    GridGeometry::new(grid.nx, grid.ny, 1, 0),
-                                )?)
-                            }
-                        }
-                    } else {
-                        pre.update(matrix)?;
-                    }
-                    totals.factor_seconds += t.elapsed().as_secs_f64();
-                    warm_values.clear();
-                    warm_values.extend_from_slice(matrix.values());
-                    volts.iter_mut().for_each(|v| *v = 0.0);
-                }
-                let t = Instant::now();
-                let stats = if use_mgcg {
-                    let mg = mg.as_ref().expect("hierarchy built above");
-                    matrix.solve_cg_with(i_load, volts, mg, cg, 1e-9, 10 * n)?
-                } else {
-                    matrix.solve_cg_with(i_load, volts, pre, cg, 1e-9, 10 * n)?
                 };
-                totals.solve_seconds += t.elapsed().as_secs_f64();
-                stats
-            };
-            visit(d, matrix, i_load, volts, stats);
+                std::mem::swap(&mut scratch.key, &mut scratch.next_key);
+                scratch.volts.iter_mut().for_each(|v| *v = 0.0);
+            }
+            let solver = scratch.solver.as_ref().expect("built on the first solve");
+            let (stats, solve_s) = solver.solve(
+                &scratch.matrix,
+                &scratch.i_load,
+                &mut scratch.volts,
+                &mut scratch.ws,
+                1e-9,
+                10 * n,
+            )?;
+            totals.solve_seconds += solve_s;
+            visit(d, &scratch.matrix, &scratch.i_load, &scratch.volts, stats);
         }
         Ok(totals)
     }
@@ -588,21 +562,11 @@ impl PdnModel {
             });
         }
         let grid = &self.grids[domain.0];
+        if !grid.vr_entries.iter().any(|&(vid, _)| gating.is_on(vid)) {
+            return Err(floating(domain.0));
+        }
         let mut matrix = grid.base.clone();
-        let g_vr = 1.0 / self.config.r_vr_ohm;
-        let mut active = 0;
-        for &(vid, k) in &grid.vr_entries {
-            if gating.is_on(vid) {
-                matrix.values_mut()[k] += g_vr;
-                active += 1;
-            }
-        }
-        if active == 0 {
-            return Err(Error::invalid_argument(format!(
-                "domain D{} has no active regulator; its grid is floating",
-                domain.0
-            )));
-        }
+        grid.patch(gating, 1.0 / self.config.r_vr_ohm, matrix.values_mut());
         Ok(matrix)
     }
 
@@ -895,66 +859,38 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_cg_backends_agree() {
+    fn iterative_backends_agree_with_direct() {
+        use simkit::linalg::SolverBackend::{Cg, Direct, Mgcg};
         let chip = power8_like();
-        let direct = PdnModel::new(
-            &chip,
-            PdnConfig {
-                solver: simkit::linalg::SolverBackend::Direct,
-                ..PdnConfig::default()
-            },
-        );
-        let cg = PdnModel::new(
-            &chip,
-            PdnConfig {
-                solver: simkit::linalg::SolverBackend::Cg,
-                ..PdnConfig::default()
-            },
-        );
+        let model = |solver| {
+            PdnModel::new(
+                &chip,
+                PdnConfig {
+                    solver,
+                    ..PdnConfig::default()
+                },
+            )
+        };
         let powers = uniform_powers(&chip, 1.5);
         let mut gating = GatingState::all_on(chip.vr_sites().len());
         for &v in chip.domains()[0].vrs().iter().skip(4) {
             gating.set(v, false).unwrap();
         }
-        let a = direct.ir_drop(&gating, &powers).unwrap();
-        let b = cg.ir_drop(&gating, &powers).unwrap();
+        let a = model(Direct).ir_drop(&gating, &powers).unwrap();
         assert_eq!(a.backend(), "direct");
-        assert_eq!(b.backend(), "cg");
-        for d in chip.domains() {
-            let gap = (a.domain_volts(d.id()) - b.domain_volts(d.id())).abs();
-            assert!(gap < 1e-8, "domain {} direct vs cg gap {gap}", d.name());
-        }
-        assert_eq!(a.global_volts(), b.global_volts());
-    }
-
-    #[test]
-    fn mgcg_backend_agrees_with_direct() {
-        let chip = power8_like();
-        let direct = PdnModel::new(
-            &chip,
-            PdnConfig {
-                solver: simkit::linalg::SolverBackend::Direct,
-                ..PdnConfig::default()
-            },
-        );
-        let mgcg = PdnModel::new(
-            &chip,
-            PdnConfig {
-                solver: simkit::linalg::SolverBackend::Mgcg,
-                ..PdnConfig::default()
-            },
-        );
-        let powers = uniform_powers(&chip, 1.5);
-        let mut gating = GatingState::all_on(chip.vr_sites().len());
-        for &v in chip.domains()[0].vrs().iter().skip(4) {
-            gating.set(v, false).unwrap();
-        }
-        let a = direct.ir_drop(&gating, &powers).unwrap();
-        let b = mgcg.ir_drop(&gating, &powers).unwrap();
-        assert_eq!(b.backend(), "mgcg");
-        for d in chip.domains() {
-            let gap = (a.domain_volts(d.id()) - b.domain_volts(d.id())).abs();
-            assert!(gap < 1e-8, "domain {} direct vs mgcg gap {gap}", d.name());
+        for backend in [Cg, Mgcg] {
+            let b = model(backend).ir_drop(&gating, &powers).unwrap();
+            assert_eq!(b.backend(), backend.name());
+            assert_eq!(b.site(), IR_SITES.of(backend));
+            for d in chip.domains() {
+                let gap = (a.domain_volts(d.id()) - b.domain_volts(d.id())).abs();
+                assert!(
+                    gap < 1e-8,
+                    "domain {} direct vs {backend} gap {gap}",
+                    d.name()
+                );
+            }
+            assert_eq!(a.global_volts(), b.global_volts());
         }
     }
 

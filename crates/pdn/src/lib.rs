@@ -57,5 +57,5 @@ pub mod transient;
 
 pub use config::PdnConfig;
 pub use emergency::{EmergencyDetector, EmergencyPredictor};
-pub use grid::{IrReport, PdnModel};
+pub use grid::{IrReport, PdnModel, IR_SITES};
 pub use noise::{NoiseAnalyzer, NoiseReport, WindowInputs};

@@ -242,13 +242,8 @@ impl NoiseAnalyzer {
         };
         if self.telemetry.is_enabled() {
             let solve = report.ir_solve;
-            let event = match ir.backend() {
-                "direct" => "pdn.ir_direct",
-                "mgcg" => "pdn.ir_mgcg",
-                _ => "pdn.ir_cg",
-            };
             self.telemetry.solve_timed(
-                event,
+                ir.site(),
                 solve.iterations as usize,
                 solve.max_residual,
                 ir.backend(),

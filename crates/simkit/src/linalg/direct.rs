@@ -3,9 +3,8 @@
 //!
 //! The iterative solvers in [`super`] pay O(iterations · nnz) per solve.
 //! When the same matrix — or the same sparsity pattern with patched
-//! values — is solved thousands of times (transient thermal stepping,
-//! per-domain PDN IR drop inside the noise loop, steady-state feedback
-//! iterations), a direct method amortises one factorization into
+//! values — is solved thousands of times (per-domain PDN IR drop inside
+//! the noise loop), a direct method amortises one factorization into
 //! O(nnz(L)) triangular solves. This module provides that path with no
 //! external dependencies:
 //!
@@ -27,36 +26,34 @@
 //! the thermal, PDN, and engine layers, and the `SIMKIT_SOLVER`
 //! environment variable overrides it globally.
 
-use super::{CsrMatrix, SolveStats};
+use super::CsrMatrix;
 use crate::error::{Error, Result};
 
 /// Solver family used for the SPD systems in the thermal and PDN models.
 ///
-/// `Auto` defers the choice to the call site's measured break-even policy
-/// (see DESIGN.md §11 and BENCH.md):
+/// Each call site resolves `Auto` once, when its model is built (see
+/// DESIGN.md §11 and [`SolverBackend::resolve`]):
 ///
-/// * PDN domain solves factor immediately — the ungated IR systems are
+/// * steady thermal solves take multigrid-CG at
+///   [`MGCG_MIN_NODES`](crate::linalg::multigrid::MGCG_MIN_NODES) nodes
+///   and more, Jacobi-CG below;
+/// * PDN domain solves factor: the ungated IR systems are
 ///   ill-conditioned enough that cold CG needs thousands of iterations,
 ///   and the factor is reused across every gating state via
-///   [`LdltFactor::refactor`];
-/// * thermal steady-state scratches count solves and switch to the
-///   direct path once [`DIRECT_BREAK_EVEN`] solves have gone through the
-///   same matrix;
-/// * thermal transient steppers pin warm-started CG: at simulation time
-///   steps the `C/Δt` diagonal dominates the stencil couplings, so a
-///   warm iterative step converges in a handful of iterations and beats
-///   streaming the full factor through a triangular solve.
+///   [`LdltFactor::refactor`].
 ///
-/// The thermal transient stepper is the same warm-started Jacobi-CG under
-/// every backend; the backend governs steady and PDN solves.
+/// The built solver ([`SpdSolver`](crate::linalg::SpdSolver)) lives with
+/// the thermal model or the PDN domain. The thermal transient stepper
+/// is the same warm-started Jacobi-CG under every backend; the backend
+/// governs steady and PDN solves.
 ///
 /// The `SIMKIT_SOLVER` environment variable (`auto | direct | cg | mgcg`)
 /// overrides the configured value everywhere a config constructor
 /// consults [`SolverBackend::env_default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
-    /// Pick per call site: direct where measurement says factoring wins
-    /// (PDN, steady solves past break-even), warm iterative otherwise.
+    /// Let the call site pick: multigrid-CG or Jacobi-CG by grid size
+    /// for steady thermal solves, direct for PDN solves.
     #[default]
     Auto,
     /// Sparse LDLᵀ factorization with cached symbolic structure.
@@ -70,21 +67,16 @@ pub enum SolverBackend {
     Mgcg,
 }
 
-/// Break-even solve count for [`SolverBackend::Auto`]: a scratch that has
-/// carried this many iterative solves of one fixed matrix factors it and
-/// switches to the direct path.
-///
-/// Calibrated by measurement on the 32×32 thermal conductance matrix
-/// (n = 2049, see BENCH.md): a factorization costs ≈29 ms — dominated by
-/// the fill-reducing ordering, the numeric pass is ≈2.7 ms — while one
-/// steady CG solve costs ≈1.35 ms and one triangular solve ≈0.15 ms, so
-/// the factor pays for itself after ≈29 / (1.35 − 0.15) ≈ 24 further
-/// solves. A matrix solved fewer times than this stays on the iterative
-/// path; long leakage-feedback loops and oracle preview sweeps clear the
-/// threshold and get the ≈9× per-solve speedup.
-pub const DIRECT_BREAK_EVEN: usize = 24;
-
 impl SolverBackend {
+    /// This backend, with [`SolverBackend::Auto`] replaced by `auto`:
+    /// each call site states what `Auto` means for its systems.
+    pub fn resolve(self, auto: SolverBackend) -> SolverBackend {
+        match self {
+            SolverBackend::Auto => auto,
+            pinned => pinned,
+        }
+    }
+
     /// Parses a backend name as accepted by `SIMKIT_SOLVER`.
     pub fn parse(text: &str) -> Option<Self> {
         match text.trim().to_ascii_lowercase().as_str() {
@@ -463,20 +455,9 @@ impl LdltFactor {
         Ok(())
     }
 
-    /// Dimension of the factored system.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Stored nonzeros in the strictly lower triangle of L.
     pub fn lnz(&self) -> usize {
         self.lp[self.n]
-    }
-
-    /// The fill-reducing permutation (`perm[k]` = original index
-    /// eliminated at step `k`).
-    pub fn perm(&self) -> &[usize] {
-        &self.perm
     }
 
     /// Solves `A·x = b` through the factorization: permute, forward
@@ -542,16 +523,6 @@ impl LdltFactor {
             self.solve_into(bc, xc, ws)?;
         }
         Ok(())
-    }
-
-    /// [`SolveStats`] for a completed direct solve: one "iteration" and
-    /// the true relative residual (one extra matrix pass) so direct and
-    /// iterative backends aggregate into the same solver profiles.
-    pub fn stats_for(matrix: &CsrMatrix, b: &[f64], x: &[f64]) -> SolveStats {
-        SolveStats {
-            iterations: 1,
-            residual: matrix.relative_residual(b, x),
-        }
     }
 }
 

@@ -7,17 +7,16 @@
 //! steady-state solves and for backward-Euler transient steps warm-started
 //! from the previous step.
 //!
-//! For hot loops that must not allocate, [`CsrMatrix::solve_cg_with`]
+//! For hot loops that must not allocate, the one CG, [`solve_cg`],
 //! takes a [`CgWorkspace`] and a pre-built preconditioner. Build them once
-//! per matrix, then solve thousands of times with zero heap traffic.
-//! Underneath is one CG, [`solve_cg`], generic over a [`LinearOperator`]
-//! as well as the preconditioner: a CSR matrix is one operator, and a
-//! matrix-free stencil that never stores its matrix (the thermal grid's)
-//! is another.
+//! per matrix, then solve thousands of times with zero heap traffic. It is
+//! generic over a [`LinearOperator`] as well as the preconditioner: a CSR
+//! matrix is one operator, and a matrix-free stencil that never stores its
+//! matrix (the thermal grid's) is another.
 //!
-//! For systems that are solved many times with a fixed sparsity pattern —
-//! per-domain PDN IR drop, steady-state feedback loops — the [`direct`]
-//! submodule adds a dependency-free sparse
+//! For systems that are solved many times with a fixed sparsity pattern
+//! (per-domain PDN IR drop), the [`direct`] submodule adds a
+//! dependency-free sparse
 //! LDLᵀ factorization ([`LdltFactor`]) with a fill-reducing minimum-degree
 //! ordering, a values-only [`LdltFactor::refactor`] fast path, and
 //! allocation-free triangular solves. For grids one to two orders of
@@ -28,14 +27,17 @@
 //! grid-size independent; CG is generic over the [`Preconditioner`]
 //! trait, so both preconditioners share one solver. [`SolverBackend`]
 //! names the solver families so higher layers (thermal, PDN, engine
-//! configs) can select one or defer to the break-even
-//! [`SolverBackend::Auto`] policy.
+//! configs) can select one or leave it to each call site's `Auto` rule,
+//! and [`SpdSolver`] is the one type that builds, refreshes and applies
+//! whichever family a call site resolved to.
 
 pub mod direct;
 pub mod multigrid;
+mod spd;
 
-pub use direct::{LdltFactor, LdltWorkspace, SolverBackend, DIRECT_BREAK_EVEN};
+pub use direct::{LdltFactor, LdltWorkspace, SolverBackend};
 pub use multigrid::{GridGeometry, MultigridPreconditioner};
+pub use spd::{SolveSites, SpdSolver, SpdWorkspace};
 
 use crate::error::{Error, Result};
 
@@ -502,32 +504,8 @@ impl CsrMatrix {
             Some(seed) if seed.len() == self.rows => seed.to_vec(),
             _ => vec![0.0; self.rows],
         };
-        self.solve_cg_with(b, &mut x, &pre, &mut ws, tolerance, max_iter)?;
+        solve_cg(self, b, &mut x, &pre, &mut ws, tolerance, max_iter)?;
         Ok(x)
-    }
-
-    /// Allocation-free preconditioned conjugate gradient: `x` carries the
-    /// initial guess in and the solution out, the preconditioner is built
-    /// once per matrix, and all scratch vectors live in `ws` (grown on
-    /// first use, reused afterwards). Returns the iteration count and
-    /// final relative residual as [`SolveStats`]. The CSR case of
-    /// [`solve_cg`]; see there for the stopping rule.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::DimensionMismatch`] — `b`, `x`, or the preconditioner
-    ///   does not match `rows`;
-    /// * [`Error::NonConverged`] — tolerance not met in `max_iter`.
-    pub fn solve_cg_with<P: Preconditioner + ?Sized>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        pre: &P,
-        ws: &mut CgWorkspace,
-        tolerance: f64,
-        max_iter: usize,
-    ) -> Result<SolveStats> {
-        solve_cg(self, b, x, pre, ws, tolerance, max_iter)
     }
 
     /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a candidate solution,
@@ -553,7 +531,7 @@ impl CsrMatrix {
 }
 
 /// A symmetric-positive-definite preconditioner `M ≈ A` applied as
-/// `z ← M⁻¹·r` inside [`CsrMatrix::solve_cg_with`].
+/// `z ← M⁻¹·r` inside [`solve_cg`].
 ///
 /// CG is generic over this trait: [`JacobiPreconditioner`] (diagonal
 /// scaling) and [`multigrid::MultigridPreconditioner`] (one geometric
@@ -585,11 +563,15 @@ pub trait Preconditioner {
 
 impl Preconditioner for JacobiPreconditioner {
     fn dim(&self) -> usize {
-        self.len()
+        self.inv_diag.len()
     }
 
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        JacobiPreconditioner::apply_into(self, r, z);
+        debug_assert_eq!(r.len(), self.inv_diag.len());
+        debug_assert_eq!(z.len(), self.inv_diag.len());
+        for ((z, r), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+            *z = r * d;
+        }
     }
 
     fn apply_dot(&self, r: &[f64], z: &mut [f64]) -> f64 {
@@ -634,6 +616,17 @@ pub trait LinearOperator {
     /// May panic (at least in debug builds) when `x` or `y` length
     /// differs from [`LinearOperator::dim`].
     fn apply_into(&self, x: &[f64], y: &mut [f64]);
+
+    /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a candidate solution:
+    /// what a direct solve reports. The default applies the operator
+    /// into a fresh buffer; [`CsrMatrix`] overrides it with its one-pass,
+    /// allocation-free [`CsrMatrix::relative_residual`].
+    fn relative_residual(&self, b: &[f64], x: &[f64]) -> f64 {
+        let mut r = vec![0.0; self.dim()];
+        self.apply_into(x, &mut r);
+        let (rr, bb) = residual_and_norms(b, &mut r);
+        rr.sqrt() / bb.sqrt().max(f64::MIN_POSITIVE)
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -643,6 +636,10 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.mul_vec_into(x, y);
+    }
+
+    fn relative_residual(&self, b: &[f64], x: &[f64]) -> f64 {
+        CsrMatrix::relative_residual(self, b, x)
     }
 }
 
@@ -717,7 +714,7 @@ fn update_and_norm(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f6
 }
 
 /// Preconditioned conjugate gradient on any [`LinearOperator`] — the one
-/// CG of this crate ([`CsrMatrix::solve_cg_with`] delegates here).
+/// CG of this crate.
 /// `x` carries the initial guess in and the solution out; every scratch
 /// vector lives in `ws`, so a warmed-up solve does not allocate.
 ///
@@ -885,32 +882,9 @@ impl JacobiPreconditioner {
         }
         Ok(())
     }
-
-    /// Dimension the preconditioner was built for.
-    pub fn len(&self) -> usize {
-        self.inv_diag.len()
-    }
-
-    /// Whether the preconditioner is empty (zero-dimensional).
-    pub fn is_empty(&self) -> bool {
-        self.inv_diag.is_empty()
-    }
-
-    /// `z ← M⁻¹·r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when lengths differ.
-    pub fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.inv_diag.len());
-        debug_assert_eq!(z.len(), self.inv_diag.len());
-        for i in 0..self.inv_diag.len() {
-            z[i] = r[i] * self.inv_diag[i];
-        }
-    }
 }
 
-/// Reusable scratch vectors for [`CsrMatrix::solve_cg_with`]. Grown on
+/// Reusable scratch vectors for [`solve_cg`]. Grown on
 /// first use and never shrunk, so a workspace threaded through a solve
 /// loop allocates only once.
 #[derive(Debug, Clone, Default)]
@@ -925,13 +899,6 @@ impl CgWorkspace {
     /// An empty workspace; buffers are sized on first solve.
     pub fn new() -> Self {
         CgWorkspace::default()
-    }
-
-    /// A workspace pre-sized for `n`-row systems.
-    pub fn with_size(n: usize) -> Self {
-        let mut ws = CgWorkspace::default();
-        ws.ensure(n);
-        ws
     }
 
     fn ensure(&mut self, n: usize) {
@@ -1173,9 +1140,7 @@ mod tests {
         let pre = JacobiPreconditioner::new(&m).unwrap();
         let mut ws = CgWorkspace::new();
         let mut x = vec![0.0; n];
-        let stats = m
-            .solve_cg_with(&b, &mut x, &pre, &mut ws, 1e-13, 1000)
-            .unwrap();
+        let stats = solve_cg(&m, &b, &mut x, &pre, &mut ws, 1e-13, 1000).unwrap();
         assert!(stats.iterations > 0);
         assert!(stats.residual.is_finite() && stats.residual <= 1e-13);
         assert!(vec_ops::max_abs_diff(&x, &baseline) < 1e-12);
@@ -1189,14 +1154,12 @@ mod tests {
         let pre = JacobiPreconditioner::new(&m).unwrap();
         let mut ws = CgWorkspace::new();
         let mut x = vec![0.0; n];
-        m.solve_cg_with(&b, &mut x, &pre, &mut ws, 1e-12, 1000)
-            .unwrap();
+        solve_cg(&m, &b, &mut x, &pre, &mut ws, 1e-12, 1000).unwrap();
         let cap = ws.min_capacity();
         assert!(cap >= n);
         for _ in 0..10 {
             x.iter_mut().for_each(|v| *v = 0.0);
-            m.solve_cg_with(&b, &mut x, &pre, &mut ws, 1e-12, 1000)
-                .unwrap();
+            solve_cg(&m, &b, &mut x, &pre, &mut ws, 1e-12, 1000).unwrap();
             assert_eq!(ws.min_capacity(), cap);
         }
     }

@@ -10,7 +10,7 @@
 //! 2:1-coarsened hierarchy of Galerkin operators `Aᶜ = R·A·P` handles
 //! the smooth remainder, so one V-cycle contracts the error by a
 //! grid-size-independent factor. Used as the [`Preconditioner`] of
-//! [`CsrMatrix::solve_cg_with`], it turns the hundreds-of-iterations
+//! [`solve_cg`](super::solve_cg), it turns the hundreds-of-iterations
 //! fine-grid solves into 10–20 iterations regardless of resolution
 //! (measured — BENCH.md).
 //!
@@ -50,9 +50,8 @@ const DEFAULT_BOTTOM_NODES: usize = 600;
 /// cached direct factorization and warm-started Jacobi-CG for repeated
 /// steady solves, measured on the thermal conductance system (grid
 /// scaling axis in BENCH.md: direct still wins at 64×64 ≈ 8k nodes,
-/// mgcg wins from ≈ 104×104 ≈ 22k nodes on). The `Auto` backend policy
-/// switches to mgcg at this threshold and keeps the PR-5 break-even
-/// behaviour below it.
+/// mgcg wins from ≈ 104×104 ≈ 22k nodes on). `Auto` steady thermal
+/// solves take mgcg at this node count and Jacobi-CG below it.
 pub const MGCG_MIN_NODES: usize = 16_000;
 
 /// Maps matrix rows onto stacked `nx × ny` grid layers plus trailing
@@ -137,7 +136,7 @@ struct Work {
 }
 
 /// Geometric multigrid V-cycle preconditioner for
-/// [`CsrMatrix::solve_cg_with`].
+/// [`solve_cg`](super::solve_cg).
 ///
 /// Build once per matrix with [`MultigridPreconditioner::new`]; when the
 /// matrix values change under a fixed pattern (the PDN's per-gating
@@ -273,11 +272,6 @@ impl MultigridPreconditioner {
         }
         self.bottom.factor.refactor(&self.bottom.a)?;
         Ok(())
-    }
-
-    /// The geometry of the finest level.
-    pub fn geometry(&self) -> GridGeometry {
-        self.geometry
     }
 
     /// Number of smoothed levels above the direct bottom solve (0 when
@@ -465,16 +459,16 @@ fn prolongation(fine: GridGeometry, coarse: GridGeometry) -> CsrMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::check::{self, CheckConfig, Checker};
-    use crate::linalg::{CgWorkspace, JacobiPreconditioner};
+    use crate::linalg::{solve_cg, CgWorkspace, JacobiPreconditioner};
 
     /// A grid Laplacian on `geometry` with per-node ground conductance
     /// `load` and unit couplings scaled by `conduct`; when the geometry
     /// has one extra node it becomes a dense "sink" row coupled to every
     /// layer-0 cell (the thermal heat-sink shape).
-    fn grid_laplacian(geometry: GridGeometry, conduct: &[f64], load: f64) -> CsrMatrix {
+    pub(crate) fn grid_laplacian(geometry: GridGeometry, conduct: &[f64], load: f64) -> CsrMatrix {
         let n = geometry.nodes();
         let mut b = TripletBuilder::new(n, n);
         let per_layer = geometry.nx * geometry.ny;
@@ -608,13 +602,19 @@ mod tests {
             let jac = JacobiPreconditioner::new(&matrix).map_err(|e| e.to_string())?;
             let mut ws = CgWorkspace::new();
             let mut x_mg = vec![0.0; n];
-            matrix
-                .solve_cg_with(&b, &mut x_mg, &mg, &mut ws, 1e-12, 50 * n.max(20))
+            solve_cg(&matrix, &b, &mut x_mg, &mg, &mut ws, 1e-12, 50 * n.max(20))
                 .map_err(|e| format!("mgcg solve failed: {e}"))?;
             let mut x_jac = vec![0.0; n];
-            matrix
-                .solve_cg_with(&b, &mut x_jac, &jac, &mut ws, 1e-12, 50 * n.max(20))
-                .map_err(|e| format!("jacobi solve failed: {e}"))?;
+            solve_cg(
+                &matrix,
+                &b,
+                &mut x_jac,
+                &jac,
+                &mut ws,
+                1e-12,
+                50 * n.max(20),
+            )
+            .map_err(|e| format!("jacobi solve failed: {e}"))?;
             let scale_x = x_jac.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             let diff = crate::linalg::vec_ops::max_abs_diff(&x_mg, &x_jac);
             check::ensure(diff <= 1e-8 * scale_x, || {
@@ -636,9 +636,7 @@ mod tests {
             let mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 64).unwrap();
             let mut ws = CgWorkspace::new();
             let mut x = vec![0.0; n];
-            let stats = matrix
-                .solve_cg_with(&b, &mut x, &mg, &mut ws, 1e-10, 10 * n)
-                .unwrap();
+            let stats = solve_cg(&matrix, &b, &mut x, &mg, &mut ws, 1e-10, 10 * n).unwrap();
             mg_iters.push(stats.iterations);
         }
         let spread = mg_iters.iter().max().unwrap() - mg_iters.iter().min().unwrap();
@@ -662,9 +660,7 @@ mod tests {
         // converges immediately.
         let b = vec![1.0; 16];
         let mut x = vec![0.0; 16];
-        let stats = matrix
-            .solve_cg_with(&b, &mut x, &mg, &mut CgWorkspace::new(), 1e-12, 10)
-            .unwrap();
+        let stats = solve_cg(&matrix, &b, &mut x, &mg, &mut CgWorkspace::new(), 1e-12, 10).unwrap();
         assert!(stats.iterations <= 2, "iterations {}", stats.iterations);
     }
 

@@ -119,10 +119,11 @@ pub struct ThermalConfig {
     ///
     /// Constructors default this to [`SolverBackend::env_default`]
     /// (`SIMKIT_SOLVER` override, else [`SolverBackend::Auto`]): under
-    /// `Auto`, steady scratches switch to the cached-LDLᵀ direct path
-    /// after the break-even solve count (or use multigrid-CG from the
-    /// first solve past the grid-size crossover). `Direct`, `Cg` and
-    /// `Mgcg` pin one steady path. Transient steppers use warm-started
+    /// `Auto`, steady solves take multigrid-CG at 16 000 nodes and more
+    /// (`MGCG_MIN_NODES`) and Jacobi-CG below. `Direct`, `Cg` and
+    /// `Mgcg` pin one steady path. The solver (factor or hierarchy) is
+    /// built once per [`ThermalModel`](crate::ThermalModel), on its
+    /// first steady solve. Transient steppers use warm-started
     /// Jacobi-CG under every backend: the `C/Δt`-dominated system makes
     /// an iterative step cheaper than a triangular solve (BENCH.md).
     pub solver: SolverBackend,

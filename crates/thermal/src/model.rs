@@ -7,15 +7,22 @@ use crate::state::ThermalState;
 use floorplan::{BlockId, Floorplan, VrId};
 use simkit::linalg::multigrid::MGCG_MIN_NODES;
 use simkit::linalg::{
-    solve_cg, CgWorkspace, CsrMatrix, GridGeometry, JacobiPreconditioner, LdltFactor,
-    LdltWorkspace, MultigridPreconditioner, Preconditioner, SolveStats, SolverBackend,
-    TripletBuilder, DIRECT_BREAK_EVEN,
+    solve_cg, CgWorkspace, CsrMatrix, GridGeometry, JacobiPreconditioner, SolveSites, SolveStats,
+    SolverBackend, SpdSolver, SpdWorkspace, TripletBuilder,
 };
 use simkit::perf::SolverAgg;
 use simkit::telemetry::Telemetry;
 use simkit::units::{Celsius, Seconds, Watts};
 use simkit::{Error, Result};
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Telemetry sites of the steady-state solves.
+const STEADY_SITES: SolveSites = SolveSites {
+    cg: "thermal.steady_cg",
+    mgcg: "thermal.steady_mgcg",
+    direct: "thermal.steady_direct",
+};
 
 /// The assembled compact thermal model of one chip.
 ///
@@ -30,15 +37,18 @@ pub struct ThermalModel {
     n_nodes: usize,
     /// Cell footprint area, m².
     cell_area: f64,
-    /// The assembled `G`, kept only where a matrix is needed: the
-    /// multigrid hierarchy, the LDLᵀ factor, `balance_residual` and
-    /// [`ThermalModel::conductance_matrix`]. CG applies `operator`.
+    /// The assembled `G`, kept only where a matrix is needed: building
+    /// the steady solver, `balance_residual` and
+    /// [`ThermalModel::conductance_matrix`]. Solves apply `operator`.
     conductance: CsrMatrix,
     /// `G` as a matrix-free stencil (`d = 0`).
     operator: ThermalOperator,
-    /// Jacobi preconditioner of `G`, built once at assembly and shared
-    /// by every steady-state solve.
-    conductance_pre: JacobiPreconditioner,
+    /// The steady-state backend, `Auto` resolved at construction.
+    steady_backend: SolverBackend,
+    /// The steady solver of `G` (Jacobi, multigrid hierarchy or LDLᵀ
+    /// factor): `G` is fixed for the model's lifetime, so it is built on
+    /// the first steady solve and shared by every later one.
+    steady: OnceLock<SpdSolver>,
     capacitance: Vec<f64>,
     g_convection: f64,
     /// Per block: `(silicon cell, fraction of block area)` covering it.
@@ -121,8 +131,14 @@ impl ThermalModel {
             g_vert_sp_sink,
             &conductance,
         );
-        let conductance_pre = JacobiPreconditioner::from_diagonal(operator.diagonal())
-            .expect("grid conductance matrix has a full diagonal");
+        // Past the multigrid crossover Jacobi-CG iteration counts track
+        // the grid diameter and LDLᵀ fill-in makes factoring prohibitive;
+        // below it Jacobi-CG wins (DESIGN.md §11–12).
+        let steady_backend = config.solver.resolve(if n_nodes >= MGCG_MIN_NODES {
+            SolverBackend::Mgcg
+        } else {
+            SolverBackend::Cg
+        });
 
         // --- Capacitances --------------------------------------------------
         let c_si = p.c_silicon * cell_area * p.t_silicon;
@@ -180,7 +196,8 @@ impl ThermalModel {
             cell_area,
             conductance,
             operator,
-            conductance_pre,
+            steady_backend,
+            steady: OnceLock::new(),
             capacitance,
             g_convection,
             block_cells,
@@ -192,9 +209,9 @@ impl ThermalModel {
     }
 
     /// Installs a telemetry handle; steady solves emit
-    /// `thermal.steady_cg` solve events and steppers created afterwards
-    /// emit per-step `thermal.transient_cg` solve events plus a
-    /// `thermal.max_silicon_c` hotspot gauge.
+    /// `thermal.steady_{cg,mgcg,direct}` solve events and steppers
+    /// created afterwards emit per-step `thermal.transient_cg` solve
+    /// events plus a `thermal.max_silicon_c` hotspot gauge.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -356,7 +373,7 @@ impl ThermalModel {
     /// from that state's current temperatures, with every scratch buffer
     /// caller-supplied — the allocation-free path for repeated solves
     /// (leakage feedback, per-decision oracle previews). Returns the
-    /// CG convergence statistics.
+    /// solve's convergence statistics (one iteration for a direct solve).
     ///
     /// # Errors
     ///
@@ -374,115 +391,39 @@ impl ThermalModel {
         debug_assert_eq!(state.raw().len(), self.n_nodes);
         scratch.rhs.resize(self.n_nodes, 0.0);
         self.rhs_into(power, &mut scratch.rhs);
-        let solves_so_far = scratch.solves;
-        scratch.solves += 1;
-        // Grid-size-aware backend policy. Below the measured multigrid
-        // crossover, the PR-5 break-even rule stands: the conductance
-        // matrix is fixed for the model's lifetime, so once a scratch has
-        // carried enough iterative solves to prove the system is solved
-        // repeatedly (leakage feedback, per-decision previews), one
-        // factorization amortises over every remaining solve. Past the
-        // crossover — where min-degree fill-in makes factoring the fine
-        // matrix prohibitively expensive and Jacobi-CG iteration counts
-        // track the grid diameter — Auto switches to multigrid-CG from
-        // the first solve (the hierarchy setup costs about one Jacobi-CG
-        // solve; see DESIGN.md §12).
-        let use_mgcg = match self.config.solver {
-            SolverBackend::Mgcg => true,
-            SolverBackend::Auto => self.n_nodes >= MGCG_MIN_NODES,
-            _ => false,
-        };
-        let use_direct = !use_mgcg
-            && match self.config.solver {
-                SolverBackend::Direct => true,
-                SolverBackend::Auto => solves_so_far >= DIRECT_BREAK_EVEN,
-                SolverBackend::Cg | SolverBackend::Mgcg => false,
-            };
-        if use_mgcg {
-            let setup_started = Instant::now();
-            let mut factor_s = 0.0;
-            let cached = scratch.mg.as_ref().is_some_and(|m| {
-                m.dim() == self.n_nodes && scratch.mg_values == self.conductance.values()
-            });
-            if !cached {
-                let mg = MultigridPreconditioner::new(&self.conductance, self.grid_geometry())?;
-                scratch.mg_values.clear();
-                scratch
-                    .mg_values
-                    .extend_from_slice(self.conductance.values());
-                scratch.mg = Some(mg);
-                factor_s = setup_started.elapsed().as_secs_f64();
-            }
-            let mg = scratch.mg.as_ref().expect("hierarchy built above");
-            let solve_started = Instant::now();
-            let stats = solve_cg(
-                &self.operator,
-                &scratch.rhs,
-                state.raw_mut(),
-                mg,
-                &mut scratch.cg,
-                1e-10,
-                20_000,
-            )?;
-            self.telemetry.solve_timed(
-                "thermal.steady_mgcg",
-                stats.iterations,
-                stats.residual,
-                "mgcg",
-                factor_s,
-                solve_started.elapsed().as_secs_f64(),
-            );
-            return Ok(stats);
+        let (solver, factor_s) = self.steady_solver()?;
+        let (stats, solve_s) = solver.solve(
+            &self.operator,
+            &scratch.rhs,
+            state.raw_mut(),
+            &mut scratch.ws,
+            1e-10,
+            20_000,
+        )?;
+        let backend = solver.backend();
+        self.telemetry.solve_timed(
+            STEADY_SITES.of(backend),
+            stats.iterations,
+            stats.residual,
+            backend.name(),
+            factor_s,
+            solve_s,
+        );
+        Ok(stats)
+    }
+
+    /// The steady solver of `G` with the seconds spent building it in
+    /// this call (zero once built).
+    fn steady_solver(&self) -> Result<(&SpdSolver, f64)> {
+        if let Some(solver) = self.steady.get() {
+            return Ok((solver, 0.0));
         }
-        if use_direct {
-            let factor_started = Instant::now();
-            let mut factor_s = 0.0;
-            let cached = scratch.ldlt.as_ref().is_some_and(|f| {
-                f.order() == self.n_nodes && scratch.ldlt_values == self.conductance.values()
-            });
-            if !cached {
-                let factor = LdltFactor::new(&self.conductance)?;
-                scratch.ldlt_values.clear();
-                scratch
-                    .ldlt_values
-                    .extend_from_slice(self.conductance.values());
-                scratch.ldlt = Some(factor);
-                factor_s = factor_started.elapsed().as_secs_f64();
-            }
-            let solve_started = Instant::now();
-            let factor = scratch.ldlt.as_ref().expect("factor built above");
-            factor.solve_into(&scratch.rhs, state.raw_mut(), &mut scratch.ldlt_ws)?;
-            let stats = LdltFactor::stats_for(&self.conductance, &scratch.rhs, state.raw());
-            self.telemetry.solve_timed(
-                "thermal.steady_direct",
-                stats.iterations,
-                stats.residual,
-                "direct",
-                factor_s,
-                solve_started.elapsed().as_secs_f64(),
-            );
-            Ok(stats)
-        } else {
-            let solve_started = Instant::now();
-            let stats = solve_cg(
-                &self.operator,
-                &scratch.rhs,
-                state.raw_mut(),
-                &self.conductance_pre,
-                &mut scratch.cg,
-                1e-10,
-                20_000,
-            )?;
-            self.telemetry.solve_timed(
-                "thermal.steady_cg",
-                stats.iterations,
-                stats.residual,
-                "cg",
-                0.0,
-                solve_started.elapsed().as_secs_f64(),
-            );
-            Ok(stats)
-        }
+        let (solver, factor_s) =
+            SpdSolver::build(self.steady_backend, &self.conductance, self.grid_geometry())?;
+        // Threads racing to the first solve each build; the first to
+        // store wins and the others' copies are dropped.
+        let _ = self.steady.set(solver);
+        Ok((self.steady.get().expect("stored above"), factor_s))
     }
 
     /// Iterates steady-state solves against a temperature-dependent power
@@ -590,32 +531,13 @@ pub struct FeedbackStats {
 }
 
 /// Reusable scratch buffers for repeated steady-state solves: the
-/// right-hand side, the CG workspace, and — once the
-/// [`SolverBackend::Auto`] break-even count is cleared or the backend is
-/// pinned to direct — the cached LDLᵀ factor of the conductance matrix
-/// with its solve workspace. Default-constructed empty; sized on first
+/// right-hand side and the solver workspace. The solver itself lives
+/// with the [`ThermalModel`]. Default-constructed empty; sized on first
 /// use and stable afterwards.
-///
-/// The factor cache is keyed by value comparison against the matrix it
-/// was built from, so a scratch accidentally reused across models
-/// rebuilds instead of solving the wrong system. Factor-cache lifetime
-/// equals the scratch lifetime: per engine in simulation runs, which is
-/// what keeps the parallel sweep executor's legs independent.
 #[derive(Debug, Clone, Default)]
 pub struct SteadyScratch {
     rhs: Vec<f64>,
-    cg: CgWorkspace,
-    /// Solves carried so far — the [`SolverBackend::Auto`] break-even counter.
-    solves: usize,
-    ldlt: Option<LdltFactor>,
-    /// Values of the matrix `ldlt` was factored from (cache key).
-    ldlt_values: Vec<f64>,
-    ldlt_ws: LdltWorkspace,
-    /// Multigrid hierarchy for the mgcg backend (and `Auto` past the
-    /// grid-size crossover), cached like the LDLᵀ factor.
-    mg: Option<MultigridPreconditioner>,
-    /// Values of the matrix `mg` was built from (cache key).
-    mg_values: Vec<f64>,
+    ws: SpdWorkspace,
 }
 
 impl SteadyScratch {
@@ -627,12 +549,7 @@ impl SteadyScratch {
     /// Smallest capacity across the always-used scratch buffers
     /// (allocation-stability probe for tests).
     pub fn min_capacity(&self) -> usize {
-        self.rhs.capacity().min(self.cg.min_capacity())
-    }
-
-    /// Whether the scratch currently holds a cached LDLᵀ factor.
-    pub fn has_factor(&self) -> bool {
-        self.ldlt.is_some()
+        self.rhs.capacity().min(self.ws.min_capacity())
     }
 }
 
@@ -744,7 +661,17 @@ mod tests {
     use super::*;
     use crate::map::PowerMap;
     use floorplan::reference::power8_like;
+    use simkit::linalg::{LdltFactor, LdltWorkspace};
     use simkit::units::Watts;
+
+    /// `watts` on every block of `chip`.
+    fn uniform<'m>(chip: &Floorplan, model: &'m ThermalModel, watts: f64) -> PowerMap<'m> {
+        let mut power = PowerMap::new(model);
+        for block in chip.blocks() {
+            power.add_block(block.id(), Watts::new(watts)).unwrap();
+        }
+        power
+    }
 
     fn setup() -> (floorplan::Floorplan, ThermalModel) {
         let chip = power8_like();
@@ -808,10 +735,7 @@ mod tests {
     #[test]
     fn transient_approaches_steady_state() {
         let (chip, model) = setup();
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.0)).unwrap();
-        }
+        let power = uniform(&chip, &model, 1.0);
         let steady = model.steady_state(&power).unwrap();
         // The sink's RC time constant is ~17 s; backward Euler is
         // unconditionally stable, so march 120 simulated seconds in 2 s
@@ -888,10 +812,7 @@ mod tests {
         let (chip, mut model) = setup();
         let (tel, sink) = Telemetry::recorder();
         model.set_telemetry(tel);
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.0)).unwrap();
-        }
+        let power = uniform(&chip, &model, 1.0);
         let mut stepper = model.stepper(Seconds::from_micros(100.0));
         let mut state = model.ambient_state();
         for _ in 0..3 {
@@ -904,10 +825,7 @@ mod tests {
         assert!(events.iter().any(|e| e.name == step_event));
         assert!(events.iter().any(|e| e.name == "thermal.max_silicon_c"));
         // Steady solves report through the same handle.
-        let mut scratch = SteadyScratch::new();
-        model
-            .steady_state_with_scratch(&power, &mut state, &mut scratch)
-            .unwrap();
+        model.steady_state(&power).unwrap();
         assert!(sink.events().iter().any(|e| e.name == "thermal.steady_cg"));
     }
 
@@ -996,14 +914,32 @@ mod tests {
                 for ((r, &c), &t) in rhs.iter_mut().zip(&model.capacitance).zip(reference.raw()) {
                     *r += c * (1.0 / dt.get()) * t;
                 }
-                csr.solve_cg_with(&rhs, reference.raw_mut(), &pre, &mut ws, 1e-13, 10 * n)
-                    .unwrap();
+                solve_cg(
+                    &csr,
+                    &rhs,
+                    reference.raw_mut(),
+                    &pre,
+                    &mut ws,
+                    1e-13,
+                    10 * n,
+                )
+                .unwrap();
                 stepper.step(&mut state, &power).unwrap();
             }
             let gap = reference.max_abs_difference(&state);
             assert!(gap <= 1e-9, "{nx}x{ny}: stencil vs CSR stepper {gap:e} °C");
             assert!(state.max_silicon().get() > model.ambient().get());
         }
+    }
+
+    /// The steady solve events a recorder has seen: `(site, factor_s)`.
+    fn steady_events(sink: &simkit::telemetry::MemorySink) -> Vec<(String, f64)> {
+        use simkit::telemetry::analyze::EventView;
+        let events = sink.events().into_iter();
+        let steady = events.filter(|e| e.name.starts_with("thermal.steady_"));
+        steady
+            .map(|e| (e.name.to_string(), e.num("factor_s").unwrap()))
+            .collect()
     }
 
     #[test]
@@ -1013,11 +949,10 @@ mod tests {
             solver: SolverBackend::Mgcg,
             ..ThermalConfig::coarse()
         };
-        let model = ThermalModel::new(&chip, config);
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.5)).unwrap();
-        }
+        let mut model = ThermalModel::new(&chip, config);
+        let (tel, sink) = Telemetry::recorder();
+        model.set_telemetry(tel);
+        let power = uniform(&chip, &model, 1.5);
         let reference = {
             let cg_model = ThermalModel::new(
                 &chip,
@@ -1039,7 +974,9 @@ mod tests {
         let second = model
             .steady_state_with_scratch(&power, &mut state, &mut scratch)
             .unwrap();
-        assert!(!scratch.has_factor());
+        let events = steady_events(&sink);
+        assert_eq!(events.len(), 2);
+        assert!(events.iter().all(|(site, _)| site == "thermal.steady_mgcg"));
         assert!(second.iterations <= first.iterations);
         // On the 32×32 model mgcg-CG must already beat Jacobi-CG's ~73
         // iterations by a wide margin (cold-start solve).
@@ -1051,69 +988,68 @@ mod tests {
     }
 
     #[test]
+    fn one_model_builds_its_steady_solver_once() {
+        // Each `steady_state` call brings a fresh scratch; the hierarchy
+        // or factor lives with the model, so only the first call builds it.
+        let (chip, cg_model) = setup();
+        for backend in [SolverBackend::Mgcg, SolverBackend::Direct] {
+            let config = ThermalConfig {
+                solver: backend,
+                ..ThermalConfig::coarse()
+            };
+            let mut model = ThermalModel::new(&chip, config);
+            let (tel, sink) = Telemetry::recorder();
+            model.set_telemetry(tel);
+            let power = uniform(&chip, &model, 1.0);
+            let first = model.steady_state(&power).unwrap();
+            let second = model.steady_state(&power).unwrap();
+            assert_eq!(first.max_abs_difference(&second), 0.0);
+            let reference = cg_model.steady_state(&power).unwrap();
+            assert!(reference.max_abs_difference(&first) < 1e-5, "{backend}");
+            let events = steady_events(&sink);
+            let site = STEADY_SITES.of(backend);
+            assert!(events.len() == 2 && events.iter().all(|e| e.0 == site));
+            let built = events.iter().filter(|&&(_, factor_s)| factor_s > 0.0);
+            assert_eq!(built.count(), 1, "{events:?}");
+            assert!(events[0].1 > 0.0, "{events:?}");
+        }
+    }
+
+    #[test]
     fn auto_selects_mgcg_only_past_the_grid_size_crossover() {
-        use simkit::linalg::multigrid::MGCG_MIN_NODES;
-        // The coarse test grid sits far below the crossover: Auto must
-        // keep the warm-CG → direct break-even behaviour there (covered
-        // by steady_auto_switches_to_direct_at_break_even) …
-        let coarse = ThermalConfig::coarse();
-        assert!(2 * coarse.nx * coarse.ny + 1 < MGCG_MIN_NODES);
-        // … while a ≥10×-finer grid clears it, so Auto picks multigrid
-        // from the first solve. Solve on a small-but-past-crossover grid
-        // to keep the test fast and verify the mgcg path engaged (no
-        // LDLᵀ factor, even past break-even solve counts).
-        let side = ((MGCG_MIN_NODES / 2) as f64).sqrt() as usize + 1;
         let chip = power8_like();
-        let config = ThermalConfig {
+        let solve_sites = |config: ThermalConfig| {
+            let mut model = ThermalModel::new(&chip, config);
+            let (tel, sink) = Telemetry::recorder();
+            model.set_telemetry(tel);
+            let power = uniform(&chip, &model, 1.0);
+            let mut scratch = SteadyScratch::new();
+            let mut state = model.ambient_state();
+            for _ in 0..3 {
+                model
+                    .steady_state_with_scratch(&power, &mut state, &mut scratch)
+                    .unwrap();
+            }
+            let sites: Vec<String> = steady_events(&sink).into_iter().map(|e| e.0).collect();
+            (model.node_count(), sites)
+        };
+        // The coarse test grid sits far below the crossover: Auto takes
+        // Jacobi-CG there …
+        let (nodes, sites) = solve_sites(ThermalConfig::coarse());
+        assert!(nodes < MGCG_MIN_NODES);
+        assert_eq!(sites, vec!["thermal.steady_cg"; 3]);
+        // … while a grid past it takes multigrid from the first solve,
+        // and never a direct factor. Solve on a small-but-past-crossover
+        // grid to keep the test fast.
+        let side = ((MGCG_MIN_NODES / 2) as f64).sqrt() as usize + 1;
+        let (nodes, sites) = solve_sites(ThermalConfig {
             nx: side,
             ny: side,
             solver: SolverBackend::Auto,
             ..ThermalConfig::standard()
-        };
-        let model = ThermalModel::new(&chip, config);
-        assert!(model.node_count() >= MGCG_MIN_NODES);
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.0)).unwrap();
-        }
-        let mut scratch = SteadyScratch::new();
-        let mut state = model.ambient_state();
-        for _ in 0..3 {
-            model
-                .steady_state_with_scratch(&power, &mut state, &mut scratch)
-                .unwrap();
-        }
-        assert!(scratch.mg.is_some(), "Auto did not engage multigrid");
-        assert!(!scratch.has_factor(), "Auto factored past the crossover");
-    }
-
-    #[test]
-    fn steady_auto_switches_to_direct_at_break_even() {
-        use simkit::linalg::DIRECT_BREAK_EVEN;
-        let chip = power8_like();
-        let config = ThermalConfig {
-            solver: SolverBackend::Auto,
-            ..ThermalConfig::coarse()
-        };
-        let model = ThermalModel::new(&chip, config);
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.0)).unwrap();
-        }
-        let reference = model.steady_state(&power).unwrap();
-        let mut scratch = SteadyScratch::new();
-        let mut state = model.ambient_state();
-        for solve in 1..=(DIRECT_BREAK_EVEN + 3) {
-            model
-                .steady_state_with_scratch(&power, &mut state, &mut scratch)
-                .unwrap();
-            assert_eq!(
-                scratch.has_factor(),
-                solve > DIRECT_BREAK_EVEN,
-                "factor presence wrong after solve {solve}"
-            );
-            assert!(reference.max_abs_difference(&state) < 1e-5);
-        }
+        });
+        assert!(nodes >= MGCG_MIN_NODES);
+        assert_eq!(sites, vec!["thermal.steady_mgcg"; 3], "Auto skipped mgcg");
     }
 
     #[test]
@@ -1143,10 +1079,7 @@ mod tests {
         // buffer after the first step: the rhs scratch capacity and the
         // state's own buffer address stay fixed across hundreds of steps.
         let (chip, model) = setup();
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.5)).unwrap();
-        }
+        let power = uniform(&chip, &model, 1.5);
         let mut stepper = model.stepper(Seconds::from_micros(20.0));
         let mut state = model.ambient_state();
         stepper.step(&mut state, &power).unwrap();
@@ -1162,10 +1095,7 @@ mod tests {
     #[test]
     fn steady_scratch_is_allocation_stable() {
         let (chip, model) = setup();
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(2.0)).unwrap();
-        }
+        let power = uniform(&chip, &model, 2.0);
         let mut state = model.ambient_state();
         let mut scratch = SteadyScratch::new();
         model
@@ -1184,16 +1114,10 @@ mod tests {
     #[test]
     fn warm_started_steady_solve_matches_cold_solve() {
         let (chip, model) = setup();
-        let mut power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            power.add_block(block.id(), Watts::new(1.0)).unwrap();
-        }
+        let power = uniform(&chip, &model, 1.0);
         let cold = model.steady_state(&power).unwrap();
         // Warm start from a very different state (a previous hot solve).
-        let mut hot_power = PowerMap::new(&model);
-        for block in chip.blocks() {
-            hot_power.add_block(block.id(), Watts::new(4.0)).unwrap();
-        }
+        let hot_power = uniform(&chip, &model, 4.0);
         let mut state = model.steady_state(&hot_power).unwrap();
         let mut scratch = SteadyScratch::new();
         model
