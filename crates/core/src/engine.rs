@@ -28,10 +28,7 @@
 //! differ only in input quality — sensor delay, demand forecast, and
 //! calibration — matching the paper's Orac/Prac design.
 
-use crate::policy::{
-    actuation_level, gating_from_rankings, rank_regulators, GovernorConfig, IntegralController,
-    PolicyInputs, PolicyKind,
-};
+use crate::policy::{gating_from_rankings, rank_regulators, PolicyInputs, PolicyKind};
 use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
@@ -91,9 +88,6 @@ pub struct EngineConfig {
     pub frame_every: usize,
     /// Maximum edge of the downsampled thermal frame (cells per axis).
     pub frame_grid: usize,
-    /// Closed-loop governor configuration (setpoints, gain adaptation)
-    /// used by the `Integral*` policies; inert for every other policy.
-    pub governor: GovernorConfig,
     /// Master seed for every stochastic element.
     pub seed: u64,
 }
@@ -117,7 +111,6 @@ impl EngineConfig {
             profiling_decisions: 10,
             frame_every: 0,
             frame_grid: 16,
-            governor: GovernorConfig::standard(),
             seed: 0x7468_6572_6D6F,
         }
     }
@@ -169,7 +162,6 @@ impl EngineConfig {
         self.thermal.config_fields("thermal.", &mut out);
         self.pdn.config_fields("pdn.", &mut out);
         self.tech.config_fields("tech.", &mut out);
-        self.governor.config_fields("governor.", &mut out);
         out
     }
 
@@ -724,10 +716,7 @@ impl<'c> SimulationEngine<'c> {
         let profiling_acts = self.steps_from_trace(trace, n_dec);
         span.finish();
         perf.add("trace", t.elapsed_seconds());
-        let calibration = if policy.uses_thermal_ranking()
-            && policy != PolicyKind::Naive
-            && !policy.is_closed_loop()
-        {
+        let calibration = if policy.needs_predictor() {
             let t = Timer::start();
             let span = self.telemetry.span("engine.calibrate");
             let cal = self.calibrate_predictor_inner(&profiling_acts, n_dec)?;
@@ -785,16 +774,11 @@ impl<'c> SimulationEngine<'c> {
             .collect();
 
         // Predictor: practical policies get the profiled θ; thermal
-        // oracles drive the same linear model with perfect inputs. The
-        // closed-loop governors rank by raw sensed temperatures and need
-        // no θ calibration.
-        let needs_predictor = policy.uses_thermal_ranking()
-            && policy != PolicyKind::Naive
-            && !policy.is_closed_loop();
+        // oracles drive the same linear model with perfect inputs.
         let (predictor, r_squared) = match calibration {
             Some(Some((p, r2))) => (Some(p), Some(r2)),
             Some(None) => (None, None),
-            None if needs_predictor => {
+            None if policy.needs_predictor() => {
                 let t = Timer::start();
                 let span = self.telemetry.span("engine.calibrate");
                 let (p, r2) = self.calibrate_predictor_spec(spec)?;
@@ -820,13 +804,6 @@ impl<'c> SimulationEngine<'c> {
         let mut sensors = ThermalSensorArray::new(n_vrs, cfg.sensor_latency, cfg.thermal_step);
         sensors.record(&self.vr_temperatures(&state, &vr_losses));
         let mut forecaster = DomainPowerForecaster::new(n_domains);
-        // Closed-loop governors: one integral controller per domain,
-        // stepped once per decision. Absent for every other policy.
-        let mut governors: Option<Vec<IntegralController>> = policy.is_closed_loop().then(|| {
-            (0..n_domains)
-                .map(|_| IntegralController::new(cfg.governor))
-                .collect()
-        });
         let mut emergency_predictor =
             EmergencyPredictor::new(cfg.predictor_accuracy, cfg.seed ^ spec.seed());
         let detector = EmergencyDetector::new();
@@ -894,7 +871,7 @@ impl<'c> SimulationEngine<'c> {
             let currents_next = self.domain_currents(&block_powers_next);
 
             // --- n_on per domain --------------------------------------
-            let mut n_on: Vec<usize> = self
+            let n_on: Vec<usize> = self
                 .chip
                 .domains()
                 .iter()
@@ -911,64 +888,6 @@ impl<'c> SimulationEngine<'c> {
                     bank.required_active(demand)
                 })
                 .collect();
-
-            // --- Closed-loop governor override ------------------------
-            // The efficiency `n_on` becomes the *floor*; each domain's
-            // integral controller spends its remaining cap headroom on
-            // extra active regulators (u = 0 → floor, u = 1 → all on).
-            if let Some(ctls) = governors.as_mut() {
-                let sensed = sensors.read();
-                let mut u_sum = 0.0f64;
-                let mut gain_sum = 0.0f64;
-                let mut max_abs_error = 0.0f64;
-                for (d, domain) in self.chip.domains().iter().enumerate() {
-                    let (setpoint, measurement) = if policy == PolicyKind::IntegralT {
-                        // Hottest sensed VR of the domain.
-                        let hottest = domain
-                            .vrs()
-                            .iter()
-                            .map(|&v| sensed[v.0])
-                            .fold(f64::MIN, f64::max);
-                        (cfg.governor.temp_setpoint_c, hottest)
-                    } else {
-                        // Delivered power: load plus the conversion loss
-                        // of the previously applied active set.
-                        let prev_active = match decisions.last() {
-                            Some(prev) => prev.gating.active_among(domain.vrs()).max(1),
-                            None => domain.vr_count(),
-                        };
-                        let load = currents_now[d] * vdd.get();
-                        let loss = if currents_now[d] > 0.0 {
-                            self.banks[d]
-                                .total_loss(
-                                    simkit::units::Amps::new(currents_now[d]),
-                                    prev_active,
-                                    vdd,
-                                )?
-                                .get()
-                        } else {
-                            0.0
-                        };
-                        (cfg.governor.power_cap_w, load + loss)
-                    };
-                    let u = ctls[d].step(setpoint, measurement);
-                    n_on[d] = actuation_level(u, n_on[d], domain.vr_count());
-                    u_sum += u;
-                    gain_sum += ctls[d].gain();
-                    max_abs_error = max_abs_error.max((setpoint - measurement).abs());
-                }
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .event(EventKind::Gauge, "engine.governor")
-                        .field_u64("decision", k as u64)
-                        // The rollup value is the mean control output;
-                        // gain and tracking error ride along as fields.
-                        .field_f64("value", u_sum / n_domains as f64)
-                        .field_f64("mean_gain", gain_sum / n_domains as f64)
-                        .field_f64("max_abs_error", max_abs_error)
-                        .emit();
-                }
-            }
 
             // --- Thermal ranking inputs -------------------------------
             let true_temps = self.vr_temperatures(&state, &vr_losses);
@@ -989,9 +908,6 @@ impl<'c> SimulationEngine<'c> {
                         .collect();
                     self.anticipated_temps(&sensed, p, &forecast, &n_on, &vr_losses)
                 }
-                // Closed-loop governors rank by the same delayed sensor
-                // readings their controllers measure — no predictor.
-                PolicyKind::IntegralT | PolicyKind::IntegralP => sensors.read(),
                 _ => true_temps.clone(),
             };
 
@@ -1592,30 +1508,6 @@ mod tests {
         let engine = SimulationEngine::new(&chip, tiny_config());
         let (_pred, r2) = engine.calibrate_predictor(Benchmark::LuNcb).unwrap();
         assert!(r2 > 0.9, "R² {r2}");
-    }
-
-    #[test]
-    fn integral_governor_runs_produce_sane_metrics() {
-        let chip = power8_like();
-        let engine = SimulationEngine::new(&chip, tiny_config());
-        for policy in PolicyKind::CLOSED_LOOP {
-            let r = engine.run(Benchmark::LuNcb, policy).unwrap();
-            assert_eq!(r.decisions().len(), 3, "{policy}");
-            let t = r.max_temperature().get();
-            assert!(
-                t.is_finite() && t > 45.0 && t < 120.0,
-                "{policy}: T_max {t}"
-            );
-            assert!(r.mean_efficiency() > 0.5 && r.mean_efficiency() < 1.0);
-            assert!(r.max_noise_percent().is_some(), "{policy}");
-            // No θ calibration for the closed-loop family.
-            assert!(r.predictor_r_squared().is_none(), "{policy}");
-            for d in r.decisions() {
-                for (dom, &n) in chip.domains().iter().zip(&d.n_on) {
-                    assert!(n >= 1 && n <= dom.vr_count(), "{policy}: n_on {n}");
-                }
-            }
-        }
     }
 
     #[test]

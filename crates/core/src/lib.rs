@@ -64,10 +64,7 @@ mod sensor;
 pub use aging::{AgingModel, AgingReport};
 pub use engine::{EngineConfig, SimulationEngine};
 pub use frames::FrameRecorder;
-pub use policy::{
-    actuation_level, adaptive_gain, gating_from_rankings, rank_regulators, select_gating,
-    GovernorConfig, IntegralController, PolicyInputs, PolicyKind,
-};
+pub use policy::{gating_from_rankings, rank_regulators, select_gating, PolicyInputs, PolicyKind};
 pub use predictor::{DomainPowerForecaster, ThermalPredictor};
 pub use result::{DecisionRecord, SimulationResult};
 pub use sensor::ThermalSensorArray;

@@ -1,4 +1,4 @@
-//! The gating policies of the paper, plus the closed-loop governors.
+//! The gating policies of the paper.
 //!
 //! Every viable policy first receives the number of active regulators
 //! each Vdd-domain needs to sustain peak conversion efficiency (`n_on`,
@@ -6,22 +6,12 @@
 //! bank). Policies only differ in *which* `n_on` regulators they select —
 //! by a thermal ranking, by a noise-proximity ranking, or with an
 //! emergency overlay — exactly the structure of Section 6.2.
-//!
-//! Beyond the paper's eight, the `Integral*` family closes the loop:
-//! a per-domain adjustable-gain integral controller (Rao/Wardi-style
-//! temperature regulation, Chen/Wardi-style power regulation) regulates
-//! a configurable cap by *raising* `n_on` above the efficiency floor —
-//! spending thermal or power headroom on voltage-noise margin — and
-//! shedding back to the floor when the cap is threatened. The controller
-//! state lives in [`IntegralController`]; the enum variant stays a
-//! stateless tag like every other policy.
 
 use floorplan::Floorplan;
 use simkit::{Error, Result};
 use vreg::GatingState;
 
-/// The eight gating policies evaluated in the paper, extended with the
-/// closed-loop integral governors (`IntegralT`, `IntegralP`).
+/// The eight gating policies evaluated in the paper.
 ///
 /// Deliberately *not* `#[non_exhaustive]`: downstream matches (policy
 /// cache tags, report columns) must break at compile time when a
@@ -52,16 +42,6 @@ pub enum PolicyKind {
     /// PracT plus a ~90 %-accurate voltage-emergency predictor driving
     /// per-domain all-on.
     PracVT,
-    /// Closed-loop governor: per-domain adjustable-gain integral control
-    /// of the domain's hottest sensed VR temperature against a
-    /// configurable cap. Spends thermal headroom on extra active
-    /// regulators (noise margin), sheds back to the efficiency floor when
-    /// the cap is threatened.
-    IntegralT,
-    /// Closed-loop governor: per-domain adjustable-gain integral control
-    /// of the domain's delivered power (load + conversion loss) against a
-    /// configurable cap.
-    IntegralP,
 }
 
 impl PolicyKind {
@@ -77,26 +57,7 @@ impl PolicyKind {
         PolicyKind::OffChip,
     ];
 
-    /// The closed-loop governors added on top of the paper's eight.
-    pub const CLOSED_LOOP: [PolicyKind; 2] = [PolicyKind::IntegralT, PolicyKind::IntegralP];
-
-    /// Every policy: the paper's eight followed by the closed-loop
-    /// governors.
-    pub const EXTENDED: [PolicyKind; 10] = [
-        PolicyKind::Naive,
-        PolicyKind::OracT,
-        PolicyKind::OracV,
-        PolicyKind::OracVT,
-        PolicyKind::PracT,
-        PolicyKind::PracVT,
-        PolicyKind::AllOn,
-        PolicyKind::OffChip,
-        PolicyKind::IntegralT,
-        PolicyKind::IntegralP,
-    ];
-
-    /// The label used in the paper's figures (and the comparison tables
-    /// for the extended policies).
+    /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::AllOn => "all-on",
@@ -107,8 +68,6 @@ impl PolicyKind {
             PolicyKind::OracVT => "OracVT",
             PolicyKind::PracT => "PracT",
             PolicyKind::PracVT => "PracVT",
-            PolicyKind::IntegralT => "IntegralT",
-            PolicyKind::IntegralP => "IntegralP",
         }
     }
 
@@ -127,15 +86,26 @@ impl PolicyKind {
                 | PolicyKind::OracVT
                 | PolicyKind::PracT
                 | PolicyKind::PracVT
-                | PolicyKind::IntegralT
-                | PolicyKind::IntegralP
         )
     }
 
-    /// Whether the policy closes a feedback loop over the measured plant
-    /// (the `Integral*` governor family).
+    /// Whether the policy ranks by the linear ΔT = θ·ΔP predictor and so
+    /// needs a θ-calibration pass before its run: the thermal oracles
+    /// and the practical policies. `Naïve` ranks by the instantaneous
+    /// truth and needs none.
+    pub fn needs_predictor(self) -> bool {
+        matches!(
+            self,
+            PolicyKind::OracT | PolicyKind::OracVT | PolicyKind::PracT | PolicyKind::PracVT
+        )
+    }
+
+    /// Always `false`: no policy closes a feedback loop over the measured
+    /// plant. Kept only because the frozen benchmark's replay
+    /// (`benchmark/src/replay.rs`) still calls it; it goes when that
+    /// replay is deleted.
     pub fn is_closed_loop(self) -> bool {
-        matches!(self, PolicyKind::IntegralT | PolicyKind::IntegralP)
+        false
     }
 
     /// Whether the policy ranks regulators by noise proximity.
@@ -343,176 +313,6 @@ pub fn gating_from_rankings(
     Ok(state)
 }
 
-/// Configuration of the closed-loop integral governors.
-///
-/// One struct serves both family members: `IntegralT` regulates against
-/// `temp_setpoint_c`, `IntegralP` against `power_cap_w` (per domain).
-/// The gain is not a constant: following Rao/Wardi, the effective gain is
-/// adapted from a locally-estimated plant sensitivity so the *loop* gain
-/// stays near `base_gain` regardless of how strongly the plant responds
-/// to actuation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorConfig {
-    /// `IntegralT` setpoint: per-domain cap on the hottest sensed VR
-    /// temperature (°C).
-    pub temp_setpoint_c: f64,
-    /// `IntegralP` setpoint: per-domain cap on delivered power
-    /// (load + conversion loss, W).
-    pub power_cap_w: f64,
-    /// Nominal integral gain before sensitivity adaptation (per unit of
-    /// control error, per decision).
-    pub base_gain: f64,
-    /// Lower clamp on the adapted gain (keeps the loop live when the
-    /// sensitivity estimate is large).
-    pub min_gain: f64,
-    /// Upper clamp on the adapted gain (keeps the loop stable when the
-    /// sensitivity estimate is near zero).
-    pub max_gain: f64,
-    /// Floor on the |sensitivity| used for adaptation, preventing a
-    /// division blow-up while the estimate is still warming up.
-    pub sensitivity_floor: f64,
-    /// EMA coefficient (0..1] for the sensitivity estimator; higher
-    /// weighs recent observations more.
-    pub sensitivity_smoothing: f64,
-}
-
-impl GovernorConfig {
-    /// Defaults tuned for the power8-like reference chip: the temperature
-    /// cap sits above the passive steady state so headroom exists, and
-    /// the gain clamps keep one decision's worth of error from slewing
-    /// the actuation by more than ~10 %.
-    pub fn standard() -> Self {
-        GovernorConfig {
-            temp_setpoint_c: 85.0,
-            power_cap_w: 12.0,
-            base_gain: 0.05,
-            min_gain: 1e-3,
-            max_gain: 0.1,
-            sensitivity_floor: 0.5,
-            sensitivity_smoothing: 0.25,
-        }
-    }
-
-    /// Appends every field as canonical `(<prefix><name>, value)` pairs
-    /// for content hashing (floats render with `{:e}`).
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
-        for (name, value) in [
-            ("temp_setpoint_c", self.temp_setpoint_c),
-            ("power_cap_w", self.power_cap_w),
-            ("base_gain", self.base_gain),
-            ("min_gain", self.min_gain),
-            ("max_gain", self.max_gain),
-            ("sensitivity_floor", self.sensitivity_floor),
-            ("sensitivity_smoothing", self.sensitivity_smoothing),
-        ] {
-            out.push((format!("{prefix}{name}"), format!("{value:e}")));
-        }
-    }
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig::standard()
-    }
-}
-
-/// The adjustable-gain law: `base_gain / max(|sensitivity|, floor)`,
-/// clamped to `[min_gain, max_gain]`.
-///
-/// Monotone non-increasing in `|sensitivity|` — a plant that responds
-/// more strongly per unit of actuation gets a proportionally smaller
-/// gain, normalising the loop gain toward `base_gain`. A non-positive
-/// `base_gain` yields exactly zero (a frozen controller).
-pub fn adaptive_gain(cfg: &GovernorConfig, sensitivity: f64) -> f64 {
-    if cfg.base_gain <= 0.0 {
-        return 0.0;
-    }
-    let s = sensitivity
-        .abs()
-        .max(cfg.sensitivity_floor.max(f64::MIN_POSITIVE));
-    (cfg.base_gain / s).clamp(cfg.min_gain, cfg.max_gain)
-}
-
-/// Maps a normalised control output `u ∈ [0, 1]` onto an active-regulator
-/// count: `u = 0` keeps the efficiency floor (`floor`), `u = 1` turns the
-/// whole domain on (`total`). Monotone in `u`; the result is always in
-/// `[min(floor, total).max(1), total]`.
-pub fn actuation_level(u: f64, floor: usize, total: usize) -> usize {
-    let total = total.max(1);
-    let floor = floor.clamp(1, total);
-    let span = (total - floor) as f64;
-    let extra = (u.clamp(0.0, 1.0) * span).round() as usize;
-    floor + extra.min(total - floor)
-}
-
-/// Per-domain adjustable-gain integral controller with anti-windup.
-///
-/// The integrator *is* the control output `u ∈ [0, 1]`: clamping `u`
-/// clamps the integrator, so the controller cannot wind up past the
-/// actuator's range (conditional integration by construction). The plant
-/// sensitivity `|Δy/Δu|` is estimated online with an EMA and fed to
-/// [`adaptive_gain`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntegralController {
-    cfg: GovernorConfig,
-    u: f64,
-    prev_measurement: Option<f64>,
-    last_du: f64,
-    sensitivity: f64,
-}
-
-impl IntegralController {
-    /// A controller at rest: actuation at the floor, no sensitivity
-    /// estimate yet.
-    pub fn new(cfg: GovernorConfig) -> Self {
-        IntegralController {
-            cfg,
-            u: 0.0,
-            prev_measurement: None,
-            last_du: 0.0,
-            sensitivity: 0.0,
-        }
-    }
-
-    /// The current control output `u ∈ [0, 1]`.
-    pub fn output(&self) -> f64 {
-        self.u
-    }
-
-    /// The current sensitivity estimate `|Δy/Δu|` (EMA).
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
-    }
-
-    /// The gain the next [`step`](Self::step) will apply.
-    pub fn gain(&self) -> f64 {
-        adaptive_gain(&self.cfg, self.sensitivity)
-    }
-
-    /// One control step: update the sensitivity estimate from the
-    /// previous actuation's observed effect, integrate the control error
-    /// `setpoint − measurement` with the adapted gain, and clamp.
-    /// Returns the new control output.
-    pub fn step(&mut self, setpoint: f64, measurement: f64) -> f64 {
-        if let Some(prev) = self.prev_measurement {
-            if self.last_du.abs() > 1e-9 {
-                let observed = ((measurement - prev) / self.last_du).abs();
-                if observed.is_finite() {
-                    let a = self.cfg.sensitivity_smoothing.clamp(0.0, 1.0);
-                    self.sensitivity = (1.0 - a) * self.sensitivity + a * observed;
-                }
-            }
-        }
-        let error = setpoint - measurement;
-        let gain = adaptive_gain(&self.cfg, self.sensitivity);
-        let next = (self.u + gain * error).clamp(0.0, 1.0);
-        self.last_du = next - self.u;
-        self.u = next;
-        self.prev_measurement = Some(measurement);
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,118 +468,22 @@ mod tests {
         assert!(PolicyKind::OracV.uses_noise_ranking());
         assert_eq!(PolicyKind::ALL.len(), 8);
         assert_eq!(PolicyKind::Naive.to_string(), "Naïve");
-        // The closed-loop governors extend the paper's set.
-        assert_eq!(PolicyKind::EXTENDED.len(), 10);
-        assert_eq!(&PolicyKind::EXTENDED[..8], &PolicyKind::ALL[..]);
-        assert_eq!(PolicyKind::CLOSED_LOOP.len(), 2);
-        for kind in PolicyKind::CLOSED_LOOP {
-            assert!(kind.is_closed_loop(), "{kind}");
-            assert!(kind.gates(), "{kind}");
-            assert!(kind.uses_thermal_ranking(), "{kind}");
-            assert!(!kind.uses_noise_ranking(), "{kind}");
-            assert!(!kind.reacts_to_emergencies(), "{kind}");
-            assert!(!kind.is_oracular(), "{kind}");
-            assert!(!kind.is_practical(), "{kind}");
-        }
         for kind in PolicyKind::ALL {
             assert!(!kind.is_closed_loop(), "{kind}");
         }
-        assert_eq!(PolicyKind::IntegralT.to_string(), "IntegralT");
-        assert_eq!(PolicyKind::IntegralP.to_string(), "IntegralP");
-    }
-
-    #[test]
-    fn integral_policies_rank_coolest_first() {
-        let f = fixture();
-        for kind in PolicyKind::CLOSED_LOOP {
-            let state = select_gating(kind, &inputs(&f)).unwrap();
-            for domain in f.chip.domains() {
-                let mut ids: Vec<_> = domain.vrs().to_vec();
-                ids.sort();
-                assert!(state.is_on(ids[0]), "{kind}: coolest not on");
-                assert_eq!(state.active_among(domain.vrs()), 2, "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn controller_output_stays_clamped() {
-        let mut ctl = IntegralController::new(GovernorConfig::standard());
-        // A wildly unreachable setpoint must pin u at 1 without overflow.
-        for _ in 0..200 {
-            let u = ctl.step(1000.0, 50.0);
-            assert!((0.0..=1.0).contains(&u));
-            assert!(u.is_finite());
-        }
-        assert_eq!(ctl.output(), 1.0);
-        // And an unreachably low one pins u at 0.
-        for _ in 0..200 {
-            let u = ctl.step(-1000.0, 50.0);
-            assert!((0.0..=1.0).contains(&u));
-        }
-        assert_eq!(ctl.output(), 0.0);
-        assert!(ctl.sensitivity().is_finite());
-        assert!(ctl.gain().is_finite());
-    }
-
-    #[test]
-    fn adaptive_gain_is_monotone_and_clamped() {
-        let cfg = GovernorConfig::standard();
-        let mut prev = f64::INFINITY;
-        for i in 0..100 {
-            let g = adaptive_gain(&cfg, i as f64 * 0.5);
-            assert!(g >= cfg.min_gain && g <= cfg.max_gain);
-            assert!(g <= prev, "gain rose with sensitivity at {i}");
-            prev = g;
-        }
-        // Zero base gain freezes the controller exactly.
-        let frozen = GovernorConfig {
-            base_gain: 0.0,
-            ..GovernorConfig::standard()
-        };
-        assert_eq!(adaptive_gain(&frozen, 3.0), 0.0);
-    }
-
-    #[test]
-    fn controller_tracks_a_simple_plant() {
-        // y responds to u with sensitivity 20 °C per unit of actuation.
-        let cfg = GovernorConfig::standard();
-        let mut ctl = IntegralController::new(cfg);
-        let ambient = 45.0;
-        let sens = 20.0;
-        let setpoint = ambient + 0.6 * sens;
-        let mut y = ambient;
-        for _ in 0..400 {
-            let u = ctl.step(setpoint, y);
-            y += 0.7 * (ambient + sens * u - y);
-        }
-        assert!(
-            (y - setpoint).abs() < 0.5,
-            "did not settle: y={y}, setpoint={setpoint}"
+        let predicted: Vec<_> = PolicyKind::ALL
+            .into_iter()
+            .filter(|k| k.needs_predictor())
+            .collect();
+        assert_eq!(
+            predicted,
+            [
+                PolicyKind::OracT,
+                PolicyKind::OracVT,
+                PolicyKind::PracT,
+                PolicyKind::PracVT
+            ]
         );
-        // The sensitivity estimate converged toward the plant's.
-        assert!(ctl.sensitivity() > 1.0);
-    }
-
-    #[test]
-    fn actuation_level_maps_endpoints() {
-        assert_eq!(actuation_level(0.0, 3, 9), 3);
-        assert_eq!(actuation_level(1.0, 3, 9), 9);
-        assert_eq!(actuation_level(0.5, 3, 9), 6);
-        // Degenerate shapes: floor above total, single-VR domain, zero.
-        assert_eq!(actuation_level(0.5, 12, 9), 9);
-        assert_eq!(actuation_level(0.7, 1, 1), 1);
-        assert_eq!(actuation_level(0.3, 0, 0), 1);
-        // Out-of-range u clamps.
-        assert_eq!(actuation_level(-3.0, 2, 8), 2);
-        assert_eq!(actuation_level(7.0, 2, 8), 8);
-        // Monotone in u.
-        let mut prev = 0;
-        for i in 0..=20 {
-            let level = actuation_level(i as f64 / 20.0, 2, 9);
-            assert!(level >= prev);
-            prev = level;
-        }
     }
 
     #[test]

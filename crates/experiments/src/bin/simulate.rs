@@ -17,6 +17,7 @@
 //! ```
 
 use experiments::report::{banner, metrics_report, render_heatmap, solver_report};
+use experiments::sweep::{benchmark_from_label, policy_from_tag, policy_tag};
 use experiments::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
 use simkit::linalg::SolverBackend;
@@ -57,7 +58,6 @@ fn usage() -> &'static str {
      benchmarks: barnes chol fft fmm lu_cb lu_ncb oc_cp oc_ncp radio\n\
      \u{20}           radix rayt volr water_n water_s\n\
      policies:   allon offchip naive oract oracv oracvt pract pracvt\n\
-     \u{20}           integralt integralp\n\
      telemetry:  --telemetry=<dir> (or SIMKIT_TELEMETRY=<dir>) writes a\n\
      \u{20}           structured trace.jsonl + manifest.json into <dir>;\n\
      \u{20}           --frames <n> records a spatial thermal frame every\n\
@@ -68,26 +68,11 @@ fn usage() -> &'static str {
 }
 
 fn parse_benchmark(label: &str) -> Result<Benchmark, String> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.label() == label)
-        .ok_or_else(|| format!("unknown benchmark {label:?}"))
+    benchmark_from_label(label).ok_or_else(|| format!("unknown benchmark {label:?}"))
 }
 
 fn parse_policy(tag: &str) -> Result<PolicyKind, String> {
-    match tag {
-        "allon" => Ok(PolicyKind::AllOn),
-        "offchip" => Ok(PolicyKind::OffChip),
-        "naive" => Ok(PolicyKind::Naive),
-        "oract" => Ok(PolicyKind::OracT),
-        "oracv" => Ok(PolicyKind::OracV),
-        "oracvt" => Ok(PolicyKind::OracVT),
-        "pract" => Ok(PolicyKind::PracT),
-        "pracvt" => Ok(PolicyKind::PracVT),
-        "integralt" => Ok(PolicyKind::IntegralT),
-        "integralp" => Ok(PolicyKind::IntegralP),
-        other => Err(format!("unknown policy {other:?}")),
-    }
+    policy_from_tag(tag).ok_or_else(|| format!("unknown policy {tag:?}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -291,7 +276,7 @@ fn main() -> ExitCode {
     if let (Some(ctx), Some(counter)) = (&telemetry_ctx, &cell_counter) {
         let mut manifest = RunManifest::new("simulate");
         manifest.push_config("workload", args.spec.to_string());
-        manifest.push_config("policy", experiments::sweep::policy_tag(args.policy));
+        manifest.push_config("policy", policy_tag(args.policy));
         manifest.push_config("duration_ms", format!("{}", duration.get() * 1e3));
         manifest.push_config("windows", noise_windows);
         manifest.push_config("grid", grid_n);
@@ -302,11 +287,7 @@ fn main() -> ExitCode {
             manifest.push_config("scenario_hash", format!("{hash:016x}"));
         }
         manifest.cells.push(CellManifest {
-            label: format!(
-                "{}-{}",
-                args.spec,
-                experiments::sweep::policy_tag(args.policy)
-            ),
+            label: format!("{}-{}", args.spec, policy_tag(args.policy)),
             seconds: run_started.elapsed().as_secs_f64(),
             events: counter.count(),
             cached: false,

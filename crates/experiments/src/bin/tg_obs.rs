@@ -119,14 +119,13 @@ USAGE:
         config and bench header plus one row per metric, each with its
         key, value, better direction and tolerance). Default label
         `local`, directory `.`, policies allon,oract,pracvt;
-        `--policies all` measures all ten (the paper's eight plus the
-        integralt/integralp governors). `--grids 64,128` also measures
-        the steady-solve grid-scaling axis (cg/mgcg/direct per grid
-        edge, `--scaling-solves` cache-warm solves each, default 3) as
-        `snap.scaling.*` rows. `--serve` measures the scenario-service
-        cache-hit-throughput axis (a repeated tiny batch, cold vs warm)
-        as `snap.serve.*` rows. `diff` compares only the axes both
-        snapshots measured.
+        `--policies all` measures the paper's eight. `--grids 64,128`
+        also measures the steady-solve grid-scaling axis (cg/mgcg/direct
+        per grid edge, `--scaling-solves` cache-warm solves each,
+        default 3) as `snap.scaling.*` rows. `--serve` measures the
+        scenario-service cache-hit-throughput axis (a repeated tiny
+        batch, cold vs warm) as `snap.serve.*` rows. `diff` compares
+        only the axes both snapshots measured.
 
 A <run-dir> is a directory holding trace.jsonl (and usually
 manifest.json), as written by any experiment binary under
@@ -870,7 +869,7 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
                     .next()
                     .ok_or_else(|| "--policies needs a comma-separated list".to_string())?;
                 if spec == "all" {
-                    policies = PolicyKind::EXTENDED.to_vec();
+                    policies = PolicyKind::ALL.to_vec();
                 } else {
                     policies = spec
                         .split(',')

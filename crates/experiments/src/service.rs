@@ -8,7 +8,7 @@
 //!   triple with a canonical FNV-1a content hash over every
 //!   configuration field (via [`EngineConfig::config_fields`] and the
 //!   [`ContentHasher`] shared with `RunManifest::config_hash`). Any
-//!   field change — solver backend, a governor gain, one
+//!   field change — solver backend, a package resistance, one
 //!   efficiency-curve point — changes the hash.
 //! * [`ScenarioCache`] — a content-addressed on-disk record store.
 //!   Each entry is one file named `<bench>-<policy>-<hash>.csv` whose

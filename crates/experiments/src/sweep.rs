@@ -8,9 +8,9 @@
 //! content-addressed: every entry is keyed by the scenario's FNV hash
 //! over the *full* [`EngineConfig`](thermogater::EngineConfig) (see
 //! [`crate::service::ScenarioSpec`]), so changing any configuration
-//! field — solver backend, governor gains, frame recording — forces a
-//! re-run instead of silently serving stale records. Delete the
-//! directory to force re-runs wholesale.
+//! field — solver backend, a package resistance, frame recording —
+//! forces a re-run instead of silently serving stale records. Delete
+//! the directory to force re-runs wholesale.
 //!
 //! [`grid`] streams the cells through the
 //! [`service`](crate::service) batch executor: each cell is an
@@ -139,21 +139,17 @@ pub fn policy_tag(policy: PolicyKind) -> &'static str {
         PolicyKind::OracVT => "oracvt",
         PolicyKind::PracT => "pract",
         PolicyKind::PracVT => "pracvt",
-        PolicyKind::IntegralT => "integralt",
-        PolicyKind::IntegralP => "integralp",
     }
 }
 
-/// The inverse of [`policy_tag`] (used by `tg-obs bench-snapshot
-/// --policies`).
+/// The inverse of [`policy_tag`] (used by `simulate --policy` and
+/// `tg-obs bench-snapshot --policies`).
 pub fn policy_from_tag(tag: &str) -> Option<PolicyKind> {
-    PolicyKind::EXTENDED
-        .into_iter()
-        .find(|&p| policy_tag(p) == tag)
+    PolicyKind::ALL.into_iter().find(|&p| policy_tag(p) == tag)
 }
 
 /// Resolves a benchmark from its [`Benchmark::label`] (used by the
-/// record codec and the `tg-serve` request parser).
+/// record codec, the `tg-serve` request parser and `simulate --bench`).
 pub fn benchmark_from_label(label: &str) -> Option<Benchmark> {
     Benchmark::ALL.into_iter().find(|b| b.label() == label)
 }
@@ -349,7 +345,7 @@ mod tests {
     #[test]
     fn policy_tags_are_unique_and_reversible() {
         let mut seen = std::collections::HashSet::new();
-        for p in PolicyKind::EXTENDED {
+        for p in PolicyKind::ALL {
             let tag = policy_tag(p);
             assert_ne!(tag, "unknown", "{p}");
             assert!(seen.insert(tag), "duplicate tag {tag}");

@@ -9,10 +9,7 @@
 //!    consistency, η ≤ η_peak with equality only at the peak-load point,
 //!    policy active-set exactness, the VT policies' per-domain all-on
 //!    emergency overlay, steady-state thermal energy balance
-//!    (heat in ≈ heat out), PDN KCL residual bounds, PDN linearity, and
-//!    the closed-loop governor control properties (setpoint tracking,
-//!    bounded oscillation, anti-windup, gain-adaptation monotonicity)
-//!    exercised against a first-order reference plant.
+//!    (heat in ≈ heat out), PDN KCL residual bounds, and PDN linearity.
 //! 2. **Differential checks** — direct LDLᵀ vs CG and multigrid-CG vs
 //!    Jacobi-CG agreement on random SPD grids and on the real thermal /
 //!    PDN matrices, the separable di/dt response vs the direct
@@ -35,10 +32,7 @@ use simkit::linalg::TripletBuilder;
 use simkit::units::{Amps, Volts, Watts};
 use std::path::{Path, PathBuf};
 use thermal::{PowerMap, ThermalConfig, ThermalModel, ThermalOperator};
-use thermogater::{
-    actuation_level, adaptive_gain, select_gating, GovernorConfig, IntegralController,
-    PolicyInputs, PolicyKind,
-};
+use thermogater::{select_gating, PolicyInputs, PolicyKind};
 use vreg::{loss, EfficiencyCurve, GatingState, RegulatorBank, RegulatorDesign};
 use workload::Benchmark;
 
@@ -558,260 +552,6 @@ pub fn oracle_pdn_linearity(opts: &VerifyOptions) -> CheckReport {
         Ok(())
     });
     to_report("pdn.linearity", cases, outcome, opts)
-}
-
-// ---------------------------------------------------------------------------
-// Closed-loop governor control oracles
-// ---------------------------------------------------------------------------
-
-/// A first-order reference plant for exercising the governor's control
-/// law in isolation: `y ← y + lag·(ambient + sensitivity·u − y)`, with
-/// the controller measuring `y` through a `delay`-step line.
-///
-/// This is the same plant family the engine's thermal/power loops
-/// approximate at the decision granularity, so properties proven here
-/// (tracking, bounded oscillation, anti-windup) carry the control-law
-/// burden while the engine tests cover the actuation plumbing.
-#[derive(Debug, Clone, Copy)]
-pub struct PlantParams {
-    /// Steady-state plant response per unit of control output.
-    pub sensitivity: f64,
-    /// Plant output at `u = 0`.
-    pub ambient: f64,
-    /// First-order response fraction per step, in `(0, 1]`.
-    pub lag: f64,
-    /// Measurement delay in steps (0 = the controller sees the current
-    /// output).
-    pub delay: usize,
-}
-
-/// One closed-loop simulation against the reference plant.
-#[derive(Debug, Clone)]
-pub struct PlantTrace {
-    /// True plant output per step.
-    pub outputs: Vec<f64>,
-    /// Control error `setpoint − output` per step (true, not delayed).
-    pub errors: Vec<f64>,
-    /// Control output `u` per step.
-    pub controls: Vec<f64>,
-}
-
-/// Runs an [`IntegralController`] against the reference plant for
-/// `steps` steps and returns the closed-loop trace.
-pub fn run_plant(
-    cfg: &GovernorConfig,
-    plant: &PlantParams,
-    setpoint: f64,
-    steps: usize,
-) -> PlantTrace {
-    let mut ctl = IntegralController::new(*cfg);
-    let mut y = plant.ambient;
-    let mut history: Vec<f64> = Vec::with_capacity(steps);
-    let mut trace = PlantTrace {
-        outputs: Vec::with_capacity(steps),
-        errors: Vec::with_capacity(steps),
-        controls: Vec::with_capacity(steps),
-    };
-    for k in 0..steps {
-        let measured = if k > plant.delay {
-            history[k - 1 - plant.delay]
-        } else {
-            plant.ambient
-        };
-        let u = ctl.step(setpoint, measured);
-        y += plant.lag * (plant.ambient + plant.sensitivity * u - y);
-        history.push(y);
-        trace.outputs.push(y);
-        trace.errors.push(setpoint - y);
-        trace.controls.push(u);
-    }
-    trace
-}
-
-/// Steps after which the tracking/oscillation oracles treat the loop as
-/// settled.
-const PLANT_SETTLE_STEPS: usize = 450;
-
-/// Total steps the tracking/oscillation oracles simulate.
-const PLANT_TOTAL_STEPS: usize = 600;
-
-/// Relative tracking tolerance after settling (fraction of sensitivity).
-const PLANT_TRACK_FRACTION: f64 = 0.02;
-
-fn plant_gen() -> impl check::Gen<Value = (f64, f64, f64)> {
-    // (sensitivity, setpoint fraction of the reachable span, lag).
-    // A fraction of 0 puts the setpoint exactly at ambient — a corpus
-    // boundary — and 0.85 keeps it comfortably reachable (u* ≤ 0.85).
-    (
-        check::f64_in(2.0, 30.0),
-        check::f64_in(0.0, 0.85),
-        check::f64_in(0.3, 1.0),
-    )
-}
-
-fn plant_tolerance(sensitivity: f64) -> f64 {
-    PLANT_TRACK_FRACTION * sensitivity.max(1.0)
-}
-
-/// After settling, the governor holds the plant within tolerance of any
-/// reachable setpoint.
-pub fn oracle_govern_tracking(opts: &VerifyOptions) -> CheckReport {
-    let gen = plant_gen();
-    let outcome = checker(opts, opts.cases).run("govern.tracking", &gen, |&(sens, frac, lag)| {
-        let plant = PlantParams {
-            sensitivity: sens,
-            ambient: 45.0,
-            lag,
-            delay: 0,
-        };
-        let setpoint = plant.ambient + frac * sens;
-        let trace = run_plant(
-            &GovernorConfig::standard(),
-            &plant,
-            setpoint,
-            PLANT_TOTAL_STEPS,
-        );
-        let tol = plant_tolerance(sens);
-        for (k, e) in trace.errors.iter().enumerate().skip(PLANT_SETTLE_STEPS) {
-            check::ensure(e.is_finite(), || format!("non-finite error at step {k}"))?;
-            check::ensure(e.abs() <= tol, || {
-                format!("step {k}: |error| {} above tolerance {tol}", e.abs())
-            })?;
-        }
-        Ok(())
-    });
-    to_report("govern.tracking", opts.cases, outcome, opts)
-}
-
-/// No sustained oscillation: once past the transient, the control error
-/// crosses zero with significant amplitude only a bounded number of
-/// times.
-pub fn oracle_govern_no_oscillation(opts: &VerifyOptions) -> CheckReport {
-    let gen = plant_gen();
-    let outcome =
-        checker(opts, opts.cases).run("govern.no_oscillation", &gen, |&(sens, frac, lag)| {
-            let plant = PlantParams {
-                sensitivity: sens,
-                ambient: 45.0,
-                lag,
-                delay: 0,
-            };
-            let setpoint = plant.ambient + frac * sens;
-            let trace = run_plant(
-                &GovernorConfig::standard(),
-                &plant,
-                setpoint,
-                PLANT_TOTAL_STEPS,
-            );
-            // Count sign changes of the error among post-transient steps
-            // whose amplitude exceeds half the tracking band; a healthy
-            // loop overshoots at most a few times, a limit cycle flips
-            // every few steps.
-            let band = 0.5 * plant_tolerance(sens);
-            let mut flips = 0usize;
-            let mut prev: Option<f64> = None;
-            for &e in &trace.errors[PLANT_TOTAL_STEPS / 4..] {
-                if e.abs() > band {
-                    if let Some(p) = prev {
-                        if (e > 0.0) != (p > 0.0) {
-                            flips += 1;
-                        }
-                    }
-                    prev = Some(e);
-                }
-            }
-            check::ensure(flips <= 8, || {
-                format!("{flips} significant error sign changes in steady state")
-            })
-        });
-    to_report("govern.no_oscillation", opts.cases, outcome, opts)
-}
-
-/// Anti-windup: the integrator (which *is* the control output) never
-/// leaves `[0, 1]` — even against unreachable setpoints in either
-/// direction, with any gain — and the actuation it maps to stays within
-/// the domain's regulator count.
-pub fn oracle_govern_anti_windup(opts: &VerifyOptions) -> CheckReport {
-    // (sensitivity, setpoint offset from ambient, base gain, domain VRs).
-    // Offsets beyond ±sensitivity are unreachable; base gain 0 is the
-    // frozen controller; 1 VR is the single-domain-chip boundary.
-    let gen = (
-        check::f64_in(0.0, 30.0),
-        check::f64_in(-50.0, 50.0),
-        check::f64_in(0.0, 0.2),
-        check::usize_in(1, 12),
-    );
-    let outcome = checker(opts, opts.cases).run(
-        "govern.anti_windup",
-        &gen,
-        |&(sens, offset, base_gain, total)| {
-            let cfg = GovernorConfig {
-                base_gain,
-                ..GovernorConfig::standard()
-            };
-            let plant = PlantParams {
-                sensitivity: sens,
-                ambient: 45.0,
-                lag: 0.5,
-                delay: 0,
-            };
-            let trace = run_plant(&cfg, &plant, plant.ambient + offset, 300);
-            let floor = 3.min(total);
-            for (k, (&u, &y)) in trace.controls.iter().zip(&trace.outputs).enumerate() {
-                check::ensure(u.is_finite() && (0.0..=1.0).contains(&u), || {
-                    format!("step {k}: integrator wound up to u = {u}")
-                })?;
-                check::ensure(y.is_finite(), || {
-                    format!("step {k}: non-finite plant output")
-                })?;
-                let level = actuation_level(u, floor, total);
-                check::ensure(level >= 1 && level <= total, || {
-                    format!("step {k}: actuation {level} outside 1..={total}")
-                })?;
-                if base_gain == 0.0 {
-                    check::ensure(u == 0.0, || {
-                        format!("step {k}: frozen controller moved to u = {u}")
-                    })?;
-                }
-            }
-            Ok(())
-        },
-    );
-    to_report("govern.anti_windup", opts.cases, outcome, opts)
-}
-
-/// Gain-adaptation monotonicity for an arbitrary adaptation law.
-///
-/// Exposed with an explicit `adapt` closure so the fault-injection test
-/// can demonstrate that a perturbed adaptation law (e.g. a 10 %
-/// sensitivity-dependent wobble) is caught: for any `s` and `ds ≥ 0` the
-/// gain at `s + ds` must not exceed the gain at `s` — a plant that
-/// responds more strongly must never be driven harder.
-pub fn gain_monotonicity_outcome<F: Fn(f64) -> f64>(adapt: F, checker: &Checker) -> CheckOutcome {
-    let gen = (check::f64_in(0.0, 50.0), check::f64_in(0.0, 10.0));
-    checker.run("govern.gain_monotone", &gen, |&(s, ds)| {
-        let lo = adapt(s);
-        let hi = adapt(s + ds);
-        check::ensure(lo.is_finite() && lo >= 0.0, || {
-            format!("gain({s}) = {lo} not a finite non-negative value")
-        })?;
-        check::ensure(hi.is_finite() && hi >= 0.0, || {
-            format!("gain({}) = {hi} not a finite non-negative value", s + ds)
-        })?;
-        check::ensure(hi <= lo + 1e-12, || {
-            format!(
-                "gain rose with sensitivity: gain({s}) = {lo} < gain({}) = {hi}",
-                s + ds
-            )
-        })
-    })
-}
-
-/// [`gain_monotonicity_outcome`] for the stock adaptation law.
-pub fn oracle_govern_gain_monotone(opts: &VerifyOptions) -> CheckReport {
-    let cfg = GovernorConfig::standard();
-    let outcome = gain_monotonicity_outcome(|s| adaptive_gain(&cfg, s), &checker(opts, opts.cases));
-    to_report("govern.gain_monotone", opts.cases, outcome, opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -1585,10 +1325,6 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         oracle_thermal_energy_balance(opts),
         oracle_pdn_kcl(opts),
         oracle_pdn_linearity(opts),
-        oracle_govern_tracking(opts),
-        oracle_govern_no_oscillation(opts),
-        oracle_govern_anti_windup(opts),
-        oracle_govern_gain_monotone(opts),
         diff_direct_vs_cg(opts),
         diff_mgcg_vs_cg(opts),
         diff_thermal_stencil_vs_csr(opts),

@@ -1,9 +1,9 @@
 //! `simulate` rejects flags no engine can be built from — an empty
 //! thermal grid, a duration that is zero, not a number, or shorter than
-//! one decision interval, an unknown flag or an unparsable value — with
-//! an `error:` line and exit 2 before simulating anything, instead of a
-//! panic (exit 101) or a generic failure. The degenerate 1×1 grid is
-//! valid and still runs.
+//! one decision interval, an unknown flag, policy or benchmark, or an
+//! unparsable value — with an `error:` line and exit 2 before simulating
+//! anything, instead of a panic (exit 101) or a generic failure. The
+//! degenerate 1×1 grid is valid and still runs.
 
 use std::process::{Command, Output};
 
@@ -20,7 +20,7 @@ fn simulate(args: &[&str]) -> Output {
 
 #[test]
 fn non_physical_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["--grid", "0"], "thermal grid must be non-empty"),
         (&["--duration-ms", "0"], "at least one decision interval"),
         (&["--duration-ms", "nan"], "at least one decision interval"),
@@ -30,6 +30,8 @@ fn non_physical_flags_are_usage_errors() {
         (&["--no-such-flag"], "unknown flag"),
         (&["--grid", "many"], "bad grid"),
         (&["--grid"], "expects a value"),
+        (&["--policy", "integralt"], "unknown policy"),
+        (&["--bench", "nope"], "unknown benchmark"),
     ];
     for (args, reason) in cases {
         let out = simulate(args);

@@ -4,12 +4,10 @@
 //! negative control that proves the verification harness has teeth.
 
 use experiments::verify::{
-    self, compare_golden, curve_consistency_outcome, gain_monotonicity_outcome, parse_golden,
-    render_golden, VerifyOptions,
+    self, compare_golden, curve_consistency_outcome, parse_golden, render_golden, VerifyOptions,
 };
 use simkit::check::{CheckConfig, Checker};
 use simkit::units::{Amps, Seconds};
-use thermogater::{adaptive_gain, GovernorConfig};
 use vreg::{EfficiencyCurve, RegulatorBank, RegulatorDesign, RegulatorTopology};
 
 fn checker(cases: usize) -> Checker {
@@ -102,53 +100,6 @@ fn sub_tolerance_perturbation_passes() {
     let bank = RegulatorBank::new(perturbed_fivr(1.0 + 1e-12), 9);
     let outcome = curve_consistency_outcome(&bank, &fivr_reference(), &checker(64));
     assert!(outcome.is_pass(), "{:?}", outcome.counterexample());
-}
-
-/// Negative control: the stock gain-adaptation law is monotone.
-#[test]
-fn clean_gain_adaptation_passes_monotonicity_oracle() {
-    let cfg = GovernorConfig::standard();
-    let outcome = gain_monotonicity_outcome(|s| adaptive_gain(&cfg, s), &checker(64));
-    assert!(outcome.is_pass(), "{:?}", outcome.counterexample());
-}
-
-/// The acceptance demonstration for the control oracles: a 10 %
-/// sensitivity-dependent perturbation of the gain-adaptation law breaks
-/// its monotonicity and is caught with a shrunk, seed-reproducible
-/// counterexample.
-#[test]
-fn injected_ten_percent_gain_fault_is_caught() {
-    let cfg = GovernorConfig::standard();
-    // The injected fault: a ±10 % wobble riding on the clean law. Where
-    // the clean gain is flat (the clamps) or decays slower than the
-    // wobble, the perturbed gain *rises* with sensitivity.
-    let perturbed = |s: f64| adaptive_gain(&cfg, s) * (1.0 + 0.1 * s.sin());
-    let outcome = gain_monotonicity_outcome(perturbed, &checker(64));
-    let cx = outcome
-        .counterexample()
-        .expect("perturbed adaptation must fail the monotonicity oracle");
-    assert_eq!(cx.property, "govern.gain_monotone");
-    assert_eq!(cx.seed, 0xFA17);
-    let rendered = cx.render();
-    assert!(rendered.contains("seed"), "render lacks seed:\n{rendered}");
-    assert!(
-        rendered.contains("input"),
-        "render lacks input:\n{rendered}"
-    );
-    // The shrunk input still reproduces the violation directly.
-    let (s, ds) = {
-        let mut parts = cx.input.split(" ; ");
-        let s: f64 = parts.next().unwrap().parse().unwrap();
-        let ds: f64 = parts.next().unwrap().parse().unwrap();
-        (s, ds)
-    };
-    assert!(
-        perturbed(s + ds) > perturbed(s) + 1e-12,
-        "shrunk input does not reproduce: gain({s}) = {} vs gain({}) = {}",
-        perturbed(s),
-        s + ds,
-        perturbed(s + ds)
-    );
 }
 
 /// Golden rows survive a render → parse round trip unchanged.

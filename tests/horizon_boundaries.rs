@@ -127,80 +127,6 @@ fn sensor_ring_buffer_matches_full_history_model() {
     });
 }
 
-/// The closed-loop governor through the delayed-measurement path: the
-/// integral controller fed `delay`-step-old readings of the reference
-/// plant must still satisfy the tracking oracle, with the tolerance
-/// widened linearly by the known delay bound. At delay 0 the base
-/// tolerance itself must hold — the widening is headroom for lag-induced
-/// overshoot, not a blanket excuse.
-#[test]
-fn delayed_measurements_still_track_within_widened_tolerance() {
-    use experiments::verify::{run_plant, PlantParams};
-    use thermogater::GovernorConfig;
-    let cfg = GovernorConfig::standard();
-    let sensitivity = 20.0;
-    let setpoint = 45.0 + 0.5 * sensitivity;
-    let base_tol = 0.02 * sensitivity;
-    for delay in [0usize, 2, 4, 8] {
-        let plant = PlantParams {
-            sensitivity,
-            ambient: 45.0,
-            lag: 0.5,
-            delay,
-        };
-        let trace = run_plant(&cfg, &plant, setpoint, 600);
-        let tol = base_tol * (1.0 + delay as f64);
-        for (k, e) in trace.errors.iter().enumerate().skip(450) {
-            assert!(e.is_finite(), "delay {delay}, step {k}: non-finite error");
-            assert!(
-                e.abs() <= tol,
-                "delay {delay}, step {k}: |error| {} above widened tolerance {tol}",
-                e.abs()
-            );
-        }
-    }
-}
-
-/// Property form of the above: any reachable setpoint, any plant
-/// sensitivity, any delay within the engine's sensor-latency bound
-/// (≤ 8 steps) — tracking holds at the delay-widened tolerance.
-#[test]
-fn delayed_tracking_property_across_generated_plants() {
-    use experiments::verify::{run_plant, PlantParams};
-    use thermogater::GovernorConfig;
-    let gen = (
-        check::f64_in(2.0, 30.0),
-        check::f64_in(0.0, 0.85),
-        check::usize_in(0, 8),
-    );
-    Checker::new(CheckConfig {
-        seed: 0xA00C,
-        cases: 32,
-        max_shrink_evals: 256,
-        corpus: Some(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus").into()),
-    })
-    .assert("core.delayed_tracking", &gen, |&(sens, frac, delay)| {
-        let plant = PlantParams {
-            sensitivity: sens,
-            ambient: 45.0,
-            lag: 0.5,
-            delay,
-        };
-        let setpoint = plant.ambient + frac * sens;
-        let trace = run_plant(&GovernorConfig::standard(), &plant, setpoint, 600);
-        let tol = 0.02 * sens.max(1.0) * (1.0 + delay as f64);
-        for (k, e) in trace.errors.iter().enumerate().skip(450) {
-            check::ensure(e.is_finite() && e.abs() <= tol, || {
-                format!(
-                    "sens {sens}, delay {delay}, step {k}: |error| {} above {tol}",
-                    e.abs()
-                )
-            })?;
-        }
-        Ok(())
-    });
-}
-
 /// Before the first observation the forecaster hands back the caller's
 /// fallback untouched — the t = 0 decision runs on nominal demand.
 #[test]

@@ -277,53 +277,6 @@ fn pdn_ir_drop_is_linear_in_the_loads() {
     });
 }
 
-/// Closed-loop gating is a pure function of (config, seed): for any
-/// generated workload and temperature setpoint, two `IntegralT` runs on
-/// the same engine produce identical decision sequences — the integral
-/// controller holds no state the engine does not reset per run.
-#[test]
-fn integral_gating_is_deterministic_per_config() {
-    use simkit::units::Seconds;
-    use thermogater::{EngineConfig, GovernorConfig, SimulationEngine};
-    use workload::Benchmark;
-    let chip = power8_like();
-    let gen = (check::usize_in(0, 13), check::f64_in(40.0, 110.0));
-    checker(0xA00B, 3).assert("core.governor_determinism", &gen, |&(bench, setpoint)| {
-        let config = EngineConfig {
-            duration: Seconds::from_millis(2.0),
-            noise_window_count: 2,
-            thermal: ThermalConfig::coarse(),
-            governor: GovernorConfig {
-                temp_setpoint_c: setpoint,
-                ..GovernorConfig::standard()
-            },
-            ..EngineConfig::standard()
-        };
-        let engine = SimulationEngine::new(&chip, config);
-        let benchmark = Benchmark::ALL[bench];
-        let a = engine
-            .run(benchmark, PolicyKind::IntegralT)
-            .map_err(|e| e.to_string())?;
-        let b = engine
-            .run(benchmark, PolicyKind::IntegralT)
-            .map_err(|e| e.to_string())?;
-        check::ensure(a.decisions().len() == b.decisions().len(), || {
-            "decision counts differ across runs".to_string()
-        })?;
-        for (k, (da, db)) in a.decisions().iter().zip(b.decisions()).enumerate() {
-            check::ensure(da.gating == db.gating, || {
-                format!("decision {k}: gating differs across identical runs")
-            })?;
-            check::ensure(da.n_on == db.n_on, || {
-                format!("decision {k}: n_on differs across identical runs")
-            })?;
-        }
-        check::ensure(a.max_temperature() == b.max_temperature(), || {
-            "T_max differs across identical runs".to_string()
-        })
-    });
-}
-
 /// Steady-state temperature responds monotonically to power: more heat
 /// in one block never cools the chip's hottest point.
 #[test]
