@@ -14,7 +14,7 @@ echo "== panic-site ratchet: non-test panic sites may only go down =="
 # Counts .unwrap() / .expect( / panic!( / unreachable!( / todo!( /
 # unimplemented!( in crates/*/src, in each file's lines before its first
 # #[cfg(test)]. Lower PANIC_SITES_MAX when the count falls.
-PANIC_SITES_MAX=118
+PANIC_SITES_MAX=114
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /#\[cfg\(test\)\]/ { in_test = 1 }
@@ -41,6 +41,8 @@ cargo run --release -q -p experiments --bin simulate -- \
     --frames 25 --quiet --telemetry="$TELEMETRY_DIR"
 test -s "$TELEMETRY_DIR/trace.jsonl"
 test -s "$TELEMETRY_DIR/manifest.json"
+# One run replays one trace: a calibrated synthetic run generates it once.
+test "$(grep -c '"name":"workload.trace"' "$TELEMETRY_DIR/trace.jsonl")" -eq 1
 cargo run --release -q -p experiments --bin tg-obs -- validate "$TELEMETRY_DIR" \
     --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress,frame
 

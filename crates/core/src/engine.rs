@@ -18,6 +18,10 @@
 //! Initial temperatures come from a leakage-feedback steady-state solve,
 //! standing in for the long pre-ROI history the paper's traces carry.
 //!
+//! Every run replays one activity trace ([`SimulationEngine::run_spec`]
+//! generates it) and profiles θ on the trace's first
+//! `max(profiling_decisions, 3)` decisions.
+//!
 //! ### Oracle fidelity
 //!
 //! `OracT`'s "temperature each regulator would assume" is computed with
@@ -32,16 +36,17 @@ use crate::policy::{gating_from_rankings, rank_regulators, PolicyInputs, PolicyK
 use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
-use floorplan::{DomainId, Floorplan};
+use floorplan::{DomainId, Floorplan, VddDomain};
 use pdn::transient::DidtResponse;
 use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
 use power::{PowerModel, TechnologyParams};
-use simkit::linalg::SolverBackend;
+use simkit::linalg::{SolveStats, SolverBackend};
 use simkit::perf::{PhaseTimes, SolverProfile, Timer};
 use simkit::series::{TimeSeries, TraceMatrix};
 use simkit::telemetry::{EventKind, Telemetry};
-use simkit::units::{Seconds, Watts};
+use simkit::units::{Amps, Seconds, Watts};
 use simkit::{DeterministicRng, Error, Result};
+use std::borrow::Borrow;
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window, WARMUP_CYCLES, WINDOW_CYCLES};
@@ -56,8 +61,6 @@ pub struct EngineConfig {
     pub decision_interval: Seconds,
     /// Thermal integration step; must divide the decision interval.
     pub thermal_step: Seconds,
-    /// Thermal sensor + aggregation latency (100 µs in the paper).
-    pub sensor_latency: Seconds,
     /// Component regulator design.
     pub design: RegulatorDesign,
     /// Thermal model configuration.
@@ -66,9 +69,6 @@ pub struct EngineConfig {
     pub pdn: PdnConfig,
     /// Technology / power-model parameters.
     pub tech: TechnologyParams,
-    /// Voltage-emergency predictor accuracy for PracVT (0.9 per the
-    /// paper).
-    pub predictor_accuracy: f64,
     /// Number of noise windows sampled evenly over the run (the paper
     /// uses 200 per application).
     pub noise_window_count: usize,
@@ -78,16 +78,16 @@ pub struct EngineConfig {
     /// it instantiates, so one knob steers the whole stack; the
     /// `SIMKIT_SOLVER` environment variable overrides the default.
     pub solver: SolverBackend,
-    /// Decision intervals simulated by the θ-calibration profiling pass.
+    /// Decision intervals simulated by the θ-calibration profiling pass
+    /// (at least 3 are run), taken from the head of the run's trace.
     pub profiling_decisions: usize,
     /// Thermal steps between spatial frames captured into the
     /// telemetry trace by the [`FrameRecorder`](crate::FrameRecorder)
-    /// (downsampled heat map, voltage lanes, gating mask, hotspot
-    /// track). 0 — the default — disables frame capture entirely: no
-    /// recorder is constructed and the event stream is unchanged.
+    /// (heat map downsampled to at most 16×16 cells, voltage lanes,
+    /// gating mask, hotspot track). 0 — the default — disables frame
+    /// capture entirely: no recorder is constructed and the event
+    /// stream is unchanged.
     pub frame_every: usize,
-    /// Maximum edge of the downsampled thermal frame (cells per axis).
-    pub frame_grid: usize,
     /// Master seed for every stochastic element.
     pub seed: u64,
 }
@@ -100,17 +100,14 @@ impl EngineConfig {
             duration: Seconds::from_millis(20.0),
             decision_interval: Seconds::from_millis(1.0),
             thermal_step: Seconds::from_micros(20.0),
-            sensor_latency: Seconds::from_micros(100.0),
             design: RegulatorDesign::fivr(),
             thermal: ThermalConfig::standard(),
             pdn: PdnConfig::reference(),
             tech: TechnologyParams::table1(),
-            predictor_accuracy: 0.9,
             noise_window_count: 200,
             solver: SolverBackend::env_default(),
             profiling_decisions: 10,
             frame_every: 0,
-            frame_grid: 16,
             seed: 0x7468_6572_6D6F,
         }
     }
@@ -141,8 +138,6 @@ impl EngineConfig {
             ("duration", self.duration.get()),
             ("decision_interval", self.decision_interval.get()),
             ("thermal_step", self.thermal_step.get()),
-            ("sensor_latency", self.sensor_latency.get()),
-            ("predictor_accuracy", self.predictor_accuracy),
         ] {
             out.push((name.to_string(), format!("{value:e}")));
         }
@@ -156,7 +151,6 @@ impl EngineConfig {
             self.profiling_decisions.to_string(),
         ));
         out.push(("frame_every".to_string(), self.frame_every.to_string()));
-        out.push(("frame_grid".to_string(), self.frame_grid.to_string()));
         out.push(("seed".to_string(), self.seed.to_string()));
         self.design.config_fields("design.", &mut out);
         self.thermal.config_fields("thermal.", &mut out);
@@ -167,23 +161,16 @@ impl EngineConfig {
 
     /// Checks that an engine can be built and run from this
     /// configuration: a non-empty thermal grid, a thermal step that
-    /// divides the decision interval, a finite duration of at least one
-    /// decision interval, and a predictor accuracy in [0, 1]. Front ends
-    /// call it to reject bad input with a message instead of the panic
-    /// [`SimulationEngine::new`] or a run raises.
+    /// divides the decision interval, and a finite duration of at least
+    /// one decision interval. Front ends call it to reject bad input
+    /// with a message instead of the panic [`SimulationEngine::new`]
+    /// raises.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidArgument`] naming the first rule broken.
     pub fn validate(&self) -> Result<()> {
-        self.step_counts()?;
-        if !(0.0..=1.0).contains(&self.predictor_accuracy) {
-            return Err(Error::invalid_argument(format!(
-                "predictor accuracy must be in [0, 1], got {}",
-                self.predictor_accuracy
-            )));
-        }
-        Ok(())
+        self.step_counts().map(|_| ())
     }
 
     /// `(thermal steps per decision, decisions)` of a valid
@@ -221,6 +208,15 @@ impl Default for EngineConfig {
     }
 }
 
+/// Thermal sensor + aggregation latency (100 µs in the paper).
+const SENSOR_LATENCY: Seconds = Seconds::new(100.0 * 1e-6);
+
+/// PracVT's voltage-emergency predictor accuracy (0.9 in the paper).
+const EMERGENCY_PREDICTOR_ACCURACY: f64 = 0.9;
+
+/// Maximum edge of a downsampled thermal frame, cells per axis.
+const FRAME_GRID: usize = 16;
+
 /// How far past the 10 % threshold a droop travels before the on-line
 /// detector's reaction (domain all-on) clips it, as a fraction of Vdd.
 const DETECTOR_OVERSHOOT_FRACTION: f64 = 0.03;
@@ -244,30 +240,192 @@ pub struct SimulationEngine<'c> {
     n_decisions: usize,
 }
 
-/// Per-step buffers of [`SimulationEngine::simulate_interval`], built
-/// once per run and reused by every step.
-struct StepScratch<'m> {
+/// The simulated chip between thermal steps: its state, the transient
+/// stepper, and the buffers every [`SimulationEngine::step`] reuses, so
+/// a step allocates nothing.
+struct Plant<'m> {
+    state: ThermalState,
+    stepper: thermal::TransientStepper<'m>,
     power: PowerMap<'m>,
     block_powers: Vec<Watts>,
+    /// Per-VR conversion losses of the latest step.
+    vr_losses: Vec<f64>,
 }
 
-impl<'m> StepScratch<'m> {
-    fn new(thermal: &'m ThermalModel) -> Self {
-        StepScratch {
-            power: PowerMap::new(thermal),
-            block_powers: Vec::new(),
+/// What a policy knows and remembers between decisions.
+struct Governor {
+    policy: PolicyKind,
+    /// The profiled θ (thermally-aware policies only).
+    predictor: Option<ThermalPredictor>,
+    sensors: ThermalSensorArray,
+    forecaster: DomainPowerForecaster,
+    emergency_predictor: EmergencyPredictor,
+}
+
+/// What [`SimulationEngine::decide`] settles for one interval.
+struct Decision {
+    gating: GatingState,
+    n_on: Vec<usize>,
+    /// Domains switched all-on by a (predicted) voltage emergency.
+    emergency: Vec<bool>,
+    /// The practical policies' per-domain demand forecast (empty for
+    /// every other policy).
+    forecast: Vec<Watts>,
+}
+
+/// Every metric a run accumulates, folded step by step into its
+/// [`SimulationResult`].
+struct RunMetrics {
+    decisions: Vec<DecisionRecord>,
+    total_power: TimeSeries,
+    active_count: TimeSeries,
+    required_count: TimeSeries,
+    vr_temps: TraceMatrix,
+    /// The latest step's per-VR temperatures (one reused buffer).
+    vr_temps_now: Vec<f64>,
+    max_t: f64,
+    max_gradient: f64,
+    /// The silicon layer at the running T_max, copied into one reused
+    /// buffer; the heat map is built from it once, after the run.
+    silicon_at_tmax: Vec<f64>,
+    pout: f64,
+    pin: f64,
+    loss: f64,
+    window_noise: Vec<f64>,
+    emergency_cycles: usize,
+    analyzed_cycles: usize,
+    worst_window: Option<(f64, Vec<f64>)>,
+    solver_profile: SolverProfile,
+    /// Noise analysis runs interleaved with the policy and transient
+    /// phases; it accumulates here and is subtracted from whichever
+    /// phase hosted it, so the report attributes time where it is spent.
+    noise_secs: f64,
+}
+
+impl RunMetrics {
+    /// Empty accumulators for a run starting at the steady `state`
+    /// that `steady` converged to.
+    fn new(engine: &SimulationEngine<'_>, state: &ThermalState, steady: &FeedbackStats) -> Self {
+        let step = engine.config.thermal_step;
+        let n_vrs = engine.chip.vr_sites().len();
+        let mut solver_profile = SolverProfile::new();
+        solver_profile.merge_agg("steady", &steady.cg);
+        RunMetrics {
+            decisions: Vec::with_capacity(engine.n_decisions),
+            total_power: TimeSeries::new(step),
+            active_count: TimeSeries::new(step),
+            required_count: TimeSeries::new(step),
+            vr_temps: TraceMatrix::new(n_vrs, step),
+            vr_temps_now: Vec::with_capacity(n_vrs),
+            max_t: f64::MIN,
+            max_gradient: f64::MIN,
+            silicon_at_tmax: state.silicon().to_vec(),
+            pout: 0.0,
+            pin: 0.0,
+            loss: 0.0,
+            window_noise: Vec::new(),
+            emergency_cycles: 0,
+            analyzed_cycles: 0,
+            worst_window: None,
+            solver_profile,
+            noise_secs: 0.0,
+        }
+    }
+
+    /// Folds in the step `plant` just took under `gating`: power and
+    /// efficiency accounting (each domain's demand also adds into
+    /// `domain_power`), then the thermal accounting, leaving the step's
+    /// VR temperatures in `vr_temps_now`.
+    fn observe_step(
+        &mut self,
+        engine: &SimulationEngine<'_>,
+        plant: &Plant<'_>,
+        gating: &GatingState,
+        solve: SolveStats,
+        domain_power: &mut [f64],
+    ) -> Result<()> {
+        let vdd = engine.config.tech.vdd;
+        let (state, vr_losses) = (&plant.state, &plant.vr_losses);
+        self.solver_profile.record("transient", solve);
+        self.total_power
+            .push(plant.block_powers.iter().map(|p| p.get()).sum());
+        self.active_count.push(gating.active_count() as f64);
+        // Demand-driven count: how many regulators pure (thermally-
+        // oblivious) efficiency gating would keep on right now — Section
+        // 6.1 / Fig. 6.
+        let mut required = 0usize;
+        let mut step_loss = 0.0;
+        for (d, domain) in engine.chip.domains().iter().enumerate() {
+            let demand = domain_demand(domain, &plant.block_powers);
+            required += engine.banks[domain.id().0].required_active(demand / vdd);
+            let p = demand.get();
+            domain_power[d] += p;
+            self.pout += p;
+            let domain_loss: f64 = domain.vrs().iter().map(|&v| vr_losses[v.0]).sum();
+            step_loss += domain_loss;
+            self.pin += p + domain_loss;
+        }
+        self.required_count.push(required as f64);
+        self.loss += step_loss;
+
+        // Thermal accounting (silicon + regulator hotspots).
+        engine.vr_temperatures_into(state, vr_losses, &mut self.vr_temps_now);
+        self.vr_temps.push_column(&self.vr_temps_now)?;
+        let vr_max = self.vr_temps_now.iter().copied().fold(f64::MIN, f64::max);
+        let t_max = state.max_silicon().get().max(vr_max);
+        if t_max > self.max_t {
+            self.max_t = t_max;
+            self.silicon_at_tmax.copy_from_slice(state.silicon());
+        }
+        self.max_gradient = self.max_gradient.max(t_max - state.min_silicon().get());
+        Ok(())
+    }
+
+    /// The run's result, once every step is folded in.
+    fn into_result(
+        self,
+        spec: &WorkloadSpec,
+        policy: PolicyKind,
+        predictor_r_squared: Option<f64>,
+        perf: PhaseTimes,
+        grid_nx: usize,
+    ) -> SimulationResult {
+        let steps = self.total_power.len() as f64;
+        SimulationResult {
+            spec: spec.clone(),
+            policy,
+            decisions: self.decisions,
+            total_power: self.total_power,
+            active_count: self.active_count,
+            required_count: self.required_count,
+            vr_temps: self.vr_temps,
+            max_temperature_c: self.max_t,
+            max_gradient_c: self.max_gradient,
+            mean_efficiency: if self.pin > 0.0 {
+                self.pout / self.pin
+            } else {
+                1.0
+            },
+            mean_total_vr_loss_w: self.loss / steps,
+            window_noise_percent: self.window_noise,
+            emergency_cycle_fraction: (self.analyzed_cycles > 0)
+                .then(|| self.emergency_cycles as f64 / self.analyzed_cycles as f64),
+            heatmap_at_tmax: self
+                .silicon_at_tmax
+                .chunks(grid_nx)
+                .map(<[f64]>::to_vec)
+                .collect(),
+            worst_window_trace: self.worst_window.map(|(_, trace)| trace),
+            predictor_r_squared,
+            perf,
+            solver_profile: self.solver_profile,
         }
     }
 }
 
-/// What a per-step observer sees.
-struct StepView<'a> {
-    step: usize,
-    state: &'a ThermalState,
-    block_powers: &'a [Watts],
-    vr_losses: &'a [f64],
-    gating: &'a GatingState,
-    solve: simkit::linalg::SolveStats,
+/// A domain's demand: the sum of its blocks' powers.
+fn domain_demand(domain: &VddDomain, block_powers: &[Watts]) -> Watts {
+    domain.blocks().iter().map(|&b| block_powers[b.0]).sum()
 }
 
 impl<'c> SimulationEngine<'c> {
@@ -351,17 +509,31 @@ impl<'c> SimulationEngine<'c> {
         &self.banks
     }
 
+    /// Decisions the θ profiling pass simulates.
+    fn profiling_decisions(&self) -> usize {
+        self.config.profiling_decisions.max(3)
+    }
+
+    /// Runs `f` as one sample of the `phase` timing, inside the
+    /// telemetry span `span`.
+    fn timed<T>(
+        &self,
+        perf: &mut PhaseTimes,
+        phase: &'static str,
+        span: &'static str,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let t = Timer::start();
+        let span = self.telemetry.span(span);
+        let out = f();
+        span.finish();
+        perf.add(phase, t.elapsed_seconds());
+        out
+    }
+
     // ------------------------------------------------------------------
     // Trace preparation
     // ------------------------------------------------------------------
-
-    /// Per-thermal-step per-block activities for `n_decisions` intervals.
-    fn step_activities(&self, spec: &WorkloadSpec, n_decisions: usize) -> Vec<Vec<f64>> {
-        let duration = self.config.decision_interval * n_decisions as f64;
-        let trace = TraceGenerator::new(self.chip).generate_spec(spec, duration);
-        trace.emit_telemetry(&self.telemetry);
-        self.steps_from_trace(&trace, n_decisions)
-    }
 
     /// Resamples any activity trace (synthetic or replayed) into
     /// per-thermal-step block-activity columns. Traces shorter than the
@@ -410,10 +582,7 @@ impl<'c> SimulationEngine<'c> {
         self.chip
             .domains()
             .iter()
-            .map(|d| {
-                let p: Watts = d.blocks().iter().map(|&b| block_powers[b.0]).sum();
-                (p / vdd).get()
-            })
+            .map(|d| (domain_demand(d, block_powers) / vdd).get())
             .collect()
     }
 
@@ -451,110 +620,92 @@ impl<'c> SimulationEngine<'c> {
         }));
     }
 
+    /// Per-VR conversion losses under `gating` into `vr_losses` — each
+    /// domain's demand split over its active regulators; a domain with
+    /// none on (the off-chip baseline) dissipates nothing on die — and
+    /// the heat they inject together with the block powers into `pm`.
+    fn inject_heat(
+        &self,
+        block_powers: &[Watts],
+        gating: &GatingState,
+        vr_losses: &mut [f64],
+        pm: &mut PowerMap<'_>,
+    ) -> Result<()> {
+        let vdd = self.config.tech.vdd;
+        pm.clear();
+        for b in self.chip.blocks() {
+            pm.add_block(b.id(), block_powers[b.id().0])?;
+        }
+        vr_losses.fill(0.0);
+        for domain in self.chip.domains() {
+            let active = gating.active_among(domain.vrs());
+            if active == 0 {
+                continue;
+            }
+            let demand = domain_demand(domain, block_powers);
+            let loss = self.banks[domain.id().0].per_regulator_loss(demand / vdd, active, vdd)?;
+            for &v in domain.vrs().iter().filter(|&&v| gating.is_on(v)) {
+                vr_losses[v.0] = loss.get();
+                pm.add_vr(v, loss)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Initial thermal state: leakage-feedback steady state at the first
     /// interval's mean activity, regulators `all-on` (the pre-ROI
-    /// condition). Also returns the feedback loop's convergence
-    /// statistics for the run's solver profile.
+    /// condition; all-off without on-chip regulation). Also returns the
+    /// feedback loop's convergence statistics for the run's solver
+    /// profile.
     fn initial_state(
         &self,
         acts: &[Vec<f64>],
         with_vr_loss: bool,
     ) -> Result<(ThermalState, FeedbackStats)> {
         let mean_acts = Self::mean_activities(acts, 0, self.steps_per_decision.min(acts.len()));
-        let vdd = self.config.tech.vdd;
-        let (state, feedback) = self.thermal.steady_state_with_feedback(60, 0.05, |state| {
+        let n_vrs = self.chip.vr_sites().len();
+        let gating = if with_vr_loss {
+            GatingState::all_on(n_vrs)
+        } else {
+            GatingState::all_off(n_vrs)
+        };
+        let mut vr_losses = vec![0.0; n_vrs];
+        self.thermal.steady_state_with_feedback(60, 0.05, |state| {
             let block_powers = self.block_powers(&mean_acts, state);
             let mut pm = PowerMap::new(&self.thermal);
-            for b in self.chip.blocks() {
-                pm.add_block(b.id(), block_powers[b.id().0])?;
-            }
-            if with_vr_loss {
-                for domain in self.chip.domains() {
-                    let demand: Watts = domain.blocks().iter().map(|&b| block_powers[b.0]).sum();
-                    let bank = &self.banks[domain.id().0];
-                    let n = domain.vr_count();
-                    let loss = bank.per_regulator_loss(demand / vdd, n, vdd)?;
-                    for &v in domain.vrs() {
-                        pm.add_vr(v, loss)?;
-                    }
-                }
-            }
+            self.inject_heat(&block_powers, &gating, &mut vr_losses, &mut pm)?;
             Ok(pm)
-        })?;
-        Ok((state, feedback))
+        })
     }
 
-    /// Simulates one decision interval under a fixed gating state (the
-    /// thermally-aware policies hold their selected set for a full 1 ms
-    /// decision interval — Section 6.2), calling `observe` after each
-    /// thermal step. Every per-step buffer lives in `scratch`, so a step
-    /// allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_interval<'m, F>(
-        &'m self,
-        acts: &[Vec<f64>],
-        k: usize,
-        gating: &GatingState,
-        state: &mut ThermalState,
-        stepper: &mut thermal::TransientStepper<'_>,
-        vr_losses: &mut [f64],
-        scratch: &mut StepScratch<'m>,
-        mut observe: F,
-    ) -> Result<()>
-    where
-        F: FnMut(StepView<'_>) -> Result<()>,
-    {
-        let vdd = self.config.tech.vdd;
-        let lo = k * self.steps_per_decision;
-        let StepScratch {
-            power: pm,
-            block_powers,
-        } = scratch;
-        for (s, act) in acts
-            .iter()
-            .enumerate()
-            .skip(lo)
-            .take(self.steps_per_decision)
-        {
-            self.block_powers_into(act, state, block_powers);
-            // Per-VR conversion losses under the current gating.
-            vr_losses.iter_mut().for_each(|l| *l = 0.0);
-            for domain in self.chip.domains() {
-                let active = gating.active_among(domain.vrs());
-                if active == 0 {
-                    continue; // off-chip baseline: no on-chip loss
-                }
-                let demand: Watts = domain.blocks().iter().map(|&b| block_powers[b.0]).sum();
-                let bank = &self.banks[domain.id().0];
-                let loss = bank.per_regulator_loss(demand / vdd, active, vdd)?;
-                for &v in domain.vrs() {
-                    if gating.is_on(v) {
-                        vr_losses[v.0] = loss.get();
-                    }
-                }
-            }
-            // Inject heat and advance.
-            pm.clear();
-            for b in self.chip.blocks() {
-                pm.add_block(b.id(), block_powers[b.id().0])?;
-            }
-            for site in self.chip.vr_sites() {
-                let l = vr_losses[site.id().0];
-                if l > 0.0 {
-                    pm.add_vr(site.id(), Watts::new(l))?;
-                }
-            }
-            let solve = stepper.step(state, pm)?;
-            observe(StepView {
-                step: s,
-                state,
-                block_powers,
-                vr_losses,
-                gating,
-                solve,
-            })?;
+    /// A plant at `state`, before any conversion loss.
+    fn plant(&self, state: ThermalState) -> Plant<'_> {
+        Plant {
+            state,
+            stepper: self.thermal.stepper(self.config.thermal_step),
+            power: PowerMap::new(&self.thermal),
+            block_powers: Vec::new(),
+            vr_losses: vec![0.0; self.chip.vr_sites().len()],
         }
-        Ok(())
+    }
+
+    /// Advances `plant` one thermal step at `activities` under `gating`
+    /// (the thermally-aware policies hold their selected set for a full
+    /// 1 ms decision interval — Section 6.2).
+    fn step(
+        &self,
+        plant: &mut Plant<'_>,
+        activities: &[f64],
+        gating: &GatingState,
+    ) -> Result<SolveStats> {
+        self.block_powers_into(activities, &plant.state, &mut plant.block_powers);
+        self.inject_heat(
+            &plant.block_powers,
+            gating,
+            &mut plant.vr_losses,
+            &mut plant.power,
+        )?;
+        plant.stepper.step(&mut plant.state, &plant.power)
     }
 
     // ------------------------------------------------------------------
@@ -574,43 +725,39 @@ impl<'c> SimulationEngine<'c> {
     }
 
     /// [`SimulationEngine::calibrate_predictor`] for an arbitrary
-    /// workload spec (single benchmark or multiprogrammed mix).
+    /// workload spec (single benchmark or multiprogrammed mix), on a
+    /// trace as long as the profiling pass.
     ///
     /// # Errors
     ///
     /// Propagates solver failures and degenerate-statistics errors.
     pub fn calibrate_predictor_spec(&self, spec: &WorkloadSpec) -> Result<(ThermalPredictor, f64)> {
-        let n_dec = self.config.profiling_decisions.max(3);
-        let acts = self.step_activities(spec, n_dec);
-        self.calibrate_predictor_inner(&acts, n_dec)
+        let n_dec = self.profiling_decisions();
+        let duration = self.config.decision_interval * n_dec as f64;
+        let trace = TraceGenerator::new(self.chip).generate_spec(spec, duration);
+        trace.emit_telemetry(&self.telemetry);
+        self.calibrate_on(&self.steps_from_trace(&trace, n_dec), n_dec)
     }
 
-    /// The profiling pass over prepared step activities (shared by the
-    /// synthetic and trace-replay paths).
-    fn calibrate_predictor_inner(
-        &self,
-        acts: &[Vec<f64>],
-        n_dec: usize,
-    ) -> Result<(ThermalPredictor, f64)> {
-        let (mut state, _feedback) = self.initial_state(acts, true)?;
-        let mut stepper = self.thermal.stepper(self.config.thermal_step);
-        let mut scratch = StepScratch::new(&self.thermal);
+    /// The profiling pass over the first `n_dec` decisions of prepared
+    /// step activities.
+    fn calibrate_on(&self, acts: &[Vec<f64>], n_dec: usize) -> Result<(ThermalPredictor, f64)> {
+        let spd = self.steps_per_decision;
+        let (state, _feedback) = self.initial_state(acts, true)?;
+        let mut plant = self.plant(state);
         let n_vrs = self.chip.vr_sites().len();
-        let mut vr_losses = vec![0.0f64; n_vrs];
-
         let mut samples: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_vrs];
         let mut prev_mean_loss = vec![0.0f64; n_vrs];
-        let mut have_prev = false;
-
         for k in 0..n_dec {
+            let interval = &acts[k * spd..(k + 1) * spd];
             // Rotating active sets: shift the window by 2 slots per
             // decision so every VR sees on→off and off→on transitions.
-            let block_powers = self.block_powers(&acts[k * self.steps_per_decision], &state);
+            let block_powers = self.block_powers(&interval[0], &plant.state);
             let currents = self.domain_currents(&block_powers);
             let mut gating = GatingState::all_off(n_vrs);
             for domain in self.chip.domains() {
                 let bank = &self.banks[domain.id().0];
-                let n_on = bank.required_active(simkit::units::Amps::new(currents[domain.id().0]));
+                let n_on = bank.required_active(Amps::new(currents[domain.id().0]));
                 let vrs = domain.vrs();
                 for i in 0..n_on.min(vrs.len()) {
                     let idx = (i + 2 * k) % vrs.len();
@@ -618,29 +765,17 @@ impl<'c> SimulationEngine<'c> {
                 }
             }
 
-            let t_start = self.vr_temperatures(&state, &vr_losses);
+            let t_start = self.vr_temperatures(&plant.state, &plant.vr_losses);
             let mut loss_acc = vec![0.0f64; n_vrs];
-            let mut steps = 0usize;
-            self.simulate_interval(
-                acts,
-                k,
-                &gating,
-                &mut state,
-                &mut stepper,
-                &mut vr_losses,
-                &mut scratch,
-                |view| {
-                    for (acc, &l) in loss_acc.iter_mut().zip(view.vr_losses) {
-                        *acc += l;
-                    }
-                    steps += 1;
-                    Ok(())
-                },
-            )?;
-            let mean_loss: Vec<f64> = loss_acc.iter().map(|&l| l / steps as f64).collect();
-            let t_end = self.vr_temperatures(&state, &vr_losses);
-
-            if have_prev {
+            for act in interval {
+                self.step(&mut plant, act, &gating)?;
+                for (acc, &l) in loss_acc.iter_mut().zip(&plant.vr_losses) {
+                    *acc += l;
+                }
+            }
+            let mean_loss: Vec<f64> = loss_acc.iter().map(|&l| l / spd as f64).collect();
+            let t_end = self.vr_temperatures(&plant.state, &plant.vr_losses);
+            if k > 0 {
                 for v in 0..n_vrs {
                     let dp = mean_loss[v] - prev_mean_loss[v];
                     let dt = t_end[v] - t_start[v];
@@ -648,7 +783,6 @@ impl<'c> SimulationEngine<'c> {
                 }
             }
             prev_mean_loss = mean_loss;
-            have_prev = true;
         }
 
         let predictor = ThermalPredictor::calibrate(&samples)?;
@@ -674,25 +808,27 @@ impl<'c> SimulationEngine<'c> {
     /// [`SimulationEngine::run`] for an arbitrary workload spec —
     /// Section 7's multiprogramming support: each core may run its own
     /// benchmark, and ThermoGater governs every Vdd-domain independently.
+    /// Generates one synthetic trace covering both the run and the θ
+    /// profiling pass and replays it as [`SimulationEngine::run_trace`]
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
-        let mut perf = PhaseTimes::new();
-        let t = Timer::start();
-        let span = self.telemetry.span("engine.trace");
-        let acts = self.step_activities(spec, self.n_decisions);
-        span.finish();
-        perf.add("trace", t.elapsed_seconds());
-        self.run_inner(spec, &acts, None, policy, perf)
+        let decisions = self.n_decisions.max(self.profiling_decisions());
+        let duration = self.config.decision_interval * decisions as f64;
+        self.replay(policy, || {
+            TraceGenerator::new(self.chip).generate_spec(spec, duration)
+        })
     }
 
     /// Runs the governor against an externally supplied activity trace
     /// (e.g. replayed from `workload::replay::read_csv`) instead of the
     /// synthetic suite. The trace must carry one channel per floorplan
     /// block; it is resampled onto the engine's thermal steps and clamped
-    /// at its end if shorter than the configured duration.
+    /// at its end if shorter than the configured duration or the θ
+    /// profiling pass, which runs on the trace's leading decisions.
     ///
     /// # Errors
     ///
@@ -706,587 +842,431 @@ impl<'c> SimulationEngine<'c> {
                 actual: trace.activity().channel_count(),
             });
         }
-        let mut perf = PhaseTimes::new();
-        let t = Timer::start();
-        let span = self.telemetry.span("engine.trace");
-        trace.emit_telemetry(&self.telemetry);
-        let acts = self.steps_from_trace(trace, self.n_decisions);
-        // Profile θ on the leading decisions of the same trace.
-        let n_dec = self.config.profiling_decisions.max(3).min(self.n_decisions);
-        let profiling_acts = self.steps_from_trace(trace, n_dec);
-        span.finish();
-        perf.add("trace", t.elapsed_seconds());
-        let calibration = if policy.needs_predictor() {
-            let t = Timer::start();
-            let span = self.telemetry.span("engine.calibrate");
-            let cal = self.calibrate_predictor_inner(&profiling_acts, n_dec)?;
-            span.finish();
-            perf.add("calibrate", t.elapsed_seconds());
-            Some(cal)
-        } else {
-            None
-        };
-        self.run_inner(trace.spec(), &acts, Some(calibration), policy, perf)
+        self.replay(policy, || trace)
     }
 
-    /// The main loop over prepared step activities. `calibration` is
-    /// `None` to let the engine profile θ itself (synthetic path), or
-    /// `Some(optional-predictor)` when the caller already decided
-    /// (trace-replay path). `perf` carries the caller's already-timed
-    /// phases (trace synthesis, possibly calibration) and accumulates the
-    /// run's own phases.
-    #[allow(clippy::type_complexity)]
-    fn run_inner(
+    /// The one run path: prepare the trace `make_trace` yields (timed as
+    /// the `trace` phase), profile θ on its leading decisions, settle
+    /// the initial steady state, then alternate [`Self::decide`] and a
+    /// simulated interval.
+    fn replay<T: Borrow<ActivityTrace>>(
         &self,
-        spec: &WorkloadSpec,
-        acts: &[Vec<f64>],
-        calibration: Option<Option<(ThermalPredictor, f64)>>,
         policy: PolicyKind,
-        mut perf: PhaseTimes,
+        make_trace: impl FnOnce() -> T,
     ) -> Result<SimulationResult> {
         let cfg = &self.config;
-        let vdd = cfg.tech.vdd;
-        let n_vrs = self.chip.vr_sites().len();
-        let n_domains = self.chip.domains().len();
-        let total_steps = self.n_decisions * self.steps_per_decision;
-        // Per-domain di/dt severity: a core domain inherits its own
-        // benchmark's character; shared L3/uncore domains see the mix.
-        let core_count = self
-            .chip
-            .domains()
-            .iter()
-            .filter(|d| d.kind() == floorplan::DomainKind::Core)
-            .count();
-        let mut next_core = 0usize;
-        let domain_didt: Vec<f64> = self
-            .chip
-            .domains()
-            .iter()
-            .map(|d| {
-                if d.kind() == floorplan::DomainKind::Core {
-                    let sev = spec.profile_for_core(next_core).didt_severity;
-                    next_core += 1;
-                    sev
-                } else {
-                    spec.mean_didt_severity(core_count)
-                }
-            })
-            .collect();
-
-        // Predictor: practical policies get the profiled θ; thermal
-        // oracles drive the same linear model with perfect inputs.
-        let (predictor, r_squared) = match calibration {
-            Some(Some((p, r2))) => (Some(p), Some(r2)),
-            Some(None) => (None, None),
-            None if policy.needs_predictor() => {
-                let t = Timer::start();
-                let span = self.telemetry.span("engine.calibrate");
-                let (p, r2) = self.calibrate_predictor_spec(spec)?;
-                span.finish();
-                perf.add("calibrate", t.elapsed_seconds());
-                (Some(p), Some(r2))
-            }
-            None => (None, None),
-        };
-
-        let run_span = self.telemetry.span("engine.run");
-        let mut solver_profile = SolverProfile::new();
-        let t_steady = Timer::start();
-        let steady_span = self.telemetry.span("engine.steady");
-        let (mut state, steady_fb) = self.initial_state(acts, policy != PolicyKind::OffChip)?;
-        steady_span.finish();
-        solver_profile.merge_agg("steady", &steady_fb.cg);
-        perf.add("steady", t_steady.elapsed_seconds());
-        let mut stepper = self.thermal.stepper(cfg.thermal_step);
-        let mut scratch = StepScratch::new(&self.thermal);
-
-        let mut vr_losses = vec![0.0f64; n_vrs];
-        let mut sensors = ThermalSensorArray::new(n_vrs, cfg.sensor_latency, cfg.thermal_step);
-        sensors.record(&self.vr_temperatures(&state, &vr_losses));
-        let mut forecaster = DomainPowerForecaster::new(n_domains);
-        let mut emergency_predictor =
-            EmergencyPredictor::new(cfg.predictor_accuracy, cfg.seed ^ spec.seed());
-        let detector = EmergencyDetector::new();
-        let mut noise_rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
-
-        // Noise windows, evenly spread over the run.
-        let analyze_noise = policy != PolicyKind::OffChip;
-        let window_steps: Vec<usize> = (0..cfg.noise_window_count)
-            .map(|w| {
-                ((w as f64 + 0.5) / cfg.noise_window_count as f64 * total_steps as f64) as usize
-            })
-            .collect();
-
-        // Metric accumulators.
-        let mut decisions: Vec<DecisionRecord> = Vec::with_capacity(self.n_decisions);
-        let mut total_power = TimeSeries::new(cfg.thermal_step);
-        let mut active_count = TimeSeries::new(cfg.thermal_step);
-        let mut required_count = TimeSeries::new(cfg.thermal_step);
-        let mut vr_temps = TraceMatrix::new(n_vrs, cfg.thermal_step);
-        let mut max_t = f64::MIN;
-        let mut max_gradient = f64::MIN;
-        // The silicon layer at the running T_max, copied into one reused
-        // buffer; the heat map is built from it once, after the run.
-        let mut silicon_at_tmax = state.silicon().to_vec();
-        let mut vr_temps_now = Vec::with_capacity(n_vrs);
-        let mut pout_acc = 0.0f64;
-        let mut pin_acc = 0.0f64;
-        let mut loss_acc = 0.0f64;
-        let mut window_noise = Vec::new();
-        let mut emergency_cycles = 0usize;
-        let mut analyzed_cycles = 0usize;
-        let mut worst_window: Option<(f64, Vec<f64>)> = None;
-        // Noise analysis runs interleaved with the policy and transient
-        // phases; it accumulates here and is subtracted from whichever
-        // phase hosted it so the report attributes time where it is spent.
-        let mut noise_secs = 0.0f64;
-
-        // Spatial frame capture (heat-map / lane / hotspot Frame
-        // events): only built when telemetry is live AND frames were
-        // requested, so the disabled path costs one `is_none` branch.
-        let mut frame_recorder = if self.telemetry.is_enabled() && cfg.frame_every > 0 {
-            Some(crate::FrameRecorder::new(
-                self.telemetry.clone(),
-                cfg.frame_every,
-                cfg.frame_grid,
-                cfg.thermal_step,
-            ))
+        let spd = self.steps_per_decision;
+        let n_prof = self.profiling_decisions();
+        let mut perf = PhaseTimes::new();
+        // Only the resampled steps outlive this phase: a generated trace
+        // is dropped here.
+        let (spec, acts) = self.timed(&mut perf, "trace", "engine.trace", || {
+            let trace = make_trace();
+            let trace = trace.borrow();
+            trace.emit_telemetry(&self.telemetry);
+            let acts = self.steps_from_trace(trace, self.n_decisions.max(n_prof));
+            (trace.spec().clone(), acts)
+        });
+        let spec = &spec;
+        // Practical policies get the profiled θ; thermal oracles drive
+        // the same linear model with perfect inputs.
+        let calibration = if policy.needs_predictor() {
+            let profiling = &acts[..n_prof * spd];
+            Some(self.timed(&mut perf, "calibrate", "engine.calibrate", || {
+                self.calibrate_on(profiling, n_prof)
+            })?)
         } else {
             None
         };
+        let (predictor, r_squared) = calibration.unzip();
+        let acts = &acts[..self.n_decisions * spd];
+
+        let run_span = self.telemetry.span("engine.run");
+        let (state, steady) = self.timed(&mut perf, "steady", "engine.steady", || {
+            self.initial_state(acts, policy != PolicyKind::OffChip)
+        })?;
+        let mut metrics = RunMetrics::new(self, &state, &steady);
+        let mut plant = self.plant(state);
+        let n_vrs = self.chip.vr_sites().len();
+        let n_domains = self.chip.domains().len();
+        let mut gov = Governor {
+            policy,
+            predictor,
+            sensors: ThermalSensorArray::new(n_vrs, SENSOR_LATENCY, cfg.thermal_step),
+            forecaster: DomainPowerForecaster::new(n_domains),
+            emergency_predictor: EmergencyPredictor::new(
+                EMERGENCY_PREDICTOR_ACCURACY,
+                cfg.seed ^ spec.seed(),
+            ),
+        };
+        gov.sensors
+            .record(&self.vr_temperatures(&plant.state, &plant.vr_losses));
+
+        // Noise windows, evenly spread over the run; the off-chip policy
+        // analyses no noise and draws none.
+        let didt = self.domain_didt(spec);
+        let mut noise_rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
+        let n_windows = match policy {
+            PolicyKind::OffChip => 0,
+            _ => cfg.noise_window_count,
+        };
+        let window_steps: Vec<usize> = (0..n_windows)
+            .map(|w| ((w as f64 + 0.5) / n_windows as f64 * acts.len() as f64) as usize)
+            .collect();
+        // Spatial frame capture: only built when telemetry is live AND
+        // frames were requested, so the disabled path costs one branch.
+        let mut frame_recorder = (self.telemetry.is_enabled() && cfg.frame_every > 0).then(|| {
+            let (tel, every, step) = (self.telemetry.clone(), cfg.frame_every, cfg.thermal_step);
+            crate::FrameRecorder::new(tel, every, FRAME_GRID, step)
+        });
         // Per-domain supply lanes: Vdd scaled by the most recent
         // measured droop fraction, held between noise windows.
-        let mut lane_voltages = vec![vdd.get(); n_domains];
+        let mut lanes = vec![cfg.tech.vdd.get(); n_domains];
 
         for k in 0..self.n_decisions {
-            let noise_at_decide = noise_secs;
+            let step0 = k * spd;
+            let noise_at_decide = metrics.noise_secs;
             let t_decide = Timer::start();
-            let step0 = k * self.steps_per_decision;
-            // --- Demand views -----------------------------------------
-            let block_powers_now = self.block_powers(&acts[step0], &state);
-            let currents_now = self.domain_currents(&block_powers_now);
-            let next_mean_acts =
-                Self::mean_activities(acts, step0, step0 + self.steps_per_decision);
-            let block_powers_next = self.block_powers(&next_mean_acts, &state);
-            let currents_next = self.domain_currents(&block_powers_next);
-
-            // --- n_on per domain --------------------------------------
-            let n_on: Vec<usize> = self
-                .chip
-                .domains()
-                .iter()
-                .map(|d| {
-                    let bank = &self.banks[d.id().0];
-                    let demand = if policy.is_practical() {
-                        let fallback = Watts::new(currents_now[d.id().0] * vdd.get());
-                        forecaster.forecast(d.id().0, fallback) / vdd
-                    } else if policy.is_oracular() {
-                        simkit::units::Amps::new(currents_next[d.id().0])
-                    } else {
-                        simkit::units::Amps::new(currents_now[d.id().0])
-                    };
-                    bank.required_active(demand)
-                })
-                .collect();
-
-            // --- Thermal ranking inputs -------------------------------
-            let true_temps = self.vr_temperatures(&state, &vr_losses);
-            let vr_temp_rank: Vec<f64> = match policy {
-                PolicyKind::Naive => true_temps.clone(),
-                PolicyKind::OracT | PolicyKind::OracVT => {
-                    let p = predictor.as_ref().expect("oracle predictor");
-                    self.anticipated_temps(&true_temps, p, &currents_next, &n_on, &vr_losses)
-                }
-                PolicyKind::PracT | PolicyKind::PracVT => {
-                    let p = predictor.as_ref().expect("practical predictor");
-                    let sensed = sensors.read();
-                    let forecast: Vec<f64> = (0..n_domains)
-                        .map(|d| {
-                            let fallback = Watts::new(currents_now[d] * vdd.get());
-                            (forecaster.forecast(d, fallback) / vdd).get()
-                        })
-                        .collect();
-                    self.anticipated_temps(&sensed, p, &forecast, &n_on, &vr_losses)
-                }
-                _ => true_temps.clone(),
-            };
-
-            // --- Noise ranking inputs ---------------------------------
-            let vr_noise_score: Vec<f64> = if policy.uses_noise_ranking() {
-                let mut scores = vec![0.0; n_vrs];
-                for d in self.chip.domains() {
-                    for (v, s) in self.pdn.vr_load_proximity(d.id(), &block_powers_next) {
-                        scores[v.0] = s;
-                    }
-                }
-                scores
-            } else {
-                vec![0.0; n_vrs]
-            };
-
-            // --- Measurement windows of this interval -----------------
-            // Pre-generated before the decision so that (a) the window
-            // stream is identical across policies (one benchmark = one
-            // set of sampled windows, as in the paper's methodology) and
-            // (b) the VT policies' oracle judges the *same* windows that
-            // will be measured. Each window is reduced to its
-            // gating-independent di/dt responses here, once; the truth
-            // check and the measurement only scale them. The off-chip
-            // policy analyses no noise and draws no windows. Generation
-            // counts as noise time, not policy time.
+            // The interval's measurement windows, drawn before the
+            // decision so that (a) the window stream is identical across
+            // policies (one benchmark = one set of sampled windows, as in
+            // the paper's methodology) and (b) the VT policies' oracle
+            // judges the *same* windows that will be measured. Each is
+            // reduced to its gating-independent di/dt responses here,
+            // once. Generation counts as noise time, not policy time.
             let t_windows = Timer::start();
-            let interval_windows: Vec<(usize, Vec<DidtResponse>)> = window_steps
+            let windows: Vec<(usize, Vec<DidtResponse>)> = window_steps
                 .iter()
-                .copied()
-                .filter(|&s| analyze_noise && s >= step0 && s < step0 + self.steps_per_decision)
-                .map(|s| {
-                    (
-                        s,
-                        self.domain_windows(&acts[s], &domain_didt, &mut noise_rng),
-                    )
-                })
+                .filter(|&&s| s >= step0 && s < step0 + spd)
+                .map(|&s| (s, self.domain_windows(&acts[s], &didt, &mut noise_rng)))
                 .collect();
-            noise_secs += t_windows.elapsed_seconds();
+            metrics.noise_secs += t_windows.elapsed_seconds();
+            let decision = self.decide(&mut gov, k, acts, &plant, &windows, &mut metrics)?;
+            self.record_decision(k, &decision, policy, &mut metrics)?;
+            let noise = metrics.noise_secs - noise_at_decide;
+            perf.add("policy", t_decide.elapsed_seconds() - noise);
 
-            // --- Decide ------------------------------------------------
-            let no_emergency = vec![false; n_domains];
-            let inputs = PolicyInputs {
-                chip: self.chip,
-                n_on: &n_on,
-                vr_temp_rank: &vr_temp_rank,
-                vr_noise_score: &vr_noise_score,
-                emergency: &no_emergency,
-            };
-            let rankings = rank_regulators(policy, &inputs)?;
-            let mut applied_emergency = vec![false; n_domains];
-            let mut gating =
-                gating_from_rankings(policy, self.chip, &rankings, &n_on, &applied_emergency)?;
-            if policy.reacts_to_emergencies() && !interval_windows.is_empty() {
-                // Ground truth: would the planned gating put any domain
-                // over the emergency threshold during this interval's
-                // measurement windows?
-                let t_truth = Timer::start();
-                let mut truth = vec![false; n_domains];
-                for (_, responses) in &interval_windows {
-                    let report = self.analyzer.analyze_responses(
-                        self.chip,
-                        &self.pdn,
-                        &gating,
-                        &block_powers_next,
-                        responses,
-                    )?;
-                    solver_profile.merge_agg("noise", &report.ir_solve_stats());
-                    for (d, flag) in truth.iter_mut().enumerate() {
-                        *flag |=
-                            report.domain_fraction(DomainId(d)) > detector.threshold_fraction();
-                    }
-                }
-                noise_secs += t_truth.elapsed_seconds();
-                let truth_count = truth.iter().filter(|&&t| t).count();
-                let (emergency_flags, mispredicted) = if policy.is_oracular() {
-                    (truth, 0usize)
-                } else {
-                    let mut wrong = 0usize;
-                    let flags: Vec<bool> = truth
-                        .iter()
-                        .map(|&t| {
-                            let p = emergency_predictor.predict(t);
-                            if p != t {
-                                wrong += 1;
-                            }
-                            p
-                        })
-                        .collect();
-                    (flags, wrong)
-                };
-                let flagged = emergency_flags.iter().filter(|&&e| e).count();
-                if flagged > 0 {
-                    gating = gating_from_rankings(
-                        policy,
-                        self.chip,
-                        &rankings,
-                        &n_on,
-                        &emergency_flags,
-                    )?;
-                }
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .event(EventKind::Emergency, "engine.emergency_check")
-                        .field_u64("decision", k as u64)
-                        .field_u64("windows", interval_windows.len() as u64)
-                        .field_u64("true_domains", truth_count as u64)
-                        .field_u64("flagged_domains", flagged as u64)
-                        .field_u64("mispredicted", mispredicted as u64)
-                        .field_bool("predicted", !policy.is_oracular())
-                        .emit();
-                    if mispredicted > 0 {
-                        self.telemetry
-                            .counter("engine.emergency_mispredict", mispredicted as u64);
-                    }
-                }
-                applied_emergency = emergency_flags;
-            }
-            if self.telemetry.is_enabled() {
-                // Active-VR set change versus the previous decision (the
-                // pre-ROI baseline for the first one: all-on, or all-off
-                // under the off-chip policy).
-                let (turned_on, turned_off) = match decisions.last() {
-                    Some(prev) => gating.diff_counts(&prev.gating)?,
-                    None if policy == PolicyKind::OffChip => {
-                        gating.diff_counts(&GatingState::all_off(n_vrs))?
-                    }
-                    None => gating.diff_counts(&GatingState::all_on(n_vrs))?,
-                };
-                self.telemetry
-                    .event(EventKind::Gating, "engine.gating")
-                    .field_u64("decision", k as u64)
-                    .field_u64("active", gating.active_count() as u64)
-                    .field_u64("turned_on", turned_on as u64)
-                    .field_u64("turned_off", turned_off as u64)
-                    .emit();
-                self.telemetry.counter("engine.decisions", 1);
-                self.telemetry
-                    .counter("engine.steps", self.steps_per_decision as u64);
-                // Progress heartbeat: lets a live watcher (`tg-obs
-                // watch`) see how far along the run is. Every field is
-                // a pure function of the decision index, so heartbeats
-                // never perturb cross-run trace determinism.
-                self.telemetry
-                    .event(EventKind::Progress, "engine.heartbeat")
-                    .field_u64("decision", k as u64)
-                    .field_u64("decisions", self.n_decisions as u64)
-                    .field_u64("steps_done", ((k + 1) * self.steps_per_decision) as u64)
-                    .field_f64("frac", (k + 1) as f64 / self.n_decisions as f64)
-                    .emit();
-            }
-            decisions.push(DecisionRecord {
-                time_s: k as f64 * cfg.decision_interval.get(),
-                gating: gating.clone(),
-                n_on: n_on.clone(),
-            });
-            perf.add(
-                "policy",
-                t_decide.elapsed_seconds() - (noise_secs - noise_at_decide),
-            );
-
-            // --- Simulate the interval --------------------------------
-            let noise_at_step = noise_secs;
+            let noise_at_step = metrics.noise_secs;
             let t_step = Timer::start();
-            let mut interval_domain_power = vec![0.0f64; n_domains];
-            self.simulate_interval(
-                acts,
-                k,
-                &gating,
-                &mut state,
-                &mut stepper,
-                &mut vr_losses,
-                &mut scratch,
-                |view| {
-                    solver_profile.record("transient", view.solve);
-                    // Power + efficiency accounting.
-                    let chip_power: f64 = view.block_powers.iter().map(|p| p.get()).sum();
-                    total_power.push(chip_power);
-                    active_count.push(view.gating.active_count() as f64);
-                    // Demand-driven count: how many regulators pure
-                    // (thermally-oblivious) efficiency gating would keep
-                    // on right now — Section 6.1 / Fig. 6.
-                    let required: usize = self
-                        .chip
-                        .domains()
-                        .iter()
-                        .map(|domain| {
-                            let p: Watts = domain
-                                .blocks()
-                                .iter()
-                                .map(|&b| view.block_powers[b.0])
-                                .sum();
-                            self.banks[domain.id().0].required_active(p / vdd)
-                        })
-                        .sum();
-                    required_count.push(required as f64);
-                    let mut step_loss = 0.0;
-                    for (d, domain) in self.chip.domains().iter().enumerate() {
-                        let p: f64 = domain
-                            .blocks()
-                            .iter()
-                            .map(|&b| view.block_powers[b.0].get())
-                            .sum();
-                        interval_domain_power[d] += p;
-                        pout_acc += p;
-                        let domain_loss: f64 =
-                            domain.vrs().iter().map(|&v| view.vr_losses[v.0]).sum();
-                        step_loss += domain_loss;
-                        pin_acc += p + domain_loss;
-                    }
-                    loss_acc += step_loss;
-
-                    // Thermal accounting (silicon + regulator hotspots).
-                    self.vr_temperatures_into(view.state, view.vr_losses, &mut vr_temps_now);
-                    let temps = &vr_temps_now;
-                    sensors.record(temps);
-                    vr_temps.push_column(temps)?;
-                    let si_max = view.state.max_silicon().get();
-                    let vr_max = temps.iter().copied().fold(f64::MIN, f64::max);
-                    let t_max = si_max.max(vr_max);
-                    if t_max > max_t {
-                        max_t = t_max;
-                        silicon_at_tmax.copy_from_slice(view.state.silicon());
-                    }
-                    let gradient = t_max - view.state.min_silicon().get();
-                    max_gradient = max_gradient.max(gradient);
-
-                    // Noise windows.
-                    let window_here = interval_windows
-                        .iter()
-                        .find(|&&(s, _)| s == view.step)
-                        .map(|(_, r)| r);
-                    if let Some(responses) = window_here {
-                        let t_noise = Timer::start();
-                        let report = self.analyzer.analyze_responses(
-                            self.chip,
-                            &self.pdn,
-                            view.gating,
-                            view.block_powers,
-                            responses,
-                        )?;
-                        solver_profile.merge_agg("noise", &report.ir_solve_stats());
-                        // Per-domain fractions, with the VT policies'
-                        // detector backstop: a droop the predictor missed
-                        // is still caught by the on-line detector within
-                        // a ring period, clipping the excursion shortly
-                        // past the threshold.
-                        let threshold = detector.threshold_fraction();
-                        let backstop = policy.reacts_to_emergencies();
-                        let fractions: Vec<f64> = (0..n_domains)
-                            .map(|d| {
-                                let f = report.domain_fraction(DomainId(d));
-                                if backstop && !applied_emergency[d] && f > threshold {
-                                    f.min(threshold + DETECTOR_OVERSHOOT_FRACTION)
-                                } else {
-                                    f
-                                }
-                            })
-                            .collect();
-                        for (lane, fraction) in lane_voltages.iter_mut().zip(&fractions) {
-                            *lane = vdd.get() * (1.0 - fraction);
-                        }
-                        let pct = fractions.iter().copied().fold(0.0f64, f64::max) * 100.0;
-                        window_noise.push(pct);
-                        self.telemetry.histogram("engine.window_noise_pct", pct);
-
-                        // Emergency residency (Table 2) + worst trace
-                        // (Fig. 14). The analyzer's report carries the
-                        // static IR component and each domain's transient
-                        // scale, so neither a second grid solve nor a
-                        // second convolution.
-                        let mut window_emergency_cycles = 0usize;
-                        for (d, response) in responses.iter().enumerate() {
-                            let mut over = response.cycles_over(
-                                report.domain_transient_scale(DomainId(d)),
-                                report.domain_ir_fraction(DomainId(d)),
-                                threshold,
-                            );
-                            if backstop && !applied_emergency[d] {
-                                // Detector reaction truncates the
-                                // emergency after detection latency.
-                                over = over.min(DETECTOR_REACTION_CYCLES);
-                            }
-                            window_emergency_cycles = window_emergency_cycles.max(over);
-                        }
-                        emergency_cycles += window_emergency_cycles;
-                        analyzed_cycles += WINDOW_CYCLES - WARMUP_CYCLES;
-
-                        if worst_window.as_ref().is_none_or(|(best, _)| pct > *best) {
-                            // Record the worst domain's per-cycle trace.
-                            let worst_domain = (0..n_domains)
-                                .max_by(|&a, &b| {
-                                    fractions[a]
-                                        .partial_cmp(&fractions[b])
-                                        .expect("finite noise")
-                                })
-                                .expect("at least one domain");
-                            let scale = report.domain_transient_scale(DomainId(worst_domain));
-                            let ir = report.domain_ir_fraction(DomainId(worst_domain));
-                            let trace: Vec<f64> = responses[worst_domain]
-                                .magnitudes()
-                                .iter()
-                                .map(|&c| (scale * c + ir) * 100.0)
-                                .collect();
-                            worst_window = Some((pct, trace));
-                        }
-                        noise_secs += t_noise.elapsed_seconds();
-                    }
-
-                    if let Some(recorder) = frame_recorder.as_mut() {
-                        recorder.observe(view.step, view.state, view.gating, &lane_voltages);
-                    }
-                    Ok(())
-                },
-            )?;
-            perf.add(
-                "transient",
-                t_step.elapsed_seconds() - (noise_secs - noise_at_step),
-            );
-            if self.telemetry.is_enabled() && policy.is_practical() {
+            let mut domain_power = vec![0.0f64; n_domains];
+            for (s, act) in acts.iter().enumerate().skip(step0).take(spd) {
+                let solve = self.step(&mut plant, act, &decision.gating)?;
+                metrics.observe_step(self, &plant, &decision.gating, solve, &mut domain_power)?;
+                gov.sensors.record(&metrics.vr_temps_now);
+                if let Some((_, responses)) = windows.iter().find(|(w, _)| *w == s) {
+                    self.measure_window(
+                        &plant,
+                        &decision,
+                        responses,
+                        policy,
+                        &mut lanes,
+                        &mut metrics,
+                    )?;
+                }
+                if let Some(recorder) = frame_recorder.as_mut() {
+                    recorder.observe(s, &plant.state, &decision.gating, &lanes);
+                }
+            }
+            let noise = metrics.noise_secs - noise_at_step;
+            perf.add("transient", t_step.elapsed_seconds() - noise);
+            let interval_power: Vec<Watts> = domain_power
+                .iter()
+                .map(|&p| Watts::new(p / spd as f64))
+                .collect();
+            if self.telemetry.is_enabled() {
                 // Demand-forecast error: what the policy believed each
                 // domain would draw versus what the interval delivered.
-                for (d, &p) in interval_domain_power.iter().enumerate() {
-                    let actual = p / self.steps_per_decision as f64;
-                    let fallback = Watts::new(currents_now[d] * vdd.get());
-                    let forecast = forecaster.forecast(d, fallback).get();
-                    self.telemetry
-                        .histogram("engine.forecast_error_w", (forecast - actual).abs());
+                for (forecast, actual) in decision.forecast.iter().zip(&interval_power) {
+                    let error = (forecast.get() - actual.get()).abs();
+                    self.telemetry.histogram("engine.forecast_error_w", error);
                 }
             }
-            forecaster.observe(
-                &interval_domain_power
-                    .iter()
-                    .map(|&p| Watts::new(p / self.steps_per_decision as f64))
-                    .collect::<Vec<_>>(),
-            );
+            gov.forecaster.observe(&interval_power);
         }
 
-        if noise_secs > 0.0 {
-            perf.add("noise", noise_secs);
+        if metrics.noise_secs > 0.0 {
+            perf.add("noise", metrics.noise_secs);
         }
         if let Some(recorder) = frame_recorder {
             recorder.finish();
         }
         run_span.finish();
+        Ok(metrics.into_result(spec, policy, r_squared, perf, self.thermal.grid_size().0))
+    }
 
-        let steps_f = total_steps as f64;
-        let heatmap_at_tmax = silicon_at_tmax
-            .chunks(self.thermal.grid_size().0)
-            .map(<[f64]>::to_vec)
+    /// One decision (Section 6.2): size each domain's `n_on` from its
+    /// demand (the forecast for practical policies, the true next
+    /// interval for oracles, the present otherwise), rank the
+    /// regulators, gate, and — for the VT policies — check the planned
+    /// gating against this interval's measurement `windows`, switching a
+    /// domain with a (predicted) emergency all-on. The truth check's
+    /// solves and time go to `metrics`.
+    fn decide(
+        &self,
+        gov: &mut Governor,
+        k: usize,
+        acts: &[Vec<f64>],
+        plant: &Plant<'_>,
+        windows: &[(usize, Vec<DidtResponse>)],
+        metrics: &mut RunMetrics,
+    ) -> Result<Decision> {
+        let policy = gov.policy;
+        let (state, vr_losses) = (&plant.state, &plant.vr_losses);
+        let vdd = self.config.tech.vdd;
+        let n_vrs = self.chip.vr_sites().len();
+        let n_domains = self.chip.domains().len();
+        let step0 = k * self.steps_per_decision;
+
+        // --- Demand views ---------------------------------------------
+        let currents_now = self.domain_currents(&self.block_powers(&acts[step0], state));
+        let next_mean_acts = Self::mean_activities(acts, step0, step0 + self.steps_per_decision);
+        let block_powers_next = self.block_powers(&next_mean_acts, state);
+        let currents_next = self.domain_currents(&block_powers_next);
+        let forecast: Vec<Watts> = if policy.is_practical() {
+            let fallback = |d: usize| Watts::new(currents_now[d] * vdd.get());
+            (0..n_domains)
+                .map(|d| gov.forecaster.forecast(d, fallback(d)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let demand: Vec<f64> = if policy.is_practical() {
+            forecast.iter().map(|&w| (w / vdd).get()).collect()
+        } else if policy.is_oracular() {
+            currents_next
+        } else {
+            currents_now
+        };
+        let n_on: Vec<usize> = self
+            .banks
+            .iter()
+            .zip(&demand)
+            .map(|(bank, &i)| bank.required_active(Amps::new(i)))
             .collect();
-        Ok(SimulationResult {
-            spec: spec.clone(),
-            policy,
-            decisions,
-            total_power,
-            active_count,
-            required_count,
-            vr_temps,
-            max_temperature_c: max_t,
-            max_gradient_c: max_gradient,
-            mean_efficiency: if pin_acc > 0.0 {
-                pout_acc / pin_acc
+
+        // --- Ranking inputs -------------------------------------------
+        // The thermally-aware policies rank by the temperature each
+        // regulator would assume under the demand: oracles from the true
+        // temperatures, practical policies from the delayed sensors.
+        let true_temps = self.vr_temperatures(state, vr_losses);
+        let vr_temp_rank = match &gov.predictor {
+            Some(p) => {
+                let base = if policy.is_practical() {
+                    gov.sensors.read()
+                } else {
+                    true_temps
+                };
+                self.anticipated_temps(&base, p, &demand, &n_on, vr_losses)
+            }
+            None => true_temps,
+        };
+        let mut vr_noise_score = vec![0.0; n_vrs];
+        if policy.uses_noise_ranking() {
+            for d in self.chip.domains() {
+                for (v, s) in self.pdn.vr_load_proximity(d.id(), &block_powers_next) {
+                    vr_noise_score[v.0] = s;
+                }
+            }
+        }
+
+        // --- Rank and gate --------------------------------------------
+        let no_emergency = vec![false; n_domains];
+        let inputs = PolicyInputs {
+            chip: self.chip,
+            n_on: &n_on,
+            vr_temp_rank: &vr_temp_rank,
+            vr_noise_score: &vr_noise_score,
+            emergency: &no_emergency,
+        };
+        let rankings = rank_regulators(policy, &inputs)?;
+        let mut gating = gating_from_rankings(policy, self.chip, &rankings, &n_on, &no_emergency)?;
+        let mut emergency = no_emergency;
+        if policy.reacts_to_emergencies() && !windows.is_empty() {
+            // Ground truth: would the planned gating put any domain over
+            // the emergency threshold during this interval's windows?
+            let t_truth = Timer::start();
+            let threshold = EmergencyDetector::new().threshold_fraction();
+            let mut truth = vec![false; n_domains];
+            for (_, responses) in windows {
+                let report = self.analyzer.analyze_responses(
+                    self.chip,
+                    &self.pdn,
+                    &gating,
+                    &block_powers_next,
+                    responses,
+                )?;
+                metrics
+                    .solver_profile
+                    .merge_agg("noise", &report.ir_solve_stats());
+                for (d, flag) in truth.iter_mut().enumerate() {
+                    *flag |= report.domain_fraction(DomainId(d)) > threshold;
+                }
+            }
+            metrics.noise_secs += t_truth.elapsed_seconds();
+            let truth_count = truth.iter().filter(|&&t| t).count();
+            let flags: Vec<bool> = if policy.is_oracular() {
+                truth.clone()
             } else {
-                1.0
-            },
-            mean_total_vr_loss_w: loss_acc / steps_f,
-            window_noise_percent: window_noise,
-            emergency_cycle_fraction: if analyzed_cycles > 0 {
-                Some(emergency_cycles as f64 / analyzed_cycles as f64)
-            } else {
-                None
-            },
-            heatmap_at_tmax,
-            worst_window_trace: worst_window.map(|(_, trace)| trace),
-            predictor_r_squared: r_squared,
-            perf,
-            solver_profile,
+                truth
+                    .iter()
+                    .map(|&t| gov.emergency_predictor.predict(t))
+                    .collect()
+            };
+            let mispredicted = truth.iter().zip(&flags).filter(|(t, f)| t != f).count();
+            let flagged = flags.iter().filter(|&&e| e).count();
+            if flagged > 0 {
+                gating = gating_from_rankings(policy, self.chip, &rankings, &n_on, &flags)?;
+            }
+            if self.telemetry.is_enabled() {
+                self.telemetry
+                    .event(EventKind::Emergency, "engine.emergency_check")
+                    .field_u64("decision", k as u64)
+                    .field_u64("windows", windows.len() as u64)
+                    .field_u64("true_domains", truth_count as u64)
+                    .field_u64("flagged_domains", flagged as u64)
+                    .field_u64("mispredicted", mispredicted as u64)
+                    .field_bool("predicted", !policy.is_oracular())
+                    .emit();
+                if mispredicted > 0 {
+                    self.telemetry
+                        .counter("engine.emergency_mispredict", mispredicted as u64);
+                }
+            }
+            emergency = flags;
+        }
+        Ok(Decision {
+            gating,
+            n_on,
+            emergency,
+            forecast,
         })
+    }
+
+    /// Appends `decision` to the run's records, emitting its gating
+    /// event, counters and progress heartbeat.
+    fn record_decision(
+        &self,
+        k: usize,
+        decision: &Decision,
+        policy: PolicyKind,
+        metrics: &mut RunMetrics,
+    ) -> Result<()> {
+        let gating = &decision.gating;
+        if self.telemetry.is_enabled() {
+            // Active-VR set change versus the previous decision (the
+            // pre-ROI baseline for the first one: all-on, or all-off
+            // under the off-chip policy).
+            let (turned_on, turned_off) = match metrics.decisions.last() {
+                Some(prev) => gating.diff_counts(&prev.gating)?,
+                None if policy == PolicyKind::OffChip => {
+                    gating.diff_counts(&GatingState::all_off(gating.len()))?
+                }
+                None => gating.diff_counts(&GatingState::all_on(gating.len()))?,
+            };
+            self.telemetry
+                .event(EventKind::Gating, "engine.gating")
+                .field_u64("decision", k as u64)
+                .field_u64("active", gating.active_count() as u64)
+                .field_u64("turned_on", turned_on as u64)
+                .field_u64("turned_off", turned_off as u64)
+                .emit();
+            self.telemetry.counter("engine.decisions", 1);
+            self.telemetry
+                .counter("engine.steps", self.steps_per_decision as u64);
+            // Progress heartbeat: lets a live watcher (`tg-obs watch`)
+            // see how far along the run is. Every field is a pure
+            // function of the decision index, so heartbeats never perturb
+            // cross-run trace determinism.
+            self.telemetry
+                .event(EventKind::Progress, "engine.heartbeat")
+                .field_u64("decision", k as u64)
+                .field_u64("decisions", self.n_decisions as u64)
+                .field_u64("steps_done", ((k + 1) * self.steps_per_decision) as u64)
+                .field_f64("frac", (k + 1) as f64 / self.n_decisions as f64)
+                .emit();
+        }
+        metrics.decisions.push(DecisionRecord {
+            time_s: k as f64 * self.config.decision_interval.get(),
+            gating: gating.clone(),
+            n_on: decision.n_on.clone(),
+        });
+        Ok(())
+    }
+
+    /// Measures one noise window at the step `plant` just took under
+    /// `decision`: per-domain droop fractions (the VT policies' on-line
+    /// detector clips a droop the predictor missed shortly past the
+    /// threshold), the supply lanes, emergency residency (Table 2) and
+    /// the worst window's per-cycle trace (Fig. 14). Timed as noise.
+    fn measure_window(
+        &self,
+        plant: &Plant<'_>,
+        decision: &Decision,
+        responses: &[DidtResponse],
+        policy: PolicyKind,
+        lanes: &mut [f64],
+        metrics: &mut RunMetrics,
+    ) -> Result<()> {
+        let t_noise = Timer::start();
+        let report = self.analyzer.analyze_responses(
+            self.chip,
+            &self.pdn,
+            &decision.gating,
+            &plant.block_powers,
+            responses,
+        )?;
+        metrics
+            .solver_profile
+            .merge_agg("noise", &report.ir_solve_stats());
+        let threshold = EmergencyDetector::new().threshold_fraction();
+        let mut fractions = Vec::with_capacity(responses.len());
+        let mut window_emergency_cycles = 0usize;
+        for (d, response) in responses.iter().enumerate() {
+            let id = DomainId(d);
+            let mut fraction = report.domain_fraction(id);
+            // The report carries the static IR component and the
+            // transient scale, so neither a second grid solve nor a
+            // second convolution.
+            let scale = report.domain_transient_scale(id);
+            let mut over = response.cycles_over(scale, report.domain_ir_fraction(id), threshold);
+            if policy.reacts_to_emergencies() && !decision.emergency[d] {
+                // A droop the predictor missed is still caught by the
+                // on-line detector within a ring period: its reaction
+                // clips the excursion shortly past the threshold and
+                // truncates the emergency after detection latency.
+                fraction = fraction.min(threshold + DETECTOR_OVERSHOOT_FRACTION);
+                over = over.min(DETECTOR_REACTION_CYCLES);
+            }
+            lanes[d] = self.config.tech.vdd.get() * (1.0 - fraction);
+            fractions.push(fraction);
+            window_emergency_cycles = window_emergency_cycles.max(over);
+        }
+        let pct = fractions.iter().copied().fold(0.0f64, f64::max) * 100.0;
+        metrics.window_noise.push(pct);
+        self.telemetry.histogram("engine.window_noise_pct", pct);
+        metrics.emergency_cycles += window_emergency_cycles;
+        metrics.analyzed_cycles += WINDOW_CYCLES - WARMUP_CYCLES;
+
+        if metrics
+            .worst_window
+            .as_ref()
+            .is_none_or(|(worst, _)| pct > *worst)
+        {
+            // Record the worst domain's per-cycle trace.
+            let worst_domain = (0..fractions.len())
+                .max_by(|&a, &b| fractions[a].total_cmp(&fractions[b]))
+                .unwrap_or(0);
+            let scale = report.domain_transient_scale(DomainId(worst_domain));
+            let ir = report.domain_ir_fraction(DomainId(worst_domain));
+            let trace = responses[worst_domain]
+                .magnitudes()
+                .iter()
+                .map(|&c| (scale * c + ir) * 100.0)
+                .collect();
+            metrics.worst_window = Some((pct, trace));
+        }
+        metrics.noise_secs += t_noise.elapsed_seconds();
+        Ok(())
     }
 
     /// Anticipated per-VR temperatures via the ΔT = θ·ΔP model:
@@ -1307,7 +1287,7 @@ impl<'c> SimulationEngine<'c> {
             let bank = &self.banks[d];
             let share = n_on[d].clamp(1, domain.vr_count());
             let loss_if_on = bank
-                .per_regulator_loss(simkit::units::Amps::new(domain_currents[d]), share, vdd)
+                .per_regulator_loss(Amps::new(domain_currents[d]), share, vdd)
                 .map(|w| w.get())
                 .unwrap_or(0.0);
             for &v in domain.vrs() {
@@ -1316,6 +1296,26 @@ impl<'c> SimulationEngine<'c> {
             }
         }
         out
+    }
+
+    /// Per-domain di/dt severity: a core domain inherits its own
+    /// benchmark's character; shared L3/uncore domains see the mix.
+    fn domain_didt(&self, spec: &WorkloadSpec) -> Vec<f64> {
+        let is_core = |d: &&VddDomain| d.kind() == floorplan::DomainKind::Core;
+        let core_count = self.chip.domains().iter().filter(is_core).count();
+        let mut next_core = 0usize;
+        self.chip
+            .domains()
+            .iter()
+            .map(|d| {
+                if is_core(&d) {
+                    next_core += 1;
+                    spec.profile_for_core(next_core - 1).didt_severity
+                } else {
+                    spec.mean_didt_severity(core_count)
+                }
+            })
+            .collect()
     }
 
     /// Generates the per-domain cycle windows for one noise evaluation
@@ -1375,13 +1375,6 @@ mod tests {
             ..tiny_config()
         };
         assert!(one_cell.validate().is_ok());
-        for accuracy in [0.0, 1.0] {
-            let edge = EngineConfig {
-                predictor_accuracy: accuracy,
-                ..tiny_config()
-            };
-            assert!(edge.validate().is_ok(), "{accuracy}");
-        }
         let bad = [
             EngineConfig {
                 thermal: ThermalConfig {
@@ -1408,22 +1401,6 @@ mod tests {
             },
             EngineConfig {
                 thermal_step: Seconds::new(0.0),
-                ..tiny_config()
-            },
-            EngineConfig {
-                predictor_accuracy: 1.5,
-                ..tiny_config()
-            },
-            EngineConfig {
-                predictor_accuracy: -0.1,
-                ..tiny_config()
-            },
-            EngineConfig {
-                predictor_accuracy: f64::NAN,
-                ..tiny_config()
-            },
-            EngineConfig {
-                predictor_accuracy: f64::INFINITY,
                 ..tiny_config()
             },
         ];
@@ -1526,24 +1503,41 @@ mod tests {
 
     #[test]
     fn run_trace_replays_external_activity() {
+        // Replaying the trace the synthetic path generates — one covering
+        // the run and the profiling pass, which at the tiny config is the
+        // longer — reproduces the synthetic result exactly, θ included.
         let chip = power8_like();
-        // Profiling must fit inside the replayed trace for the synthetic
-        // and replay paths to calibrate on identical data.
-        let engine = SimulationEngine::new(
-            &chip,
-            EngineConfig {
-                profiling_decisions: 3,
-                ..tiny_config()
-            },
+        let engine = SimulationEngine::new(&chip, tiny_config());
+        let cfg = engine.config();
+        let decisions = engine.n_decisions.max(engine.profiling_decisions());
+        assert!(engine.profiling_decisions() > engine.n_decisions);
+        let mix: WorkloadSpec =
+            workload::WorkloadMix::alternating(Benchmark::Cholesky, Benchmark::Raytrace, 8).into();
+        for spec in [WorkloadSpec::Single(Benchmark::Volrend), mix] {
+            let trace = TraceGenerator::new(&chip)
+                .generate_spec(&spec, cfg.decision_interval * decisions as f64);
+            for policy in [PolicyKind::OracT, PolicyKind::PracVT] {
+                let replayed = engine.run_trace(&trace, policy).unwrap();
+                let synthetic = engine.run_spec(&spec, policy).unwrap();
+                assert_eq!(
+                    masked_debug(&replayed),
+                    masked_debug(&synthetic),
+                    "{spec} {policy}"
+                );
+            }
+        }
+    }
+
+    /// A result's `Debug` rendering with its wall-clock phase seconds
+    /// masked: phase names and sample counts stay.
+    fn masked_debug(r: &SimulationResult) -> String {
+        let s = format!("{r:?}");
+        let (lo, hi) = (
+            s.find("perf: ").unwrap(),
+            s.find("solver_profile: ").unwrap(),
         );
-        // Replaying the same trace the synthetic path would generate
-        // reproduces the synthetic result exactly.
-        let trace =
-            TraceGenerator::new(&chip).generate(Benchmark::Volrend, engine.config().duration);
-        let replayed = engine.run_trace(&trace, PolicyKind::OracT).unwrap();
-        let synthetic = engine.run(Benchmark::Volrend, PolicyKind::OracT).unwrap();
-        assert_eq!(replayed.max_temperature(), synthetic.max_temperature());
-        assert_eq!(replayed.max_noise_percent(), synthetic.max_noise_percent());
+        let phases: Vec<_> = r.phase_times().iter().map(|(n, _, k)| (n, k)).collect();
+        format!("{}perf: {phases:?}, {}", &s[..lo], &s[hi..])
     }
 
     #[test]
@@ -1680,7 +1674,6 @@ mod tests {
         let chip = power8_like();
         let framed_config = EngineConfig {
             frame_every: 25,
-            frame_grid: 8,
             ..tiny_config()
         };
         let mut framed = SimulationEngine::new(&chip, framed_config.clone());

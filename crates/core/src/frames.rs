@@ -6,7 +6,7 @@
 //! [`EngineConfig`](crate::EngineConfig)) the recorder captures:
 //!
 //! * `thermal.frame` — the silicon heat map downsampled to at most
-//!   `frame_grid` cells per axis, rows bottom-first joined by `;`,
+//!   16 cells per axis, rows bottom-first joined by `;`,
 //!   cells by `,`, two decimals;
 //! * `engine.lanes` — the per-domain supply voltage lanes (Vdd scaled
 //!   by the latest measured droop fraction) plus the active-VR gating

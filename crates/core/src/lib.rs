@@ -23,8 +23,9 @@
 //!   (100 µs-class sensor + aggregation latency);
 //! * [`SimulationEngine`] — the closed-loop co-simulation
 //!   (workload → power → regulators → thermal → noise → governor) that
-//!   every experiment drives — single-program, multiprogrammed
-//!   (`run_spec`), or replaying external traces (`run_trace`) — and
+//!   every experiment drives — single-program or multiprogrammed
+//!   (`run_spec`, a replay of the synthetic trace it generates), or
+//!   replaying external traces (`run_trace`) — and
 //!   [`SimulationResult`] with the metrics the paper reports (T_max,
 //!   thermal gradient, conversion-loss savings, voltage noise,
 //!   emergency residency);

@@ -267,8 +267,6 @@ mod tests {
         let opts = ExpOptions::tiny().with_frames(25);
         assert_eq!(opts.frames, Some(25));
         assert_eq!(opts.engine_config().frame_every, 25);
-        // The frame grid stays at the engine default resolution.
-        assert_eq!(opts.engine_config().frame_grid, 16);
     }
 
     #[test]
