@@ -13,7 +13,7 @@ fn usage() -> String {
     let ids: Vec<&str> = ARTEFACTS.iter().map(|a| a.id).collect();
     format!(
         "usage: repro <id>… | all [--quick | --tiny] [--threads=N] [--quiet] \
-         [--telemetry=<dir>] [--frames=N] [--live]\nids: {}\n",
+         [--telemetry=<dir>] [--frames=N]\nids: {}\n",
         ids.join(" ")
     )
 }

@@ -46,7 +46,6 @@ struct Args {
     quiet: bool,
     telemetry: Option<PathBuf>,
     frames: Option<usize>,
-    live: bool,
 }
 
 fn usage() -> &'static str {
@@ -54,17 +53,13 @@ fn usage() -> &'static str {
      \u{20}       [--duration-ms <f64>] [--windows <n>] [--grid <n>]\n\
      \u{20}       [--design fivr|ldo] [--trace <csv>] [--export-trace <csv>]\n\
      \u{20}       [--heatmap] [--quiet|-q] [--telemetry=<dir>] [--frames <n>]\n\
-     \u{20}       [--live]\n\
      benchmarks: barnes chol fft fmm lu_cb lu_ncb oc_cp oc_ncp radio\n\
      \u{20}           radix rayt volr water_n water_s\n\
      policies:   allon offchip naive oract oracv oracvt pract pracvt\n\
      telemetry:  --telemetry=<dir> (or SIMKIT_TELEMETRY=<dir>) writes a\n\
      \u{20}           structured trace.jsonl + manifest.json into <dir>;\n\
      \u{20}           --frames <n> records a spatial thermal frame every\n\
-     \u{20}           n thermal steps into the trace (0 = off);\n\
-     \u{20}           --live (or SIMKIT_LIVE=1) adds a streaming in-process\n\
-     \u{20}           aggregator that self-reports its cost as\n\
-     \u{20}           telemetry.live.* counters in the trace"
+     \u{20}           n thermal steps into the trace (0 = off)"
 }
 
 fn parse_benchmark(label: &str) -> Result<Benchmark, String> {
@@ -89,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         quiet: false,
         telemetry: std::env::var("SIMKIT_TELEMETRY").ok().map(PathBuf::from),
         frames: None,
-        live: std::env::var("SIMKIT_LIVE").is_ok(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -129,7 +123,6 @@ fn parse_args() -> Result<Args, String> {
             "--heatmap" => args.heatmap = true,
             "--quiet" | "-q" => args.quiet = true,
             "--telemetry" => args.telemetry = Some(PathBuf::from(value()?)),
-            "--live" => args.live = true,
             "--help" | "-h" => return Err(String::new()),
             other => match other.strip_prefix("--telemetry=") {
                 Some(dir) => args.telemetry = Some(PathBuf::from(dir)),
@@ -204,16 +197,16 @@ fn main() -> ExitCode {
 
     // Telemetry: the engine runs with a per-cell counted handle so the
     // manifest's single cell carries an exact event count.
-    let telemetry_ctx =
-        args.telemetry
-            .as_ref()
-            .and_then(|dir| match TelemetryCtx::create_with(dir, args.live) {
-                Ok(ctx) => Some(ctx),
-                Err(e) => {
-                    eprintln!("warning: cannot open telemetry dir {}: {e}", dir.display());
-                    None
-                }
-            });
+    let telemetry_ctx = args
+        .telemetry
+        .as_ref()
+        .and_then(|dir| match TelemetryCtx::create(dir) {
+            Ok(ctx) => Some(ctx),
+            Err(e) => {
+                eprintln!("warning: cannot open telemetry dir {}: {e}", dir.display());
+                None
+            }
+        });
     let cell_counter = telemetry_ctx.as_ref().map(|ctx| {
         let (telemetry, counter) = ctx.cell_handle();
         engine.set_telemetry(telemetry);

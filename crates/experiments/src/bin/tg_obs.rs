@@ -62,14 +62,14 @@ USAGE:
 
     tg-obs watch <run-dir> [--once] [--rules <file.json>]
                  [--status-every <n>] [--interval-ms <n>] [--timeout-s <n>]
-        Follow a live trace as it is written: streaming aggregation
-        with a deterministic status line every n events (default 1000),
-        rules re-evaluated as events arrive, and — once the run
-        completes (manifest written), goes idle for timeout-s (default
-        30), or --once drains the current file — a final summary that
+        Follow a live trace as it is written: the exact aggregation
+        `check` and `summarize` use, with a deterministic status line
+        every n events (default 1000), rules re-evaluated as events
+        arrive, and — once the run completes (manifest written), goes
+        idle for timeout-s (default 30), or --once drains the current
+        file — the rule table `check` prints and a final summary that
         is byte-identical to `summarize` on the finished trace, below a
-        `--- summary ---` marker. Percentile rules read bounded-memory
-        P² estimates while streaming. Exits 1 when a rule fails.
+        `--- summary ---` marker. Exits 1 when a rule fails.
 
     tg-obs check <run-dir> --rules <file.json> [--strict]
         Batch-evaluate a rules file against a finished trace, with the
@@ -299,7 +299,7 @@ fn validate_run(dir: &Path, require: &[EventKind]) -> Result<String, String> {
     // Parallel sweep cells interleave their (per-handle-epoch)
     // timestamps arbitrarily; only single-cell traces are ordered.
     let check_mono = manifest.cells.len() <= 1;
-    let mut analysis = TraceAnalysis::streaming();
+    let mut analysis = TraceAnalysis::exact();
     let mut prev_t = f64::NEG_INFINITY;
     loop {
         let event = reader
@@ -529,7 +529,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     };
 
-    let mut stats = TraceAnalysis::streaming();
+    let mut stats = TraceAnalysis::exact();
     let mut last_event = Instant::now();
     loop {
         let events = tailer

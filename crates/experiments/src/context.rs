@@ -8,12 +8,11 @@ use thermogater::EngineConfig;
 
 /// The flags [`ExpOptions::from_args`] reads; those ending in `=` take a
 /// value.
-pub const FLAGS: [&str; 8] = [
+pub const FLAGS: [&str; 7] = [
     "--quick",
     "--tiny",
     "--quiet",
     "-q",
-    "--live",
     "--threads=",
     "--telemetry=",
     "--frames=",
@@ -41,10 +40,6 @@ pub struct ExpOptions {
     /// (`--frames=N` / `SIMKIT_FRAMES`). `None` disables frame capture;
     /// frames are only emitted when telemetry is also enabled.
     pub frames: Option<usize>,
-    /// Fold events into an in-process live aggregate (`--live` /
-    /// `SIMKIT_LIVE`), self-reporting the aggregation cost through
-    /// `telemetry.live.*` counters. Only meaningful with telemetry on.
-    pub live: bool,
 }
 
 impl ExpOptions {
@@ -53,9 +48,7 @@ impl ExpOptions {
     /// environment also selects the quick configuration, and
     /// `SIMKIT_TELEMETRY=<dir>` enables telemetry when the flag is
     /// absent. `--frames=N` / `SIMKIT_FRAMES=N` turns on the spatial
-    /// frame recorder with a capture every N thermal steps; `--live` /
-    /// `SIMKIT_LIVE` folds events into an in-process live aggregate
-    /// with self-reported overhead counters.
+    /// frame recorder with a capture every N thermal steps.
     ///
     /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
     /// solver backend, rather than silently running under `Auto`, and
@@ -79,7 +72,6 @@ impl ExpOptions {
             .or_else(|| std::env::var("SIMKIT_TELEMETRY").ok().map(PathBuf::from));
         // The variable is checked even when the flag overrides it.
         let frames = count_flag("--frames=").or(count_env("SIMKIT_FRAMES"));
-        let live = std::env::args().any(|a| a == "--live") || std::env::var("SIMKIT_LIVE").is_ok();
         ExpOptions {
             quick,
             tiny,
@@ -87,7 +79,6 @@ impl ExpOptions {
             quiet,
             telemetry,
             frames,
-            live,
         }
     }
 
@@ -139,11 +130,6 @@ impl ExpOptions {
             frames: Some(every),
             ..self
         }
-    }
-
-    /// This configuration with in-process live aggregation enabled.
-    pub fn with_live(self) -> Self {
-        ExpOptions { live: true, ..self }
     }
 
     /// The sweep worker-thread count: the explicit option, else the
@@ -279,7 +265,5 @@ mod tests {
         );
         assert!(ExpOptions::tiny().telemetry.is_none());
         assert!(!ExpOptions::tiny().quiet);
-        assert!(!ExpOptions::tiny().live);
-        assert!(ExpOptions::tiny().with_live().live);
     }
 }

@@ -19,8 +19,9 @@
 //!   solver iteration percentiles per solve site, recovered from the
 //!   run's own telemetry stream;
 //! * `scaling` — steady-solve cost per (grid, backend) cell;
-//! * `telemetry` and `live` — frame-recorder and live-aggregation
-//!   overhead;
+//! * `telemetry` — frame-recorder overhead (v1 documents may also
+//!   carry `live`, the overhead of a since-deleted in-process
+//!   aggregator);
 //! * `serve` — scenario-service cache-hit throughput;
 //! * `entries` and `peak_rss_bytes` — the policy count and the process
 //!   peak RSS.
@@ -205,9 +206,10 @@ fn scaling_rows(
     ]
 }
 
-/// Rows of an overhead axis (`telemetry` or `live`): a deterministic
-/// count that gates exactly, the sink's self-timed cost as a share of
-/// the instrumented run's wall, and both walls for context.
+/// Rows of an overhead axis (`telemetry`, or a v1 `live`): a
+/// deterministic count that gates exactly, the sink's self-timed cost
+/// as a share of the instrumented run's wall, and both walls for
+/// context.
 fn overhead_rows(
     axis: &str,
     count: (&str, f64),
@@ -440,51 +442,6 @@ pub fn measure_telemetry_overhead() -> Result<Vec<Row>, String> {
     .to_vec())
 }
 
-/// Measures the live-aggregation overhead axis (`snap.live.…`): the
-/// pinned fast-config workload once with a [`LiveSink`] fanned in next
-/// to the recorder sink, once with the recorder alone. The live run's
-/// sink provides the deterministic folded-event count and its self-timed
-/// fold cost — the same numbers a `--live` run writes into its trace as
-/// `telemetry.live.events` / `telemetry.live.overhead`.
-///
-/// [`LiveSink`]: simkit::telemetry::live::LiveSink
-///
-/// # Errors
-///
-/// Propagates engine failures as a rendered message.
-pub fn measure_live_overhead() -> Result<Vec<Row>, String> {
-    use simkit::telemetry::live::LiveSink;
-    use simkit::telemetry::{FanoutSink, MemorySink, TelemetrySink};
-    use std::sync::Arc;
-
-    let chip = floorplan::reference::power8_like();
-    let run = |live: Option<Arc<LiveSink>>| -> Result<f64, String> {
-        let mut engine = SimulationEngine::new(&chip, EngineConfig::fast());
-        let recorder: Arc<dyn TelemetrySink> = Arc::new(MemorySink::default());
-        let sink: Arc<dyn TelemetrySink> = match live {
-            Some(live) => Arc::new(FanoutSink::new(vec![recorder, live])),
-            None => recorder,
-        };
-        engine.set_telemetry(Telemetry::with_sink(sink));
-        let started = Instant::now();
-        engine
-            .run(SNAPSHOT_BENCH, PolicyKind::PracVT)
-            .map_err(|e| format!("live overhead run failed: {e}"))?;
-        Ok(started.elapsed().as_secs_f64())
-    };
-    let live = Arc::new(LiveSink::new());
-    let live_wall_s = run(Some(live.clone()))?;
-    let base_wall_s = run(None)?;
-    Ok(overhead_rows(
-        "live",
-        ("events", live.events() as f64),
-        live.overhead_us() as f64,
-        ("live_wall_s", live_wall_s),
-        base_wall_s,
-    )
-    .to_vec())
-}
-
 /// Benchmarks of the serve-throughput batch (small but not singular,
 /// so the batch exercises distinct hashes).
 pub const SERVE_BENCHMARKS: [Benchmark; 4] = [
@@ -578,9 +535,9 @@ pub fn measure_serve_throughput() -> Result<Vec<Row>, String> {
 }
 
 /// Captures a snapshot: one [`measure_policy`] run per `policies`
-/// entry, the frame-recorder and live-aggregation overhead axes, plus
-/// the process peak RSS (taken before any scaling or serve rows a
-/// caller appends, so it prices the pinned workload alone).
+/// entry, the frame-recorder overhead axis, plus the process peak RSS
+/// (taken before any scaling or serve rows a caller appends, so it
+/// prices the pinned workload alone).
 ///
 /// # Errors
 ///
@@ -591,11 +548,9 @@ pub fn capture(label: &str, policies: &[PolicyKind]) -> Result<BenchSnapshot, St
         policy_rows.extend(measure_policy(p)?);
     }
     let telemetry = measure_telemetry_overhead()?;
-    let live = measure_live_overhead()?;
     let mut rows = vec![entries_row(policies.len() as f64)];
     rows.extend(peak_rss_bytes().map(|b| peak_rss_row(b as f64)));
     rows.extend(telemetry);
-    rows.extend(live);
     rows.extend(policy_rows);
     Ok(BenchSnapshot {
         label: label.to_string(),
@@ -865,9 +820,10 @@ fn axis_member<'d>(doc: &'d JsonValue, name: &str) -> Option<&'d JsonValue> {
 /// `live`, `serve`, `entries` and `scaling` members — into the rows a
 /// v2 capture of the same measurements writes: same keys, directions
 /// and tolerances, with `overhead_share` and `warm_per_sec` derived
-/// here as a capture derives them. Fields no row carries (`grid_n`,
-/// `nodes`, each solve site's `iters_mean`, the raw `overhead_us`) are
-/// not read beyond what the derived rows need.
+/// here as a capture derives them (`live` rows keep the keys the
+/// deleted live-aggregation capture wrote). Fields no row carries
+/// (`grid_n`, `nodes`, each solve site's `iters_mean`, the raw
+/// `overhead_us`) are not read beyond what the derived rows need.
 fn flatten_v1(doc: &JsonValue) -> Result<Vec<Row>, SnapshotError> {
     let entries = array(doc, "snapshot", "entries")?;
     let mut rows = vec![entries_row(entries.len() as f64)];
@@ -1330,18 +1286,6 @@ pub(crate) mod tests {
         assert!(frames >= 5.0, "too few frames: {frames}");
         assert!(value(&rows, "snap.telemetry.frames_wall_s") > 0.0);
         assert!(value(&rows, "snap.telemetry.base_wall_s") > 0.0);
-    }
-
-    #[test]
-    fn measure_live_overhead_folds_every_engine_event() {
-        let rows = measure_live_overhead().expect("overhead runs succeed");
-        // The fast config emits at minimum gating + emergency + solve
-        // events per decision window; the live sink must have folded a
-        // substantial stream, not a handful.
-        let events = value(&rows, "snap.live.events");
-        assert!(events > 100.0, "too few folded events: {events}");
-        assert!(value(&rows, "snap.live.live_wall_s") > 0.0);
-        assert!(value(&rows, "snap.live.base_wall_s") > 0.0);
     }
 
     #[test]

@@ -39,7 +39,12 @@ fn detail_tables_precede_the_summary() {
 
 #[test]
 fn unknown_ids_and_flags_exit_2_and_list_the_ids() {
-    for args in [&["nope"][..], &["fig01", "--bogus"], &["--quiet"]] {
+    for args in [
+        &["nope"][..],
+        &["fig01", "--bogus"],
+        &["fig01", "--live"],
+        &["--quiet"],
+    ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");

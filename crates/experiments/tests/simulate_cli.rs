@@ -13,14 +13,13 @@ fn simulate(args: &[&str]) -> Output {
         .args(args)
         .env_remove("SIMKIT_SOLVER")
         .env_remove("SIMKIT_TELEMETRY")
-        .env_remove("SIMKIT_LIVE")
         .output()
         .expect("simulate runs")
 }
 
 #[test]
 fn non_physical_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["--grid", "0"], "thermal grid must be non-empty"),
         (&["--duration-ms", "0"], "at least one decision interval"),
         (&["--duration-ms", "nan"], "at least one decision interval"),
@@ -28,6 +27,7 @@ fn non_physical_flags_are_usage_errors() {
         (&["--duration-ms", "inf"], "at least one decision interval"),
         (&["--duration-ms", "-2"], "at least one decision interval"),
         (&["--no-such-flag"], "unknown flag"),
+        (&["--live"], "unknown flag"),
         (&["--grid", "many"], "bad grid"),
         (&["--grid"], "expects a value"),
         (&["--policy", "integralt"], "unknown policy"),

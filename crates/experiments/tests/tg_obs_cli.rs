@@ -763,11 +763,9 @@ fn watch_rejects_a_timeout_that_never_or_always_expires() {
 }
 
 #[test]
-fn check_percentile_rules_use_the_exact_percentiles_summarize_prints() {
-    use simkit::telemetry::live::P2Grid;
-
-    // A bimodal gauge with more samples than the P² grid holds
-    // verbatim (13), so the streaming estimate and the exact p95 part.
+fn watch_and_check_grade_percentile_rules_on_the_same_exact_percentiles() {
+    // A bimodal gauge of 20 samples: sixteen near 2, four near 100. Its
+    // exact p95 is 104.25; a 13-marker P² sketch would read ~30.5.
     let values: Vec<f64> = (0..20)
         .map(|k| {
             if k % 5 == 4 {
@@ -777,16 +775,9 @@ fn check_percentile_rules_use_the_exact_percentiles_summarize_prints() {
             }
         })
         .collect();
-    let exact = simkit::stats::percentile(&values, 95.0).unwrap();
-    let mut grid = P2Grid::new();
-    values.iter().for_each(|&v| grid.observe(v));
-    let estimate = grid.estimate(0.95).unwrap();
-    assert!(
-        (exact - estimate).abs() > 1.0,
-        "the sample must separate the stores: exact {exact}, P² {estimate}"
-    );
+    assert_eq!(simkit::stats::percentile(&values, 95.0), Some(104.25));
 
-    let dir = temp_dir("exact-check");
+    let dir = temp_dir("exact-rules");
     let trace: String = values
         .iter()
         .enumerate()
@@ -804,30 +795,29 @@ fn check_percentile_rules_use_the_exact_percentiles_summarize_prints() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let doc = simkit::telemetry::json::parse(stdout(&out).trim()).unwrap();
     let rollup = &doc.get("rollups").and_then(|r| r.as_array()).unwrap()[0];
-    assert_eq!(rollup.get("p95").and_then(|v| v.as_f64()), Some(exact));
+    assert_eq!(rollup.get("p95").and_then(|v| v.as_f64()), Some(104.25));
 
-    // A bound between the two: check's verdict is the exact one.
-    let bound = (exact + estimate) / 2.0;
     let rules = dir.join("rules.json");
     std::fs::write(
         &rules,
-        format!(
-            r#"{{"schema":"thermogater.rules/v1","rules":[{{"name":"p95-bound","metric":"p95:bimodal","fail_above":{bound}}}]}}"#
-        ),
+        r#"{"schema":"thermogater.rules/v1","rules":[{"name":"p95-bound","metric":"p95:bimodal","fail_above":60}]}"#,
     )
     .unwrap();
-    let out = tg_obs(&[
-        "check",
-        dir.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-    ]);
-    let expected = if exact > bound { 1 } else { 0 };
-    assert_eq!(
-        out.status.code(),
-        Some(expected),
-        "exact p95 {exact}, P² {estimate}, bound {bound}:\n{}",
-        stdout(&out)
-    );
+    let (run, rules) = (dir.to_str().unwrap(), rules.to_str().unwrap());
+    let check = tg_obs(&["check", run, "--rules", rules]);
+    let watch = tg_obs(&["watch", run, "--once", "--rules", rules]);
+    for (what, out) in [("check", &check), ("watch", &watch)] {
+        assert_eq!(out.status.code(), Some(1), "{what}:\n{}", stdout(out));
+        assert_eq!(stderr(out), "failed: p95-bound\n", "{what}");
+    }
+    // The rule table check prints is the one watch prints above its
+    // summary, row for row.
+    let table = stdout(&check);
+    let row = table
+        .lines()
+        .find(|l| l.starts_with("p95-bound"))
+        .expect("rule row");
+    assert!(row.contains("104.25"), "{row}");
+    assert!(stdout(&watch).contains(&table), "{}", stdout(&watch));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,16 +15,15 @@
 //! * **pluggable** — backends implement [`TelemetrySink`]:
 //!   [`NoopSink`] (discard, reports itself inactive), [`MemorySink`]
 //!   (in-memory recorder for tests), [`JsonlSink`] (JSON-lines file
-//!   writer), plus the combinators [`FanoutSink`] and [`CountingSink`].
+//!   writer), plus the [`CountingSink`] combinator.
 //!
 //! The [`json`] submodule holds the dependency-free JSON writer/parser
 //! the JSONL sink and the manifest validator share; [`manifest`] holds
 //! the machine-readable per-run `manifest.json` schema; [`analyze`]
 //! closes the loop with a streaming trace reader and the one trace
-//! aggregate (event counts, counters, percentile rollups, span
+//! aggregate (event counts, counters, exact percentile rollups, span
 //! durations, solver / gating / emergency aggregates) behind the
-//! `tg-obs` CLI, the run summary tables, and — through
-//! [`live::LiveSink`] — in-process health monitoring.
+//! `tg-obs` CLI and the run summary tables.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@
 
 pub mod analyze;
 pub mod json;
-pub mod live;
 pub mod manifest;
 pub mod prof;
 pub mod rules;
@@ -363,39 +361,6 @@ impl Drop for JsonlSink {
                 let _ = poisoned.into_inner().flush();
             }
         }
-    }
-}
-
-/// Forwards every event to each of several sinks (e.g. a JSONL file
-/// plus a [`live::LiveSink`]).
-#[derive(Debug, Default)]
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn TelemetrySink>>,
-}
-
-impl FanoutSink {
-    /// Builds a fanout over `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn TelemetrySink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl TelemetrySink for FanoutSink {
-    fn active(&self) -> bool {
-        self.sinks.iter().any(|s| s.active())
-    }
-
-    fn record(&self, event: &Event) {
-        for sink in &self.sinks {
-            sink.record(event);
-        }
-    }
-
-    fn flush(&self) -> io::Result<()> {
-        for sink in &self.sinks {
-            sink.flush()?;
-        }
-        Ok(())
     }
 }
 
@@ -853,17 +818,14 @@ mod tests {
     }
 
     #[test]
-    fn counting_and_fanout_sinks_compose() {
-        let mem_a = Arc::new(MemorySink::default());
-        let mem_b = Arc::new(MemorySink::default());
-        let fan = Arc::new(FanoutSink::new(vec![mem_a.clone(), mem_b.clone()]));
-        let counting = Arc::new(CountingSink::new(fan));
+    fn counting_sink_counts_and_forwards() {
+        let mem = Arc::new(MemorySink::default());
+        let counting = Arc::new(CountingSink::new(mem.clone()));
         let tel = Telemetry::with_sink(counting.clone());
         tel.counter("x", 1);
         tel.counter("x", 2);
         assert_eq!(counting.count(), 2);
-        assert_eq!(mem_a.len(), 2);
-        assert_eq!(mem_b.len(), 2);
+        assert_eq!(mem.len(), 2);
     }
 
     #[test]

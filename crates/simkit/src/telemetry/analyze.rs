@@ -12,9 +12,8 @@
 //! events, through the [`EventView`] trait — into:
 //!
 //! * per-[`EventKind`] event counts and per-name counter totals;
-//! * per-name value [`Rollup`]s for gauges and histograms, with
-//!   p50/p95/p99 percentiles — exact ([`TraceAnalysis::exact`]) or
-//!   bounded-memory P² estimates ([`TraceAnalysis::streaming`]);
+//! * per-name value [`Rollup`]s for gauges and histograms, with exact
+//!   percentiles;
 //! * span begin/end pairing per `(track, name)` into per-name duration
 //!   rollups ([`SpanStats`], with unmatched starts/ends surfaced rather
 //!   than silently dropped);
@@ -51,15 +50,14 @@
 //! assert_eq!(analysis.solver("thermal.transient_cg").unwrap().solves(), 1);
 //!
 //! // Emit-side events fold through the same `observe`.
-//! let mut live = TraceAnalysis::streaming();
+//! let mut emitted = TraceAnalysis::exact();
 //! for event in sink.events() {
-//!     live.observe(&event);
+//!     emitted.observe(&event);
 //! }
-//! assert_eq!(live.events, analysis.events);
+//! assert_eq!(emitted.events, analysis.events);
 //! ```
 
 use super::json::JsonValue;
-use super::live::P2Grid;
 use super::{Event, EventKind, FieldValue};
 use crate::stats;
 use std::fs::File;
@@ -431,57 +429,37 @@ impl EventView for Event {
     }
 }
 
-/// Where a [`Rollup`] keeps what its percentiles are computed from.
-#[derive(Debug, Clone, PartialEq)]
-enum Quantiles {
-    /// Every finite observation, in arrival order: exact percentiles.
-    Exact(Vec<f64>),
-    /// A thirteen-marker P² grid: bounded memory, estimated p50/p95/p99.
-    P2(P2Grid),
-}
-
-/// Distribution rollup of one named value stream: exact count /
-/// non-finite count / sum / min / max / mean, plus percentiles from one
-/// of two quantile stores.
+/// Distribution rollup of one named value stream: count / non-finite
+/// count / sum / min / max / mean, plus exact percentiles.
 ///
-/// [`Rollup::exact`] keeps every finite observation, so any percentile
-/// is exact (a finished trace is bounded by run length).
-/// [`Rollup::streaming`] keeps a [`P2Grid`] instead — O(1) memory for a
-/// watcher following a multi-hour sweep — and answers p0/p50/p95/p99/
-/// p100 only. Both stores agree bit for bit on everything but the
-/// interior percentiles. Non-finite observations — including `null`s
-/// the JSON writer substitutes for NaN — are counted separately.
+/// Every finite observation is kept, so any percentile is exact (a
+/// trace is bounded by run length). Non-finite observations — including
+/// `null`s the JSON writer substitutes for NaN — are counted
+/// separately.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rollup {
-    count: u64,
     non_finite: u64,
     min: f64,
     max: f64,
     sum: f64,
-    quantiles: Quantiles,
+    /// Every finite observation: a sorted prefix of `sorted` values,
+    /// then the later arrivals in arrival order.
+    values: Vec<f64>,
+    sorted: usize,
 }
 
 impl Rollup {
-    /// An empty rollup with exact percentiles.
+    /// An empty rollup.
     pub fn exact() -> Self {
-        Rollup::with(Quantiles::Exact(Vec::new()))
-    }
-
-    /// An empty rollup with bounded-memory P² percentile estimates.
-    pub fn streaming() -> Self {
-        Rollup::with(Quantiles::P2(P2Grid::new()))
-    }
-
-    fn with(quantiles: Quantiles) -> Self {
         Rollup {
-            count: 0,
             non_finite: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             // `Iterator::sum` over f64 starts at -0.0; so does this, so
             // the running sum equals summing the kept values.
             sum: -0.0,
-            quantiles,
+            values: Vec::new(),
+            sorted: 0,
         }
     }
 
@@ -492,13 +470,16 @@ impl Rollup {
             self.non_finite += 1;
             return;
         }
-        self.count += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sum += value;
-        match &mut self.quantiles {
-            Quantiles::Exact(values) => values.push(value),
-            Quantiles::P2(grid) => grid.observe(value),
+        self.values.push(value);
+        // A percentile sorts a copy of the samples; keeping all but a
+        // sixteenth of them pre-sorted makes that sort about one merge
+        // pass, so `watch` can re-evaluate its rules as events arrive.
+        if self.values.len() - self.sorted > (self.sorted / 16).max(1024) {
+            self.values.sort_by(f64::total_cmp);
+            self.sorted = self.values.len();
         }
     }
 
@@ -510,7 +491,7 @@ impl Rollup {
 
     /// Number of finite observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.values.len() as u64
     }
 
     /// Number of non-finite / unusable observations.
@@ -525,33 +506,23 @@ impl Rollup {
 
     /// Mean of finite observations; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        (self.count() > 0).then(|| self.sum / self.count() as f64)
     }
 
     /// Smallest finite observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
+        (self.count() > 0).then_some(self.min)
     }
 
     /// Largest finite observation; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
+        (self.count() > 0).then_some(self.max)
     }
 
-    /// Linear-interpolated percentile over the finite observations.
-    /// The exact store answers any `p`; the streaming store answers 0
-    /// and 100 (exact min/max) and 50, 95, 99 (P² estimates), and
-    /// `None` for anything else.
+    /// Linear-interpolated percentile over the finite observations;
+    /// `None` when empty.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        match &self.quantiles {
-            Quantiles::Exact(values) => stats::percentile(values, p),
-            Quantiles::P2(grid) => match p {
-                0.0 => self.min(),
-                50.0 | 95.0 | 99.0 => grid.estimate(p / 100.0),
-                100.0 => self.max(),
-                _ => None,
-            },
-        }
+        stats::percentile(&self.values, p)
     }
 }
 
@@ -651,13 +622,9 @@ impl EmergencyStats {
 /// The one trace aggregate: per-kind event counts, counter totals,
 /// value rollups, span pairing, and solver / gating / emergency
 /// aggregates, folded one event at a time by [`TraceAnalysis::observe`].
-///
-/// The constructor picks the rollups' quantile store:
-/// [`TraceAnalysis::exact`] for a finished trace (`summarize`, `diff`,
-/// `check`, snapshots), [`TraceAnalysis::streaming`] for bounded memory
-/// over a live one ([`LiveSink`](super::live::LiveSink), `watch`).
-/// Everything but the interior rollup percentiles is identical between
-/// the two.
+/// A finished trace (`summarize`, `diff`, `check`, snapshots) and one
+/// still being written (`watch`) fold the same way, so their
+/// percentiles agree.
 ///
 /// Rollups, counters, and solver sites are keyed by name across tracks.
 /// Spans pair per `(track, name)` — a sweep worker's end never closes
@@ -692,8 +659,6 @@ pub struct TraceAnalysis {
     /// Open span depth per `(track, name)`; an entry leaves when its
     /// depth returns to zero, so this holds only what is open now.
     open: Vec<((u64, String), u64)>,
-    /// An empty rollup of the chosen store, cloned for each new name.
-    blank: Rollup,
 }
 
 fn kind_index(kind: EventKind) -> usize {
@@ -717,17 +682,8 @@ fn entry<'v, T>(vec: &'v mut Vec<(String, T)>, name: &str, make: impl FnOnce() -
 }
 
 impl TraceAnalysis {
-    /// An empty aggregate with exact percentiles.
+    /// An empty aggregate.
     pub fn exact() -> Self {
-        TraceAnalysis::with(Rollup::exact())
-    }
-
-    /// An empty aggregate with bounded-memory P² percentile estimates.
-    pub fn streaming() -> Self {
-        TraceAnalysis::with(Rollup::streaming())
-    }
-
-    fn with(blank: Rollup) -> Self {
         TraceAnalysis {
             events: 0,
             kind_counts: [0; EventKind::ALL.len()],
@@ -739,7 +695,7 @@ impl TraceAnalysis {
                 decisions: 0,
                 turned_on: 0,
                 turned_off: 0,
-                active: blank.clone(),
+                active: Rollup::exact(),
             },
             emergency: EmergencyStats::default(),
             first_t_s: None,
@@ -747,7 +703,6 @@ impl TraceAnalysis {
             malformed_lines: 0,
             truncated: false,
             open: Vec::new(),
-            blank,
         }
     }
 
@@ -792,10 +747,9 @@ impl TraceAnalysis {
         }
         self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
         let name = event.name();
-        let blank = &self.blank;
         let new_span = || SpanStats {
             open: 0,
-            durations: blank.clone(),
+            durations: Rollup::exact(),
             unmatched_ends: 0,
         };
         match event.kind() {
@@ -803,7 +757,7 @@ impl TraceAnalysis {
                 *entry(&mut self.counters, name, || 0) += event.num_u64("delta").unwrap_or(1);
             }
             EventKind::Gauge | EventKind::Histogram => {
-                entry(&mut self.rollups, name, || blank.clone()).observe_field(event.num("value"));
+                entry(&mut self.rollups, name, Rollup::exact).observe_field(event.num("value"));
             }
             EventKind::SpanStart => {
                 let track = event.track();
@@ -838,8 +792,8 @@ impl TraceAnalysis {
             }
             EventKind::Solve => {
                 let solver = entry(&mut self.solvers, name, || SolverRollup {
-                    iters: blank.clone(),
-                    residuals: blank.clone(),
+                    iters: Rollup::exact(),
+                    residuals: Rollup::exact(),
                 });
                 solver.iters.observe_field(event.num("iters"));
                 solver.residuals.observe_field(event.num("residual"));
@@ -865,7 +819,7 @@ impl TraceAnalysis {
             // magnitude rides along as a plain value rollup when present.
             EventKind::Frame => {
                 if let Some(v) = event.num("value") {
-                    entry(&mut self.rollups, name, || blank.clone()).observe(v);
+                    entry(&mut self.rollups, name, Rollup::exact).observe(v);
                 }
             }
             EventKind::Progress => {}
@@ -1063,6 +1017,154 @@ mod tests {
         assert!(run.durations.max().unwrap() >= 0.0);
         assert!(!a.truncated);
         assert_eq!(a.malformed_lines, 0);
+    }
+
+    /// A synthetic run exercising every aggregated kind.
+    fn sample_events() -> Vec<Event> {
+        let (tel, sink) = Telemetry::recorder();
+        {
+            let _run = tel.span("engine.run");
+            for k in 0..40u64 {
+                tel.event(EventKind::Gating, "engine.gating")
+                    .field_u64("decision", k)
+                    .field_u64("active", 10 + k % 7)
+                    .field_u64("turned_on", 1)
+                    .field_u64("turned_off", k % 3)
+                    .emit();
+                tel.counter("engine.decisions", 1);
+                tel.histogram("engine.window_noise_pct", 4.0 + (k % 11) as f64);
+                tel.solve("thermal.gs", 10 + (k % 5) as usize, 1e-9 * (k + 1) as f64);
+                tel.event(EventKind::Emergency, "engine.emergency_check")
+                    .field_u64("flagged_domains", k % 4)
+                    .field_u64("true_domains", k % 5)
+                    .field_u64("mispredicted", u64::from(k % 8 == 0))
+                    .emit();
+            }
+            tel.gauge("thermal.max_silicon_c", 63.5);
+            tel.gauge("bad.gauge", f64::NAN);
+        }
+        sink.events()
+    }
+
+    #[test]
+    fn wire_and_emit_folds_agree_completely() {
+        let events = sample_events();
+        let mut wire = TraceAnalysis::exact();
+        let mut emit = TraceAnalysis::exact();
+        for event in &events {
+            wire.observe(&ParsedEvent::from_line(&event.to_json()).unwrap());
+            emit.observe(event);
+        }
+        assert_eq!(wire.events, emit.events);
+        for kind in EventKind::ALL {
+            assert_eq!(wire.kind_count(kind), emit.kind_count(kind), "{kind:?}");
+        }
+        assert_eq!(wire.counters, emit.counters);
+        assert_eq!(wire.rollups, emit.rollups);
+        assert_eq!(wire.spans, emit.spans);
+        assert_eq!(wire.solvers, emit.solvers);
+        assert_eq!(wire.gating, emit.gating);
+        assert_eq!(wire.emergency, emit.emergency);
+        assert_eq!(wire.first_t_s, emit.first_t_s);
+        assert_eq!(wire.last_t_s, emit.last_t_s);
+        assert_eq!(wire.span("engine.run").unwrap().completed(), 1);
+        assert_eq!(wire.unpaired_spans(), 0);
+        assert_eq!(wire.total_solves(), 40);
+    }
+
+    #[test]
+    fn rollups_merge_tracks_by_name() {
+        let sink = std::sync::Arc::new(crate::telemetry::MemorySink::default());
+        let t0 = Telemetry::with_sink(sink.clone());
+        let t1 = Telemetry::with_sink_tracked(sink.clone(), 1);
+        t0.gauge("cell.metric", 1.0);
+        t1.gauge("cell.metric", 100.0);
+        t1.gauge("cell.metric", 200.0);
+        let mut stats = TraceAnalysis::exact();
+        for event in sink.events() {
+            stats.observe(&event);
+        }
+        assert_eq!(stats.rollups.len(), 1);
+        let merged = stats.rollup("cell.metric").unwrap();
+        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.min(), Some(1.0));
+        assert_eq!(merged.max(), Some(200.0));
+        assert_eq!(merged.mean(), Some(301.0 / 3.0));
+    }
+
+    #[test]
+    fn empty_stats_answer_safely() {
+        let stats = TraceAnalysis::exact();
+        assert_eq!(stats.events, 0);
+        assert_eq!(stats.counter("nope"), 0);
+        assert!(stats.rollup("nope").is_none());
+        assert_eq!(stats.duration_s(), 0.0);
+        assert_eq!(stats.gating.churn_per_decision(), None);
+        assert_eq!(stats.emergency.emergency_rate(), None);
+        assert_eq!(Rollup::exact().percentile(50.0), None);
+    }
+
+    #[test]
+    fn running_moments_equal_the_slice_helpers() {
+        // Enough samples that the rollup pre-sorts them several times,
+        // with ties and both signed zeros, which must not move a bit of
+        // any percentile.
+        let mut rng = crate::rng::DeterministicRng::new(0x5eed);
+        let values: Vec<f64> = (0..5000)
+            .map(|_| match (rng.uniform_f64() * 100.0) as u32 {
+                0..=9 => 0.0,
+                10..=19 => -0.0,
+                k => f64::from(k % 7) * 1.5 - 4.0 + rng.uniform_f64() * 1e-3,
+            })
+            .collect();
+        let mut rollup = Rollup::exact();
+        for (n, &v) in values.iter().enumerate() {
+            rollup.observe(v);
+            if n % 997 == 0 {
+                let seen = &values[..=n];
+                for p in [0.0, 12.5, 50.0, 95.0, 100.0] {
+                    let bits = |x: Option<f64>| x.map(f64::to_bits);
+                    assert_eq!(
+                        bits(rollup.percentile(p)),
+                        bits(stats::percentile(seen, p)),
+                        "n={n} p{p}"
+                    );
+                }
+            }
+        }
+        assert_eq!(rollup.count(), 5000);
+        assert_eq!(rollup.sum().to_bits(), values.iter().sum::<f64>().to_bits());
+        assert_eq!(rollup.mean(), stats::mean(&values));
+        for p in (0..=200).map(|k| k as f64 / 2.0) {
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            assert_eq!(
+                bits(rollup.percentile(p)),
+                bits(stats::percentile(&values, p)),
+                "p{p}"
+            );
+        }
+        assert_eq!(rollup.percentile(0.0), rollup.min());
+        assert_eq!(rollup.percentile(100.0), rollup.max());
+    }
+
+    #[test]
+    fn non_finite_values_are_counted_not_ranked() {
+        let mut rollup = Rollup::exact();
+        for v in [3.0, f64::NAN, 1.0, f64::INFINITY, f64::NEG_INFINITY, 2.0] {
+            rollup.observe(v);
+        }
+        assert_eq!((rollup.count(), rollup.non_finite()), (3, 3));
+        assert_eq!((rollup.min(), rollup.max()), (Some(1.0), Some(3.0)));
+        assert_eq!(rollup.sum(), 6.0);
+        assert_eq!(rollup.percentile(50.0), Some(2.0));
+
+        let mut stats = TraceAnalysis::exact();
+        for event in sample_events() {
+            stats.observe(&event);
+        }
+        let bad = stats.rollup("bad.gauge").unwrap();
+        assert_eq!((bad.count(), bad.non_finite()), (0, 1));
+        assert_eq!(bad.percentile(50.0), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Declarative health/alert rules over live trace aggregates.
+//! Declarative health/alert rules over trace aggregates.
 //!
 //! A rules file is a small JSON document (schema
 //! [`RULES_SCHEMA`] = `thermogater.rules/v1`) listing thresholds over
@@ -25,10 +25,9 @@
 //! severity (default `warn`). Evaluation is a pure function of the
 //! current aggregate state, so `tg-obs watch` can re-evaluate the same
 //! [`RuleSet`] incrementally as events stream in, and `tg-obs check`
-//! can gate CI on a finished trace — same file, same rules. `check`
-//! folds the trace exactly, so its percentile verdicts agree with the
-//! numbers `tg-obs summarize` prints; `watch` folds with the streaming
-//! store, so its percentiles are P² estimates. Reports
+//! can gate CI on a finished trace — same file, same rules, same exact
+//! fold, so both verdicts agree with the numbers `tg-obs summarize`
+//! prints. Reports
 //! render deterministically: rules appear in file order with stable
 //! number formatting, so two identical runs produce byte-identical
 //! reports.
@@ -75,11 +74,11 @@ impl Severity {
 /// Which rollup statistic a rollup selector reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollupStat {
-    /// p50 (exact or P²-estimated, by the aggregate's store).
+    /// p50.
     P50,
-    /// p95 (exact or P²-estimated, by the aggregate's store).
+    /// p95.
     P95,
-    /// p99 (exact or P²-estimated, by the aggregate's store).
+    /// p99.
     P99,
     /// Exact mean.
     Mean,
@@ -560,7 +559,7 @@ mod tests {
                 .field_u64("mispredicted", 0)
                 .emit();
         }
-        let mut stats = TraceAnalysis::streaming();
+        let mut stats = TraceAnalysis::exact();
         for event in sink.events() {
             stats.observe(&event);
         }
@@ -635,7 +634,7 @@ mod tests {
         let set = RuleSet::from_json(&rules_doc()).unwrap();
         let (tel, sink) = Telemetry::recorder();
         tel.counter("engine.decisions", 1);
-        let mut partial = TraceAnalysis::streaming();
+        let mut partial = TraceAnalysis::exact();
         for event in sink.events() {
             partial.observe(&event);
         }
@@ -747,6 +746,58 @@ mod tests {
                 .unwrap()
                 .resolve(&empty),
             Some(0.0)
+        );
+    }
+
+    /// The reader must answer `Ok` or `Err` — never panic — and a rule
+    /// set it accepts must evaluate and render over any aggregate.
+    fn survives(text: &str) -> crate::check::TestResult {
+        let outcome = std::panic::catch_unwind(|| {
+            RuleSet::from_json(text).map(|set| {
+                set.evaluate(&TraceAnalysis::exact()).render();
+                set.evaluate(&sample_stats()).render();
+            })
+        });
+        outcome
+            .map(|_| ())
+            .map_err(|_| format!("reader panicked on a {}-byte document", text.len()))
+    }
+
+    #[test]
+    fn reader_survives_every_truncation_and_byte_mutation() {
+        use crate::check::{self, CheckConfig, Checker};
+        let docs = [
+            include_str!("../../../experiments/tests/fixtures/rules_smoke.json"),
+            include_str!("../../../experiments/tests/fixtures/rules_failing.json"),
+        ];
+        for doc in docs {
+            assert!(doc.is_ascii(), "mutations below assume ASCII documents");
+            assert!(RuleSet::from_json(doc).is_ok(), "the fixture itself reads");
+            for end in 0..=doc.len() {
+                if let Err(e) = survives(&doc[..end]) {
+                    panic!("prefix of {end} bytes: {e}");
+                }
+            }
+        }
+        let checker = Checker::new(CheckConfig {
+            seed: 0x5255_4c45, // "RULE"
+            cases: 512,
+            ..CheckConfig::default()
+        });
+        let gen = (
+            check::usize_in(0, docs.len() - 1),
+            check::usize_in(0, 1 << 16),
+            check::usize_in(0, 127),
+        );
+        checker.assert(
+            "rules.reader_survives_mutation",
+            &gen,
+            |&(doc, at, byte)| {
+                let mut bytes = docs[doc].as_bytes().to_vec();
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+                survives(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"))
+            },
         );
     }
 
