@@ -5,7 +5,7 @@
 //! its EXPERIMENTS.md summary row; under `--quiet` only the rows, so
 //! `repro all --quiet` prints that table. An unknown id or flag exits 2.
 
-use experiments::context::{ExpOptions, FLAGS};
+use experiments::context::{is_flag, ExpOptions, FLAGS};
 use experiments::report::banner;
 use experiments::repro::{find, ARTEFACTS, SUMMARY_HEADER};
 
@@ -13,7 +13,7 @@ fn usage() -> String {
     let ids: Vec<&str> = ARTEFACTS.iter().map(|a| a.id).collect();
     format!(
         "usage: repro <id>… | all [--quick | --tiny] [--threads=N] [--quiet] \
-         [--telemetry=<dir>] [--frames=N]\nids: {}\n",
+         [--telemetry=<dir>]\nids: {}\n",
         ids.join(" ")
     )
 }
@@ -26,14 +26,13 @@ fn usage_error(message: &str) -> ! {
 fn main() {
     let mut selected = Vec::new();
     for arg in std::env::args().skip(1) {
-        let known_flag = |f: &&str| arg == *f || (f.ends_with('=') && arg.starts_with(f));
         match arg.as_str() {
             "--help" | "-h" => {
                 print!("{}", usage());
                 return;
             }
             "all" => selected.extend(ARTEFACTS),
-            flag if flag.starts_with('-') && !FLAGS.iter().any(known_flag) => {
+            flag if flag.starts_with('-') && !is_flag(flag, &FLAGS) => {
                 usage_error(&format!("unknown flag `{flag}`"))
             }
             flag if flag.starts_with('-') => {}

@@ -31,9 +31,10 @@
 //!
 //! A line that cannot be read (an I/O error, invalid UTF-8) ends the
 //! input: the answers already accepted are delivered, then `error:`
-//! names the file and line and the process exits 2.
+//! names the file and line and the process exits 2. So does an unknown
+//! argument, after printing the usage.
 
-use experiments::context::{count_flag, ExpOptions};
+use experiments::context::{count_flag, is_flag, ExpOptions, FLAGS};
 use experiments::service::{
     self, BatchOptions, BatchOutcome, ScenarioCache, ScenarioSpec, ServeCounters,
 };
@@ -157,6 +158,12 @@ fn main() {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return;
+    }
+    let known =
+        |a: &String| is_flag(a, &FLAGS) || is_flag(a, &["--batch=", "--queue=", "--cache="]);
+    if let Some(arg) = std::env::args().skip(1).find(|a| !known(a)) {
+        eprint!("error: unknown argument `{arg}`\n{USAGE}");
+        std::process::exit(2);
     }
     let opts = ExpOptions::from_args();
     let batch_file = std::env::args().find_map(|a| a.strip_prefix("--batch=").map(PathBuf::from));

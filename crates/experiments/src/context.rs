@@ -8,15 +8,22 @@ use thermogater::EngineConfig;
 
 /// The flags [`ExpOptions::from_args`] reads; those ending in `=` take a
 /// value.
-pub const FLAGS: [&str; 7] = [
+pub const FLAGS: [&str; 6] = [
     "--quick",
     "--tiny",
     "--quiet",
     "-q",
     "--threads=",
     "--telemetry=",
-    "--frames=",
 ];
+
+/// Whether `arg` is one of `flags`, where an entry ending in `=` matches
+/// it with any value.
+pub fn is_flag(arg: &str, flags: &[&str]) -> bool {
+    flags
+        .iter()
+        .any(|f| arg == *f || (f.ends_with('=') && arg.starts_with(f)))
+}
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -36,10 +43,6 @@ pub struct ExpOptions {
     /// Directory to write structured telemetry into (`trace.jsonl` +
     /// `manifest.json`). `None` disables telemetry.
     pub telemetry: Option<PathBuf>,
-    /// Spatial frame-recorder sampling period in thermal steps
-    /// (`--frames=N` / `SIMKIT_FRAMES`). `None` disables frame capture;
-    /// frames are only emitted when telemetry is also enabled.
-    pub frames: Option<usize>,
 }
 
 impl ExpOptions {
@@ -47,13 +50,12 @@ impl ExpOptions {
     /// `--quiet`/`-q`, `--telemetry=<dir>`). `THERMOGATER_QUICK` in the
     /// environment also selects the quick configuration, and
     /// `SIMKIT_TELEMETRY=<dir>` enables telemetry when the flag is
-    /// absent. `--frames=N` / `SIMKIT_FRAMES=N` turns on the spatial
-    /// frame recorder with a capture every N thermal steps.
+    /// absent.
     ///
     /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
     /// solver backend, rather than silently running under `Auto`, and
-    /// when `--threads=`, `--frames=`, `SIMKIT_THREADS` or
-    /// `SIMKIT_FRAMES` is not a non-negative integer.
+    /// when `--threads=` or `SIMKIT_THREADS` is not a non-negative
+    /// integer.
     pub fn from_args() -> Self {
         if let Err(e) = SolverBackend::from_env() {
             eprintln!("error: {e}");
@@ -70,15 +72,12 @@ impl ExpOptions {
         let telemetry = std::env::args()
             .find_map(|a| a.strip_prefix("--telemetry=").map(PathBuf::from))
             .or_else(|| std::env::var("SIMKIT_TELEMETRY").ok().map(PathBuf::from));
-        // The variable is checked even when the flag overrides it.
-        let frames = count_flag("--frames=").or(count_env("SIMKIT_FRAMES"));
         ExpOptions {
             quick,
             tiny,
             threads,
             quiet,
             telemetry,
-            frames,
         }
     }
 
@@ -123,15 +122,6 @@ impl ExpOptions {
         }
     }
 
-    /// This configuration with the spatial frame recorder sampling
-    /// every `every` thermal steps.
-    pub fn with_frames(self, every: usize) -> Self {
-        ExpOptions {
-            frames: Some(every),
-            ..self
-        }
-    }
-
     /// The sweep worker-thread count: the explicit option, else the
     /// `SIMKIT_THREADS` environment variable, else the machine's
     /// available parallelism; never zero.
@@ -150,7 +140,7 @@ impl ExpOptions {
 
     /// The engine configuration these options select.
     pub fn engine_config(&self) -> EngineConfig {
-        let base = if self.tiny {
+        if self.tiny {
             EngineConfig {
                 duration: Seconds::from_millis(3.0),
                 thermal: ThermalConfig::coarse(),
@@ -168,10 +158,6 @@ impl ExpOptions {
             }
         } else {
             EngineConfig::standard()
-        };
-        EngineConfig {
-            frame_every: self.frames.unwrap_or(0),
-            ..base
         }
     }
 
@@ -245,14 +231,6 @@ mod tests {
         assert_eq!(ExpOptions::tiny().with_threads(0).resolved_threads(), 1);
         // Without an explicit count the resolution is still nonzero.
         assert!(ExpOptions::tiny().resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn frames_option_selects_the_recorder_period() {
-        assert_eq!(ExpOptions::tiny().engine_config().frame_every, 0);
-        let opts = ExpOptions::tiny().with_frames(25);
-        assert_eq!(opts.frames, Some(25));
-        assert_eq!(opts.engine_config().frame_every, 25);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! what the paper says — plus the function that runs it. The function
 //! returns a [`Report`]: the detail tables, the "Measured" cell, and a
 //! shape mark that [`grade`] computes from the paper's [`Claim`]s, so
-//! `repro all --quiet` prints exactly that table. Each submodule keeps
-//! an artefact's data builder (plain data, never printed) beside its
-//! report.
+//! `repro all --quiet` prints exactly that table. Each artefact is one
+//! such function: it runs its simulations and builds its tables, claims
+//! and shape predicate in one place, with no data type between them.
 
 use crate::context::ExpOptions;
 use crate::report::TextTable;
+use thermogater::{PolicyKind, SimulationEngine, SimulationResult};
+use workload::WorkloadSpec;
 
 pub mod ablations;
 pub mod noise_figs;
@@ -98,6 +100,17 @@ impl Report {
             note,
         }
     }
+}
+
+/// Runs `workload` under `policy` on `engine`: every artefact simulates
+/// through here, and the paper's configurations always simulate.
+fn simulate(
+    engine: &SimulationEngine<'_>,
+    workload: impl Into<WorkloadSpec>,
+    policy: PolicyKind,
+) -> SimulationResult {
+    let result = engine.run_spec(&workload.into(), policy);
+    result.expect("physical configuration simulates")
 }
 
 /// Renders `rows` under `headers` as an aligned text table.

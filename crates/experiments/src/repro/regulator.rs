@@ -7,33 +7,21 @@ use vreg::{survey, EfficiencyCurve, RegulatorBank, RegulatorDesign};
 
 /// One labelled η-vs-current curve.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LabelledCurve {
-    /// Legend label (citation tag or active-phase count).
-    pub label: String,
+struct LabelledCurve {
+    /// Legend label (the active-phase count, or "effective").
+    label: String,
     /// `(I_out amps, η)` samples.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// Fig. 1: the reported efficiency curves of the eight ISSCC 2015
-/// designs.
-pub fn fig01_curves() -> Vec<LabelledCurve> {
-    survey::isscc2015()
-        .into_iter()
-        .map(|entry| LabelledCurve {
-            label: format!("{} {}", entry.tag, entry.description),
-            points: entry.curve.points().to_vec(),
-        })
-        .collect()
+    points: Vec<(f64, f64)>,
 }
 
 /// A multi-phase regulator's curve family plus the effective curve that
 /// phase gating achieves.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhaseFamily {
+struct PhaseFamily {
     /// One curve per active-phase count.
-    pub per_count: Vec<LabelledCurve>,
+    per_count: Vec<LabelledCurve>,
     /// The gated effective curve (the dotted trend line of Fig. 2/5).
-    pub effective: LabelledCurve,
+    effective: LabelledCurve,
 }
 
 /// Builds the η-vs-I_out family of a bank of `total` phases for the given
@@ -43,7 +31,7 @@ pub struct PhaseFamily {
 /// # Panics
 ///
 /// Panics when a count is zero or exceeds `total`.
-pub fn phase_family(
+fn phase_family(
     design: &RegulatorDesign,
     total: usize,
     counts: &[usize],
@@ -82,7 +70,7 @@ pub fn phase_family(
 
 /// Fig. 2: the 16-phase Intel buck regulator — phases of ≈0.94 A each so
 /// the full bank covers the figure's 0–15 A axis.
-pub fn fig02_family() -> PhaseFamily {
+fn fig02_family() -> PhaseFamily {
     let curve =
         EfficiencyCurve::scaled_reference(0.90, Amps::new(15.0 / 16.0)).expect("static parameters");
     let design = RegulatorDesign::new(
@@ -97,40 +85,43 @@ pub fn fig02_family() -> PhaseFamily {
 
 /// Fig. 5: the calibration family used throughout the evaluation — a
 /// per-core domain of 9 FIVR-like phases (1.5 A each at η_peak = 90 %).
-pub fn fig05_family() -> PhaseFamily {
-    phase_family(&RegulatorDesign::fivr(), 9, &[2, 3, 4, 6, 8, 9], 120)
+fn fig05_family() -> PhaseFamily {
+    phase_family(&RegulatorDesign::fivr(), 9, &FIG05_COUNTS, 120)
 }
 
+/// The active-phase counts of Fig. 5's family.
+const FIG05_COUNTS: [usize; 6] = [2, 3, 4, 6, 8, 9];
+
 /// The `(I_out, η)` sample where a curve peaks.
-fn peak(curve: &LabelledCurve) -> (f64, f64) {
-    let points = curve.points.iter().copied();
-    points.fold(
+fn peak(points: &[(f64, f64)]) -> (f64, f64) {
+    points.iter().copied().fold(
         (0.0, f64::MIN),
         |best, p| if p.1 > best.1 { p } else { best },
     )
 }
 
-/// Fig. 1: every survey curve; each must peak at 40–95 % and be lower at
-/// both ends of its range.
+/// Fig. 1: the reported efficiency curves of the eight ISSCC 2015
+/// designs; each must peak at 40–95 % and be lower at both ends of its
+/// range.
 pub fn fig01_report(_opts: &ExpOptions) -> Report {
-    let curves = fig01_curves();
+    let survey = survey::isscc2015();
     let mut detail = String::new();
-    for c in &curves {
-        let rows = c
-            .points
-            .iter()
-            .map(|(i, eta)| vec![format!("{i:.6}"), format!("{:.1}", eta * 100.0)]);
-        detail += &format!("\n{}\n{}", c.label, table(&["I_out (A)", "η (%)"], rows));
+    for entry in &survey {
+        let points = entry.curve.points().iter();
+        let rows = points.map(|(i, eta)| vec![format!("{i:.6}"), format!("{:.1}", eta * 100.0)]);
+        let label = format!("{} {}", entry.tag, entry.description);
+        detail += &format!("\n{label}\n{}", table(&["I_out (A)", "η (%)"], rows));
     }
-    let n = curves.len();
-    let flanked = curves
+    let n = survey.len();
+    let flanked = survey
         .iter()
-        .filter(|c| {
-            let top = peak(c).1;
-            c.points[0].1 < top && c.points[c.points.len() - 1].1 < top
+        .filter(|entry| {
+            let points = entry.curve.points();
+            let top = peak(points).1;
+            points[0].1 < top && points[points.len() - 1].1 < top
         })
         .count();
-    let (lo, hi) = span(curves.iter().map(|c| peak(c).1 * 100.0));
+    let (lo, hi) = span(survey.iter().map(|e| peak(e.curve.points()).1 * 100.0));
     let measured = format!(
         "{n}-design dataset, peaks {} %, {flanked} of {n} degrade on both flanks",
         range(lo, hi, 0)
@@ -157,7 +148,7 @@ fn family_table(family: &PhaseFamily) -> String {
 /// Whether each active-phase count peaks at a higher current than the
 /// one before it.
 fn peaks_rise(family: &PhaseFamily) -> bool {
-    let peaks: Vec<f64> = family.per_count.iter().map(|c| peak(c).0).collect();
+    let peaks: Vec<f64> = family.per_count.iter().map(|c| peak(&c.points).0).collect();
     peaks.windows(2).all(|w| w[0] < w[1])
 }
 
@@ -175,7 +166,7 @@ pub fn fig02_report(_opts: &ExpOptions) -> Report {
         "per-count peaks {} with I_out; effective-curve floor {floor:.1} % past 1 A",
         if rising { "rise" } else { "do not rise" }
     );
-    let flat = floor >= peak(&family.effective).1 * 100.0 - 3.0;
+    let flat = floor >= peak(&family.effective.points).1 * 100.0 - 3.0;
     Report::new(family_table(&family), measured, rising && flat, &[], None)
 }
 
@@ -183,18 +174,10 @@ pub fn fig02_report(_opts: &ExpOptions) -> Report {
 /// phase and η_peak ≈ 90 %.
 pub fn fig05_report(_opts: &ExpOptions) -> Report {
     let family = fig05_family();
-    // A curve's label leads with its phase count ("6 active").
-    let per_phase: Vec<(f64, f64)> = family
-        .per_count
-        .iter()
-        .map(|c| {
-            let count = c
-                .label
-                .split(' ')
-                .next()
-                .and_then(|n| n.parse::<f64>().ok());
-            let (i, eta) = peak(c);
-            (i / count.expect("label leads with the count"), eta * 100.0)
+    let per_phase: Vec<(f64, f64)> = (family.per_count.iter().zip(FIG05_COUNTS))
+        .map(|(c, n)| {
+            let (i, eta) = peak(&c.points);
+            (i / n as f64, eta * 100.0)
         })
         .collect();
     let claims: Vec<Claim> = per_phase
@@ -220,13 +203,6 @@ pub fn fig05_report(_opts: &ExpOptions) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig01_has_eight_designs() {
-        let curves = fig01_curves();
-        assert_eq!(curves.len(), 8);
-        assert!(curves.iter().all(|c| !c.points.is_empty()));
-    }
 
     #[test]
     fn fig02_counts_match_figure_legend() {

@@ -3,8 +3,8 @@
 //! cache alone), the stdin loop answers interactively, override keys
 //! change the scenario hash, malformed requests are skipped loudly
 //! with a non-zero exit, and usage errors (a missing batch file, a
-//! malformed count flag, an unreadable line) exit 2 instead of
-//! panicking.
+//! malformed count flag, an unknown flag, an unreadable line) exit 2
+//! instead of panicking.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -133,7 +133,7 @@ fn usage_errors_exit_2_without_panicking() {
     for (flag, expect) in [
         (missing.as_str(), "cannot open batch file"),
         ("--threads=abc", "--threads=<n>"),
-        ("--frames=x", "--frames=<n>"),
+        ("--frames=25", "unknown argument `--frames=25`"),
         ("--queue=-1", "--queue=<n>"),
     ] {
         let out = tg_serve(&[flag, cache_arg.as_str(), "--tiny", "--quiet"]);

@@ -6,7 +6,7 @@
 use experiments::verify::{
     self, compare_golden, curve_consistency_outcome, parse_golden, render_golden, VerifyOptions,
 };
-use simkit::check::{CheckConfig, Checker};
+use simkit::check::{parse_case, CheckConfig, Checker};
 use simkit::units::{Amps, Seconds};
 use vreg::{EfficiencyCurve, RegulatorBank, RegulatorDesign, RegulatorTopology};
 
@@ -111,6 +111,26 @@ fn golden_fixture_round_trips() {
     assert!(!rows.is_empty());
     let reparsed = parse_golden(&render_golden(&rows)).expect("rendered fixture parses");
     compare_golden(&rows, &reparsed, 0.0).expect("round trip is lossless");
+}
+
+/// Every committed corpus file parses: a malformed one would fail every
+/// oracle's replay.
+#[test]
+fn committed_corpus_files_all_parse() {
+    let dir = std::fs::read_dir(verify::default_corpus_dir()).expect("committed corpus exists");
+    let mut files = 0;
+    for path in dir.map(|e| e.expect("corpus entry lists").path()) {
+        if path.extension().is_some_and(|e| e == "case") {
+            let text = std::fs::read_to_string(&path).expect("corpus file reads");
+            assert!(
+                parse_case(&text).is_some(),
+                "{} does not parse",
+                path.display()
+            );
+            files += 1;
+        }
+    }
+    assert!(files >= 19, "only {files} corpus files");
 }
 
 /// A 1 % perturbation of one golden field is caught and the error names

@@ -11,8 +11,6 @@
 //! * [`Checker`] — the runner: replays every matching corpus case first,
 //!   then draws `cases` fresh inputs from per-case deterministic RNG
 //!   streams, and on the first failure runs the shrink loop;
-//! * [`Oracle`] — a named invariant (`check(&input) -> TestResult`);
-//!   plain closures work too via [`Checker::run`];
 //! * [`Counterexample`] — the fully reproducible failure report: base
 //!   seed, case source, original and shrunk inputs, and the `.case` file
 //!   body to pin the regression under `tests/corpus/`.
@@ -39,8 +37,9 @@
 //!
 //! Every [`Checker`] run with a configured corpus directory replays all
 //! entries whose `property:` matches *before* the random phase, so fixed
-//! bugs stay fixed. A corpus entry that no longer decodes is reported as
-//! a failure (stale corpus is a bug, not noise).
+//! bugs stay fixed. A corpus entry that no longer decodes, and a `.case`
+//! file that does not parse, are reported as failures (stale corpus is a
+//! bug, not noise).
 //!
 //! # Example
 //!
@@ -108,42 +107,6 @@ pub trait Gen {
     /// Parses a value back from its [`Gen::encode`] form; `None` when the
     /// text is not a valid encoding for this generator.
     fn decode(&self, text: &str) -> Option<Self::Value>;
-}
-
-/// A named invariant over generated inputs.
-///
-/// Implemented by [`FnOracle`] for closures; anything that can judge an
-/// input can implement it directly.
-pub trait Oracle<T> {
-    /// Stable property name (used for corpus matching and reports).
-    fn name(&self) -> &str;
-
-    /// Checks the invariant against one input.
-    fn check(&self, value: &T) -> TestResult;
-}
-
-/// A closure-backed [`Oracle`]; build one with [`oracle`].
-pub struct FnOracle<F> {
-    name: String,
-    f: F,
-}
-
-impl<T, F: Fn(&T) -> TestResult> Oracle<T> for FnOracle<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn check(&self, value: &T) -> TestResult {
-        (self.f)(value)
-    }
-}
-
-/// Wraps a closure as a named [`Oracle`].
-pub fn oracle<T, F: Fn(&T) -> TestResult>(name: impl Into<String>, f: F) -> FnOracle<F> {
-    FnOracle {
-        name: name.into(),
-        f,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -613,21 +576,30 @@ impl Checker {
         let mut corpus_cases = 0;
         if let Some(dir) = &self.config.corpus {
             for (path, entry) in corpus_entries(dir, property) {
-                corpus_cases += 1;
-                let Some(value) = gen.decode(&entry.input) else {
-                    return CheckOutcome::Fail(Box::new(Counterexample {
+                // A file that does not parse, or whose input this generator
+                // cannot decode, fails as it stands: nothing to shrink.
+                let stale = |input: String, why: &str| {
+                    CheckOutcome::Fail(Box::new(Counterexample {
                         property: property.to_string(),
                         seed: self.config.seed,
                         source: CaseSource::Corpus(path.clone()),
-                        original_input: entry.input.clone(),
-                        input: entry.input,
+                        original_input: input.clone(),
+                        input,
                         shrink_steps: 0,
-                        message: format!(
-                            "corpus entry {} no longer decodes for this generator; \
-                             regenerate or delete it",
-                            path.display()
-                        ),
-                    }));
+                        message: format!("corpus {why}; regenerate or delete it"),
+                    }))
+                };
+                let Some(entry) = entry else {
+                    let why = format!("file {} does not parse as a .case file", path.display());
+                    return stale(String::new(), &why);
+                };
+                corpus_cases += 1;
+                let Some(value) = gen.decode(&entry.input) else {
+                    let why = format!(
+                        "entry {} no longer decodes for this generator",
+                        path.display()
+                    );
+                    return stale(entry.input, &why);
                 };
                 if let Err(message) = prop(&value) {
                     return CheckOutcome::Fail(Box::new(self.shrink(
@@ -659,15 +631,6 @@ impl Checker {
             cases: self.config.cases,
             corpus_cases,
         }
-    }
-
-    /// Like [`Checker::run`] for a named [`Oracle`].
-    pub fn run_oracle<T, G: Gen<Value = T>>(
-        &self,
-        gen: &G,
-        oracle: &dyn Oracle<T>,
-    ) -> CheckOutcome {
-        self.run(oracle.name(), gen, |v| oracle.check(v))
     }
 
     /// Runs the property and panics with the rendered counterexample on
@@ -787,10 +750,11 @@ pub fn parse_case(text: &str) -> Option<CorpusEntry> {
     })
 }
 
-/// All corpus entries in `dir` whose property matches, sorted by file
-/// name so replay order is stable. Unreadable or malformed files are
-/// skipped (they belong to other harnesses or editors).
-fn corpus_entries(dir: &Path, property: &str) -> Vec<(PathBuf, CorpusEntry)> {
+/// The `.case` files in `dir` whose property matches, sorted by file
+/// name so replay order is stable, each with its parsed entry. A file
+/// that cannot be read or parsed belongs to no known property, so it is
+/// listed for every property with no entry.
+fn corpus_entries(dir: &Path, property: &str) -> Vec<(PathBuf, Option<CorpusEntry>)> {
     let Ok(read) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -802,9 +766,11 @@ fn corpus_entries(dir: &Path, property: &str) -> Vec<(PathBuf, CorpusEntry)> {
     paths
         .into_iter()
         .filter_map(|path| {
-            let text = std::fs::read_to_string(&path).ok()?;
-            let entry = parse_case(&text)?;
-            (entry.property == property).then_some((path, entry))
+            let entry = std::fs::read_to_string(&path).ok();
+            match entry.as_deref().and_then(parse_case) {
+                Some(entry) if entry.property != property => None,
+                entry => Some((path, entry)),
+            }
         })
         .collect()
 }
@@ -955,6 +921,43 @@ mod tests {
         let outcome = checker.run("test.stale", &f64_in(0.0, 10.0), |_| Ok(()));
         let cex = outcome.counterexample().expect("stale entry must fail");
         assert!(cex.message.contains("no longer decodes"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_corpus_file_fails_every_property() {
+        let dir = temp_dir("malformed");
+        std::fs::write(
+            dir.join("test-malformed-0001.case"),
+            "property: test.malformed\na wrapped comment line without its hash\ninput: 1e0\n",
+        )
+        .unwrap();
+        let checker = Checker::new(CheckConfig {
+            seed: 1,
+            cases: 0,
+            corpus: Some(dir.clone()),
+            ..CheckConfig::default()
+        });
+        // Which property the file pinned is unknown, so every run fails.
+        for property in ["test.malformed", "test.other"] {
+            let outcome = checker.run(property, &f64_in(0.0, 10.0), |_| Ok(()));
+            let cex = outcome.counterexample().expect("malformed file must fail");
+            assert!(
+                cex.message.contains("test-malformed-0001.case"),
+                "{}",
+                cex.message
+            );
+            assert!(cex.message.contains("does not parse"), "{}", cex.message);
+        }
+        // A file that parses but names another property is still skipped.
+        std::fs::write(
+            dir.join("test-malformed-0001.case"),
+            "property: test.malformed\ninput: 1e0\n",
+        )
+        .unwrap();
+        assert!(checker
+            .run("test.other", &f64_in(0.0, 10.0), |_| Ok(()))
+            .is_pass());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
