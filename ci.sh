@@ -173,15 +173,20 @@ set -e
 test "$rc" -eq 2
 grep -q 'ablation_vr_count' target/ci/repro_nope.err
 
-echo "== tg-obs: perf snapshot (CI artifact at target/ci/BENCH_ci.json) =="
+echo "== tg-obs: perf snapshot gated against the committed BENCH_ref.json =="
+# The capture takes the reference's policies, grids and solve count, so
+# every axis is shared: solver solve and iteration counts (and the
+# telemetry/serve counters) must match the reference exactly, wall-clock
+# rows are informational, and peak RSS gates loosely. A change that
+# moves a count on purpose re-captures BENCH_ref.json with these flags.
 # --grids adds the steady-solve grid-scaling axis (cg/mgcg/direct per
-# grid edge) to the snapshot; --serve the scenario-service cache-hit
-# axis; the self-diff covers their regression gates.
+# grid edge; 208 is the finest grid tests/obs_analyze.rs checks the
+# multigrid win at); --serve the scenario-service cache-hit axis.
 cargo run --release -q -p experiments --bin tg-obs -- bench-snapshot \
     --label ci --policies allon,oract,pracvt --out target/ci \
-    --grids 64,128 --scaling-solves 2 --serve
+    --grids 64,128,208 --scaling-solves 2 --serve
 cargo run --release -q -p experiments --bin tg-obs -- \
-    diff target/ci/BENCH_ci.json target/ci/BENCH_ci.json
+    diff BENCH_ref.json target/ci/BENCH_ci.json
 
 echo "== tg-verify: physics oracles + corpus replay (determinism via cmp) =="
 cargo run --release -q -p experiments --bin tg-verify -- \

@@ -20,7 +20,10 @@
 //!
 //! Every run replays one activity trace ([`SimulationEngine::run_spec`]
 //! generates it) and profiles θ on the trace's first
-//! `max(profiling_decisions, 3)` decisions.
+//! `max(profiling_decisions, 3)` decisions. The fit depends on those
+//! steps and the engine alone, never on the policy, so an engine keeps
+//! its last fit and a run whose profiling steps match it bit for bit
+//! reuses it.
 //!
 //! ### Oracle fidelity
 //!
@@ -47,6 +50,7 @@ use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::{Amps, Seconds, Watts};
 use simkit::{DeterministicRng, Error, Result};
 use std::borrow::Borrow;
+use std::sync::{Mutex, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window, WARMUP_CYCLES, WINDOW_CYCLES};
@@ -238,6 +242,33 @@ pub struct SimulationEngine<'c> {
     telemetry: Telemetry,
     steps_per_decision: usize,
     n_decisions: usize,
+    /// The last θ fit a run made (see [`ThetaMemo`]).
+    theta: Mutex<Option<ThetaMemo>>,
+}
+
+/// A θ fit and the profiling steps it was fitted on. The fit is a pure
+/// function of those steps and the engine's immutable configuration:
+/// steady solves take fresh scratch on every call, and the profiling
+/// pass's solves never enter a run's solver profile.
+#[derive(Debug)]
+struct ThetaMemo {
+    /// The profiling steps' activities, one step after another in one
+    /// allocation: every step has one activity per block, so the
+    /// flattened steps determine the steps.
+    steps: Vec<f64>,
+    fit: (ThermalPredictor, f64),
+}
+
+impl ThetaMemo {
+    /// Whether `steps` equal the fitted steps bit for bit.
+    fn matches(&self, steps: &[Vec<f64>]) -> bool {
+        let mut fitted = self.steps.iter();
+        steps
+            .iter()
+            .flatten()
+            .all(|x| fitted.next().is_some_and(|y| x.to_bits() == y.to_bits()))
+            && fitted.next().is_none()
+    }
 }
 
 /// The simulated chip between thermal steps: its state, the transient
@@ -468,6 +499,7 @@ impl<'c> SimulationEngine<'c> {
             telemetry: Telemetry::disabled(),
             steps_per_decision: spd,
             n_decisions,
+            theta: Mutex::new(None),
         }
     }
 
@@ -726,7 +758,8 @@ impl<'c> SimulationEngine<'c> {
 
     /// [`SimulationEngine::calibrate_predictor`] for an arbitrary
     /// workload spec (single benchmark or multiprogrammed mix), on a
-    /// trace as long as the profiling pass.
+    /// trace as long as the profiling pass. Always runs the pass: it
+    /// neither reads nor replaces the fit runs reuse.
     ///
     /// # Errors
     ///
@@ -790,6 +823,35 @@ impl<'c> SimulationEngine<'c> {
         Ok((predictor, r2))
     }
 
+    /// [`Self::calibrate_on`] through the engine's memo: the last fit
+    /// when `profiling` matches its steps bit for bit, otherwise a fresh
+    /// fit that replaces it. The lock is not held while fitting, so
+    /// runs sharing an engine never wait on one another.
+    fn calibrate_reusing(
+        &self,
+        profiling: &[Vec<f64>],
+        n_prof: usize,
+    ) -> Result<(ThermalPredictor, f64)> {
+        let reused = self
+            .theta
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .filter(|memo| memo.matches(profiling))
+            .map(|memo| memo.fit.clone());
+        self.telemetry
+            .counter("engine.calibrate_reused", u64::from(reused.is_some()));
+        if let Some(fit) = reused {
+            return Ok(fit);
+        }
+        let fit = self.calibrate_on(profiling, n_prof)?;
+        *self.theta.lock().unwrap_or_else(PoisonError::into_inner) = Some(ThetaMemo {
+            steps: profiling.concat(),
+            fit: fit.clone(),
+        });
+        Ok(fit)
+    }
+
     // ------------------------------------------------------------------
     // Main run
     // ------------------------------------------------------------------
@@ -846,9 +908,10 @@ impl<'c> SimulationEngine<'c> {
     }
 
     /// The one run path: prepare the trace `make_trace` yields (timed as
-    /// the `trace` phase), profile θ on its leading decisions, settle
-    /// the initial steady state, then alternate [`Self::decide`] and a
-    /// simulated interval.
+    /// the `trace` phase), profile θ on its leading decisions (or reuse
+    /// the engine's last fit of the same steps), settle the initial
+    /// steady state, then alternate [`Self::decide`] and a simulated
+    /// interval.
     fn replay<T: Borrow<ActivityTrace>>(
         &self,
         policy: PolicyKind,
@@ -873,7 +936,7 @@ impl<'c> SimulationEngine<'c> {
         let calibration = if policy.needs_predictor() {
             let profiling = &acts[..n_prof * spd];
             Some(self.timed(&mut perf, "calibrate", "engine.calibrate", || {
-                self.calibrate_on(profiling, n_prof)
+                self.calibrate_reusing(profiling, n_prof)
             })?)
         } else {
             None
@@ -1526,6 +1589,122 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn calibrating_runs_on_one_engine_match_fresh_engines() {
+        // θ depends on the trace and the engine, never on the policy: the
+        // calibrating policies in sequence on one engine, all but the
+        // first of each benchmark reusing its fit, render exactly what
+        // each renders on a fresh engine.
+        let chip = power8_like();
+        let shared = SimulationEngine::new(&chip, tiny_config());
+        for benchmark in [Benchmark::LuNcb, Benchmark::Barnes] {
+            for policy in [
+                PolicyKind::OracT,
+                PolicyKind::PracT,
+                PolicyKind::OracVT,
+                PolicyKind::PracVT,
+            ] {
+                let fresh = SimulationEngine::new(&chip, tiny_config())
+                    .run(benchmark, policy)
+                    .unwrap();
+                let reused = shared.run(benchmark, policy).unwrap();
+                assert_eq!(
+                    masked_debug(&reused),
+                    masked_debug(&fresh),
+                    "{benchmark:?} {policy}"
+                );
+            }
+        }
+    }
+
+    /// The `engine.calibrate_reused` deltas `sink` recorded, in order.
+    fn reuse_counts(sink: &simkit::telemetry::MemorySink) -> Vec<u64> {
+        use simkit::telemetry::analyze::EventView;
+        sink.events()
+            .iter()
+            .filter(|e| e.name == "engine.calibrate_reused")
+            .map(|e| e.num_u64("delta").unwrap())
+            .collect()
+    }
+
+    /// `trace` through the CSV interchange format with block 0's sample
+    /// `s` replaced by `edit` of its value.
+    fn edited(trace: &ActivityTrace, s: usize, edit: impl Fn(f64) -> f64) -> ActivityTrace {
+        let mut csv = Vec::new();
+        workload::replay::write_csv(trace, &mut csv).unwrap();
+        let text = String::from_utf8(csv).unwrap();
+        let mut rows: Vec<String> = text.lines().map(str::to_owned).collect();
+        let (first, rest) = rows[s + 2].split_once(',').unwrap();
+        rows[s + 2] = format!("{},{rest}", edit(first.parse().unwrap()));
+        workload::replay::read_csv(rows.join("\n").as_bytes(), trace.benchmark()).unwrap()
+    }
+
+    #[test]
+    fn theta_is_refitted_exactly_when_the_profiling_steps_change() {
+        // One sample per thermal step, so a trace sample is a step
+        // activity bit for bit; the run outlasts the 3-decision prefix.
+        let chip = power8_like();
+        let config = EngineConfig {
+            duration: Seconds::from_millis(5.0),
+            profiling_decisions: 3,
+            ..tiny_config()
+        };
+        let mut engine = SimulationEngine::new(&chip, config.clone());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        let prefix = engine.profiling_decisions() * engine.steps_per_decision;
+        assert!(prefix < engine.n_decisions * engine.steps_per_decision);
+        let base = TraceGenerator::new(&chip)
+            .with_dt(config.thermal_step)
+            .generate(Benchmark::LuNcb, config.duration);
+        let flip_last_bit = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let in_prefix = edited(&base, prefix - 1, flip_last_bit);
+        let after_prefix = edited(&base, prefix, |x| 1.0 - x);
+
+        engine.run_trace(&base, PolicyKind::AllOn).unwrap();
+        assert_eq!(reuse_counts(&sink), [] as [u64; 0], "all-on fits no θ");
+        engine.run_trace(&base, PolicyKind::PracT).unwrap();
+        engine.run_trace(&base, PolicyKind::OracVT).unwrap();
+        assert_eq!(reuse_counts(&sink), [0, 1]);
+        // One flipped bit at the prefix's last step refits, and the
+        // refit is what a fresh engine fits on that trace.
+        let refitted = engine.run_trace(&in_prefix, PolicyKind::PracT).unwrap();
+        let fresh = SimulationEngine::new(&chip, config)
+            .run_trace(&in_prefix, PolicyKind::PracT)
+            .unwrap();
+        assert_eq!(masked_debug(&refitted), masked_debug(&fresh));
+        assert_eq!(reuse_counts(&sink), [0, 1, 0]);
+        // The refit replaced the memo; a change past the prefix reuses it.
+        engine.run_trace(&base, PolicyKind::PracT).unwrap();
+        engine.run_trace(&after_prefix, PolicyKind::PracVT).unwrap();
+        assert_eq!(reuse_counts(&sink), [0, 1, 0, 0, 1]);
+    }
+
+    #[test]
+    fn calibrate_predictor_neither_reads_nor_writes_the_memo() {
+        let chip = power8_like();
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        engine.run(Benchmark::LuNcb, PolicyKind::PracT).unwrap();
+        let before = sink.len();
+        let fit = engine.calibrate_predictor(Benchmark::LuNcb).unwrap();
+        let pass = &sink.events()[before..];
+        assert!(
+            pass.iter().any(|e| e.name == "thermal.transient_cg"),
+            "the profiling pass ran"
+        );
+        assert!(pass.iter().all(|e| e.name != "engine.calibrate_reused"));
+        let fresh = SimulationEngine::new(&chip, tiny_config())
+            .calibrate_predictor(Benchmark::LuNcb)
+            .unwrap();
+        assert_eq!(fit, fresh);
+        // A pass over another benchmark leaves the run's fit in place.
+        engine.calibrate_predictor(Benchmark::Barnes).unwrap();
+        engine.run(Benchmark::LuNcb, PolicyKind::OracT).unwrap();
+        assert_eq!(reuse_counts(&sink), [0, 1]);
     }
 
     /// A result's `Debug` rendering with its wall-clock phase seconds

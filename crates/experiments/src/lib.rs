@@ -21,8 +21,7 @@
 //!   tolerances (the engine behind `tg-obs diff`);
 //! * [`snapshot`] — performance snapshots (`BENCH_*.json`, schema
 //!   `thermogater.bench/v2`): a header plus one flat list of metric
-//!   rows, each with its own direction and tolerance (v1 documents are
-//!   still read);
+//!   rows, each with its own direction and tolerance;
 //! * [`verify`] — physics-invariant oracles, differential checks, and
 //!   golden-run comparison (the engine behind `tg-verify`).
 //!

@@ -720,10 +720,12 @@ mod tests {
             .regressions()
             .any(|d| d.metric == "snap.oract.solver.transient.iters_p95"));
 
-        // The reverse direction (fewer iterations) is an improvement,
-        // not a failure.
-        let better = diff_snapshots(&worse, &base, &DiffConfig::new());
-        assert!(!better.has_regression(), "{}", better.render(true));
+        // Counts gate exactly: fewer iterations fail too, until the
+        // reference is re-captured.
+        let fewer = diff_snapshots(&worse, &base, &DiffConfig::new());
+        assert!(fewer
+            .regressions()
+            .any(|d| d.metric == "snap.oract.solver.transient.iters_p95"));
     }
 
     #[test]
@@ -860,17 +862,18 @@ mod tests {
     }
 
     #[test]
-    fn throughput_drop_beyond_tolerance_gates() {
+    fn throughput_is_informational() {
+        // Steps per second is wall clock on a shared host: a halved rate
+        // is reported, never gated.
         let base = crate::snapshot::tests::sample("a", 4.0);
         let mut slow = base.clone();
         row_mut(&mut slow, "snap.oract.steps_per_sec").value *= 0.5;
         let report = diff_snapshots(&base, &slow, &DiffConfig::new());
+        assert!(!report.has_regression(), "{}", report.render(true));
         assert!(report
-            .regressions()
-            .any(|d| d.metric == "snap.oract.steps_per_sec"));
-        // A faster candidate never gates.
-        let fast = diff_snapshots(&slow, &base, &DiffConfig::new());
-        assert!(!fast.has_regression());
+            .deltas
+            .iter()
+            .any(|d| d.metric == "snap.oract.steps_per_sec" && d.rel_change < 0.0));
     }
 
     #[test]

@@ -19,19 +19,17 @@
 //!   solver iteration percentiles per solve site, recovered from the
 //!   run's own telemetry stream;
 //! * `scaling` — steady-solve cost per (grid, backend) cell;
-//! * `telemetry` — frame-recorder overhead (v1 documents may also
-//!   carry `live`, the overhead of a since-deleted in-process
-//!   aggregator);
+//! * `telemetry` — frame-recorder overhead;
 //! * `serve` — scenario-service cache-hit throughput;
 //! * `entries` and `peak_rss_bytes` — the policy count and the process
 //!   peak RSS.
 //!
-//! Wall-clock numbers are env-sensitive, so their rows are `info` or
-//! gate loosely; solver iteration counts are deterministic and gate
-//! tightly. [`BenchSnapshot::from_json`] still reads the older
-//! `thermogater.bench/v1` documents, whose axes were nested members:
-//! `flatten_v1` turns them into the same rows, with the same keys and
-//! bounds, and is the only code that knows that layout.
+//! Wall-clock numbers are env-sensitive, so their rows are `info`, or
+//! gate only an order-of-magnitude change (`overhead_share`) or loosely
+//! (peak RSS). Solver solve and iteration counts are deterministic and
+//! gate `exact`: `ci.sh` diffs a fresh capture against the committed
+//! `BENCH_ref.json`, so any change in them fails until the reference is
+//! re-captured.
 
 use crate::obs::Direction;
 use simkit::linalg::SolverBackend;
@@ -52,19 +50,9 @@ use workload::Benchmark;
 /// Schema identifier stamped into every snapshot this code writes.
 pub const SNAPSHOT_SCHEMA: &str = "thermogater.bench/v2";
 
-/// Schema identifier of the nested-axis documents written before rows
-/// existed; still read (`BENCH_ref.json` is one).
-pub const SNAPSHOT_SCHEMA_V1: &str = "thermogater.bench/v1";
-
 /// The pinned benchmark every policy measurement runs.
 pub const SNAPSHOT_BENCH: Benchmark = Benchmark::LuNcb;
 
-/// Throughput may drop this much before gating (wall-clock noise on
-/// shared CI hardware is real).
-const STEPS_PER_SEC_TOL: f64 = 0.25;
-/// Solver iterations are deterministic; a growth beyond this is a real
-/// algorithmic regression.
-const SOLVER_ITERS_TOL: f64 = 0.10;
 /// Peak RSS may grow this much before gating.
 const PEAK_RSS_TOL: f64 = 0.30;
 /// An overhead share may grow this much before gating (both the
@@ -75,9 +63,6 @@ const OVERHEAD_SHARE_TOL: f64 = 9.0;
 /// Walls below the clock's resolution count as this long, so derived
 /// rates and shares stay finite (and hence writable).
 const MIN_WALL_S: f64 = 1e-9;
-
-/// The largest count an `f64` still holds exactly (2⁵³).
-const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
 
 /// One metric of a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,7 +99,7 @@ impl Row {
     }
 
     /// The key's first segment after `snap.`: a policy tag, `scaling`,
-    /// `telemetry`, `live`, `serve`, `entries` or `peak_rss_bytes`.
+    /// `telemetry`, `serve`, `entries` or `peak_rss_bytes`.
     pub fn axis(&self) -> &str {
         let rest = self.key.strip_prefix("snap.").unwrap_or(&self.key);
         rest.split('.').next().unwrap_or(rest)
@@ -125,10 +110,6 @@ impl Row {
 fn per_wall(x: f64, wall_s: f64) -> f64 {
     x / wall_s.max(MIN_WALL_S)
 }
-
-// The row builders below are shared by the measurements and by
-// `flatten_v1`, so a capture and a v1 document agree on every key and
-// bound by construction.
 
 fn entries_row(policies: f64) -> Row {
     Row::exact("snap.entries".into(), policies)
@@ -145,12 +126,7 @@ fn peak_rss_row(bytes: f64) -> Row {
 
 fn policy_rows(p: &str, steps: f64, wall_s: f64, steps_per_sec: f64) -> [Row; 3] {
     [
-        Row::new(
-            format!("snap.{p}.steps_per_sec"),
-            steps_per_sec,
-            Direction::LowerIsWorse,
-            STEPS_PER_SEC_TOL,
-        ),
+        Row::info(format!("snap.{p}.steps_per_sec"), steps_per_sec),
         Row::info(format!("snap.{p}.wall_s"), wall_s),
         Row::info(format!("snap.{p}.steps"), steps),
     ]
@@ -165,19 +141,9 @@ fn phase_row(p: &str, phase: &str, seconds: f64) -> Row {
 fn site_rows(p: &str, site: &str, solves: f64, p50: f64, p95: f64, residual_max: f64) -> [Row; 4] {
     let key = |stat: &str| format!("snap.{p}.solver.{site}.{stat}");
     [
-        Row::info(key("solves"), solves),
-        Row::new(
-            key("iters_p50"),
-            p50,
-            Direction::HigherIsWorse,
-            SOLVER_ITERS_TOL,
-        ),
-        Row::new(
-            key("iters_p95"),
-            p95,
-            Direction::HigherIsWorse,
-            SOLVER_ITERS_TOL,
-        ),
+        Row::exact(key("solves"), solves),
+        Row::exact(key("iters_p50"), p50),
+        Row::exact(key("iters_p95"), p95),
         Row::info(key("residual_max"), residual_max),
     ]
 }
@@ -194,20 +160,14 @@ fn scaling_rows(
 ) -> [Row; 4] {
     let key = |stat: &str| format!("snap.scaling.{grid}.{backend}.{stat}");
     [
-        Row::info(key("solves"), solves),
-        Row::new(
-            key("iters_mean"),
-            iters_mean,
-            Direction::HigherIsWorse,
-            SOLVER_ITERS_TOL,
-        ),
+        Row::exact(key("solves"), solves),
+        Row::exact(key("iters_mean"), iters_mean),
         Row::info(key("setup_s"), setup_s),
         Row::info(key("wall_s"), wall_s),
     ]
 }
 
-/// Rows of an overhead axis (`telemetry`, or a v1 `live`): a
-/// deterministic count that gates exactly, the sink's self-timed cost
+/// Rows of the `telemetry` overhead axis: a deterministic count that gates exactly, the sink's self-timed cost
 /// as a share of the instrumented run's wall, and both walls for
 /// context.
 fn overhead_rows(
@@ -268,7 +228,7 @@ pub struct BenchSnapshot {
 }
 
 /// Why a snapshot document was rejected. Every variant about a value
-/// names the row key (or v1 member) it came from.
+/// names the row key it came from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
     /// The text is not one JSON document.
@@ -301,13 +261,6 @@ pub enum SnapshotError {
         /// The repeated key.
         key: String,
     },
-    /// A v1 count that is not a non-negative integer of at most 2⁵³.
-    NotACount {
-        /// The offending member.
-        key: String,
-        /// The value it carried.
-        value: f64,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -328,9 +281,6 @@ impl fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::DuplicateKey { key } => write!(f, "{key}: duplicate row key"),
-            SnapshotError::NotACount { key, value } => {
-                write!(f, "{key}: {value} is not a non-negative integer count")
-            }
         }
     }
 }
@@ -689,32 +639,26 @@ impl BenchSnapshot {
         Ok(path)
     }
 
-    /// Parses and validates a v2 document, or flattens a v1 one into
-    /// the same rows.
+    /// Parses and validates a document.
     ///
     /// # Errors
     ///
     /// Malformed JSON, a missing or unknown schema tag, a missing or
     /// mistyped member, and every row the type cannot represent: a
     /// non-finite value, an unknown `better` tag, a negative or
-    /// non-finite tolerance, a duplicate key, or (in v1) a count that is
-    /// not a non-negative integer.
+    /// non-finite tolerance, or a duplicate key.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let doc = json::parse(text.trim()).map_err(SnapshotError::Json)?;
         let schema = doc
             .get("schema")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| SnapshotError::Schema("snapshot missing \"schema\"".into()))?;
-        let rows = match schema {
-            SNAPSHOT_SCHEMA => read_rows(&doc)?,
-            SNAPSHOT_SCHEMA_V1 => flatten_v1(&doc)?,
-            other => {
-                return Err(SnapshotError::Schema(format!(
-                    "unsupported schema {other:?} (expected {SNAPSHOT_SCHEMA:?} or \
-                     {SNAPSHOT_SCHEMA_V1:?})"
-                )))
-            }
-        };
+        if schema != SNAPSHOT_SCHEMA {
+            return Err(SnapshotError::Schema(format!(
+                "unsupported schema {schema:?} (expected {SNAPSHOT_SCHEMA:?})"
+            )));
+        }
+        let rows = read_rows(&doc)?;
         let mut keys = HashSet::new();
         for row in &rows {
             if !row.value.is_finite() {
@@ -796,132 +740,13 @@ fn read_rows(doc: &JsonValue) -> Result<Vec<Row>, SnapshotError> {
     Ok(rows)
 }
 
-/// A v1 count: a number that is a non-negative integer an `f64` holds
-/// exactly.
-fn count(obj: &JsonValue, path: &str, field: &str) -> Result<f64, SnapshotError> {
-    let value = number(obj, path, field)?;
-    if (0.0..=MAX_COUNT).contains(&value) && value.fract() == 0.0 {
-        Ok(value)
-    } else {
-        Err(SnapshotError::NotACount {
-            key: format!("{path}.{field}"),
-            value,
-        })
-    }
-}
-
-/// An optional v1 axis member: absent (written before the axis existed)
-/// and `null` (captured without it) both mean no rows.
-fn axis_member<'d>(doc: &'d JsonValue, name: &str) -> Option<&'d JsonValue> {
-    doc.get(name).filter(|v| !v.is_null())
-}
-
-/// Flattens a `thermogater.bench/v1` document — nested `telemetry`,
-/// `live`, `serve`, `entries` and `scaling` members — into the rows a
-/// v2 capture of the same measurements writes: same keys, directions
-/// and tolerances, with `overhead_share` and `warm_per_sec` derived
-/// here as a capture derives them (`live` rows keep the keys the
-/// deleted live-aggregation capture wrote). Fields no row carries
-/// (`grid_n`, `nodes`, each solve site's `iters_mean`, the raw
-/// `overhead_us`) are not read beyond what the derived rows need.
-fn flatten_v1(doc: &JsonValue) -> Result<Vec<Row>, SnapshotError> {
-    let entries = array(doc, "snapshot", "entries")?;
-    let mut rows = vec![entries_row(entries.len() as f64)];
-    match doc.get("peak_rss_bytes") {
-        None => return Err(SnapshotError::Missing("\"peak_rss_bytes\"".into())),
-        Some(JsonValue::Null) => {}
-        Some(_) => rows.push(peak_rss_row(count(doc, "snap", "peak_rss_bytes")?)),
-    }
-    if let Some(t) = axis_member(doc, "telemetry") {
-        let path = "snap.telemetry";
-        rows.extend(overhead_rows(
-            "telemetry",
-            ("frames", count(t, path, "frames")?),
-            count(t, path, "overhead_us")?,
-            ("frames_wall_s", number(t, path, "frames_wall_s")?),
-            number(t, path, "base_wall_s")?,
-        ));
-    }
-    if let Some(l) = axis_member(doc, "live") {
-        let path = "snap.live";
-        rows.extend(overhead_rows(
-            "live",
-            ("events", count(l, path, "events")?),
-            count(l, path, "overhead_us")?,
-            ("live_wall_s", number(l, path, "live_wall_s")?),
-            number(l, path, "base_wall_s")?,
-        ));
-    }
-    if let Some(s) = axis_member(doc, "serve") {
-        let path = "snap.serve";
-        let mut counters = [0.0; 5];
-        for (slot, name) in counters.iter_mut().zip(SERVE_COUNTERS) {
-            *slot = count(s, path, name)?;
-        }
-        rows.extend(serve_rows(
-            counters,
-            number(s, path, "cold_wall_s")?,
-            number(s, path, "warm_wall_s")?,
-        ));
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let p = string(entry, &format!("snap.entries[{i}]"), "policy")?;
-        let path = format!("snap.{p}");
-        rows.extend(policy_rows(
-            p,
-            count(entry, &path, "steps")?,
-            number(entry, &path, "wall_s")?,
-            number(entry, &path, "steps_per_sec")?,
-        ));
-        let phases = entry
-            .get("phases")
-            .and_then(JsonValue::as_object)
-            .ok_or_else(|| SnapshotError::Missing(format!("object {path}.phases")))?;
-        for (phase, seconds) in phases {
-            let seconds = seconds
-                .as_f64()
-                .ok_or_else(|| SnapshotError::Missing(format!("number {path}.phases.{phase}")))?;
-            rows.push(phase_row(p, phase, seconds));
-        }
-        for site in array(entry, &path, "solver")? {
-            let name = string(site, &format!("{path}.solver"), "site")?;
-            let site_path = format!("{path}.solver.{name}");
-            rows.extend(site_rows(
-                p,
-                name,
-                count(site, &site_path, "solves")?,
-                number(site, &site_path, "iters_p50")?,
-                number(site, &site_path, "iters_p95")?,
-                number(site, &site_path, "residual_max")?,
-            ));
-        }
-    }
-    // Absent before the grid-scaling axis existed.
-    if let Some(cells) = doc.get("scaling").and_then(JsonValue::as_array) {
-        for (i, cell) in cells.iter().enumerate() {
-            let grid = count(cell, &format!("snap.scaling[{i}]"), "grid")?;
-            let backend = string(cell, &format!("snap.scaling[{i}]"), "backend")?;
-            let path = format!("snap.scaling.{grid}.{backend}");
-            rows.extend(scaling_rows(
-                grid,
-                backend,
-                count(cell, &path, "solves")?,
-                number(cell, &path, "iters_mean")?,
-                number(cell, &path, "setup_s")?,
-                number(cell, &path, "wall_s")?,
-            ));
-        }
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use simkit::check::{self, CheckConfig, Checker};
 
     /// A small hand-built snapshot (no engine run — fast) with every
-    /// axis; [`v1_sample`] is the same measurements in v1 layout.
+    /// axis.
     pub(crate) fn sample(label: &str, iters_p95: f64) -> BenchSnapshot {
         let mut rows = vec![entries_row(1.0), peak_rss_row(64.0 * 1024.0 * 1024.0)];
         rows.extend(overhead_rows(
@@ -929,13 +754,6 @@ pub(crate) mod tests {
             ("frames", 6.0),
             800.0,
             ("frames_wall_s", 0.5),
-            0.49,
-        ));
-        rows.extend(overhead_rows(
-            "live",
-            ("events", 1800.0),
-            300.0,
-            ("live_wall_s", 0.5),
             0.49,
         ));
         rows.extend(serve_rows([300.0, 12.0, 12.0, 288.0, 300.0], 2.0, 0.02));
@@ -961,82 +779,12 @@ pub(crate) mod tests {
             .unwrap_or_else(|| panic!("no row {key}"))
     }
 
-    const V1_TELEMETRY: &str =
-        r#","telemetry":{"frames":6,"overhead_us":800,"frames_wall_s":0.5,"base_wall_s":0.49}"#;
-    const V1_LIVE: &str =
-        r#","live":{"events":1800,"overhead_us":300,"live_wall_s":0.5,"base_wall_s":0.49}"#;
-    const V1_SERVE: &str = r#","serve":{"scenarios":300,"unique":12,"cold_misses":12,"cold_served":288,"warm_hits":300,"cold_wall_s":2,"warm_wall_s":0.02}"#;
-    const V1_SCALING: &str = r#","scaling":[
-  {"grid":64,"nodes":8193,"backend":"cg","solves":3,"iters_mean":210,"setup_s":0,"wall_s":0.09},
-  {"grid":64,"nodes":8193,"backend":"mgcg","solves":3,"iters_mean":14,"setup_s":0.01,"wall_s":0.03}
-]"#;
-
-    /// [`sample`]`("old", 4.0)` as the v1 writer laid it out.
-    fn v1_sample() -> String {
-        format!(
-            r#"{{"schema":"thermogater.bench/v1","label":"old","config":"fast","bench":"lu_ncb","peak_rss_bytes":67108864{V1_TELEMETRY}{V1_LIVE}{V1_SERVE},"entries":[
-  {{"policy":"oract","grid_n":32,"wall_s":0.5,"steps":300,"steps_per_sec":600,"phases":{{"trace":0.01,"transient":0.4}},"solver":[{{"site":"transient","solves":300,"iters_mean":3.1,"iters_p50":3,"iters_p95":4,"residual_max":1e-9}}]}}
-]{V1_SCALING}}}
-"#
-        )
-    }
-
     #[test]
     fn round_trips_through_json() {
         let snap = sample("test", 4.0);
         let back = BenchSnapshot::from_json(&snap.to_json()).expect("round trip");
         assert_eq!(back, snap);
         assert_eq!(back.file_name(), "BENCH_test.json");
-    }
-
-    #[test]
-    fn v1_flattens_to_the_rows_a_capture_writes() {
-        let back = BenchSnapshot::from_json(&v1_sample()).expect("v1 parses");
-        assert_eq!(back, sample("old", 4.0));
-    }
-
-    /// Every v1 variant the perf history holds: written before an axis
-    /// existed (member absent) or captured without it (member `null`).
-    /// The axis reads as absent and every other row is untouched.
-    #[test]
-    fn v1_variants_without_an_axis_still_parse() {
-        let full = sample("old", 4.0);
-        // (member text → replacement, …), the axis that must read absent.
-        let cases = [
-            (vec![(V1_TELEMETRY, "")], Some("telemetry")),
-            (
-                vec![(V1_TELEMETRY, r#","telemetry":null"#)],
-                Some("telemetry"),
-            ),
-            (vec![(V1_LIVE, "")], Some("live")),
-            (vec![(V1_LIVE, r#","live":null"#)], Some("live")),
-            (vec![(V1_SERVE, "")], Some("serve")),
-            (vec![(V1_SERVE, r#","serve":null"#)], Some("serve")),
-            // Pre-scaling documents also lack each entry's `grid_n`.
-            (
-                vec![(V1_SCALING, ""), (r#","grid_n":32"#, "")],
-                Some("scaling"),
-            ),
-            (
-                vec![(r#""peak_rss_bytes":67108864"#, r#""peak_rss_bytes":null"#)],
-                Some("peak_rss_bytes"),
-            ),
-        ];
-        for (cuts, absent) in cases {
-            let mut text = v1_sample();
-            for (member, replacement) in &cuts {
-                assert!(text.contains(member), "{member:?} not in the v1 sample");
-                text = text.replace(member, replacement);
-            }
-            let back = BenchSnapshot::from_json(&text).unwrap_or_else(|e| panic!("{cuts:?}: {e}"));
-            let expected: Vec<Row> = full
-                .rows
-                .iter()
-                .filter(|r| Some(r.axis()) != absent)
-                .cloned()
-                .collect();
-            assert_eq!(back.rows, expected, "{cuts:?}");
-        }
     }
 
     #[test]
@@ -1053,8 +801,6 @@ pub(crate) mod tests {
         ));
         let no_rows = sample("x", 4.0).to_json().replace("\"rows\"", "\"cells\"");
         assert!(BenchSnapshot::from_json(&no_rows).is_err());
-        let no_entries = v1_sample().replace("\"entries\"", "\"cells\"");
-        assert!(BenchSnapshot::from_json(&no_entries).is_err());
     }
 
     fn rejection(text: &str) -> SnapshotError {
@@ -1068,12 +814,6 @@ pub(crate) mod tests {
             r#""key":"snap.oract.wall_s","value":1e999"#,
         );
         let key = "snap.oract.wall_s".to_string();
-        assert_eq!(
-            rejection(&text),
-            SnapshotError::NonFinite { key: key.clone() }
-        );
-        // The same overflow in a v1 document names the row it would be.
-        let text = v1_sample().replace(r#""wall_s":0.5"#, r#""wall_s":1e999"#);
         assert_eq!(rejection(&text), SnapshotError::NonFinite { key });
     }
 
@@ -1118,29 +858,6 @@ pub(crate) mod tests {
             rejection(&snap.to_json()),
             SnapshotError::DuplicateKey { key: again.key }
         );
-        // A v1 document that lists one scaling cell twice collides too.
-        let cell = r#"{"grid":64,"nodes":8193,"backend":"cg","solves":3,"iters_mean":210,"setup_s":0,"wall_s":0.09}"#;
-        let text = v1_sample().replace(cell, &format!("{cell},{cell}"));
-        assert_eq!(
-            rejection(&text),
-            SnapshotError::DuplicateKey {
-                key: "snap.scaling.64.cg.solves".into()
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_a_v1_count_that_is_not_a_non_negative_integer() {
-        for (solves, value) in [("-3", -3.0), ("2.7", 2.7), ("1e30", 1e30)] {
-            let text = v1_sample().replace(r#""solves":300"#, &format!(r#""solves":{solves}"#));
-            assert_eq!(
-                rejection(&text),
-                SnapshotError::NotACount {
-                    key: "snap.oract.solver.transient.solves".into(),
-                    value
-                }
-            );
-        }
     }
 
     /// The reader must answer `Ok` or `Err` — never panic — and whatever
@@ -1194,7 +911,7 @@ pub(crate) mod tests {
 
     #[test]
     fn random_row_sets_round_trip() {
-        const AXES: [&str; 6] = ["oract", "scaling", "telemetry", "live", "serve", "x"];
+        const AXES: [&str; 5] = ["oract", "scaling", "telemetry", "serve", "x"];
         const BETTER: [Direction; 4] = [
             Direction::BothWays,
             Direction::HigherIsWorse,

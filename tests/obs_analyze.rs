@@ -8,7 +8,7 @@
 
 use experiments::obs::{diff_analyses, diff_snapshots, DiffConfig};
 use experiments::report::analysis_report;
-use experiments::snapshot::{BenchSnapshot, SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1};
+use experiments::snapshot::{BenchSnapshot, SNAPSHOT_SCHEMA};
 use simkit::telemetry::analyze::TraceAnalysis;
 use std::path::{Path, PathBuf};
 
@@ -121,10 +121,9 @@ fn fixture_self_diff_has_zero_drift() {
     assert!(report.deltas.iter().all(|d| d.rel_change == 0.0));
 }
 
-/// Every committed BENCH_*.json must carry a schema tag this reader
-/// knows (the current one, or the v1 layout it flattens) and parse back
-/// losslessly; an injected solver-iteration regression against it must
-/// gate with the offending metric named.
+/// Every committed BENCH_*.json must carry the schema tag this reader
+/// knows and parse back losslessly; an injected solver-iteration
+/// regression against it must gate with the offending metric named.
 #[test]
 fn committed_bench_snapshots_validate_and_gate() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -140,12 +139,10 @@ fn committed_bench_snapshots_validate_and_gate() {
         let schema = simkit::telemetry::json::parse(&text)
             .ok()
             .and_then(|doc| doc.get("schema")?.as_str().map(str::to_string));
-        assert!(
-            matches!(
-                schema.as_deref(),
-                Some(SNAPSHOT_SCHEMA | SNAPSHOT_SCHEMA_V1)
-            ),
-            "{name} carries neither the {SNAPSHOT_SCHEMA} nor the {SNAPSHOT_SCHEMA_V1} schema tag"
+        assert_eq!(
+            schema.as_deref(),
+            Some(SNAPSHOT_SCHEMA),
+            "{name} lacks the {SNAPSHOT_SCHEMA} schema tag"
         );
         let snap = BenchSnapshot::from_json(&text)
             .unwrap_or_else(|e| panic!("{name} fails schema validation: {e}"));

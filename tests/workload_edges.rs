@@ -1,15 +1,19 @@
 //! Edge-case tests for `workload` trace handling: empty traces,
-//! single-sample traces, replay clamping past the end of a short trace,
+//! single-sample traces, the lossless CSV round trip (a replayed export
+//! reproduces its synthetic run), replay clamping past the end of a
+//! short trace,
 //! modulo wrap-around of per-core mixes, and the activity clamp that
 //! keeps over-unity kind weights physical.
 
 use experiments::sweep::SweepRecord;
 use floorplan::reference::power8_like;
+use simkit::telemetry::analyze::EventView;
+use simkit::telemetry::Telemetry;
 use simkit::units::Seconds;
 use thermal::ThermalConfig;
-use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
+use thermogater::{EngineConfig, PolicyKind, SimulationEngine, SimulationResult};
 use workload::replay::{read_csv, write_csv};
-use workload::{Benchmark, TraceGenerator, WorkloadMix};
+use workload::{Benchmark, TraceGenerator, WorkloadMix, WorkloadSpec};
 
 fn tiny_config() -> EngineConfig {
     EngineConfig {
@@ -56,17 +60,64 @@ fn single_sample_trace_round_trips_through_csv() {
     let replayed = read_csv(&buf[..], Benchmark::Fft).unwrap();
     assert_eq!(replayed.sample_count(), 1);
     assert_eq!(replayed.activity().channel_count(), chip.blocks().len());
-    assert!((replayed.dt().get() - trace.dt().get()).abs() < 1e-12);
+    assert_eq!(replayed.dt().get().to_bits(), trace.dt().get().to_bits());
     for block in chip.blocks() {
         let orig = trace.sample(block.id(), 0);
         let back = replayed.sample(block.id(), 0);
-        // write_csv stores 6 decimal places.
-        assert!(
-            (orig - back).abs() < 1e-6,
+        assert_eq!(
+            orig.to_bits(),
+            back.to_bits(),
             "block {:?}: {orig} vs {back}",
             block.id()
         );
     }
+}
+
+/// Every simulated quantity of a run, wall-clock phase times excluded.
+fn physics(r: &SimulationResult) -> String {
+    format!(
+        "{:?}",
+        (
+            (r.workload(), r.policy(), r.decisions(), r.total_power()),
+            (r.active_count(), r.required_count(), r.vr_temperatures()),
+            (r.max_temperature(), r.max_gradient(), r.mean_efficiency()),
+            (r.mean_total_vr_loss(), r.window_noise_percent()),
+            (r.emergency_cycle_fraction(), r.heatmap_at_tmax()),
+            (r.worst_window_trace(), r.predictor_r_squared()),
+            r.solver_profile(),
+        )
+    )
+}
+
+/// `simulate --export-trace` then `--trace`: a synthetic trace written
+/// to CSV and read back replays exactly the synthetic run, and its
+/// profiling steps match bit for bit, so it reuses the θ fit the
+/// synthetic run left on the engine.
+#[test]
+fn round_tripped_trace_replays_the_synthetic_run_exactly() {
+    let chip = power8_like();
+    let mut engine = SimulationEngine::new(&chip, tiny_config());
+    let (tel, sink) = Telemetry::recorder();
+    engine.set_telemetry(tel);
+    // `run_spec`'s own trace covers the 4-decision profiling pass,
+    // which outlasts the 3 ms run.
+    let cfg = engine.config();
+    let trace = TraceGenerator::new(&chip).generate(Benchmark::LuNcb, cfg.decision_interval * 4.0);
+    let mut csv = Vec::new();
+    write_csv(&trace, &mut csv).unwrap();
+    let replayed = read_csv(&csv[..], Benchmark::LuNcb).unwrap();
+
+    let spec = WorkloadSpec::Single(Benchmark::LuNcb);
+    let synthetic = engine.run_spec(&spec, PolicyKind::PracVT).unwrap();
+    let from_csv = engine.run_trace(&replayed, PolicyKind::PracVT).unwrap();
+    assert_eq!(physics(&from_csv), physics(&synthetic));
+    let reused: Vec<_> = sink
+        .events()
+        .iter()
+        .filter(|e| e.name == "engine.calibrate_reused")
+        .map(|e| e.num_u64("delta"))
+        .collect();
+    assert_eq!(reused, [Some(0), Some(1)]);
 }
 
 /// The per-kind activity weights intentionally sum to more than the
