@@ -46,14 +46,13 @@ test "$(grep -c '"name":"workload.trace"' "$TELEMETRY_DIR/trace.jsonl")" -eq 1
 cargo run --release -q -p experiments --bin tg-obs -- validate "$TELEMETRY_DIR" \
     --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress,frame
 
-echo "== tg-obs: summarize, export, self-diff (must be zero-drift) =="
+echo "== tg-obs: summarize, export =="
 cargo run --release -q -p experiments --bin tg-obs -- summarize "$TELEMETRY_DIR"
 cargo run --release -q -p experiments --bin tg-obs -- export "$TELEMETRY_DIR" \
     --out "$TELEMETRY_DIR/series.csv"
 test -s "$TELEMETRY_DIR/series.csv"
-cargo run --release -q -p experiments --bin tg-obs -- diff "$TELEMETRY_DIR" "$TELEMETRY_DIR"
 
-echo "== tg-obs: live leg (watch determinism, rules gating, --json) =="
+echo "== tg-obs: live leg (watch determinism, rules gating, --json, run diff) =="
 TG_OBS="$PWD/target/release/tg-obs"
 RULES_SMOKE="$PWD/crates/experiments/tests/fixtures/rules_smoke.json"
 RULES_FAILING="$PWD/crates/experiments/tests/fixtures/rules_failing.json"
@@ -98,6 +97,9 @@ grep -q '^failed: unreachable-event-count$' "$TELEMETRY_DIR/check_fail.err"
 "$TG_OBS" summarize "$TELEMETRY_DIR/wa/run" --json --out "$TELEMETRY_DIR/sum_b.json"
 cmp "$TELEMETRY_DIR/sum_a.json" "$TELEMETRY_DIR/sum_b.json"
 grep -q '"schema":"thermogater.summary/v1"' "$TELEMETRY_DIR/sum_a.json"
+# diff: the two independent seeded runs (frames on) gate clean, since
+# every counter and count they emit is deterministic.
+"$TG_OBS" diff "$TELEMETRY_DIR/wa/run" "$TELEMETRY_DIR/wb/run"
 
 echo "== tg-obs: timeline/flame/top (Perfetto export + deterministic profiler) =="
 # timeline must emit Chrome Trace JSON (validated internally before it
@@ -174,17 +176,16 @@ test "$rc" -eq 2
 grep -q 'ablation_vr_count' target/ci/repro_nope.err
 
 echo "== tg-obs: perf snapshot gated against the committed BENCH_ref.json =="
-# The capture takes the reference's policies, grids and solve count, so
-# every axis is shared: solver solve and iteration counts (and the
-# telemetry/serve counters) must match the reference exactly, wall-clock
-# rows are informational, and peak RSS gates loosely. A change that
-# moves a count on purpose re-captures BENCH_ref.json with these flags.
-# --grids adds the steady-solve grid-scaling axis (cg/mgcg/direct per
-# grid edge; 208 is the finest grid tests/obs_analyze.rs checks the
-# multigrid win at); --serve the scenario-service cache-hit axis.
+# The capture takes the reference's policies and grids, so every axis is
+# shared: solver solve and iteration counts must match the reference
+# exactly, wall-clock rows are informational, and peak RSS gates loosely.
+# A change that moves a count on purpose re-captures BENCH_ref.json with
+# these flags. --grids adds the steady-solve grid-scaling axis
+# (cg/mgcg/direct per grid edge; 208 is the finest grid
+# tests/obs_analyze.rs checks the multigrid win at).
 cargo run --release -q -p experiments --bin tg-obs -- bench-snapshot \
     --label ci --policies allon,oract,pracvt --out target/ci \
-    --grids 64,128,208 --scaling-solves 2 --serve
+    --grids 64,128,208
 cargo run --release -q -p experiments --bin tg-obs -- \
     diff BENCH_ref.json target/ci/BENCH_ci.json
 

@@ -19,8 +19,8 @@
 //! standing in for the long pre-ROI history the paper's traces carry.
 //!
 //! Every run replays one activity trace ([`SimulationEngine::run_spec`]
-//! generates it) and profiles θ on the trace's first
-//! `max(profiling_decisions, 3)` decisions. The fit depends on those
+//! generates it, [`SimulationEngine::trace_duration`] long) and profiles
+//! θ on the trace's first `max(profiling_decisions, 3)` decisions. The fit depends on those
 //! steps and the engine alone, never on the policy, so an engine keeps
 //! its last fit and a run whose profiling steps match it bit for bit
 //! reuses it.
@@ -546,6 +546,21 @@ impl<'c> SimulationEngine<'c> {
         self.config.profiling_decisions.max(3)
     }
 
+    /// Decisions one run's trace covers: the run itself or the θ
+    /// profiling pass on its leading decisions, whichever is longer.
+    fn trace_decisions(&self) -> usize {
+        self.n_decisions.max(self.profiling_decisions())
+    }
+
+    /// Length of the activity trace one run replays.
+    /// [`SimulationEngine::run_spec`] generates a synthetic trace this
+    /// long, so a trace of this length written out and handed back to
+    /// [`SimulationEngine::run_trace`] reproduces the synthetic run,
+    /// θ included; a shorter one clamps the profiling pass.
+    pub fn trace_duration(&self) -> Seconds {
+        self.config.decision_interval * self.trace_decisions() as f64
+    }
+
     /// Runs `f` as one sample of the `phase` timing, inside the
     /// telemetry span `span`.
     fn timed<T>(
@@ -878,10 +893,8 @@ impl<'c> SimulationEngine<'c> {
     ///
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
-        let decisions = self.n_decisions.max(self.profiling_decisions());
-        let duration = self.config.decision_interval * decisions as f64;
         self.replay(policy, || {
-            TraceGenerator::new(self.chip).generate_spec(spec, duration)
+            TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration())
         })
     }
 
@@ -927,7 +940,7 @@ impl<'c> SimulationEngine<'c> {
             let trace = make_trace();
             let trace = trace.borrow();
             trace.emit_telemetry(&self.telemetry);
-            let acts = self.steps_from_trace(trace, self.n_decisions.max(n_prof));
+            let acts = self.steps_from_trace(trace, self.trace_decisions());
             (trace.spec().clone(), acts)
         });
         let spec = &spec;
@@ -1571,14 +1584,11 @@ mod tests {
         // longer — reproduces the synthetic result exactly, θ included.
         let chip = power8_like();
         let engine = SimulationEngine::new(&chip, tiny_config());
-        let cfg = engine.config();
-        let decisions = engine.n_decisions.max(engine.profiling_decisions());
         assert!(engine.profiling_decisions() > engine.n_decisions);
         let mix: WorkloadSpec =
             workload::WorkloadMix::alternating(Benchmark::Cholesky, Benchmark::Raytrace, 8).into();
         for spec in [WorkloadSpec::Single(Benchmark::Volrend), mix] {
-            let trace = TraceGenerator::new(&chip)
-                .generate_spec(&spec, cfg.decision_interval * decisions as f64);
+            let trace = TraceGenerator::new(&chip).generate_spec(&spec, engine.trace_duration());
             for policy in [PolicyKind::OracT, PolicyKind::PracVT] {
                 let replayed = engine.run_trace(&trace, policy).unwrap();
                 let synthetic = engine.run_spec(&spec, policy).unwrap();
@@ -1869,7 +1879,8 @@ mod tests {
         assert_eq!(count_name("thermal.hotspot"), expected_frames);
         assert_eq!(sink.count_kind(EventKind::Frame), 3 * expected_frames);
 
-        // Self-accounting counters land at end of run.
+        // The frame count lands at end of run; it is the recorder's
+        // only counter, so the trace stays free of wall-clock counters.
         let counter_total = |name: &str| -> u64 {
             events
                 .iter()
@@ -1883,12 +1894,10 @@ mod tests {
                 .sum()
         };
         assert_eq!(counter_total("telemetry.frames"), expected_frames as u64);
-        assert!(
-            events
-                .iter()
-                .any(|e| e.kind == EventKind::Counter && e.name == "telemetry.overhead"),
-            "telemetry.overhead counter missing"
-        );
+        assert!(events
+            .iter()
+            .filter(|e| e.kind == EventKind::Counter && e.name.starts_with("telemetry."))
+            .all(|e| e.name == "telemetry.frames"));
 
         // The hotspot track is a running maximum.
         let hotspots: Vec<f64> = events
@@ -1917,11 +1926,8 @@ mod tests {
         unframed.set_telemetry(tel2);
         unframed.run(Benchmark::Fft, PolicyKind::OracVT).unwrap();
         assert_eq!(sink2.count_kind(EventKind::Frame), 0);
-        let no_overhead = sink2
-            .events()
-            .iter()
-            .all(|e| e.name != "telemetry.overhead" && e.name != "telemetry.frames");
-        assert!(no_overhead, "frames-off run must not self-account");
+        let no_frame_count = sink2.events().iter().all(|e| e.name != "telemetry.frames");
+        assert!(no_frame_count, "frames-off run must not count frames");
     }
 
     #[test]

@@ -15,16 +15,15 @@
 //!   max-temperature cell, so the Chrome-trace export renders a
 //!   monotone hotspot counter track next to the solver spans.
 //!
-//! The recorder times its own work and reports it at the end of the
-//! run as the `telemetry.overhead` counter (microseconds) together
-//! with a `telemetry.frames` frame count, so BENCH snapshots can gate
-//! recording cost. When disabled (`frame_every == 0`) the engine never
-//! constructs a recorder and the run's event stream is unchanged.
+//! At the end of the run the recorder reports the `telemetry.frames`
+//! counter, the number of frames it captured. Like every counter it is
+//! deterministic, so two identical seeded runs diff clean. When
+//! disabled (`frame_every == 0`) the engine never constructs a recorder
+//! and the run's event stream is unchanged.
 
 use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::Seconds;
 use std::fmt::Write as _;
-use std::time::Instant;
 use thermal::ThermalState;
 use vreg::GatingState;
 
@@ -40,7 +39,6 @@ pub struct FrameRecorder {
     /// cell seen by any captured frame so far.
     running_max_c: f64,
     running_max_cell: (usize, usize),
-    overhead_s: f64,
     /// Reused render buffer, so steady-state capture allocates little.
     scratch: String,
 }
@@ -58,19 +56,8 @@ impl FrameRecorder {
             frames: 0,
             running_max_c: f64::MIN,
             running_max_cell: (0, 0),
-            overhead_s: 0.0,
             scratch: String::new(),
         }
-    }
-
-    /// Number of frames captured so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Wall time spent capturing and serialising frames.
-    pub fn overhead_s(&self) -> f64 {
-        self.overhead_s
     }
 
     /// Observes one thermal step; captures a frame when the step lands
@@ -86,7 +73,6 @@ impl FrameRecorder {
         if !step.is_multiple_of(self.every) {
             return;
         }
-        let start = Instant::now();
         let t_sim = step as f64 * self.thermal_step_s;
 
         // Downsampled heat map.
@@ -152,15 +138,10 @@ impl FrameRecorder {
             .emit();
 
         self.frames += 1;
-        self.overhead_s += start.elapsed().as_secs_f64();
     }
 
-    /// Emits the self-accounting counters (`telemetry.frames`,
-    /// `telemetry.overhead` in whole microseconds) and consumes the
-    /// recorder.
+    /// Emits the `telemetry.frames` counter and consumes the recorder.
     pub fn finish(self) {
         self.telemetry.counter("telemetry.frames", self.frames);
-        self.telemetry
-            .counter("telemetry.overhead", (self.overhead_s * 1e6).round() as u64);
     }
 }

@@ -10,11 +10,16 @@
 //!     --mix chol,rayt --policy oract
 //!
 //! cargo run --release -p experiments --bin simulate -- \
-//!     --trace my_trace.csv --policy allon
+//!     --bench fft --export-trace fft.csv
 //!
 //! cargo run --release -p experiments --bin simulate -- \
-//!     --bench lu_ncb --export-trace lu_ncb.csv
+//!     --bench fft --trace fft.csv --policy allon
 //! ```
+//!
+//! `--export-trace` writes as much trace as a run replays (the run or
+//! its θ profiling pass, whichever is longer), and `--trace` replays a
+//! file as the `--bench` benchmark, so an exported trace replayed with
+//! the same flags reproduces the synthetic run.
 
 use experiments::report::{banner, metrics_report, render_heatmap, solver_report};
 use experiments::sweep::{benchmark_from_label, policy_from_tag, policy_tag};
@@ -53,6 +58,10 @@ fn usage() -> &'static str {
      \u{20}       [--duration-ms <f64>] [--windows <n>] [--grid <n>]\n\
      \u{20}       [--design fivr|ldo] [--trace <csv>] [--export-trace <csv>]\n\
      \u{20}       [--heatmap] [--quiet|-q] [--telemetry=<dir>] [--frames <n>]\n\
+     trace:      --trace <csv> replays a trace as the --bench benchmark\n\
+     \u{20}           (default lu_ncb), whose seeds draw the noise windows\n\
+     \u{20}           and emergencies; --mix cannot be combined with it.\n\
+     \u{20}           --export-trace <csv> writes the trace a run replays\n\
      benchmarks: barnes chol fft fmm lu_cb lu_ncb oc_cp oc_ncp radio\n\
      \u{20}           radix rayt volr water_n water_s\n\
      policies:   allon offchip naive oract oracv oracvt pract pracvt\n\
@@ -129,6 +138,9 @@ fn parse_args() -> Result<Args, String> {
                 None => return Err(format!("unknown flag {other:?}")),
             },
         }
+    }
+    if args.trace_path.is_some() && matches!(args.spec, WorkloadSpec::Mix(_)) {
+        return Err("--trace replays one benchmark's trace: use --bench, not --mix".into());
     }
     Ok(args)
 }
@@ -215,7 +227,7 @@ fn main() -> ExitCode {
 
     // Export-only path.
     if let Some(path) = &args.export_path {
-        let trace = TraceGenerator::new(&chip).generate_spec(&args.spec, duration);
+        let trace = TraceGenerator::new(&chip).generate_spec(&args.spec, engine.trace_duration());
         let file = match File::create(path) {
             Ok(f) => f,
             Err(e) => {
@@ -239,7 +251,8 @@ fn main() -> ExitCode {
         banner("simulate", &format!("{} under {}", args.spec, args.policy));
     }
     let run_started = Instant::now();
-    let result = if let Some(path) = &args.trace_path {
+    // `parse_args` admits `--trace` only with a single benchmark.
+    let result = if let (Some(path), Some(bench)) = (&args.trace_path, args.spec.as_single()) {
         let file = match File::open(path) {
             Ok(f) => f,
             Err(e) => {
@@ -247,7 +260,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let trace = match replay::read_csv(file, Benchmark::LuNcb) {
+        let trace = match replay::read_csv(file, bench) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {e}");

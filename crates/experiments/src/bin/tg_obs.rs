@@ -113,7 +113,7 @@ USAGE:
         on solve counts only, simulation metrics gate at 1e-6 relative.
 
     tg-obs bench-snapshot [--label <l>] [--out <dir>] [--policies <t,t>]
-                          [--grids <n,n>] [--scaling-solves <k>] [--serve]
+                          [--grids <n,n>]
         Run the pinned fast-config workload per policy and write
         BENCH_<label>.json (schema thermogater.bench/v2: a label,
         config and bench header plus one row per metric, each with its
@@ -121,11 +121,8 @@ USAGE:
         `local`, directory `.`, policies allon,oract,pracvt;
         `--policies all` measures the paper's eight. `--grids 64,128`
         also measures the steady-solve grid-scaling axis (cg/mgcg/direct
-        per grid edge, `--scaling-solves` cache-warm solves each,
-        default 3) as `snap.scaling.*` rows. `--serve` measures the
-        scenario-service cache-hit-throughput axis (a repeated tiny
-        batch, cold vs warm) as `snap.serve.*` rows. `diff` compares
-        only the axes both snapshots measured.
+        per grid edge, two cache-warm solves each) as `snap.scaling.*`
+        rows. `diff` compares only the axes both snapshots measured.
 
 A <run-dir> is a directory holding trace.jsonl (and usually
 manifest.json), as written by any experiment binary under
@@ -821,12 +818,9 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
     let mut out_dir = PathBuf::from(".");
     let mut policies = vec![PolicyKind::AllOn, PolicyKind::OracT, PolicyKind::PracVT];
     let mut grids: Vec<usize> = Vec::new();
-    let mut scaling_solves = 3usize;
-    let mut serve = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--serve" => serve = true,
             "--grids" => {
                 let spec = iter
                     .next()
@@ -841,16 +835,6 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
                             .ok_or_else(|| format!("bad grid edge `{g}`"))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--scaling-solves" => {
-                let spec = iter
-                    .next()
-                    .ok_or_else(|| "--scaling-solves needs a count".to_string())?;
-                scaling_solves = spec
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("bad --scaling-solves `{spec}`"))?;
             }
             "--label" => {
                 label = iter
@@ -898,12 +882,7 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
             "measuring the grid-scaling axis at {} grid edge(s)…",
             grids.len()
         );
-        snap.rows
-            .extend(snapshot::capture_scaling(&grids, scaling_solves)?);
-    }
-    if serve {
-        eprintln!("measuring the scenario-service cache-hit-throughput axis…");
-        snap.rows.extend(snapshot::measure_serve_throughput()?);
+        snap.rows.extend(snapshot::capture_scaling(&grids)?);
     }
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;

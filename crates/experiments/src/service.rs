@@ -1,6 +1,5 @@
 //! Sweep-as-a-service: content-addressed scenario caching and the
-//! sharded batch executor behind `tg-serve`, [`crate::sweep::grid`],
-//! and the `snap.serve.*` BENCH axis.
+//! sharded batch executor behind `tg-serve` and [`crate::sweep::grid`].
 //!
 //! The module splits *scenario description* from *engine execution*:
 //!

@@ -19,15 +19,12 @@
 //!   solver iteration percentiles per solve site, recovered from the
 //!   run's own telemetry stream;
 //! * `scaling` — steady-solve cost per (grid, backend) cell;
-//! * `telemetry` — frame-recorder overhead;
-//! * `serve` — scenario-service cache-hit throughput;
 //! * `entries` and `peak_rss_bytes` — the policy count and the process
 //!   peak RSS.
 //!
-//! Wall-clock numbers are env-sensitive, so their rows are `info`, or
-//! gate only an order-of-magnitude change (`overhead_share`) or loosely
-//! (peak RSS). Solver solve and iteration counts are deterministic and
-//! gate `exact`: `ci.sh` diffs a fresh capture against the committed
+//! Wall-clock numbers are env-sensitive, so their rows are `info`, and
+//! peak RSS gates loosely. Solver solve and iteration counts are
+//! deterministic and gate `exact`: `ci.sh` diffs a fresh capture against the committed
 //! `BENCH_ref.json`, so any change in them fails until the reference is
 //! re-captured.
 
@@ -55,10 +52,11 @@ pub const SNAPSHOT_BENCH: Benchmark = Benchmark::LuNcb;
 
 /// Peak RSS may grow this much before gating.
 const PEAK_RSS_TOL: f64 = 0.30;
-/// An overhead share may grow this much before gating (both the
-/// numerator and denominator are wall-clock, so the ratio is doubly
-/// env-sensitive; an order of magnitude means the cost model changed).
-const OVERHEAD_SHARE_TOL: f64 = 9.0;
+
+/// Cache-warm solves per (grid, backend) cell of the scaling axis —
+/// the count the committed `BENCH_ref.json` was captured with, so its
+/// `…solves` rows gate exactly against any fresh capture.
+const SCALING_WARM_SOLVES: usize = 2;
 
 /// Walls below the clock's resolution count as this long, so derived
 /// rates and shares stay finite (and hence writable).
@@ -99,7 +97,7 @@ impl Row {
     }
 
     /// The key's first segment after `snap.`: a policy tag, `scaling`,
-    /// `telemetry`, `serve`, `entries` or `peak_rss_bytes`.
+    /// `entries` or `peak_rss_bytes`.
     pub fn axis(&self) -> &str {
         let rest = self.key.strip_prefix("snap.").unwrap_or(&self.key);
         rest.split('.').next().unwrap_or(rest)
@@ -165,53 +163,6 @@ fn scaling_rows(
         Row::info(key("setup_s"), setup_s),
         Row::info(key("wall_s"), wall_s),
     ]
-}
-
-/// Rows of the `telemetry` overhead axis: a deterministic count that gates exactly, the sink's self-timed cost
-/// as a share of the instrumented run's wall, and both walls for
-/// context.
-fn overhead_rows(
-    axis: &str,
-    count: (&str, f64),
-    overhead_us: f64,
-    wall: (&str, f64),
-    base_wall_s: f64,
-) -> [Row; 4] {
-    [
-        Row::exact(format!("snap.{axis}.{}", count.0), count.1),
-        Row::new(
-            format!("snap.{axis}.overhead_share"),
-            per_wall(overhead_us / 1e6, wall.1),
-            Direction::HigherIsWorse,
-            OVERHEAD_SHARE_TOL,
-        ),
-        Row::info(format!("snap.{axis}.{}", wall.0), wall.1),
-        Row::info(format!("snap.{axis}.base_wall_s"), base_wall_s),
-    ]
-}
-
-/// The serve axis's deterministic counters, in row order.
-const SERVE_COUNTERS: [&str; 5] = [
-    "scenarios",
-    "unique",
-    "cold_misses",
-    "cold_served",
-    "warm_hits",
-];
-
-fn serve_rows(counters: [f64; 5], cold_wall_s: f64, warm_wall_s: f64) -> Vec<Row> {
-    let mut rows: Vec<Row> = SERVE_COUNTERS
-        .iter()
-        .zip(counters)
-        .map(|(name, n)| Row::exact(format!("snap.serve.{name}"), n))
-        .collect();
-    rows.push(Row::info("snap.serve.cold_wall_s".into(), cold_wall_s));
-    rows.push(Row::info("snap.serve.warm_wall_s".into(), warm_wall_s));
-    rows.push(Row::info(
-        "snap.serve.warm_per_sec".into(),
-        per_wall(counters[0], warm_wall_s),
-    ));
-    rows
 }
 
 /// A schema-tagged performance snapshot (one `BENCH_<label>.json`).
@@ -345,149 +296,9 @@ pub fn measure_policy(policy: PolicyKind) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Frame-recorder sampling period (thermal steps) for the pinned
-/// overhead measurement — ~6 frames over the fast config's 300 steps.
-pub const SNAPSHOT_FRAME_EVERY: usize = 50;
-
-/// Measures the frame-recorder overhead axis (`snap.telemetry.…`): the
-/// pinned fast-config workload once with the spatial frame recorder
-/// sampling every [`SNAPSHOT_FRAME_EVERY`] steps, once with telemetry on
-/// but frames off. The frames-on run's `telemetry.frames` /
-/// `telemetry.overhead` counters provide the deterministic frame count
-/// and the recorder's self-reported cost.
-///
-/// # Errors
-///
-/// Propagates engine failures as a rendered message.
-pub fn measure_telemetry_overhead() -> Result<Vec<Row>, String> {
-    let chip = floorplan::reference::power8_like();
-    let run = |frame_every: usize| -> Result<(f64, TraceAnalysis), String> {
-        let config = EngineConfig {
-            frame_every,
-            ..EngineConfig::fast()
-        };
-        let mut engine = SimulationEngine::new(&chip, config);
-        let (telemetry, sink) = Telemetry::recorder();
-        engine.set_telemetry(telemetry);
-        let started = Instant::now();
-        engine
-            .run(SNAPSHOT_BENCH, PolicyKind::PracVT)
-            .map_err(|e| format!("overhead run failed: {e}"))?;
-        let wall_s = started.elapsed().as_secs_f64();
-        let mut analysis = TraceAnalysis::exact();
-        for event in sink.events() {
-            analysis.observe(&event);
-        }
-        Ok((wall_s, analysis))
-    };
-    let (frames_wall_s, analysis) = run(SNAPSHOT_FRAME_EVERY)?;
-    let (base_wall_s, _) = run(0)?;
-    Ok(overhead_rows(
-        "telemetry",
-        ("frames", analysis.counter("telemetry.frames") as f64),
-        analysis.counter("telemetry.overhead") as f64,
-        ("frames_wall_s", frames_wall_s),
-        base_wall_s,
-    )
-    .to_vec())
-}
-
-/// Benchmarks of the serve-throughput batch (small but not singular,
-/// so the batch exercises distinct hashes).
-pub const SERVE_BENCHMARKS: [Benchmark; 4] = [
-    Benchmark::LuNcb,
-    Benchmark::Fft,
-    Benchmark::Barnes,
-    Benchmark::Radix,
-];
-
-/// Policies of the serve-throughput batch.
-pub const SERVE_POLICIES: [PolicyKind; 3] =
-    [PolicyKind::AllOn, PolicyKind::OracT, PolicyKind::PracVT];
-
-/// Repeats of the unique-cell block in the serve-throughput batch —
-/// every unique scenario appears this many times, so the cold pass
-/// must serve `repeats − 1` of each without touching the engine.
-pub const SERVE_REPEATS: usize = 25;
-
-/// Measures the scenario-service axis (`snap.serve.…`): a batch of
-/// `|SERVE_BENCHMARKS| × |SERVE_POLICIES| × SERVE_REPEATS` tiny-config
-/// scenarios streamed through the batch executor against a fresh
-/// temporary cache (cold), then again (warm). The cold pass may answer
-/// a duplicate either from the just-written cache or by coalescing
-/// onto the in-flight simulation — both bypass the engine, so
-/// `cold_misses` (= unique hashes) and `cold_served` (= the rest) are
-/// deterministic even though the split is not. The warm pass must be
-/// all hits. The counters gate exactly; the walls and the derived
-/// `warm_per_sec` are informational.
-///
-/// # Errors
-///
-/// Reports counter inconsistencies (an engine run where none was
-/// allowed) as a rendered message.
-pub fn measure_serve_throughput() -> Result<Vec<Row>, String> {
-    use crate::service::{run_batch, BatchOptions, ScenarioCache, ScenarioSpec, ServeCounters};
-    use std::sync::atomic::Ordering;
-
-    let dir = std::env::temp_dir().join(format!("tg-serve-bench-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let cache = ScenarioCache::new(&dir);
-    let config = crate::context::ExpOptions::tiny().engine_config();
-    let block: Vec<ScenarioSpec> = SERVE_BENCHMARKS
-        .iter()
-        .flat_map(|&b| SERVE_POLICIES.iter().map(move |&p| (b, p)))
-        .map(|(b, p)| ScenarioSpec::new(b, p, config.clone()))
-        .collect();
-    let unique = block.len() as u64;
-    let scenarios = unique * SERVE_REPEATS as u64;
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-    let batch = BatchOptions {
-        quiet: true,
-        ..BatchOptions::for_threads(threads)
-    };
-    let pass = |counters: &ServeCounters| -> (u64, f64) {
-        let specs = (0..SERVE_REPEATS).flat_map(|_| block.iter().cloned());
-        let started = Instant::now();
-        let answered = run_batch(&cache, specs, &batch, None, counters, |_| {});
-        (answered as u64, started.elapsed().as_secs_f64())
-    };
-
-    let cold = ServeCounters::default();
-    let (cold_answered, cold_wall_s) = pass(&cold);
-    let warm = ServeCounters::default();
-    let (warm_answered, warm_wall_s) = pass(&warm);
-    let _ = fs::remove_dir_all(&dir);
-
-    let cold_misses = cold.misses.load(Ordering::Relaxed);
-    let cold_served = cold.hits.load(Ordering::Relaxed) + cold.coalesced.load(Ordering::Relaxed);
-    let warm_hits = warm.hits.load(Ordering::Relaxed);
-    if cold_answered != scenarios || warm_answered != scenarios {
-        return Err(format!(
-            "serve axis answered {cold_answered}/{warm_answered} of {scenarios} scenarios"
-        ));
-    }
-    if cold_misses != unique {
-        return Err(format!(
-            "cold pass simulated {cold_misses} scenarios, expected the {unique} unique hashes"
-        ));
-    }
-    if warm.misses.load(Ordering::Relaxed) != 0 || warm_hits != scenarios {
-        return Err(format!(
-            "warm pass was not pure cache hits: {}",
-            warm.summary()
-        ));
-    }
-    Ok(serve_rows(
-        [scenarios, unique, cold_misses, cold_served, warm_hits].map(|n| n as f64),
-        cold_wall_s,
-        warm_wall_s,
-    ))
-}
-
 /// Captures a snapshot: one [`measure_policy`] run per `policies`
-/// entry, the frame-recorder overhead axis, plus the process peak RSS
-/// (taken before any scaling or serve rows a caller appends, so it
-/// prices the pinned workload alone).
+/// entry plus the process peak RSS (taken before any scaling rows a
+/// caller appends, so it prices the pinned workload alone).
 ///
 /// # Errors
 ///
@@ -497,10 +308,8 @@ pub fn capture(label: &str, policies: &[PolicyKind]) -> Result<BenchSnapshot, St
     for &p in policies {
         policy_rows.extend(measure_policy(p)?);
     }
-    let telemetry = measure_telemetry_overhead()?;
     let mut rows = vec![entries_row(policies.len() as f64)];
     rows.extend(peak_rss_bytes().map(|b| peak_rss_row(b as f64)));
-    rows.extend(telemetry);
     rows.extend(policy_rows);
     Ok(BenchSnapshot {
         label: label.to_string(),
@@ -520,8 +329,8 @@ pub const SCALING_BACKENDS: [SolverBackend; 3] = [
 /// Measures the steady-solve grid-scaling axis (`snap.scaling.…`): for
 /// each `grid` edge and each backend in [`SCALING_BACKENDS`], one cold
 /// solve (which builds the backend's cached factor / multigrid
-/// hierarchy — its wall-clock is `setup_s`) followed by `warm_solves`
-/// solves from a freshly reset ambient state against the warm cache.
+/// hierarchy — its wall-clock is `setup_s`) followed by
+/// [`SCALING_WARM_SOLVES`] solves from a freshly reset ambient state against the warm cache.
 /// Resetting the state each solve keeps every measured solve doing full
 /// work (a warm-started repeat of an identical system would converge
 /// instantly and measure nothing).
@@ -529,7 +338,7 @@ pub const SCALING_BACKENDS: [SolverBackend; 3] = [
 /// # Errors
 ///
 /// Propagates solver failures as a rendered message.
-pub fn capture_scaling(grids: &[usize], warm_solves: usize) -> Result<Vec<Row>, String> {
+pub fn capture_scaling(grids: &[usize]) -> Result<Vec<Row>, String> {
     let chip = floorplan::reference::power8_like();
     let mut out = Vec::new();
     for &grid in grids {
@@ -556,7 +365,7 @@ pub fn capture_scaling(grids: &[usize], warm_solves: usize) -> Result<Vec<Row>, 
             let setup_s = started.elapsed().as_secs_f64();
             let mut iters = 0u64;
             let started = Instant::now();
-            for _ in 0..warm_solves {
+            for _ in 0..SCALING_WARM_SOLVES {
                 state = model.ambient_state();
                 let stats = model
                     .steady_state_with_scratch(&pm, &mut state, &mut scratch)
@@ -566,8 +375,8 @@ pub fn capture_scaling(grids: &[usize], warm_solves: usize) -> Result<Vec<Row>, 
             out.extend(scaling_rows(
                 grid as f64,
                 backend.name(),
-                warm_solves as f64,
-                iters as f64 / (warm_solves.max(1)) as f64,
+                SCALING_WARM_SOLVES as f64,
+                iters as f64 / SCALING_WARM_SOLVES as f64,
                 setup_s,
                 started.elapsed().as_secs_f64(),
             ));
@@ -749,14 +558,6 @@ pub(crate) mod tests {
     /// axis.
     pub(crate) fn sample(label: &str, iters_p95: f64) -> BenchSnapshot {
         let mut rows = vec![entries_row(1.0), peak_rss_row(64.0 * 1024.0 * 1024.0)];
-        rows.extend(overhead_rows(
-            "telemetry",
-            ("frames", 6.0),
-            800.0,
-            ("frames_wall_s", 0.5),
-            0.49,
-        ));
-        rows.extend(serve_rows([300.0, 12.0, 12.0, 288.0, 300.0], 2.0, 0.02));
         rows.extend(policy_rows("oract", 300.0, 0.5, 600.0));
         rows.push(phase_row("oract", "trace", 0.01));
         rows.push(phase_row("oract", "transient", 0.4));
@@ -911,7 +712,7 @@ pub(crate) mod tests {
 
     #[test]
     fn random_row_sets_round_trip() {
-        const AXES: [&str; 5] = ["oract", "scaling", "telemetry", "serve", "x"];
+        const AXES: [&str; 3] = ["oract", "scaling", "x"];
         const BETTER: [Direction; 4] = [
             Direction::BothWays,
             Direction::HigherIsWorse,
@@ -962,19 +763,8 @@ pub(crate) mod tests {
 
     #[test]
     fn derived_rows_stay_finite_at_zero_wall() {
-        let share =
-            |wall_s: f64| overhead_rows("t", ("n", 6.0), 1000.0, ("w", wall_s), 0.1)[1].value;
-        assert!((share(0.1) - 0.01).abs() < 1e-12);
-        assert!(share(0.0).is_finite());
-        let per_sec = |warm_wall_s: f64| {
-            let rows = serve_rows([300.0, 12.0, 12.0, 288.0, 300.0], 2.0, warm_wall_s);
-            rows.iter()
-                .find(|r| r.key == "snap.serve.warm_per_sec")
-                .expect("derived row")
-                .value
-        };
-        assert!((per_sec(0.02) - 300.0 / 0.02).abs() < 1e-9);
-        assert!(per_sec(0.0).is_finite());
+        assert!((per_wall(300.0, 0.5) - 600.0).abs() < 1e-12);
+        assert!(per_wall(300.0, 0.0).is_finite());
     }
 
     fn value(rows: &[Row], key: &str) -> f64 {
@@ -996,23 +786,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn measure_telemetry_overhead_counts_frames() {
-        let rows = measure_telemetry_overhead().expect("overhead runs succeed");
-        // 300 fast-config steps sampled every 50 (step 0 included).
-        let frames = value(&rows, "snap.telemetry.frames");
-        assert!(frames >= 5.0, "too few frames: {frames}");
-        assert!(value(&rows, "snap.telemetry.frames_wall_s") > 0.0);
-        assert!(value(&rows, "snap.telemetry.base_wall_s") > 0.0);
-    }
-
-    #[test]
     fn capture_scaling_measures_each_grid_and_backend() {
-        let rows = capture_scaling(&[12], 2).expect("tiny scaling run");
+        let rows = capture_scaling(&[12]).expect("tiny scaling run");
         assert_eq!(rows.len(), 4 * SCALING_BACKENDS.len());
         for backend in SCALING_BACKENDS {
             let cell =
                 |stat: &str| value(&rows, &format!("snap.scaling.12.{}.{stat}", backend.name()));
-            assert_eq!(cell("solves"), 2.0);
+            assert_eq!(cell("solves"), SCALING_WARM_SOLVES as f64);
             assert!(cell("iters_mean") >= 1.0, "{} did no work", backend.name());
             assert!(cell("wall_s") > 0.0);
         }

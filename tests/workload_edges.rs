@@ -101,8 +101,7 @@ fn round_tripped_trace_replays_the_synthetic_run_exactly() {
     engine.set_telemetry(tel);
     // `run_spec`'s own trace covers the 4-decision profiling pass,
     // which outlasts the 3 ms run.
-    let cfg = engine.config();
-    let trace = TraceGenerator::new(&chip).generate(Benchmark::LuNcb, cfg.decision_interval * 4.0);
+    let trace = TraceGenerator::new(&chip).generate(Benchmark::LuNcb, engine.trace_duration());
     let mut csv = Vec::new();
     write_csv(&trace, &mut csv).unwrap();
     let replayed = read_csv(&csv[..], Benchmark::LuNcb).unwrap();
