@@ -152,6 +152,16 @@ grep -q 'scenarios=112 hits=112 misses=0 coalesced=0 invalid=0' "$SERVE_DIR/warm
 # The warm trace itself proves zero engine runs.
 grep -q '"name":"serve.misses","delta":0' "$SERVE_DIR/warm/trace.jsonl"
 grep -q '"name":"serve.hits","delta":112' "$SERVE_DIR/warm/trace.jsonl"
+# A request no engine can run is a malformed line, not a crash: the line
+# after it is still answered (from the warm cache), and the exit is 2.
+set +e
+printf 'lu_ncb allon grid=0\nfft allon\n' | "$TG_SERVE" --tiny --threads=1 --quiet \
+    --cache="$SERVE_DIR/cache" > "$SERVE_DIR/bad.txt" 2> "$SERVE_DIR/bad.err"
+rc=$?
+set -e
+test "$rc" -eq 2
+grep -q 'malformed request "lu_ncb allon grid=0"' "$SERVE_DIR/bad.err"
+test "$(wc -l < "$SERVE_DIR/bad.txt")" -eq 1
 
 echo "== repro: the artefact registry renders its output deterministically =="
 # Two passes over every artefact at the tiny config (the second from a

@@ -25,6 +25,15 @@
 //! its last fit and a run whose profiling steps match it bit for bit
 //! reuses it.
 //!
+//! A run uses two threads. Once the trace phase ends, a scoped producer
+//! thread (see `windows`) draws each noise window and convolves it into
+//! its di/dt responses, in window order from the run's one noise RNG,
+//! while this thread calibrates, settles and steps the run; the loop
+//! takes an interval's windows before its decision and hands each back
+//! once it is measured. The windows depend only on the trace, the
+//! benchmark and the seed, so the overlap changes no number, and the
+//! `noise` phase holds the loop's wait for them rather than their cost.
+//!
 //! ### Oracle fidelity
 //!
 //! `OracT`'s "temperature each regulator would assume" is computed with
@@ -39,6 +48,7 @@ use crate::policy::{gating_from_rankings, rank_regulators, PolicyInputs, PolicyK
 use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
+use crate::windows::{with_window_stream, WindowStream};
 use floorplan::{DomainId, Floorplan, VddDomain};
 use pdn::transient::DidtResponse;
 use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
@@ -53,7 +63,7 @@ use std::borrow::Borrow;
 use std::sync::{Mutex, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
-use workload::microtrace::{generate_window, WARMUP_CYCLES, WINDOW_CYCLES};
+use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
 use workload::{ActivityTrace, Benchmark, TraceGenerator, WorkloadSpec};
 
 /// Configuration of a co-simulation.
@@ -165,10 +175,11 @@ impl EngineConfig {
 
     /// Checks that an engine can be built and run from this
     /// configuration: a non-empty thermal grid, a thermal step that
-    /// divides the decision interval, and a finite duration of at least
-    /// one decision interval. Front ends call it to reject bad input
-    /// with a message instead of the panic [`SimulationEngine::new`]
-    /// raises.
+    /// divides the decision interval, a finite duration of at least one
+    /// decision interval, and no more noise windows than thermal steps
+    /// (a step measures at most one window). Front ends call it to
+    /// reject bad input with a message instead of the panic
+    /// [`SimulationEngine::new`] raises.
     ///
     /// # Errors
     ///
@@ -202,7 +213,15 @@ impl EngineConfig {
                 self.decision_interval, self.duration
             )));
         }
-        Ok((spd as usize, (duration / interval).round() as usize))
+        let (spd, n_decisions) = (spd as usize, (duration / interval).round() as usize);
+        let steps = spd * n_decisions;
+        if self.noise_window_count > steps {
+            return Err(Error::invalid_argument(format!(
+                "noise_window_count must not exceed the run's thermal steps, got {} windows over {steps} steps",
+                self.noise_window_count
+            )));
+        }
+        Ok((spd, n_decisions))
     }
 }
 
@@ -467,8 +486,9 @@ impl<'c> SimulationEngine<'c> {
     ///
     /// Panics when [`EngineConfig::validate`] rejects the configuration:
     /// an empty thermal grid, a thermal step that does not divide the
-    /// decision interval, or a duration that is not finite or is shorter
-    /// than one decision interval.
+    /// decision interval, a duration that is not finite or is shorter
+    /// than one decision interval, or more noise windows than thermal
+    /// steps.
     pub fn new(chip: &'c Floorplan, config: EngineConfig) -> Self {
         let (spd, n_decisions) = config.step_counts().unwrap_or_else(|e| panic!("{e}"));
 
@@ -921,10 +941,8 @@ impl<'c> SimulationEngine<'c> {
     }
 
     /// The one run path: prepare the trace `make_trace` yields (timed as
-    /// the `trace` phase), profile θ on its leading decisions (or reuse
-    /// the engine's last fit of the same steps), settle the initial
-    /// steady state, then alternate [`Self::decide`] and a simulated
-    /// interval.
+    /// the `trace` phase), start drawing its noise windows on a producer
+    /// thread, and run [`Self::run_decisions`] against them.
     fn replay<T: Borrow<ActivityTrace>>(
         &self,
         policy: PolicyKind,
@@ -932,7 +950,6 @@ impl<'c> SimulationEngine<'c> {
     ) -> Result<SimulationResult> {
         let cfg = &self.config;
         let spd = self.steps_per_decision;
-        let n_prof = self.profiling_decisions();
         let mut perf = PhaseTimes::new();
         // Only the resampled steps outlive this phase: a generated trace
         // is dropped here.
@@ -944,6 +961,76 @@ impl<'c> SimulationEngine<'c> {
             (trace.spec().clone(), acts)
         });
         let spec = &spec;
+        // Noise windows, evenly spread over the run; the off-chip policy
+        // analyses no noise and draws none. From here on a producer
+        // thread draws and convolves them, one window after another from
+        // the run's noise RNG, while this thread calibrates, settles and
+        // steps the run.
+        let run_steps = self.n_decisions * spd;
+        let n_windows = match policy {
+            PolicyKind::OffChip => 0,
+            _ => cfg.noise_window_count,
+        };
+        let window_steps: Vec<usize> = (0..n_windows)
+            .map(|w| ((w as f64 + 0.5) / n_windows as f64 * run_steps as f64) as usize)
+            .collect();
+        // Each window is one cycle window per domain, drawn from the
+        // run's one noise RNG and reduced to its di/dt response. `didt`
+        // is indexed by domain, so multiprogrammed mixes give each core
+        // domain its own benchmark's di/dt character. The two scratch
+        // buffers are sized here so that the producer never allocates.
+        let didt = self.domain_didt(spec);
+        let mut rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
+        let mut multipliers = Vec::with_capacity(WINDOW_CYCLES);
+        let mut scratch = Vec::with_capacity(WINDOW_CYCLES);
+        let pdn = self.pdn.config();
+        let (response_time, frequency) = (self.analyzer.response_time(), self.analyzer.frequency());
+        let fill = |step: usize, slot: &mut [DidtResponse]| {
+            for (domain, response) in self.chip.domains().iter().zip(slot) {
+                let blocks = domain.blocks();
+                let mean_act =
+                    blocks.iter().map(|&b| acts[step][b.0]).sum::<f64>() / blocks.len() as f64;
+                let severity = didt[domain.id().0];
+                generate_window_into(
+                    &mut rng,
+                    WINDOW_CYCLES,
+                    mean_act,
+                    severity,
+                    &mut multipliers,
+                );
+                response.refill(
+                    pdn,
+                    response_time,
+                    frequency,
+                    &multipliers,
+                    WARMUP_CYCLES,
+                    &mut scratch,
+                );
+            }
+        };
+        let domains = self.chip.domains().len();
+        with_window_stream(&window_steps, spd, domains, fill, |windows| {
+            self.run_decisions(policy, spec, &acts, perf, windows)
+        })
+    }
+
+    /// The run after its trace phase: profile θ on the leading
+    /// decisions of `acts` (or reuse the engine's last fit of the same
+    /// steps), settle the initial steady state, then alternate
+    /// [`Self::decide`] and a simulated interval, taking each interval's
+    /// noise `windows` before its decision and handing each back once
+    /// it is measured.
+    fn run_decisions(
+        &self,
+        policy: PolicyKind,
+        spec: &WorkloadSpec,
+        acts: &[Vec<f64>],
+        mut perf: PhaseTimes,
+        windows: &mut WindowStream<'_>,
+    ) -> Result<SimulationResult> {
+        let cfg = &self.config;
+        let spd = self.steps_per_decision;
+        let n_prof = self.profiling_decisions();
         // Practical policies get the profiled θ; thermal oracles drive
         // the same linear model with perfect inputs.
         let calibration = if policy.needs_predictor() {
@@ -978,17 +1065,6 @@ impl<'c> SimulationEngine<'c> {
         gov.sensors
             .record(&self.vr_temperatures(&plant.state, &plant.vr_losses));
 
-        // Noise windows, evenly spread over the run; the off-chip policy
-        // analyses no noise and draws none.
-        let didt = self.domain_didt(spec);
-        let mut noise_rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
-        let n_windows = match policy {
-            PolicyKind::OffChip => 0,
-            _ => cfg.noise_window_count,
-        };
-        let window_steps: Vec<usize> = (0..n_windows)
-            .map(|w| ((w as f64 + 0.5) / n_windows as f64 * acts.len() as f64) as usize)
-            .collect();
         // Spatial frame capture: only built when telemetry is live AND
         // frames were requested, so the disabled path costs one branch.
         let mut frame_recorder = (self.telemetry.is_enabled() && cfg.frame_every > 0).then(|| {
@@ -998,26 +1074,25 @@ impl<'c> SimulationEngine<'c> {
         // Per-domain supply lanes: Vdd scaled by the most recent
         // measured droop fraction, held between noise windows.
         let mut lanes = vec![cfg.tech.vdd.get(); n_domains];
+        let mut interval_windows = Vec::with_capacity(spd);
 
         for k in 0..self.n_decisions {
             let step0 = k * spd;
             let noise_at_decide = metrics.noise_secs;
             let t_decide = Timer::start();
-            // The interval's measurement windows, drawn before the
+            // The interval's measurement windows, taken before the
             // decision so that (a) the window stream is identical across
             // policies (one benchmark = one set of sampled windows, as in
             // the paper's methodology) and (b) the VT policies' oracle
-            // judges the *same* windows that will be measured. Each is
-            // reduced to its gating-independent di/dt responses here,
-            // once. Generation counts as noise time, not policy time.
+            // judges the *same* windows that will be measured. The
+            // producer has already reduced each to its gating-independent
+            // di/dt responses; waiting for it counts as noise time, not
+            // policy time.
             let t_windows = Timer::start();
-            let windows: Vec<(usize, Vec<DidtResponse>)> = window_steps
-                .iter()
-                .filter(|&&s| s >= step0 && s < step0 + spd)
-                .map(|&s| (s, self.domain_windows(&acts[s], &didt, &mut noise_rng)))
-                .collect();
+            windows.take_interval(k, &mut interval_windows)?;
             metrics.noise_secs += t_windows.elapsed_seconds();
-            let decision = self.decide(&mut gov, k, acts, &plant, &windows, &mut metrics)?;
+            let decision =
+                self.decide(&mut gov, k, acts, &plant, &interval_windows, &mut metrics)?;
             self.record_decision(k, &decision, policy, &mut metrics)?;
             let noise = metrics.noise_secs - noise_at_decide;
             perf.add("policy", t_decide.elapsed_seconds() - noise);
@@ -1025,19 +1100,22 @@ impl<'c> SimulationEngine<'c> {
             let noise_at_step = metrics.noise_secs;
             let t_step = Timer::start();
             let mut domain_power = vec![0.0f64; n_domains];
+            // `EngineConfig::validate` allows at most one window per step.
+            let mut pending = interval_windows.drain(..).peekable();
             for (s, act) in acts.iter().enumerate().skip(step0).take(spd) {
                 let solve = self.step(&mut plant, act, &decision.gating)?;
                 metrics.observe_step(self, &plant, &decision.gating, solve, &mut domain_power)?;
                 gov.sensors.record(&metrics.vr_temps_now);
-                if let Some((_, responses)) = windows.iter().find(|(w, _)| *w == s) {
+                if let Some((_, responses)) = pending.next_if(|(w, _)| *w == s) {
                     self.measure_window(
                         &plant,
                         &decision,
-                        responses,
+                        &responses,
                         policy,
                         &mut lanes,
                         &mut metrics,
                     )?;
+                    windows.give_back(responses);
                 }
                 if let Some(recorder) = frame_recorder.as_mut() {
                     recorder.observe(s, &plant.state, &decision.gating, &lanes);
@@ -1393,34 +1471,6 @@ impl<'c> SimulationEngine<'c> {
             })
             .collect()
     }
-
-    /// Generates the per-domain cycle windows for one noise evaluation
-    /// and reduces each to its di/dt response. `didt_severity` is
-    /// indexed by domain, so multiprogrammed mixes give each core domain
-    /// its own benchmark's di/dt character.
-    fn domain_windows(
-        &self,
-        activities: &[f64],
-        didt_severity: &[f64],
-        rng: &mut DeterministicRng,
-    ) -> Vec<DidtResponse> {
-        self.chip
-            .domains()
-            .iter()
-            .map(|domain| {
-                let mean_act = domain
-                    .blocks()
-                    .iter()
-                    .map(|&b| activities[b.0])
-                    .sum::<f64>()
-                    / domain.blocks().len() as f64;
-                let window =
-                    generate_window(rng, WINDOW_CYCLES, mean_act, didt_severity[domain.id().0]);
-                self.analyzer
-                    .response(self.pdn.config(), window.multipliers(), WARMUP_CYCLES)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1479,11 +1529,29 @@ mod tests {
                 thermal_step: Seconds::new(0.0),
                 ..tiny_config()
             },
+            // Three 50-step decisions hold at most 150 windows.
+            EngineConfig {
+                noise_window_count: 151,
+                ..tiny_config()
+            },
         ];
         for config in bad {
             let err = config.validate().unwrap_err();
             assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
         }
+        let one_per_step = EngineConfig {
+            noise_window_count: 150,
+            ..tiny_config()
+        };
+        assert!(one_per_step.validate().is_ok());
+        let err = EngineConfig {
+            noise_window_count: 151,
+            ..tiny_config()
+        }
+        .validate()
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("151 windows over 150 steps"), "{err}");
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod policy;
 mod predictor;
 mod result;
 mod sensor;
+mod windows;
 
 pub use aging::{AgingModel, AgingReport};
 pub use engine::{EngineConfig, SimulationEngine};

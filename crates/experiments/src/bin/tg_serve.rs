@@ -69,7 +69,9 @@ REQUESTS (one per line; '#' comments and blank lines are skipped):
 Each answer is one line: <hash:016x> <record-csv>.
 ";
 
-/// Parses one request line against the base configuration.
+/// Parses one request line against the base configuration. A request
+/// whose configuration no engine can run (see
+/// [`EngineConfig::validate`]) is malformed too.
 fn parse_request(line: &str, base: &EngineConfig) -> Result<ScenarioSpec, String> {
     let mut words = line.split_whitespace();
     let bench_word = words.next().ok_or("missing benchmark")?;
@@ -109,6 +111,7 @@ fn parse_request(line: &str, base: &EngineConfig) -> Result<ScenarioSpec, String
             other => return Err(format!("unknown override key {other:?}")),
         }
     }
+    config.validate().map_err(|e| e.to_string())?;
     Ok(ScenarioSpec::new(benchmark, policy, config))
 }
 

@@ -22,13 +22,17 @@ fn simulate(args: &[&str]) -> Output {
 
 #[test]
 fn non_physical_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["--grid", "0"], "thermal grid must be non-empty"),
         (&["--duration-ms", "0"], "at least one decision interval"),
         (&["--duration-ms", "nan"], "at least one decision interval"),
         (&["--duration-ms", "0.4"], "at least one decision interval"),
         (&["--duration-ms", "inf"], "at least one decision interval"),
         (&["--duration-ms", "-2"], "at least one decision interval"),
+        (
+            &["--duration-ms", "1", "--windows", "200", "--grid", "32"],
+            "200 windows over 50 steps",
+        ),
         (&["--no-such-flag"], "unknown flag"),
         (&["--live"], "unknown flag"),
         (&["--grid", "many"], "bad grid"),

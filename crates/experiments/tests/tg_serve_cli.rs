@@ -126,6 +126,43 @@ fn malformed_requests_are_skipped_loudly_with_exit_2() {
 }
 
 #[test]
+fn a_request_no_engine_can_run_is_malformed_not_a_crash() {
+    let dir = temp_dir("invalid-config");
+    let cache_arg = format!("--cache={}", dir.join("cache").display());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tg-serve"))
+        .args([cache_arg.as_str(), "--tiny", "--threads=1", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tg-serve spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b"lu_ncb allon grid=0\nfft allon duration-ms=0.2\nfft allon\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("tg-serve exits");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(
+        err.contains("[serve] malformed request \"lu_ncb allon grid=0\""),
+        "stderr: {err}"
+    );
+    assert!(
+        err.contains("thermal grid must be non-empty"),
+        "stderr: {err}"
+    );
+    assert!(err.contains("duration-ms=0.2"), "stderr: {err}");
+    // The good line after the bad ones is still answered.
+    let text = stdout(&out);
+    assert_eq!(text.lines().count(), 1, "stdout: {text}");
+    assert!(text.contains("fft,allon"), "stdout: {text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn usage_errors_exit_2_without_panicking() {
     let dir = temp_dir("usage");
     let cache_arg = format!("--cache={}", dir.join("cache").display());

@@ -84,23 +84,68 @@ impl DidtResponse {
         multipliers: &[f64],
         warmup: usize,
     ) -> Self {
+        let mut response = DidtResponse::with_capacity(multipliers.len().saturating_sub(warmup));
+        let mut steps = Vec::with_capacity(multipliers.len());
+        response.refill(
+            config,
+            response_time,
+            frequency,
+            multipliers,
+            warmup,
+            &mut steps,
+        );
+        response
+    }
+
+    /// An empty response (no magnitudes, peak 0) with room for
+    /// `cycles` analysis cycles, so that [`DidtResponse::refill`] with a
+    /// window of up to that many analysis cycles does not allocate.
+    pub fn with_capacity(cycles: usize) -> Self {
+        DidtResponse {
+            magnitudes: Vec::with_capacity(cycles),
+            peak: 0.0,
+        }
+    }
+
+    /// [`DidtResponse::new`] in place: replaces this response with the
+    /// response of `multipliers`, bit for bit what `new` returns for the
+    /// same arguments. `steps` is scratch for the window's per-cycle
+    /// steps. Neither buffer is reallocated while its capacity covers
+    /// the window (`steps`) and its analysis region (the magnitudes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `warmup >= multipliers.len()`.
+    pub fn refill(
+        &mut self,
+        config: &PdnConfig,
+        response_time: Seconds,
+        frequency: Hertz,
+        multipliers: &[f64],
+        warmup: usize,
+        steps: &mut Vec<f64>,
+    ) {
         let len = multipliers.len();
         assert!(warmup < len, "warm-up swallows the window");
-        let shape = kernel_shape(config, response_cycles(response_time, frequency));
+        let response_cycles = response_cycles(response_time, frequency);
         // Per-cycle steps; `steps[0]` has no predecessor and is never read.
-        let mut steps = vec![0.0; len];
+        steps.clear();
+        steps.resize(len, 0.0);
         for (s, m) in steps[1..].iter_mut().zip(multipliers.windows(2)) {
             *s = m[1] - m[0];
         }
         // Tap-outer (axpy) order: cycle n takes taps k = 0, 1, … up to
         // min(len(shape), n) − 1 in turn, so every sum adds its terms in
         // increasing k, and the inner loop carries no reduction.
-        let mut acc = vec![0.0; len - warmup];
-        for (k, &tap) in shape.iter().enumerate() {
+        let acc = &mut self.magnitudes;
+        acc.clear();
+        acc.resize(len - warmup, 0.0);
+        for k in 0..kernel_len(response_cycles) {
             let first = warmup.max(k + 1);
             if first >= len {
                 break;
             }
+            let tap = kernel_tap(config, response_cycles, k);
             for (out, &step) in acc[first - warmup..]
                 .iter_mut()
                 .zip(&steps[first - k..len - k])
@@ -109,14 +154,11 @@ impl DidtResponse {
             }
         }
         let mut peak = 0.0f64;
-        for c in &mut acc {
+        for c in acc.iter_mut() {
             *c = c.abs();
             peak = peak.max(*c);
         }
-        DidtResponse {
-            magnitudes: acc,
-            peak,
-        }
+        self.peak = peak;
     }
 
     /// Per-cycle magnitudes `c[n]` over the analysis region.
@@ -225,13 +267,10 @@ pub fn cycles_over(
 /// The impulse-response kernel for the given configuration.
 pub fn impulse_kernel(config: &PdnConfig, params: &TransientParams) -> Vec<f64> {
     let z_eff = z_eff(config, params);
-    kernel_shape(
-        config,
-        response_cycles(params.response_time, params.frequency),
-    )
-    .into_iter()
-    .map(|s| z_eff * s)
-    .collect()
+    let response_cycles = response_cycles(params.response_time, params.frequency);
+    (0..kernel_len(response_cycles))
+        .map(|k| z_eff * kernel_tap(config, response_cycles, k))
+        .collect()
 }
 
 fn response(
@@ -269,24 +308,28 @@ fn z_eff(config: &PdnConfig, params: &TransientParams) -> f64 {
         * first_droop_suppression
 }
 
-/// The unit-impedance kernel `shape[k] = cos(2π k / T_ring) · decay(k)`.
-fn kernel_shape(config: &PdnConfig, response_cycles: f64) -> Vec<f64> {
-    // Regulated decay: a few cycles once the loop has reacted.
-    let regulated_tau = 8.0;
-    let len = (response_cycles + 5.0 * regulated_tau).ceil() as usize;
+/// Regulated decay time constant: a few cycles once the loop has
+/// reacted.
+const REGULATED_TAU: f64 = 8.0;
+
+/// Taps of the kernel shape: the response time plus five regulated
+/// decay constants.
+fn kernel_len(response_cycles: f64) -> usize {
+    (response_cycles + 5.0 * REGULATED_TAU).ceil() as usize
+}
+
+/// Tap `k` of the unit-impedance kernel
+/// `shape[k] = cos(2π k / T_ring) · decay(k)`.
+fn kernel_tap(config: &PdnConfig, response_cycles: f64, k: usize) -> f64 {
     let omega = 2.0 * std::f64::consts::PI / config.ring_period_cycles;
-    (0..len)
-        .map(|k| {
-            let kf = k as f64;
-            let passive = (-kf / config.passive_decay_cycles).exp();
-            let regulated = if kf > response_cycles {
-                (-(kf - response_cycles) / regulated_tau).exp()
-            } else {
-                1.0
-            };
-            (omega * kf).cos() * passive * regulated
-        })
-        .collect()
+    let kf = k as f64;
+    let passive = (-kf / config.passive_decay_cycles).exp();
+    let regulated = if kf > response_cycles {
+        (-(kf - response_cycles) / REGULATED_TAU).exp()
+    } else {
+        1.0
+    };
+    (omega * kf).cos() * passive * regulated
 }
 
 #[cfg(test)]
@@ -513,6 +556,40 @@ mod tests {
                 assert!((got - peak).abs() <= 1e-12 * peak, "{got} vs {peak}");
             }
         }
+    }
+
+    /// Bit-for-bit equality: magnitudes and peak alike.
+    fn assert_same_bits(a: &DidtResponse, b: &DidtResponse) {
+        let bits =
+            |r: &DidtResponse| -> Vec<u64> { r.magnitudes().iter().map(|c| c.to_bits()).collect() };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.peak().to_bits(), b.peak().to_bits());
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_response_bit_for_bit() {
+        let cfg = PdnConfig::default();
+        let p = params(9, 15.0);
+        let (rt, f) = (p.response_time, p.frequency);
+        let mut steps = Vec::new();
+        let noisy = noisy_window(2000, 7);
+        let quiet = vec![1.0; 2000];
+        // A quiet window after a noisy one leaves no stale magnitude or
+        // peak behind.
+        let mut r = DidtResponse::new(&cfg, rt, f, &noisy, 1000);
+        assert!(r.peak() > 0.0);
+        r.refill(&cfg, rt, f, &quiet, 1000, &mut steps);
+        assert_same_bits(&r, &DidtResponse::new(&cfg, rt, f, &quiet, 1000));
+        assert_eq!(r.peak(), 0.0);
+        // Back to noisy, then a shorter window with a longer analysis
+        // region, from an empty response.
+        r.refill(&cfg, rt, f, &noisy, 1000, &mut steps);
+        assert_same_bits(&r, &DidtResponse::new(&cfg, rt, f, &noisy, 1000));
+        r.refill(&cfg, rt, f, &noisy[..700], 100, &mut steps);
+        assert_same_bits(&r, &DidtResponse::new(&cfg, rt, f, &noisy[..700], 100));
+        let mut empty = DidtResponse::with_capacity(0);
+        empty.refill(&cfg, rt, f, &noisy, 1000, &mut steps);
+        assert_same_bits(&empty, &DidtResponse::new(&cfg, rt, f, &noisy, 1000));
     }
 
     #[test]

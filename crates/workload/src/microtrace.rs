@@ -74,6 +74,22 @@ pub fn generate_window(
     activity: f64,
     didt_severity: f64,
 ) -> CycleWindow {
+    let mut multipliers = Vec::with_capacity(cycles);
+    generate_window_into(rng, cycles, activity, didt_severity, &mut multipliers);
+    CycleWindow { multipliers }
+}
+
+/// [`generate_window`] into a caller-owned buffer: `multipliers` is
+/// cleared and refilled with the window's per-cycle multipliers,
+/// drawing the same numbers from `rng` in the same order. A buffer with
+/// capacity for `cycles` values is refilled without allocating.
+pub fn generate_window_into(
+    rng: &mut DeterministicRng,
+    cycles: usize,
+    activity: f64,
+    didt_severity: f64,
+    multipliers: &mut Vec<f64>,
+) {
     let activity = activity.clamp(0.0, 1.0);
     let severity = didt_severity.clamp(0.0, 1.0);
     // Quiet base: small shot noise + shallow run/stall modulation.
@@ -88,7 +104,7 @@ pub fn generate_window(
     let event_mag = (0.28 + 0.17 * severity) * (1.0 - 0.40 * activity);
     let event_dwell = 120.0;
 
-    let mut multipliers = Vec::with_capacity(cycles);
+    multipliers.clear();
     let mut high = rng.bernoulli(0.5);
     let mut base_remaining = sample_dwell(rng, base_dwell);
     let mut event_remaining = 0usize;
@@ -126,11 +142,10 @@ pub fn generate_window(
     // Renormalise so the window's mean current equals the µs-scale value.
     if sum > 0.0 {
         let scale = cycles as f64 / sum;
-        for v in &mut multipliers {
+        for v in multipliers.iter_mut() {
             *v *= scale;
         }
     }
-    CycleWindow { multipliers }
 }
 
 /// Geometric dwell time with the given mean (at least 1 cycle).
@@ -204,6 +219,27 @@ mod tests {
         let a = generate_window(&mut rng(), 1000, 0.4, 0.6);
         let b = generate_window(&mut rng(), 1000, 0.4, 0.6);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn refilled_buffer_matches_a_fresh_window_and_rng_state() {
+        let (mut fresh_rng, mut into_rng) = (rng(), rng());
+        // The buffer starts out holding a longer, different window.
+        let mut buffer = generate_window(&mut rng(), 2 * WINDOW_CYCLES, 0.9, 1.0)
+            .multipliers()
+            .to_vec();
+        for (activity, severity) in [(0.5, 0.5), (0.2, 0.9), (0.8, 0.0)] {
+            let fresh = generate_window(&mut fresh_rng, WINDOW_CYCLES, activity, severity);
+            generate_window_into(
+                &mut into_rng,
+                WINDOW_CYCLES,
+                activity,
+                severity,
+                &mut buffer,
+            );
+            assert_eq!(buffer, fresh.multipliers());
+            assert_eq!(into_rng, fresh_rng);
+        }
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Proves the transient thermal solve performs zero heap allocation per
-//! step: a counting global allocator wraps the system allocator and the
-//! test asserts the per-thread allocation count does not move across
-//! warmed-up `TransientStepper::step` calls.
+//! step, and the noise-window paths none per window: a counting global
+//! allocator wraps the system allocator and each test asserts the
+//! per-thread allocation count does not move across warmed-up
+//! `TransientStepper::step`, `generate_window_into` and
+//! `DidtResponse::refill` calls.
 
 use floorplan::reference::power8_like;
-use simkit::units::{Seconds, Watts};
+use pdn::transient::DidtResponse;
+use pdn::PdnConfig;
+use simkit::units::{Hertz, Seconds, Watts};
+use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
+use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
 
 thread_local! {
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -116,6 +122,43 @@ fn transient_step_with_noop_sink_performs_no_heap_allocation() {
         after - before,
         0,
         "no-op-sink stepping allocated {} times over 100 steps",
+        after - before
+    );
+}
+
+/// Drawing a noise window into a warmed buffer and refilling a warmed
+/// di/dt response (and its step scratch) with it allocate nothing,
+/// window after window.
+#[test]
+fn noise_window_refills_perform_no_heap_allocation() {
+    let config = PdnConfig::default();
+    let (response_time, frequency) = (Seconds::from_nanos(15.0), Hertz::from_ghz(4.0));
+    let mut rng = DeterministicRng::new(0x4E01);
+    let mut multipliers = Vec::with_capacity(WINDOW_CYCLES);
+    let mut steps = Vec::with_capacity(WINDOW_CYCLES);
+    let mut response = DidtResponse::with_capacity(WINDOW_CYCLES - WARMUP_CYCLES);
+    let mut draw = |severity: f64| {
+        generate_window_into(&mut rng, WINDOW_CYCLES, 0.5, severity, &mut multipliers);
+        response.refill(
+            &config,
+            response_time,
+            frequency,
+            &multipliers,
+            WARMUP_CYCLES,
+            &mut steps,
+        );
+    };
+    draw(0.5);
+
+    let before = thread_allocs();
+    for w in 0..50 {
+        draw(w as f64 / 49.0);
+    }
+    let after = thread_allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "window refills allocated {} times over 50 windows",
         after - before
     );
 }
