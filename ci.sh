@@ -210,6 +210,8 @@ cmp target/ci/verify_a.txt target/ci/verify_b.txt
 grep -q '^ok   diff.noise_separable_vs_direct ' target/ci/verify_a.txt
 # Likewise the matrix-free thermal stencil against the assembled CSR system.
 grep -q '^ok   diff.thermal_stencil_vs_csr ' target/ci/verify_a.txt
+# Likewise the superposed IR drops against fresh direct solves.
+grep -q '^ok   diff.ir_superposition_vs_solve ' target/ci/verify_a.txt
 
 echo "== tg-verify: an unknown SIMKIT_SOLVER is a usage error (exit 2) =="
 # gs named the Gauss–Seidel backend, which no longer exists; it must be

@@ -23,7 +23,10 @@
 //! θ on the trace's first `max(profiling_decisions, 3)` decisions. The fit depends on those
 //! steps and the engine alone, never on the policy, so an engine keeps
 //! its last fit and a run whose profiling steps match it bit for bit
-//! reuses it.
+//! reuses it. Likewise a synthetic trace depends only on the chip, the
+//! workload spec and the trace duration, so an engine keeps the last
+//! synthetic run's resampled steps and a synthetic run of the same spec
+//! replays them instead of generating the trace again.
 //!
 //! A run uses two threads. Once the trace phase ends, a scoped producer
 //! thread (see `windows`) draws each noise window and convolves it into
@@ -59,8 +62,7 @@ use simkit::series::{TimeSeries, TraceMatrix};
 use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::{Amps, Seconds, Watts};
 use simkit::{DeterministicRng, Error, Result};
-use std::borrow::Borrow;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
@@ -263,6 +265,17 @@ pub struct SimulationEngine<'c> {
     n_decisions: usize,
     /// The last θ fit a run made (see [`ThetaMemo`]).
     theta: Mutex<Option<ThetaMemo>>,
+    /// The last synthetic run's trace (see [`TraceMemo`]).
+    trace: Mutex<Option<TraceMemo>>,
+}
+
+/// A synthetic run's resampled trace steps and the spec they were
+/// generated for: a pure function of the chip, the spec and the
+/// engine's trace duration.
+#[derive(Debug)]
+struct TraceMemo {
+    spec: WorkloadSpec,
+    steps: Arc<Vec<Vec<f64>>>,
 }
 
 /// A θ fit and the profiling steps it was fitted on. The fit is a pure
@@ -520,6 +533,7 @@ impl<'c> SimulationEngine<'c> {
             steps_per_decision: spd,
             n_decisions,
             theta: Mutex::new(None),
+            trace: Mutex::new(None),
         }
     }
 
@@ -907,15 +921,46 @@ impl<'c> SimulationEngine<'c> {
     /// benchmark, and ThermoGater governs every Vdd-domain independently.
     /// Generates one synthetic trace covering both the run and the θ
     /// profiling pass and replays it as [`SimulationEngine::run_trace`]
-    /// does.
+    /// does; a run of the same spec as the engine's last synthetic run
+    /// replays that run's steps without generating the trace again.
     ///
     /// # Errors
     ///
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
-        self.replay(policy, || {
-            TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration())
-        })
+        let mut perf = PhaseTimes::new();
+        let acts = self.timed(&mut perf, "trace", "engine.trace", || {
+            self.synthetic_steps(spec)
+        });
+        self.replay(policy, spec, &acts, perf)
+    }
+
+    /// The resampled steps of `spec`'s synthetic trace: the engine's last
+    /// ones when the last synthetic run was of the same spec, otherwise
+    /// a freshly generated trace's, which replace them. The old steps
+    /// are released before the new trace is generated, and the lock is
+    /// not held while generating.
+    fn synthetic_steps(&self, spec: &WorkloadSpec) -> Arc<Vec<Vec<f64>>> {
+        let mut memo = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        let reused = memo
+            .as_ref()
+            .filter(|memo| memo.spec == *spec)
+            .map(|memo| Arc::clone(&memo.steps));
+        self.telemetry
+            .counter("engine.trace_reused", u64::from(reused.is_some()));
+        if let Some(steps) = reused {
+            return steps;
+        }
+        *memo = None;
+        drop(memo);
+        let trace = TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration());
+        trace.emit_telemetry(&self.telemetry);
+        let steps = Arc::new(self.steps_from_trace(&trace, self.trace_decisions()));
+        *self.trace.lock().unwrap_or_else(PoisonError::into_inner) = Some(TraceMemo {
+            spec: spec.clone(),
+            steps: Arc::clone(&steps),
+        });
+        steps
     }
 
     /// Runs the governor against an externally supplied activity trace
@@ -924,6 +969,7 @@ impl<'c> SimulationEngine<'c> {
     /// block; it is resampled onto the engine's thermal steps and clamped
     /// at its end if shorter than the configured duration or the θ
     /// profiling pass, which runs on the trace's leading decisions.
+    /// It neither reads nor replaces the synthetic trace runs reuse.
     ///
     /// # Errors
     ///
@@ -937,30 +983,27 @@ impl<'c> SimulationEngine<'c> {
                 actual: trace.activity().channel_count(),
             });
         }
-        self.replay(policy, || trace)
+        let mut perf = PhaseTimes::new();
+        let acts = self.timed(&mut perf, "trace", "engine.trace", || {
+            trace.emit_telemetry(&self.telemetry);
+            self.steps_from_trace(trace, self.trace_decisions())
+        });
+        self.replay(policy, trace.spec(), &acts, perf)
     }
 
-    /// The one run path: prepare the trace `make_trace` yields (timed as
-    /// the `trace` phase), start drawing its noise windows on a producer
-    /// thread, and run [`Self::run_decisions`] against them.
-    fn replay<T: Borrow<ActivityTrace>>(
+    /// The one run path after the `trace` phase (timed into `perf`):
+    /// start drawing the noise windows of the resampled trace steps
+    /// `acts` on a producer thread, and run [`Self::run_decisions`]
+    /// against them.
+    fn replay(
         &self,
         policy: PolicyKind,
-        make_trace: impl FnOnce() -> T,
+        spec: &WorkloadSpec,
+        acts: &[Vec<f64>],
+        perf: PhaseTimes,
     ) -> Result<SimulationResult> {
         let cfg = &self.config;
         let spd = self.steps_per_decision;
-        let mut perf = PhaseTimes::new();
-        // Only the resampled steps outlive this phase: a generated trace
-        // is dropped here.
-        let (spec, acts) = self.timed(&mut perf, "trace", "engine.trace", || {
-            let trace = make_trace();
-            let trace = trace.borrow();
-            trace.emit_telemetry(&self.telemetry);
-            let acts = self.steps_from_trace(trace, self.trace_decisions());
-            (trace.spec().clone(), acts)
-        });
-        let spec = &spec;
         // Noise windows, evenly spread over the run; the off-chip policy
         // analyses no noise and draws none. From here on a producer
         // thread draws and convolves them, one window after another from
@@ -1010,7 +1053,7 @@ impl<'c> SimulationEngine<'c> {
         };
         let domains = self.chip.domains().len();
         with_window_stream(&window_steps, spd, domains, fill, |windows| {
-            self.run_decisions(policy, spec, &acts, perf, windows)
+            self.run_decisions(policy, spec, acts, perf, windows)
         })
     }
 
@@ -1671,40 +1714,98 @@ mod tests {
 
     #[test]
     fn calibrating_runs_on_one_engine_match_fresh_engines() {
-        // θ depends on the trace and the engine, never on the policy: the
-        // calibrating policies in sequence on one engine, all but the
-        // first of each benchmark reusing its fit, render exactly what
-        // each renders on a fresh engine.
+        // θ and the trace depend on the spec and the engine, never on
+        // the policy: every policy in sequence on one engine, all but the
+        // first of each spec reusing its trace (and the calibrating ones
+        // its fit), renders exactly what each renders on a fresh engine.
         let chip = power8_like();
         let shared = SimulationEngine::new(&chip, tiny_config());
-        for benchmark in [Benchmark::LuNcb, Benchmark::Barnes] {
+        let mix: WorkloadSpec =
+            workload::WorkloadMix::alternating(Benchmark::Cholesky, Benchmark::Raytrace, 8).into();
+        for spec in [
+            WorkloadSpec::Single(Benchmark::LuNcb),
+            WorkloadSpec::Single(Benchmark::Barnes),
+            mix,
+        ] {
             for policy in [
+                PolicyKind::AllOn,
                 PolicyKind::OracT,
                 PolicyKind::PracT,
+                PolicyKind::OracV,
                 PolicyKind::OracVT,
                 PolicyKind::PracVT,
             ] {
                 let fresh = SimulationEngine::new(&chip, tiny_config())
-                    .run(benchmark, policy)
+                    .run_spec(&spec, policy)
                     .unwrap();
-                let reused = shared.run(benchmark, policy).unwrap();
+                let reused = shared.run_spec(&spec, policy).unwrap();
                 assert_eq!(
                     masked_debug(&reused),
                     masked_debug(&fresh),
-                    "{benchmark:?} {policy}"
+                    "{spec} {policy}"
                 );
             }
         }
     }
 
-    /// The `engine.calibrate_reused` deltas `sink` recorded, in order.
-    fn reuse_counts(sink: &simkit::telemetry::MemorySink) -> Vec<u64> {
+    /// The deltas of the counter `name` that `sink` recorded, in order.
+    fn counter_deltas(sink: &simkit::telemetry::MemorySink, name: &str) -> Vec<u64> {
         use simkit::telemetry::analyze::EventView;
         sink.events()
             .iter()
-            .filter(|e| e.name == "engine.calibrate_reused")
+            .filter(|e| e.name == name)
             .map(|e| e.num_u64("delta").unwrap())
             .collect()
+    }
+
+    /// The `engine.calibrate_reused` deltas `sink` recorded, in order.
+    fn reuse_counts(sink: &simkit::telemetry::MemorySink) -> Vec<u64> {
+        counter_deltas(sink, "engine.calibrate_reused")
+    }
+
+    #[test]
+    fn a_synthetic_run_reuses_the_trace_exactly_when_the_spec_repeats() {
+        let chip = power8_like();
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        for (benchmark, policy) in [
+            (Benchmark::LuNcb, PolicyKind::AllOn),
+            (Benchmark::LuNcb, PolicyKind::OracT),
+            (Benchmark::Barnes, PolicyKind::AllOn),
+            (Benchmark::LuNcb, PolicyKind::AllOn),
+        ] {
+            engine.run(benchmark, policy).unwrap();
+        }
+        assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0, 1, 0, 0]);
+        // A reused trace is not generated again.
+        let events = sink.events();
+        let generated = events.iter().filter(|e| e.name == "workload.trace");
+        assert_eq!(generated.count(), 3);
+    }
+
+    #[test]
+    fn run_trace_and_calibrate_predictor_leave_the_trace_memo_alone() {
+        let chip = power8_like();
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        engine.run(Benchmark::LuNcb, PolicyKind::AllOn).unwrap();
+        // Neither replaying lu_ncb's own trace nor another benchmark's
+        // reads the memo, and neither replaces it.
+        let generator = TraceGenerator::new(&chip);
+        for benchmark in [Benchmark::LuNcb, Benchmark::Barnes] {
+            let trace = generator.generate(benchmark, engine.trace_duration());
+            engine.run_trace(&trace, PolicyKind::AllOn).unwrap();
+        }
+        engine.calibrate_predictor(Benchmark::Barnes).unwrap();
+        assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0]);
+        let reused = engine.run(Benchmark::LuNcb, PolicyKind::AllOn).unwrap();
+        assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0, 1]);
+        let fresh = SimulationEngine::new(&chip, tiny_config())
+            .run(Benchmark::LuNcb, PolicyKind::AllOn)
+            .unwrap();
+        assert_eq!(masked_debug(&reused), masked_debug(&fresh));
     }
 
     /// `trace` through the CSV interchange format with block 0's sample

@@ -12,6 +12,10 @@
 //! the producer starts. The producer refills a slot in place and the
 //! loop hands it back once the window is measured, so neither side
 //! allocates per window and the responses stay in the caller's memory.
+//! The pool is double-buffered: it holds two of the busiest interval,
+//! so the producer can fill every window of interval k + 1 while the
+//! loop still holds all of interval k, and it draws the first two
+//! intervals while the loop calibrates and settles.
 //! The producer emits no telemetry, so a traced run's event order does
 //! not depend on thread timing.
 
@@ -21,15 +25,10 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use workload::microtrace::{WARMUP_CYCLES, WINDOW_CYCLES};
 
-/// Slots in a pool beyond the busiest interval's window count: the
-/// producer's lead into the next interval while the loop still holds
-/// every window of the current one.
-const POOL_MARGIN: usize = 2;
-
 /// The slot pool for windows at `steps` over intervals of
-/// `steps_per_interval` thermal steps: the busiest interval's window
-/// count plus [`POOL_MARGIN`], at most one slot per window, each slot
-/// holding `domains` responses sized for a window's analysis region.
+/// `steps_per_interval` thermal steps: twice the busiest interval's
+/// window count, at most one slot per window, each slot holding
+/// `domains` responses sized for a window's analysis region.
 fn window_pool(
     steps: &[usize],
     steps_per_interval: usize,
@@ -40,7 +39,7 @@ fn window_pool(
         .map(<[usize]>::len)
         .max()
         .unwrap_or(0);
-    let slots = (busiest + POOL_MARGIN).min(steps.len());
+    let slots = (2 * busiest).min(steps.len());
     (0..slots)
         .map(|_| {
             (0..domains)
@@ -117,8 +116,10 @@ pub(crate) struct WindowStream<'s> {
 impl WindowStream<'_> {
     /// Appends to `out` every window not yet taken up to the end of
     /// interval `k`, with its step, waiting for the producer to draw
-    /// each one. The pool holds the busiest interval, so a consumer that
-    /// hands back each earlier interval's slots never waits for a slot.
+    /// each one. The pool holds two of the busiest interval, so a
+    /// consumer that hands back each earlier interval's slots never
+    /// waits for a slot, and the producer fills the next interval while
+    /// the consumer holds this one.
     ///
     /// # Errors
     ///
@@ -233,14 +234,59 @@ mod tests {
     }
 
     #[test]
-    fn pool_covers_the_busiest_interval_plus_margin() {
-        // Intervals of 10 steps: windows 3, 1 and 2 per interval.
-        let steps = [1, 4, 8, 15, 21, 29];
-        assert_eq!(window_pool(&steps, 10, 5).len(), 3 + POOL_MARGIN);
+    fn pool_holds_two_of_the_busiest_interval() {
+        // Intervals of 10 steps: windows 3, 1, 2 and 2 per interval.
+        let steps = [1, 4, 8, 15, 21, 29, 31, 35];
+        assert_eq!(window_pool(&steps, 10, 5).len(), 2 * 3);
         assert!(window_pool(&steps, 10, 5).iter().all(|s| s.len() == 5));
         // Never more slots than windows, and none without windows.
+        assert_eq!(window_pool(&[1, 4, 8, 15], 10, 5).len(), 4);
         assert_eq!(window_pool(&[3, 13], 10, 5).len(), 2);
         assert!(window_pool(&[], 10, 5).is_empty());
+    }
+
+    #[test]
+    fn the_producer_fills_the_next_interval_while_the_loop_holds_this_one() {
+        // Four windows per 4-step interval over five intervals: a pool of
+        // eight slots. The consumer holds every window of interval 0;
+        // the producer must still fill all of interval 1. The stream
+        // runs on its own thread, so a hang fails the test at the
+        // timeout instead of stalling it.
+        let filled = Arc::new(AtomicUsize::new(0));
+        let (done_tx, done_rx) = mpsc::channel();
+        let counter = Arc::clone(&filled);
+        std::thread::spawn(move || {
+            let steps: Vec<usize> = (0..20).collect();
+            let fill = |step: usize, slot: &mut [DidtResponse]| {
+                fill_with_step(step, slot);
+                counter.fetch_add(1, Ordering::SeqCst);
+            };
+            let out = with_window_stream(&steps, 4, 1, fill, |stream| {
+                let mut interval = Vec::new();
+                stream.take_interval(0, &mut interval)?;
+                let held = interval.len();
+                let deadline = std::time::Instant::now() + Duration::from_secs(60);
+                while counter.load(Ordering::SeqCst) < 8 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let ahead = counter.load(Ordering::SeqCst);
+                for k in 0..5 {
+                    for (_, slot) in interval.drain(..) {
+                        stream.give_back(slot);
+                    }
+                    stream.take_interval(k, &mut interval)?;
+                }
+                Ok((held, ahead))
+            });
+            done_tx.send(out).unwrap();
+        });
+        let (held, ahead) = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the window stream did not return")
+            .unwrap();
+        assert_eq!(held, 4);
+        assert_eq!(ahead, 8, "the producer did not fill interval 1 ahead");
+        assert_eq!(filled.load(Ordering::SeqCst), 20);
     }
 
     #[test]
@@ -288,7 +334,8 @@ mod tests {
                 counter.fetch_add(1, Ordering::Relaxed);
                 fill_with_step(step, slot);
             };
-            // Two windows per interval: a pool of four slots.
+            // Two windows per interval: a pool of two intervals, four
+            // slots.
             let out = with_window_stream(&steps, 2, 1, fill, |stream| {
                 let mut interval = Vec::new();
                 stream.take_interval(0, &mut interval)?;

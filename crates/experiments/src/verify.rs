@@ -1062,6 +1062,85 @@ pub fn diff_noise_separable_vs_direct(opts: &VerifyOptions) -> CheckReport {
     to_report("diff.noise_separable_vs_direct", cases, outcome, opts)
 }
 
+/// The direct backend's superposed IR drops (one unit-load basis per
+/// domain and regulator key, combined per analysis) match a fresh
+/// [`LdltFactor`](simkit::linalg::LdltFactor) solve of the domain's
+/// `domain_system` on the same load: on random gatings (a domain whose
+/// regulators are all drawn off keeps its first) and random loads, every
+/// domain's worst drop within 1e-12 relative, the one-block L3 domains
+/// included. Each case analyses all-on first, so its gating's basis is
+/// rebuilt on a key change (unless the gating is all-on), and then two
+/// loads under that gating, the second on the basis the first built.
+pub fn diff_ir_superposition_vs_solve(opts: &VerifyOptions) -> CheckReport {
+    use pdn::{PdnConfig, PdnModel};
+    use simkit::linalg::{LdltFactor, LdltWorkspace, SolverBackend};
+
+    let cases = if opts.fast { 8 } else { 32 };
+    let chip = power8_like();
+    let model = PdnModel::new(
+        &chip,
+        PdnConfig {
+            solver: SolverBackend::Direct,
+            ..PdnConfig::reference()
+        },
+    );
+    let (n_vrs, n_blocks) = (chip.vr_sites().len(), chip.blocks().len());
+    let gen = (
+        check::vec_of(check::bool_any(), n_vrs, n_vrs),
+        check::vec_of(check::f64_in(0.0, 4.0), n_blocks, n_blocks),
+        check::vec_of(check::f64_in(0.0, 4.0), n_blocks, n_blocks),
+    );
+    let outcome = checker(opts, cases).run(
+        "diff.ir_superposition_vs_solve",
+        &gen,
+        |(on, first, second)| {
+            let mut gating = GatingState::all_off(n_vrs);
+            for domain in chip.domains() {
+                let vrs = domain.vrs();
+                let none_on = !vrs.iter().any(|v| on[v.0]);
+                for (i, &v) in vrs.iter().enumerate() {
+                    gating
+                        .set(v, on[v.0] || (none_on && i == 0))
+                        .map_err(err_str)?;
+                }
+            }
+            let to_watts = |v: &[f64]| v.iter().map(|&p| Watts::new(p)).collect::<Vec<_>>();
+            let loads = [to_watts(first), to_watts(second)];
+            model
+                .ir_drop(&GatingState::all_on(n_vrs), &loads[0])
+                .map_err(err_str)?;
+            let mut reports = Vec::with_capacity(loads.len());
+            for watts in &loads {
+                reports.push(model.ir_drop(&gating, watts).map_err(err_str)?);
+            }
+            let mut ws = LdltWorkspace::new();
+            for domain in chip.domains() {
+                let id = domain.id();
+                let system = model.domain_system(id, &gating).map_err(err_str)?;
+                let factor = LdltFactor::new(&system).map_err(err_str)?;
+                for (load, (watts, report)) in loads.iter().zip(&reports).enumerate() {
+                    let mut volts = vec![0.0; system.rows()];
+                    factor
+                        .solve_into(&model.domain_load(id, watts), &mut volts, &mut ws)
+                        .map_err(err_str)?;
+                    let want = volts.iter().copied().fold(0.0f64, f64::max);
+                    let got = report.domain_volts(id);
+                    let diff = (got - want).abs() / want.abs().max(f64::MIN_POSITIVE);
+                    check::ensure(diff <= 1e-12, || {
+                        format!(
+                            "domain D{} load {load}: superposed {got:e} vs solved {want:e} \
+                             (relative {diff:e})",
+                            id.0
+                        )
+                    })?;
+                }
+            }
+            Ok(())
+        },
+    );
+    to_report("diff.ir_superposition_vs_solve", cases, outcome, opts)
+}
+
 /// The benchmark × policy cells of the sweep differential / golden runs.
 pub fn verify_grid() -> ([Benchmark; 2], [PolicyKind; 2]) {
     (
@@ -1329,6 +1408,7 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         diff_mgcg_vs_cg(opts),
         diff_thermal_stencil_vs_csr(opts),
         diff_noise_separable_vs_direct(opts),
+        diff_ir_superposition_vs_solve(opts),
     ];
     if !opts.skip_sweep {
         let (sweep_report, records) = diff_sweep_parallel(opts);

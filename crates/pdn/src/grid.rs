@@ -1,12 +1,24 @@
 //! Per-domain nodal DC grids and IR-drop solves.
+//!
+//! A domain's grid is linear in its block loads: the node voltages are
+//! `Σ_b amps_b · u_b`, where `u_b` solves the grid for block `b`'s unit
+//! load (its cell cover fractions). Under the direct backend a domain
+//! keeps one such basis per active-regulator key: when the key changes,
+//! the numeric refactor is followed by one triangular solve per block
+//! (1 to 5 per domain) into the basis, and every IR analysis under that
+//! key forms its voltages from the basis alone. That combination counts
+//! as the domain's one solve, with its residual against the patched
+//! matrix, so solve counts do not depend on how the voltages were
+//! formed. The iterative backends, the differential references, solve
+//! every analysis.
 
 use crate::config::PdnConfig;
 use floorplan::{DomainId, Floorplan, VrId};
 use simkit::linalg::{
-    CsrMatrix, GridGeometry, SolveSites, SolveStats, SolverBackend, SpdSolver, SpdWorkspace,
-    TripletBuilder,
+    CsrMatrix, GridGeometry, LdltFactor, SolveSites, SolveStats, SolverBackend, SpdSolver,
+    SpdWorkspace, TripletBuilder,
 };
-use simkit::perf::SolverAgg;
+use simkit::perf::{SolverAgg, Timer};
 use simkit::units::Watts;
 use simkit::{Error, Result};
 use std::sync::Mutex;
@@ -36,11 +48,14 @@ pub struct IrReport {
     factor_seconds: f64,
     /// Wall-clock spent in the triangular / iterative solves, seconds.
     solve_seconds: f64,
+    /// Unit-load solves that rebuilt superposition bases.
+    basis_solves: u64,
 }
 
-/// Equality ignores the wall-clock timing fields: two reports are equal
-/// when they describe the same physical result via the same backend, so
-/// cache-consistency tests can `assert_eq!` across repeated solves.
+/// Equality ignores the cost fields (wall-clock timings and basis
+/// solves): two reports are equal when they describe the same physical
+/// result via the same backend, so cache-consistency tests can
+/// `assert_eq!` across repeated solves.
 impl PartialEq for IrReport {
     fn eq(&self, other: &Self) -> bool {
         self.per_domain_volts == other.per_domain_volts
@@ -87,8 +102,11 @@ impl IrReport {
     }
 
     /// Aggregated convergence statistics of the per-domain solves behind
-    /// this report (one solve per domain; direct solves count as one
-    /// iteration with the achieved relative residual).
+    /// this report: one solve per domain. Under the direct backend a
+    /// domain's solve is its superposition of the basis, counted as one
+    /// iteration with the achieved relative residual against the patched
+    /// matrix; the basis solves are not counted here (see
+    /// [`IrReport::basis_solves`]).
     pub fn solve_stats(&self) -> SolverAgg {
         self.solve
     }
@@ -106,8 +124,9 @@ impl IrReport {
     }
 
     /// Wall-clock spent building or refreshing domain solvers (factor,
-    /// hierarchy or Jacobi diagonal), seconds; zero when every domain's
-    /// active-regulator set repeats.
+    /// hierarchy or Jacobi diagonal, plus the direct backend's basis
+    /// solves), seconds; zero when every domain's active-regulator set
+    /// repeats.
     pub fn factor_seconds(&self) -> f64 {
         self.factor_seconds
     }
@@ -115,6 +134,13 @@ impl IrReport {
     /// Wall-clock spent in the per-domain solves, seconds.
     pub fn solve_seconds(&self) -> f64 {
         self.solve_seconds
+    }
+
+    /// Unit-load solves spent rebuilding superposition bases: a domain
+    /// whose key changed under the direct backend adds one per block;
+    /// zero when every key repeats and under the iterative backends.
+    pub fn basis_solves(&self) -> u64 {
+        self.basis_solves
     }
 }
 
@@ -150,7 +176,8 @@ struct DomainGrid {
 /// one configuration with similar loads, which cuts cold ~2 050-iteration
 /// solves to a handful). A new key patches the values, refreshes the
 /// solver (a numeric `refactor`; the symbolic structure survives) and
-/// restarts CG from zero.
+/// restarts CG from zero. Under the direct backend a new key also
+/// rebuilds `basis`, and a repeated key solves nothing at all.
 #[derive(Debug, Clone)]
 struct DomainScratch {
     matrix: CsrMatrix,
@@ -159,6 +186,10 @@ struct DomainScratch {
     ws: SpdWorkspace,
     /// The solver of `matrix`, built on the domain's first solve.
     solver: Option<SpdSolver>,
+    /// Direct backend only: the grid's response to each block's unit
+    /// load under `key`, one node vector per block in block order,
+    /// allocated with the scratch (empty under the other backends).
+    basis: Vec<f64>,
     /// The diagonal slots of the active regulators that `matrix` and
     /// `solver` hold, sorted: each slot appears once per active
     /// regulator on it. Empty until the first solve.
@@ -172,6 +203,7 @@ struct DomainSolveTotals {
     total_current: f64,
     factor_seconds: f64,
     solve_seconds: f64,
+    basis_solves: u64,
 }
 
 impl DomainGrid {
@@ -194,6 +226,59 @@ impl DomainGrid {
         );
         key.sort_unstable();
         key.len()
+    }
+
+    /// Writes the node load currents of `block_powers` into `i_load`,
+    /// adding each block's current to `total_current`.
+    fn load_into(
+        &self,
+        block_powers: &[Watts],
+        vdd: f64,
+        i_load: &mut [f64],
+        total_current: &mut f64,
+    ) {
+        i_load.fill(0.0);
+        for (block, cover) in &self.block_cells {
+            let amps = block_powers[*block].get().max(0.0) / vdd;
+            *total_current += amps;
+            for &(cell, fraction) in cover {
+                i_load[cell] += amps * fraction;
+            }
+        }
+    }
+
+    /// Fills `basis` with the response of `factor`'s grid to each block's
+    /// unit load, block after block, using `unit` for the load; returns
+    /// the number of solves.
+    fn build_basis(
+        &self,
+        factor: &LdltFactor,
+        unit: &mut [f64],
+        basis: &mut [f64],
+        ws: &mut SpdWorkspace,
+    ) -> Result<u64> {
+        let n = unit.len();
+        for ((_, cover), response) in self.block_cells.iter().zip(basis.chunks_exact_mut(n)) {
+            unit.fill(0.0);
+            for &(cell, fraction) in cover {
+                unit[cell] += fraction;
+            }
+            factor.solve_into(unit, response, ws.ldlt())?;
+        }
+        Ok(self.block_cells.len() as u64)
+    }
+
+    /// The node voltages of `block_powers` from the unit-load responses
+    /// in `basis`, summed in block order, into `volts`.
+    fn superpose(&self, basis: &[f64], block_powers: &[Watts], vdd: f64, volts: &mut [f64]) {
+        volts.fill(0.0);
+        let n = volts.len();
+        for ((block, _), response) in self.block_cells.iter().zip(basis.chunks_exact(n)) {
+            let amps = block_powers[*block].get().max(0.0) / vdd;
+            for (v, &u) in volts.iter_mut().zip(response) {
+                *v += amps * u;
+            }
+        }
     }
 
     /// Writes the sheet conductances into `values`, then adds each
@@ -374,25 +459,31 @@ impl PdnModel {
                 }
             })
             .collect::<Vec<DomainGrid>>();
+        // Cold IR solves at every gating state: `Auto` factors, and the
+        // symbolic analysis serves every state of a domain.
+        let backend = config.solver.resolve(SolverBackend::Direct);
         let scratch = grids
             .iter()
             .map(|grid| {
                 let n = grid.nx * grid.ny;
+                let basis_len = match backend {
+                    SolverBackend::Direct => grid.block_cells.len() * n,
+                    _ => 0,
+                };
                 DomainScratch {
                     matrix: grid.base.clone(),
                     i_load: vec![0.0; n],
                     volts: vec![0.0; n],
                     ws: SpdWorkspace::default(),
                     solver: None,
+                    basis: vec![0.0; basis_len],
                     key: Vec::new(),
                     next_key: Vec::new(),
                 }
             })
             .collect();
         PdnModel {
-            // Cold IR solves at every gating state: `Auto` factors, and
-            // the symbolic analysis serves every state of a domain.
-            backend: config.solver.resolve(SolverBackend::Direct),
+            backend,
             config,
             grids,
             scratch: Mutex::new(scratch),
@@ -432,6 +523,7 @@ impl PdnModel {
             backend: self.backend,
             factor_seconds: totals.factor_seconds,
             solve_seconds: totals.solve_seconds,
+            basis_solves: totals.basis_solves,
         })
     }
 
@@ -457,10 +549,11 @@ impl PdnModel {
 
     /// Shared per-domain setup + solve behind [`PdnModel::ir_drop`] and
     /// [`PdnModel::kcl_residual`]: distributes the block loads, patches
-    /// the active regulators into each domain's cached matrix, solves
-    /// with the configured backend, and hands `visit` the solved system.
-    /// Returns the total chip current (for the global-grid drop) plus the
-    /// factor/solve wall-clock split.
+    /// the active regulators into each domain's cached matrix (and, under
+    /// the direct backend, rebuilds its basis), solves or superposes,
+    /// and hands `visit` the solved system. Returns the total chip
+    /// current (for the global-grid drop), the factor/solve wall-clock
+    /// split and the basis solves.
     fn solve_domains<F>(
         &self,
         gating: &GatingState,
@@ -492,18 +585,10 @@ impl PdnModel {
             total_current: 0.0,
             factor_seconds: 0.0,
             solve_seconds: 0.0,
+            basis_solves: 0,
         };
         for (d, (grid, scratch)) in self.grids.iter().zip(scratches.iter_mut()).enumerate() {
             let n = grid.nx * grid.ny;
-            // Load currents.
-            scratch.i_load.iter_mut().for_each(|v| *v = 0.0);
-            for (block, cover) in &grid.block_cells {
-                let amps = block_powers[*block].get().max(0.0) / vdd;
-                totals.total_current += amps;
-                for &(cell, fraction) in cover {
-                    scratch.i_load[cell] += amps * fraction;
-                }
-            }
             if grid.active_key(gating, &mut scratch.next_key) == 0 {
                 return Err(floating(d));
             }
@@ -521,22 +606,68 @@ impl PdnModel {
                         factor_s
                     }
                 };
+                if let Some(SpdSolver::Direct(factor)) = &scratch.solver {
+                    let t = Timer::start();
+                    totals.basis_solves += grid.build_basis(
+                        factor,
+                        &mut scratch.i_load,
+                        &mut scratch.basis,
+                        &mut scratch.ws,
+                    )?;
+                    totals.factor_seconds += t.elapsed_seconds();
+                }
                 std::mem::swap(&mut scratch.key, &mut scratch.next_key);
                 scratch.volts.iter_mut().for_each(|v| *v = 0.0);
             }
+            grid.load_into(
+                block_powers,
+                vdd,
+                &mut scratch.i_load,
+                &mut totals.total_current,
+            );
             let solver = scratch.solver.as_ref().expect("built on the first solve");
-            let (stats, solve_s) = solver.solve(
-                &scratch.matrix,
-                &scratch.i_load,
-                &mut scratch.volts,
-                &mut scratch.ws,
-                1e-9,
-                10 * n,
-            )?;
+            let (stats, solve_s) = match solver {
+                SpdSolver::Direct(_) => {
+                    let t = Timer::start();
+                    grid.superpose(&scratch.basis, block_powers, vdd, &mut scratch.volts);
+                    let stats = SolveStats {
+                        iterations: 1,
+                        residual: scratch
+                            .matrix
+                            .relative_residual(&scratch.i_load, &scratch.volts),
+                    };
+                    (stats, t.elapsed_seconds())
+                }
+                _ => solver.solve(
+                    &scratch.matrix,
+                    &scratch.i_load,
+                    &mut scratch.volts,
+                    &mut scratch.ws,
+                    1e-9,
+                    10 * n,
+                )?,
+            };
             totals.solve_seconds += solve_s;
             visit(d, &scratch.matrix, &scratch.i_load, &scratch.volts, stats);
         }
         Ok(totals)
+    }
+
+    /// The node load currents of one domain's grid for `block_powers`
+    /// (each block's current spread over its cells by area), the
+    /// right-hand side of its [`PdnModel::domain_system`] — exposed for
+    /// differential verification.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the domain id is out of range or `block_powers` is
+    /// shorter than the block count.
+    pub fn domain_load(&self, domain: DomainId, block_powers: &[Watts]) -> Vec<f64> {
+        let grid = &self.grids[domain.0];
+        let mut i_load = vec![0.0; grid.nx * grid.ny];
+        let vdd = self.config.vdd.get();
+        grid.load_into(block_powers, vdd, &mut i_load, &mut 0.0);
+        i_load
     }
 
     /// A copy of one domain's conductance matrix patched for `gating`
@@ -594,15 +725,7 @@ impl PdnModel {
     /// shorter than the block count.
     pub fn vr_load_proximity(&self, domain: DomainId, block_powers: &[Watts]) -> Vec<(VrId, f64)> {
         let grid = &self.grids[domain.0];
-        let vdd = self.config.vdd.get();
-        // Current per cell.
-        let mut i_load = vec![0.0; grid.nx * grid.ny];
-        for (block, cover) in &grid.block_cells {
-            let amps = block_powers[*block].get().max(0.0) / vdd;
-            for &(cell, fraction) in cover {
-                i_load[cell] += amps * fraction;
-            }
-        }
+        let i_load = self.domain_load(domain, block_powers);
         grid.vr_cells
             .iter()
             .map(|&(vid, vcell)| {
@@ -967,6 +1090,77 @@ mod tests {
         let back = model.ir_drop(&all_on, &powers).unwrap();
         assert!(back.factor_seconds() > 0.0);
         assert_eq!(first, back);
+    }
+
+    #[test]
+    fn a_new_key_rebuilds_the_basis_and_a_repeated_key_rebuilds_nothing() {
+        let (chip, model) = setup();
+        let powers = uniform_powers(&chip, 1.5);
+        let all_on = GatingState::all_on(chip.vr_sites().len());
+        // The first call builds every domain's basis: one unit-load
+        // solve per block.
+        let first = model.ir_drop(&all_on, &powers).unwrap();
+        assert!(first.factor_seconds() > 0.0);
+        assert_eq!(first.basis_solves(), chip.blocks().len() as u64);
+        // A repeated key rebuilds nothing, even under new loads.
+        let again = model.ir_drop(&all_on, &uniform_powers(&chip, 0.7)).unwrap();
+        assert_eq!(again.factor_seconds(), 0.0);
+        assert_eq!(again.basis_solves(), 0);
+        // A new key in one domain rebuilds that domain's basis only.
+        let core0 = &chip.domains()[0];
+        let mut half = all_on.clone();
+        for &v in core0.vrs().iter().skip(3) {
+            half.set(v, false).unwrap();
+        }
+        let other = model.ir_drop(&half, &powers).unwrap();
+        assert!(other.factor_seconds() > 0.0);
+        assert_eq!(other.basis_solves(), core0.blocks().len() as u64);
+        // The iterative backends solve every call and keep no basis.
+        let cg = PdnModel::new(
+            &chip,
+            PdnConfig {
+                solver: simkit::linalg::SolverBackend::Cg,
+                ..PdnConfig::default()
+            },
+        );
+        assert_eq!(cg.ir_drop(&all_on, &powers).unwrap().basis_solves(), 0);
+    }
+
+    #[test]
+    fn every_call_reports_one_solve_per_domain() {
+        use simkit::linalg::SolverBackend::{Cg, Direct, Mgcg};
+        let chip = power8_like();
+        let domains = chip.domains().len() as u64;
+        let all_on = GatingState::all_on(chip.vr_sites().len());
+        let mut half = all_on.clone();
+        for &v in chip.domains()[0].vrs().iter().skip(3) {
+            half.set(v, false).unwrap();
+        }
+        for solver in [Direct, Cg, Mgcg] {
+            let model = PdnModel::new(
+                &chip,
+                PdnConfig {
+                    solver,
+                    ..PdnConfig::default()
+                },
+            );
+            // New key, repeated key under new loads, new key again.
+            for (gating, watts) in [(&all_on, 1.5), (&all_on, 0.4), (&half, 2.0)] {
+                let report = model
+                    .ir_drop(gating, &uniform_powers(&chip, watts))
+                    .unwrap();
+                let solve = report.solve_stats();
+                assert_eq!(solve.solves, domains, "{solver}");
+                if solver == Direct {
+                    assert_eq!(solve.iterations, domains);
+                }
+                assert!(
+                    solve.max_residual <= 1e-9,
+                    "{solver}: {}",
+                    solve.max_residual
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! * [`PdnModel`] — per-Vdd-domain nodal DC grids. Each domain's local
 //!   power grid is discretised into cells connected by rail resistances;
 //!   **active** regulators provide low-impedance paths to the regulated
-//!   supply, blocks inject their load currents, and a conjugate-gradient
-//!   solve yields the static IR-drop map. A lumped global-grid term
-//!   (C4 pads → regulator inputs) adds the chip-wide component.
+//!   supply, blocks inject their load currents, and a linear solve
+//!   yields the static IR-drop map (under the default direct backend, a
+//!   combination of per-block unit-load responses kept per gating). A
+//!   lumped global-grid term (C4 pads → regulator inputs) adds the
+//!   chip-wide component.
 //! * [`transient`] — cycle-resolution di/dt noise over sampled 2 K-cycle
 //!   windows (the paper's VoltSpot sampling methodology), via an
 //!   underdamped impulse-response kernel whose magnitude shrinks with the

@@ -5,7 +5,7 @@ use crate::grid::PdnModel;
 use crate::transient::{response_scale, DidtResponse, TransientParams};
 use floorplan::{DomainId, Floorplan};
 use simkit::perf::SolverAgg;
-use simkit::telemetry::Telemetry;
+use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::{Hertz, Seconds, Watts};
 use simkit::Result;
 use vreg::GatingState;
@@ -133,8 +133,11 @@ impl NoiseAnalyzer {
     /// Installs a telemetry handle; each analysis then emits a
     /// `pdn.ir_direct`, `pdn.ir_cg`, or `pdn.ir_mgcg` solve event (aggregated over the
     /// per-domain solves, named after the configured solver backend,
-    /// carrying the factor/solve wall-clock split) and a
-    /// `pdn.noise_max_pct` gauge.
+    /// carrying the factor/solve wall-clock split and, as
+    /// `basis_solves`, the superposition-basis solves of
+    /// [`IrReport::basis_solves`]) and a `pdn.noise_max_pct` gauge.
+    ///
+    /// [`IrReport::basis_solves`]: crate::IrReport::basis_solves
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -241,15 +244,19 @@ impl NoiseAnalyzer {
             ir_solve: ir.solve_stats(),
         };
         if self.telemetry.is_enabled() {
+            // The fields of `Telemetry::solve_timed`, plus the basis
+            // solves: a field rather than a counter event, so that every
+            // backend emits the same events.
             let solve = report.ir_solve;
-            self.telemetry.solve_timed(
-                ir.site(),
-                solve.iterations as usize,
-                solve.max_residual,
-                ir.backend(),
-                ir.factor_seconds(),
-                ir.solve_seconds(),
-            );
+            self.telemetry
+                .event(EventKind::Solve, ir.site())
+                .field_u64("iters", solve.iterations)
+                .field_f64("residual", solve.max_residual)
+                .field_str("backend", ir.backend())
+                .field_f64("factor_s", ir.factor_seconds())
+                .field_f64("solve_s", ir.solve_seconds())
+                .field_u64("basis_solves", ir.basis_solves())
+                .emit();
             self.telemetry
                 .gauge("pdn.noise_max_pct", report.max_percent());
         }
@@ -401,8 +408,6 @@ mod tests {
 
     #[test]
     fn analysis_reports_ir_solve_stats_and_emits_telemetry() {
-        use simkit::telemetry::{EventKind, Telemetry};
-
         let (chip, model, mut analyzer) = setup();
         let (tel, sink) = Telemetry::recorder();
         analyzer.set_telemetry(tel);
@@ -430,6 +435,29 @@ mod tests {
         assert_eq!(sink.count_kind(EventKind::Solve), 1);
         assert_eq!(sink.count_kind(EventKind::Gauge), 1);
         assert!(sink.events().iter().any(|e| e.name == "pdn.noise_max_pct"));
+        // The first analysis built every domain's basis, one solve per
+        // block; a second one under the same gating builds none.
+        analyzer
+            .analyze(
+                &chip,
+                &model,
+                &gating,
+                &WindowInputs {
+                    block_powers: &powers,
+                    domain_multipliers: &windows,
+                    warmup: 1000,
+                },
+            )
+            .unwrap();
+        let basis_solves: Vec<u64> = {
+            use simkit::telemetry::analyze::EventView;
+            sink.events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Solve)
+                .map(|e| e.num_u64("basis_solves").unwrap())
+                .collect()
+        };
+        assert_eq!(basis_solves, [chip.blocks().len() as u64, 0]);
     }
 
     #[test]

@@ -162,6 +162,13 @@ impl SpdWorkspace {
     pub fn min_capacity(&self) -> usize {
         self.cg.min_capacity()
     }
+
+    /// The LDLᵀ work vector, for callers that apply a
+    /// [`SpdSolver::Direct`] factor themselves through
+    /// [`LdltFactor::solve_into`].
+    pub fn ldlt(&mut self) -> &mut LdltWorkspace {
+        &mut self.ldlt
+    }
 }
 
 #[cfg(test)]

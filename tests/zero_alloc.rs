@@ -3,16 +3,19 @@
 //! allocator wraps the system allocator and each test asserts the
 //! per-thread allocation count does not move across warmed-up
 //! `TransientStepper::step`, `generate_window_into` and
-//! `DidtResponse::refill` calls.
+//! `DidtResponse::refill` calls. An IR analysis whose regulator key
+//! changes (a refactor and a superposition-basis rebuild) allocates no
+//! more than one whose key repeats.
 
 use floorplan::reference::power8_like;
 use pdn::transient::DidtResponse;
-use pdn::PdnConfig;
+use pdn::{PdnConfig, PdnModel};
 use simkit::units::{Hertz, Seconds, Watts};
 use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
+use vreg::GatingState;
 use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
 
 thread_local! {
@@ -160,5 +163,38 @@ fn noise_window_refills_perform_no_heap_allocation() {
         0,
         "window refills allocated {} times over 50 windows",
         after - before
+    );
+}
+
+/// A new active-regulator key refactors a domain and rebuilds its
+/// superposition basis in place: no per-key buffer, so the analysis
+/// allocates no more than one whose key repeats.
+#[test]
+fn ir_drop_with_a_new_key_allocates_no_more_than_a_repeated_key() {
+    let chip = power8_like();
+    let model = PdnModel::new(&chip, PdnConfig::reference());
+    let powers = vec![Watts::new(1.5); chip.blocks().len()];
+    let all_on = GatingState::all_on(chip.vr_sites().len());
+    let mut half = all_on.clone();
+    for &v in chip.domains()[0].vrs().iter().skip(3) {
+        half.set(v, false).unwrap();
+    }
+    // Warm up: the first calls build the solvers and grow the key and
+    // workspace buffers to capacity.
+    for gating in [&all_on, &half, &all_on, &half, &all_on] {
+        model.ir_drop(gating, &powers).unwrap();
+    }
+    let allocs_of = |gating: &GatingState| {
+        let before = thread_allocs();
+        let report = model.ir_drop(gating, &powers).unwrap();
+        (thread_allocs() - before, report.basis_solves())
+    };
+    let (repeated, repeated_basis) = allocs_of(&all_on);
+    let (changed, changed_basis) = allocs_of(&half);
+    assert_eq!(repeated_basis, 0);
+    assert_eq!(changed_basis, chip.domains()[0].blocks().len() as u64);
+    assert!(
+        changed <= repeated,
+        "a key change allocated {changed} times, a repeated key {repeated}"
     );
 }
