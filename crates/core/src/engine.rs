@@ -565,11 +565,6 @@ impl<'c> SimulationEngine<'c> {
         &self.config
     }
 
-    /// The calibrated power model.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
     /// Per-domain regulator banks.
     pub fn banks(&self) -> &[RegulatorBank] {
         &self.banks
@@ -1917,7 +1912,7 @@ mod tests {
         // Transient stepping runs once per decision interval.
         assert_eq!(perf.samples("transient"), 3);
         assert!(perf.total_seconds() > 0.0);
-        assert!(perf.render().contains("transient"));
+        assert!(perf.seconds("transient") > 0.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use experiments::sweep::policy_from_tag;
 use simkit::linalg::SolverBackend;
 use simkit::telemetry::analyze::{series_points, TraceAnalysis, TraceReader, TraceTailer};
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
-use simkit::telemetry::prof::Profile;
+use simkit::telemetry::prof;
 use simkit::telemetry::rules::{RuleSet, Severity};
 use simkit::telemetry::{timeline, EventKind};
 use std::io::Write;
@@ -53,12 +53,13 @@ USAGE:
         Check a run directory: manifest.json parses and its
         events_total equals the trace's event count; every trace line
         is a well-formed event (a bad line fails, naming its number)
-        with a non-negative integer track; span ends pair with starts
-        per (track, name) and none stays open; timestamps never step
-        back more than 0.1 s when the manifest lists at most one cell;
-        each --require kind appears. Kinds: span_start span_end counter
-        gauge histogram gating emergency solve progress frame. Exits 1
-        on the first violation, naming it on stderr.
+        with a non-negative integer track; every span end closes the
+        innermost open span on its track and no span stays open;
+        timestamps never step back more than 0.1 s when the manifest
+        lists at most one cell; each --require kind appears. Kinds:
+        span_start span_end counter gauge histogram gating emergency
+        solve progress frame. Exits 1 on the first violation, naming it
+        on stderr.
 
     tg-obs watch <run-dir> [--once] [--rules <file.json>]
                  [--status-every <n>] [--interval-ms <n>] [--timeout-s <n>]
@@ -95,7 +96,8 @@ USAGE:
         Fold the trace's spans into collapsed-stack lines
         (`track0;a;b <weight-µs>`), ready for flamegraph.pl or
         inferno-flamegraph. Per-track weights sum exactly to that
-        track's root inclusive time.
+        track's root inclusive time. Span pairing errors and spans left
+        open are noted on stderr.
 
     tg-obs top <run-dir> [--times] [--tree]
         Hierarchical self-profile of the run: hottest span sites with
@@ -333,11 +335,13 @@ fn validate_run(dir: &Path, require: &[EventKind]) -> Result<String, String> {
         }
         prev_t = prev_t.max(event.t_s);
     }
-    let unclosed: Vec<String> = analysis
+    let mut unclosed: Vec<String> = analysis
         .open_spans()
         .iter()
-        .map(|(track, name, _)| format!("{name} (track {track})"))
+        .map(|(track, name)| format!("{name} (track {track})"))
         .collect();
+    // Nested spans of one name on one track are listed once.
+    unclosed.dedup();
     if !unclosed.is_empty() {
         return Err(format!(
             "{} span(s) never closed: {}",
@@ -577,22 +581,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
-    let mut run_dir: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    iter.next()
-                        .ok_or_else(|| "--out needs a file path".to_string())?,
-                );
-            }
-            _ if run_dir.is_none() => run_dir = Some(arg),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let run_dir = run_dir.ok_or_else(|| format!("usage: tg-obs export <run-dir>\n\n{USAGE}"))?;
+    let (run_dir, out, _) = parse_io_args(args, "tg-obs export <run-dir> [--out <file>]", &[])?;
     let trace = trace_path(Path::new(run_dir));
     let mut reader =
         TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
@@ -616,18 +605,7 @@ fn cmd_export(args: &[String]) -> Result<ExitCode, String> {
             reader.truncated()
         );
     }
-    match out {
-        Some(path) => {
-            std::fs::write(path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => {
-            // Large traces: one buffered write beats per-line println.
-            std::io::stdout()
-                .write_all(csv.as_bytes())
-                .map_err(|e| format!("stdout: {e}"))?;
-        }
-    }
+    write_output(&csv, out)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -693,16 +671,9 @@ fn cmd_timeline(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_flame(args: &[String]) -> Result<ExitCode, String> {
     let (run_dir, out, _) = parse_io_args(args, "tg-obs flame <run-dir> [--out <file>]", &[])?;
-    let trace = trace_path(Path::new(run_dir));
-    let profile =
-        Profile::from_path(&trace).map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
-    if profile.pairing_errors() > 0 {
-        eprintln!(
-            "warning: {} span pairing error(s); stacks below them are approximate",
-            profile.pairing_errors()
-        );
-    }
-    write_output(&profile.collapsed(), out)?;
+    let analysis = load_analysis(Path::new(run_dir))?;
+    eprint!("{}", prof::pairing_notes(&analysis));
+    write_output(&prof::collapsed(&analysis), out)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -712,13 +683,11 @@ fn cmd_top(args: &[String]) -> Result<ExitCode, String> {
         "tg-obs top <run-dir> [--times] [--tree]",
         &["--times", "--tree"],
     )?;
-    let trace = trace_path(Path::new(run_dir));
-    let profile =
-        Profile::from_path(&trace).map_err(|e| format!("cannot read {}: {e}", trace.display()))?;
+    let analysis = load_analysis(Path::new(run_dir))?;
     let report = if flags[1] {
-        profile.render_tree()
+        prof::render_tree(&analysis)
     } else {
-        profile.render_top(flags[0])
+        prof::render_top(&analysis, flags[0])
     };
     write_output(&report, out)?;
     Ok(ExitCode::SUCCESS)

@@ -43,8 +43,10 @@ OPTIONS:
     --report=<file>   Also write the report to a file
     -h, --help        This help
 
-Exit status is 0 when every check passes, 1 otherwise, and 2 when
-SIMKIT_SOLVER names no solver backend (auto | direct | cg | mgcg).
+Exit status is 0 when every check passes, 1 otherwise, and 2 on a
+usage error: an unknown argument, a bad --seed, --cases or --threads
+value, or a SIMKIT_SOLVER that names no solver backend (auto | direct
+| cg | mgcg).
 ";
 
 fn parse_u64(text: &str) -> Option<u64> {
@@ -125,5 +127,5 @@ fn main() -> ExitCode {
 
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("tg-verify: {message}\n\n{USAGE}");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

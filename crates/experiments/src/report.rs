@@ -184,8 +184,8 @@ pub fn metrics_report(analysis: &TraceAnalysis) -> String {
 /// event-kind counts, counters, metric rollups with percentiles, span
 /// durations, solver convergence, and the gating/emergency aggregates.
 /// Sections with no data are omitted. Malformed or truncated trace
-/// lines are called out at the top so a damaged trace is never
-/// summarised silently.
+/// lines, span pairing errors and spans left open are called out at
+/// the top so a damaged trace is never summarised silently.
 pub fn analysis_report(analysis: &TraceAnalysis) -> String {
     use simkit::telemetry::EventKind;
 
@@ -204,6 +204,7 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
     if analysis.truncated {
         out.push_str("warning: trace ends mid-line (truncated write)\n");
     }
+    out.push_str(&simkit::telemetry::prof::pairing_notes(analysis));
     out.push('\n');
 
     let mut kinds = TextTable::new(&["event kind", "count"]);
@@ -260,12 +261,7 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
         }
         out.push_str(&t.render());
     } else {
-        let open: u64 = analysis.spans.iter().map(|(_, s)| s.open).sum();
-        out.push_str("\nspans: no paired spans in this trace");
-        if open > 0 {
-            out.push_str(&format!(" ({open} span start(s) never ended)"));
-        }
-        out.push('\n');
+        out.push_str("\nspans: no paired spans in this trace\n");
     }
 
     if !analysis.solvers.is_empty() {
@@ -631,7 +627,10 @@ mod tests {
         let a = TraceAnalysis::from_reader(Cursor::new(trace)).unwrap();
         let text = analysis_report(&a);
         assert!(text.contains("no paired spans"), "{text}");
-        assert!(text.contains("1 span start(s) never ended"), "{text}");
+        assert!(
+            text.contains("note: 1 span(s) still open at end of trace"),
+            "{text}"
+        );
 
         // A completed span still renders the table, not the note.
         let trace = concat!(

@@ -387,6 +387,11 @@ fn unknown_subcommand_and_bad_policy_fail_cleanly() {
     let out = tg_obs(&["bench-snapshot", "--policies", "warp9"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown policy tag"));
+
+    // A flag is never taken for the run directory.
+    let out = tg_obs(&["export", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unexpected argument `--bogus`"));
 }
 
 #[test]
@@ -549,6 +554,59 @@ fn validate_pairs_spans_per_track() {
         "stderr: {}",
         stderr(&out)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_reader_pairs_a_mis_nested_trace_the_same_way() {
+    // a, b, /a, /b on one track: the end of a does not close the
+    // innermost open span (b), so it is one unmatched end and a stays
+    // open — in validate, summarize, the call tree and the flame graph.
+    let dir = temp_dir("misnest");
+    std::fs::write(
+        dir.join("trace.jsonl"),
+        "{\"t\":0.1,\"kind\":\"span_start\",\"name\":\"a\"}\n\
+         {\"t\":0.2,\"kind\":\"span_start\",\"name\":\"b\"}\n\
+         {\"t\":0.3,\"kind\":\"span_end\",\"name\":\"a\",\"dur_s\":0.2}\n\
+         {\"t\":0.4,\"kind\":\"span_end\",\"name\":\"b\",\"dur_s\":0.2}\n",
+    )
+    .expect("trace written");
+    std::fs::copy(
+        fixture_run().join("manifest.json"),
+        dir.join("manifest.json"),
+    )
+    .expect("manifest copied");
+    let run = dir.to_str().unwrap();
+
+    let out = tg_obs(&["validate", run]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains("trace.jsonl:3: span_end \"a\" on track 0"),
+        "stderr: {}",
+        stderr(&out)
+    );
+
+    let notes = "warning: 1 span pairing error(s)\n\
+                 note: 1 span(s) still open at end of trace\n";
+    for (args, text) in [
+        (&["summarize", run][..], stdout as fn(&Output) -> String),
+        (&["top", run, "--tree"][..], stdout),
+        (&["flame", run][..], stderr),
+    ] {
+        let out = tg_obs(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(text(&out).contains(notes), "{args:?}:\n{}", text(&out));
+    }
+    let summary = stdout(&tg_obs(&["summarize", run]));
+    let row = |name: &str| {
+        summary
+            .lines()
+            .find(|l| l.starts_with(name))
+            .map(|l| l.split_whitespace().take(3).collect::<Vec<_>>())
+    };
+    // span, completed, open
+    assert_eq!(row("a "), Some(vec!["a", "0", "1"]), "{summary}");
+    assert_eq!(row("b "), Some(vec!["b", "1", "0"]), "{summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

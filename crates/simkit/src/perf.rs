@@ -4,11 +4,11 @@
 //! (trace synthesis, predictor calibration, transient stepping, PDN noise
 //! analysis, …) so that optimisation work is measurable in-repo instead
 //! of guessed at. A [`Timer`] measures one span; a [`PhaseTimes`]
-//! accumulates spans per phase and renders a report table.
+//! accumulates spans per phase for the reports in `experiments::report`.
 //!
 //! The accumulator keys phases by `&'static str` and stores them in
 //! insertion order in a small vector — no hashing, no allocation per
-//! sample, deterministic rendering.
+//! sample, deterministic order.
 //!
 //! # Examples
 //!
@@ -113,28 +113,6 @@ impl PhaseTimes {
     /// Iterates `(phase, seconds, samples)` in first-recorded order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64, u64)> + '_ {
         self.phases.iter().copied()
-    }
-
-    /// Renders a fixed-width report table, one line per phase plus a
-    /// total, e.g. for `experiments::report` or debug logging.
-    pub fn render(&self) -> String {
-        let total = self.total_seconds().max(f64::MIN_POSITIVE);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>9} {:>6}\n",
-            "phase", "seconds", "samples", "share"
-        ));
-        for (name, seconds, samples) in self.iter() {
-            out.push_str(&format!(
-                "{:<12} {:>10.4} {:>9} {:>5.1}%\n",
-                name,
-                seconds,
-                samples,
-                100.0 * seconds / total
-            ));
-        }
-        out.push_str(&format!("{:<12} {:>10.4}\n", "total", self.total_seconds()));
-        out
     }
 }
 
@@ -263,27 +241,6 @@ impl SolverProfile {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, SolverAgg)> + '_ {
         self.phases.iter().copied()
     }
-
-    /// Renders a fixed-width table, one line per phase.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>8} {:>10} {:>10} {:>12} {:>12}\n",
-            "phase", "solves", "iters", "iters/sol", "mean resid", "max resid"
-        ));
-        for (name, agg) in self.iter() {
-            out.push_str(&format!(
-                "{:<12} {:>8} {:>10} {:>10.1} {:>12.3e} {:>12.3e}\n",
-                name,
-                agg.solves,
-                agg.iterations,
-                agg.mean_iterations(),
-                agg.mean_residual(),
-                agg.max_residual
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -322,18 +279,6 @@ mod tests {
         assert!((a.seconds("steady") - 3.0).abs() < 1e-12);
         assert_eq!(a.samples("steady"), 2);
         assert!((a.seconds("policy") - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn render_contains_every_phase_and_total() {
-        let mut p = PhaseTimes::new();
-        p.add("transient", 0.5);
-        p.add("noise", 0.5);
-        let table = p.render();
-        assert!(table.contains("transient"));
-        assert!(table.contains("noise"));
-        assert!(table.contains("total"));
-        assert!(table.contains("50.0%"));
     }
 
     #[test]
@@ -389,18 +334,12 @@ mod tests {
         assert_eq!(a.get("noise").unwrap().solves, 1);
         let order: Vec<&str> = a.iter().map(|(n, _)| n).collect();
         assert_eq!(order, ["transient", "steady", "noise"]);
-        let table = a.render();
-        assert!(table.contains("transient"));
-        assert!(table.contains("max resid"));
     }
 
     #[test]
-    fn empty_accumulator_renders_header_and_total() {
+    fn empty_accumulator_has_zero_total() {
         let p = PhaseTimes::new();
         assert!(p.is_empty());
         assert_eq!(p.total_seconds(), 0.0);
-        let table = p.render();
-        assert!(table.contains("phase"));
-        assert!(table.contains("total"));
     }
 }

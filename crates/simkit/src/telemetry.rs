@@ -134,8 +134,6 @@ impl EventKind {
 pub enum FieldValue {
     /// Unsigned integer (counts, indices).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Floating point (times, temperatures, residuals).
     F64(f64),
     /// Boolean flag.
@@ -173,9 +171,6 @@ impl Event {
             out.push(':');
             match value {
                 FieldValue::U64(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                FieldValue::I64(v) => {
                     let _ = write!(out, "{v}");
                 }
                 FieldValue::F64(v) => json::write_f64(&mut out, *v),
@@ -309,11 +304,6 @@ impl JsonlSink {
     pub fn flush_every(mut self, n: u64) -> Self {
         self.flush_every = n;
         self
-    }
-
-    /// Number of lines successfully handed to the writer.
-    pub fn lines_written(&self) -> u64 {
-        self.lines.load(Ordering::Relaxed)
     }
 
     /// Number of write failures since creation.
@@ -664,11 +654,6 @@ impl EventBuilder<'_> {
     /// Attaches an unsigned-integer field.
     pub fn field_u64(self, key: &'static str, value: u64) -> Self {
         self.push(key, FieldValue::U64(value))
-    }
-
-    /// Attaches a signed-integer field.
-    pub fn field_i64(self, key: &'static str, value: i64) -> Self {
-        self.push(key, FieldValue::I64(value))
     }
 
     /// Attaches a floating-point field.

@@ -2,21 +2,25 @@
 //! into one aggregate.
 //!
 //! The [`telemetry`](crate::telemetry) module *emits* structured traces;
-//! this module *consumes* them. A [`TraceReader`] streams a
-//! `trace.jsonl` file line by line through the hand-rolled
-//! [`json`](super::json) parser (skipping corrupt interior lines and
-//! recovering from a truncated final line, so a trace cut mid-write
-//! still analyzes), a
-//! [`TraceTailer`] follows one that is still being written, and a
-//! [`TraceAnalysis`] folds the event stream — parsed lines or emit-side
-//! events, through the [`EventView`] trait — into:
+//! this module *consumes* them. A [`TraceReader`] is the one line
+//! decoder: it streams a `trace.jsonl` file line by line through the
+//! hand-rolled [`json`](super::json) parser, skipping corrupt interior
+//! lines (a line that is not UTF-8 among them) and recovering from a
+//! truncated final line, so a trace cut mid-write still analyzes. A
+//! [`TraceTailer`] follows a trace that is still being written and
+//! decodes each poll's complete lines through a `TraceReader`. A
+//! [`TraceAnalysis`] is the one fold: it takes the event stream —
+//! parsed lines or emit-side events, through the [`EventView`] trait —
+//! into:
 //!
 //! * per-[`EventKind`] event counts and per-name counter totals;
 //! * per-name value [`Rollup`]s for gauges and histograms, with exact
 //!   percentiles;
-//! * span begin/end pairing per `(track, name)` into per-name duration
-//!   rollups ([`SpanStats`], with unmatched starts/ends surfaced rather
-//!   than silently dropped);
+//! * span begin/end pairing on one open-span stack per track, where an
+//!   end closes only the innermost open span, into an exact call tree
+//!   per track ([`TrackProfile`], rendered by [`prof`](super::prof)) and
+//!   per-name duration rollups ([`SpanStats`], with unmatched starts/ends
+//!   surfaced rather than silently dropped);
 //! * solver-convergence aggregates per solve site ([`SolverRollup`]:
 //!   iteration and residual distributions);
 //! * gating-churn ([`GatingStats`]) and voltage-emergency
@@ -141,7 +145,8 @@ impl ParsedEvent {
 /// Streaming JSONL trace reader with recovery.
 ///
 /// Reads one event per [`TraceReader::next_event`] call. A malformed
-/// line *with* a trailing newline (mid-file corruption) is counted in
+/// line — bad JSON, a bad envelope, or bytes that are not UTF-8 —
+/// *with* a trailing newline (mid-file corruption) is counted in
 /// [`malformed_lines`](TraceReader::malformed_lines) and skipped; a
 /// malformed *final* line without one (the writer died mid-line, or the
 /// file is still being appended to) ends the stream cleanly and sets
@@ -151,7 +156,7 @@ impl ParsedEvent {
 #[derive(Debug)]
 pub struct TraceReader<R> {
     reader: R,
-    buf: String,
+    buf: Vec<u8>,
     line: u64,
     lines_read: u64,
     malformed: u64,
@@ -164,7 +169,7 @@ impl<R: BufRead> TraceReader<R> {
     pub fn new(reader: R) -> Self {
         TraceReader {
             reader,
-            buf: String::new(),
+            buf: Vec::new(),
             line: 0,
             lines_read: 0,
             malformed: 0,
@@ -177,25 +182,29 @@ impl<R: BufRead> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors (including invalid UTF-8) from the
-    /// underlying reader; recoverable *format* problems never error.
+    /// Propagates I/O errors from the underlying reader; recoverable
+    /// *format* problems, a line that is not UTF-8 included, never
+    /// error.
     pub fn next_event(&mut self) -> io::Result<Option<ParsedEvent>> {
         loop {
             self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
                 return Ok(None);
             }
             self.line += 1;
-            let complete = self.buf.ends_with('\n');
-            let line = self.buf.trim();
-            if line.is_empty() {
-                continue;
-            }
-            self.lines_read += 1;
-            let error = match ParsedEvent::from_line(line) {
-                Ok(event) => return Ok(Some(event)),
-                Err(e) => e,
+            let complete = self.buf.ends_with(b"\n");
+            let error = match std::str::from_utf8(&self.buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(line) => match ParsedEvent::from_line(line) {
+                    Ok(event) => {
+                        self.lines_read += 1;
+                        return Ok(Some(event));
+                    }
+                    Err(e) => e,
+                },
+                Err(e) => format!("line is not UTF-8: {e}"),
             };
+            self.lines_read += 1;
             if self.first_error.is_none() {
                 self.first_error = Some((self.line, error));
             }
@@ -262,8 +271,8 @@ impl TraceReader<BufReader<File>> {
 /// [`resume`](TraceTailer::resume) later; the resumed stream yields
 /// exactly the events a one-shot read of the finished file would.
 ///
-/// Malformed *complete* lines are counted and skipped, mirroring
-/// [`TraceReader`]'s recovery behaviour.
+/// Complete lines go through a [`TraceReader`], so a malformed one is
+/// counted and skipped under the same rule as a one-shot read.
 #[derive(Debug)]
 pub struct TraceTailer {
     file: File,
@@ -300,8 +309,9 @@ impl TraceTailer {
     }
 
     /// Drains the complete lines currently available past the committed
-    /// offset, in file order. An empty vector means no complete new
-    /// line has landed yet — poll again later.
+    /// offset, in file order, decoded by a [`TraceReader`]. An empty
+    /// vector means no complete new line has landed yet — poll again
+    /// later.
     ///
     /// # Errors
     ///
@@ -312,28 +322,15 @@ impl TraceTailer {
         self.file.seek(SeekFrom::Start(self.offset))?;
         let mut buf = Vec::new();
         self.file.read_to_end(&mut buf)?;
+        let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut reader = TraceReader::new(&buf[..complete]);
         let mut events = Vec::new();
-        let mut consumed = 0usize;
-        while let Some(len) = buf[consumed..].iter().position(|&b| b == b'\n') {
-            let bytes = &buf[consumed..consumed + len];
-            consumed += len + 1;
-            let line = match std::str::from_utf8(bytes) {
-                Ok(text) => text.trim(),
-                Err(_) => {
-                    self.malformed += 1;
-                    continue;
-                }
-            };
-            if line.is_empty() {
-                continue;
-            }
-            match ParsedEvent::from_line(line) {
-                Ok(event) => events.push(event),
-                Err(_) => self.malformed += 1,
-            }
+        while let Some(event) = reader.next_event()? {
+            events.push(event);
         }
-        self.offset += consumed as u64;
-        self.partial_tail = consumed < buf.len();
+        self.malformed += reader.malformed_lines();
+        self.offset += complete as u64;
+        self.partial_tail = complete < buf.len();
         Ok(events)
     }
 
@@ -422,7 +419,6 @@ impl EventView for Event {
             .find(|(k, _)| k == key)
             .and_then(|(_, v)| match v {
                 FieldValue::U64(x) => Some(*x as f64),
-                FieldValue::I64(x) => Some(*x as f64),
                 FieldValue::F64(x) => x.is_finite().then_some(*x),
                 FieldValue::Bool(_) | FieldValue::Str(_) => None,
             })
@@ -540,9 +536,95 @@ pub struct SpanStats {
 }
 
 impl SpanStats {
+    fn new() -> Self {
+        SpanStats {
+            open: 0,
+            durations: Rollup::exact(),
+            unmatched_ends: 0,
+        }
+    }
+
     /// Completed start/end pairs.
     pub fn completed(&self) -> u64 {
         self.durations.count() + self.durations.non_finite()
+    }
+}
+
+/// One site (span name at one position in the call tree) of a track.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Node {
+    /// Span name as emitted, e.g. `"engine.run"`.
+    pub name: String,
+    /// Index of the parent node within the track (`None` for roots).
+    pub parent: Option<usize>,
+    /// Child node indices, in first-appearance order.
+    pub children: Vec<usize>,
+    /// Number of times this site was entered.
+    pub calls: u64,
+    /// Total wall time inside this site, children included (from the
+    /// `dur_s` field of the matching span ends).
+    pub inclusive_s: f64,
+    /// Spans entered but not closed yet.
+    pub open: u64,
+}
+
+/// The call tree of one track (worker lane) and the spans open on it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TrackProfile {
+    /// Track id (0 = the run-level handle).
+    pub track: u64,
+    /// All nodes, in creation order; tree edges are index-based.
+    pub nodes: Vec<Node>,
+    /// Indices of top-level nodes, in first-appearance order.
+    pub roots: Vec<usize>,
+    /// The open spans as node indices, outermost first: a span end
+    /// closes only the last one.
+    stack: Vec<usize>,
+}
+
+impl TrackProfile {
+    /// Wall time exclusive to `node` (inclusive minus the children's
+    /// inclusive time, clamped at zero against timer jitter).
+    pub fn exclusive_s(&self, node: usize) -> f64 {
+        let n = &self.nodes[node];
+        let children: f64 = n.children.iter().map(|&c| self.nodes[c].inclusive_s).sum();
+        (n.inclusive_s - children).max(0.0)
+    }
+
+    /// Sum of the root spans' inclusive time — the track's total
+    /// profiled wall time.
+    pub fn root_inclusive_s(&self) -> f64 {
+        self.roots.iter().map(|&r| self.nodes[r].inclusive_s).sum()
+    }
+
+    /// The child of the innermost open span (or the root) named
+    /// `name`, created on first sight.
+    fn find_or_create(&mut self, name: &str) -> usize {
+        let (siblings, parent) = match self.stack.last() {
+            Some(&top) => (&self.nodes[top].children, Some(top)),
+            None => (&self.roots, None),
+        };
+        if let Some(found) = siblings
+            .iter()
+            .copied()
+            .find(|&idx| self.nodes[idx].name == name)
+        {
+            return found;
+        }
+        let idx = self.nodes.len();
+        self.nodes.push(Node {
+            name: name.to_string(),
+            parent,
+            children: Vec::new(),
+            calls: 0,
+            inclusive_s: 0.0,
+            open: 0,
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(idx),
+            None => self.roots.push(idx),
+        }
+        idx
     }
 }
 
@@ -627,10 +709,16 @@ impl EmergencyStats {
 /// percentiles agree.
 ///
 /// Rollups, counters, and solver sites are keyed by name across tracks.
-/// Spans pair per `(track, name)` — a sweep worker's end never closes
-/// another worker's start — and report per name. All name-keyed
-/// collections preserve first-appearance order, so reports over a
-/// deterministic trace are deterministic.
+/// Spans pair by one rule: each track keeps a stack of open spans, and
+/// a span end closes the innermost one when the names match; otherwise
+/// the end is unmatched and pops nothing. So a sweep worker's end never
+/// closes another worker's start, and a mis-nested end is caught. The
+/// stacks build one call tree per track ([`TraceAnalysis::tracks`],
+/// rendered by [`prof`](super::prof)); the per-name [`SpanStats`],
+/// [`open_spans`](TraceAnalysis::open_spans) and
+/// [`unpaired_spans`](TraceAnalysis::unpaired_spans) follow from the
+/// same pairing. All collections preserve first-appearance order, so
+/// reports over a deterministic trace are deterministic.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
     /// Well-formed events folded in.
@@ -656,9 +744,8 @@ pub struct TraceAnalysis {
     pub malformed_lines: u64,
     /// Whether the trace ended in a truncated final line.
     pub truncated: bool,
-    /// Open span depth per `(track, name)`; an entry leaves when its
-    /// depth returns to zero, so this holds only what is open now.
-    open: Vec<((u64, String), u64)>,
+    /// Per-track call trees, in order of each track's first span event.
+    pub tracks: Vec<TrackProfile>,
 }
 
 fn kind_index(kind: EventKind) -> usize {
@@ -702,7 +789,7 @@ impl TraceAnalysis {
             last_t_s: None,
             malformed_lines: 0,
             truncated: false,
-            open: Vec::new(),
+            tracks: Vec::new(),
         }
     }
 
@@ -747,11 +834,6 @@ impl TraceAnalysis {
         }
         self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
         let name = event.name();
-        let new_span = || SpanStats {
-            open: 0,
-            durations: Rollup::exact(),
-            unmatched_ends: 0,
-        };
         match event.kind() {
             EventKind::Counter => {
                 *entry(&mut self.counters, name, || 0) += event.num_u64("delta").unwrap_or(1);
@@ -759,37 +841,7 @@ impl TraceAnalysis {
             EventKind::Gauge | EventKind::Histogram => {
                 entry(&mut self.rollups, name, Rollup::exact).observe_field(event.num("value"));
             }
-            EventKind::SpanStart => {
-                let track = event.track();
-                match self
-                    .open
-                    .iter_mut()
-                    .find(|((t, n), _)| *t == track && n == name)
-                {
-                    Some((_, depth)) => *depth += 1,
-                    None => self.open.push(((track, name.to_string()), 1)),
-                }
-                entry(&mut self.spans, name, new_span).open += 1;
-            }
-            EventKind::SpanEnd => {
-                let track = event.track();
-                let opener = self
-                    .open
-                    .iter()
-                    .position(|((t, n), _)| *t == track && n == name);
-                let span = entry(&mut self.spans, name, new_span);
-                match opener {
-                    Some(i) => {
-                        self.open[i].1 -= 1;
-                        if self.open[i].1 == 0 {
-                            self.open.remove(i);
-                        }
-                        span.open -= 1;
-                        span.durations.observe_field(event.num("dur_s"));
-                    }
-                    None => span.unmatched_ends += 1,
-                }
-            }
+            EventKind::SpanStart | EventKind::SpanEnd => self.observe_span(event),
             EventKind::Solve => {
                 let solver = entry(&mut self.solvers, name, || SolverRollup {
                     iters: Rollup::exact(),
@@ -823,6 +875,43 @@ impl TraceAnalysis {
                 }
             }
             EventKind::Progress => {}
+        }
+    }
+
+    /// Pairs one span start or end on its track's open-span stack.
+    fn observe_span<E: EventView>(&mut self, event: &E) {
+        let (id, name) = (event.track(), event.name());
+        let i = match self.tracks.iter().position(|t| t.track == id) {
+            Some(i) => i,
+            None => {
+                self.tracks.push(TrackProfile {
+                    track: id,
+                    ..TrackProfile::default()
+                });
+                self.tracks.len() - 1
+            }
+        };
+        let track = &mut self.tracks[i];
+        let span = entry(&mut self.spans, name, SpanStats::new);
+        if event.kind() == EventKind::SpanStart {
+            let idx = track.find_or_create(name);
+            track.nodes[idx].calls += 1;
+            track.nodes[idx].open += 1;
+            track.stack.push(idx);
+            span.open += 1;
+            return;
+        }
+        match track.stack.last() {
+            Some(&top) if track.nodes[top].name == name => {
+                track.stack.pop();
+                let dur_s = event.num("dur_s");
+                let node = &mut track.nodes[top];
+                node.open -= 1;
+                node.inclusive_s += dur_s.unwrap_or(0.0);
+                span.open -= 1;
+                span.durations.observe_field(dur_s);
+            }
+            _ => span.unmatched_ends += 1,
         }
     }
 
@@ -876,13 +965,13 @@ impl TraceAnalysis {
             .sum()
     }
 
-    /// The spans open right now as `(track, name, depth)`, sorted by
-    /// track then name.
-    pub fn open_spans(&self) -> Vec<(u64, &str, u64)> {
-        let mut open: Vec<(u64, &str, u64)> = self
-            .open
+    /// The spans open right now as `(track, name)`, one entry per open
+    /// span, sorted by track then name.
+    pub fn open_spans(&self) -> Vec<(u64, &str)> {
+        let mut open: Vec<(u64, &str)> = self
+            .tracks
             .iter()
-            .map(|((track, name), depth)| (*track, name.as_str(), *depth))
+            .flat_map(|t| t.stack.iter().map(|&n| (t.track, t.nodes[n].name.as_str())))
             .collect();
         open.sort_unstable();
         open
@@ -942,6 +1031,7 @@ pub fn series_points(event: &ParsedEvent, out: &mut Vec<(String, f64)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{ensure, TestResult};
     use crate::telemetry::Telemetry;
 
     /// Records a small synthetic run and returns its JSONL text.
@@ -1065,6 +1155,7 @@ mod tests {
         assert_eq!(wire.solvers, emit.solvers);
         assert_eq!(wire.gating, emit.gating);
         assert_eq!(wire.emergency, emit.emergency);
+        assert_eq!(wire.tracks, emit.tracks);
         assert_eq!(wire.first_t_s, emit.first_t_s);
         assert_eq!(wire.last_t_s, emit.last_t_s);
         assert_eq!(wire.span("engine.run").unwrap().completed(), 1);
@@ -1246,8 +1337,163 @@ mod tests {
         // Track 3's end cannot close track 2's start.
         assert_eq!(cell.unmatched_ends, 1);
         assert_eq!(cell.open, 1);
-        assert_eq!(a.open_spans(), [(2, "cell", 1)]);
+        assert_eq!(a.open_spans(), [(2, "cell")]);
         assert_eq!(a.unpaired_spans(), 2);
+    }
+
+    #[test]
+    fn spans_build_an_exact_call_tree_per_track() {
+        // Power-of-two durations keep the float arithmetic exact: track
+        // 0 runs a;b;b;c, track 2 runs a alone.
+        let lines = "\
+            {\"t\":0.0,\"kind\":\"span_start\",\"name\":\"a\"}\n\
+            {\"t\":0.1,\"kind\":\"span_start\",\"name\":\"b\"}\n\
+            {\"t\":0.2,\"kind\":\"span_end\",\"name\":\"b\",\"dur_s\":0.25}\n\
+            {\"t\":0.1,\"kind\":\"span_start\",\"name\":\"a\",\"track\":2}\n\
+            {\"t\":0.3,\"kind\":\"span_start\",\"name\":\"b\"}\n\
+            {\"t\":0.4,\"kind\":\"span_end\",\"name\":\"b\",\"dur_s\":0.25}\n\
+            {\"t\":0.2,\"kind\":\"span_end\",\"name\":\"a\",\"dur_s\":0.5,\"track\":2}\n\
+            {\"t\":0.5,\"kind\":\"span_start\",\"name\":\"c\"}\n\
+            {\"t\":0.6,\"kind\":\"span_end\",\"name\":\"c\",\"dur_s\":0.125}\n\
+            {\"t\":0.7,\"kind\":\"span_end\",\"name\":\"a\",\"dur_s\":1.0}\n";
+        let a = TraceAnalysis::from_reader(lines.as_bytes()).unwrap();
+        assert_eq!((a.unpaired_spans(), a.open_spans().len()), (0, 0));
+        let ids: Vec<u64> = a.tracks.iter().map(|t| t.track).collect();
+        assert_eq!(ids, [0, 2]);
+
+        let t0 = &a.tracks[0];
+        assert_eq!(t0.roots.len(), 1);
+        let root = &t0.nodes[t0.roots[0]];
+        assert_eq!(
+            (root.name.as_str(), root.calls, root.inclusive_s),
+            ("a", 1, 1.0)
+        );
+        assert_eq!(root.children.len(), 2); // b (×2 calls) and c
+        let b = &t0.nodes[root.children[0]];
+        assert_eq!((b.name.as_str(), b.calls, b.inclusive_s), ("b", 2, 0.5));
+        // exclusive(a) = 1.0 − (0.5 + 0.125)
+        assert_eq!(t0.exclusive_s(t0.roots[0]), 0.375);
+        assert_eq!(a.tracks[1].root_inclusive_s(), 0.5);
+        // The per-name stats pool both tracks.
+        assert_eq!(a.span("a").unwrap().completed(), 2);
+        assert_eq!(a.span("b").unwrap().durations.sum(), 0.5);
+    }
+
+    #[test]
+    fn an_end_closes_only_the_innermost_open_span() {
+        // a, b, /a, /b on one track: the end of a does not close the
+        // innermost open span (b), so it is unmatched and pops nothing;
+        // the end of b then closes b, and a stays open.
+        let lines = "\
+            {\"t\":0.1,\"kind\":\"span_start\",\"name\":\"a\"}\n\
+            {\"t\":0.2,\"kind\":\"span_start\",\"name\":\"b\"}\n\
+            {\"t\":0.3,\"kind\":\"span_end\",\"name\":\"a\",\"dur_s\":0.2}\n\
+            {\"t\":0.4,\"kind\":\"span_end\",\"name\":\"b\",\"dur_s\":0.2}\n";
+        let a = TraceAnalysis::from_reader(lines.as_bytes()).unwrap();
+        let (span_a, span_b) = (a.span("a").unwrap(), a.span("b").unwrap());
+        assert_eq!(
+            (span_a.completed(), span_a.open, span_a.unmatched_ends),
+            (0, 1, 1)
+        );
+        assert_eq!(
+            (span_b.completed(), span_b.open, span_b.unmatched_ends),
+            (1, 0, 0)
+        );
+        assert_eq!(a.open_spans(), [(0, "a")]);
+        assert_eq!(a.unpaired_spans(), 2);
+        let track = &a.tracks[0];
+        let root = &track.nodes[track.roots[0]];
+        assert_eq!(
+            (root.name.as_str(), root.open, root.inclusive_s),
+            ("a", 1, 0.0)
+        );
+        let child = &track.nodes[root.children[0]];
+        assert_eq!(
+            (child.name.as_str(), child.open, child.inclusive_s),
+            ("b", 0, 0.2)
+        );
+    }
+
+    /// Decodes `bytes` one-shot with a [`TraceReader`], and with a
+    /// [`TraceTailer`] that polls the first `split` bytes, then one
+    /// resumed at its offset that polls the whole file; both must see
+    /// the same events and malformed lines.
+    /// The tailer holds back an unterminated final line, so the one-shot
+    /// read covers the complete lines only — all of `bytes` when it ends
+    /// in a newline.
+    fn decoders_agree(bytes: &[u8], split: usize, path: &std::path::Path) -> TestResult {
+        let mut whole = TraceReader::new(bytes);
+        while whole.next_event().map_err(|e| e.to_string())?.is_some() {}
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut reader = TraceReader::new(&bytes[..complete]);
+        let mut expected = Vec::new();
+        while let Some(event) = reader.next_event().map_err(|e| e.to_string())? {
+            expected.push(event);
+        }
+        let io = |e: io::Error| e.to_string();
+        std::fs::write(path, &bytes[..split]).map_err(io)?;
+        let mut first = TraceTailer::follow(path).map_err(io)?;
+        let mut events = first.poll().map_err(io)?;
+        std::fs::write(path, bytes).map_err(io)?;
+        let mut tailer = TraceTailer::resume(path, first.offset()).map_err(io)?;
+        events.extend(tailer.poll().map_err(io)?);
+        ensure(events == expected, || {
+            format!(
+                "split {split}: tailer saw {} events, reader {}",
+                events.len(),
+                expected.len()
+            )
+        })?;
+        let malformed = first.malformed_lines() + tailer.malformed_lines();
+        ensure(malformed == reader.malformed_lines(), || {
+            format!(
+                "split {split}: tailer skipped {malformed} lines, reader {}",
+                reader.malformed_lines()
+            )
+        })?;
+        ensure(tailer.offset() == complete as u64, || {
+            format!("split {split}: offset {} of {complete}", tailer.offset())
+        })
+    }
+
+    #[test]
+    fn decoders_survive_every_truncation_and_byte_mutation() {
+        use crate::check::{self, CheckConfig, Checker};
+        let trace = include_bytes!("../../../experiments/tests/fixtures/run_a/trace.jsonl");
+        let dir = tail_dir("fuzz");
+        let path = dir.join("trace.jsonl");
+        // Every split point of the intact trace: each prefix decodes
+        // one-shot without panicking, and a tailer that stops there
+        // and resumes sees exactly the whole trace.
+        for split in 0..=trace.len() {
+            let mut prefix = TraceReader::new(&trace[..split]);
+            while prefix.next_event().expect("in-memory read").is_some() {}
+            if let Err(e) = decoders_agree(trace, split, &path) {
+                panic!("{e}");
+            }
+        }
+        // Byte mutations, half of them outside ASCII (never UTF-8 on
+        // their own), each tailed across a random split.
+        let checker = Checker::new(CheckConfig {
+            seed: 0x5452_4143, // "TRAC"
+            cases: 512,
+            ..CheckConfig::default()
+        });
+        let gen = (
+            check::usize_in(0, trace.len() - 1),
+            check::usize_in(0, 255),
+            check::usize_in(0, trace.len()),
+        );
+        checker.assert(
+            "analyze.decoders_survive_mutation",
+            &gen,
+            |&(at, byte, split)| {
+                let mut bytes = trace.to_vec();
+                bytes[at] = byte as u8;
+                decoders_agree(&bytes, split, &path)
+            },
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1261,6 +1507,20 @@ mod tests {
         let (line, error) = reader.first_error().expect("bad line recorded");
         assert_eq!(line, 4, "blank lines count toward line numbers");
         assert!(error.contains("bad JSON"), "{error}");
+
+        // Bytes that are not UTF-8 are a malformed line, not an I/O
+        // error that ends the read.
+        let mut bytes = text.into_bytes();
+        bytes[5] = 0xFF;
+        let mut reader = TraceReader::new(&bytes[..]);
+        let mut events = 0;
+        while reader.next_event().expect("not an I/O error").is_some() {
+            events += 1;
+        }
+        assert_eq!((events, reader.malformed_lines()), (2, 2));
+        let (line, error) = reader.first_error().expect("bad line recorded");
+        assert_eq!(line, 1);
+        assert!(error.contains("not UTF-8"), "{error}");
 
         let mut cut = sample_trace();
         cut.truncate(cut.len() - 15);
@@ -1397,57 +1657,6 @@ mod tests {
             assert_eq!(events.len(), 1, "append {k} visible immediately");
             assert_eq!(events[0].field_u64("delta"), Some(k));
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tailer_resume_at_offset_matches_a_one_shot_read() {
-        let dir = tail_dir("resume");
-        let path = dir.join("trace.jsonl");
-        let mut trace = String::new();
-        trace.push_str(&event_line("a", 1));
-        trace.push_str("this line is garbage\n");
-        trace.push_str(&event_line("b", 2));
-        trace.push_str(&event_line("c", 3));
-        std::fs::write(&path, &trace).expect("write");
-
-        // Tail part of the file, remember the offset, then resume.
-        let mut first = TraceTailer::follow(&path).expect("open");
-        let mut streamed: Vec<String> = first
-            .poll()
-            .expect("poll")
-            .iter()
-            .map(|e| e.name.clone())
-            .collect();
-        let malformed = first.malformed_lines();
-        let offset = first.offset();
-        drop(first);
-        let mut resumed = TraceTailer::resume(&path, offset).expect("resume");
-        streamed.extend(resumed.poll().expect("poll").iter().map(|e| e.name.clone()));
-
-        // One-shot batch read of the finished file.
-        let mut reader = TraceReader::open(&path).expect("open");
-        let mut batch = Vec::new();
-        while let Some(event) = reader.next_event().expect("read") {
-            batch.push(event.name.clone());
-        }
-        assert_eq!(streamed, batch);
-        assert_eq!(
-            malformed + resumed.malformed_lines(),
-            reader.malformed_lines()
-        );
-
-        // Resuming mid-stream (after just the first line) also loses
-        // nothing: offset commits are per-line.
-        let first_line = event_line("a", 1).len() as u64;
-        let mut mid = TraceTailer::resume(&path, first_line).expect("resume");
-        let names: Vec<String> = mid
-            .poll()
-            .expect("poll")
-            .iter()
-            .map(|e| e.name.clone())
-            .collect();
-        assert_eq!(names, ["b", "c"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

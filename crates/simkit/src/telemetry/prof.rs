@@ -1,123 +1,33 @@
-//! Hierarchical self-profiler over the span event stream.
+//! Renderers for the per-track call trees that
+//! [`TraceAnalysis`] folds from a trace's span events (the run-level
+//! handle is track 0; sweep workers emit `"track": n` on every event).
+//! Every site carries its call count and inclusive/exclusive wall time.
+//! Three renderings:
 //!
-//! Folds the `span_start`/`span_end` events of a JSONL telemetry trace
-//! into an exact call tree per track (the run-level handle is track 0;
-//! sweep workers emit `"track": n` on every event), with per-site call
-//! counts and inclusive/exclusive wall time. Three renderings:
-//!
-//! * [`Profile::render_tree`] — the full call tree, indented, one line
-//!   per site, deterministic for a given trace (children in first-
-//!   appearance order);
-//! * [`Profile::render_top`] — a flat `top`-style table aggregated
-//!   across tracks. The default ranks by call count and prints **no
-//!   wall-time columns**, so two runs of the same seeded config render
+//! * [`render_tree`] — the full call tree, indented, one line per site,
+//!   deterministic for a given trace (children in first-appearance
+//!   order);
+//! * [`render_top`] — a flat `top`-style table aggregated across
+//!   tracks. The default ranks by call count and prints **no wall-time
+//!   columns**, so two runs of the same seeded config render
 //!   byte-identical output (wall clocks never are); `with_times` adds
 //!   inclusive/exclusive seconds and re-ranks by exclusive time;
-//! * [`Profile::collapsed`] — collapsed-stack lines
-//!   (`track0;a;b <weight>`) compatible with `flamegraph.pl` / inferno,
-//!   weighted by exclusive time in integer microseconds. Weights are
-//!   computed by budgeting each node's integer inclusive time over its
-//!   children, so the total sample weight telescopes *exactly* to the
-//!   sum of the root spans' inclusive time.
+//! * [`collapsed`] — collapsed-stack lines (`track0;a;b <weight>`)
+//!   compatible with `flamegraph.pl` / inferno, weighted by exclusive
+//!   time in integer microseconds. Weights are computed by budgeting
+//!   each node's integer inclusive time over its children, so the total
+//!   sample weight telescopes *exactly* to the sum of the root spans'
+//!   inclusive time.
 //!
-//! Span ends that do not match the innermost open span on their track
-//! are counted as [pairing errors](Profile::pairing_errors) rather than
-//! silently skipped; spans still open at end of trace are reported via
-//! [`Profile::open_spans`].
+//! The tree follows the analysis's one pairing rule: a span end that
+//! does not close the innermost open span on its track is counted as a
+//! pairing error and pops nothing. [`pairing_notes`] reports those
+//! errors and the spans still open at end of trace.
 
-use super::analyze::{ParsedEvent, TraceReader};
-use super::EventKind;
+use super::analyze::{TraceAnalysis, TrackProfile};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader};
-use std::path::Path;
 
-/// One site (span name at one position in the call tree) of a track.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// Span name as emitted, e.g. `"engine.run"`.
-    pub name: String,
-    /// Index of the parent node within the track (`None` for roots).
-    pub parent: Option<usize>,
-    /// Child node indices, in first-appearance order.
-    pub children: Vec<usize>,
-    /// Number of times this site was entered.
-    pub calls: u64,
-    /// Total wall time inside this site, children included (from the
-    /// `dur_s` field of the matching span ends).
-    pub inclusive_s: f64,
-    /// Spans entered but never closed by end of trace.
-    pub open: u64,
-}
-
-/// The call tree of one track (worker lane).
-#[derive(Debug, Clone, Default)]
-pub struct TrackProfile {
-    /// Track id (0 = the run-level handle).
-    pub track: u64,
-    /// All nodes, in creation order; tree edges are index-based.
-    pub nodes: Vec<Node>,
-    /// Indices of top-level nodes, in first-appearance order.
-    pub roots: Vec<usize>,
-    /// The currently-open span stack (node indices), transient state
-    /// while folding a stream.
-    stack: Vec<usize>,
-}
-
-impl TrackProfile {
-    /// Wall time exclusive to `node` (inclusive minus the children's
-    /// inclusive time, clamped at zero against timer jitter).
-    pub fn exclusive_s(&self, node: usize) -> f64 {
-        let n = &self.nodes[node];
-        let children: f64 = n.children.iter().map(|&c| self.nodes[c].inclusive_s).sum();
-        (n.inclusive_s - children).max(0.0)
-    }
-
-    /// Sum of the root spans' inclusive time — the track's total
-    /// profiled wall time.
-    pub fn root_inclusive_s(&self) -> f64 {
-        self.roots.iter().map(|&r| self.nodes[r].inclusive_s).sum()
-    }
-
-    fn find_or_create(&mut self, name: &str) -> usize {
-        let (siblings, parent) = match self.stack.last() {
-            Some(&top) => (&self.nodes[top].children, Some(top)),
-            None => (&self.roots, None),
-        };
-        if let Some(found) = siblings
-            .iter()
-            .copied()
-            .find(|&idx| self.nodes[idx].name == name)
-        {
-            return found;
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(Node {
-            name: name.to_string(),
-            parent,
-            children: Vec::new(),
-            calls: 0,
-            inclusive_s: 0.0,
-            open: 0,
-        });
-        match parent {
-            Some(p) => self.nodes[p].children.push(idx),
-            None => self.roots.push(idx),
-        }
-        idx
-    }
-}
-
-/// A full multi-track profile folded from a span event stream.
-#[derive(Debug, Clone, Default)]
-pub struct Profile {
-    /// Per-track call trees, ordered by track id (tracks are created on
-    /// first sight but rendered sorted).
-    tracks: Vec<TrackProfile>,
-    pairing_errors: u64,
-}
-
-/// One row of the aggregated [`Profile::render_top`] table.
+/// One row of the aggregated [`render_top`] table.
 #[derive(Debug, Clone)]
 struct TopRow {
     name: String,
@@ -127,257 +37,174 @@ struct TopRow {
     exclusive_s: f64,
 }
 
-impl Profile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        Profile::default()
-    }
+/// The analysis's tracks sorted by track id.
+fn sorted_tracks(analysis: &TraceAnalysis) -> Vec<&TrackProfile> {
+    let mut tracks: Vec<&TrackProfile> = analysis.tracks.iter().collect();
+    tracks.sort_by_key(|t| t.track);
+    tracks
+}
 
-    /// Folds a whole JSONL trace stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; malformed lines are skipped by the
-    /// underlying [`TraceReader`].
-    pub fn from_reader(reader: impl BufRead) -> io::Result<Self> {
-        let mut trace = TraceReader::new(reader);
-        let mut profile = Profile::new();
-        while let Some(event) = trace.next_event()? {
-            profile.observe(&event);
-        }
-        Ok(profile)
-    }
-
-    /// Folds a trace file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates open/read failures.
-    pub fn from_path(path: &Path) -> io::Result<Self> {
-        Profile::from_reader(BufReader::new(File::open(path)?))
-    }
-
-    /// Folds one event in (non-span kinds are ignored).
-    pub fn observe(&mut self, event: &ParsedEvent) {
-        match event.kind {
-            EventKind::SpanStart | EventKind::SpanEnd => {}
-            _ => return,
-        }
-        let track_id = event.field_u64("track").unwrap_or(0);
-        let track = match self.tracks.iter().position(|t| t.track == track_id) {
-            Some(i) => &mut self.tracks[i],
-            None => {
-                self.tracks.push(TrackProfile {
-                    track: track_id,
-                    ..TrackProfile::default()
-                });
-                self.tracks.last_mut().expect("just pushed")
-            }
-        };
-        match event.kind {
-            EventKind::SpanStart => {
-                let idx = track.find_or_create(&event.name);
-                track.nodes[idx].calls += 1;
-                track.nodes[idx].open += 1;
-                track.stack.push(idx);
-            }
-            EventKind::SpanEnd => match track.stack.last().copied() {
-                Some(top) if track.nodes[top].name == event.name => {
-                    track.stack.pop();
-                    track.nodes[top].open -= 1;
-                    track.nodes[top].inclusive_s += event.field_f64("dur_s").unwrap_or(0.0);
+fn top_rows(analysis: &TraceAnalysis) -> Vec<TopRow> {
+    let mut rows: Vec<TopRow> = Vec::new();
+    for track in &analysis.tracks {
+        let mut seen_names: Vec<&str> = Vec::new();
+        for (idx, node) in track.nodes.iter().enumerate() {
+            let i = match rows.iter().position(|r| r.name == node.name) {
+                Some(i) => i,
+                None => {
+                    rows.push(TopRow {
+                        name: node.name.clone(),
+                        calls: 0,
+                        tracks: 0,
+                        inclusive_s: 0.0,
+                        exclusive_s: 0.0,
+                    });
+                    rows.len() - 1
                 }
-                _ => self.pairing_errors += 1,
-            },
-            _ => unreachable!(),
-        }
-    }
-
-    /// Per-track call trees, sorted by track id.
-    pub fn tracks(&self) -> Vec<&TrackProfile> {
-        let mut tracks: Vec<&TrackProfile> = self.tracks.iter().collect();
-        tracks.sort_by_key(|t| t.track);
-        tracks
-    }
-
-    /// Span ends that did not match the innermost open span.
-    pub fn pairing_errors(&self) -> u64 {
-        self.pairing_errors
-    }
-
-    /// Spans still open at end of trace, across all tracks.
-    pub fn open_spans(&self) -> u64 {
-        self.tracks
-            .iter()
-            .flat_map(|t| t.nodes.iter())
-            .map(|n| n.open)
-            .sum()
-    }
-
-    /// Sum of every track's root-span inclusive time.
-    pub fn root_inclusive_s(&self) -> f64 {
-        self.tracks.iter().map(TrackProfile::root_inclusive_s).sum()
-    }
-
-    fn top_rows(&self) -> Vec<TopRow> {
-        let mut rows: Vec<TopRow> = Vec::new();
-        for track in &self.tracks {
-            let mut seen_names: Vec<&str> = Vec::new();
-            for (idx, node) in track.nodes.iter().enumerate() {
-                let row = match rows.iter_mut().find(|r| r.name == node.name) {
-                    Some(row) => row,
-                    None => {
-                        rows.push(TopRow {
-                            name: node.name.clone(),
-                            calls: 0,
-                            tracks: 0,
-                            inclusive_s: 0.0,
-                            exclusive_s: 0.0,
-                        });
-                        rows.last_mut().expect("just pushed")
-                    }
-                };
-                row.calls += node.calls;
-                // The same name can appear at several tree positions in
-                // one track; count the track once per name.
-                if !seen_names.contains(&node.name.as_str()) {
-                    row.tracks += 1;
-                    seen_names.push(&node.name);
-                }
-                row.inclusive_s += node.inclusive_s;
-                row.exclusive_s += track.exclusive_s(idx);
+            };
+            let row = &mut rows[i];
+            row.calls += node.calls;
+            // The same name can appear at several tree positions in
+            // one track; count the track once per name.
+            if !seen_names.contains(&node.name.as_str()) {
+                row.tracks += 1;
+                seen_names.push(&node.name);
             }
+            row.inclusive_s += node.inclusive_s;
+            row.exclusive_s += track.exclusive_s(idx);
         }
-        rows
     }
+    rows
+}
 
-    /// Renders the `top`-style site table.
-    ///
-    /// Without `with_times` the output is structural only (site, calls,
-    /// tracks; ranked by call count, then name) and therefore
-    /// byte-identical across repeated runs of the same seeded config.
-    /// With `with_times`, inclusive/exclusive seconds and an
-    /// exclusive-share column are added and rows re-rank by exclusive
-    /// time.
-    pub fn render_top(&self, with_times: bool) -> String {
-        let mut rows = self.top_rows();
-        if with_times {
-            rows.sort_by(|a, b| {
-                b.exclusive_s
-                    .total_cmp(&a.exclusive_s)
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-        } else {
-            rows.sort_by(|a, b| b.calls.cmp(&a.calls).then_with(|| a.name.cmp(&b.name)));
-        }
-        let total_excl: f64 = rows.iter().map(|r| r.exclusive_s).sum();
-        let mut out = String::new();
-        if with_times {
-            let _ = writeln!(
-                out,
-                "{:<32} {:>8} {:>7} {:>12} {:>12} {:>7}",
-                "site", "calls", "tracks", "incl s", "excl s", "excl %"
-            );
-        } else {
-            let _ = writeln!(out, "{:<32} {:>8} {:>7}", "site", "calls", "tracks");
-        }
-        for row in &rows {
-            if with_times {
-                let share = if total_excl > 0.0 {
-                    100.0 * row.exclusive_s / total_excl
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<32} {:>8} {:>7} {:>12.6} {:>12.6} {:>6.1}%",
-                    row.name, row.calls, row.tracks, row.inclusive_s, row.exclusive_s, share
-                );
-            } else {
-                let _ = writeln!(out, "{:<32} {:>8} {:>7}", row.name, row.calls, row.tracks);
-            }
-        }
-        self.append_footnotes(&mut out);
-        out
+/// Renders the `top`-style site table.
+///
+/// Without `with_times` the output is structural only (site, calls,
+/// tracks; ranked by call count, then name) and therefore
+/// byte-identical across repeated runs of the same seeded config.
+/// With `with_times`, inclusive/exclusive seconds and an
+/// exclusive-share column are added and rows re-rank by exclusive
+/// time.
+pub fn render_top(analysis: &TraceAnalysis, with_times: bool) -> String {
+    let mut rows = top_rows(analysis);
+    if with_times {
+        rows.sort_by(|a, b| {
+            b.exclusive_s
+                .total_cmp(&a.exclusive_s)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+    } else {
+        rows.sort_by(|a, b| b.calls.cmp(&a.calls).then_with(|| a.name.cmp(&b.name)));
     }
-
-    /// Renders the full per-track call tree: one indented line per
-    /// site with calls and inclusive/exclusive wall time.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        for track in self.tracks() {
-            let label = if track.track == 0 { " (run)" } else { "" };
-            let _ = writeln!(
-                out,
-                "track {}{label} — {:.6}s profiled",
-                track.track,
-                track.root_inclusive_s()
-            );
-            for &root in &track.roots {
-                self.render_node(track, root, 1, &mut out);
-            }
-        }
-        self.append_footnotes(&mut out);
-        out
-    }
-
-    fn render_node(&self, track: &TrackProfile, idx: usize, depth: usize, out: &mut String) {
-        let node = &track.nodes[idx];
-        let indent = "  ".repeat(depth);
-        let site = format!("{indent}{}", node.name);
+    let total_excl: f64 = rows.iter().map(|r| r.exclusive_s).sum();
+    let mut out = String::new();
+    if with_times {
         let _ = writeln!(
             out,
-            "{site:<40} calls {:>7}  incl {:>11.6}s  excl {:>11.6}s{}",
-            node.calls,
-            node.inclusive_s,
-            track.exclusive_s(idx),
-            if node.open > 0 { "  [open]" } else { "" },
+            "{:<32} {:>8} {:>7} {:>12} {:>12} {:>7}",
+            "site", "calls", "tracks", "incl s", "excl s", "excl %"
         );
-        for &child in &node.children {
-            self.render_node(track, child, depth + 1, out);
-        }
+    } else {
+        let _ = writeln!(out, "{:<32} {:>8} {:>7}", "site", "calls", "tracks");
     }
-
-    fn append_footnotes(&self, out: &mut String) {
-        if self.pairing_errors > 0 {
+    for row in &rows {
+        if with_times {
+            let share = if total_excl > 0.0 {
+                100.0 * row.exclusive_s / total_excl
+            } else {
+                0.0
+            };
             let _ = writeln!(
                 out,
-                "warning: {} span pairing error(s)",
-                self.pairing_errors
+                "{:<32} {:>8} {:>7} {:>12.6} {:>12.6} {:>6.1}%",
+                row.name, row.calls, row.tracks, row.inclusive_s, row.exclusive_s, share
             );
-        }
-        let open = self.open_spans();
-        if open > 0 {
-            let _ = writeln!(out, "note: {open} span(s) still open at end of trace");
+        } else {
+            let _ = writeln!(out, "{:<32} {:>8} {:>7}", row.name, row.calls, row.tracks);
         }
     }
+    out.push_str(&pairing_notes(analysis));
+    out
+}
 
-    /// Renders collapsed-stack lines (`track0;engine.run;... <weight>`)
-    /// for `flamegraph.pl` / inferno, sorted lexicographically.
-    ///
-    /// Weights are exclusive wall time in integer microseconds,
-    /// budgeted so they telescope exactly: each node's integer
-    /// inclusive time is split over its children (clipped to the
-    /// remaining budget, in order) with the remainder kept as the
-    /// node's own weight, so the total sample weight equals the sum of
-    /// the root spans' integer inclusive time. Zero-weight frames are
-    /// omitted.
-    pub fn collapsed(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        for track in self.tracks() {
-            let prefix = format!("track{}", track.track);
-            for &root in &track.roots {
-                let budget = us(track.nodes[root].inclusive_s);
-                collapse_node(track, root, budget, &prefix, &mut lines);
-            }
+/// Renders the full per-track call tree: one indented line per
+/// site with calls and inclusive/exclusive wall time.
+pub fn render_tree(analysis: &TraceAnalysis) -> String {
+    let mut out = String::new();
+    for track in sorted_tracks(analysis) {
+        let label = if track.track == 0 { " (run)" } else { "" };
+        let _ = writeln!(
+            out,
+            "track {}{label} — {:.6}s profiled",
+            track.track,
+            track.root_inclusive_s()
+        );
+        for &root in &track.roots {
+            render_node(track, root, 1, &mut out);
         }
-        lines.sort();
-        let mut out = lines.join("\n");
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out
     }
+    out.push_str(&pairing_notes(analysis));
+    out
+}
+
+fn render_node(track: &TrackProfile, idx: usize, depth: usize, out: &mut String) {
+    let node = &track.nodes[idx];
+    let indent = "  ".repeat(depth);
+    let site = format!("{indent}{}", node.name);
+    let _ = writeln!(
+        out,
+        "{site:<40} calls {:>7}  incl {:>11.6}s  excl {:>11.6}s{}",
+        node.calls,
+        node.inclusive_s,
+        track.exclusive_s(idx),
+        if node.open > 0 { "  [open]" } else { "" },
+    );
+    for &child in &node.children {
+        render_node(track, child, depth + 1, out);
+    }
+}
+
+/// The pairing footnotes of every rendering: span ends that closed no
+/// innermost open span, and spans still open at end of trace. Empty for
+/// a cleanly recorded trace.
+pub fn pairing_notes(analysis: &TraceAnalysis) -> String {
+    let mut out = String::new();
+    let errors: u64 = analysis.spans.iter().map(|(_, s)| s.unmatched_ends).sum();
+    if errors > 0 {
+        let _ = writeln!(out, "warning: {errors} span pairing error(s)");
+    }
+    let open = analysis.open_spans().len();
+    if open > 0 {
+        let _ = writeln!(out, "note: {open} span(s) still open at end of trace");
+    }
+    out
+}
+
+/// Renders collapsed-stack lines (`track0;engine.run;... <weight>`)
+/// for `flamegraph.pl` / inferno, sorted lexicographically.
+///
+/// Weights are exclusive wall time in integer microseconds,
+/// budgeted so they telescope exactly: each node's integer
+/// inclusive time is split over its children (clipped to the
+/// remaining budget, in order) with the remainder kept as the
+/// node's own weight, so the total sample weight equals the sum of
+/// the root spans' integer inclusive time. Zero-weight frames are
+/// omitted.
+pub fn collapsed(analysis: &TraceAnalysis) -> String {
+    let mut lines: Vec<String> = Vec::new();
+    for track in sorted_tracks(analysis) {
+        let prefix = format!("track{}", track.track);
+        for &root in &track.roots {
+            let budget = us(track.nodes[root].inclusive_s);
+            collapse_node(track, root, budget, &prefix, &mut lines);
+        }
+    }
+    lines.sort();
+    let mut out = lines.join("\n");
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out
 }
 
 /// Seconds to whole microseconds (the collapsed-stack sample unit).
@@ -410,14 +237,10 @@ mod tests {
     use super::*;
     use crate::telemetry::analyze::ParsedEvent;
 
-    fn event(line: &str) -> ParsedEvent {
-        ParsedEvent::from_line(line).expect("test event parses")
-    }
-
     /// Synthetic two-track trace with power-of-two durations so float
     /// arithmetic is exact: track 0 runs a;b;b;c, track 2 runs a alone.
-    fn sample() -> Profile {
-        let mut p = Profile::new();
+    fn sample() -> TraceAnalysis {
+        let mut analysis = TraceAnalysis::exact();
         for line in [
             r#"{"t":0.0,"kind":"span_start","name":"a"}"#,
             r#"{"t":0.1,"kind":"span_start","name":"b"}"#,
@@ -430,73 +253,14 @@ mod tests {
             r#"{"t":0.1,"kind":"span_start","name":"a","track":2}"#,
             r#"{"t":0.2,"kind":"span_end","name":"a","dur_s":0.5,"track":2}"#,
         ] {
-            p.observe(&event(line));
+            analysis.observe(&ParsedEvent::from_line(line).expect("test event parses"));
         }
-        p
-    }
-
-    #[test]
-    fn builds_an_exact_call_tree_per_track() {
-        let p = sample();
-        assert_eq!(p.pairing_errors(), 0);
-        assert_eq!(p.open_spans(), 0);
-        let tracks = p.tracks();
-        assert_eq!(tracks.len(), 2);
-        assert_eq!(tracks[0].track, 0);
-        assert_eq!(tracks[1].track, 2);
-
-        let t0 = tracks[0];
-        assert_eq!(t0.roots.len(), 1);
-        let a = &t0.nodes[t0.roots[0]];
-        assert_eq!(a.name, "a");
-        assert_eq!(a.calls, 1);
-        assert_eq!(a.inclusive_s, 1.0);
-        assert_eq!(a.children.len(), 2); // b (×2 calls) and c
-        let b = &t0.nodes[a.children[0]];
-        assert_eq!((b.name.as_str(), b.calls, b.inclusive_s), ("b", 2, 0.5));
-        // exclusive(a) = 1.0 − (0.5 + 0.125)
-        assert_eq!(t0.exclusive_s(t0.roots[0]), 0.375);
-        assert_eq!(p.root_inclusive_s(), 1.5);
-    }
-
-    #[test]
-    fn mismatched_end_counts_as_pairing_error() {
-        let mut p = Profile::new();
-        p.observe(&event(r#"{"t":0.0,"kind":"span_start","name":"a"}"#));
-        p.observe(&event(
-            r#"{"t":0.1,"kind":"span_end","name":"zzz","dur_s":0.1}"#,
-        ));
-        assert_eq!(p.pairing_errors(), 1);
-        assert_eq!(p.open_spans(), 1); // "a" never closed
-    }
-
-    #[test]
-    fn same_name_on_different_tracks_does_not_cross_pair() {
-        // Interleaved identical span names on two tracks must pair
-        // within their own track only.
-        let mut p = Profile::new();
-        p.observe(&event(
-            r#"{"t":0.0,"kind":"span_start","name":"w","track":1}"#,
-        ));
-        p.observe(&event(
-            r#"{"t":0.0,"kind":"span_start","name":"w","track":2}"#,
-        ));
-        p.observe(&event(
-            r#"{"t":0.1,"kind":"span_end","name":"w","dur_s":0.5,"track":2}"#,
-        ));
-        p.observe(&event(
-            r#"{"t":0.2,"kind":"span_end","name":"w","dur_s":1.0,"track":1}"#,
-        ));
-        assert_eq!(p.pairing_errors(), 0);
-        let tracks = p.tracks();
-        assert_eq!(tracks[0].nodes[0].inclusive_s, 1.0);
-        assert_eq!(tracks[1].nodes[0].inclusive_s, 0.5);
+        analysis
     }
 
     #[test]
     fn collapsed_weights_telescope_to_root_inclusive() {
-        let p = sample();
-        let collapsed = p.collapsed();
+        let collapsed = collapsed(&sample());
         let total: u64 = collapsed
             .lines()
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
@@ -519,30 +283,31 @@ mod tests {
 
     #[test]
     fn top_default_is_structural_and_ranked_by_calls() {
-        let p = sample();
-        let top = p.render_top(false);
+        let analysis = sample();
+        let top = render_top(&analysis, false);
         assert!(!top.contains("excl"), "default top must not print times");
         let b_line = top.lines().find(|l| l.starts_with('b')).unwrap();
         let a_line = top.lines().find(|l| l.starts_with('a')).unwrap();
         // b has 2 calls on 1 track; a has 2 calls on 2 tracks.
         assert!(b_line.contains('2'));
         assert!(a_line.contains('2'));
-        let timed = p.render_top(true);
+        let timed = render_top(&analysis, true);
         assert!(timed.contains("excl s"));
-        // Ranked by exclusive: b (0.5) before a (0.375 + 0.5 = 0.875)…
-        // actually a aggregates both tracks, so a leads.
+        // Ranked by exclusive time: a (0.375 on track 0 + 0.5 on
+        // track 2) leads b (0.5).
         let first_site = timed.lines().nth(1).unwrap();
         assert!(first_site.starts_with('a'));
     }
 
     #[test]
     fn tree_report_is_deterministic_for_a_given_trace() {
-        let p = sample();
-        assert_eq!(p.render_tree(), p.render_tree());
-        let tree = p.render_tree();
+        let analysis = sample();
+        let tree = render_tree(&analysis);
+        assert_eq!(tree, render_tree(&analysis));
         assert!(tree.contains("track 0 (run)"));
         assert!(tree.contains("track 2"));
         assert!(tree.contains("  a"));
         assert!(tree.contains("    b"));
+        assert!(!tree.contains("warning") && !tree.contains("note"));
     }
 }

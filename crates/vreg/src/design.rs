@@ -96,19 +96,6 @@ impl RegulatorDesign {
         }
     }
 
-    /// A representative on-chip switched-capacitor design point
-    /// (Andersen et al.: 86 % at 4.6 W/mm²).
-    pub fn switched_capacitor() -> Self {
-        RegulatorDesign {
-            name: "SC".to_string(),
-            topology: RegulatorTopology::SwitchedCapacitor,
-            curve: EfficiencyCurve::scaled_reference(0.86, Amps::new(1.2))
-                .expect("static parameters"),
-            pout_per_area_w_mm2: 4.6,
-            response_time: Seconds::from_nanos(5.0),
-        }
-    }
-
     /// Design name.
     pub fn name(&self) -> &str {
         &self.name

@@ -169,20 +169,20 @@ fn parallel_sweep_produces_per_worker_tracks_with_paired_spans() {
 
     // Folding the cross-thread trace into call trees must find every
     // span paired on its own track, with one track per sweep cell.
-    let profile = simkit::telemetry::prof::Profile::from_path(&dir.join(TRACE_FILE))
-        .expect("trace folds into a profile");
+    let analysis =
+        TraceAnalysis::from_path(&dir.join(TRACE_FILE)).expect("trace folds into call trees");
+    let unmatched_ends: u64 = analysis.spans.iter().map(|(_, s)| s.unmatched_ends).sum();
     assert_eq!(
-        profile.pairing_errors(),
-        0,
+        unmatched_ends, 0,
         "cross-thread spans must pair cleanly per track"
     );
-    assert_eq!(profile.open_spans(), 0, "all spans must close");
-    let track_ids: BTreeSet<u64> = profile.tracks().iter().map(|t| t.track).collect();
+    assert_eq!(analysis.open_spans(), [], "all spans must close");
+    let track_ids: BTreeSet<u64> = analysis.tracks.iter().map(|t| t.track).collect();
     assert!(
         track_ids.contains(&1) && track_ids.contains(&2),
         "each worker cell must trace on its own track (saw {track_ids:?})"
     );
-    for track in profile.tracks() {
+    for track in &analysis.tracks {
         if track.track == 0 {
             continue; // run-level handle carries only instants
         }
