@@ -185,6 +185,15 @@ set -e
 test "$rc" -eq 2
 grep -q 'ablation_vr_count' target/ci/repro_nope.err
 
+echo "== repro: a cold standard run prints EXPERIMENTS.md's summary table =="
+# EXPERIMENTS.md's summary table is what `repro all --quiet` prints at the
+# standard configuration from an empty sweep cache. A change that moves a
+# cell regenerates the table in the same change, and this diff shows it.
+rm -rf target/experiments/full
+"$REPRO" all --quiet > target/ci/repro_full.md 2> target/ci/repro_full.err
+sed -n '/^| ID |/,/^$/p' EXPERIMENTS.md | sed '/^$/d' > target/ci/experiments_table.md
+diff target/ci/experiments_table.md target/ci/repro_full.md
+
 echo "== tg-obs: perf snapshot gated against the committed BENCH_ref.json =="
 # The capture takes the reference's policies and grids, so every axis is
 # shared: solver solve and iteration counts must match the reference

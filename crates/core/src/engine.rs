@@ -26,7 +26,11 @@
 //! reuses it. Likewise a synthetic trace depends only on the chip, the
 //! workload spec and the trace duration, so an engine keeps the last
 //! synthetic run's resampled steps and a synthetic run of the same spec
-//! replays them instead of generating the trace again.
+//! replays them instead of generating the trace again. A run also drops
+//! the PDN's IR warm starts before its first analysis, so a record
+//! depends only on the spec and the configuration, never on what the
+//! engine ran before: a batch worker keeps one engine for every cell of
+//! one configuration.
 //!
 //! A run uses two threads. Once the trace phase ends, a scoped producer
 //! thread (see `windows`) draws each noise window and convolves it into
@@ -987,9 +991,9 @@ impl<'c> SimulationEngine<'c> {
     }
 
     /// The one run path after the `trace` phase (timed into `perf`):
-    /// start drawing the noise windows of the resampled trace steps
-    /// `acts` on a producer thread, and run [`Self::run_decisions`]
-    /// against them.
+    /// drop the PDN's IR warm starts, start drawing the noise windows of
+    /// the resampled trace steps `acts` on a producer thread, and run
+    /// [`Self::run_decisions`] against them.
     fn replay(
         &self,
         policy: PolicyKind,
@@ -997,6 +1001,11 @@ impl<'c> SimulationEngine<'c> {
         acts: &[Vec<f64>],
         perf: PhaseTimes,
     ) -> Result<SimulationResult> {
+        // The memos replay only what a run would recompute bit for bit,
+        // the solvers are pure functions of the configuration and the
+        // key, and without its warm starts a CG IR solve is too: a run
+        // does not depend on the runs this engine made before.
+        self.pdn.forget_warm_starts();
         let cfg = &self.config;
         let spd = self.steps_per_decision;
         // Noise windows, evenly spread over the run; the off-chip policy

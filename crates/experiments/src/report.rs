@@ -1,7 +1,7 @@
 //! Plain-text rendering of tables, series, and heat maps.
 
 use simkit::perf::SolverProfile;
-use simkit::telemetry::analyze::TraceAnalysis;
+use simkit::telemetry::analyze::{SpanStats, TraceAnalysis};
 
 /// A column-aligned text table.
 ///
@@ -254,7 +254,7 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
                 name.clone(),
                 s.completed().to_string(),
                 s.open.to_string(),
-                fmt_opt(Some(s.durations.sum()), 3),
+                fmt_total(span_total_s(s)),
                 fmt_opt(s.durations.percentile(50.0), 3),
                 fmt_opt(s.durations.max(), 3),
             ]);
@@ -314,6 +314,23 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
     out
 }
 
+/// A span's total time, `+0.0` when it has none: the sum over no
+/// samples starts at −0.0, which would print as `-0.000` (adding +0.0
+/// turns −0.0 into +0.0 and leaves every other sum as it is).
+fn span_total_s(s: &SpanStats) -> f64 {
+    s.durations.sum() + 0.0
+}
+
+/// A span total for the summary table: `0` when no time was recorded,
+/// else seconds to the millisecond.
+fn fmt_total(total: f64) -> String {
+    if total == 0.0 {
+        "0".to_string()
+    } else {
+        format!("{total:.3}")
+    }
+}
+
 /// Schema identifier of `tg-obs summarize --json` documents.
 pub const SUMMARY_SCHEMA: &str = "thermogater.summary/v1";
 
@@ -321,7 +338,10 @@ pub const SUMMARY_SCHEMA: &str = "thermogater.summary/v1";
 /// (schema [`SUMMARY_SCHEMA`]) with a fixed member order — members in
 /// the order written here, collections in trace first-appearance order
 /// — so identical runs serialise byte-identically and scripts stop
-/// scraping the human table.
+/// scraping the human table. Each `spans` entry carries `name`,
+/// `completed`, `open` (starts never ended), `unmatched_ends` (ends that
+/// closed no innermost open span on their track), `total_s` (0 for a
+/// span that never completed), `p50_s` and `max_s`.
 pub fn analysis_json(
     analysis: &TraceAnalysis,
     manifest: Option<&simkit::telemetry::manifest::RunManifest>,
@@ -407,12 +427,13 @@ pub fn analysis_json(
         out.push_str("{\"name\":");
         write_str(&mut out, name);
         out.push_str(&format!(
-            ",\"completed\":{},\"open\":{}",
+            ",\"completed\":{},\"open\":{},\"unmatched_ends\":{}",
             s.completed(),
-            s.open
+            s.open,
+            s.unmatched_ends
         ));
         for (key, value) in [
-            ("total_s", Some(s.durations.sum())),
+            ("total_s", Some(span_total_s(s))),
             ("p50_s", s.durations.percentile(50.0)),
             ("max_s", s.durations.max()),
         ] {
@@ -699,6 +720,15 @@ mod tests {
             let parsed = ParsedEvent::from_line(&event.to_json()).unwrap();
             analysis.observe(&parsed);
         }
+        // Mis-nested a, b, /a, /b: the end of a is unmatched, a stays open.
+        for line in [
+            r#"{"t":1.0,"kind":"span_start","name":"a"}"#,
+            r#"{"t":1.1,"kind":"span_start","name":"b"}"#,
+            r#"{"t":1.2,"kind":"span_end","name":"a","dur_s":0.2}"#,
+            r#"{"t":1.3,"kind":"span_end","name":"b","dur_s":0.2}"#,
+        ] {
+            analysis.observe(&ParsedEvent::from_line(line).unwrap());
+        }
 
         let doc = analysis_json(&analysis, None);
         assert_eq!(doc, analysis_json(&analysis, None), "byte-stable");
@@ -716,6 +746,22 @@ mod tests {
             counters[0].get("name").and_then(|v| v.as_str()),
             Some("engine.decisions")
         );
+        let spans = parsed.get("spans").and_then(|v| v.as_array()).unwrap();
+        let span = |name: &str| {
+            let span = spans
+                .iter()
+                .find(|s| s.get("name").and_then(|v| v.as_str()) == Some(name))
+                .unwrap();
+            ["completed", "open", "unmatched_ends", "total_s"]
+                .map(|key| span.get(key).and_then(|v| v.as_f64()).unwrap())
+        };
+        assert_eq!(span("engine.run")[..3], [1.0, 0.0, 0.0]);
+        assert_eq!(span("a"), [0.0, 1.0, 1.0, 0.0]);
+        assert_eq!(span("b"), [1.0, 0.0, 0.0, 0.2]);
+        // A span that never completed totals 0, not -0.
+        assert!(doc.contains(
+            "\"name\":\"a\",\"completed\":0,\"open\":1,\"unmatched_ends\":1,\"total_s\":0,"
+        ));
         assert!(parsed.get("gating").unwrap().get("decisions").is_some());
         assert!(parsed.get("emergency").unwrap().is_null());
         assert!(parsed.get("manifest").unwrap().is_null());

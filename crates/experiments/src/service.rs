@@ -24,18 +24,23 @@
 //!   identical in-flight hashes (one simulation, N waiters), and
 //!   incremental re-evaluation (only hashes absent from the cache are
 //!   simulated). Results are delivered to the caller's closure in
-//!   submission order.
+//!   submission order. Each worker owns one chip and one engine, which
+//!   it keeps from cell to cell and rebuilds only when a cell's engine
+//!   configuration differs from the previous cell's; a run does not
+//!   depend on what its engine ran before, so this changes no record.
 //!
-//! [`ServeCounters`] tallies hits/misses/coalesced/invalid and the
-//! maximum work-queue depth; [`ServeCounters::emit`] publishes them as
-//! `serve.*` telemetry counters so a warm run can prove "zero engine
-//! executions" from its trace alone.
+//! [`ServeCounters`] tallies hits/misses/coalesced/invalid, the engine
+//! builds and the maximum work-queue depth; [`ServeCounters::emit`]
+//! publishes them as `serve.*` telemetry counters so a warm run can
+//! prove "zero engine executions" from its trace alone.
 
 use crate::sweep::{self, SweepRecord};
 use crate::telemetry::TelemetryCtx;
 use floorplan::reference::power8_like;
+use floorplan::Floorplan;
 use simkit::telemetry::manifest::{CellManifest, ContentHasher};
-use simkit::telemetry::EventKind;
+use simkit::telemetry::{EventKind, Telemetry};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -279,6 +284,10 @@ pub struct ServeCounters {
     pub coalesced: AtomicU64,
     /// Cache entries found but rejected (header/record mismatch).
     pub invalid: AtomicU64,
+    /// Engines built to simulate the misses: one per worker and
+    /// configuration change in [`run_batch`], one per miss in
+    /// [`answer_one`].
+    pub engine_builds: AtomicU64,
     depth: AtomicU64,
     depth_max: AtomicU64,
 }
@@ -320,18 +329,32 @@ impl ServeCounters {
         let telemetry = ctx.telemetry();
         telemetry.counter("serve.hits", self.hits.load(Ordering::Relaxed));
         telemetry.counter("serve.misses", self.misses.load(Ordering::Relaxed));
+        telemetry.counter(
+            "serve.engine_builds",
+            self.engine_builds.load(Ordering::Relaxed),
+        );
         telemetry.counter("serve.coalesced", self.coalesced.load(Ordering::Relaxed));
         telemetry.counter("serve.invalid", self.invalid.load(Ordering::Relaxed));
         telemetry.counter("serve.queue_depth_max", self.queue_depth_max());
     }
 }
 
+/// The engine a worker keeps between cells, with the configuration
+/// fields it was built from; empty until the worker's first miss.
+type EngineSlot<'c> = Option<(Vec<(String, String)>, SimulationEngine<'c>)>;
+
 /// Simulates one scenario (the only place the executor touches the
-/// engine), with the per-cell counted telemetry handle when a context
-/// is active. Returns the record and the cell's event count.
-fn simulate_spec(
+/// engine) on the engine in `slot`, first building one on `chip` (built
+/// itself on first use) when the slot is empty or holds another
+/// configuration's. The cell's counted telemetry handle, when a context
+/// is active, replaces the engine's handle. Returns the record and the
+/// cell's event count.
+fn simulate_spec<'c>(
     spec: &ScenarioSpec,
+    chip: &'c OnceCell<Floorplan>,
+    slot: &mut EngineSlot<'c>,
     ctx: Option<&TelemetryCtx>,
+    counters: &ServeCounters,
     quiet: bool,
 ) -> (SweepRecord, u64) {
     if !quiet {
@@ -341,13 +364,20 @@ fn simulate_spec(
             spec.policy.label()
         );
     }
-    let chip = power8_like();
-    let mut engine = SimulationEngine::new(&chip, spec.engine_config.clone());
-    let cell_counter = ctx.map(|ctx| {
-        let (telemetry, counter) = ctx.cell_handle();
-        engine.set_telemetry(telemetry);
-        counter
-    });
+    let fields = spec.engine_config.config_fields();
+    let (_, engine) = match slot.take() {
+        Some((built, engine)) if built == fields => slot.insert((built, engine)),
+        old => {
+            // Drop the old engine before building its successor.
+            drop(old);
+            counters.engine_builds.fetch_add(1, Ordering::Relaxed);
+            let engine =
+                SimulationEngine::new(chip.get_or_init(power8_like), spec.engine_config.clone());
+            slot.insert((fields, engine))
+        }
+    };
+    let (telemetry, cell_counter) = ctx.map(TelemetryCtx::cell_handle).unzip();
+    engine.set_telemetry(telemetry.unwrap_or_else(Telemetry::disabled));
     let result = engine
         .run(spec.benchmark, spec.policy)
         .expect("simulation of a physical configuration succeeds");
@@ -395,8 +425,9 @@ fn report_invalid(
 }
 
 /// Answers one scenario synchronously: cache probe, then simulate and
-/// store on miss (or loud invalidation). The building block of
-/// [`crate::sweep::record_for`] and the `tg-serve` request loop.
+/// store on miss (or loud invalidation) on an engine built for it. The
+/// building block of [`crate::sweep::record_for`] and the `tg-serve`
+/// request loop.
 pub fn answer_one(
     cache: &ScenarioCache,
     spec: &ScenarioSpec,
@@ -423,7 +454,7 @@ pub fn answer_one(
         CacheLookup::Invalid(reason) => report_invalid(cache, spec, &reason, counters),
         CacheLookup::Miss => {}
     }
-    let (record, events) = simulate_spec(spec, ctx, quiet);
+    let (record, events) = simulate_spec(spec, &OnceCell::new(), &mut None, ctx, counters, quiet);
     cache.store(spec, &record);
     counters.misses.fetch_add(1, Ordering::Relaxed);
     let seconds = started.elapsed().as_secs_f64();
@@ -448,7 +479,8 @@ pub fn answer_one(
 /// bounded by the in-flight count, so `specs` may be a lazy iterator
 /// over a file of millions of lines. Identical in-flight hashes
 /// coalesce onto one simulation; scenarios whose hash is already
-/// cached never touch the engine.
+/// cached never touch the engine. Each worker builds its engine on its
+/// first miss and keeps it while the configuration repeats.
 ///
 /// # Panics
 ///
@@ -493,71 +525,78 @@ where
             let result_tx = result_tx.clone();
             let work_rx = &work_rx;
             let inflight = &inflight;
-            scope.spawn(move || loop {
-                let claimed = work_rx.lock().expect("work queue lock").recv();
-                let Ok((index, spec)) = claimed else { break };
-                counters.dequeue();
-                let started = Instant::now();
-                let hash = spec.content_hash();
-                match cache.load(&spec) {
-                    CacheLookup::Hit(record) => {
-                        counters.hits.fetch_add(1, Ordering::Relaxed);
-                        let seconds = started.elapsed().as_secs_f64();
-                        emit_cell_event(ctx, &spec.label(), true, seconds);
+            scope.spawn(move || {
+                let chip = OnceCell::new();
+                let mut slot = None;
+                loop {
+                    let claimed = work_rx.lock().expect("work queue lock").recv();
+                    let Ok((index, spec)) = claimed else { break };
+                    counters.dequeue();
+                    let started = Instant::now();
+                    let hash = spec.content_hash();
+                    match cache.load(&spec) {
+                        CacheLookup::Hit(record) => {
+                            counters.hits.fetch_add(1, Ordering::Relaxed);
+                            let seconds = started.elapsed().as_secs_f64();
+                            emit_cell_event(ctx, &spec.label(), true, seconds);
+                            let _ = result_tx.send(BatchOutcome {
+                                index,
+                                hash,
+                                record,
+                                source: CellSource::Cache,
+                                seconds,
+                                events: 0,
+                            });
+                            continue;
+                        }
+                        CacheLookup::Invalid(reason) => {
+                            report_invalid(cache, &spec, &reason, counters)
+                        }
+                        CacheLookup::Miss => {}
+                    }
+                    {
+                        let mut map = inflight.lock().expect("inflight lock");
+                        if let Some(waiters) = map.get_mut(&hash) {
+                            // An identical scenario is already simulating:
+                            // park this index on it and claim the next item.
+                            waiters.push((index, started));
+                            counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
+                        map.insert(hash, Vec::new());
+                    }
+                    let (record, events) =
+                        simulate_spec(&spec, &chip, &mut slot, ctx, counters, opts.quiet);
+                    cache.store(&spec, &record);
+                    counters.misses.fetch_add(1, Ordering::Relaxed);
+                    let waiters = inflight
+                        .lock()
+                        .expect("inflight lock")
+                        .remove(&hash)
+                        .expect("in-flight entry owned by this worker");
+                    let seconds = started.elapsed().as_secs_f64();
+                    emit_cell_event(ctx, &spec.label(), false, seconds);
+                    for (waiter_index, waiter_started) in waiters {
+                        let waiter_seconds = waiter_started.elapsed().as_secs_f64();
+                        emit_cell_event(ctx, &spec.label(), true, waiter_seconds);
                         let _ = result_tx.send(BatchOutcome {
-                            index,
+                            index: waiter_index,
                             hash,
-                            record,
-                            source: CellSource::Cache,
-                            seconds,
+                            record: record.clone(),
+                            source: CellSource::Coalesced,
+                            seconds: waiter_seconds,
                             events: 0,
                         });
-                        continue;
                     }
-                    CacheLookup::Invalid(reason) => report_invalid(cache, &spec, &reason, counters),
-                    CacheLookup::Miss => {}
-                }
-                {
-                    let mut map = inflight.lock().expect("inflight lock");
-                    if let Some(waiters) = map.get_mut(&hash) {
-                        // An identical scenario is already simulating:
-                        // park this index on it and claim the next item.
-                        waiters.push((index, started));
-                        counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    map.insert(hash, Vec::new());
-                }
-                let (record, events) = simulate_spec(&spec, ctx, opts.quiet);
-                cache.store(&spec, &record);
-                counters.misses.fetch_add(1, Ordering::Relaxed);
-                let waiters = inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&hash)
-                    .expect("in-flight entry owned by this worker");
-                let seconds = started.elapsed().as_secs_f64();
-                emit_cell_event(ctx, &spec.label(), false, seconds);
-                for (waiter_index, waiter_started) in waiters {
-                    let waiter_seconds = waiter_started.elapsed().as_secs_f64();
-                    emit_cell_event(ctx, &spec.label(), true, waiter_seconds);
                     let _ = result_tx.send(BatchOutcome {
-                        index: waiter_index,
+                        index,
                         hash,
-                        record: record.clone(),
-                        source: CellSource::Coalesced,
-                        seconds: waiter_seconds,
-                        events: 0,
+                        record,
+                        source: CellSource::Simulated,
+                        seconds,
+                        events,
                     });
                 }
-                let _ = result_tx.send(BatchOutcome {
-                    index,
-                    hash,
-                    record,
-                    source: CellSource::Simulated,
-                    seconds,
-                    events,
-                });
             });
         }
         drop(result_tx);
@@ -685,6 +724,48 @@ mod tests {
         fs::write(cache.path(&s), text).unwrap();
         assert!(matches!(cache.load(&s), CacheLookup::Invalid(_)));
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_reused_engine_gives_a_fresh_engines_record_under_every_backend() {
+        use simkit::linalg::SolverBackend;
+        // Repeats of a cell come after other benchmarks and policies, and
+        // right after the same benchmark (the trace and θ memos replay).
+        let cells = [
+            (Benchmark::LuNcb, PolicyKind::OracVT),
+            (Benchmark::Barnes, PolicyKind::PracVT),
+            (Benchmark::LuNcb, PolicyKind::PracVT),
+            (Benchmark::LuNcb, PolicyKind::OracVT),
+            (Benchmark::Barnes, PolicyKind::AllOn),
+            (Benchmark::Barnes, PolicyKind::PracVT),
+        ];
+        for solver in [
+            SolverBackend::Direct,
+            SolverBackend::Cg,
+            SolverBackend::Mgcg,
+        ] {
+            let config = EngineConfig {
+                solver,
+                ..crate::context::ExpOptions::tiny().engine_config()
+            };
+            let (chip, mut slot) = (OnceCell::new(), None);
+            let counters = ServeCounters::default();
+            for (benchmark, policy) in cells {
+                let spec = ScenarioSpec::new(benchmark, policy, config.clone());
+                let (reused, _) = simulate_spec(&spec, &chip, &mut slot, None, &counters, true);
+                let (fresh, _) =
+                    simulate_spec(&spec, &OnceCell::new(), &mut None, None, &counters, true);
+                assert_eq!(
+                    reused.to_csv(),
+                    fresh.to_csv(),
+                    "{} under {solver:?}",
+                    spec.label()
+                );
+            }
+            // One build for the reused engine, one per fresh engine.
+            let builds = counters.engine_builds.load(Ordering::Relaxed);
+            assert_eq!(builds, 1 + cells.len() as u64);
+        }
     }
 
     #[test]

@@ -561,7 +561,8 @@ fn validate_pairs_spans_per_track() {
 fn every_reader_pairs_a_mis_nested_trace_the_same_way() {
     // a, b, /a, /b on one track: the end of a does not close the
     // innermost open span (b), so it is one unmatched end and a stays
-    // open — in validate, summarize, the call tree and the flame graph.
+    // open — in validate, summarize, the call tree and the flame graph,
+    // where b keeps its weight.
     let dir = temp_dir("misnest");
     std::fs::write(
         dir.join("trace.jsonl"),
@@ -602,11 +603,21 @@ fn every_reader_pairs_a_mis_nested_trace_the_same_way() {
         summary
             .lines()
             .find(|l| l.starts_with(name))
-            .map(|l| l.split_whitespace().take(3).collect::<Vec<_>>())
+            .map(|l| l.split_whitespace().take(4).collect::<Vec<_>>())
     };
-    // span, completed, open
-    assert_eq!(row("a "), Some(vec!["a", "0", "1"]), "{summary}");
-    assert_eq!(row("b "), Some(vec!["b", "1", "0"]), "{summary}");
+    // span, completed, open, total s: a span that never completed
+    // totals 0, not -0.000.
+    assert_eq!(row("a "), Some(vec!["a", "0", "1", "0"]), "{summary}");
+    assert_eq!(row("b "), Some(vec!["b", "1", "0", "0.200"]), "{summary}");
+    let json = stdout(&tg_obs(&["summarize", run, "--json"]));
+    assert!(
+        json.contains(
+            "{\"name\":\"a\",\"completed\":0,\"open\":1,\"unmatched_ends\":1,\"total_s\":0,"
+        ),
+        "{json}"
+    );
+    // b finished under the open a and keeps its 0.2 s in the flame graph.
+    assert_eq!(stdout(&tg_obs(&["flame", run])), "track0;a;b 200000\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -21,7 +21,7 @@ use simkit::linalg::{
 use simkit::perf::{SolverAgg, Timer};
 use simkit::units::Watts;
 use simkit::{Error, Result};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use vreg::GatingState;
 
 /// Telemetry sites of the IR-drop solves.
@@ -174,7 +174,8 @@ struct DomainGrid {
 /// or refreshed: a factor is reused as is, and CG warm-starts from the
 /// previous IR solution (consecutive decision windows mostly re-solve
 /// one configuration with similar loads, which cuts cold ~2 050-iteration
-/// solves to a handful). A new key patches the values, refreshes the
+/// solves to a handful) until [`PdnModel::forget_warm_starts`] zeroes
+/// it at the start of a run. A new key patches the values, refreshes the
 /// solver (a numeric `refactor`; the symbolic structure survives) and
 /// restarts CG from zero. Under the direct backend a new key also
 /// rebuilds `basis`, and a repeated key solves nothing at all.
@@ -495,6 +496,18 @@ impl PdnModel {
     /// The electrical configuration.
     pub fn config(&self) -> &PdnConfig {
         &self.config
+    }
+
+    /// Drops every domain's IR warm start: the next solve under any key
+    /// starts from zero, as on a fresh model, while the factors, solvers
+    /// and bases stay. A run calls this first, so its analyses do not
+    /// depend on what the model solved before. Under the direct backend
+    /// it changes nothing, since superposition overwrites the voltages.
+    pub fn forget_warm_starts(&self) {
+        let mut scratches = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        for scratch in scratches.iter_mut() {
+            scratch.volts.fill(0.0);
+        }
     }
 
     /// Static IR-drop analysis: solves every domain's local grid with the

@@ -184,18 +184,19 @@ pub fn pairing_notes(analysis: &TraceAnalysis) -> String {
 /// for `flamegraph.pl` / inferno, sorted lexicographically.
 ///
 /// Weights are exclusive wall time in integer microseconds,
-/// budgeted so they telescope exactly: each node's integer
-/// inclusive time is split over its children (clipped to the
-/// remaining budget, in order) with the remainder kept as the
-/// node's own weight, so the total sample weight equals the sum of
-/// the root spans' integer inclusive time. Zero-weight frames are
-/// omitted.
+/// budgeted so they telescope exactly: each node's budget is split over
+/// its children (clipped to the remaining budget, in order) with the
+/// remainder kept as the node's own weight, so the total sample weight
+/// equals the sum of the root spans' budgets. A node's budget is its
+/// integer inclusive time; a span that never completed has none, so its
+/// budget is its children's budgets, and the spans that finished under
+/// it keep their weight. Zero-weight frames are omitted.
 pub fn collapsed(analysis: &TraceAnalysis) -> String {
     let mut lines: Vec<String> = Vec::new();
     for track in sorted_tracks(analysis) {
         let prefix = format!("track{}", track.track);
         for &root in &track.roots {
-            let budget = us(track.nodes[root].inclusive_s);
+            let budget = budget_us(track, root);
             collapse_node(track, root, budget, &prefix, &mut lines);
         }
     }
@@ -212,18 +213,28 @@ fn us(seconds: f64) -> u64 {
     (seconds * 1e6).round().max(0.0) as u64
 }
 
+/// A node's weight budget in microseconds (see [`collapsed`]).
+fn budget_us(track: &TrackProfile, idx: usize) -> u64 {
+    let node = &track.nodes[idx];
+    if node.open < node.calls {
+        us(node.inclusive_s)
+    } else {
+        node.children.iter().map(|&c| budget_us(track, c)).sum()
+    }
+}
+
 fn collapse_node(
     track: &TrackProfile,
     idx: usize,
-    budget_us: u64,
+    budget: u64,
     prefix: &str,
     out: &mut Vec<String>,
 ) {
     let node = &track.nodes[idx];
     let path = format!("{prefix};{}", node.name);
-    let mut remaining = budget_us;
+    let mut remaining = budget;
     for &child in &node.children {
-        let take = us(track.nodes[child].inclusive_s).min(remaining);
+        let take = budget_us(track, child).min(remaining);
         remaining -= take;
         collapse_node(track, child, take, &path, out);
     }
@@ -279,6 +290,22 @@ mod tests {
             s
         };
         assert_eq!(lines, sorted);
+    }
+
+    #[test]
+    fn spans_that_finished_under_an_open_span_keep_their_weight() {
+        // a, b, /a, /b: the end of a is unmatched, so a never completes
+        // and b (0.25 s) finishes under it.
+        let mut analysis = TraceAnalysis::exact();
+        for line in [
+            r#"{"t":0.1,"kind":"span_start","name":"a"}"#,
+            r#"{"t":0.2,"kind":"span_start","name":"b"}"#,
+            r#"{"t":0.3,"kind":"span_end","name":"a","dur_s":0.25}"#,
+            r#"{"t":0.4,"kind":"span_end","name":"b","dur_s":0.25}"#,
+        ] {
+            analysis.observe(&ParsedEvent::from_line(line).expect("test event parses"));
+        }
+        assert_eq!(collapsed(&analysis), "track0;a;b 250000\n");
     }
 
     #[test]

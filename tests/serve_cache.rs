@@ -2,9 +2,10 @@
 //! batch executor behind it: a cold batch fills the cache, a warm batch
 //! answers byte-identically without touching the engine, a changed
 //! engine configuration changes the scenario hash and forces
-//! re-simulation, duplicate in-flight scenarios coalesce onto exactly
-//! one engine run, and a corrupt entry is rejected loudly instead of
-//! served.
+//! re-simulation, a worker keeps its engine while the configuration
+//! repeats and its records equal fresh engines', duplicate in-flight
+//! scenarios coalesce onto exactly one engine run, and a corrupt entry
+//! is rejected loudly instead of served.
 
 use experiments::context::ExpOptions;
 use experiments::service::{
@@ -62,6 +63,9 @@ fn cold_then_warm_batch_is_byte_identical_and_pure_hit() {
     assert_eq!(cold_counters.misses.load(Ordering::Relaxed), 4);
     assert_eq!(cold_counters.hits.load(Ordering::Relaxed), 0);
     assert_eq!(cold_counters.coalesced.load(Ordering::Relaxed), 0);
+    // One configuration: at most one engine per worker.
+    let builds = cold_counters.engine_builds.load(Ordering::Relaxed);
+    assert!((1..=2).contains(&builds), "{builds} engine builds");
     assert!(cold.iter().all(|o| o.source == CellSource::Simulated));
     // Submission order survives the parallel executor.
     assert!(cold.iter().enumerate().all(|(i, o)| o.index == i));
@@ -79,6 +83,7 @@ fn cold_then_warm_batch_is_byte_identical_and_pure_hit() {
     });
     assert_eq!(warm_counters.hits.load(Ordering::Relaxed), 4);
     assert_eq!(warm_counters.misses.load(Ordering::Relaxed), 0);
+    assert_eq!(warm_counters.engine_builds.load(Ordering::Relaxed), 0);
     assert!(warm.iter().all(|o| o.source == CellSource::Cache));
     for (c, w) in cold.iter().zip(&warm) {
         assert_eq!(c.hash, w.hash);
@@ -119,6 +124,53 @@ fn engine_config_change_renames_the_scenario_and_resimulates() {
     // Both entries coexist: content addressing never overwrites.
     assert!(cache.path(&base).exists() && cache.path(&reseeded).exists());
     let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+#[test]
+fn a_worker_rebuilds_its_engine_only_when_the_configuration_changes() {
+    let cache = fresh_cache("rebuild");
+    let reference = fresh_cache("rebuild-fresh");
+    let base = ExpOptions::tiny().engine_config();
+    let mut reseeded = base.clone();
+    reseeded.seed ^= 0x5eed;
+    // Two same-configuration cells, then cells alternating between the
+    // two configurations: builds on cells 0, 2, 3 and 4.
+    let specs: Vec<ScenarioSpec> = [
+        (Benchmark::LuNcb, PolicyKind::OracVT, &base),
+        (Benchmark::Barnes, PolicyKind::PracT, &base),
+        (Benchmark::LuNcb, PolicyKind::OracVT, &reseeded),
+        (Benchmark::Barnes, PolicyKind::AllOn, &base),
+        (Benchmark::Barnes, PolicyKind::PracT, &reseeded),
+    ]
+    .into_iter()
+    .map(|(b, p, config)| ScenarioSpec::new(b, p, config.clone()))
+    .collect();
+    let opts = BatchOptions {
+        quiet: true,
+        ..BatchOptions::for_threads(1)
+    };
+    let counters = ServeCounters::default();
+    let mut outcomes = Vec::new();
+    run_batch(&cache, specs.clone(), &opts, None, &counters, |o| {
+        outcomes.push(o)
+    });
+    assert_eq!(counters.misses.load(Ordering::Relaxed), 5);
+    assert_eq!(counters.engine_builds.load(Ordering::Relaxed), 4);
+    // Each record is a fresh engine's, byte for byte.
+    let fresh_counters = ServeCounters::default();
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
+        let fresh = answer_one(&reference, spec, None, &fresh_counters, true);
+        assert_eq!(fresh.source, CellSource::Simulated);
+        assert_eq!(
+            outcome.record.to_csv(),
+            fresh.record.to_csv(),
+            "{}",
+            spec.label()
+        );
+    }
+    assert_eq!(fresh_counters.engine_builds.load(Ordering::Relaxed), 5);
+    let _ = std::fs::remove_dir_all(cache.dir());
+    let _ = std::fs::remove_dir_all(reference.dir());
 }
 
 #[test]
