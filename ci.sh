@@ -14,7 +14,7 @@ echo "== panic-site ratchet: non-test panic sites may only go down =="
 # Counts .unwrap() / .expect( / panic!( / unreachable!( / todo!( /
 # unimplemented!( in crates/*/src, in each file's lines before its first
 # #[cfg(test)]. Lower PANIC_SITES_MAX when the count falls.
-PANIC_SITES_MAX=87
+PANIC_SITES_MAX=85
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /#\[cfg\(test\)\]/ { in_test = 1 }

@@ -20,17 +20,17 @@
 //!
 //! Every run replays one activity trace ([`SimulationEngine::run_spec`]
 //! generates it, [`SimulationEngine::trace_duration`] long) and profiles
-//! θ on the trace's first `max(profiling_decisions, 3)` decisions. The fit depends on those
-//! steps and the engine alone, never on the policy, so an engine keeps
-//! its last fit and a run whose profiling steps match it bit for bit
-//! reuses it. Likewise a synthetic trace depends only on the chip, the
-//! workload spec and the trace duration, so an engine keeps the last
-//! synthetic run's resampled steps and a synthetic run of the same spec
-//! replays them instead of generating the trace again. A run also drops
-//! the PDN's IR warm starts before its first analysis, so a record
-//! depends only on the spec and the configuration, never on what the
-//! engine ran before: a batch worker keeps one engine for every cell of
-//! one configuration.
+//! θ on the trace's first `max(profiling_decisions, 3)` decisions. A
+//! synthetic trace, and so the θ fitted on its head, depends only on the
+//! chip, the workload spec and the engine's configuration, never on the
+//! policy. So an engine keeps two entries keyed by spec: the last
+//! synthetic run's resampled steps and the last calibrating synthetic
+//! run's fit. A synthetic run of the same spec replays them instead of
+//! generating the trace or profiling θ again; a replayed external trace
+//! neither reads nor writes them. A run also drops the PDN's IR warm
+//! starts before its first analysis, so a record depends only on the
+//! spec and the configuration, never on what the engine ran before: a
+//! batch worker keeps one engine for every cell of one configuration.
 //!
 //! A run uses two threads. Once the trace phase ends, a scoped producer
 //! thread (see `windows`) draws each noise window and convolves it into
@@ -182,8 +182,10 @@ impl EngineConfig {
     /// Checks that an engine can be built and run from this
     /// configuration: a non-empty thermal grid, a thermal step that
     /// divides the decision interval, a finite duration of at least one
-    /// decision interval, and no more noise windows than thermal steps
-    /// (a step measures at most one window). Front ends call it to
+    /// decision interval, no more noise windows than thermal steps (a
+    /// step measures at most one window), and a thermal step that spans
+    /// a whole number of synthetic trace samples
+    /// ([`workload::trace::DEFAULT_DT`]). Front ends call it to
     /// reject bad input with a message instead of the panic
     /// [`SimulationEngine::new`] raises.
     ///
@@ -204,14 +206,12 @@ impl EngineConfig {
             )));
         }
         let interval = self.decision_interval.get();
-        let step = self.thermal_step.get();
-        let spd = (interval / step).round();
-        if !(spd >= 1.0 && spd.is_finite() && (interval - spd * step).abs() < 1e-12) {
+        let Some(spd) = whole_ratio(self.decision_interval, self.thermal_step) else {
             return Err(Error::invalid_argument(format!(
                 "thermal step must divide the decision interval, got {} and {}",
                 self.thermal_step, self.decision_interval
             )));
-        }
+        };
         let duration = self.duration.get();
         if !(duration.is_finite() && duration >= interval * (1.0 - 1e-9)) {
             return Err(Error::invalid_argument(format!(
@@ -219,7 +219,7 @@ impl EngineConfig {
                 self.decision_interval, self.duration
             )));
         }
-        let (spd, n_decisions) = (spd as usize, (duration / interval).round() as usize);
+        let n_decisions = (duration / interval).round() as usize;
         let steps = spd * n_decisions;
         if self.noise_window_count > steps {
             return Err(Error::invalid_argument(format!(
@@ -227,8 +227,26 @@ impl EngineConfig {
                 self.noise_window_count
             )));
         }
+        samples_per_step(self.thermal_step, workload::trace::DEFAULT_DT)?;
         Ok((spd, n_decisions))
     }
+}
+
+/// `whole / part` when it is a positive whole number (to 1e-12 s).
+fn whole_ratio(whole: Seconds, part: Seconds) -> Option<usize> {
+    let n = (whole.get() / part.get()).round();
+    (n >= 1.0 && n.is_finite() && (whole.get() - n * part.get()).abs() < 1e-12)
+        .then_some(n as usize)
+}
+
+/// Trace samples one thermal `step` averages: a step must span a whole
+/// number of samples `dt` apart, or the replay would run fast or slow.
+fn samples_per_step(step: Seconds, dt: Seconds) -> Result<usize> {
+    whole_ratio(step, dt).ok_or_else(|| {
+        Error::invalid_argument(format!(
+            "thermal step must be a whole multiple of the trace's sample interval, got {step} and {dt}"
+        ))
+    })
 }
 
 impl Default for EngineConfig {
@@ -267,44 +285,21 @@ pub struct SimulationEngine<'c> {
     telemetry: Telemetry,
     steps_per_decision: usize,
     n_decisions: usize,
-    /// The last θ fit a run made (see [`ThetaMemo`]).
-    theta: Mutex<Option<ThetaMemo>>,
-    /// The last synthetic run's trace (see [`TraceMemo`]).
-    trace: Mutex<Option<TraceMemo>>,
+    /// What the engine keeps from its last synthetic runs.
+    memo: Mutex<Memo>,
 }
 
-/// A synthetic run's resampled trace steps and the spec they were
-/// generated for: a pure function of the chip, the spec and the
-/// engine's trace duration.
-#[derive(Debug)]
-struct TraceMemo {
-    spec: WorkloadSpec,
-    steps: Arc<Vec<Vec<f64>>>,
-}
-
-/// A θ fit and the profiling steps it was fitted on. The fit is a pure
-/// function of those steps and the engine's immutable configuration:
-/// steady solves take fresh scratch on every call, and the profiling
-/// pass's solves never enter a run's solver profile.
-#[derive(Debug)]
-struct ThetaMemo {
-    /// The profiling steps' activities, one step after another in one
-    /// allocation: every step has one activity per block, so the
-    /// flattened steps determine the steps.
-    steps: Vec<f64>,
-    fit: (ThermalPredictor, f64),
-}
-
-impl ThetaMemo {
-    /// Whether `steps` equal the fitted steps bit for bit.
-    fn matches(&self, steps: &[Vec<f64>]) -> bool {
-        let mut fitted = self.steps.iter();
-        steps
-            .iter()
-            .flatten()
-            .all(|x| fitted.next().is_some_and(|y| x.to_bits() == y.to_bits()))
-            && fitted.next().is_none()
-    }
+/// The entries an engine keeps from its last synthetic runs, each keyed
+/// by the spec it was made for: a synthetic run's trace steps and θ fit
+/// are pure functions of the chip, the spec and the engine's
+/// configuration (steady solves take fresh scratch on every call, and
+/// the profiling pass's solves never enter a run's solver profile).
+#[derive(Debug, Default)]
+struct Memo {
+    /// The last synthetic run's resampled trace steps.
+    trace: Option<(WorkloadSpec, Arc<Vec<Vec<f64>>>)>,
+    /// The last calibrating synthetic run's θ fit and its R².
+    theta: Option<(WorkloadSpec, (ThermalPredictor, f64))>,
 }
 
 /// The simulated chip between thermal steps: its state, the transient
@@ -504,8 +499,9 @@ impl<'c> SimulationEngine<'c> {
     /// Panics when [`EngineConfig::validate`] rejects the configuration:
     /// an empty thermal grid, a thermal step that does not divide the
     /// decision interval, a duration that is not finite or is shorter
-    /// than one decision interval, or more noise windows than thermal
-    /// steps.
+    /// than one decision interval, more noise windows than thermal
+    /// steps, or a thermal step that is not a whole number of synthetic
+    /// trace samples.
     pub fn new(chip: &'c Floorplan, config: EngineConfig) -> Self {
         let (spd, n_decisions) = config.step_counts().unwrap_or_else(|e| panic!("{e}"));
 
@@ -536,8 +532,7 @@ impl<'c> SimulationEngine<'c> {
             telemetry: Telemetry::disabled(),
             steps_per_decision: spd,
             n_decisions,
-            theta: Mutex::new(None),
-            trace: Mutex::new(None),
+            memo: Mutex::default(),
         }
     }
 
@@ -616,13 +611,12 @@ impl<'c> SimulationEngine<'c> {
     // ------------------------------------------------------------------
 
     /// Resamples any activity trace (synthetic or replayed) into
-    /// per-thermal-step block-activity columns. Traces shorter than the
-    /// requested horizon clamp to their final sample.
-    fn steps_from_trace(&self, trace: &ActivityTrace, n_decisions: usize) -> Vec<Vec<f64>> {
+    /// per-thermal-step block-activity columns; fails when a thermal
+    /// step is not a whole number of the trace's samples. Traces shorter
+    /// than the requested horizon clamp to their final sample.
+    fn steps_from_trace(&self, trace: &ActivityTrace, n_decisions: usize) -> Result<Vec<Vec<f64>>> {
         let total_steps = n_decisions * self.steps_per_decision;
-        let samples_per_step = (self.config.thermal_step.get() / trace.dt().get())
-            .round()
-            .max(1.0) as usize;
+        let samples_per_step = samples_per_step(self.config.thermal_step, trace.dt())?;
         let n_blocks = self.chip.blocks().len();
         let mut out = Vec::with_capacity(total_steps);
         for s in 0..total_steps {
@@ -636,7 +630,7 @@ impl<'c> SimulationEngine<'c> {
             }
             out.push(col);
         }
-        out
+        Ok(out)
     }
 
     /// Per-block powers for one step's activities at the given state's
@@ -817,7 +811,7 @@ impl<'c> SimulationEngine<'c> {
         let duration = self.config.decision_interval * n_dec as f64;
         let trace = TraceGenerator::new(self.chip).generate_spec(spec, duration);
         trace.emit_telemetry(&self.telemetry);
-        self.calibrate_on(&self.steps_from_trace(&trace, n_dec), n_dec)
+        self.calibrate_on(&self.steps_from_trace(&trace, n_dec)?, n_dec)
     }
 
     /// The profiling pass over the first `n_dec` decisions of prepared
@@ -871,33 +865,34 @@ impl<'c> SimulationEngine<'c> {
         Ok((predictor, r2))
     }
 
-    /// [`Self::calibrate_on`] through the engine's memo: the last fit
-    /// when `profiling` matches its steps bit for bit, otherwise a fresh
-    /// fit that replaces it. The lock is not held while fitting, so
-    /// runs sharing an engine never wait on one another.
-    fn calibrate_reusing(
+    /// The value `entry` of the memo holds for `spec`, or else `make`'s,
+    /// which replaces it; the counter `reused` records which. The stale
+    /// value is released before `make` runs, and the lock is not held
+    /// while it runs, so runs sharing an engine never wait on one
+    /// another.
+    fn memoised<T: Clone>(
         &self,
-        profiling: &[Vec<f64>],
-        n_prof: usize,
-    ) -> Result<(ThermalPredictor, f64)> {
-        let reused = self
-            .theta
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .filter(|memo| memo.matches(profiling))
-            .map(|memo| memo.fit.clone());
-        self.telemetry
-            .counter("engine.calibrate_reused", u64::from(reused.is_some()));
-        if let Some(fit) = reused {
-            return Ok(fit);
+        spec: &WorkloadSpec,
+        reused: &'static str,
+        entry: fn(&mut Memo) -> &mut Option<(WorkloadSpec, T)>,
+        make: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let hit = {
+            let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = entry(&mut memo);
+            if slot.as_ref().is_some_and(|(key, _)| key != spec) {
+                *slot = None;
+            }
+            slot.as_ref().map(|(_, value)| value.clone())
+        };
+        self.telemetry.counter(reused, u64::from(hit.is_some()));
+        if let Some(value) = hit {
+            return Ok(value);
         }
-        let fit = self.calibrate_on(profiling, n_prof)?;
-        *self.theta.lock().unwrap_or_else(PoisonError::into_inner) = Some(ThetaMemo {
-            steps: profiling.concat(),
-            fit: fit.clone(),
-        });
-        Ok(fit)
+        let value = make()?;
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        *entry(&mut memo) = Some((spec.clone(), value.clone()));
+        Ok(value)
     }
 
     // ------------------------------------------------------------------
@@ -920,8 +915,10 @@ impl<'c> SimulationEngine<'c> {
     /// benchmark, and ThermoGater governs every Vdd-domain independently.
     /// Generates one synthetic trace covering both the run and the θ
     /// profiling pass and replays it as [`SimulationEngine::run_trace`]
-    /// does; a run of the same spec as the engine's last synthetic run
-    /// replays that run's steps without generating the trace again.
+    /// does. A run of the same spec as the engine's last synthetic run
+    /// replays that run's steps without generating the trace again, and
+    /// one of the same spec as its last calibrating synthetic run takes
+    /// that run's θ without profiling again.
     ///
     /// # Errors
     ///
@@ -929,37 +926,21 @@ impl<'c> SimulationEngine<'c> {
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
         let mut perf = PhaseTimes::new();
         let acts = self.timed(&mut perf, "trace", "engine.trace", || {
-            self.synthetic_steps(spec)
-        });
-        self.replay(policy, spec, &acts, perf)
-    }
-
-    /// The resampled steps of `spec`'s synthetic trace: the engine's last
-    /// ones when the last synthetic run was of the same spec, otherwise
-    /// a freshly generated trace's, which replace them. The old steps
-    /// are released before the new trace is generated, and the lock is
-    /// not held while generating.
-    fn synthetic_steps(&self, spec: &WorkloadSpec) -> Arc<Vec<Vec<f64>>> {
-        let mut memo = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
-        let reused = memo
-            .as_ref()
-            .filter(|memo| memo.spec == *spec)
-            .map(|memo| Arc::clone(&memo.steps));
-        self.telemetry
-            .counter("engine.trace_reused", u64::from(reused.is_some()));
-        if let Some(steps) = reused {
-            return steps;
-        }
-        *memo = None;
-        drop(memo);
-        let trace = TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration());
-        trace.emit_telemetry(&self.telemetry);
-        let steps = Arc::new(self.steps_from_trace(&trace, self.trace_decisions()));
-        *self.trace.lock().unwrap_or_else(PoisonError::into_inner) = Some(TraceMemo {
-            spec: spec.clone(),
-            steps: Arc::clone(&steps),
-        });
-        steps
+            self.memoised(
+                spec,
+                "engine.trace_reused",
+                |m| &mut m.trace,
+                || {
+                    let trace =
+                        TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration());
+                    trace.emit_telemetry(&self.telemetry);
+                    Ok(Arc::new(
+                        self.steps_from_trace(&trace, self.trace_decisions())?,
+                    ))
+                },
+            )
+        })?;
+        self.replay(policy, spec, true, &acts, perf)
     }
 
     /// Runs the governor against an externally supplied activity trace
@@ -968,12 +949,15 @@ impl<'c> SimulationEngine<'c> {
     /// block; it is resampled onto the engine's thermal steps and clamped
     /// at its end if shorter than the configured duration or the θ
     /// profiling pass, which runs on the trace's leading decisions.
-    /// It neither reads nor replaces the synthetic trace runs reuse.
+    /// It neither reads nor replaces the trace and θ synthetic runs
+    /// reuse.
     ///
     /// # Errors
     ///
     /// * [`simkit::Error::DimensionMismatch`] when the trace's channel
     ///   count differs from the chip's block count;
+    /// * [`Error::InvalidArgument`] when the thermal step is not a whole
+    ///   number of the trace's samples;
     /// * solver and calibration failures are propagated.
     pub fn run_trace(&self, trace: &ActivityTrace, policy: PolicyKind) -> Result<SimulationResult> {
         if trace.activity().channel_count() != self.chip.blocks().len() {
@@ -986,22 +970,24 @@ impl<'c> SimulationEngine<'c> {
         let acts = self.timed(&mut perf, "trace", "engine.trace", || {
             trace.emit_telemetry(&self.telemetry);
             self.steps_from_trace(trace, self.trace_decisions())
-        });
-        self.replay(policy, trace.spec(), &acts, perf)
+        })?;
+        self.replay(policy, trace.spec(), false, &acts, perf)
     }
 
     /// The one run path after the `trace` phase (timed into `perf`):
     /// drop the PDN's IR warm starts, start drawing the noise windows of
     /// the resampled trace steps `acts` on a producer thread, and run
-    /// [`Self::run_decisions`] against them.
+    /// [`Self::run_decisions`] against them. `synthetic` says whether
+    /// `acts` are `spec`'s synthetic steps, whose θ the memo keeps.
     fn replay(
         &self,
         policy: PolicyKind,
         spec: &WorkloadSpec,
+        synthetic: bool,
         acts: &[Vec<f64>],
         perf: PhaseTimes,
     ) -> Result<SimulationResult> {
-        // The memos replay only what a run would recompute bit for bit,
+        // The memo replays only what a run would recompute bit for bit,
         // the solvers are pure functions of the configuration and the
         // key, and without its warm starts a CG IR solve is too: a run
         // does not depend on the runs this engine made before.
@@ -1057,20 +1043,21 @@ impl<'c> SimulationEngine<'c> {
         };
         let domains = self.chip.domains().len();
         with_window_stream(&window_steps, spd, domains, fill, |windows| {
-            self.run_decisions(policy, spec, acts, perf, windows)
+            self.run_decisions(policy, spec, synthetic, acts, perf, windows)
         })
     }
 
     /// The run after its trace phase: profile θ on the leading
-    /// decisions of `acts` (or reuse the engine's last fit of the same
-    /// steps), settle the initial steady state, then alternate
-    /// [`Self::decide`] and a simulated interval, taking each interval's
-    /// noise `windows` before its decision and handing each back once
-    /// it is measured.
+    /// decisions of `acts` (or, for `synthetic` steps, reuse the
+    /// engine's fit for `spec`), settle the initial steady state, then
+    /// alternate [`Self::decide`] and a simulated interval, taking each
+    /// interval's noise `windows` before its decision and handing each
+    /// back once it is measured.
     fn run_decisions(
         &self,
         policy: PolicyKind,
         spec: &WorkloadSpec,
+        synthetic: bool,
         acts: &[Vec<f64>],
         mut perf: PhaseTimes,
         windows: &mut WindowStream<'_>,
@@ -1081,9 +1068,13 @@ impl<'c> SimulationEngine<'c> {
         // Practical policies get the profiled θ; thermal oracles drive
         // the same linear model with perfect inputs.
         let calibration = if policy.needs_predictor() {
-            let profiling = &acts[..n_prof * spd];
+            let fit = || self.calibrate_on(&acts[..n_prof * spd], n_prof);
             Some(self.timed(&mut perf, "calibrate", "engine.calibrate", || {
-                self.calibrate_reusing(profiling, n_prof)
+                if synthetic {
+                    self.memoised(spec, "engine.calibrate_reused", |m| &mut m.theta, fit)
+                } else {
+                    fit()
+                }
             })?)
         } else {
             None
@@ -1581,6 +1572,11 @@ mod tests {
                 noise_window_count: 151,
                 ..tiny_config()
             },
+            // 2.5 µs divides 1 ms but not into whole 1 µs trace samples.
+            EngineConfig {
+                thermal_step: Seconds::from_micros(2.5),
+                ..tiny_config()
+            },
         ];
         for config in bad {
             let err = config.validate().unwrap_err();
@@ -1786,6 +1782,21 @@ mod tests {
         let events = sink.events();
         let generated = events.iter().filter(|e| e.name == "workload.trace");
         assert_eq!(generated.count(), 3);
+
+        // barnes' all-on run replaces the trace entry but fits no θ, so
+        // lu_ncb's OracT generates its trace again and reuses its fit.
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        for (benchmark, policy) in [
+            (Benchmark::LuNcb, PolicyKind::PracT),
+            (Benchmark::Barnes, PolicyKind::AllOn),
+            (Benchmark::LuNcb, PolicyKind::OracT),
+        ] {
+            engine.run(benchmark, policy).unwrap();
+        }
+        assert_eq!(reuse_counts(&sink), [0, 1]);
+        assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0, 0, 0]);
     }
 
     #[test]
@@ -1810,59 +1821,6 @@ mod tests {
             .run(Benchmark::LuNcb, PolicyKind::AllOn)
             .unwrap();
         assert_eq!(masked_debug(&reused), masked_debug(&fresh));
-    }
-
-    /// `trace` through the CSV interchange format with block 0's sample
-    /// `s` replaced by `edit` of its value.
-    fn edited(trace: &ActivityTrace, s: usize, edit: impl Fn(f64) -> f64) -> ActivityTrace {
-        let mut csv = Vec::new();
-        workload::replay::write_csv(trace, &mut csv).unwrap();
-        let text = String::from_utf8(csv).unwrap();
-        let mut rows: Vec<String> = text.lines().map(str::to_owned).collect();
-        let (first, rest) = rows[s + 2].split_once(',').unwrap();
-        rows[s + 2] = format!("{},{rest}", edit(first.parse().unwrap()));
-        workload::replay::read_csv(rows.join("\n").as_bytes(), trace.benchmark()).unwrap()
-    }
-
-    #[test]
-    fn theta_is_refitted_exactly_when_the_profiling_steps_change() {
-        // One sample per thermal step, so a trace sample is a step
-        // activity bit for bit; the run outlasts the 3-decision prefix.
-        let chip = power8_like();
-        let config = EngineConfig {
-            duration: Seconds::from_millis(5.0),
-            profiling_decisions: 3,
-            ..tiny_config()
-        };
-        let mut engine = SimulationEngine::new(&chip, config.clone());
-        let (tel, sink) = Telemetry::recorder();
-        engine.set_telemetry(tel);
-        let prefix = engine.profiling_decisions() * engine.steps_per_decision;
-        assert!(prefix < engine.n_decisions * engine.steps_per_decision);
-        let base = TraceGenerator::new(&chip)
-            .with_dt(config.thermal_step)
-            .generate(Benchmark::LuNcb, config.duration);
-        let flip_last_bit = |x: f64| f64::from_bits(x.to_bits() ^ 1);
-        let in_prefix = edited(&base, prefix - 1, flip_last_bit);
-        let after_prefix = edited(&base, prefix, |x| 1.0 - x);
-
-        engine.run_trace(&base, PolicyKind::AllOn).unwrap();
-        assert_eq!(reuse_counts(&sink), [] as [u64; 0], "all-on fits no θ");
-        engine.run_trace(&base, PolicyKind::PracT).unwrap();
-        engine.run_trace(&base, PolicyKind::OracVT).unwrap();
-        assert_eq!(reuse_counts(&sink), [0, 1]);
-        // One flipped bit at the prefix's last step refits, and the
-        // refit is what a fresh engine fits on that trace.
-        let refitted = engine.run_trace(&in_prefix, PolicyKind::PracT).unwrap();
-        let fresh = SimulationEngine::new(&chip, config)
-            .run_trace(&in_prefix, PolicyKind::PracT)
-            .unwrap();
-        assert_eq!(masked_debug(&refitted), masked_debug(&fresh));
-        assert_eq!(reuse_counts(&sink), [0, 1, 0]);
-        // The refit replaced the memo; a change past the prefix reuses it.
-        engine.run_trace(&base, PolicyKind::PracT).unwrap();
-        engine.run_trace(&after_prefix, PolicyKind::PracVT).unwrap();
-        assert_eq!(reuse_counts(&sink), [0, 1, 0, 0, 1]);
     }
 
     #[test]
@@ -2110,5 +2068,23 @@ mod tests {
         let csv = "# dt_us=20\nblock_0,block_1\n0.5,0.5\n0.6,0.4\n";
         let trace = workload::replay::read_csv(csv.as_bytes(), Benchmark::Fft).unwrap();
         assert!(engine.run_trace(&trace, PolicyKind::AllOn).is_err());
+    }
+
+    #[test]
+    fn run_trace_rejects_a_step_of_partial_samples() {
+        // A 20 µs step averages eight 2.5 µs samples; 30 µs samples would
+        // play the trace fast rather than be averaged.
+        let chip = power8_like();
+        let engine = SimulationEngine::new(&chip, tiny_config());
+        let trace = |dt_us| {
+            TraceGenerator::new(&chip)
+                .with_dt(Seconds::from_micros(dt_us))
+                .generate(Benchmark::Fft, engine.trace_duration())
+        };
+        assert!(engine.run_trace(&trace(2.5), PolicyKind::AllOn).is_ok());
+        let err = engine
+            .run_trace(&trace(30.0), PolicyKind::AllOn)
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
     }
 }

@@ -72,11 +72,12 @@ pub fn fig15_report(opts: &ExpOptions) -> Report {
         ..opts.engine_config()
     };
     let ldo_engine = SimulationEngine::new(&chip, ldo_config);
+    let records = sweep::grid(opts, &Benchmark::ALL, &[PolicyKind::AllOn]);
     // (LDO, FIVR) max noise per benchmark, % of Vdd.
     let noise: Vec<(f64, f64)> = Benchmark::ALL
         .iter()
         .map(|&benchmark| {
-            let fivr = sweep::record_for(opts, benchmark, PolicyKind::AllOn).max_noise_pct;
+            let fivr = sweep::cell(&records, benchmark, PolicyKind::AllOn).max_noise_pct;
             eprintln!("[fig15] running {} × LDO …", benchmark.label());
             let ldo = simulate(&ldo_engine, benchmark, PolicyKind::AllOn).max_noise_percent();
             (ldo.unwrap_or(f64::NAN), fivr.unwrap_or(f64::NAN))
@@ -115,12 +116,10 @@ pub fn fig15_report(opts: &ExpOptions) -> Report {
 /// benchmark, from the shared sweep; every application must stay under
 /// 1 %, and the average near the paper's 0.13 %.
 pub fn table2_report(opts: &ExpOptions) -> Report {
-    let pct: Vec<f64> = Benchmark::ALL
+    let records = sweep::grid(opts, &Benchmark::ALL, &[PolicyKind::OracT]);
+    let pct: Vec<f64> = records
         .iter()
-        .map(|&b| {
-            let record = sweep::record_for(opts, b, PolicyKind::OracT);
-            record.emergency_fraction.unwrap_or(0.0) * 100.0
-        })
+        .map(|record| record.emergency_fraction.unwrap_or(0.0) * 100.0)
         .collect();
     let avg = pct.iter().sum::<f64>() / pct.len() as f64;
     let cells = |label: &str, pct: f64, paper: Option<f64>| {

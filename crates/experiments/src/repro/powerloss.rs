@@ -61,12 +61,13 @@ pub fn fig06_report(opts: &ExpOptions) -> Report {
 /// shared sweep; cholesky must save least and raytrace most, near the
 /// paper's quoted savings and average.
 pub fn fig07_report(opts: &ExpOptions) -> Report {
+    let (all_on, gated) = (PolicyKind::AllOn, PolicyKind::OracT);
+    let records = sweep::grid(opts, &Benchmark::ALL, &[all_on, gated]);
     let saving: Vec<f64> = Benchmark::ALL
         .iter()
         .map(|&b| {
-            let all_on = sweep::record_for(opts, b, PolicyKind::AllOn);
-            let gated = sweep::record_for(opts, b, PolicyKind::OracT);
-            (1.0 - gated.mean_loss_w / all_on.mean_loss_w) * 100.0
+            let loss = |p| sweep::cell(&records, b, p).mean_loss_w;
+            (1.0 - loss(gated) / loss(all_on)) * 100.0
         })
         .collect();
     let avg = saving.iter().sum::<f64>() / saving.len() as f64;

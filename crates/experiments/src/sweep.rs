@@ -13,11 +13,13 @@
 //! the directory to force re-runs wholesale.
 //!
 //! [`grid`] streams the cells through the
-//! [`service`](crate::service) batch executor: each cell is an
-//! independent simulation (its engine, thermal model, and PDN are built
-//! thread-locally), workers steal from a bounded queue, and the grid
-//! completes in roughly `cells / min(threads, cells)` serial-cell
-//! times. The worker count comes from
+//! [`service`](crate::service) batch executor: workers steal cells
+//! from a bounded queue, each keeps one engine for every cell of the
+//! grid's configuration (a record never depends on what the engine ran
+//! before), and the grid completes in roughly
+//! `cells / min(threads, cells)` serial-cell times. Every figure that
+//! reads cells of the shared grid takes them from one [`grid`] call and
+//! [`cell`]. The worker count comes from
 //! [`ExpOptions::resolved_threads`] (`--threads=N`, then
 //! `SIMKIT_THREADS`, then the machine's parallelism); the produced
 //! records — and the per-cell cache files — are byte-identical to a
@@ -103,11 +105,12 @@ impl SweepRecord {
         if parts.len() != 10 {
             return None;
         }
-        fn opt(s: &str) -> Option<f64> {
+        // `Some(None)` for `-`, `None` when malformed.
+        fn opt(s: &str) -> Option<Option<f64>> {
             if s == "-" {
-                None
+                Some(None)
             } else {
-                s.parse().ok()
+                s.parse().ok().map(Some)
             }
         }
         Some(SweepRecord {
@@ -117,10 +120,10 @@ impl SweepRecord {
             gradient_c: parts[3].parse().ok()?,
             mean_efficiency: parts[4].parse().ok()?,
             mean_loss_w: parts[5].parse().ok()?,
-            max_noise_pct: opt(parts[6]),
-            emergency_fraction: opt(parts[7]),
+            max_noise_pct: opt(parts[6])?,
+            emergency_fraction: opt(parts[7])?,
             mean_active: parts[8].parse().ok()?,
-            r_squared: opt(parts[9]),
+            r_squared: opt(parts[9])?,
         })
     }
 }
@@ -168,35 +171,10 @@ pub fn cache(opts: &ExpOptions) -> ScenarioCache {
     ScenarioCache::new(cache_dir(opts))
 }
 
-/// The scenario of one sweep cell under `opts`' engine configuration.
-pub fn scenario(opts: &ExpOptions, benchmark: Benchmark, policy: PolicyKind) -> ScenarioSpec {
-    ScenarioSpec::new(benchmark, policy, opts.engine_config())
-}
-
 /// The cache-entry path of one cell (tests and tooling use this to
 /// inspect or delete individual entries).
 pub fn cache_path(opts: &ExpOptions, benchmark: Benchmark, policy: PolicyKind) -> PathBuf {
-    cache(opts).path(&scenario(opts, benchmark, policy))
-}
-
-/// Returns the cached record for one cell, running the simulation when
-/// no cache entry exists (or loudly re-running when the entry is
-/// invalid).
-///
-/// # Panics
-///
-/// Panics when the simulation itself fails (physical configurations do
-/// not) or the cache directory cannot be created.
-pub fn record_for(opts: &ExpOptions, benchmark: Benchmark, policy: PolicyKind) -> SweepRecord {
-    let counters = ServeCounters::default();
-    service::answer_one(
-        &cache(opts),
-        &scenario(opts, benchmark, policy),
-        None,
-        &counters,
-        opts.quiet,
-    )
-    .record
+    cache(opts).path(&ScenarioSpec::new(benchmark, policy, opts.engine_config()))
 }
 
 /// Emits a `sweep.heartbeat` progress event (`done` of `total` cells)
@@ -340,6 +318,11 @@ mod tests {
     fn malformed_csv_is_rejected() {
         assert!(SweepRecord::from_csv("not,a,record").is_none());
         assert!(SweepRecord::from_csv("").is_none());
+        // A garbled optional field is malformed, not absent.
+        let mut r = sample();
+        r.r_squared = None;
+        let garbled = r.to_csv().replace(",-", ",x");
+        assert!(SweepRecord::from_csv(&garbled).is_none(), "{garbled}");
     }
 
     #[test]

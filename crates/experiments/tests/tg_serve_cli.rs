@@ -4,7 +4,8 @@
 //! change the scenario hash, malformed requests are skipped loudly
 //! with a non-zero exit, and usage errors (a missing batch file, a
 //! malformed count flag, an unknown flag, an unreadable line) exit 2
-//! instead of panicking.
+//! instead of panicking. Two processes answering one batch over one
+//! cache directory print the same answers and leave whole entries only.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -73,6 +74,72 @@ fn batch_mode_cold_then_warm_is_byte_identical() {
     let summary = stderr(&warm);
     assert!(summary.contains("hits=4"), "stderr: {summary}");
     assert!(summary.contains("misses=0"), "stderr: {summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_processes_share_one_cache_directory() {
+    use experiments::context::ExpOptions;
+    use experiments::service::{CacheLookup, ScenarioCache, ScenarioSpec};
+    use experiments::sweep::{benchmark_from_label, policy_from_tag};
+
+    let dir = temp_dir("shared");
+    let cache_dir = dir.join("cache");
+    let batch = dir.join("requests.txt");
+    let cells = [
+        ("fft", "allon"),
+        ("fft", "pract"),
+        ("lu_ncb", "allon"),
+        ("lu_ncb", "oract"),
+    ];
+    let requests: String = cells.iter().map(|(b, p)| format!("{b} {p}\n")).collect();
+    std::fs::write(&batch, requests).unwrap();
+    let batch_arg = format!("--batch={}", batch.display());
+    let cache_arg = format!("--cache={}", cache_dir.display());
+    let args = [
+        batch_arg.as_str(),
+        "--tiny",
+        "--threads=1",
+        cache_arg.as_str(),
+        "--quiet",
+    ];
+    // Both start before either finishes, so they race on every entry.
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_tg-serve"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tg-serve starts")
+    };
+    let (first, second) = (spawn(), spawn());
+    let [first, second] = [first, second].map(|c| c.wait_with_output().expect("tg-serve ends"));
+    for out in [&first, &second] {
+        assert!(out.status.success(), "stderr: {}", stderr(out));
+    }
+    assert_eq!(stdout(&first), stdout(&second));
+    assert_eq!(stdout(&first).lines().count(), cells.len());
+
+    let cache = ScenarioCache::new(&cache_dir);
+    let config = ExpOptions::tiny().engine_config();
+    for (bench, policy) in cells {
+        let spec = ScenarioSpec::new(
+            benchmark_from_label(bench).unwrap(),
+            policy_from_tag(policy).unwrap(),
+            config.clone(),
+        );
+        let lookup = cache.load(&spec);
+        assert!(
+            matches!(lookup, CacheLookup::Hit(_)),
+            "{bench} {policy}: {lookup:?}"
+        );
+    }
+    let names: Vec<String> = std::fs::read_dir(&cache_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names.len(), cells.len(), "entries: {names:?}");
+    assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -330,7 +330,7 @@ impl Clone for PdnModel {
             scratch: Mutex::new(
                 self.scratch
                     .lock()
-                    .expect("pdn scratch lock is never poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .clone(),
             ),
             n_vrs: self.n_vrs,
@@ -590,10 +590,10 @@ impl PdnModel {
         }
         let vdd = self.config.vdd.get();
         let g_vr = 1.0 / self.config.r_vr_ohm;
-        let mut scratches = self
-            .scratch
-            .lock()
-            .expect("pdn scratch lock is never poisoned");
+        // A panic mid-solve poisons the lock but leaves no scratch
+        // unsound: a key is cleared before its refresh and set only after
+        // it, and the voltages are warm starts the next run zeroes.
+        let mut scratches = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
         let mut totals = DomainSolveTotals {
             total_current: 0.0,
             factor_seconds: 0.0,

@@ -36,7 +36,7 @@ pub mod microtrace;
 mod mix;
 mod profile;
 pub mod replay;
-mod trace;
+pub mod trace;
 
 pub use benchmark::Benchmark;
 pub use mix::{WorkloadMix, WorkloadSpec};

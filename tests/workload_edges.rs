@@ -90,9 +90,8 @@ fn physics(r: &SimulationResult) -> String {
 }
 
 /// `simulate --export-trace` then `--trace`: a synthetic trace written
-/// to CSV and read back replays exactly the synthetic run, and its
-/// profiling steps match bit for bit, so it reuses the θ fit the
-/// synthetic run left on the engine.
+/// to CSV and read back replays exactly the synthetic run, θ included,
+/// though the replay profiles θ itself rather than reading the memo.
 #[test]
 fn round_tripped_trace_replays_the_synthetic_run_exactly() {
     let chip = power8_like();
@@ -116,7 +115,8 @@ fn round_tripped_trace_replays_the_synthetic_run_exactly() {
         .filter(|e| e.name == "engine.calibrate_reused")
         .map(|e| e.num_u64("delta"))
         .collect();
-    assert_eq!(reused, [Some(0), Some(1)]);
+    // Only the synthetic run consults the θ memo; the replay fits anew.
+    assert_eq!(reused, [Some(0)]);
 }
 
 /// The per-kind activity weights intentionally sum to more than the
