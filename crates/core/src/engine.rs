@@ -63,6 +63,7 @@ use power::{PowerModel, TechnologyParams};
 use simkit::linalg::{SolveStats, SolverBackend};
 use simkit::perf::{PhaseTimes, SolverProfile, Timer};
 use simkit::series::{TimeSeries, TraceMatrix};
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::{Amps, Seconds, Watts};
 use simkit::{DeterministicRng, Error, Result};
@@ -144,39 +145,53 @@ impl EngineConfig {
         }
     }
 
-    /// Every configuration field as canonical, ordered
-    /// `(name, value)` pairs — the substrate of scenario content
-    /// hashing. Floats render with `{:e}` (the shortest representation
-    /// that parses back to the same bits), so two configs produce the
-    /// same pair list iff every field is bit-identical; any change to a
+    /// Folds every configuration field into `hasher`, in a fixed order:
+    /// the top-level fields (floats as their bits, counts and the seed
+    /// as integers, the solver backend's name as text), then the
+    /// design, thermal, PDN and technology walks under the `design.`,
+    /// `thermal.`, `pdn.` and `tech.` prefixes. Two configurations fold
+    /// equal bytes iff every field is bit-identical, so any change to a
     /// field, however nested (a package resistance, one efficiency-curve
-    /// point, the solver backend), changes the list and therefore the
-    /// hash built over it.
-    pub fn config_fields(&self) -> Vec<(String, String)> {
-        let mut out = Vec::with_capacity(64);
-        for (name, value) in [
-            ("duration", self.duration.get()),
-            ("decision_interval", self.decision_interval.get()),
-            ("thermal_step", self.thermal_step.get()),
-        ] {
-            out.push((name.to_string(), format!("{value:e}")));
-        }
-        out.push((
-            "noise_window_count".to_string(),
-            self.noise_window_count.to_string(),
-        ));
-        out.push(("solver".to_string(), self.solver.name().to_string()));
-        out.push((
-            "profiling_decisions".to_string(),
-            self.profiling_decisions.to_string(),
-        ));
-        out.push(("frame_every".to_string(), self.frame_every.to_string()));
-        out.push(("seed".to_string(), self.seed.to_string()));
-        self.design.config_fields("design.", &mut out);
-        self.thermal.config_fields("thermal.", &mut out);
-        self.pdn.config_fields("pdn.", &mut out);
-        self.tech.config_fields("tech.", &mut out);
-        out
+    /// point, the solver backend), changes the hash; the destructuring
+    /// is exhaustive, so a field added later cannot be left out of it.
+    /// Formats no number and allocates nothing.
+    pub fn hash_fields(&self, hasher: &mut ContentHasher) {
+        let EngineConfig {
+            duration,
+            decision_interval,
+            thermal_step,
+            design,
+            thermal,
+            pdn,
+            tech,
+            noise_window_count,
+            solver,
+            profiling_decisions,
+            frame_every,
+            seed,
+        } = self;
+        let top = KeyPrefix::new("");
+        hasher.field(&top, "duration", duration.get());
+        hasher.field(&top, "decision_interval", decision_interval.get());
+        hasher.field(&top, "thermal_step", thermal_step.get());
+        hasher.field(&top, "noise_window_count", *noise_window_count);
+        hasher.field(&top, "solver", solver.name());
+        hasher.field(&top, "profiling_decisions", *profiling_decisions);
+        hasher.field(&top, "frame_every", *frame_every);
+        hasher.field(&top, "seed", *seed);
+        design.hash_fields(&KeyPrefix::new("design."), hasher);
+        thermal.hash_fields(&KeyPrefix::new("thermal."), hasher);
+        pdn.hash_fields(&KeyPrefix::new("pdn."), hasher);
+        tech.hash_fields(&KeyPrefix::new("tech."), hasher);
+    }
+
+    /// The content hash of this configuration alone
+    /// ([`EngineConfig::hash_fields`] under its own domain): equal iff
+    /// every field is bit-identical, up to 64-bit collisions.
+    pub fn content_hash(&self) -> u64 {
+        let mut hasher = ContentHasher::new("engine");
+        self.hash_fields(&mut hasher);
+        hasher.finish()
     }
 
     /// Checks that an engine can be built and run from this
@@ -209,14 +224,16 @@ impl EngineConfig {
         let Some(spd) = whole_ratio(self.decision_interval, self.thermal_step) else {
             return Err(Error::invalid_argument(format!(
                 "thermal step must divide the decision interval, got {} and {}",
-                self.thermal_step, self.decision_interval
+                readable(self.thermal_step),
+                readable(self.decision_interval)
             )));
         };
         let duration = self.duration.get();
         if !(duration.is_finite() && duration >= interval * (1.0 - 1e-9)) {
             return Err(Error::invalid_argument(format!(
                 "duration must be finite and at least one decision interval ({}), got {}",
-                self.decision_interval, self.duration
+                readable(self.decision_interval),
+                readable(self.duration)
             )));
         }
         let n_decisions = (duration / interval).round() as usize;
@@ -244,9 +261,35 @@ fn whole_ratio(whole: Seconds, part: Seconds) -> Option<usize> {
 fn samples_per_step(step: Seconds, dt: Seconds) -> Result<usize> {
     whole_ratio(step, dt).ok_or_else(|| {
         Error::invalid_argument(format!(
-            "thermal step must be a whole multiple of the trace's sample interval, got {step} and {dt}"
+            "thermal step must be a whole multiple of the trace's sample interval, got {} and {}",
+            readable(step),
+            readable(dt)
         ))
     })
+}
+
+/// `d` for a message: in the largest of s, ms, µs and ns that keeps it
+/// at least 1, rounded to nine significant digits with trailing zeros
+/// cut, so a 20 µs step built as `20.0 * 1e-6` reads `20 µs`, not
+/// `0.000019999999999999998 s`.
+fn readable(d: Seconds) -> String {
+    let seconds = d.get();
+    if !seconds.is_finite() || seconds == 0.0 {
+        return format!("{seconds} s");
+    }
+    let (scale, unit) = [(1.0, "s"), (1e-3, "ms"), (1e-6, "µs")]
+        .into_iter()
+        .find(|&(scale, _)| seconds.abs() >= scale)
+        .unwrap_or((1e-9, "ns"));
+    let value = seconds / scale;
+    let decimals = (8 - value.abs().log10().floor() as i64).clamp(0, 17) as usize;
+    let text = format!("{value:.decimals$}");
+    let text = if text.contains('.') {
+        text.trim_end_matches('0').trim_end_matches('.')
+    } else {
+        &text
+    };
+    format!("{text} {unit}")
 }
 
 impl Default for EngineConfig {
@@ -2086,5 +2129,34 @@ mod tests {
             .run_trace(&trace(30.0), PolicyKind::AllOn)
             .unwrap_err();
         assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
+        // Durations print rounded, not with their binary noise.
+        assert!(err.to_string().contains("got 20 µs and 30 µs"), "{err}");
+    }
+
+    #[test]
+    fn durations_in_messages_are_rounded() {
+        let cases = [
+            (Seconds::from_micros(20.0), "20 µs"),
+            (Seconds::from_micros(30.0), "30 µs"),
+            (Seconds::from_millis(1.0), "1 ms"),
+            (Seconds::from_micros(2.5), "2.5 µs"),
+            (Seconds::from_micros(600.0), "600 µs"),
+            (Seconds::from_nanos(0.8), "0.8 ns"),
+            (Seconds::new(2.0), "2 s"),
+            (Seconds::new(-0.002), "-2 ms"),
+            (Seconds::new(0.0), "0 s"),
+            (Seconds::new(f64::INFINITY), "inf s"),
+            (Seconds::new(f64::NAN), "NaN s"),
+        ];
+        for (d, text) in cases {
+            assert_eq!(readable(d), text, "{d}");
+        }
+        let err = EngineConfig {
+            thermal_step: Seconds::from_micros(30.0),
+            ..tiny_config()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.to_string().contains("got 30 µs and 1 ms"), "{err}");
     }
 }

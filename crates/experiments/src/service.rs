@@ -5,10 +5,13 @@
 //!
 //! * [`ScenarioSpec`] — one (benchmark, policy, [`EngineConfig`])
 //!   triple with a canonical FNV-1a content hash over every
-//!   configuration field (via [`EngineConfig::config_fields`] and the
-//!   [`ContentHasher`] shared with `RunManifest::config_hash`). Any
-//!   field change — solver backend, a package resistance, one
-//!   efficiency-curve point — changes the hash.
+//!   configuration field, folded by [`EngineConfig::hash_fields`] into
+//!   the [`ContentHasher`] shared with `RunManifest::config_hash`:
+//!   floats as their bits, integers as bytes, names and tags as text,
+//!   so hashing formats no number. Any field change — solver backend, a
+//!   package resistance, one efficiency-curve point, even `0.0` to
+//!   `-0.0` — changes the hash. The hash's bytes are versioned by
+//!   [`SCENARIO_SCHEMA`].
 //! * [`ScenarioCache`] — a content-addressed on-disk record store.
 //!   Each entry is one file named `<bench>-<policy>-<hash>.csv` whose
 //!   first line is a versioned header carrying the schema and hash and
@@ -26,9 +29,10 @@
 //!   simulated). Results are delivered to the caller's closure in
 //!   submission order; one worker runs on the caller's thread. Each
 //!   worker owns one chip and one engine, which it keeps from cell to
-//!   cell and rebuilds only when a cell's engine configuration differs
-//!   from the previous cell's; a run does not depend on what its engine
-//!   ran before, so this changes no record.
+//!   cell and rebuilds only when a cell's configuration hash
+//!   ([`EngineConfig::content_hash`]) differs from the previous cell's;
+//!   a run does not depend on what its engine ran before, so this
+//!   changes no record.
 //!
 //! [`ServeCounters`] tallies hits/misses/coalesced/invalid, the engine
 //! builds and the maximum work-queue depth; [`ServeCounters::emit`]
@@ -52,7 +56,9 @@ use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
 use workload::Benchmark;
 
 /// Schema identifier stamped into (and required of) every cache entry.
-pub const SCENARIO_SCHEMA: &str = "thermogater.scenario/v1";
+/// `v2` hashes floats as bits; a `v1` entry's file name carries a hash
+/// no `v2` spec produces, so it reads as a miss.
+pub const SCENARIO_SCHEMA: &str = "thermogater.scenario/v2";
 
 /// One fully described simulation scenario: what to run, under which
 /// policy, with which engine configuration. The spec is pure data — no
@@ -87,16 +93,15 @@ impl ScenarioSpec {
     }
 
     /// Canonical FNV-1a content hash over the benchmark, the policy,
-    /// and every engine-configuration field, using the same framing as
-    /// `RunManifest::config_hash`. Equal specs hash equally; any field
-    /// change forces a different hash and therefore a cache miss.
+    /// and every engine-configuration field
+    /// ([`EngineConfig::hash_fields`]). Equal specs hash equally; any
+    /// field change forces a different hash and therefore a cache miss.
+    /// Allocates nothing.
     pub fn content_hash(&self) -> u64 {
         let mut hasher = ContentHasher::new("scenario");
         hasher.push("benchmark", self.benchmark.label());
         hasher.push("policy", sweep::policy_tag(self.policy));
-        for (key, value) in self.engine_config.config_fields() {
-            hasher.push(&key, &value);
-        }
+        self.engine_config.hash_fields(&mut hasher);
         hasher.finish()
     }
 }
@@ -348,9 +353,10 @@ impl ServeCounters {
     }
 }
 
-/// The engine a worker keeps between cells, with the configuration
-/// fields it was built from; empty until the worker's first miss.
-type EngineSlot<'c> = Option<(Vec<(String, String)>, SimulationEngine<'c>)>;
+/// The engine a worker keeps between cells, with the content hash of
+/// the configuration it was built from; empty until the worker's first
+/// miss.
+type EngineSlot<'c> = Option<(u64, SimulationEngine<'c>)>;
 
 /// Simulates one scenario (the only place the executor touches the
 /// engine) on the engine in `slot`, first building one on `chip` (built
@@ -373,16 +379,16 @@ fn simulate_spec<'c>(
             spec.policy.label()
         );
     }
-    let fields = spec.engine_config.config_fields();
+    let key = spec.engine_config.content_hash();
     let (_, engine) = match slot.take() {
-        Some((built, engine)) if built == fields => slot.insert((built, engine)),
+        Some((built, engine)) if built == key => slot.insert((built, engine)),
         old => {
             // Drop the old engine before building its successor.
             drop(old);
             counters.engine_builds.fetch_add(1, Ordering::Relaxed);
             let engine =
                 SimulationEngine::new(chip.get_or_init(power8_like), spec.engine_config.clone());
-            slot.insert((fields, engine))
+            slot.insert((key, engine))
         }
     };
     let (telemetry, cell_counter) = ctx.map(TelemetryCtx::cell_handle).unzip();
@@ -690,21 +696,178 @@ mod tests {
     }
 
     #[test]
-    fn hash_is_stable_and_field_sensitive() {
-        let base = spec();
-        assert_eq!(base.content_hash(), spec().content_hash());
-        let mut changed = spec();
-        changed.engine_config.seed ^= 1;
-        assert_ne!(base.content_hash(), changed.content_hash());
-        let mut nested = spec();
-        nested.engine_config.thermal.package.k_silicon += 1.0;
-        assert_ne!(base.content_hash(), nested.content_hash());
-        let mut policy = spec();
-        policy.policy = PolicyKind::AllOn;
-        assert_ne!(base.content_hash(), policy.content_hash());
-        let mut bench = spec();
-        bench.benchmark = Benchmark::LuNcb;
-        assert_ne!(base.content_hash(), bench.content_hash());
+    fn every_hashed_field_moves_the_hash() {
+        use simkit::linalg::SolverBackend;
+        use simkit::units::{Celsius, Hertz, Seconds, Volts, Watts};
+        use vreg::{EfficiencyCurve, RegulatorDesign, RegulatorTopology};
+
+        let points = [(0.0, 0.30), (0.5, 0.80), (1.5, 0.90), (3.0, 0.85)];
+        let design = |name: &str, topology, points: &[(f64, f64)], density, response_ns| {
+            let curve = EfficiencyCurve::from_points(points.to_vec()).unwrap();
+            RegulatorDesign::new(
+                name,
+                topology,
+                curve,
+                density,
+                Seconds::from_nanos(response_ns),
+            )
+        };
+        let buck = RegulatorTopology::Buck;
+        let base = EngineConfig {
+            design: design("custom", buck, &points, 30.0, 10.0),
+            solver: SolverBackend::Auto,
+            thermal: thermal::ThermalConfig {
+                solver: SolverBackend::Auto,
+                ..EngineConfig::fast().thermal
+            },
+            pdn: pdn::PdnConfig {
+                solver: SolverBackend::Auto,
+                ..EngineConfig::fast().pdn
+            },
+            ..EngineConfig::fast()
+        };
+
+        let mut variants: Vec<(String, EngineConfig)> = Vec::new();
+        let mut vary = |name: &str, edit: &dyn Fn(&mut EngineConfig)| {
+            let mut config = base.clone();
+            edit(&mut config);
+            variants.push((name.to_string(), config));
+        };
+        // EngineConfig
+        vary("duration", &|c| c.duration = Seconds::from_millis(7.0));
+        vary("decision_interval", &|c| {
+            c.decision_interval = Seconds::from_millis(0.5)
+        });
+        vary("thermal_step", &|c| {
+            c.thermal_step = Seconds::from_micros(10.0)
+        });
+        vary("noise_window_count", &|c| c.noise_window_count += 1);
+        vary("solver", &|c| c.solver = SolverBackend::Cg);
+        vary("profiling_decisions", &|c| c.profiling_decisions += 1);
+        vary("frame_every", &|c| c.frame_every += 1);
+        vary("seed", &|c| c.seed ^= 1);
+        // ThermalConfig
+        vary("thermal.nx", &|c| c.thermal.nx += 1);
+        vary("thermal.ny", &|c| c.thermal.ny += 1);
+        vary("thermal.vr_self_resistance", &|c| {
+            c.thermal.vr_self_resistance += 0.5
+        });
+        vary("thermal.solver", &|c| {
+            c.thermal.solver = SolverBackend::Mgcg
+        });
+        // PackageParams
+        vary("k_silicon", &|c| c.thermal.package.k_silicon += 1.0);
+        vary("c_silicon", &|c| c.thermal.package.c_silicon += 1.0);
+        vary("t_silicon", &|c| c.thermal.package.t_silicon *= 1.5);
+        vary("k_tim", &|c| c.thermal.package.k_tim += 1.0);
+        vary("t_tim", &|c| c.thermal.package.t_tim *= 1.5);
+        vary("k_spreader", &|c| c.thermal.package.k_spreader += 1.0);
+        vary("c_spreader", &|c| c.thermal.package.c_spreader += 1.0);
+        vary("t_spreader", &|c| c.thermal.package.t_spreader *= 1.5);
+        vary("sink_base_resistance", &|c| {
+            c.thermal.package.sink_base_resistance *= 1.5
+        });
+        vary("convection_resistance", &|c| {
+            c.thermal.package.convection_resistance *= 1.5
+        });
+        vary("sink_capacitance", &|c| {
+            c.thermal.package.sink_capacitance += 1.0
+        });
+        vary("ambient", &|c| {
+            c.thermal.package.ambient = Celsius::new(40.0)
+        });
+        // PdnConfig
+        vary("pdn.vdd", &|c| c.pdn.vdd = Volts::new(0.9));
+        vary("cell_mm", &|c| c.pdn.cell_mm *= 1.5);
+        vary("r_sheet_ohm", &|c| c.pdn.r_sheet_ohm *= 1.5);
+        vary("r_vr_ohm", &|c| c.pdn.r_vr_ohm *= 1.5);
+        vary("r_global_ohm", &|c| c.pdn.r_global_ohm *= 1.5);
+        vary("z_transient_ohm", &|c| c.pdn.z_transient_ohm *= 1.5);
+        vary("z_reference_active", &|c| c.pdn.z_reference_active += 1.0);
+        vary("ring_period_cycles", &|c| c.pdn.ring_period_cycles += 1.0);
+        vary("passive_decay_cycles", &|c| {
+            c.pdn.passive_decay_cycles += 1.0
+        });
+        vary("pdn.solver", &|c| c.pdn.solver = SolverBackend::Direct);
+        // TechnologyParams
+        vary("tech.vdd", &|c| c.tech.vdd = Volts::new(0.9));
+        vary("frequency", &|c| c.tech.frequency = Hertz::from_ghz(3.0));
+        vary("tdp", &|c| c.tech.tdp = Watts::new(120.0));
+        vary("calibration_temperature", &|c| {
+            c.tech.calibration_temperature = Celsius::new(70.0)
+        });
+        vary("static_share_at_calibration", &|c| {
+            c.tech.static_share_at_calibration = 0.25
+        });
+        vary("leakage_temp_coeff", &|c| c.tech.leakage_temp_coeff *= 1.5);
+        // RegulatorDesign
+        let sc = RegulatorTopology::SwitchedCapacitor;
+        let mut designs = vec![
+            ("design.name", design("other", buck, &points, 30.0, 10.0)),
+            ("design.topology", design("custom", sc, &points, 30.0, 10.0)),
+            (
+                "design.density",
+                design("custom", buck, &points, 31.0, 10.0),
+            ),
+            (
+                "design.response",
+                design("custom", buck, &points, 30.0, 11.0),
+            ),
+        ];
+        for k in 0..points.len() {
+            let mut moved = points;
+            moved[k].0 += 0.1;
+            designs.push((
+                "design.curve.amps",
+                design("custom", buck, &moved, 30.0, 10.0),
+            ));
+            let mut moved = points;
+            moved[k].1 -= 0.01;
+            designs.push((
+                "design.curve.eta",
+                design("custom", buck, &moved, 30.0, 10.0),
+            ));
+        }
+        for (k, (name, design)) in designs.into_iter().enumerate() {
+            vary(&format!("{name} #{k}"), &|c| c.design = design.clone());
+        }
+        assert_eq!(variants.len(), 8 + 4 + 12 + 10 + 6 + 4 + 2 * points.len());
+
+        let spec_of = |config: &EngineConfig| {
+            ScenarioSpec::new(Benchmark::Fft, PolicyKind::OracVT, config.clone())
+        };
+        let mut seen = HashMap::from([(spec_of(&base).content_hash(), "base".to_string())]);
+        for (name, config) in &variants {
+            let hash = spec_of(config).content_hash();
+            if let Some(twin) = seen.insert(hash, name.clone()) {
+                panic!("{name} hashes like {twin}");
+            }
+            assert_ne!(
+                config.content_hash(),
+                base.content_hash(),
+                "{name} leaves the configuration key"
+            );
+        }
+
+        // Signed zeros differ in their bits, so they hash apart.
+        let mut zero = spec_of(&base);
+        zero.engine_config.pdn.r_global_ohm = 0.0;
+        let mut negative_zero = zero.clone();
+        negative_zero.engine_config.pdn.r_global_ohm = -0.0;
+        assert_ne!(zero.content_hash(), negative_zero.content_hash());
+
+        // Clones hash equal; the benchmark and the policy move the
+        // scenario hash but not the configuration key.
+        let spec = spec_of(&base);
+        assert_eq!(spec.content_hash(), spec.clone().content_hash());
+        assert_eq!(base.content_hash(), base.clone().content_hash());
+        for other in [
+            ScenarioSpec::new(Benchmark::LuNcb, spec.policy, base.clone()),
+            ScenarioSpec::new(spec.benchmark, PolicyKind::AllOn, base.clone()),
+        ] {
+            assert_ne!(other.content_hash(), spec.content_hash());
+            assert_eq!(other.engine_config.content_hash(), base.content_hash());
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::telemetry::TelemetryCtx;
 use simkit::telemetry::manifest::{CellManifest, RunManifest};
 use simkit::telemetry::EventKind;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
 use thermogater::{PolicyKind, SimulationResult};
 use workload::Benchmark;
 
@@ -191,6 +192,62 @@ fn heartbeat(ctx: Option<&TelemetryCtx>, done: usize, total: usize) {
     }
 }
 
+/// One telemetry directory's trace and manifest, shared by every grid a
+/// process runs into it.
+struct GridTrace {
+    ctx: TelemetryCtx,
+    /// The cells of every grid finished so far, and the union of their
+    /// tags, benchmarks and policies.
+    manifest: Mutex<RunManifest>,
+}
+
+/// The trace of `opts`' telemetry directory. The first grid a process
+/// runs into a directory opens it, truncating what an earlier process
+/// left there; later grids append to it. So a process that renders
+/// several figures (`repro all`) keeps every grid's events in one trace
+/// and every grid's cells in one manifest. A directory whose trace was
+/// removed in between starts over.
+fn grid_trace(opts: &ExpOptions) -> Option<Arc<GridTrace>> {
+    static TRACES: Mutex<Vec<(PathBuf, Arc<GridTrace>)>> = Mutex::new(Vec::new());
+    let dir = opts.telemetry.as_ref()?;
+    let mut traces = TRACES.lock().unwrap_or_else(PoisonError::into_inner);
+    traces.retain(|(_, trace)| trace.ctx.trace_path().exists());
+    if let Some((_, trace)) = traces.iter().find(|(open, _)| open == dir) {
+        return Some(Arc::clone(trace));
+    }
+    let trace = Arc::new(GridTrace {
+        ctx: TelemetryCtx::from_options(opts)?,
+        manifest: Mutex::new(RunManifest::new("sweep")),
+    });
+    traces.push((dir.clone(), Arc::clone(&trace)));
+    Some(trace)
+}
+
+/// Adds the `items` not yet listed to the comma-separated list under
+/// `key` in `manifest`'s configuration, creating the key if absent.
+fn merge_config_list<'a>(
+    manifest: &mut RunManifest,
+    key: &str,
+    items: impl IntoIterator<Item = &'a str>,
+) {
+    let index = match manifest.config.iter().position(|(k, _)| k == key) {
+        Some(index) => index,
+        None => {
+            manifest.push_config(key, "");
+            manifest.config.len() - 1
+        }
+    };
+    let list = &mut manifest.config[index].1;
+    for item in items {
+        if !list.split(',').any(|listed| listed == item) {
+            if !list.is_empty() {
+                list.push(',');
+            }
+            list.push_str(item);
+        }
+    }
+}
+
 /// All records of a benchmark × policy grid (content-addressed cache
 /// per cell), in benchmark-major order.
 ///
@@ -210,7 +267,8 @@ pub fn grid(
     benchmarks: &[Benchmark],
     policies: &[PolicyKind],
 ) -> Vec<SweepRecord> {
-    let ctx = TelemetryCtx::from_options(opts);
+    let trace = grid_trace(opts);
+    let ctx = trace.as_ref().map(|trace| &trace.ctx);
     let cells: Vec<(Benchmark, PolicyKind)> = benchmarks
         .iter()
         .flat_map(|&b| policies.iter().map(move |&p| (b, p)))
@@ -228,37 +286,39 @@ pub fn grid(
     let mut records: Vec<SweepRecord> = Vec::with_capacity(cells.len());
     let mut cell_manifests: Vec<CellManifest> = Vec::with_capacity(cells.len());
     let total = cells.len();
-    service::run_batch(
-        &cache(opts),
-        specs,
-        &batch,
-        ctx.as_ref(),
-        &counters,
-        |outcome| {
-            if ctx.is_some() {
-                let (b, p) = cells[outcome.index];
-                let label = format!("{}-{}", b.label(), policy_tag(p));
-                cell_manifests.push(service::cell_manifest(&outcome, label));
-            }
-            records.push(outcome.record);
-            heartbeat(ctx.as_ref(), records.len(), total);
-        },
-    );
+    service::run_batch(&cache(opts), specs, &batch, ctx, &counters, |outcome| {
+        if ctx.is_some() {
+            let (b, p) = cells[outcome.index];
+            let label = format!("{}-{}", b.label(), policy_tag(p));
+            cell_manifests.push(service::cell_manifest(&outcome, label));
+        }
+        records.push(outcome.record);
+        heartbeat(ctx, records.len(), total);
+    });
 
-    if let Some(ctx) = &ctx {
-        counters.emit(ctx);
-        let mut manifest = RunManifest::new("sweep");
-        manifest.push_config("tag", opts.tag());
-        let bench_list: Vec<&str> = benchmarks.iter().map(|b| b.label()).collect();
-        let policy_list: Vec<&str> = policies.iter().copied().map(policy_tag).collect();
-        manifest.push_config("benchmarks", bench_list.join(","));
-        manifest.push_config("policies", policy_list.join(","));
-        manifest.threads = threads;
-        manifest.cells = cell_manifests;
-        if let Err(e) = ctx.finish(&mut manifest) {
+    if let Some(trace) = &trace {
+        counters.emit(&trace.ctx);
+        let mut manifest = trace
+            .manifest
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        merge_config_list(&mut manifest, "tag", [opts.tag()]);
+        merge_config_list(
+            &mut manifest,
+            "benchmarks",
+            benchmarks.iter().map(|b| b.label()),
+        );
+        merge_config_list(
+            &mut manifest,
+            "policies",
+            policies.iter().copied().map(policy_tag),
+        );
+        manifest.threads = manifest.threads.max(threads);
+        manifest.cells.extend(cell_manifests);
+        if let Err(e) = trace.ctx.finish(&mut manifest) {
             eprintln!(
                 "warning: cannot write sweep manifest into {}: {e}",
-                ctx.dir().display()
+                trace.ctx.dir().display()
             );
         }
     }

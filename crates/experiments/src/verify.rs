@@ -1032,11 +1032,13 @@ pub fn diff_noise_separable_vs_direct(opts: &VerifyOptions) -> CheckReport {
             let ref_peak = reference.iter().copied().fold(0.0, f64::max);
             let tol = 1e-12 * ref_peak;
 
-            let peak = peak_transient_fraction(&config, &params, multipliers, *warmup);
+            let peak = peak_transient_fraction(&config, &params, multipliers, *warmup)
+                .map_err(|e| e.to_string())?;
             check::ensure((peak - ref_peak).abs() <= tol, || {
                 format!("peak {peak:e} vs direct {ref_peak:e}")
             })?;
-            let series = noise_series(&config, &params, multipliers, *warmup);
+            let series =
+                noise_series(&config, &params, multipliers, *warmup).map_err(|e| e.to_string())?;
             check::ensure(series.len() == reference.len(), || {
                 format!("series length {} vs {}", series.len(), reference.len())
             })?;
@@ -1051,7 +1053,8 @@ pub fn diff_noise_separable_vs_direct(opts: &VerifyOptions) -> CheckReport {
             let near = 1e-12 * threshold.max(f64::MIN_POSITIVE);
             if reference.iter().all(|v| (v + ir - threshold).abs() > near) {
                 let expected = reference.iter().filter(|&&v| v + ir > threshold).count();
-                let got = cycles_over(&config, &params, multipliers, *warmup, ir, threshold);
+                let got = cycles_over(&config, &params, multipliers, *warmup, ir, threshold)
+                    .map_err(|e| e.to_string())?;
                 check::ensure(got == expected, || {
                     format!("cycles_over {got} vs direct {expected} at threshold {threshold:e}")
                 })?;

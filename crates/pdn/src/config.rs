@@ -1,6 +1,7 @@
 //! PDN model configuration.
 
 use simkit::linalg::SolverBackend;
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::units::Volts;
 
 /// Electrical parameters of the on-chip power-delivery network.
@@ -64,23 +65,36 @@ impl PdnConfig {
         }
     }
 
-    /// Appends every field as canonical `(<prefix><name>, value)` pairs
-    /// for content hashing (floats render with `{:e}`).
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
+    /// Folds every field into `hasher` under `prefix`, floats as their
+    /// bits. The destructuring is exhaustive, so a field added later
+    /// cannot be left out of the content hash.
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let PdnConfig {
+            vdd,
+            cell_mm,
+            r_sheet_ohm,
+            r_vr_ohm,
+            r_global_ohm,
+            z_transient_ohm,
+            z_reference_active,
+            ring_period_cycles,
+            passive_decay_cycles,
+            solver,
+        } = *self;
         for (name, value) in [
-            ("vdd", self.vdd.get()),
-            ("cell_mm", self.cell_mm),
-            ("r_sheet_ohm", self.r_sheet_ohm),
-            ("r_vr_ohm", self.r_vr_ohm),
-            ("r_global_ohm", self.r_global_ohm),
-            ("z_transient_ohm", self.z_transient_ohm),
-            ("z_reference_active", self.z_reference_active),
-            ("ring_period_cycles", self.ring_period_cycles),
-            ("passive_decay_cycles", self.passive_decay_cycles),
+            ("vdd", vdd.get()),
+            ("cell_mm", cell_mm),
+            ("r_sheet_ohm", r_sheet_ohm),
+            ("r_vr_ohm", r_vr_ohm),
+            ("r_global_ohm", r_global_ohm),
+            ("z_transient_ohm", z_transient_ohm),
+            ("z_reference_active", z_reference_active),
+            ("ring_period_cycles", ring_period_cycles),
+            ("passive_decay_cycles", passive_decay_cycles),
         ] {
-            out.push((format!("{prefix}{name}"), format!("{value:e}")));
+            hasher.field(prefix, name, value);
         }
-        out.push((format!("{prefix}solver"), self.solver.name().to_string()));
+        hasher.field(prefix, "solver", solver.name());
     }
 }
 

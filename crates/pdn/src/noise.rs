@@ -173,7 +173,8 @@ impl NoiseAnalyzer {
     ///
     /// # Errors
     ///
-    /// Propagates IR-solve errors (floating domains, size mismatches).
+    /// Propagates IR-solve errors (floating domains, size mismatches),
+    /// and an invalid-argument error for a domain without regulators.
     pub fn analyze(
         &self,
         chip: &Floorplan,
@@ -196,7 +197,8 @@ impl NoiseAnalyzer {
     ///
     /// # Errors
     ///
-    /// Propagates IR-solve errors (floating domains, size mismatches).
+    /// Propagates IR-solve errors (floating domains, size mismatches),
+    /// and an invalid-argument error for a domain without regulators.
     pub fn analyze_responses(
         &self,
         chip: &Floorplan,
@@ -231,12 +233,12 @@ impl NoiseAnalyzer {
                     response_time: self.response_time,
                     frequency: self.frequency,
                 };
-                let scale = response_scale(config, &params) / vdd.get();
+                let scale = response_scale(config, &params)? / vdd.get();
                 per_domain_ir.push(ir.domain_fraction(d));
                 per_domain_scale.push(scale);
-                ir.domain_fraction(d) + scale * responses[d.0].peak()
+                Ok(ir.domain_fraction(d) + scale * responses[d.0].peak())
             })
-            .collect();
+            .collect::<Result<_>>()?;
         let report = NoiseReport {
             per_domain,
             per_domain_ir,
@@ -393,7 +395,8 @@ mod tests {
             let transient = report.domain_fraction(d) - report.domain_ir_fraction(d);
             let scaled = report.domain_transient_scale(d) * responses[d.0].peak();
             assert!((transient - scaled).abs() <= 1e-15, "D{}", d.0);
-            let direct = peak_transient_fraction(model.config(), &params, &windows[d.0], 1000);
+            let direct =
+                peak_transient_fraction(model.config(), &params, &windows[d.0], 1000).unwrap();
             assert!((transient - direct).abs() <= 1e-12 * direct, "D{}", d.0);
         }
     }

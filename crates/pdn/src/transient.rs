@@ -55,6 +55,7 @@
 
 use crate::config::PdnConfig;
 use simkit::units::{Amps, Hertz, Seconds};
+use simkit::{Error, Result};
 
 /// Parameters of one transient evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,17 +212,18 @@ impl DidtResponse {
 /// `Z_eff · i_mean`: the gating-dependent factor that turns a
 /// [`DidtResponse`] magnitude into volts. Divide by Vdd for fractions.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `n_active` is zero or exceeds `n_total`.
-pub fn response_scale(config: &PdnConfig, params: &TransientParams) -> f64 {
-    assert!(
-        params.n_active > 0 && params.n_active <= params.n_total,
-        "n_active {} outside [1, {}]",
-        params.n_active,
-        params.n_total
-    );
-    z_eff(config, params) * params.mean_current.get().max(0.0)
+/// [`Error::InvalidArgument`] when `n_active` is zero or exceeds
+/// `n_total`.
+pub fn response_scale(config: &PdnConfig, params: &TransientParams) -> Result<f64> {
+    if params.n_active == 0 || params.n_active > params.n_total {
+        return Err(Error::invalid_argument(format!(
+            "n_active {} outside [1, {}]",
+            params.n_active, params.n_total
+        )));
+    }
+    Ok(z_eff(config, params) * params.mean_current.get().max(0.0))
 }
 
 /// Peak transient noise over a cycle window, as a fraction of Vdd.
@@ -230,39 +232,47 @@ pub fn response_scale(config: &PdnConfig, params: &TransientParams) -> f64 {
 /// (see `workload::microtrace`); the first `warmup` cycles seed the
 /// convolution but are excluded from the peak search.
 ///
+/// # Errors
+///
+/// [`Error::InvalidArgument`] when `n_active` is zero or exceeds
+/// `n_total` (see [`response_scale`]).
+///
 /// # Panics
 ///
-/// Panics when `n_active` is zero or exceeds `n_total`, or when
-/// `warmup >= multipliers.len()`.
+/// Panics when `warmup >= multipliers.len()`.
 pub fn peak_transient_fraction(
     config: &PdnConfig,
     params: &TransientParams,
     multipliers: &[f64],
     warmup: usize,
-) -> f64 {
-    let scale = response_scale(config, params) / config.vdd.get();
-    scale * response(config, params, multipliers, warmup).peak()
+) -> Result<f64> {
+    let scale = response_scale(config, params)? / config.vdd.get();
+    Ok(scale * response(config, params, multipliers, warmup).peak())
 }
 
 /// The full per-cycle transient-noise magnitude over the analysis region
 /// of a window, as fractions of Vdd (the Fig. 14-style trace). Add the
 /// static IR fraction on top for total noise.
 ///
+/// # Errors
+///
+/// As [`peak_transient_fraction`].
+///
 /// # Panics
 ///
-/// Same preconditions as [`peak_transient_fraction`].
+/// As [`peak_transient_fraction`].
 pub fn noise_series(
     config: &PdnConfig,
     params: &TransientParams,
     multipliers: &[f64],
     warmup: usize,
-) -> Vec<f64> {
-    let scale = response_scale(config, params) / config.vdd.get();
-    response(config, params, multipliers, warmup)
+) -> Result<Vec<f64>> {
+    let scale = response_scale(config, params)? / config.vdd.get();
+    Ok(response(config, params, multipliers, warmup)
         .magnitudes()
         .iter()
         .map(|&c| scale * c)
-        .collect()
+        .collect())
 }
 
 /// Number of analysis cycles whose total noise (transient + the given
@@ -270,9 +280,13 @@ pub fn noise_series(
 /// quantity behind Table 2's "% execution time spent in voltage
 /// emergencies".
 ///
+/// # Errors
+///
+/// As [`peak_transient_fraction`].
+///
 /// # Panics
 ///
-/// Same preconditions as [`peak_transient_fraction`].
+/// As [`peak_transient_fraction`].
 pub fn cycles_over(
     config: &PdnConfig,
     params: &TransientParams,
@@ -280,13 +294,13 @@ pub fn cycles_over(
     warmup: usize,
     ir_fraction: f64,
     threshold_fraction: f64,
-) -> usize {
-    let scale = response_scale(config, params) / config.vdd.get();
-    response(config, params, multipliers, warmup).cycles_over(
+) -> Result<usize> {
+    let scale = response_scale(config, params)? / config.vdd.get();
+    Ok(response(config, params, multipliers, warmup).cycles_over(
         scale,
         ir_fraction,
         threshold_fraction,
-    )
+    ))
 }
 
 /// The impulse-response kernel for the given configuration.
@@ -485,7 +499,7 @@ mod tests {
     fn quiet_window_has_no_noise() {
         let cfg = PdnConfig::default();
         let w = vec![1.0; 2000];
-        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
+        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000).unwrap();
         assert_eq!(f, 0.0);
     }
 
@@ -493,9 +507,11 @@ mod tests {
     fn bigger_steps_make_more_noise() {
         let cfg = PdnConfig::default();
         let small =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.1), 1000);
+            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.1), 1000)
+                .unwrap();
         let large =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
+            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000)
+                .unwrap();
         assert!(large > 3.0 * small, "large {large} small {small}");
     }
 
@@ -503,8 +519,8 @@ mod tests {
     fn fewer_active_regulators_mean_more_noise() {
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let strong = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
-        let weak = peak_transient_fraction(&cfg, &params(2, 15.0), &w, 1000);
+        let strong = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000).unwrap();
+        let weak = peak_transient_fraction(&cfg, &params(2, 15.0), &w, 1000).unwrap();
         assert!(weak > 1.5 * strong, "weak {weak} strong {strong}");
     }
 
@@ -514,8 +530,8 @@ mod tests {
         // ring-down that the 15 ns FIVR lets ring.
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let fivr = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
-        let ldo = peak_transient_fraction(&cfg, &params(9, 0.8), &w, 1000);
+        let fivr = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000).unwrap();
+        let ldo = peak_transient_fraction(&cfg, &params(9, 0.8), &w, 1000).unwrap();
         assert!(ldo < fivr, "ldo {ldo} fivr {fivr}");
         assert!(
             ldo > 0.3 * fivr,
@@ -527,10 +543,10 @@ mod tests {
     fn distance_factor_scales_noise_linearly() {
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let near = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
+        let near = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000).unwrap();
         let mut p = params(9, 15.0);
         p.distance_factor = 2.0;
-        let far = peak_transient_fraction(&cfg, &p, &w, 1000);
+        let far = peak_transient_fraction(&cfg, &p, &w, 1000).unwrap();
         assert!((far / near - 2.0).abs() < 1e-9);
     }
 
@@ -552,9 +568,10 @@ mod tests {
         // Step well inside warm-up, long before the analysis region: the
         // ring has decayed by cycle 1000, so the peak is near zero.
         let early = step_window(2000, 200, 0.4);
-        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &early, 1000);
+        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &early, 1000).unwrap();
         let direct =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
+            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000)
+                .unwrap();
         assert!(f < 0.05 * direct, "early {f} direct {direct}");
     }
 
@@ -563,10 +580,10 @@ mod tests {
         let cfg = PdnConfig::default();
         let p = params(4, 15.0);
         let w = step_window(2000, 1500, 0.3);
-        let series = noise_series(&cfg, &p, &w, 1000);
+        let series = noise_series(&cfg, &p, &w, 1000).unwrap();
         assert_eq!(series.len(), 1000);
         let series_peak = series.iter().copied().fold(0.0, f64::max);
-        let peak = peak_transient_fraction(&cfg, &p, &w, 1000);
+        let peak = peak_transient_fraction(&cfg, &p, &w, 1000).unwrap();
         assert!((series_peak - peak).abs() < 1e-12);
     }
 
@@ -576,12 +593,12 @@ mod tests {
         let p = params(2, 15.0);
         let w = step_window(2000, 1500, 0.4);
         // With a huge threshold nothing crosses.
-        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.0, 10.0), 0);
+        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.0, 10.0).unwrap(), 0);
         // With a zero threshold and positive IR, every cycle crosses.
-        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.05, 0.0), 1000);
+        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.05, 0.0).unwrap(), 1000);
         // Intermediate threshold: some but not all cycles cross.
-        let peak = peak_transient_fraction(&cfg, &p, &w, 1000);
-        let some = cycles_over(&cfg, &p, &w, 1000, 0.0, peak * 0.5);
+        let peak = peak_transient_fraction(&cfg, &p, &w, 1000).unwrap();
+        let some = cycles_over(&cfg, &p, &w, 1000, 0.0, peak * 0.5).unwrap();
         assert!(some > 0 && some < 1000, "crossings {some}");
     }
 
@@ -631,9 +648,10 @@ mod tests {
         for (n_active, distance) in [(1, 1.0), (4, 0.05), (9, 2.5)] {
             let mut p = params(n_active, 15.0);
             p.distance_factor = distance;
-            let scale = response_scale(&cfg, &p) / cfg.vdd.get();
+            let scale = response_scale(&cfg, &p).unwrap() / cfg.vdd.get();
             assert_eq!(response(&p, &w, 1000), shared);
             for (v, &c) in noise_series(&cfg, &p, &w, 1000)
+                .unwrap()
                 .iter()
                 .zip(shared.magnitudes())
             {
@@ -657,8 +675,12 @@ mod tests {
         let cfg = PdnConfig::default();
         let w = noisy_window(2000, 5);
         let p = params(3, 15.0);
-        let expected = response_scale(&cfg, &p) / cfg.vdd.get() * response(&p, &w, 1000).peak();
-        assert_eq!(peak_transient_fraction(&cfg, &p, &w, 1000), expected);
+        let expected =
+            response_scale(&cfg, &p).unwrap() / cfg.vdd.get() * response(&p, &w, 1000).peak();
+        assert_eq!(
+            peak_transient_fraction(&cfg, &p, &w, 1000).unwrap(),
+            expected
+        );
     }
 
     #[test]
@@ -670,7 +692,7 @@ mod tests {
             let taps = impulse_kernel(&cfg, &p).len();
             for warmup in [0, 1, taps / 2, taps - 1, taps, taps + 1] {
                 let reference = direct_series(&cfg, &p, &w, warmup);
-                let series = noise_series(&cfg, &p, &w, warmup);
+                let series = noise_series(&cfg, &p, &w, warmup).unwrap();
                 assert_eq!(series.len(), reference.len());
                 let peak = reference.iter().copied().fold(0.0, f64::max);
                 for (n, (a, b)) in series.iter().zip(&reference).enumerate() {
@@ -679,7 +701,7 @@ mod tests {
                         "warm-up {warmup}, cycle {n}: {a} vs {b}"
                     );
                 }
-                let got = peak_transient_fraction(&cfg, &p, &w, warmup);
+                let got = peak_transient_fraction(&cfg, &p, &w, warmup).unwrap();
                 assert!((got - peak).abs() <= 1e-12 * peak, "{got} vs {peak}");
             }
         }
@@ -764,9 +786,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "n_active")]
-    fn zero_active_panics() {
+    fn active_counts_outside_the_domain_are_invalid_arguments() {
         let cfg = PdnConfig::default();
-        peak_transient_fraction(&cfg, &params(0, 15.0), &[1.0, 1.0], 0);
+        for n_active in [0, 10] {
+            let err =
+                peak_transient_fraction(&cfg, &params(n_active, 15.0), &[1.0, 1.0], 0).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
+            assert!(err.to_string().contains("outside [1, 9]"), "{err}");
+        }
     }
 }

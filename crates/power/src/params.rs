@@ -1,5 +1,6 @@
 //! Technology parameters (Table 1 of the paper).
 
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::units::{Celsius, Hertz, Volts, Watts};
 
 /// Process/technology parameters of the modelled chip.
@@ -35,24 +36,27 @@ impl TechnologyParams {
         }
     }
 
-    /// Appends every field as canonical `(<prefix><name>, value)` pairs
-    /// for content hashing (floats render with `{:e}`).
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
+    /// Folds every field into `hasher` under `prefix`, floats as their
+    /// bits. The destructuring is exhaustive, so a field added later
+    /// cannot be left out of the content hash.
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let TechnologyParams {
+            vdd,
+            frequency,
+            tdp,
+            calibration_temperature,
+            static_share_at_calibration,
+            leakage_temp_coeff,
+        } = *self;
         for (name, value) in [
-            ("vdd", self.vdd.get()),
-            ("frequency", self.frequency.get()),
-            ("tdp", self.tdp.get()),
-            (
-                "calibration_temperature",
-                self.calibration_temperature.get(),
-            ),
-            (
-                "static_share_at_calibration",
-                self.static_share_at_calibration,
-            ),
-            ("leakage_temp_coeff", self.leakage_temp_coeff),
+            ("vdd", vdd.get()),
+            ("frequency", frequency.get()),
+            ("tdp", tdp.get()),
+            ("calibration_temperature", calibration_temperature.get()),
+            ("static_share_at_calibration", static_share_at_calibration),
+            ("leakage_temp_coeff", leakage_temp_coeff),
         ] {
-            out.push((format!("{prefix}{name}"), format!("{value:e}")));
+            hasher.field(prefix, name, value);
         }
     }
 }

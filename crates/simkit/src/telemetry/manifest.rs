@@ -331,9 +331,85 @@ impl ContentHasher {
         self.hash = fnv1a64(self.hash, b";");
     }
 
+    /// Folds one configuration field as `<prefix><name>=<value>;`, with
+    /// the value as raw bytes ([`FieldValue`]) rather than text: the
+    /// step of the field walks that hash a configuration without
+    /// formatting a number. [`ContentHasher::push`] keeps the text
+    /// framing of [`RunManifest::config_hash`].
+    pub fn field(&mut self, prefix: &KeyPrefix<'_>, name: &str, value: impl FieldValue) {
+        self.hash = prefix.fold(self.hash);
+        self.hash = fnv1a64(self.hash, name.as_bytes());
+        self.hash = fnv1a64(self.hash, b"=");
+        self.hash = value.fold(self.hash);
+        self.hash = fnv1a64(self.hash, b";");
+    }
+
     /// The hash of everything pushed so far (non-consuming).
     pub fn finish(&self) -> u64 {
         self.hash
+    }
+}
+
+/// A configuration value as [`ContentHasher::field`] folds it: a float
+/// as the little-endian bytes of its `to_bits()` (so `0.0` and `-0.0`
+/// differ, and nothing is formatted), an integer as its eight
+/// little-endian bytes, text as its byte length and then its bytes.
+pub trait FieldValue {
+    /// `hash` with this value folded in.
+    fn fold(self, hash: u64) -> u64;
+}
+
+impl FieldValue for f64 {
+    fn fold(self, hash: u64) -> u64 {
+        fnv1a64(hash, &self.to_bits().to_le_bytes())
+    }
+}
+
+impl FieldValue for u64 {
+    fn fold(self, hash: u64) -> u64 {
+        fnv1a64(hash, &self.to_le_bytes())
+    }
+}
+
+impl FieldValue for usize {
+    fn fold(self, hash: u64) -> u64 {
+        (self as u64).fold(hash)
+    }
+}
+
+impl FieldValue for &str {
+    fn fold(self, hash: u64) -> u64 {
+        fnv1a64(self.len().fold(hash), self.as_bytes())
+    }
+}
+
+/// The dotted key prefix of a configuration field walk, such as
+/// `thermal.` or `thermal.package.`. It is a chain of parts, so a walk
+/// hands the walk of a struct it nests a longer prefix without
+/// allocating one.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyPrefix<'a> {
+    outer: Option<&'a KeyPrefix<'a>>,
+    part: &'a str,
+}
+
+impl<'a> KeyPrefix<'a> {
+    /// The prefix `part` (`""` for top-level fields).
+    pub const fn new(part: &'a str) -> Self {
+        KeyPrefix { outer: None, part }
+    }
+
+    /// This prefix followed by `part`.
+    pub fn nest(&'a self, part: &'a str) -> Self {
+        KeyPrefix {
+            outer: Some(self),
+            part,
+        }
+    }
+
+    fn fold(&self, hash: u64) -> u64 {
+        let hash = self.outer.map_or(hash, |outer| outer.fold(hash));
+        fnv1a64(hash, self.part.as_bytes())
     }
 }
 
@@ -417,6 +493,21 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
         let mut c = ContentHasher::new("scenario");
         c.push("v", "k");
+        assert_ne!(a.finish(), c.finish());
+    }
+
+    #[test]
+    fn field_folds_a_nested_key_like_its_concatenation() {
+        let (outer, mut a, mut b) = (
+            KeyPrefix::new("thermal."),
+            ContentHasher::new("scenario"),
+            ContentHasher::new("scenario"),
+        );
+        a.field(&outer.nest("package."), "k", 1.5);
+        b.field(&KeyPrefix::new("thermal.package."), "k", 1.5);
+        assert_eq!(a.finish(), b.finish());
+        let mut c = ContentHasher::new("scenario");
+        c.field(&KeyPrefix::new("thermal.package."), "k", -1.5);
         assert_ne!(a.finish(), c.finish());
     }
 

@@ -1,6 +1,7 @@
 //! Thermal model configuration.
 
 use simkit::linalg::SolverBackend;
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::units::Celsius;
 
 /// Physical parameters of the die and cooling package.
@@ -66,25 +67,39 @@ impl PackageParams {
         }
     }
 
-    /// Appends every parameter as `(<prefix><name>, value)` pairs for
-    /// content hashing; floats render with `{:e}` so the canonical
-    /// string round-trips bit-exactly.
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
+    /// Folds every parameter into `hasher` under `prefix`, floats as
+    /// their bits. The destructuring is exhaustive, so a field added
+    /// later cannot be left out of the content hash.
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let PackageParams {
+            k_silicon,
+            c_silicon,
+            t_silicon,
+            k_tim,
+            t_tim,
+            k_spreader,
+            c_spreader,
+            t_spreader,
+            sink_base_resistance,
+            convection_resistance,
+            sink_capacitance,
+            ambient,
+        } = *self;
         for (name, value) in [
-            ("k_silicon", self.k_silicon),
-            ("c_silicon", self.c_silicon),
-            ("t_silicon", self.t_silicon),
-            ("k_tim", self.k_tim),
-            ("t_tim", self.t_tim),
-            ("k_spreader", self.k_spreader),
-            ("c_spreader", self.c_spreader),
-            ("t_spreader", self.t_spreader),
-            ("sink_base_resistance", self.sink_base_resistance),
-            ("convection_resistance", self.convection_resistance),
-            ("sink_capacitance", self.sink_capacitance),
-            ("ambient_c", self.ambient.get()),
+            ("k_silicon", k_silicon),
+            ("c_silicon", c_silicon),
+            ("t_silicon", t_silicon),
+            ("k_tim", k_tim),
+            ("t_tim", t_tim),
+            ("k_spreader", k_spreader),
+            ("c_spreader", c_spreader),
+            ("t_spreader", t_spreader),
+            ("sink_base_resistance", sink_base_resistance),
+            ("convection_resistance", convection_resistance),
+            ("sink_capacitance", sink_capacitance),
+            ("ambient_c", ambient.get()),
         ] {
-            out.push((format!("{prefix}{name}"), format!("{value:e}")));
+            hasher.field(prefix, name, value);
         }
     }
 }
@@ -151,18 +166,21 @@ impl ThermalConfig {
         }
     }
 
-    /// Appends every field (grid, solver, package) as canonical
-    /// `(<prefix><name>, value)` pairs for content hashing.
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
-        out.push((format!("{prefix}nx"), self.nx.to_string()));
-        out.push((format!("{prefix}ny"), self.ny.to_string()));
-        out.push((
-            format!("{prefix}vr_self_resistance"),
-            format!("{:e}", self.vr_self_resistance),
-        ));
-        out.push((format!("{prefix}solver"), self.solver.name().to_string()));
-        self.package
-            .config_fields(&format!("{prefix}package."), out);
+    /// Folds every field (grid, solver, package) into `hasher` under
+    /// `prefix`; see [`PackageParams::hash_fields`].
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let ThermalConfig {
+            nx,
+            ny,
+            package,
+            vr_self_resistance,
+            solver,
+        } = self;
+        hasher.field(prefix, "nx", *nx);
+        hasher.field(prefix, "ny", *ny);
+        hasher.field(prefix, "vr_self_resistance", *vr_self_resistance);
+        hasher.field(prefix, "solver", solver.name());
+        package.hash_fields(&prefix.nest("package."), hasher);
     }
 }
 

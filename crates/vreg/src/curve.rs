@@ -1,5 +1,6 @@
 //! Regulator conversion-efficiency curves.
 
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::units::Amps;
 use simkit::{Error, PiecewiseLinear, Result};
 
@@ -123,6 +124,22 @@ impl EfficiencyCurve {
     /// `(amps, η)` pairs.
     pub fn points(&self) -> &[(f64, f64)] {
         self.eta.points()
+    }
+
+    /// Folds the point count and every `(amps, η)` point into `hasher`
+    /// under `prefix`, as bits. The peak follows from the points, so it
+    /// adds nothing.
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let EfficiencyCurve {
+            eta,
+            peak_current: _,
+            peak_efficiency: _,
+        } = self;
+        hasher.field(prefix, "points", eta.points().len());
+        for &(amps, efficiency) in eta.points() {
+            hasher.field(prefix, "amps", amps);
+            hasher.field(prefix, "eta", efficiency);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Named industrial regulator design points.
 
 use crate::curve::EfficiencyCurve;
+use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::units::{Amps, Seconds};
 
 /// Circuit topology of an integrated regulator.
@@ -131,31 +132,23 @@ impl RegulatorDesign {
         self.response_time
     }
 
-    /// Appends every parameter — including the full efficiency-curve
-    /// point list — as canonical `(<prefix><name>, value)` pairs for
-    /// content hashing (floats render with `{:e}`).
-    pub fn config_fields(&self, prefix: &str, out: &mut Vec<(String, String)>) {
-        out.push((format!("{prefix}name"), self.name.clone()));
-        out.push((format!("{prefix}topology"), self.topology.tag().to_string()));
-        out.push((
-            format!("{prefix}pout_per_area_w_mm2"),
-            format!("{:e}", self.pout_per_area_w_mm2),
-        ));
-        out.push((
-            format!("{prefix}response_time"),
-            format!("{:e}", self.response_time.get()),
-        ));
-        let points: Vec<String> = self
-            .curve
-            .points()
-            .iter()
-            .map(|&(i, eta)| format!("{i:e}:{eta:e}"))
-            .collect();
-        out.push((format!("{prefix}curve.points"), points.join(" ")));
-        out.push((
-            format!("{prefix}curve.peak_current"),
-            format!("{:e}", self.curve.peak_current().get()),
-        ));
+    /// Folds every parameter, the efficiency curve's points included,
+    /// into `hasher` under `prefix`: floats as their bits, the name and
+    /// the topology tag as text. The destructuring is exhaustive, so a
+    /// field added later cannot be left out of the content hash.
+    pub fn hash_fields(&self, prefix: &KeyPrefix<'_>, hasher: &mut ContentHasher) {
+        let RegulatorDesign {
+            name,
+            topology,
+            curve,
+            pout_per_area_w_mm2,
+            response_time,
+        } = self;
+        hasher.field(prefix, "name", name.as_str());
+        hasher.field(prefix, "topology", topology.tag());
+        hasher.field(prefix, "pout_per_area_w_mm2", *pout_per_area_w_mm2);
+        hasher.field(prefix, "response_time", response_time.get());
+        curve.hash_fields(&prefix.nest("curve."), hasher);
     }
 }
 

@@ -2,7 +2,8 @@
 //! [`experiments::telemetry::TelemetryCtx`] must produce a `trace.jsonl`
 //! whose every line is a well-formed event, plus a self-validating
 //! `manifest.json` whose event total equals the trace's line count —
-//! and the sweep executor must do the same for a whole grid.
+//! and the sweep executor must do the same for a whole grid, and for
+//! every grid a process runs into one directory.
 
 use experiments::context::ExpOptions;
 use experiments::telemetry::TelemetryCtx;
@@ -148,6 +149,46 @@ fn sweep_grid_writes_manifest_covering_every_cell() {
             cell.label
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn grids_sharing_a_telemetry_dir_keep_every_grid_in_one_trace() {
+    let dir = temp_dir("two-grids");
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ExpOptions::tiny().with_threads(1).with_telemetry(&dir);
+    experiments::sweep::grid(&opts, &[Benchmark::Fft], &[PolicyKind::AllOn]);
+    experiments::sweep::grid(
+        &opts,
+        &[Benchmark::LuNcb],
+        &[PolicyKind::AllOn, PolicyKind::OracT],
+    );
+
+    let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
+    let cells: BTreeSet<&str> = trace
+        .lines()
+        .filter(|line| line.contains("\"name\":\"sweep.cell\""))
+        .filter_map(|line| {
+            ["fft-allon", "lu_ncb-allon", "lu_ncb-oract"]
+                .into_iter()
+                .find(|cell| line.contains(&format!("\"cell\":\"{cell}\"")))
+        })
+        .collect();
+    assert_eq!(cells.len(), 3, "sweep.cell events of both grids: {cells:?}");
+    let (lines, _) = scan_trace(&dir);
+    let manifest = read_manifest(&dir);
+    assert_eq!(
+        manifest.cells.len(),
+        3,
+        "one manifest cell per cell of both grids"
+    );
+    assert_eq!(lines, manifest.total_events());
+    let config = |key: &str| {
+        let value = manifest.config.iter().find(|(k, _)| k == key);
+        value.map(|(_, v)| v.as_str())
+    };
+    assert_eq!(config("benchmarks"), Some("fft,lu_ncb"));
+    assert_eq!(config("policies"), Some("allon,oract"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

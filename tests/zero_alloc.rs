@@ -5,8 +5,10 @@
 //! `TransientStepper::step`, `generate_window_into` and
 //! `DidtResponse::refill` calls. An IR analysis whose regulator key
 //! changes (a refactor and a superposition-basis rebuild) allocates no
-//! more than one whose key repeats.
+//! more than one whose key repeats. A warmed-up
+//! `ScenarioSpec::content_hash` allocates nothing.
 
+use experiments::service::ScenarioSpec;
 use floorplan::reference::power8_like;
 use pdn::transient::DidtResponse;
 use pdn::{PdnConfig, PdnModel};
@@ -15,8 +17,10 @@ use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
+use thermogater::{EngineConfig, PolicyKind};
 use vreg::GatingState;
 use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
+use workload::Benchmark;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -196,5 +200,28 @@ fn ir_drop_with_a_new_key_allocates_no_more_than_a_repeated_key() {
     assert!(
         changed <= repeated,
         "a key change allocated {changed} times, a repeated key {repeated}"
+    );
+}
+
+/// A scenario's content hash folds every configuration field straight
+/// into the hasher, floats as bits: once warmed up it allocates nothing,
+/// which is what keeps a cache hit cheap.
+#[test]
+fn scenario_content_hash_performs_no_heap_allocation() {
+    let spec = ScenarioSpec::new(Benchmark::Fft, PolicyKind::PracVT, EngineConfig::standard());
+    let warm = spec.content_hash();
+
+    let before = thread_allocs();
+    let mut same = true;
+    for _ in 0..100 {
+        same &= spec.content_hash() == warm;
+    }
+    let after = thread_allocs();
+    assert!(same, "the content hash changed between calls");
+    assert_eq!(
+        after - before,
+        0,
+        "content hashing allocated {} times over 100 hashes",
+        after - before
     );
 }
