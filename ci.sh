@@ -12,15 +12,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== panic-site ratchet: non-test panic sites may only go down =="
 # Counts .unwrap() / .expect( / panic!( / unreachable!( / todo!( /
-# unimplemented!( in crates/*/src, in each file's lines before its first
-# #[cfg(test)]. Lower PANIC_SITES_MAX when the count falls.
-PANIC_SITES_MAX=85
+# unimplemented!( and the assert family (assert!( / assert_eq!( /
+# assert_ne!( and their debug_ forms) in crates/*/src, in each file's
+# lines before its first #[cfg(test)], skipping // comment lines (doc
+# examples included). Lower PANIC_SITES_MAX when the count falls.
+PANIC_SITES_MAX=136
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /#\[cfg\(test\)\]/ { in_test = 1 }
-    !in_test {
+    !in_test && !/^[ \t]*\/\// {
         line = $0
-        n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|todo!\(|unimplemented!\(/, "", line)
+        n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|todo!\(|unimplemented!\(|(debug_)?assert(_eq|_ne)?!\(/, "", line)
     }
     END { print n + 0 }')
 echo "non-test panic sites: $panic_sites (max $PANIC_SITES_MAX)"

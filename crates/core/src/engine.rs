@@ -41,6 +41,16 @@
 //! benchmark and the seed, so the overlap changes no number, and the
 //! `noise` phase holds the loop's wait for them rather than their cost.
 //!
+//! Every phase is timed at one call site through
+//! [`PhaseTimes::timed`], which also opens the phase's span. Each
+//! interval takes its windows (`noise`, `engine.noise.wait`), decides
+//! (`policy`, `engine.policy`, with the VT truth check nested as
+//! `noise`, `engine.noise.truth`), steps (`transient`,
+//! `engine.transient`, with each window's measurement nested as `noise`,
+//! `engine.noise.measure`) and updates the demand forecaster (`policy`
+//! again). A nested phase's time is taken out of the phase around it, so
+//! the phases never overlap.
+//!
 //! ### Oracle fidelity
 //!
 //! `OracT`'s "temperature each regulator would assume" is computed with
@@ -61,7 +71,7 @@ use pdn::transient::DidtResponse;
 use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
 use power::{PowerModel, TechnologyParams};
 use simkit::linalg::{SolveStats, SolverBackend};
-use simkit::perf::{PhaseTimes, SolverProfile, Timer};
+use simkit::perf::{PhaseTimes, SolverProfile};
 use simkit::series::{TimeSeries, TraceMatrix};
 use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::telemetry::{EventKind, Telemetry};
@@ -197,12 +207,12 @@ impl EngineConfig {
     /// Checks that an engine can be built and run from this
     /// configuration: a non-empty thermal grid, a thermal step that
     /// divides the decision interval, a finite duration of at least one
-    /// decision interval, no more noise windows than thermal steps (a
-    /// step measures at most one window), and a thermal step that spans
-    /// a whole number of synthetic trace samples
-    /// ([`workload::trace::DEFAULT_DT`]). Front ends call it to
-    /// reject bad input with a message instead of the panic
-    /// [`SimulationEngine::new`] raises.
+    /// decision interval whose thermal steps a `usize` counts, no more
+    /// noise windows than thermal steps (a step measures at most one
+    /// window), and a thermal step that spans a whole number of
+    /// synthetic trace samples ([`workload::trace::DEFAULT_DT`]). Front
+    /// ends call it to reject bad input with a message instead of the
+    /// panic [`SimulationEngine::new`] raises.
     ///
     /// # Errors
     ///
@@ -236,8 +246,17 @@ impl EngineConfig {
                 readable(self.duration)
             )));
         }
-        let n_decisions = (duration / interval).round() as usize;
-        let steps = spd * n_decisions;
+        // `as usize` saturates, so a count it cannot hold is rejected
+        // before the conversion, and the step count must not wrap.
+        let decisions = (duration / interval).round();
+        let counts = (decisions < usize::MAX as f64)
+            .then_some(decisions as usize)
+            .and_then(|n| Some((n, spd.checked_mul(n)?)));
+        let Some((n_decisions, steps)) = counts else {
+            return Err(Error::invalid_argument(format!(
+                "duration must hold a countable number of thermal steps, got {duration:e} s"
+            )));
+        };
         if self.noise_window_count > steps {
             return Err(Error::invalid_argument(format!(
                 "noise_window_count must not exceed the run's thermal steps, got {} windows over {steps} steps",
@@ -401,16 +420,24 @@ struct RunMetrics {
     analyzed_cycles: usize,
     worst_window: Option<(f64, Vec<f64>)>,
     solver_profile: SolverProfile,
-    /// Noise analysis runs interleaved with the policy and transient
-    /// phases; it accumulates here and is subtracted from whichever
-    /// phase hosted it, so the report attributes time where it is spent.
-    noise_secs: f64,
+    perf: PhaseTimes,
+}
+
+impl AsMut<PhaseTimes> for RunMetrics {
+    fn as_mut(&mut self) -> &mut PhaseTimes {
+        &mut self.perf
+    }
 }
 
 impl RunMetrics {
     /// Empty accumulators for a run starting at the steady `state`
-    /// that `steady` converged to.
-    fn new(engine: &SimulationEngine<'_>, state: &ThermalState, steady: &FeedbackStats) -> Self {
+    /// that `steady` converged to, after the phases timed in `perf`.
+    fn new(
+        engine: &SimulationEngine<'_>,
+        state: &ThermalState,
+        steady: &FeedbackStats,
+        perf: PhaseTimes,
+    ) -> Self {
         let step = engine.config.thermal_step;
         let n_vrs = engine.chip.vr_sites().len();
         let mut solver_profile = SolverProfile::new();
@@ -433,7 +460,7 @@ impl RunMetrics {
             analyzed_cycles: 0,
             worst_window: None,
             solver_profile,
-            noise_secs: 0.0,
+            perf,
         }
     }
 
@@ -492,7 +519,6 @@ impl RunMetrics {
         spec: &WorkloadSpec,
         policy: PolicyKind,
         predictor_r_squared: Option<f64>,
-        perf: PhaseTimes,
         grid_nx: usize,
     ) -> SimulationResult {
         let steps = self.total_power.len() as f64;
@@ -522,7 +548,7 @@ impl RunMetrics {
                 .collect(),
             worst_window_trace: self.worst_window.map(|(_, trace)| trace),
             predictor_r_squared,
-            perf,
+            perf: self.perf,
             solver_profile: self.solver_profile,
         }
     }
@@ -541,10 +567,11 @@ impl<'c> SimulationEngine<'c> {
     ///
     /// Panics when [`EngineConfig::validate`] rejects the configuration:
     /// an empty thermal grid, a thermal step that does not divide the
-    /// decision interval, a duration that is not finite or is shorter
-    /// than one decision interval, more noise windows than thermal
-    /// steps, or a thermal step that is not a whole number of synthetic
-    /// trace samples.
+    /// decision interval, a duration that is not finite, is shorter
+    /// than one decision interval or has more thermal steps than a
+    /// `usize` counts, more noise windows than thermal steps, or a
+    /// thermal step that is not a whole number of synthetic trace
+    /// samples.
     pub fn new(chip: &'c Floorplan, config: EngineConfig) -> Self {
         let (spd, n_decisions) = config.step_counts().unwrap_or_else(|e| panic!("{e}"));
 
@@ -630,23 +657,6 @@ impl<'c> SimulationEngine<'c> {
     /// θ included; a shorter one clamps the profiling pass.
     pub fn trace_duration(&self) -> Seconds {
         self.config.decision_interval * self.trace_decisions() as f64
-    }
-
-    /// Runs `f` as one sample of the `phase` timing, inside the
-    /// telemetry span `span`.
-    fn timed<T>(
-        &self,
-        perf: &mut PhaseTimes,
-        phase: &'static str,
-        span: &'static str,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let t = Timer::start();
-        let span = self.telemetry.span(span);
-        let out = f();
-        span.finish();
-        perf.add(phase, t.elapsed_seconds());
-        out
     }
 
     // ------------------------------------------------------------------
@@ -968,7 +978,7 @@ impl<'c> SimulationEngine<'c> {
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
         let mut perf = PhaseTimes::new();
-        let acts = self.timed(&mut perf, "trace", "engine.trace", || {
+        let acts = PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
             self.memoised(
                 spec,
                 "engine.trace_reused",
@@ -1010,7 +1020,7 @@ impl<'c> SimulationEngine<'c> {
             });
         }
         let mut perf = PhaseTimes::new();
-        let acts = self.timed(&mut perf, "trace", "engine.trace", || {
+        let acts = PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
             trace.emit_telemetry(&self.telemetry);
             self.steps_from_trace(trace, self.trace_decisions())
         })?;
@@ -1105,31 +1115,37 @@ impl<'c> SimulationEngine<'c> {
         mut perf: PhaseTimes,
         windows: &mut WindowStream<'_>,
     ) -> Result<SimulationResult> {
-        let cfg = &self.config;
+        let (cfg, tel) = (&self.config, &self.telemetry);
         let spd = self.steps_per_decision;
         let n_prof = self.profiling_decisions();
         // Practical policies get the profiled θ; thermal oracles drive
         // the same linear model with perfect inputs.
         let calibration = if policy.needs_predictor() {
             let fit = || self.calibrate_on(&acts[..n_prof * spd], n_prof);
-            Some(self.timed(&mut perf, "calibrate", "engine.calibrate", || {
-                if synthetic {
-                    self.memoised(spec, "engine.calibrate_reused", |m| &mut m.theta, fit)
-                } else {
-                    fit()
-                }
-            })?)
+            Some(PhaseTimes::timed(
+                &mut perf,
+                tel,
+                "calibrate",
+                "engine.calibrate",
+                |_| {
+                    if synthetic {
+                        self.memoised(spec, "engine.calibrate_reused", |m| &mut m.theta, fit)
+                    } else {
+                        fit()
+                    }
+                },
+            )?)
         } else {
             None
         };
         let (predictor, r_squared) = calibration.unzip();
         let acts = &acts[..self.n_decisions * spd];
 
-        let run_span = self.telemetry.span("engine.run");
-        let (state, steady) = self.timed(&mut perf, "steady", "engine.steady", || {
+        let run_span = tel.span("engine.run");
+        let (state, steady) = PhaseTimes::timed(&mut perf, tel, "steady", "engine.steady", |_| {
             self.initial_state(acts, policy != PolicyKind::OffChip)
         })?;
-        let mut metrics = RunMetrics::new(self, &state, &steady);
+        let mut metrics = RunMetrics::new(self, &state, &steady, perf);
         let mut plant = self.plant(state);
         let n_vrs = self.chip.vr_sites().len();
         let n_domains = self.chip.domains().len();
@@ -1148,9 +1164,9 @@ impl<'c> SimulationEngine<'c> {
 
         // Spatial frame capture: only built when telemetry is live AND
         // frames were requested, so the disabled path costs one branch.
-        let mut frame_recorder = (self.telemetry.is_enabled() && cfg.frame_every > 0).then(|| {
-            let (tel, every, step) = (self.telemetry.clone(), cfg.frame_every, cfg.thermal_step);
-            crate::FrameRecorder::new(tel, every, FRAME_GRID, step)
+        let mut frame_recorder = (tel.is_enabled() && cfg.frame_every > 0).then(|| {
+            let (every, step) = (cfg.frame_every, cfg.thermal_step);
+            crate::FrameRecorder::new(tel.clone(), every, FRAME_GRID, step)
         });
         // Per-domain supply lanes: Vdd scaled by the most recent
         // measured droop fraction, held between noise windows.
@@ -1159,74 +1175,66 @@ impl<'c> SimulationEngine<'c> {
 
         for k in 0..self.n_decisions {
             let step0 = k * spd;
-            let noise_at_decide = metrics.noise_secs;
-            let t_decide = Timer::start();
             // The interval's measurement windows, taken before the
             // decision so that (a) the window stream is identical across
             // policies (one benchmark = one set of sampled windows, as in
             // the paper's methodology) and (b) the VT policies' oracle
             // judges the *same* windows that will be measured. The
             // producer has already reduced each to its gating-independent
-            // di/dt responses; waiting for it counts as noise time, not
-            // policy time.
-            let t_windows = Timer::start();
-            windows.take_interval(k, &mut interval_windows)?;
-            metrics.noise_secs += t_windows.elapsed_seconds();
-            let decision =
-                self.decide(&mut gov, k, acts, &plant, &interval_windows, &mut metrics)?;
-            self.record_decision(k, &decision, policy, &mut metrics)?;
-            let noise = metrics.noise_secs - noise_at_decide;
-            perf.add("policy", t_decide.elapsed_seconds() - noise);
-
-            let noise_at_step = metrics.noise_secs;
-            let t_step = Timer::start();
-            let mut domain_power = vec![0.0f64; n_domains];
-            // `EngineConfig::validate` allows at most one window per step.
-            let mut pending = interval_windows.drain(..).peekable();
-            for (s, act) in acts.iter().enumerate().skip(step0).take(spd) {
-                let solve = self.step(&mut plant, act, &decision.gating)?;
-                metrics.observe_step(self, &plant, &decision.gating, solve, &mut domain_power)?;
-                gov.sensors.record(&metrics.vr_temps_now);
-                if let Some((_, responses)) = pending.next_if(|(w, _)| *w == s) {
-                    self.measure_window(
-                        &plant,
-                        &decision,
-                        &responses,
-                        policy,
-                        &mut lanes,
-                        &mut metrics,
-                    )?;
-                    windows.give_back(responses);
+            // di/dt responses; waiting for it counts as noise time.
+            PhaseTimes::timed(&mut metrics, tel, "noise", "engine.noise.wait", |_| {
+                windows.take_interval(k, &mut interval_windows)
+            })?;
+            let decision = PhaseTimes::timed(&mut metrics, tel, "policy", "engine.policy", |m| {
+                let decision = self.decide(&mut gov, k, acts, &plant, &interval_windows, m)?;
+                self.record_decision(k, &decision, policy, m)?;
+                Ok::<_, Error>(decision)
+            })?;
+            let domain_power =
+                PhaseTimes::timed(&mut metrics, tel, "transient", "engine.transient", |m| {
+                    let mut domain_power = vec![0.0f64; n_domains];
+                    // `EngineConfig::validate` allows at most one window per step.
+                    let mut pending = interval_windows.drain(..).peekable();
+                    for (s, act) in acts.iter().enumerate().skip(step0).take(spd) {
+                        let solve = self.step(&mut plant, act, &decision.gating)?;
+                        m.observe_step(self, &plant, &decision.gating, solve, &mut domain_power)?;
+                        gov.sensors.record(&m.vr_temps_now);
+                        if let Some((_, responses)) = pending.next_if(|(w, _)| *w == s) {
+                            PhaseTimes::timed(m, tel, "noise", "engine.noise.measure", |m| {
+                                self.measure_window(
+                                    &plant, &decision, &responses, policy, &mut lanes, m,
+                                )
+                            })?;
+                            windows.give_back(responses);
+                        }
+                        if let Some(recorder) = frame_recorder.as_mut() {
+                            recorder.observe(s, &plant.state, &decision.gating, &lanes);
+                        }
+                    }
+                    Ok::<_, Error>(domain_power)
+                })?;
+            PhaseTimes::timed(&mut metrics, tel, "policy", "engine.policy", |_| {
+                let interval_power: Vec<Watts> = domain_power
+                    .iter()
+                    .map(|&p| Watts::new(p / spd as f64))
+                    .collect();
+                if tel.is_enabled() {
+                    // Demand-forecast error: what the policy believed each
+                    // domain would draw versus what the interval delivered.
+                    for (forecast, actual) in decision.forecast.iter().zip(&interval_power) {
+                        let error = (forecast.get() - actual.get()).abs();
+                        tel.histogram("engine.forecast_error_w", error);
+                    }
                 }
-                if let Some(recorder) = frame_recorder.as_mut() {
-                    recorder.observe(s, &plant.state, &decision.gating, &lanes);
-                }
-            }
-            let noise = metrics.noise_secs - noise_at_step;
-            perf.add("transient", t_step.elapsed_seconds() - noise);
-            let interval_power: Vec<Watts> = domain_power
-                .iter()
-                .map(|&p| Watts::new(p / spd as f64))
-                .collect();
-            if self.telemetry.is_enabled() {
-                // Demand-forecast error: what the policy believed each
-                // domain would draw versus what the interval delivered.
-                for (forecast, actual) in decision.forecast.iter().zip(&interval_power) {
-                    let error = (forecast.get() - actual.get()).abs();
-                    self.telemetry.histogram("engine.forecast_error_w", error);
-                }
-            }
-            gov.forecaster.observe(&interval_power);
+                gov.forecaster.observe(&interval_power);
+            });
         }
 
-        if metrics.noise_secs > 0.0 {
-            perf.add("noise", metrics.noise_secs);
-        }
         if let Some(recorder) = frame_recorder {
             recorder.finish();
         }
         run_span.finish();
-        Ok(metrics.into_result(spec, policy, r_squared, perf, self.thermal.grid_size().0))
+        Ok(metrics.into_result(spec, policy, r_squared, self.thermal.grid_size().0))
     }
 
     /// One decision (Section 6.2): size each domain's `n_on` from its
@@ -1235,7 +1243,7 @@ impl<'c> SimulationEngine<'c> {
     /// regulators, gate, and — for the VT policies — check the planned
     /// gating against this interval's measurement `windows`, switching a
     /// domain with a (predicted) emergency all-on. The truth check's
-    /// solves and time go to `metrics`.
+    /// solves go to `metrics`, and its time to the `noise` phase.
     fn decide(
         &self,
         gov: &mut Governor,
@@ -1319,25 +1327,26 @@ impl<'c> SimulationEngine<'c> {
         if policy.reacts_to_emergencies() && !windows.is_empty() {
             // Ground truth: would the planned gating put any domain over
             // the emergency threshold during this interval's windows?
-            let t_truth = Timer::start();
-            let threshold = EmergencyDetector::new().threshold_fraction();
-            let mut truth = vec![false; n_domains];
-            for (_, responses) in windows {
-                let report = self.analyzer.analyze_responses(
-                    self.chip,
-                    &self.pdn,
-                    &gating,
-                    &block_powers_next,
-                    responses,
-                )?;
-                metrics
-                    .solver_profile
-                    .merge_agg("noise", &report.ir_solve_stats());
-                for (d, flag) in truth.iter_mut().enumerate() {
-                    *flag |= report.domain_fraction(DomainId(d)) > threshold;
+            let tel = &self.telemetry;
+            let truth = PhaseTimes::timed(metrics, tel, "noise", "engine.noise.truth", |m| {
+                let threshold = EmergencyDetector::new().threshold_fraction();
+                let mut truth = vec![false; n_domains];
+                for (_, responses) in windows {
+                    let report = self.analyzer.analyze_responses(
+                        self.chip,
+                        &self.pdn,
+                        &gating,
+                        &block_powers_next,
+                        responses,
+                    )?;
+                    m.solver_profile
+                        .merge_agg("noise", &report.ir_solve_stats());
+                    for (d, flag) in truth.iter_mut().enumerate() {
+                        *flag |= report.domain_fraction(DomainId(d)) > threshold;
+                    }
                 }
-            }
-            metrics.noise_secs += t_truth.elapsed_seconds();
+                Ok::<_, Error>(truth)
+            })?;
             let truth_count = truth.iter().filter(|&&t| t).count();
             let flags: Vec<bool> = if policy.is_oracular() {
                 truth.clone()
@@ -1432,7 +1441,7 @@ impl<'c> SimulationEngine<'c> {
     /// `decision`: per-domain droop fractions (the VT policies' on-line
     /// detector clips a droop the predictor missed shortly past the
     /// threshold), the supply lanes, emergency residency (Table 2) and
-    /// the worst window's per-cycle trace (Fig. 14). Timed as noise.
+    /// the worst window's per-cycle trace (Fig. 14).
     fn measure_window(
         &self,
         plant: &Plant<'_>,
@@ -1442,7 +1451,6 @@ impl<'c> SimulationEngine<'c> {
         lanes: &mut [f64],
         metrics: &mut RunMetrics,
     ) -> Result<()> {
-        let t_noise = Timer::start();
         let report = self.analyzer.analyze_responses(
             self.chip,
             &self.pdn,
@@ -1500,7 +1508,6 @@ impl<'c> SimulationEngine<'c> {
                 .collect();
             metrics.worst_window = Some((pct, trace));
         }
-        metrics.noise_secs += t_noise.elapsed_seconds();
         Ok(())
     }
 
@@ -1558,6 +1565,7 @@ impl<'c> SimulationEngine<'c> {
 mod tests {
     use super::*;
     use floorplan::reference::power8_like;
+    use simkit::telemetry::analyze::TraceAnalysis;
 
     fn tiny_config() -> EngineConfig {
         EngineConfig {
@@ -1618,6 +1626,16 @@ mod tests {
             // 2.5 µs divides 1 ms but not into whole 1 µs trace samples.
             EngineConfig {
                 thermal_step: Seconds::from_micros(2.5),
+                ..tiny_config()
+            },
+            // More decisions than a usize holds, and a decision count a
+            // usize holds whose thermal steps it does not.
+            EngineConfig {
+                duration: Seconds::from_millis(1e300),
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::from_millis(1e18),
                 ..tiny_config()
             },
         ];
@@ -1903,26 +1921,102 @@ mod tests {
         format!("{}perf: {phases:?}, {}", &s[..lo], &s[hi..])
     }
 
+    /// Each phase and the spans it is timed in.
+    const PHASE_SPANS: [(&str, &[&str]); 6] = [
+        ("trace", &["engine.trace"]),
+        ("calibrate", &["engine.calibrate"]),
+        ("steady", &["engine.steady"]),
+        ("policy", &["engine.policy"]),
+        ("transient", &["engine.transient"]),
+        (
+            "noise",
+            &[
+                "engine.noise.wait",
+                "engine.noise.truth",
+                "engine.noise.measure",
+            ],
+        ),
+    ];
+
+    /// `policy` run on lu_ncb under a recorder, its trace folded, and
+    /// the wall time around the run.
+    fn traced_run(policy: PolicyKind) -> (SimulationResult, TraceAnalysis, f64) {
+        let chip = power8_like();
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        let mut wall = PhaseTimes::new();
+        let r = PhaseTimes::timed(&mut wall, &Telemetry::disabled(), "run", "run", |_| {
+            engine.run(Benchmark::LuNcb, policy)
+        })
+        .unwrap();
+        let mut trace = TraceAnalysis::exact();
+        for event in sink.events() {
+            trace.observe(&event);
+        }
+        (r, trace, wall.seconds("run"))
+    }
+
     #[test]
     fn run_reports_phase_times() {
         let chip = power8_like();
         let engine = SimulationEngine::new(&chip, tiny_config());
         let r = engine.run(Benchmark::Fft, PolicyKind::OracT).unwrap();
         let perf = r.phase_times();
-        for phase in [
-            "trace",
-            "calibrate",
-            "steady",
-            "policy",
-            "transient",
-            "noise",
-        ] {
+        for (phase, _) in PHASE_SPANS {
             assert!(perf.samples(phase) > 0, "phase {phase} has no samples");
         }
         // Transient stepping runs once per decision interval.
         assert_eq!(perf.samples("transient"), 3);
         assert!(perf.total_seconds() > 0.0);
         assert!(perf.seconds("transient") > 0.0);
+
+        for policy in [PolicyKind::AllOn, PolicyKind::PracVT] {
+            let (r, trace, wall) = traced_run(policy);
+            let perf = r.phase_times();
+            // One sample per completed span of the phase.
+            let completed = |span: &str| trace.span(span).map_or(0, |s| s.completed());
+            for (phase, spans) in PHASE_SPANS {
+                let spans: u64 = spans.iter().map(|s| completed(s)).sum();
+                assert_eq!(perf.samples(phase), spans, "{policy:?} {phase}");
+            }
+            // Only the VT policies check the truth. PracVT shows every
+            // span: the noise phase at all three of its sites.
+            let vt = policy == PolicyKind::PracVT;
+            assert_eq!(completed("engine.noise.truth") > 0, vt, "{policy:?}");
+            if vt {
+                for span in PHASE_SPANS.iter().flat_map(|(_, spans)| spans.iter()) {
+                    assert!(completed(span) > 0, "{policy:?} has no {span} span");
+                }
+            }
+            // The loop's spans nest under `engine.run`, each noise site
+            // under the phase that hosts it, and at no other site.
+            let track = &trace.tracks[0];
+            let mut sites: Vec<(&str, &str)> = track
+                .nodes
+                .iter()
+                .filter_map(|n| Some((n.name.as_str(), track.nodes[n.parent?].name.as_str())))
+                .collect();
+            sites.sort_unstable();
+            let mut expected = vec![
+                ("engine.noise.measure", "engine.transient"),
+                ("engine.noise.wait", "engine.run"),
+                ("engine.policy", "engine.run"),
+                ("engine.steady", "engine.run"),
+                ("engine.transient", "engine.run"),
+            ];
+            if vt {
+                expected.insert(1, ("engine.noise.truth", "engine.policy"));
+            }
+            assert_eq!(sites, expected, "{policy:?}");
+            // The phases never overlap, so together they fit in the
+            // run's wall time; counting one twice would break this.
+            assert!(
+                perf.total_seconds() <= wall,
+                "{policy:?}: phases sum to {} s in a {wall} s run",
+                perf.total_seconds()
+            );
+        }
     }
 
     #[test]
@@ -1970,7 +2064,16 @@ mod tests {
         // One gating event per decision; spans for every phase.
         assert_eq!(sink.count_kind(EventKind::Gating), r.decisions().len());
         let names: Vec<String> = sink.events().iter().map(|e| e.name.to_string()).collect();
-        for span in ["engine.trace", "engine.steady", "engine.run"] {
+        for span in [
+            "engine.trace",
+            "engine.steady",
+            "engine.run",
+            "engine.noise.wait",
+            "engine.policy",
+            "engine.noise.truth",
+            "engine.transient",
+            "engine.noise.measure",
+        ] {
             assert!(names.iter().any(|n| n == span), "missing span {span}");
         }
         // Transient steps are warm CG under every backend; the PDN IR

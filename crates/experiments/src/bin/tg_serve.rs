@@ -326,3 +326,68 @@ fn run_stdin_loop(
     }
     (malformed, read_error.into_inner())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simkit::check::{self, CheckConfig, Checker, TestResult};
+
+    /// Valid requests between them using every override key. The
+    /// second sits on the window limit: one 50-step decision holds at
+    /// most 50 windows, so most digit changes make it invalid.
+    const LINES: [&str; 2] = [
+        "lu_ncb pracvt seed=0x2a duration-ms=3 windows=4 grid=16",
+        "fft allon seed=7 duration-ms=1 windows=50",
+    ];
+
+    /// Bytes a mutation draws half its time: the request grammar's.
+    const GRAMMAR: &[u8] = b"0123456789.e-=x ";
+
+    /// Parses `line` and nothing more: a spec it accepts must carry a
+    /// configuration that an engine can run.
+    fn parses_soundly(line: &str, base: &EngineConfig) -> TestResult {
+        match parse_request(line, base) {
+            Ok(spec) => spec
+                .engine_config
+                .validate()
+                .map_err(|e| format!("{line:?} was accepted, yet {e}")),
+            Err(_) => Ok(()),
+        }
+    }
+
+    #[test]
+    fn parse_request_survives_every_truncation_and_byte_mutation() {
+        let base = ExpOptions::tiny().engine_config();
+        for line in LINES {
+            assert!(parse_request(line, &base).is_ok(), "{line:?}");
+            for end in 0..=line.len() {
+                parses_soundly(&line[..end], &base).unwrap();
+            }
+        }
+        let checker = Checker::new(CheckConfig {
+            seed: 0x5447_5352, // "TGSR"
+            cases: 400,
+            ..CheckConfig::default()
+        });
+        let gen = (
+            check::usize_in(0, LINES.len() - 1),
+            check::usize_in(0, 1 << 16),
+            check::usize_in(0, 255),
+        );
+        checker.assert(
+            "tg_serve.parse_request_survives_mutation",
+            &gen,
+            |&(which, at, byte)| {
+                let mut bytes = LINES[which].as_bytes().to_vec();
+                let at = at % bytes.len();
+                bytes[at] = match byte {
+                    0..=127 => GRAMMAR[byte % GRAMMAR.len()],
+                    _ => byte as u8,
+                };
+                // The line reader stops at invalid UTF-8, so the parser
+                // only ever sees text.
+                parses_soundly(&String::from_utf8_lossy(&bytes), &base)
+            },
+        );
+    }
+}

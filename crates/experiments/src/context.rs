@@ -47,10 +47,8 @@ pub struct ExpOptions {
 
 impl ExpOptions {
     /// Parses the process arguments (`--quick`, `--tiny`, `--threads=N`,
-    /// `--quiet`/`-q`, `--telemetry=<dir>`). `THERMOGATER_QUICK` in the
-    /// environment also selects the quick configuration, and
-    /// `SIMKIT_TELEMETRY=<dir>` enables telemetry when the flag is
-    /// absent.
+    /// `--quiet`/`-q`, `--telemetry=<dir>`). `SIMKIT_TELEMETRY=<dir>`
+    /// enables telemetry when the flag is absent.
     ///
     /// Exits the process with status 2 when `SIMKIT_SOLVER` names no
     /// solver backend, rather than silently running under `Auto`, and
@@ -64,8 +62,7 @@ impl ExpOptions {
         // Read again by `resolved_threads`; checked here so that a typo
         // fails loudly instead of falling back to every core.
         count_env("SIMKIT_THREADS");
-        let quick =
-            std::env::args().any(|a| a == "--quick") || std::env::var("THERMOGATER_QUICK").is_ok();
+        let quick = std::env::args().any(|a| a == "--quick");
         let tiny = std::env::args().any(|a| a == "--tiny");
         let threads = count_flag("--threads=");
         let quiet = std::env::args().any(|a| a == "--quiet" || a == "-q");

@@ -207,7 +207,10 @@ fn a_request_no_engine_can_run_is_malformed_not_a_crash() {
         .stdin
         .as_mut()
         .unwrap()
-        .write_all(b"lu_ncb allon grid=0\nfft allon duration-ms=0.2\nfft allon\n")
+        .write_all(
+            b"lu_ncb allon grid=0\nfft allon duration-ms=0.2\n\
+              lu_ncb allon duration-ms=1e300\nfft allon\n",
+        )
         .unwrap();
     let out = child.wait_with_output().expect("tg-serve exits");
     let err = stderr(&out);
@@ -222,6 +225,11 @@ fn a_request_no_engine_can_run_is_malformed_not_a_crash() {
         "stderr: {err}"
     );
     assert!(err.contains("duration-ms=0.2"), "stderr: {err}");
+    // Its thermal steps overflow a usize: rejected, not run.
+    assert!(
+        err.contains("[serve] malformed request \"lu_ncb allon duration-ms=1e300\""),
+        "stderr: {err}"
+    );
     // The good line after the bad ones is still answered.
     let text = stdout(&out);
     assert_eq!(text.lines().count(), 1, "stdout: {text}");

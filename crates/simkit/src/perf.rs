@@ -4,7 +4,9 @@
 //! (trace synthesis, predictor calibration, transient stepping, PDN noise
 //! analysis, …) so that optimisation work is measurable in-repo instead
 //! of guessed at. A [`Timer`] measures one span; a [`PhaseTimes`]
-//! accumulates spans per phase for the reports in `experiments::report`.
+//! accumulates spans per phase for the reports in `experiments::report`,
+//! and [`PhaseTimes::timed`] times one call as one sample of a phase,
+//! inside a telemetry span of its own.
 //!
 //! The accumulator keys phases by `&'static str` and stores them in
 //! insertion order in a small vector — no hashing, no allocation per
@@ -13,18 +15,24 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::perf::{PhaseTimes, Timer};
+//! use simkit::perf::PhaseTimes;
+//! use simkit::telemetry::Telemetry;
 //!
+//! let tel = Telemetry::disabled();
 //! let mut phases = PhaseTimes::new();
-//! let t = Timer::start();
-//! let _work: f64 = (0..100).map(|i| i as f64).sum();
-//! phases.add("warmup", t.elapsed_seconds());
-//! phases.add("warmup", 0.5);
-//! assert_eq!(phases.samples("warmup"), 2);
-//! assert!(phases.total_seconds() >= 0.5);
+//! let sum = PhaseTimes::timed(&mut phases, &tel, "outer", "demo.outer", |phases| {
+//!     // Timed inside `outer`: its seconds are not `outer`'s.
+//!     PhaseTimes::timed(phases, &tel, "inner", "demo.inner", |_| {
+//!         (0..100).map(|i| i as f64).sum::<f64>()
+//!     })
+//! });
+//! assert_eq!(sum, 4950.0);
+//! assert_eq!(phases.samples("outer"), 1);
+//! assert_eq!(phases.samples("inner"), 1);
 //! ```
 
 use crate::linalg::SolveStats;
+use crate::telemetry::Telemetry;
 use std::time::Instant;
 
 /// A started wall-clock timer; read it with
@@ -113,6 +121,40 @@ impl PhaseTimes {
     /// Iterates `(phase, seconds, samples)` in first-recorded order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64, u64)> + '_ {
         self.phases.iter().copied()
+    }
+
+    /// Runs `f` as one sample of `phase`, inside the telemetry span
+    /// `span` (no event when `telemetry` is disabled). `f` is handed the
+    /// ledger, and what it times there is nested: those seconds go to
+    /// their own phases and are taken out of this sample. So the phases
+    /// never overlap, and [`PhaseTimes::total_seconds`] is at most the
+    /// wall time spent in the outermost calls.
+    ///
+    /// `ledger` is the accumulator itself or a value that holds one, so
+    /// that `f` can reach the rest of that value while it runs.
+    pub fn timed<L: AsMut<PhaseTimes>, T>(
+        ledger: &mut L,
+        telemetry: &Telemetry,
+        phase: &'static str,
+        span: &'static str,
+        f: impl FnOnce(&mut L) -> T,
+    ) -> T {
+        let before = ledger.as_mut().total_seconds();
+        let t = Timer::start();
+        let span = telemetry.span(span);
+        let out = f(ledger);
+        span.finish();
+        let elapsed = t.elapsed_seconds();
+        let perf = ledger.as_mut();
+        let nested = perf.total_seconds() - before;
+        perf.add(phase, elapsed - nested);
+        out
+    }
+}
+
+impl AsMut<PhaseTimes> for PhaseTimes {
+    fn as_mut(&mut self) -> &mut PhaseTimes {
+        self
     }
 }
 
@@ -334,6 +376,30 @@ mod tests {
         assert_eq!(a.get("noise").unwrap().solves, 1);
         let order: Vec<&str> = a.iter().map(|(n, _)| n).collect();
         assert_eq!(order, ["transient", "steady", "noise"]);
+    }
+
+    #[test]
+    fn nested_phases_are_exclusive() {
+        let tel = Telemetry::disabled();
+        let busy = || {
+            let t = Timer::start();
+            while t.elapsed_seconds() < 1e-3 {}
+        };
+        let mut p = PhaseTimes::new();
+        let outer = Timer::start();
+        PhaseTimes::timed(&mut p, &tel, "policy", "t.policy", |p| {
+            busy();
+            PhaseTimes::timed(p, &tel, "noise", "t.noise", |_| busy());
+            PhaseTimes::timed(p, &tel, "noise", "t.noise", |_| busy());
+        });
+        let wall = outer.elapsed_seconds();
+        assert_eq!(p.samples("policy"), 1);
+        assert_eq!(p.samples("noise"), 2);
+        assert!(p.seconds("noise") >= 2e-3);
+        assert!(p.seconds("policy") >= 1e-3);
+        // Double-counting the nested noise would put the total near
+        // 5 ms against a ~3 ms wall time.
+        assert!(p.total_seconds() <= wall, "{} > {wall}", p.total_seconds());
     }
 
     #[test]

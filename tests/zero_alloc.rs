@@ -6,12 +6,15 @@
 //! `DidtResponse::refill` calls. An IR analysis whose regulator key
 //! changes (a refactor and a superposition-basis rebuild) allocates no
 //! more than one whose key repeats. A warmed-up
-//! `ScenarioSpec::content_hash` allocates nothing.
+//! `ScenarioSpec::content_hash` allocates nothing, and neither does
+//! nested phase timing under disabled telemetry.
 
 use experiments::service::ScenarioSpec;
 use floorplan::reference::power8_like;
 use pdn::transient::DidtResponse;
 use pdn::{PdnConfig, PdnModel};
+use simkit::perf::PhaseTimes;
+use simkit::telemetry::Telemetry;
 use simkit::units::{Hertz, Seconds, Watts};
 use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -222,6 +225,40 @@ fn scenario_content_hash_performs_no_heap_allocation() {
         after - before,
         0,
         "content hashing allocated {} times over 100 hashes",
+        after - before
+    );
+}
+
+/// The engine's phase clock under disabled telemetry, once each phase
+/// has its slot: timing a phase inside another (the truth check inside
+/// a decision, a measurement inside the step loop) allocates nothing.
+#[test]
+fn nested_phase_timing_performs_no_heap_allocation() {
+    let tel = Telemetry::disabled();
+    let mut perf = PhaseTimes::new();
+    let interval = |perf: &mut PhaseTimes| {
+        PhaseTimes::timed(perf, &tel, "noise", "engine.noise.wait", |_| ());
+        PhaseTimes::timed(perf, &tel, "policy", "engine.policy", |perf| {
+            PhaseTimes::timed(perf, &tel, "noise", "engine.noise.truth", |_| ());
+        });
+        PhaseTimes::timed(perf, &tel, "transient", "engine.transient", |perf| {
+            for _ in 0..10 {
+                PhaseTimes::timed(perf, &tel, "noise", "engine.noise.measure", |_| ());
+            }
+        });
+    };
+    interval(&mut perf);
+
+    let before = thread_allocs();
+    for _ in 0..100 {
+        interval(&mut perf);
+    }
+    let after = thread_allocs();
+    assert_eq!(perf.samples("noise"), 101 * 12);
+    assert_eq!(
+        after - before,
+        0,
+        "nested phase timing allocated {} times over 100 intervals",
         after - before
     );
 }
