@@ -18,8 +18,10 @@
 //! Initial temperatures come from a leakage-feedback steady-state solve,
 //! standing in for the long pre-ROI history the paper's traces carry.
 //!
-//! Every run replays one activity trace ([`SimulationEngine::run_spec`]
-//! generates it, [`SimulationEngine::trace_duration`] long) and profiles
+//! Every run replays one activity trace as per-thermal-step means
+//! ([`SimulationEngine::run_spec`] streams a synthetic one,
+//! [`SimulationEngine::trace_duration`] long, straight into the means,
+//! so its 1 µs samples are never held) and profiles
 //! θ on the trace's first `max(profiling_decisions, 3)` decisions. A
 //! synthetic trace, and so the θ fitted on its head, depends only on the
 //! chip, the workload spec and the engine's configuration, never on the
@@ -81,7 +83,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
-use workload::{ActivityTrace, Benchmark, TraceGenerator, WorkloadSpec};
+use workload::{ActivityTrace, Benchmark, StepMeans, TraceGenerator, WorkloadSpec};
 
 /// Configuration of a co-simulation.
 #[derive(Debug, Clone)]
@@ -205,9 +207,11 @@ impl EngineConfig {
     }
 
     /// Checks that an engine can be built and run from this
-    /// configuration: a non-empty thermal grid, a thermal step that
+    /// configuration: a non-empty thermal grid of at most
+    /// [`EngineConfig::MAX_THERMAL_CELLS`] cells, a thermal step that
     /// divides the decision interval, a finite duration of at least one
-    /// decision interval whose thermal steps a `usize` counts, no more
+    /// decision interval, at most [`EngineConfig::MAX_THERMAL_STEPS`]
+    /// thermal steps in the run and in its profiling pass, no more
     /// noise windows than thermal steps (a step measures at most one
     /// window), and a thermal step that spans a whole number of
     /// synthetic trace samples ([`workload::trace::DEFAULT_DT`]). Front
@@ -221,6 +225,22 @@ impl EngineConfig {
         self.step_counts().map(|_| ())
     }
 
+    /// The largest thermal grid [`EngineConfig::validate`] accepts, in
+    /// cells (`nx × ny`): 512 × 512, 64 times the paper's 64 × 64 grid
+    /// and above every grid this reproduction runs (128 × 128 in the
+    /// finest benchmark, 208 × 208 on the steady-solver scaling axis).
+    /// That is 524 289 thermal nodes, where a grid no bound stops
+    /// (`grid=100000`, 2·10¹⁰ nodes) cannot be allocated on any host.
+    pub const MAX_THERMAL_CELLS: usize = 512 * 512;
+
+    /// The most thermal steps [`EngineConfig::validate`] lets a run or
+    /// its θ profiling pass take: 10⁶, a thousand times the paper's
+    /// 20 ms run at 20 µs steps. A run holds one activity per block for
+    /// each step (416 MB for the 52-block reference chip at this bound)
+    /// and spends about a millisecond per step, so a longer run would
+    /// exhaust the memory or the patience of any host it shares.
+    pub const MAX_THERMAL_STEPS: usize = 1_000_000;
+
     /// `(thermal steps per decision, decisions)` of a valid
     /// configuration; see [`EngineConfig::validate`].
     fn step_counts(&self) -> Result<(usize, usize)> {
@@ -228,6 +248,15 @@ impl EngineConfig {
         if nx == 0 || ny == 0 {
             return Err(Error::invalid_argument(format!(
                 "thermal grid must be non-empty, got {nx}×{ny}"
+            )));
+        }
+        if nx
+            .checked_mul(ny)
+            .is_none_or(|cells| cells > Self::MAX_THERMAL_CELLS)
+        {
+            return Err(Error::invalid_argument(format!(
+                "thermal grid must hold at most {} cells, got {nx}×{ny}",
+                Self::MAX_THERMAL_CELLS
             )));
         }
         let interval = self.decision_interval.get();
@@ -246,17 +275,18 @@ impl EngineConfig {
                 readable(self.duration)
             )));
         }
-        // `as usize` saturates, so a count it cannot hold is rejected
-        // before the conversion, and the step count must not wrap.
+        // Bounded before the conversion, since `as usize` saturates.
         let decisions = (duration / interval).round();
-        let counts = (decisions < usize::MAX as f64)
-            .then_some(decisions as usize)
-            .and_then(|n| Some((n, spd.checked_mul(n)?)));
-        let Some((n_decisions, steps)) = counts else {
+        let longest = decisions.max(self.profiling_decisions as f64);
+        if longest * spd as f64 > Self::MAX_THERMAL_STEPS as f64 {
             return Err(Error::invalid_argument(format!(
-                "duration must hold a countable number of thermal steps, got {duration:e} s"
+                "a run and its profiling pass must each take at most {} thermal steps, got {:e}",
+                Self::MAX_THERMAL_STEPS,
+                longest * spd as f64
             )));
-        };
+        }
+        let n_decisions = decisions as usize;
+        let steps = n_decisions * spd;
         if self.noise_window_count > steps {
             return Err(Error::invalid_argument(format!(
                 "noise_window_count must not exceed the run's thermal steps, got {} windows over {steps} steps",
@@ -663,27 +693,28 @@ impl<'c> SimulationEngine<'c> {
     // Trace preparation
     // ------------------------------------------------------------------
 
-    /// Resamples any activity trace (synthetic or replayed) into
-    /// per-thermal-step block-activity columns; fails when a thermal
-    /// step is not a whole number of the trace's samples. Traces shorter
-    /// than the requested horizon clamp to their final sample.
-    fn steps_from_trace(&self, trace: &ActivityTrace, n_decisions: usize) -> Result<Vec<Vec<f64>>> {
-        let total_steps = n_decisions * self.steps_per_decision;
-        let samples_per_step = samples_per_step(self.config.thermal_step, trace.dt())?;
-        let n_blocks = self.chip.blocks().len();
-        let mut out = Vec::with_capacity(total_steps);
-        for s in 0..total_steps {
-            let lo = (s * samples_per_step).min(trace.sample_count() - 1);
-            let hi = ((s + 1) * samples_per_step).min(trace.sample_count());
-            let mut col = vec![0.0; n_blocks];
-            for (b, slot) in col.iter_mut().enumerate() {
-                let ch = trace.activity().channel(b);
-                let window = &ch[lo..hi.max(lo + 1)];
-                *slot = window.iter().sum::<f64>() / window.len() as f64;
-            }
-            out.push(col);
-        }
-        Ok(out)
+    /// An empty [`StepMeans`] for the first `n_decisions` decisions'
+    /// thermal steps of a trace sampled every `dt`; fails when a thermal
+    /// step is not a whole number of its samples.
+    fn step_means(&self, dt: Seconds, n_decisions: usize) -> Result<StepMeans> {
+        StepMeans::new(
+            self.chip.blocks().len(),
+            samples_per_step(self.config.thermal_step, dt)?,
+            n_decisions * self.steps_per_decision,
+        )
+    }
+
+    /// The per-thermal-step block activities of `spec`'s synthetic trace
+    /// over its first `n_decisions` decisions, streamed from the
+    /// generator so the 1 µs trace is never held, and its
+    /// `workload.trace` event.
+    fn synthetic_steps(&self, spec: &WorkloadSpec, n_decisions: usize) -> Result<Vec<Vec<f64>>> {
+        let dt = workload::trace::DEFAULT_DT;
+        let mut means = self.step_means(dt, n_decisions)?;
+        let duration = self.config.decision_interval * n_decisions as f64;
+        TraceGenerator::new(self.chip).generate_into(spec, duration, &mut means)?;
+        means.emit_telemetry(&self.telemetry, spec);
+        means.finish()
     }
 
     /// Per-block powers for one step's activities at the given state's
@@ -853,18 +884,16 @@ impl<'c> SimulationEngine<'c> {
 
     /// [`SimulationEngine::calibrate_predictor`] for an arbitrary
     /// workload spec (single benchmark or multiprogrammed mix), on a
-    /// trace as long as the profiling pass. Always runs the pass: it
-    /// neither reads nor replaces the fit runs reuse.
+    /// trace as long as the profiling pass, streamed into its step means
+    /// as [`SimulationEngine::run_spec`] streams its trace. Always runs
+    /// the pass: it neither reads nor replaces the fit runs reuse.
     ///
     /// # Errors
     ///
     /// Propagates solver failures and degenerate-statistics errors.
     pub fn calibrate_predictor_spec(&self, spec: &WorkloadSpec) -> Result<(ThermalPredictor, f64)> {
         let n_dec = self.profiling_decisions();
-        let duration = self.config.decision_interval * n_dec as f64;
-        let trace = TraceGenerator::new(self.chip).generate_spec(spec, duration);
-        trace.emit_telemetry(&self.telemetry);
-        self.calibrate_on(&self.steps_from_trace(&trace, n_dec)?, n_dec)
+        self.calibrate_on(&self.synthetic_steps(spec, n_dec)?, n_dec)
     }
 
     /// The profiling pass over the first `n_dec` decisions of prepared
@@ -966,10 +995,13 @@ impl<'c> SimulationEngine<'c> {
     /// [`SimulationEngine::run`] for an arbitrary workload spec —
     /// Section 7's multiprogramming support: each core may run its own
     /// benchmark, and ThermoGater governs every Vdd-domain independently.
-    /// Generates one synthetic trace covering both the run and the θ
-    /// profiling pass and replays it as [`SimulationEngine::run_trace`]
-    /// does. A run of the same spec as the engine's last synthetic run
-    /// replays that run's steps without generating the trace again, and
+    /// Streams one synthetic trace covering both the run and the θ
+    /// profiling pass from the generator into its per-thermal-step means
+    /// ([`TraceGenerator::generate_into`]), never holding the 1 µs
+    /// trace, and replays them as [`SimulationEngine::run_trace`] does;
+    /// the means are bit-identical to those of the held trace. A run of
+    /// the same spec as the engine's last synthetic run replays that
+    /// run's steps without generating the trace again, and
     /// one of the same spec as its last calibrating synthetic run takes
     /// that run's θ without profiling again.
     ///
@@ -984,11 +1016,8 @@ impl<'c> SimulationEngine<'c> {
                 "engine.trace_reused",
                 |m| &mut m.trace,
                 || {
-                    let trace =
-                        TraceGenerator::new(self.chip).generate_spec(spec, self.trace_duration());
-                    trace.emit_telemetry(&self.telemetry);
                     Ok(Arc::new(
-                        self.steps_from_trace(&trace, self.trace_decisions())?,
+                        self.synthetic_steps(spec, self.trace_decisions())?,
                     ))
                 },
             )
@@ -999,9 +1028,10 @@ impl<'c> SimulationEngine<'c> {
     /// Runs the governor against an externally supplied activity trace
     /// (e.g. replayed from `workload::replay::read_csv`) instead of the
     /// synthetic suite. The trace must carry one channel per floorplan
-    /// block; it is resampled onto the engine's thermal steps and clamped
-    /// at its end if shorter than the configured duration or the θ
-    /// profiling pass, which runs on the trace's leading decisions.
+    /// block; its columns are folded into per-thermal-step means
+    /// ([`StepMeans`]) and its final sample held if it ends before the
+    /// configured duration or the θ profiling pass, which runs on the
+    /// trace's leading decisions.
     /// It neither reads nor replaces the trace and θ synthetic runs
     /// reuse.
     ///
@@ -1013,16 +1043,12 @@ impl<'c> SimulationEngine<'c> {
     ///   number of the trace's samples;
     /// * solver and calibration failures are propagated.
     pub fn run_trace(&self, trace: &ActivityTrace, policy: PolicyKind) -> Result<SimulationResult> {
-        if trace.activity().channel_count() != self.chip.blocks().len() {
-            return Err(simkit::Error::DimensionMismatch {
-                expected: self.chip.blocks().len(),
-                actual: trace.activity().channel_count(),
-            });
-        }
         let mut perf = PhaseTimes::new();
         let acts = PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
+            let mut means = self.step_means(trace.dt(), self.trace_decisions())?;
+            means.push_trace(trace)?;
             trace.emit_telemetry(&self.telemetry);
-            self.steps_from_trace(trace, self.trace_decisions())
+            means.finish()
         })?;
         self.replay(policy, trace.spec(), false, &acts, perf)
     }
@@ -1590,6 +1616,17 @@ mod tests {
             ..tiny_config()
         };
         assert!(one_cell.validate().is_ok());
+        // The largest grid and the longest run the bounds allow.
+        let at_the_bounds = EngineConfig {
+            thermal: ThermalConfig {
+                nx: 512,
+                ny: 512,
+                ..ThermalConfig::coarse()
+            },
+            duration: Seconds::new(20.0),
+            ..tiny_config()
+        };
+        assert!(at_the_bounds.validate().is_ok());
         let bad = [
             EngineConfig {
                 thermal: ThermalConfig {
@@ -1636,6 +1673,37 @@ mod tests {
             },
             EngineConfig {
                 duration: Seconds::from_millis(1e18),
+                ..tiny_config()
+            },
+            // Grids and runs no host can hold: one cell and one step past
+            // the bounds, a 10¹⁰-cell grid, a 10⁹ s run, and a profiling
+            // pass past the bound under a short run.
+            EngineConfig {
+                thermal: ThermalConfig {
+                    nx: 513,
+                    ny: 512,
+                    ..ThermalConfig::coarse()
+                },
+                ..tiny_config()
+            },
+            EngineConfig {
+                thermal: ThermalConfig {
+                    nx: 100_000,
+                    ny: 100_000,
+                    ..ThermalConfig::coarse()
+                },
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::new(20.0 + 1e-3),
+                ..tiny_config()
+            },
+            EngineConfig {
+                duration: Seconds::new(1e9),
+                ..tiny_config()
+            },
+            EngineConfig {
+                profiling_decisions: 20_001,
                 ..tiny_config()
             },
         ];

@@ -209,7 +209,8 @@ fn a_request_no_engine_can_run_is_malformed_not_a_crash() {
         .unwrap()
         .write_all(
             b"lu_ncb allon grid=0\nfft allon duration-ms=0.2\n\
-              lu_ncb allon duration-ms=1e300\nfft allon\n",
+              lu_ncb allon duration-ms=1e300\nlu_ncb allon grid=100000\n\
+              lu_ncb allon duration-ms=1e12\nfft allon\n",
         )
         .unwrap();
     let out = child.wait_with_output().expect("tg-serve exits");
@@ -225,9 +226,21 @@ fn a_request_no_engine_can_run_is_malformed_not_a_crash() {
         "stderr: {err}"
     );
     assert!(err.contains("duration-ms=0.2"), "stderr: {err}");
-    // Its thermal steps overflow a usize: rejected, not run.
+    // Its thermal steps would overflow a usize: rejected, not run.
     assert!(
         err.contains("[serve] malformed request \"lu_ncb allon duration-ms=1e300\""),
+        "stderr: {err}"
+    );
+    // A grid and a run no host could allocate: rejected, not run.
+    for line in ["lu_ncb allon grid=100000", "lu_ncb allon duration-ms=1e12"] {
+        assert!(
+            err.contains(&format!("[serve] malformed request \"{line}\"")),
+            "stderr: {err}"
+        );
+    }
+    assert!(err.contains("at most 262144 cells"), "stderr: {err}");
+    assert!(
+        err.contains("at most 1000000 thermal steps"),
         "stderr: {err}"
     );
     // The good line after the bad ones is still answered.

@@ -3,14 +3,15 @@
 //! A domain's grid is linear in its block loads: the node voltages are
 //! `Σ_b amps_b · u_b`, where `u_b` solves the grid for block `b`'s unit
 //! load (its cell cover fractions). Under the direct backend a domain
-//! keeps one such basis per active-regulator key: when the key changes,
-//! the numeric refactor is followed by one triangular solve per block
-//! (1 to 5 per domain) into the basis, and every IR analysis under that
-//! key forms its voltages from the basis alone. That combination counts
-//! as the domain's one solve, with its residual against the patched
-//! matrix, so solve counts do not depend on how the voltages were
-//! formed. The iterative backends, the differential references, solve
-//! every analysis.
+//! keeps such a basis for each of its [`KEPT_BASES`] most recently used
+//! active-regulator keys: a key it does not keep costs a numeric
+//! refactor and one triangular solve per block (1 to 5 per domain) into
+//! the least recently used basis buffer, a kept key only re-patches the
+//! matrix values, and every IR analysis under a key forms its voltages
+//! from that key's basis alone. That combination counts as the domain's
+//! one solve, with its residual against the patched matrix, so solve
+//! counts do not depend on how the voltages were formed. The iterative
+//! backends, the differential references, solve every analysis.
 
 use crate::config::PdnConfig;
 use floorplan::{DomainId, Floorplan, VrId};
@@ -31,6 +32,15 @@ pub const IR_SITES: SolveSites = SolveSites {
     direct: "pdn.ir_direct",
 };
 
+/// Regulator keys whose superposition bases a domain keeps under the
+/// direct backend. A VT policy plans a new gating every decision, but
+/// most plans return to a key the domain used a few decisions before:
+/// keeping four turns those returns from a refactor and a basis rebuild
+/// into a value patch (a standard PracVT run of lu_ncb makes 233 basis
+/// solves instead of 778), for about 0.25 MB of bases per kept key
+/// across the reference chip.
+const KEPT_BASES: usize = 4;
+
 /// Result of one static IR-drop analysis.
 #[derive(Debug, Clone)]
 pub struct IrReport {
@@ -44,7 +54,7 @@ pub struct IrReport {
     /// Solver family that produced the report.
     backend: SolverBackend,
     /// Wall-clock spent building or refreshing domain solvers, seconds
-    /// (zero when every domain's active-regulator set repeats).
+    /// (zero when no domain refreshed its solver or rebuilt a basis).
     factor_seconds: f64,
     /// Wall-clock spent in the triangular / iterative solves, seconds.
     solve_seconds: f64,
@@ -125,8 +135,8 @@ impl IrReport {
 
     /// Wall-clock spent building or refreshing domain solvers (factor,
     /// hierarchy or Jacobi diagonal, plus the direct backend's basis
-    /// solves), seconds; zero when every domain's active-regulator set
-    /// repeats.
+    /// solves), seconds; zero when every domain's active-regulator key
+    /// repeats, or under the direct backend is one the domain keeps.
     pub fn factor_seconds(&self) -> f64 {
         self.factor_seconds
     }
@@ -137,8 +147,9 @@ impl IrReport {
     }
 
     /// Unit-load solves spent rebuilding superposition bases: a domain
-    /// whose key changed under the direct backend adds one per block;
-    /// zero when every key repeats and under the iterative backends.
+    /// whose key is not one of the four it keeps under the direct
+    /// backend adds one per block; zero when every key is kept and under
+    /// the iterative backends.
     pub fn basis_solves(&self) -> u64 {
         self.basis_solves
     }
@@ -177,26 +188,58 @@ struct DomainGrid {
 /// solves to a handful) until [`PdnModel::forget_warm_starts`] zeroes
 /// it at the start of a run. A new key patches the values, refreshes the
 /// solver (a numeric `refactor`; the symbolic structure survives) and
-/// restarts CG from zero. Under the direct backend a new key also
-/// rebuilds `basis`, and a repeated key solves nothing at all.
+/// restarts CG from zero. Under the direct backend a key kept in `bases`
+/// only patches the values (for the residual) and moves its basis to
+/// the front; any other key refactors and rebuilds the least recently
+/// used basis in place, and a repeated key solves nothing at all.
 #[derive(Debug, Clone)]
 struct DomainScratch {
     matrix: CsrMatrix,
     i_load: Vec<f64>,
     volts: Vec<f64>,
     ws: SpdWorkspace,
-    /// The solver of `matrix`, built on the domain's first solve.
+    /// The solver of `matrix`, built on the domain's first solve. Under
+    /// the direct backend its factor may belong to an earlier key: it
+    /// only builds bases, and a key without one refactors it first.
     solver: Option<SpdSolver>,
-    /// Direct backend only: the grid's response to each block's unit
-    /// load under `key`, one node vector per block in block order,
-    /// allocated with the scratch (empty under the other backends).
-    basis: Vec<f64>,
-    /// The diagonal slots of the active regulators that `matrix` and
-    /// `solver` hold, sorted: each slot appears once per active
-    /// regulator on it. Empty until the first solve.
+    /// Direct backend only: up to [`KEPT_BASES`] keys with their bases,
+    /// most recently used first, so `bases[0]` is `key`'s once a solve
+    /// has run. Grown on the first solves of new keys; empty under the
+    /// other backends.
+    bases: Vec<KeptBasis>,
+    /// The diagonal slots of the active regulators that `matrix` holds,
+    /// and under the iterative backends `solver` too, sorted: each slot
+    /// appears once per active regulator on it. Empty until the first
+    /// solve.
     key: Vec<usize>,
     /// The key of the gating state being solved.
     next_key: Vec<usize>,
+}
+
+/// One key's superposition basis: the grid's response to each block's
+/// unit load under `key`, one node vector per block in block order.
+#[derive(Debug, Clone)]
+struct KeptBasis {
+    /// Empty while `basis` is being rebuilt, so a failed rebuild is
+    /// never taken for a kept key.
+    key: Vec<usize>,
+    basis: Vec<f64>,
+}
+
+/// Moves the least recently used of `bases`, or a new one of
+/// `basis_len` values while fewer than [`KEPT_BASES`] are kept, to the
+/// front with its key cleared, and returns it for a rebuild.
+fn recycle_lru(bases: &mut Vec<KeptBasis>, basis_len: usize, key_len: usize) -> &mut KeptBasis {
+    if bases.len() < KEPT_BASES {
+        bases.push(KeptBasis {
+            key: Vec::with_capacity(key_len),
+            basis: vec![0.0; basis_len],
+        });
+    }
+    bases.rotate_right(1);
+    let slot = &mut bases[0];
+    slot.key.clear();
+    slot
 }
 
 /// Totals accumulated by [`PdnModel::solve_domains`] across the domains.
@@ -467,8 +510,8 @@ impl PdnModel {
             .iter()
             .map(|grid| {
                 let n = grid.nx * grid.ny;
-                let basis_len = match backend {
-                    SolverBackend::Direct => grid.block_cells.len() * n,
+                let kept = match backend {
+                    SolverBackend::Direct => KEPT_BASES,
                     _ => 0,
                 };
                 DomainScratch {
@@ -477,7 +520,7 @@ impl PdnModel {
                     volts: vec![0.0; n],
                     ws: SpdWorkspace::default(),
                     solver: None,
-                    basis: vec![0.0; basis_len],
+                    bases: Vec::with_capacity(kept),
                     key: Vec::new(),
                     next_key: Vec::new(),
                 }
@@ -500,7 +543,7 @@ impl PdnModel {
 
     /// Drops every domain's IR warm start: the next solve under any key
     /// starts from zero, as on a fresh model, while the factors, solvers
-    /// and bases stay. A run calls this first, so its analyses do not
+    /// and kept bases stay. A run calls this first, so its analyses do not
     /// depend on what the model solved before. Under the direct backend
     /// it changes nothing, since superposition overwrites the voltages.
     pub fn forget_warm_starts(&self) {
@@ -563,7 +606,8 @@ impl PdnModel {
     /// Shared per-domain setup + solve behind [`PdnModel::ir_drop`] and
     /// [`PdnModel::kcl_residual`]: distributes the block loads, patches
     /// the active regulators into each domain's cached matrix (and, under
-    /// the direct backend, rebuilds its basis), solves or superposes,
+    /// the direct backend, brings in a kept basis or rebuilds the least
+    /// recently used one), solves or superposes,
     /// and hands `visit` the solved system. Returns the total chip
     /// current (for the global-grid drop), the factor/solve wall-clock
     /// split and the basis solves.
@@ -609,25 +653,35 @@ impl PdnModel {
                 // Stale until the refresh below succeeds.
                 scratch.key.clear();
                 grid.patch(gating, g_vr, scratch.matrix.values_mut());
-                totals.factor_seconds += match &mut scratch.solver {
-                    Some(solver) => solver.refresh(&scratch.matrix)?,
+                let next_key = &scratch.next_key;
+                match scratch.bases.iter().position(|kept| kept.key == *next_key) {
+                    Some(i) => scratch.bases[..=i].rotate_right(1),
                     None => {
-                        let geometry = GridGeometry::new(grid.nx, grid.ny, 1, 0);
-                        let (solver, factor_s) =
-                            SpdSolver::build(self.backend, &scratch.matrix, geometry)?;
-                        scratch.solver = Some(solver);
-                        factor_s
+                        totals.factor_seconds += match &mut scratch.solver {
+                            Some(solver) => solver.refresh(&scratch.matrix)?,
+                            None => {
+                                let geometry = GridGeometry::new(grid.nx, grid.ny, 1, 0);
+                                let (solver, factor_s) =
+                                    SpdSolver::build(self.backend, &scratch.matrix, geometry)?;
+                                scratch.solver = Some(solver);
+                                factor_s
+                            }
+                        };
+                        if let Some(SpdSolver::Direct(factor)) = &scratch.solver {
+                            let t = Timer::start();
+                            let basis_len = grid.block_cells.len() * n;
+                            let key_len = grid.vr_entries.len();
+                            let slot = recycle_lru(&mut scratch.bases, basis_len, key_len);
+                            totals.basis_solves += grid.build_basis(
+                                factor,
+                                &mut scratch.i_load,
+                                &mut slot.basis,
+                                &mut scratch.ws,
+                            )?;
+                            slot.key.extend_from_slice(&scratch.next_key);
+                            totals.factor_seconds += t.elapsed_seconds();
+                        }
                     }
-                };
-                if let Some(SpdSolver::Direct(factor)) = &scratch.solver {
-                    let t = Timer::start();
-                    totals.basis_solves += grid.build_basis(
-                        factor,
-                        &mut scratch.i_load,
-                        &mut scratch.basis,
-                        &mut scratch.ws,
-                    )?;
-                    totals.factor_seconds += t.elapsed_seconds();
                 }
                 std::mem::swap(&mut scratch.key, &mut scratch.next_key);
                 scratch.volts.iter_mut().for_each(|v| *v = 0.0);
@@ -642,7 +696,8 @@ impl PdnModel {
             let (stats, solve_s) = match solver {
                 SpdSolver::Direct(_) => {
                     let t = Timer::start();
-                    grid.superpose(&scratch.basis, block_powers, vdd, &mut scratch.volts);
+                    let basis = &scratch.bases[0].basis;
+                    grid.superpose(basis, block_powers, vdd, &mut scratch.volts);
                     let stats = SolveStats {
                         iterations: 1,
                         residual: scratch
@@ -1100,9 +1155,58 @@ mod tests {
         }
         let other = model.ir_drop(&half, &powers).unwrap();
         assert!(other.factor_seconds() > 0.0, "new gating must refactor");
+        // The original key's basis is kept: coming back to it refactors
+        // nothing and reproduces the first report.
         let back = model.ir_drop(&all_on, &powers).unwrap();
-        assert!(back.factor_seconds() > 0.0);
+        assert_eq!(back.factor_seconds(), 0.0);
+        assert_eq!(back.basis_solves(), 0);
         assert_eq!(first, back);
+    }
+
+    #[test]
+    fn revisiting_keys_in_an_evicting_order_matches_a_fresh_model() {
+        // Six keys in core0, each leaving one more of its first regulators
+        // off; every other domain keeps all-on throughout.
+        let (chip, model) = setup();
+        let core0 = &chip.domains()[0];
+        let keys: Vec<GatingState> = (0..6)
+            .map(|off| {
+                let mut gating = GatingState::all_on(chip.vr_sites().len());
+                for &v in core0.vrs().iter().take(off) {
+                    gating.set(v, false).unwrap();
+                }
+                gating
+            })
+            .collect();
+        // 0–3 fill the four kept bases, 4 evicts 0, 0 evicts 1, 2 and 3
+        // are kept, 1 evicts 4, 5 evicts 0, 3 is kept.
+        let order = [0, 1, 2, 3, 4, 0, 2, 3, 1, 5, 3];
+        let kept = [
+            false, false, false, false, false, false, true, true, false, false, true,
+        ];
+        for (call, (&k, &hit)) in order.iter().zip(&kept).enumerate() {
+            let watts = 0.5 + 0.1 * call as f64;
+            let powers = uniform_powers(&chip, watts);
+            let report = model.ir_drop(&keys[k], &powers).unwrap();
+            let fresh = PdnModel::new(&chip, PdnConfig::default())
+                .ir_drop(&keys[k], &powers)
+                .unwrap();
+            assert_eq!(report, fresh, "call {call}, key {k}");
+            // The first call builds every domain; later ones core0 only.
+            let rebuilt = if call == 0 {
+                chip.blocks().len()
+            } else if hit {
+                0
+            } else {
+                core0.blocks().len()
+            };
+            assert_eq!(
+                report.basis_solves(),
+                rebuilt as u64,
+                "call {call}, key {k}"
+            );
+            assert_eq!(report.factor_seconds() == 0.0, hit, "call {call}, key {k}");
+        }
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub mod trace;
 pub use benchmark::Benchmark;
 pub use mix::{WorkloadMix, WorkloadSpec};
 pub use profile::BenchmarkProfile;
-pub use trace::{ActivityTrace, TraceGenerator};
+pub use trace::{ActivityTrace, StepMeans, TraceGenerator};

@@ -7,7 +7,7 @@ use floorplan::{BlockId, DomainKind, Floorplan, UnitKind};
 use simkit::series::TraceMatrix;
 use simkit::telemetry::{EventKind, Telemetry};
 use simkit::units::Seconds;
-use simkit::DeterministicRng;
+use simkit::{DeterministicRng, Error, Result};
 
 /// Default trace resolution: 1 µs, matching the power-trace granularity
 /// the paper's SNIPER+McPAT flow produces.
@@ -97,19 +97,233 @@ impl ActivityTrace {
     /// (label, channels, samples, mean activity). No-op when `telemetry`
     /// is disabled.
     pub fn emit_telemetry(&self, telemetry: &Telemetry) {
-        if telemetry.is_enabled() {
-            telemetry
-                .event(EventKind::Progress, "workload.trace")
-                .field_str("workload", self.spec.to_string())
-                .field_u64("channels", self.activity.channel_count() as u64)
-                .field_u64("samples", self.activity.sample_count() as u64)
-                .field_f64("mean_activity", self.mean_activity())
-                .emit();
+        emit_trace_event(
+            telemetry,
+            &self.spec,
+            self.activity.channel_count(),
+            self.activity.sample_count(),
+            || self.mean_activity(),
+        );
+    }
+}
+
+/// The `workload.trace` progress event of a trace, whether held whole
+/// ([`ActivityTrace`]) or streamed ([`StepMeans`]); `mean_activity` runs
+/// only when `telemetry` is enabled.
+fn emit_trace_event(
+    telemetry: &Telemetry,
+    spec: &WorkloadSpec,
+    channels: usize,
+    samples: usize,
+    mean_activity: impl FnOnce() -> f64,
+) {
+    if telemetry.is_enabled() {
+        telemetry
+            .event(EventKind::Progress, "workload.trace")
+            .field_str("workload", spec.to_string())
+            .field_u64("channels", channels as u64)
+            .field_u64("samples", samples as u64)
+            .field_f64("mean_activity", mean_activity())
+            .emit();
+    }
+}
+
+/// The value `Iterator::sum` starts an `f64` sum from, so that a sum
+/// folded one sample at a time is bit-identical to `iter().sum()`.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// Folds activity columns, one sample instant at a time, into the mean
+/// of every channel over each run of `samples_per_step` samples: the
+/// per-thermal-step activities a simulation replays, without holding the
+/// trace they come from.
+///
+/// Each mean adds its samples in order, from the value `Iterator::sum`
+/// starts at, and divides by their count, so it is bit-identical to
+/// `window.iter().sum::<f64>() / window.len() as f64` over the same
+/// samples. A trace that ends before `steps` steps are full gives its
+/// last, partial step the mean of the samples it has and holds its final
+/// sample for every step after that; columns past the last step count
+/// only towards [`StepMeans::mean_activity`].
+///
+/// # Examples
+///
+/// ```
+/// use floorplan::reference::power8_like;
+/// use simkit::units::Seconds;
+/// use workload::{Benchmark, StepMeans, TraceGenerator, WorkloadSpec};
+///
+/// let chip = power8_like();
+/// let generator = TraceGenerator::new(&chip);
+/// let spec = WorkloadSpec::Single(Benchmark::Fft);
+/// let duration = Seconds::from_micros(100.0);
+/// // Five 20 µs steps of 1 µs samples, streamed without holding the trace…
+/// let mut streamed = StepMeans::new(chip.blocks().len(), 20, 5).unwrap();
+/// generator.generate_into(&spec, duration, &mut streamed).unwrap();
+/// assert_eq!(streamed.sample_count(), 100);
+/// // …equal to the means of the held trace.
+/// let mut held = StepMeans::new(chip.blocks().len(), 20, 5).unwrap();
+/// held.push_trace(&generator.generate_spec(&spec, duration)).unwrap();
+/// assert_eq!(streamed.finish().unwrap(), held.finish().unwrap());
+/// ```
+#[derive(Debug, Clone)]
+pub struct StepMeans {
+    samples_per_step: usize,
+    steps: usize,
+    /// The finished steps, one mean per channel each.
+    means: Vec<Vec<f64>>,
+    /// Per channel: the running sum of the step being filled.
+    step_sums: Vec<f64>,
+    /// Samples in the step being filled.
+    filled: usize,
+    /// Per channel: the running sum of every sample pushed.
+    totals: Vec<f64>,
+    /// The latest column, held once the trace runs out.
+    last: Vec<f64>,
+    samples: usize,
+}
+
+impl StepMeans {
+    /// An accumulator for `steps` steps of `samples_per_step` samples of
+    /// `channels` channels.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] when `samples_per_step` is zero.
+    pub fn new(channels: usize, samples_per_step: usize, steps: usize) -> Result<Self> {
+        if samples_per_step == 0 {
+            return Err(Error::invalid_argument(
+                "a step must span at least one sample",
+            ));
         }
+        Ok(StepMeans {
+            samples_per_step,
+            steps,
+            means: Vec::with_capacity(steps),
+            step_sums: vec![sum_start(); channels],
+            filled: 0,
+            totals: vec![sum_start(); channels],
+            last: vec![0.0; channels],
+            samples: 0,
+        })
+    }
+
+    /// Adds every sample instant of `trace`, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::DimensionMismatch`] when the trace's channel count
+    /// differs from this accumulator's.
+    pub fn push_trace(&mut self, trace: &ActivityTrace) -> Result<()> {
+        let activity = trace.activity();
+        self.check_channels(activity.channel_count())?;
+        let mut column = vec![0.0; activity.channel_count()];
+        for s in 0..activity.sample_count() {
+            for (c, slot) in column.iter_mut().enumerate() {
+                *slot = activity.channel(c)[s];
+            }
+            self.fold(&column);
+        }
+        Ok(())
+    }
+
+    fn check_channels(&self, channels: usize) -> Result<()> {
+        if channels == self.totals.len() {
+            Ok(())
+        } else {
+            Err(Error::DimensionMismatch {
+                expected: self.totals.len(),
+                actual: channels,
+            })
+        }
+    }
+
+    /// Adds the next sample instant, one value per channel.
+    fn fold(&mut self, column: &[f64]) {
+        for (total, &v) in self.totals.iter_mut().zip(column) {
+            *total += v;
+        }
+        self.last.copy_from_slice(column);
+        self.samples += 1;
+        if self.means.len() == self.steps {
+            return;
+        }
+        for (sum, &v) in self.step_sums.iter_mut().zip(column) {
+            *sum += v;
+        }
+        self.filled += 1;
+        if self.filled == self.samples_per_step {
+            self.close_step();
+        }
+    }
+
+    /// Sample instants pushed so far.
+    pub fn sample_count(&self) -> usize {
+        self.samples
+    }
+
+    /// Mean over every channel and sample pushed, bit-identical to
+    /// [`ActivityTrace::mean_activity`] of the same samples; zero before
+    /// the first sample.
+    pub fn mean_activity(&self) -> f64 {
+        let channels = self.totals.len();
+        if channels == 0 || self.samples == 0 {
+            return 0.0;
+        }
+        let total: f64 = self.totals.iter().sum();
+        total / (channels * self.samples) as f64
+    }
+
+    /// Emits the `workload.trace` event [`ActivityTrace::emit_telemetry`]
+    /// would for the samples pushed, as a trace of `spec`. No-op when
+    /// `telemetry` is disabled.
+    pub fn emit_telemetry(&self, telemetry: &Telemetry, spec: &WorkloadSpec) {
+        emit_trace_event(telemetry, spec, self.totals.len(), self.samples, || {
+            self.mean_activity()
+        });
+    }
+
+    /// The `steps` per-step means, one value per channel each.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] when no sample was pushed.
+    pub fn finish(mut self) -> Result<Vec<Vec<f64>>> {
+        if self.samples == 0 {
+            return Err(Error::invalid_argument("trace has no samples"));
+        }
+        if self.filled > 0 {
+            self.close_step();
+        }
+        while self.means.len() < self.steps {
+            self.filled = 1;
+            for (sum, &v) in self.step_sums.iter_mut().zip(&self.last) {
+                *sum += v;
+            }
+            self.close_step();
+        }
+        Ok(self.means)
+    }
+
+    /// Appends the means of the `filled` samples summed so far and
+    /// starts the next step.
+    fn close_step(&mut self) {
+        let n = self.filled as f64;
+        self.means
+            .push(self.step_sums.iter().map(|&sum| sum / n).collect());
+        self.step_sums.fill(sum_start());
+        self.filled = 0;
     }
 }
 
 /// Generates synthetic activity traces for a chip.
+///
+/// One sample loop serves both outputs: [`TraceGenerator::generate_spec`]
+/// holds every sample in an [`ActivityTrace`], and
+/// [`TraceGenerator::generate_into`] streams the same samples into a
+/// [`StepMeans`], which keeps only per-step means — what a simulation
+/// replays — so a long trace need never be held.
 ///
 /// # Examples
 ///
@@ -183,6 +397,51 @@ impl<'a> TraceGenerator<'a> {
     ///
     /// Panics when `duration` is shorter than one sample.
     pub fn generate_spec(&self, spec: &WorkloadSpec, duration: Seconds) -> ActivityTrace {
+        let mut matrix = TraceMatrix::new(self.chip.blocks().len(), self.dt);
+        self.for_each_column(spec, duration, |column| {
+            matrix
+                .push_column(column)
+                .expect("column length fixed to block count");
+        });
+        ActivityTrace {
+            spec: spec.clone(),
+            activity: matrix,
+        }
+    }
+
+    /// Streams the trace [`TraceGenerator::generate_spec`] would return
+    /// into `means`, one sample instant at a time, so the trace itself is
+    /// never held: only the generator's per-core and per-block state and
+    /// one column of activities live while it runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `duration` is shorter than one sample.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::DimensionMismatch`] when `means` does not take one
+    /// channel per block of the chip.
+    pub fn generate_into(
+        &self,
+        spec: &WorkloadSpec,
+        duration: Seconds,
+        means: &mut StepMeans,
+    ) -> Result<()> {
+        means.check_channels(self.chip.blocks().len())?;
+        self.for_each_column(spec, duration, |column| means.fold(column));
+        Ok(())
+    }
+
+    /// The one sample loop behind [`TraceGenerator::generate_spec`] and
+    /// [`TraceGenerator::generate_into`]: hands `visit` the activity of
+    /// every block at each sample instant, in time order.
+    fn for_each_column(
+        &self,
+        spec: &WorkloadSpec,
+        duration: Seconds,
+        mut visit: impl FnMut(&[f64]),
+    ) {
         let samples = (duration.get() / self.dt.get()).round() as usize;
         assert!(samples > 0, "duration shorter than one sample");
         let mut rng = DeterministicRng::new(spec.seed() ^ self.seed_offset);
@@ -219,7 +478,6 @@ impl<'a> TraceGenerator<'a> {
         let mut uncore_noise = 0.0f64;
         let mut uncore_rng = rng.fork(0xDEAD);
 
-        let mut matrix = TraceMatrix::new(self.chip.blocks().len(), self.dt);
         let mut column = vec![0.0f64; self.chip.blocks().len()];
         let dt_us = self.dt.as_micros();
 
@@ -255,14 +513,7 @@ impl<'a> TraceGenerator<'a> {
                 };
                 column[block_idx] = util.clamp(0.02, 1.0);
             }
-            matrix
-                .push_column(&column)
-                .expect("column length fixed to block count");
-        }
-
-        ActivityTrace {
-            spec: spec.clone(),
-            activity: matrix,
+            visit(&column);
         }
     }
 
@@ -484,6 +735,121 @@ mod tests {
             (max - min) / max > 0.25,
             "phase swing too small: {min}..{max}"
         );
+    }
+
+    /// Per-step means the way a replay reads a held trace: each step
+    /// sums its window with `Iterator::sum`, a step past the trace's end
+    /// reads the final sample alone.
+    fn held_step_means(trace: &ActivityTrace, per_step: usize, steps: usize) -> Vec<Vec<f64>> {
+        let n = trace.sample_count();
+        (0..steps)
+            .map(|s| {
+                let lo = (s * per_step).min(n - 1);
+                let hi = ((s + 1) * per_step).min(n).max(lo + 1);
+                (0..trace.activity().channel_count())
+                    .map(|c| {
+                        let window = &trace.activity().channel(c)[lo..hi];
+                        window.iter().sum::<f64>() / window.len() as f64
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn bits(steps: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        steps
+            .iter()
+            .map(|step| step.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn streamed_step_means_are_bit_identical_to_the_held_trace() {
+        let chip = power8_like();
+        let generator = TraceGenerator::new(&chip);
+        let spec: WorkloadSpec =
+            crate::WorkloadMix::alternating(Benchmark::Cholesky, Benchmark::Raytrace, 8).into();
+        let duration = Seconds::from_micros(1000.0);
+        let trace = generator.generate_spec(&spec, duration);
+        // Whole steps, a trace ending mid-step and held for 40 more, and
+        // a trace longer than the steps asked for.
+        for (per_step, steps) in [(20, 50), (20, 1), (7, 183), (1000, 3), (3, 100)] {
+            let blocks = chip.blocks().len();
+            let mut streamed = StepMeans::new(blocks, per_step, steps).unwrap();
+            generator
+                .generate_into(&spec, duration, &mut streamed)
+                .unwrap();
+            let mut replayed = StepMeans::new(blocks, per_step, steps).unwrap();
+            replayed.push_trace(&trace).unwrap();
+            assert_eq!(streamed.sample_count(), trace.sample_count());
+            assert_eq!(
+                streamed.mean_activity().to_bits(),
+                trace.mean_activity().to_bits()
+            );
+            let expected = bits(&held_step_means(&trace, per_step, steps));
+            assert_eq!(
+                bits(&streamed.finish().unwrap()),
+                expected,
+                "{per_step}×{steps}"
+            );
+            assert_eq!(
+                bits(&replayed.finish().unwrap()),
+                expected,
+                "{per_step}×{steps}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_held_sample_keeps_its_sign_and_bad_shapes_are_errors() {
+        let mut means = StepMeans::new(2, 2, 3).unwrap();
+        means.fold(&[-0.0, 1.0]);
+        let steps = means.finish().unwrap();
+        assert_eq!(steps.len(), 3);
+        for step in &steps {
+            let expected = [[-0.0f64].iter().sum::<f64>(), 1.0];
+            assert_eq!(step[0].to_bits(), expected[0].to_bits());
+            assert_eq!(step[1], expected[1]);
+        }
+        assert!(StepMeans::new(2, 0, 3).is_err());
+        assert!(StepMeans::new(2, 2, 3).unwrap().finish().is_err());
+        let mut means = StepMeans::new(2, 2, 3).unwrap();
+        let chip = power8_like();
+        let duration = Seconds::from_micros(10.0);
+        let spec = WorkloadSpec::Single(Benchmark::Fft);
+        let generator = TraceGenerator::new(&chip);
+        assert!(generator
+            .generate_into(&spec, duration, &mut means)
+            .is_err());
+        assert_eq!(means.sample_count(), 0);
+    }
+
+    #[test]
+    fn streamed_and_held_traces_emit_the_same_event() {
+        use simkit::telemetry::Telemetry;
+
+        let chip = power8_like();
+        let generator = TraceGenerator::new(&chip);
+        let spec = WorkloadSpec::Single(Benchmark::LuNcb);
+        let duration = Seconds::from_millis(2.0);
+        let (held_tel, held) = Telemetry::recorder();
+        generator
+            .generate_spec(&spec, duration)
+            .emit_telemetry(&held_tel);
+        let (streamed_tel, streamed) = Telemetry::recorder();
+        let mut means = StepMeans::new(chip.blocks().len(), 20, 100).unwrap();
+        generator
+            .generate_into(&spec, duration, &mut means)
+            .unwrap();
+        means.emit_telemetry(&streamed_tel, &spec);
+        means.emit_telemetry(&Telemetry::disabled(), &spec);
+        let fields = |sink: &simkit::telemetry::MemorySink| {
+            let events = sink.events();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].name, "workload.trace");
+            events[0].fields.clone()
+        };
+        assert_eq!(fields(&streamed), fields(&held));
     }
 
     #[test]

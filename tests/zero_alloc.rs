@@ -3,11 +3,13 @@
 //! allocator wraps the system allocator and each test asserts the
 //! per-thread allocation count does not move across warmed-up
 //! `TransientStepper::step`, `generate_window_into` and
-//! `DidtResponse::refill` calls. An IR analysis whose regulator key
-//! changes (a refactor and a superposition-basis rebuild) allocates no
-//! more than one whose key repeats. A warmed-up
+//! `DidtResponse::refill` calls. An IR analysis whose regulator key is
+//! not kept (a refactor and a superposition-basis rebuild into a recycled
+//! buffer) allocates no more than one whose key repeats. A warmed-up
 //! `ScenarioSpec::content_hash` allocates nothing, and neither does
-//! nested phase timing under disabled telemetry.
+//! nested phase timing under disabled telemetry. The allocator also
+//! keeps per-thread live and peak bytes, which bound what a standard
+//! run holds at once: less than one full-resolution activity trace.
 
 use experiments::service::ScenarioSpec;
 use floorplan::reference::power8_like;
@@ -20,48 +22,76 @@ use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
-use thermogater::{EngineConfig, PolicyKind};
+use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
 use vreg::GatingState;
 use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
 use workload::Benchmark;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed; negative when
+    /// it frees what another thread allocated.
+    static THREAD_LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `THREAD_LIVE` since the last `reset_peak`.
+    static THREAD_PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// System allocator with a per-thread allocation counter. Per-thread
-/// counting keeps the test-harness threads (and any other test in this
-/// binary) from polluting the measurement.
+/// System allocator with per-thread allocation and live-byte counters.
+/// Per-thread counting keeps the test-harness threads (and any other
+/// test in this binary) from polluting the measurement.
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow_live(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
 
+/// Counts one allocation that changes the live bytes by `bytes`.
 /// `try_with` guards against TLS teardown re-entering the allocator.
-fn bump() {
+fn bump(bytes: isize) {
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    grow_live(bytes);
+}
+
+fn grow_live(bytes: isize) {
+    let _ = THREAD_LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = THREAD_PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn thread_allocs() -> usize {
     THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
+}
+
+fn live_bytes() -> isize {
+    THREAD_LIVE.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Starts a new peak at the current live bytes.
+fn reset_peak() {
+    let _ = THREAD_PEAK.try_with(|peak| peak.set(live_bytes()));
+}
+
+fn peak_bytes() -> isize {
+    THREAD_PEAK.try_with(Cell::get).unwrap_or(0)
 }
 
 #[global_allocator]
@@ -173,22 +203,29 @@ fn noise_window_refills_perform_no_heap_allocation() {
     );
 }
 
-/// A new active-regulator key refactors a domain and rebuilds its
-/// superposition basis in place: no per-key buffer, so the analysis
-/// allocates no more than one whose key repeats.
+/// A key a domain does not keep refactors it and rebuilds the least
+/// recently used of its kept superposition bases in place: cycling five
+/// keys through four kept bases evicts one on every call, and such a
+/// miss allocates no more than an analysis whose key repeats.
 #[test]
 fn ir_drop_with_a_new_key_allocates_no_more_than_a_repeated_key() {
     let chip = power8_like();
     let model = PdnModel::new(&chip, PdnConfig::reference());
     let powers = vec![Watts::new(1.5); chip.blocks().len()];
-    let all_on = GatingState::all_on(chip.vr_sites().len());
-    let mut half = all_on.clone();
-    for &v in chip.domains()[0].vrs().iter().skip(3) {
-        half.set(v, false).unwrap();
-    }
-    // Warm up: the first calls build the solvers and grow the key and
-    // workspace buffers to capacity.
-    for gating in [&all_on, &half, &all_on, &half, &all_on] {
+    let core0 = &chip.domains()[0];
+    // Five keys in core0: all on, then one more regulator off each.
+    let keys: Vec<GatingState> = (0..5)
+        .map(|off| {
+            let mut gating = GatingState::all_on(chip.vr_sites().len());
+            for &v in core0.vrs().iter().take(off) {
+                gating.set(v, false).unwrap();
+            }
+            gating
+        })
+        .collect();
+    // Warm up: the first calls build the solvers, fill the four kept
+    // bases and grow the key and workspace buffers to capacity.
+    for gating in keys.iter().chain(&keys) {
         model.ir_drop(gating, &powers).unwrap();
     }
     let allocs_of = |gating: &GatingState| {
@@ -196,13 +233,37 @@ fn ir_drop_with_a_new_key_allocates_no_more_than_a_repeated_key() {
         let report = model.ir_drop(gating, &powers).unwrap();
         (thread_allocs() - before, report.basis_solves())
     };
-    let (repeated, repeated_basis) = allocs_of(&all_on);
-    let (changed, changed_basis) = allocs_of(&half);
+    let last = &keys[4];
+    let (repeated, repeated_basis) = allocs_of(last);
     assert_eq!(repeated_basis, 0);
-    assert_eq!(changed_basis, chip.domains()[0].blocks().len() as u64);
+    // Each key in turn was used longest ago, so every call evicts.
+    for gating in &keys {
+        let (changed, changed_basis) = allocs_of(gating);
+        assert_eq!(changed_basis, core0.blocks().len() as u64);
+        assert!(
+            changed <= repeated,
+            "an evicting key allocated {changed} times, a repeated key {repeated}"
+        );
+    }
+}
+
+/// A synthetic run streams its trace into per-step means instead of
+/// generating the 1 µs trace first: on a fresh standard engine, a whole
+/// OracVT run never holds, on its calling thread, as many bytes as one
+/// full-resolution trace of it would take.
+#[test]
+fn a_standard_run_never_holds_a_full_resolution_trace() {
+    let chip = power8_like();
+    let engine = SimulationEngine::new(&chip, EngineConfig::standard());
+    let samples = (engine.trace_duration().get() / workload::trace::DEFAULT_DT.get()).round();
+    let trace_bytes = samples as isize * chip.blocks().len() as isize * 8;
+    let before = live_bytes();
+    reset_peak();
+    engine.run(Benchmark::LuNcb, PolicyKind::OracVT).unwrap();
+    let peak = peak_bytes() - before;
     assert!(
-        changed <= repeated,
-        "a key change allocated {changed} times, a repeated key {repeated}"
+        peak < trace_bytes,
+        "the run held {peak} B at its peak, a full-resolution trace takes {trace_bytes} B"
     );
 }
 
