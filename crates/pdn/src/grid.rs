@@ -459,7 +459,8 @@ impl PdnModel {
                 // conductance can later be patched in via `values_mut`.
                 let g_sheet = 1.0 / config.r_sheet_ohm;
                 let n = nx * ny;
-                let mut b = TripletBuilder::new(n, n);
+                let edges = (nx - 1) * ny + nx * (ny - 1);
+                let mut b = TripletBuilder::with_capacity(n, n, 4 * edges + vr_cells.len());
                 for j in 0..ny {
                     for i in 0..nx {
                         let c = j * nx + i;

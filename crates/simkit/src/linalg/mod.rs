@@ -112,6 +112,14 @@ pub mod vec_ops {
 /// coordinates are summed, which makes assembling finite-difference
 /// stencils convenient.
 ///
+/// # Duplicate order
+///
+/// [`build`](TripletBuilder::build) sums the triplets of one coordinate
+/// in the order they were added: the first value, plus the second, plus
+/// the third, and so on. Floating-point addition is not associative, so
+/// this order is part of the contract: a stencil assembled twice in the
+/// same order gives the same bits, whatever the sorting underneath.
+///
 /// # Examples
 ///
 /// ```
@@ -123,6 +131,13 @@ pub mod vec_ops {
 /// b.add(1, 1, 4.0);
 /// let m = b.build();
 /// assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 4.0]);
+///
+/// // Summed as (1e16 + 1.0) + -1e16, in insertion order: the 1.0 is lost.
+/// let mut b = TripletBuilder::new(1, 1);
+/// for v in [1e16, 1.0, -1e16] {
+///     b.add(0, 0, v);
+/// }
+/// assert_eq!(b.build().get(0, 0), 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TripletBuilder {
@@ -134,61 +149,114 @@ pub struct TripletBuilder {
 impl TripletBuilder {
     /// Creates a builder for an `rows × cols` matrix.
     pub fn new(rows: usize, cols: usize) -> Self {
+        Self::with_capacity(rows, cols, 0)
+    }
+
+    /// Creates a builder for an `rows × cols` matrix with room for
+    /// `capacity` triplets, so an assembler that knows its triplet count
+    /// never regrows the buffer.
+    pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
         TripletBuilder {
             rows,
             cols,
-            entries: Vec::new(),
+            entries: Vec::with_capacity(capacity),
         }
     }
 
-    /// Adds `value` at `(row, col)`; repeated coordinates accumulate.
+    /// Adds `value` at `(row, col)`; repeated coordinates accumulate, in
+    /// the order they are added.
     ///
     /// # Panics
     ///
-    /// Panics when the coordinate is out of bounds.
+    /// Panics when the coordinate is out of bounds, or past `u32::MAX`
+    /// triplets (assembly indexes them with `u32`).
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.rows && col < self.cols, "triplet out of bounds");
+        assert!(
+            row < self.rows && col < self.cols && self.entries.len() < u32::MAX as usize,
+            "triplet out of bounds"
+        );
         self.entries.push((row, col, value));
     }
 
-    /// Assembles the CSR matrix.
-    pub fn build(mut self) -> CsrMatrix {
-        self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        let mut col_idx = Vec::with_capacity(self.entries.len());
-        let mut values = Vec::with_capacity(self.entries.len());
+    /// Assembles the CSR matrix: columns ascend within each row, and the
+    /// duplicates of a coordinate are summed in insertion order.
+    ///
+    /// O(n + rows) for n triplets in rows of bounded length (see
+    /// [`row_major_order`]); the triplets themselves are never copied or
+    /// moved, only a `u32` permutation of them.
+    pub fn build(self) -> CsrMatrix {
+        let TripletBuilder {
+            rows,
+            cols,
+            entries,
+        } = self;
+        let order = row_major_order(rows, &entries);
+        let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0);
-        let mut current_row = 0;
-        // After sorting, duplicates are adjacent: an entry merges into its
-        // predecessor exactly when both share the same (row, col). Tracking
-        // that coordinate directly is the whole invariant — no need to
-        // reverse-engineer it from row_ptr/col_idx state.
-        let mut last_coord = None;
-        for (r, c, v) in self.entries {
-            if last_coord == Some((r, c)) {
-                *values.last_mut().expect("duplicate follows an entry") += v;
-                continue;
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        // The coordinate and value slot of the entry last written:
+        // duplicates are adjacent in `order`, and add into it.
+        let mut last = None;
+        for &k in &order {
+            let (r, c, v) = entries[k as usize];
+            match last {
+                Some((coord, at)) if coord == (r, c) => values[at] += v,
+                _ => {
+                    while row_ptr.len() <= r {
+                        row_ptr.push(col_idx.len());
+                    }
+                    last = Some(((r, c), values.len()));
+                    col_idx.push(c);
+                    values.push(v);
+                }
             }
-            while current_row < r {
-                row_ptr.push(col_idx.len());
-                current_row += 1;
-            }
-            col_idx.push(c);
-            values.push(v);
-            last_coord = Some((r, c));
         }
-        while current_row < self.rows {
+        while row_ptr.len() <= rows {
             row_ptr.push(col_idx.len());
-            current_row += 1;
         }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
         CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
+            rows,
+            cols,
             row_ptr,
             col_idx,
             values,
         }
     }
+}
+
+/// The permutation of `entries` into (row, column) order that keeps
+/// equal coordinates in insertion order.
+///
+/// A stable counting sort deals the indices out to their rows, O(n +
+/// rows), and each row's slice is put in column order by the standard
+/// library's stable sort (k·log k for a row of k triplets, such as a
+/// lumped node coupled to a whole layer).
+fn row_major_order(rows: usize, entries: &[(usize, usize, f64)]) -> Vec<u32> {
+    // Row starts, then each row's write cursor, which ends at the row's end.
+    let mut end = vec![0usize; rows];
+    for &(r, _, _) in entries {
+        end[r] += 1;
+    }
+    let mut start = 0;
+    for e in &mut end {
+        let count = *e;
+        *e = start;
+        start += count;
+    }
+    let mut order = vec![0u32; entries.len()];
+    for (k, &(r, _, _)) in entries.iter().enumerate() {
+        order[end[r]] = k as u32;
+        end[r] += 1;
+    }
+    let mut start = 0;
+    for &stop in &end {
+        order[start..stop].sort_by_key(|&k| entries[k as usize].1);
+        start = stop;
+    }
+    order
 }
 
 /// A compressed-sparse-row matrix.
@@ -298,10 +366,12 @@ impl CsrMatrix {
     }
 
     /// Matrix product `self · other`, assembled row-by-row with a dense
-    /// accumulator (classic CSR SpGEMM). Used to form the Galerkin coarse
-    /// operators `R·A·P` of the [`multigrid`] hierarchy; exact zeros that
-    /// arise from cancellation are kept so the product's pattern is
-    /// reproducible.
+    /// accumulator (classic CSR SpGEMM); exact zeros that arise from
+    /// cancellation are kept so the product's pattern is reproducible.
+    ///
+    /// No solver calls it. It is the reference the [`multigrid`]
+    /// hierarchy's row-wise Galerkin product is held to: each coarse
+    /// operator equals `R.multiply(&A.multiply(&P))` bit for bit.
     ///
     /// # Errors
     ///
@@ -1102,6 +1172,132 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Sums every coordinate's triplets in insertion order, the first
+    /// value first: the contract of [`TripletBuilder::build`].
+    fn insertion_order_reference(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Vec<Vec<Option<f64>>> {
+        let mut dense = vec![vec![None; cols]; rows];
+        for &(r, c, v) in triplets {
+            let slot: &mut Option<f64> = &mut dense[r][c];
+            *slot = Some(slot.map_or(v, |sum| sum + v));
+        }
+        dense
+    }
+
+    /// Checks `triplets` assemble to the insertion-order reference, bit
+    /// for bit and entry for entry.
+    fn assembles_in_insertion_order(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> std::result::Result<(), String> {
+        let mut b = TripletBuilder::with_capacity(rows, cols, triplets.len());
+        for &(r, c, v) in triplets {
+            b.add(r, c, v);
+        }
+        let m = b.build();
+        let reference = insertion_order_reference(rows, cols, triplets);
+        let stored: usize = reference.iter().flatten().filter(|v| v.is_some()).count();
+        crate::check::ensure(m.nnz() == stored, || {
+            format!("{} stored entries, want {stored}", m.nnz())
+        })?;
+        for (r, row) in reference.iter().enumerate() {
+            let got: Vec<(usize, f64)> = m.row_entries(r).collect();
+            let want: Vec<(usize, f64)> = row
+                .iter()
+                .enumerate()
+                .filter_map(|(c, v)| v.map(|v| (c, v)))
+                .collect();
+            let same = got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
+            crate::check::ensure(same, || format!("row {r}: got {got:?}, want {want:?}"))?;
+        }
+        Ok(())
+    }
+
+    /// `count` triplets over an `rows × cols` matrix whose duplicate
+    /// groups cancel differently in different orders: `1e16 + 1 − 1e16`
+    /// is 0 in insertion order, while `1e16 − 1e16 + 1` is 1.
+    fn order_sensitive_triplets(
+        rows: usize,
+        cols: usize,
+        count: usize,
+        seed: u64,
+    ) -> Vec<(usize, usize, f64)> {
+        let mut rng = crate::DeterministicRng::new(seed);
+        let mut triplets = Vec::with_capacity(count);
+        while triplets.len() < count {
+            let (r, c) = (rng.uniform_usize(rows), rng.uniform_usize(cols));
+            let v = match rng.uniform_usize(4) {
+                0 => 1e16,
+                1 => -1e16,
+                2 => 1.0,
+                _ => rng.uniform_range(-2.0, 2.0),
+            };
+            triplets.push((r, c, v));
+        }
+        triplets
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // 12 000 triplets on 40 × 30 coordinates: ten per coordinate on
+        // average, in every interleaving of large and small values.
+        let triplets = order_sensitive_triplets(40, 30, 12_000, 0x7121);
+        assembles_in_insertion_order(40, 30, &triplets).unwrap();
+        // The first value of a group is its start, not 0.0 + it.
+        let mut b = TripletBuilder::new(1, 2);
+        b.add(0, 1, -0.0);
+        b.add(0, 0, 1e16);
+        b.add(0, 0, 1.0);
+        b.add(0, 0, -1e16);
+        let m = b.build();
+        assert_eq!(m.get(0, 0), 0.0);
+        assert_eq!(m.get(0, 1).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn assembly_matches_the_insertion_order_reference() {
+        let checker = crate::check::Checker::new(crate::check::CheckConfig {
+            seed: 0x7269_706C, // "ripl"
+            cases: 12,
+            ..crate::check::CheckConfig::default()
+        });
+        let gen = (
+            crate::check::usize_in(1, 80),
+            crate::check::usize_in(1, 80),
+            crate::check::usize_in(10_000, 14_000),
+            crate::check::usize_in(0, 1 << 30),
+        );
+        checker.assert(
+            "linalg.triplet_insertion_order",
+            &gen,
+            |&(rows, cols, count, seed)| {
+                let triplets = order_sensitive_triplets(rows, cols, count, seed as u64);
+                assembles_in_insertion_order(rows, cols, &triplets)
+            },
+        );
+    }
+
+    #[test]
+    fn a_long_row_keeps_its_duplicates_in_insertion_order() {
+        // One row past the insertion-sort cutoff, as a lumped node
+        // coupled to a whole grid layer.
+        let mut triplets = Vec::new();
+        for c in (0..200).rev() {
+            triplets.push((0, c % 50, 1e16));
+            triplets.push((0, 49 - c % 50, 1.0));
+            triplets.push((0, c % 50, -1e16));
+        }
+        assembles_in_insertion_order(1, 50, &triplets).unwrap();
     }
 
     #[test]

@@ -141,9 +141,13 @@ struct Work {
 /// Build once per matrix with [`MultigridPreconditioner::new`]; when the
 /// matrix values change under a fixed pattern (the PDN's per-gating
 /// regulator patches), refresh with
-/// [`MultigridPreconditioner::update`], which re-assembles the Galerkin
-/// products and refactors the bottom level without re-deriving any
-/// structure.
+/// [`MultigridPreconditioner::update`], which refills the Galerkin
+/// products in place and refactors the bottom level without re-deriving
+/// any structure.
+///
+/// Each coarse operator is formed row by row, reading rows of `A·P` as
+/// it needs them, so `A·P` is never held whole; it equals
+/// `R.multiply(&A.multiply(&P))` bit for bit (see [`CsrMatrix::multiply`]).
 #[derive(Debug)]
 pub struct MultigridPreconditioner {
     geometry: GridGeometry,
@@ -215,7 +219,7 @@ impl MultigridPreconditioner {
             }
             let p = prolongation(g, cg);
             let r = p.transpose();
-            let coarse = r.multiply(&a.multiply(&p)?)?;
+            let coarse = galerkin_product(&r, &a, &p);
             let inv_diag = inverse_diag(&a)?;
             levels.push(Level { a, inv_diag, p, r });
             a = coarse;
@@ -236,8 +240,8 @@ impl MultigridPreconditioner {
     /// Re-derives the numeric hierarchy from `matrix`: when the sparsity
     /// pattern matches the matrix the hierarchy was built from (the
     /// cached-matrix-with-patched-values case), the transfer operators
-    /// are reused, the Galerkin products recomputed, and the bottom
-    /// factor refreshed via the values-only
+    /// and every coarse pattern are reused, the Galerkin products refilled
+    /// in place, and the bottom factor refreshed via the values-only
     /// [`LdltFactor::refactor`] fast path; otherwise the full hierarchy
     /// is rebuilt.
     ///
@@ -259,15 +263,14 @@ impl MultigridPreconditioner {
         } else {
             self.levels[0].a.values.copy_from_slice(&matrix.values);
             for l in 0..self.levels.len() {
-                let lev = &self.levels[l];
-                let coarse = lev.r.multiply(&lev.a.multiply(&lev.p)?)?;
-                let inv_diag = inverse_diag(&self.levels[l].a)?;
-                self.levels[l].inv_diag = inv_diag;
-                if l + 1 < self.levels.len() {
-                    self.levels[l + 1].a = coarse;
-                } else {
-                    self.bottom.a = coarse;
-                }
+                let (upper, lower) = self.levels.split_at_mut(l + 1);
+                let lev = &mut upper[l];
+                lev.inv_diag = inverse_diag(&lev.a)?;
+                let coarse = match lower.first_mut() {
+                    Some(next) => &mut next.a,
+                    None => &mut self.bottom.a,
+                };
+                galerkin_refill(&lev.r, &lev.a, &lev.p, coarse);
             }
         }
         self.bottom.factor.refactor(&self.bottom.a)?;
@@ -395,6 +398,165 @@ impl Preconditioner for MultigridPreconditioner {
         // CG step) rather than panicking inside the solver loop.
         if self.vcycle(r, z).is_err() {
             z.copy_from_slice(r);
+        }
+    }
+}
+
+/// Scratch of the row-wise Galerkin product `R·A·P`: the row of `R·A·P`
+/// being accumulated, and the rows of `A·P` it reads.
+///
+/// A row of `A·P` is formed when the first coarse row that reads it
+/// comes up, kept while later coarse rows still read it, and its slot
+/// recycled after the last. Coarse rows go in order and `R = Pᵀ`, so fine
+/// row `i` is read by exactly the coarse rows of `P`'s row `i`, and the
+/// last of them is that row's last column. The rows kept at once are a
+/// band around the current coarse row, never `A·P` whole. The values do
+/// not depend on this: a row freed too early is formed again.
+///
+/// A marker holds the stamp of the row that last touched a column, so
+/// membership tests cost O(1) and no marker is ever cleared.
+struct Galerkin<'m> {
+    r: &'m CsrMatrix,
+    a: &'m CsrMatrix,
+    p: &'m CsrMatrix,
+    /// Dense accumulator and marker for forming one row of `A·P`.
+    ap: Vec<f64>,
+    ap_mark: Vec<usize>,
+    /// Per fine row: the slot of its kept row of `A·P`, if any.
+    slot_of: Vec<Option<usize>>,
+    /// Kept rows of `A·P` as `(column, value)` in formation order.
+    slots: Vec<Vec<(usize, f64)>>,
+    free: Vec<usize>,
+    /// Dense accumulator, marker and touched columns of the coarse row.
+    acc: Vec<f64>,
+    mark: Vec<usize>,
+    cols: Vec<usize>,
+    stamp: usize,
+}
+
+impl<'m> Galerkin<'m> {
+    fn new(r: &'m CsrMatrix, a: &'m CsrMatrix, p: &'m CsrMatrix) -> Self {
+        let m = p.cols;
+        Galerkin {
+            r,
+            a,
+            p,
+            ap: vec![0.0; m],
+            ap_mark: vec![0; m],
+            slot_of: vec![None; a.rows],
+            slots: Vec::new(),
+            free: Vec::new(),
+            acc: vec![0.0; m],
+            mark: vec![0; m],
+            cols: Vec::new(),
+            stamp: 0,
+        }
+    }
+
+    /// Accumulates coarse row `row` of `R·A·P` into `acc`, listing its
+    /// columns, unsorted, in `cols`: `acc[J] += R[row, i]·(A·P)[i, J]`
+    /// over the entries `i` of `R`'s row. Both sums run in exactly
+    /// [`CsrMatrix::multiply`]'s order (the left factor's row in stored
+    /// order, each sum from 0.0), so the result equals
+    /// `R.multiply(&A.multiply(&P))` bit for bit.
+    fn accumulate_row(&mut self, row: usize) {
+        let r = self.r;
+        self.stamp += 1;
+        let row_stamp = self.stamp;
+        self.cols.clear();
+        for kr in r.row_ptr[row]..r.row_ptr[row + 1] {
+            let (fine, weight) = (r.col_idx[kr], r.values[kr]);
+            let slot = match self.slot_of[fine] {
+                Some(slot) => slot,
+                None => self.form_ap_row(fine),
+            };
+            for &(col, v) in &self.slots[slot] {
+                if self.mark[col] != row_stamp {
+                    self.mark[col] = row_stamp;
+                    self.cols.push(col);
+                }
+                self.acc[col] += weight * v;
+            }
+            let p = self.p;
+            if p.col_idx[p.row_ptr[fine]..p.row_ptr[fine + 1]].last() == Some(&row) {
+                self.slot_of[fine] = None;
+                self.free.push(slot);
+            }
+        }
+    }
+
+    /// Forms row `fine` of `A·P` into a free slot, as
+    /// [`CsrMatrix::multiply`] forms it, and returns the slot.
+    fn form_ap_row(&mut self, fine: usize) -> usize {
+        let (a, p) = (self.a, self.p);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            self.slots.len() - 1
+        });
+        self.stamp += 1;
+        let row = &mut self.slots[slot];
+        row.clear();
+        for ka in a.row_ptr[fine]..a.row_ptr[fine + 1] {
+            let (mid, av) = (a.col_idx[ka], a.values[ka]);
+            for kp in p.row_ptr[mid]..p.row_ptr[mid + 1] {
+                let col = p.col_idx[kp];
+                if self.ap_mark[col] != self.stamp {
+                    self.ap_mark[col] = self.stamp;
+                    row.push((col, 0.0));
+                }
+                self.ap[col] += av * p.values[kp];
+            }
+        }
+        for (col, v) in row.iter_mut() {
+            *v = std::mem::take(&mut self.ap[*col]);
+        }
+        self.slot_of[fine] = Some(slot);
+        slot
+    }
+}
+
+/// The Galerkin coarse operator `R·A·P`, row by row (see
+/// [`Galerkin::accumulate_row`]), in one pass: each row's columns are
+/// sorted and appended. The output starts at the fine operator's density
+/// per row, grows as a coarse operator's denser rows need, and is trimmed
+/// to its exact size at the end. Scratch beyond the output is O(coarse
+/// nodes) plus a band of `A·P` rows.
+fn galerkin_product(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
+    let mut g = Galerkin::new(r, a, p);
+    let guess = a.nnz() * r.rows / a.rows.max(1);
+    let mut row_ptr = Vec::with_capacity(r.rows + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(guess);
+    let mut values = Vec::with_capacity(guess);
+    for row in 0..r.rows {
+        g.accumulate_row(row);
+        g.cols.sort_unstable();
+        for &col in &g.cols {
+            col_idx.push(col);
+            values.push(std::mem::take(&mut g.acc[col]));
+        }
+        row_ptr.push(col_idx.len());
+    }
+    col_idx.shrink_to_fit();
+    values.shrink_to_fit();
+    CsrMatrix {
+        rows: r.rows,
+        cols: p.cols,
+        row_ptr,
+        col_idx,
+        values,
+    }
+}
+
+/// Refills `coarse`, whose pattern [`galerkin_product`] built from
+/// operators of the same patterns as `r`, `a` and `p`, with the values of
+/// `R·A·P`, in place.
+fn galerkin_refill(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix, coarse: &mut CsrMatrix) {
+    let mut g = Galerkin::new(r, a, p);
+    for row in 0..coarse.rows {
+        g.accumulate_row(row);
+        for k in coarse.row_ptr[row]..coarse.row_ptr[row + 1] {
+            coarse.values[k] = std::mem::take(&mut g.acc[coarse.col_idx[k]]);
         }
     }
 }
@@ -589,6 +751,56 @@ pub(crate) mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Every coarse operator equals `R.multiply(&A.multiply(&P))` of the
+    /// level above, bit for bit.
+    fn galerkin_is_exact(mg: &MultigridPreconditioner) -> check::TestResult {
+        for l in 0..mg.num_levels() {
+            let a = mg.level_matrix(l);
+            let explicit = mg
+                .restriction(l)
+                .multiply(&a.multiply(mg.prolongation(l)).map_err(|e| e.to_string())?)
+                .map_err(|e| e.to_string())?;
+            let coarse = if l + 1 < mg.num_levels() {
+                mg.level_matrix(l + 1)
+            } else {
+                mg.bottom_matrix()
+            };
+            let bits = |m: &CsrMatrix| -> Vec<(usize, usize, u64)> {
+                m.iter_entries()
+                    .map(|(r, c, v)| (r, c, v.to_bits()))
+                    .collect()
+            };
+            check::ensure(bits(coarse) == bits(&explicit), || {
+                format!("level {l}: the coarse operator differs from R·(A·P)")
+            })?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn galerkin_products_equal_the_explicit_triple_product() {
+        checker(24).assert(
+            "mg.galerkin_exact",
+            &geom_gen(),
+            |&(nx, ny, scale, sink)| {
+                let (geometry, mut matrix) = build_case(nx, ny, scale, sink);
+                let mut mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 4)
+                    .map_err(|e| format!("build failed: {e}"))?;
+                galerkin_is_exact(&mg)?;
+                // Refilled in place for new values, as the PDN's patches do:
+                // a stronger ground path on every third node.
+                for i in (0..matrix.rows()).step_by(3) {
+                    if let Some(k) = matrix.entry_index(i, i) {
+                        matrix.values_mut()[k] += 0.37 * scale;
+                    }
+                }
+                mg.update(&matrix)
+                    .map_err(|e| format!("update failed: {e}"))?;
+                galerkin_is_exact(&mg)
+            },
+        );
     }
 
     #[test]

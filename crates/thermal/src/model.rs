@@ -63,6 +63,14 @@ pub struct ThermalModel {
 impl ThermalModel {
     /// Discretises `chip` and assembles the RC network.
     ///
+    /// `G` is assembled from four triplets per conductance edge, reserved
+    /// exactly, in one fixed order: cell by cell, x edge, y edge, then
+    /// the vertical edges. [`TripletBuilder::build`] sums a node's
+    /// diagonal contributions in that order, so `G`'s bits are fixed by
+    /// this loop alone. It deals the triplets to their rows in
+    /// O(n + rows); only the sink row, which couples to every spreader
+    /// cell, takes a k·log k sort.
+    ///
     /// # Panics
     ///
     /// Panics when the grid resolution is zero.
@@ -96,7 +104,11 @@ impl ThermalModel {
         let g_vert_sp_sink = 1.0 / r_sp_sink;
         let g_convection = 1.0 / p.convection_resistance;
 
-        let mut g = TripletBuilder::new(n_nodes, n_nodes);
+        // Four triplets per edge: the x and y neighbours of both layers,
+        // each cell's silicon–spreader and spreader–sink edges, plus the
+        // convection diagonal.
+        let edges = 2 * ((nx - 1) * ny + nx * (ny - 1)) + 2 * n_cells;
+        let mut g = TripletBuilder::with_capacity(n_nodes, n_nodes, 4 * edges + 1);
         let mut add_edge = |a: usize, b: usize, cond: f64| {
             g.add(a, a, cond);
             g.add(b, b, cond);

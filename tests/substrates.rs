@@ -4,6 +4,7 @@
 use floorplan::reference::power8_like;
 use pdn::{PdnConfig, PdnModel};
 use power::{PowerModel, TechnologyParams};
+use simkit::linalg::{GridGeometry, MultigridPreconditioner};
 use simkit::units::{Amps, Celsius, Watts};
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
@@ -154,4 +155,69 @@ fn trace_statistics_separate_the_suite() {
     assert_eq!(lightest, Benchmark::Raytrace);
     assert_eq!(heaviest, Benchmark::Cholesky);
     assert!(hi > 2.0 * lo, "spread too small: {lo}..{hi}");
+}
+
+/// Every coarse operator of `mg` equals the explicit `R·(A·P)` of the
+/// level above it, entry for entry and bit for bit.
+fn assert_galerkin_exact(mg: &MultigridPreconditioner, what: &str) {
+    for level in 0..mg.num_levels() {
+        let a = mg.level_matrix(level);
+        let explicit = mg
+            .restriction(level)
+            .multiply(&a.multiply(mg.prolongation(level)).unwrap())
+            .unwrap();
+        let coarse = if level + 1 < mg.num_levels() {
+            mg.level_matrix(level + 1)
+        } else {
+            mg.bottom_matrix()
+        };
+        assert_eq!(coarse.rows(), explicit.rows(), "{what}, level {level}");
+        assert_eq!(coarse.nnz(), explicit.nnz(), "{what}, level {level}");
+        let differing = coarse
+            .iter_entries()
+            .zip(explicit.iter_entries())
+            .filter(|((r, c, v), (re, ce, ve))| r != re || c != ce || v.to_bits() != ve.to_bits())
+            .count();
+        assert_eq!(
+            differing, 0,
+            "{what}: level {level}'s coarse operator differs from R·(A·P)"
+        );
+    }
+}
+
+#[test]
+fn multigrid_coarse_operators_equal_the_explicit_triple_product() {
+    let chip = power8_like();
+    for (side, levels) in [(32, 1), (64, 2), (128, 3)] {
+        let config = ThermalConfig {
+            nx: side,
+            ny: side,
+            ..ThermalConfig::coarse()
+        };
+        let model = ThermalModel::new(&chip, config);
+        let mg = MultigridPreconditioner::new(model.conductance_matrix(), model.grid_geometry())
+            .unwrap();
+        assert_eq!(mg.num_levels(), levels, "thermal G at {side}²");
+        assert_galerkin_exact(&mg, &format!("thermal G at {side}²"));
+    }
+
+    // A PDN domain's hierarchy, built at all-on and refilled in place for
+    // a key with regulators off, equals the explicit product and a fresh
+    // build of the patched matrix.
+    let pdn = PdnModel::new(&chip, PdnConfig::reference());
+    let domain = chip.domains()[0].id();
+    let (nx, ny) = pdn.domain_grid_size(domain);
+    let geometry = GridGeometry::new(nx, ny, 1, 0);
+    let mut gating = GatingState::all_on(chip.vr_sites().len());
+    let all_on = pdn.domain_system(domain, &gating).unwrap();
+    let mut mg = MultigridPreconditioner::with_bottom_limit(&all_on, geometry, 4).unwrap();
+    assert!(mg.num_levels() >= 2, "{nx}×{ny} domain grid");
+    for &vr in chip.domains()[0].vrs().iter().take(3) {
+        gating.set(vr, false).unwrap();
+    }
+    let patched = pdn.domain_system(domain, &gating).unwrap();
+    mg.update(&patched).unwrap();
+    assert_galerkin_exact(&mg, "patched PDN domain after update");
+    let fresh = MultigridPreconditioner::with_bottom_limit(&patched, geometry, 4).unwrap();
+    assert_eq!(mg.bottom_matrix(), fresh.bottom_matrix());
 }

@@ -9,12 +9,14 @@
 //! `ScenarioSpec::content_hash` allocates nothing, and neither does
 //! nested phase timing under disabled telemetry. The allocator also
 //! keeps per-thread live and peak bytes, which bound what a standard
-//! run holds at once: less than one full-resolution activity trace.
+//! run holds at once (less than one full-resolution activity trace) and
+//! what a multigrid build holds beyond its hierarchy (less than `A·P`).
 
 use experiments::service::ScenarioSpec;
 use floorplan::reference::power8_like;
 use pdn::transient::DidtResponse;
 use pdn::{PdnConfig, PdnModel};
+use simkit::linalg::MultigridPreconditioner;
 use simkit::perf::PhaseTimes;
 use simkit::telemetry::Telemetry;
 use simkit::units::{Hertz, Seconds, Watts};
@@ -264,6 +266,36 @@ fn a_standard_run_never_holds_a_full_resolution_trace() {
     assert!(
         peak < trace_bytes,
         "the run held {peak} B at its peak, a full-resolution trace takes {trace_bytes} B"
+    );
+}
+
+/// The multigrid hierarchy forms each coarse operator row by row and
+/// never holds `A·P` whole: on the 128² thermal `G`, what
+/// `MultigridPreconditioner::new` holds on its calling thread at its peak,
+/// beyond the hierarchy it returns, is less than `A·P` alone would take.
+/// The counter sees a `realloc` only as its size change, not the old and
+/// new buffers a copying one holds together, so this peak is a lower
+/// bound on the build's true transient.
+#[test]
+fn a_multigrid_build_never_holds_the_fine_product_a_p() {
+    let chip = power8_like();
+    let config = ThermalConfig {
+        nx: 128,
+        ny: 128,
+        ..ThermalConfig::coarse()
+    };
+    let model = ThermalModel::new(&chip, config);
+    let g = model.conductance_matrix();
+    let before = live_bytes();
+    reset_peak();
+    let mg = MultigridPreconditioner::new(g, model.grid_geometry()).unwrap();
+    let transient = peak_bytes() - live_bytes();
+    let held = live_bytes() - before;
+    let ap = g.multiply(mg.prolongation(0)).unwrap();
+    let ap_bytes = (ap.nnz() * 16 + (ap.rows() + 1) * 8) as isize;
+    assert!(
+        transient < ap_bytes,
+        "the build peaked {transient} B above the {held} B hierarchy it returned; A·P takes {ap_bytes} B"
     );
 }
 
