@@ -16,7 +16,7 @@ echo "== panic-site ratchet: non-test panic sites may only go down =="
 # assert_ne!( and their debug_ forms) in crates/*/src, in each file's
 # lines before its first #[cfg(test)], skipping // comment lines (doc
 # examples included). Lower PANIC_SITES_MAX when the count falls.
-PANIC_SITES_MAX=135
+PANIC_SITES_MAX=131
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_test = 0 }
     /#\[cfg\(test\)\]/ { in_test = 1 }
@@ -223,6 +223,8 @@ grep -q '^ok   diff.noise_separable_vs_direct ' target/ci/verify_a.txt
 grep -q '^ok   diff.thermal_stencil_vs_csr ' target/ci/verify_a.txt
 # Likewise the superposed IR drops against fresh direct solves.
 grep -q '^ok   diff.ir_superposition_vs_solve ' target/ci/verify_a.txt
+# Likewise multigrid-CG against Jacobi-CG on the real model matrices.
+grep -q '^ok   diff.mgcg_vs_cg ' target/ci/verify_a.txt
 
 echo "== tg-verify: an unknown SIMKIT_SOLVER is a usage error (exit 2) =="
 # gs named the Gauss–Seidel backend, which no longer exists; it must be

@@ -689,19 +689,19 @@ fn mgcg_matches_cg(
     geometry: simkit::linalg::multigrid::GridGeometry,
     b: &[f64],
 ) -> Result<(), String> {
-    use simkit::linalg::{
-        multigrid::MultigridPreconditioner, solve_cg, CgWorkspace, Preconditioner,
-    };
+    use simkit::linalg::{multigrid::MultigridPreconditioner, solve_cg, CgWorkspace};
     let n = a.rows();
     let x_cg = a
         .solve_cg(b, None, 1e-12, 40 * n.max(1))
         .map_err(|e| format!("{tag}: CG failed: {e}"))?;
     let mg = MultigridPreconditioner::new(a, geometry)
         .map_err(|e| format!("{tag}: hierarchy setup failed: {e}"))?;
-    debug_assert_eq!(mg.dim(), n);
+    let cycle = mg
+        .v_cycle(a)
+        .map_err(|e| format!("{tag}: hierarchy dimension: {e}"))?;
     let mut x = vec![0.0; n];
     let mut ws = CgWorkspace::new();
-    solve_cg(a, b, &mut x, &mg, &mut ws, 1e-12, 40 * n.max(1))
+    solve_cg(a, b, &mut x, &cycle, &mut ws, 1e-12, 40 * n.max(1))
         .map_err(|e| format!("{tag}: mgcg solve failed: {e}"))?;
     let diff = vec_ops::max_abs_diff(&x_cg, &x);
     let scale = x_cg.iter().fold(1.0f64, |m, &v| m.max(v.abs()));

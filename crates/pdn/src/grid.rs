@@ -709,6 +709,7 @@ impl PdnModel {
                 }
                 _ => solver.solve(
                     &scratch.matrix,
+                    &scratch.matrix,
                     &scratch.i_load,
                     &mut scratch.volts,
                     &mut scratch.ws,

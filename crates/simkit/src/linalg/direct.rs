@@ -269,30 +269,40 @@ impl LdltWorkspace {
 /// [`LdltFactor::refactor`] when only the values change (the PDN patches
 /// regulator conductances per gating decision). All numeric scratch lives
 /// inside the factor, so refactorization and solves allocate nothing.
+///
+/// Every index the factor stores (the permutations, the elimination
+/// tree, L's column pointers and row indices, and the numeric pass's
+/// marks) is a `u32`, half the bytes of `usize`: a factor has at most
+/// `u32::MAX − 1` rows and `u32::MAX` entries in L.
 #[derive(Debug, Clone)]
 pub struct LdltFactor {
     n: usize,
     nnz_a: usize,
     /// `perm[k]` = original row eliminated at step `k`.
-    perm: Vec<usize>,
+    perm: Vec<u32>,
     /// Inverse permutation: `iperm[perm[k]] == k`.
-    iperm: Vec<usize>,
-    /// Elimination tree: parent of column `k`, `usize::MAX` at roots.
-    parent: Vec<usize>,
+    iperm: Vec<u32>,
+    /// Elimination tree: parent of column `k`, [`NONE`] at roots.
+    parent: Vec<u32>,
     /// Column pointers of L (strictly lower triangular part).
-    lp: Vec<usize>,
+    lp: Vec<u32>,
     /// Row indices of L, column-major within `lp` windows.
-    li: Vec<usize>,
+    li: Vec<u32>,
     /// Values of L matching `li`.
     lx: Vec<f64>,
     /// The diagonal D.
     d: Vec<f64>,
     // Numeric-pass scratch, kept so `refactor` is allocation-free.
     y: Vec<f64>,
-    flag: Vec<usize>,
-    pattern: Vec<usize>,
-    lnz_next: Vec<usize>,
+    flag: Vec<u32>,
+    pattern: Vec<u32>,
+    lnz_next: Vec<u32>,
 }
+
+/// No node: the elimination-tree parent of a root, and the numeric
+/// pass's mark of a node no row has reached. Never a row index, since a
+/// factor has fewer than `u32::MAX` rows.
+const NONE: u32 = u32::MAX;
 
 impl LdltFactor {
     /// Orders, symbolically analyses, and numerically factors `matrix`.
@@ -303,6 +313,8 @@ impl LdltFactor {
     /// # Errors
     ///
     /// * [`Error::DimensionMismatch`] — `matrix` is not square;
+    /// * [`Error::InvalidArgument`] — `matrix` has `u32::MAX` rows or
+    ///   more, or L would store more than `u32::MAX` entries;
     /// * [`Error::SingularMatrix`] — a row stores no diagonal entry;
     /// * [`Error::NotPositiveDefinite`] — a pivot `D[k]` is not a
     ///   positive finite number.
@@ -314,43 +326,57 @@ impl LdltFactor {
             });
         }
         let n = matrix.rows();
+        if n >= NONE as usize {
+            return Err(Error::invalid_argument(format!(
+                "a {n}-row LDLT factor does not fit u32 indices"
+            )));
+        }
         // Pivot pre-check: every row needs a stored diagonal, exactly as
         // the iterative solvers require. `diag_indices` is the same
         // single-pass scan the Jacobi preconditioner caches.
         if let Some(i) = matrix.diag_indices().iter().position(|slot| slot.is_none()) {
             return Err(Error::SingularMatrix { index: i });
         }
-        let perm = min_degree_ordering(matrix);
-        let mut iperm = vec![0usize; n];
+        // Every index below is under `n < u32::MAX`.
+        let perm: Vec<u32> = min_degree_ordering(matrix)
+            .into_iter()
+            .map(|v| v as u32)
+            .collect();
+        let mut iperm = vec![0u32; n];
         for (k, &orig) in perm.iter().enumerate() {
-            iperm[orig] = k;
+            iperm[orig as usize] = k as u32;
         }
 
         // Symbolic analysis: elimination tree + per-column counts of L,
         // by following partial etree paths (Davis, "Direct Methods for
         // Sparse Linear Systems", algorithm LDL).
-        let mut parent = vec![usize::MAX; n];
-        let mut flag = vec![usize::MAX; n];
-        let mut counts = vec![0usize; n];
+        let mut parent = vec![NONE; n];
+        let mut flag = vec![NONE; n];
+        let mut counts = vec![0u32; n];
         for k in 0..n {
-            flag[k] = k;
-            for (col, _) in matrix.row_entries(perm[k]) {
-                let mut i = iperm[col];
-                while i < k && flag[i] != k {
-                    if parent[i] == usize::MAX {
-                        parent[i] = k;
+            let k32 = k as u32;
+            flag[k] = k32;
+            for (col, _) in matrix.row_entries(perm[k] as usize) {
+                let mut i = iperm[col] as usize;
+                while i < k && flag[i] != k32 {
+                    if parent[i] == NONE {
+                        parent[i] = k32;
                     }
                     counts[i] += 1; // L(k, i) is structurally nonzero
-                    flag[i] = k;
-                    i = parent[i];
+                    flag[i] = k32;
+                    i = parent[i] as usize;
                 }
             }
         }
-        let mut lp = vec![0usize; n + 1];
-        for k in 0..n {
-            lp[k + 1] = lp[k] + counts[k];
+        let mut lp = Vec::with_capacity(n + 1);
+        lp.push(0u32);
+        let mut lnz = 0usize;
+        for &count in &counts {
+            lnz += count as usize;
+            lp.push(u32::try_from(lnz).map_err(|_| {
+                Error::invalid_argument("an LDLT factor's L stores more than u32::MAX entries")
+            })?);
         }
-        let lnz = lp[n];
 
         let mut factor = LdltFactor {
             n,
@@ -359,13 +385,14 @@ impl LdltFactor {
             iperm,
             parent,
             lp,
-            li: vec![0usize; lnz],
+            li: vec![0u32; lnz],
             lx: vec![0.0; lnz],
             d: vec![0.0; n],
             y: vec![0.0; n],
             flag,
-            pattern: vec![0usize; n],
-            lnz_next: vec![0usize; n],
+            pattern: vec![0u32; n],
+            // The counts are spent; `numeric` overwrites every cursor.
+            lnz_next: counts,
         };
         factor.numeric(matrix)?;
         Ok(factor)
@@ -398,10 +425,11 @@ impl LdltFactor {
     /// via the elimination-tree reach, in one sweep over the matrix.
     fn numeric(&mut self, matrix: &CsrMatrix) -> Result<()> {
         let n = self.n;
-        self.flag.iter_mut().for_each(|f| *f = usize::MAX);
+        self.flag.iter_mut().for_each(|f| *f = NONE);
         self.y.iter_mut().for_each(|y| *y = 0.0);
         for k in 0..n {
-            self.flag[k] = k;
+            let k32 = k as u32;
+            self.flag[k] = k32;
             self.lnz_next[k] = self.lp[k];
             // Scatter permuted row k (columns ≤ k) into y, collecting the
             // nonzero pattern of L's row k in topological order: each
@@ -409,18 +437,18 @@ impl LdltFactor {
             // popped onto the high end, so ancestors come out last.
             let mut top = n;
             let mut len = 0usize;
-            for (col, val) in matrix.row_entries(self.perm[k]) {
-                let j = self.iperm[col];
+            for (col, val) in matrix.row_entries(self.perm[k] as usize) {
+                let j = self.iperm[col] as usize;
                 if j > k {
                     continue; // upper triangle of the permuted matrix
                 }
                 self.y[j] += val;
                 let mut i = j;
-                while self.flag[i] != k {
-                    self.pattern[len] = i;
+                while self.flag[i] != k32 {
+                    self.pattern[len] = i as u32;
                     len += 1;
-                    self.flag[i] = k;
-                    i = self.parent[i];
+                    self.flag[i] = k32;
+                    i = self.parent[i] as usize;
                 }
                 while len > 0 {
                     len -= 1;
@@ -431,22 +459,22 @@ impl LdltFactor {
             let mut dk = self.y[k];
             self.y[k] = 0.0;
             for idx in top..n {
-                let i = self.pattern[idx];
+                let i = self.pattern[idx] as usize;
                 let yi = self.y[i];
                 self.y[i] = 0.0;
                 let l_ki = yi / self.d[i];
-                for p in self.lp[i]..self.lnz_next[i] {
-                    self.y[self.li[p]] -= self.lx[p] * yi;
+                for p in self.lp[i] as usize..self.lnz_next[i] as usize {
+                    self.y[self.li[p] as usize] -= self.lx[p] * yi;
                 }
                 dk -= l_ki * yi;
-                let slot = self.lnz_next[i];
-                self.li[slot] = k;
+                let slot = self.lnz_next[i] as usize;
+                self.li[slot] = k32;
                 self.lx[slot] = l_ki;
-                self.lnz_next[i] = slot + 1;
+                self.lnz_next[i] += 1;
             }
             if !(dk.is_finite() && dk > 0.0) {
                 return Err(Error::NotPositiveDefinite {
-                    index: self.perm[k],
+                    index: self.perm[k] as usize,
                     pivot: dk,
                 });
             }
@@ -457,7 +485,12 @@ impl LdltFactor {
 
     /// Stored nonzeros in the strictly lower triangle of L.
     pub fn lnz(&self) -> usize {
-        self.lp[self.n]
+        self.lp[self.n] as usize
+    }
+
+    /// The index range into L's row indices and values of column `j`.
+    fn col_range(&self, j: usize) -> std::ops::Range<usize> {
+        self.lp[j] as usize..self.lp[j + 1] as usize
     }
 
     /// Solves `A·x = b` through the factorization: permute, forward
@@ -480,12 +513,12 @@ impl LdltFactor {
         ws.ensure(self.n);
         let w = &mut ws.w[..self.n];
         for (k, &orig) in self.perm.iter().enumerate() {
-            w[k] = b[orig];
+            w[k] = b[orig as usize];
         }
         for j in 0..self.n {
             let wj = w[j];
-            for p in self.lp[j]..self.lp[j + 1] {
-                w[self.li[p]] -= self.lx[p] * wj;
+            for p in self.col_range(j) {
+                w[self.li[p] as usize] -= self.lx[p] * wj;
             }
         }
         for (wj, dj) in w.iter_mut().zip(&self.d) {
@@ -493,13 +526,13 @@ impl LdltFactor {
         }
         for j in (0..self.n).rev() {
             let mut wj = w[j];
-            for p in self.lp[j]..self.lp[j + 1] {
-                wj -= self.lx[p] * w[self.li[p]];
+            for p in self.col_range(j) {
+                wj -= self.lx[p] * w[self.li[p] as usize];
             }
             w[j] = wj;
         }
         for (k, &orig) in self.perm.iter().enumerate() {
-            x[orig] = w[k];
+            x[orig as usize] = w[k];
         }
         Ok(())
     }
@@ -703,10 +736,8 @@ mod tests {
             for (j, lrow) in l.iter_mut().enumerate() {
                 lrow[j] = 1.0;
             }
-            for (j, w) in f.lp.windows(2).enumerate() {
-                for p in w[0]..w[1] {
-                    l[f.li[p]][j] = f.lx[p];
-                }
+            for (j, p) in (0..n).flat_map(|j| f.col_range(j).map(move |p| (j, p))) {
+                l[f.li[p] as usize][j] = f.lx[p];
             }
             for (r, recon_row) in recon.iter_mut().enumerate() {
                 for (c, out) in recon_row.iter_mut().enumerate() {
@@ -715,7 +746,7 @@ mod tests {
             }
             for (r, recon_row) in recon.iter().enumerate() {
                 for (c, &got) in recon_row.iter().enumerate() {
-                    let want = m.get(f.perm[r], f.perm[c]);
+                    let want = m.get(f.perm[r] as usize, f.perm[c] as usize);
                     assert!(
                         (got - want).abs() < 1e-10,
                         "n={n} ({r},{c}): got {got}, want {want}"
@@ -880,6 +911,172 @@ mod tests {
             f.refactor(&tridiag(11)),
             Err(Error::DimensionMismatch { .. })
         ));
+    }
+
+    /// The factor at `usize` width: ordering, elimination tree and
+    /// up-looking numeric pass as `LdltFactor` runs them.
+    struct WideFactor {
+        perm: Vec<usize>,
+        lp: Vec<usize>,
+        li: Vec<usize>,
+        lx: Vec<f64>,
+        d: Vec<f64>,
+    }
+
+    impl WideFactor {
+        fn new(m: &CsrMatrix) -> Self {
+            let n = m.rows();
+            let perm = min_degree_ordering(m);
+            let mut iperm = vec![0; n];
+            for (k, &orig) in perm.iter().enumerate() {
+                iperm[orig] = k;
+            }
+            let mut parent = vec![usize::MAX; n];
+            let mut flag = vec![usize::MAX; n];
+            let mut lp = vec![0; n + 1];
+            for k in 0..n {
+                flag[k] = k;
+                for (col, _) in m.row_entries(perm[k]) {
+                    let mut i = iperm[col];
+                    while i < k && flag[i] != k {
+                        if parent[i] == usize::MAX {
+                            parent[i] = k;
+                        }
+                        lp[i + 1] += 1;
+                        flag[i] = k;
+                        i = parent[i];
+                    }
+                }
+            }
+            for k in 0..n {
+                lp[k + 1] += lp[k];
+            }
+            let (mut li, mut lx) = (vec![0; lp[n]], vec![0.0; lp[n]]);
+            let (mut d, mut y) = (vec![0.0; n], vec![0.0; n]);
+            let mut next = lp.clone();
+            let mut pattern = vec![0; n];
+            flag.fill(usize::MAX);
+            for k in 0..n {
+                flag[k] = k;
+                let (mut top, mut len) = (n, 0);
+                for (col, val) in m.row_entries(perm[k]) {
+                    let j = iperm[col];
+                    if j > k {
+                        continue;
+                    }
+                    y[j] += val;
+                    let mut i = j;
+                    while flag[i] != k {
+                        pattern[len] = i;
+                        len += 1;
+                        flag[i] = k;
+                        i = parent[i];
+                    }
+                    while len > 0 {
+                        len -= 1;
+                        top -= 1;
+                        pattern[top] = pattern[len];
+                    }
+                }
+                let mut dk = std::mem::take(&mut y[k]);
+                for &i in &pattern[top..n] {
+                    let yi = std::mem::take(&mut y[i]);
+                    let l_ki = yi / d[i];
+                    for p in lp[i]..next[i] {
+                        y[li[p]] -= lx[p] * yi;
+                    }
+                    dk -= l_ki * yi;
+                    (li[next[i]], lx[next[i]]) = (k, l_ki);
+                    next[i] += 1;
+                }
+                d[k] = dk;
+            }
+            WideFactor {
+                perm,
+                lp,
+                li,
+                lx,
+                d,
+            }
+        }
+
+        /// `A·x = b` through the factor, in `solve_into`'s order.
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let n = self.d.len();
+            let mut w: Vec<f64> = self.perm.iter().map(|&orig| b[orig]).collect();
+            for j in 0..n {
+                for p in self.lp[j]..self.lp[j + 1] {
+                    w[self.li[p]] -= self.lx[p] * w[j];
+                }
+            }
+            for (wj, dj) in w.iter_mut().zip(&self.d) {
+                *wj /= dj;
+            }
+            for j in (0..n).rev() {
+                for p in self.lp[j]..self.lp[j + 1] {
+                    w[j] -= self.lx[p] * w[self.li[p]];
+                }
+            }
+            let mut x = vec![0.0; n];
+            for (k, &orig) in self.perm.iter().enumerate() {
+                x[orig] = w[k];
+            }
+            x
+        }
+    }
+
+    /// Whether `f` stores exactly `wide`'s indices and values, bit for bit.
+    fn same_factor(f: &LdltFactor, wide: &WideFactor) -> bool {
+        let widen = |v: &[u32]| v.iter().map(|&i| i as usize).collect::<Vec<_>>();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        widen(&f.perm) == wide.perm
+            && widen(&f.lp) == wide.lp
+            && widen(&f.li) == wide.li
+            && bits(&f.lx) == bits(&wide.lx)
+            && bits(&f.d) == bits(&wide.d)
+    }
+
+    #[test]
+    fn u32_factor_equals_the_usize_reference() {
+        let mut rng = DeterministicRng::new(0x1D32);
+        let mut cases: Vec<CsrMatrix> = [1, 5, 40, 90]
+            .iter()
+            .map(|&n| random_spd(n, &mut rng))
+            .collect();
+        cases.push(grid_laplacian(14, 11, true));
+        for (case, mut m) in cases.into_iter().enumerate() {
+            let mut f = LdltFactor::new(&m).unwrap();
+            assert!(same_factor(&f, &WideFactor::new(&m)), "case {case}: new");
+            // New values under the same pattern: `refactor` keeps step.
+            let diag: Vec<usize> = m.diag_indices().into_iter().flatten().collect();
+            for (t, &k) in diag.iter().enumerate() {
+                m.values_mut()[k] *= 1.0 + 0.37 * (t % 3) as f64;
+            }
+            f.refactor(&m).unwrap();
+            let wide = WideFactor::new(&m);
+            assert!(same_factor(&f, &wide), "case {case}: refactor");
+            let b: Vec<f64> = (0..m.rows()).map(|i| (i as f64 * 0.23).cos()).collect();
+            let mut x = vec![0.0; m.rows()];
+            f.solve_into(&b, &mut x, &mut LdltWorkspace::new()).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&wide.solve(&b)), "case {case}: solve");
+        }
+    }
+
+    #[test]
+    fn a_dimension_past_u32_is_an_invalid_argument() {
+        // Rejected before any per-row array is allocated.
+        for n in [u32::MAX as usize, 1 << 33] {
+            let huge = CsrMatrix {
+                rows: n,
+                cols: n,
+                row_ptr: Vec::new(),
+                col_idx: Vec::new(),
+                values: Vec::new(),
+            };
+            let err = LdltFactor::new(&huge).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument { .. }), "{n}: {err:?}");
+        }
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub mod vec_ops {
 pub struct TripletBuilder {
     rows: usize,
     cols: usize,
-    entries: Vec<(usize, usize, f64)>,
+    /// `(row, col, value)`, indices as `u32`: 16 bytes a triplet.
+    entries: Vec<(u32, u32, f64)>,
 }
 
 impl TripletBuilder {
@@ -168,14 +169,19 @@ impl TripletBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the coordinate is out of bounds, or past `u32::MAX`
-    /// triplets (assembly indexes them with `u32`).
+    /// Panics when the coordinate is out of bounds, when a dimension is
+    /// past `u32::MAX`, or past `u32::MAX` triplets (the matrix stores
+    /// its indices as `u32`).
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
         assert!(
-            row < self.rows && col < self.cols && self.entries.len() < u32::MAX as usize,
+            row < self.rows
+                && col < self.cols
+                && self.rows <= MAX_INDEX
+                && self.cols <= MAX_INDEX
+                && self.entries.len() < MAX_INDEX,
             "triplet out of bounds"
         );
-        self.entries.push((row, col, value));
+        self.entries.push((row as u32, col as u32, value));
     }
 
     /// Assembles the CSR matrix: columns ascend within each row, and the
@@ -183,38 +189,40 @@ impl TripletBuilder {
     ///
     /// O(n + rows) for n triplets in rows of bounded length (see
     /// [`row_major_order`]); the triplets themselves are never copied or
-    /// moved, only a `u32` permutation of them.
+    /// moved, only a `u32` permutation of them, whose buffer then holds
+    /// the column indices.
     pub fn build(self) -> CsrMatrix {
         let TripletBuilder {
             rows,
             cols,
             entries,
         } = self;
-        let order = row_major_order(rows, &entries);
+        let mut order = row_major_order(rows, &entries);
         let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(entries.len());
-        let mut values = Vec::with_capacity(entries.len());
-        // The coordinate and value slot of the entry last written:
-        // duplicates are adjacent in `order`, and add into it.
+        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
+        // Duplicates are adjacent in `order`, and add into the last value.
+        // Entry `values.len()` goes to slot `values.len() <= k` of
+        // `order`, whose slots from `k` on are still to be read.
         let mut last = None;
-        for &k in &order {
-            let (r, c, v) = entries[k as usize];
-            match last {
-                Some((coord, at)) if coord == (r, c) => values[at] += v,
+        for k in 0..order.len() {
+            let (r, c, v) = entries[order[k] as usize];
+            match values.last_mut() {
+                Some(sum) if last == Some((r, c)) => *sum += v,
                 _ => {
-                    while row_ptr.len() <= r {
-                        row_ptr.push(col_idx.len());
+                    while row_ptr.len() <= r as usize {
+                        row_ptr.push(values.len() as u32);
                     }
-                    last = Some(((r, c), values.len()));
-                    col_idx.push(c);
+                    last = Some((r, c));
+                    order[values.len()] = c;
                     values.push(v);
                 }
             }
         }
         while row_ptr.len() <= rows {
-            row_ptr.push(col_idx.len());
+            row_ptr.push(values.len() as u32);
         }
+        let mut col_idx = order;
+        col_idx.truncate(values.len());
         col_idx.shrink_to_fit();
         values.shrink_to_fit();
         CsrMatrix {
@@ -227,6 +235,9 @@ impl TripletBuilder {
     }
 }
 
+/// The largest dimension, and entry count, a matrix indexes with `u32`.
+const MAX_INDEX: usize = u32::MAX as usize;
+
 /// The permutation of `entries` into (row, column) order that keeps
 /// equal coordinates in insertion order.
 ///
@@ -234,11 +245,11 @@ impl TripletBuilder {
 /// rows), and each row's slice is put in column order by the standard
 /// library's stable sort (k·log k for a row of k triplets, such as a
 /// lumped node coupled to a whole layer).
-fn row_major_order(rows: usize, entries: &[(usize, usize, f64)]) -> Vec<u32> {
+fn row_major_order(rows: usize, entries: &[(u32, u32, f64)]) -> Vec<u32> {
     // Row starts, then each row's write cursor, which ends at the row's end.
-    let mut end = vec![0usize; rows];
+    let mut end = vec![0u32; rows];
     for &(r, _, _) in entries {
-        end[r] += 1;
+        end[r as usize] += 1;
     }
     let mut start = 0;
     for e in &mut end {
@@ -248,24 +259,31 @@ fn row_major_order(rows: usize, entries: &[(usize, usize, f64)]) -> Vec<u32> {
     }
     let mut order = vec![0u32; entries.len()];
     for (k, &(r, _, _)) in entries.iter().enumerate() {
-        order[end[r]] = k as u32;
-        end[r] += 1;
+        let cursor = &mut end[r as usize];
+        order[*cursor as usize] = k as u32;
+        *cursor += 1;
     }
     let mut start = 0;
     for &stop in &end {
-        order[start..stop].sort_by_key(|&k| entries[k as usize].1);
-        start = stop;
+        order[start..stop as usize].sort_by_key(|&k| entries[k as usize].1);
+        start = stop as usize;
     }
     order
 }
 
 /// A compressed-sparse-row matrix.
+///
+/// Row pointers and column indices are stored as `u32`, half the bytes
+/// of `usize`; every method takes and returns `usize` indices. So a
+/// matrix has at most `u32::MAX` rows, columns and stored entries
+/// ([`TripletBuilder::add`] enforces it, and [`CsrMatrix::multiply`]
+/// reports a product past it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -300,14 +318,12 @@ impl CsrMatrix {
     ///
     /// Panics when the coordinate is out of bounds.
     pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "index out of bounds");
-        let range = self.row_ptr[row]..self.row_ptr[row + 1];
-        for k in range {
-            if self.col_idx[k] == col {
-                return self.values[k];
-            }
-        }
-        0.0
+        self.entry_index(row, col).map_or(0.0, |k| self.values[k])
+    }
+
+    /// The index range into [`CsrMatrix::values`] of row `row`'s entries.
+    fn row_range(&self, row: usize) -> std::ops::Range<usize> {
+        self.row_ptr[row] as usize..self.row_ptr[row + 1] as usize
     }
 
     /// Matrix-vector product `A·x`.
@@ -344,22 +360,21 @@ impl CsrMatrix {
         debug_assert_eq!(x.len(), self.cols);
         debug_assert_eq!(y.len(), self.rows);
         for (row, out) in y.iter_mut().enumerate() {
-            let lo = self.row_ptr[row];
-            let hi = self.row_ptr[row + 1];
-            let vals = &self.values[lo..hi];
-            let cols = &self.col_idx[lo..hi];
+            let range = self.row_range(row);
+            let vals = &self.values[range.clone()];
+            let cols = &self.col_idx[range];
             let mut vc = vals.chunks_exact(4);
             let mut cc = cols.chunks_exact(4);
             let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
             for (v, c) in vc.by_ref().zip(cc.by_ref()) {
-                a0 += v[0] * x[c[0]];
-                a1 += v[1] * x[c[1]];
-                a2 += v[2] * x[c[2]];
-                a3 += v[3] * x[c[3]];
+                a0 += v[0] * x[c[0] as usize];
+                a1 += v[1] * x[c[1] as usize];
+                a2 += v[2] * x[c[2] as usize];
+                a3 += v[3] * x[c[3] as usize];
             }
             let mut acc = (a0 + a2) + (a1 + a3);
             for (v, &c) in vc.remainder().iter().zip(cc.remainder()) {
-                acc += v * x[c];
+                acc += v * x[c as usize];
             }
             *out = acc;
         }
@@ -375,7 +390,9 @@ impl CsrMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::DimensionMismatch`] when `self.cols != other.rows`.
+    /// * [`Error::DimensionMismatch`] when `self.cols != other.rows`;
+    /// * [`Error::InvalidArgument`] when the product would store more
+    ///   than `u32::MAX` entries.
     pub fn multiply(&self, other: &CsrMatrix) -> Result<CsrMatrix> {
         if self.cols != other.rows {
             return Err(Error::DimensionMismatch {
@@ -388,32 +405,32 @@ impl CsrMatrix {
         // Per-row membership marker: `mark[col] == row` iff `col` is
         // already in `touched` for the current row. O(1) insert test.
         let mut mark = vec![usize::MAX; m];
-        let mut touched: Vec<usize> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
         for row in 0..self.rows {
             touched.clear();
-            for ka in self.row_ptr[row]..self.row_ptr[row + 1] {
+            for ka in self.row_range(row) {
                 let a = self.values[ka];
-                let mid = self.col_idx[ka];
-                for kb in other.row_ptr[mid]..other.row_ptr[mid + 1] {
+                for kb in other.row_range(self.col_idx[ka] as usize) {
                     let col = other.col_idx[kb];
-                    if mark[col] != row {
-                        mark[col] = row;
+                    if mark[col as usize] != row {
+                        mark[col as usize] = row;
                         touched.push(col);
                     }
-                    acc[col] += a * other.values[kb];
+                    acc[col as usize] += a * other.values[kb];
                 }
             }
             touched.sort_unstable();
             for &col in &touched {
                 col_idx.push(col);
-                values.push(acc[col]);
-                acc[col] = 0.0;
+                values.push(std::mem::take(&mut acc[col as usize]));
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(u32::try_from(col_idx.len()).map_err(|_| {
+                Error::invalid_argument("a sparse product stores more than u32::MAX entries")
+            })?);
         }
         Ok(CsrMatrix {
             rows: self.rows,
@@ -427,22 +444,23 @@ impl CsrMatrix {
     /// The transpose, as a new CSR matrix (one counting pass plus one
     /// scatter pass; entries stay sorted per row).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut row_ptr = vec![0usize; self.cols + 1];
+        let mut row_ptr = vec![0u32; self.cols + 1];
         for &c in &self.col_idx {
-            row_ptr[c + 1] += 1;
+            row_ptr[c as usize + 1] += 1;
         }
         for c in 0..self.cols {
             row_ptr[c + 1] += row_ptr[c];
         }
         let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
         for row in 0..self.rows {
-            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                let c = self.col_idx[k];
-                col_idx[cursor[c]] = row;
-                values[cursor[c]] = self.values[k];
-                cursor[c] += 1;
+            for k in self.row_range(row) {
+                let at = &mut cursor[self.col_idx[k] as usize];
+                // `row < self.rows`, which fits `u32` (see `CsrMatrix`).
+                col_idx[*at as usize] = row as u32;
+                values[*at as usize] = self.values[k];
+                *at += 1;
             }
         }
         CsrMatrix {
@@ -461,8 +479,8 @@ impl CsrMatrix {
     /// Panics when `row` is out of bounds.
     pub fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         assert!(row < self.rows, "row out of bounds");
-        let range = self.row_ptr[row]..self.row_ptr[row + 1];
-        range.map(move |k| (self.col_idx[k], self.values[k]))
+        self.row_range(row)
+            .map(move |k| (self.col_idx[k] as usize, self.values[k]))
     }
 
     /// Iterates every stored `(row, column, value)` entry.
@@ -475,16 +493,9 @@ impl CsrMatrix {
     /// per-row `get` scan).
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
-        let mut diag = vec![0.0; n];
-        for (i, d) in diag.iter_mut().enumerate() {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] == i {
-                    *d = self.values[k];
-                    break;
-                }
-            }
-        }
-        diag
+        (0..n)
+            .map(|i| self.find_in_row(i, i).map_or(0.0, |k| self.values[k]))
+            .collect()
     }
 
     /// Index into [`CsrMatrix::values`] of each diagonal entry, computed
@@ -496,25 +507,23 @@ impl CsrMatrix {
     /// afterwards.
     pub fn diag_indices(&self) -> Vec<Option<usize>> {
         let n = self.rows.min(self.cols);
-        let mut idx = vec![None; n];
-        for (i, slot) in idx.iter_mut().enumerate() {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] == i {
-                    *slot = Some(k);
-                    break;
-                }
-            }
-        }
-        idx
+        (0..n).map(|i| self.find_in_row(i, i)).collect()
+    }
+
+    /// Index into [`CsrMatrix::values`] of the first stored entry
+    /// `(row, col)`, scanning the row; `None` when it stores none.
+    fn find_in_row(&self, row: usize, col: usize) -> Option<usize> {
+        self.row_range(row)
+            .find(|&k| self.col_idx[k] as usize == col)
     }
 
     /// Whether `cached` are valid diagonal entry indices for this matrix:
     /// `cached[i]` must point at a stored entry `(i, i)`. O(n).
-    fn diag_indices_valid(&self, cached: &[usize]) -> bool {
+    fn diag_indices_valid(&self, cached: &[u32]) -> bool {
         let n = self.rows.min(self.cols);
         cached.len() == n
             && cached.iter().enumerate().all(|(i, &k)| {
-                k >= self.row_ptr[i] && k < self.row_ptr[i + 1] && self.col_idx[k] == i
+                self.row_range(i).contains(&(k as usize)) && self.col_idx[k as usize] as usize == i
             })
     }
 
@@ -540,7 +549,7 @@ impl CsrMatrix {
     /// Panics when the coordinate is out of bounds.
     pub fn entry_index(&self, row: usize, col: usize) -> Option<usize> {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
-        (self.row_ptr[row]..self.row_ptr[row + 1]).find(|&k| self.col_idx[k] == col)
+        self.find_in_row(row, col)
     }
 
     /// Solves `A·x = b` by preconditioned conjugate gradient. `A` must be
@@ -589,8 +598,8 @@ impl CsrMatrix {
         let mut den_sq = 0.0;
         for (row, &b_row) in b.iter().enumerate().take(self.rows) {
             let mut ax = 0.0;
-            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                ax += self.values[k] * x[self.col_idx[k]];
+            for k in self.row_range(row) {
+                ax += self.values[k] * x[self.col_idx[k] as usize];
             }
             let r = b_row - ax;
             num_sq += r * r;
@@ -604,8 +613,8 @@ impl CsrMatrix {
 /// `z ← M⁻¹·r` inside [`solve_cg`].
 ///
 /// CG is generic over this trait: [`JacobiPreconditioner`] (diagonal
-/// scaling) and [`multigrid::MultigridPreconditioner`] (one geometric
-/// V-cycle) both implement it, so every CG call site picks its
+/// scaling) and [`multigrid::VCycle`] (one geometric V-cycle of a
+/// [`multigrid::MultigridPreconditioner`]) both implement it, so every CG call site picks its
 /// preconditioner without touching the solver. Implementations must be
 /// linear, symmetric, and positive definite in exact arithmetic or CG's
 /// convergence theory (and in practice its monotone residual) breaks.
@@ -880,7 +889,7 @@ pub struct JacobiPreconditioner {
     /// entries, so repeated [`update`](JacobiPreconditioner::update)s
     /// against a fixed-pattern matrix gather in O(n) instead of
     /// re-scanning every row.
-    diag_idx: Vec<usize>,
+    diag_idx: Vec<u32>,
 }
 
 impl JacobiPreconditioner {
@@ -935,16 +944,16 @@ impl JacobiPreconditioner {
         if !matrix.diag_indices_valid(&self.diag_idx) {
             self.diag_idx.clear();
             self.diag_idx.reserve(n);
-            for (i, slot) in matrix.diag_indices().into_iter().enumerate() {
-                match slot {
-                    Some(k) => self.diag_idx.push(k),
+            for i in 0..n {
+                match matrix.find_in_row(i, i) {
+                    Some(k) => self.diag_idx.push(k as u32),
                     None => return Err(Error::SingularMatrix { index: i }),
                 }
             }
         }
         self.inv_diag.resize(n, 0.0);
         for i in 0..n {
-            let d = matrix.values[self.diag_idx[i]];
+            let d = matrix.values[self.diag_idx[i] as usize];
             if d == 0.0 {
                 return Err(Error::SingularMatrix { index: i });
             }
@@ -1298,6 +1307,170 @@ mod tests {
             triplets.push((0, c % 50, -1e16));
         }
         assembles_in_insertion_order(1, 50, &triplets).unwrap();
+    }
+
+    /// A CSR matrix at `usize` width, with the operations of
+    /// [`CsrMatrix`] in the same arithmetic order: the reference its
+    /// `u32` storage is held to.
+    #[derive(Debug, PartialEq)]
+    struct WideCsr {
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        /// The values as bits, so equality is bit for bit.
+        bits: Vec<u64>,
+    }
+
+    impl WideCsr {
+        /// Each coordinate's triplets summed in insertion order, columns
+        /// ascending within each row: the assembly contract.
+        fn assemble(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {
+            let mut order: Vec<usize> = (0..triplets.len()).collect();
+            order.sort_by_key(|&k| (triplets[k].0, triplets[k].1));
+            let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+            for k in order {
+                let (r, c, v) = triplets[k];
+                match entries.last_mut() {
+                    Some(last) if (last.0, last.1) == (r, c) => last.2 += v,
+                    _ => entries.push((r, c, v)),
+                }
+            }
+            Self::from_entries(rows, cols, &entries)
+        }
+
+        /// From `(row, column, value)` entries in row-major order.
+        fn from_entries(rows: usize, cols: usize, entries: &[(usize, usize, f64)]) -> Self {
+            let mut row_ptr = vec![0; rows + 1];
+            for &(r, _, _) in entries {
+                row_ptr[r + 1] += 1;
+            }
+            for r in 0..rows {
+                row_ptr[r + 1] += row_ptr[r];
+            }
+            WideCsr {
+                rows,
+                cols,
+                row_ptr,
+                col_idx: entries.iter().map(|e| e.1).collect(),
+                bits: entries.iter().map(|e| e.2.to_bits()).collect(),
+            }
+        }
+
+        fn of(m: &CsrMatrix) -> Self {
+            Self::from_entries(m.rows(), m.cols(), &m.iter_entries().collect::<Vec<_>>())
+        }
+
+        fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+            (self.row_ptr[r]..self.row_ptr[r + 1])
+                .map(move |k| (self.col_idx[k], f64::from_bits(self.bits[k])))
+        }
+
+        /// Row-by-row SpGEMM with a dense accumulator, summing in the
+        /// left row's stored order; columns ascend.
+        fn multiply(&self, other: &WideCsr) -> Self {
+            let mut acc = vec![0.0; other.cols];
+            let mut touched = vec![false; other.cols];
+            let mut entries = Vec::new();
+            for r in 0..self.rows {
+                for (mid, a) in self.row(r) {
+                    for (c, b) in other.row(mid) {
+                        touched[c] = true;
+                        acc[c] += a * b;
+                    }
+                }
+                for c in 0..other.cols {
+                    if std::mem::take(&mut touched[c]) {
+                        entries.push((r, c, std::mem::take(&mut acc[c])));
+                    }
+                }
+            }
+            Self::from_entries(self.rows, other.cols, &entries)
+        }
+
+        fn transpose(&self) -> Self {
+            let mut entries: Vec<(usize, usize, f64)> = (0..self.rows)
+                .flat_map(|r| self.row(r).map(move |(c, v)| (c, r, v)))
+                .collect();
+            entries.sort_by_key(|e| (e.0, e.1));
+            Self::from_entries(self.cols, self.rows, &entries)
+        }
+
+        fn diag_indices(&self) -> Vec<Option<usize>> {
+            (0..self.rows.min(self.cols))
+                .map(|i| (self.row_ptr[i]..self.row_ptr[i + 1]).find(|&k| self.col_idx[k] == i))
+                .collect()
+        }
+
+        /// `A·x` in `mul_vec_into`'s four lanes, `(a0 + a2) + (a1 + a3)`,
+        /// then the tail.
+        fn mul_vec(&self, x: &[f64]) -> Vec<u64> {
+            (0..self.rows)
+                .map(|r| {
+                    let row: Vec<(usize, f64)> = self.row(r).collect();
+                    let mut lanes = [0.0; 4];
+                    let blocks = row.len() / 4 * 4;
+                    for (k, &(c, v)) in row[..blocks].iter().enumerate() {
+                        lanes[k % 4] += v * x[c];
+                    }
+                    let mut acc = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+                    for &(c, v) in &row[blocks..] {
+                        acc += v * x[c];
+                    }
+                    acc.to_bits()
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn u32_storage_equals_the_usize_reference() {
+        let mut rng = crate::DeterministicRng::new(0x3232);
+        for case in 0..24 {
+            let (rows, cols, k) = (
+                1 + rng.uniform_usize(60),
+                1 + rng.uniform_usize(60),
+                1 + rng.uniform_usize(40),
+            );
+            let count = rng.uniform_usize(3_000);
+            let triplets = order_sensitive_triplets(rows, cols, count, 0x5EED + case);
+            let other = order_sensitive_triplets(cols, k, rng.uniform_usize(2_000), case);
+            let build = |rows, cols, triplets: &[(usize, usize, f64)]| {
+                let mut b = TripletBuilder::new(rows, cols);
+                for &(r, c, v) in triplets {
+                    b.add(r, c, v);
+                }
+                b.build()
+            };
+            let (a, b) = (build(rows, cols, &triplets), build(cols, k, &other));
+            let (wide_a, wide_b) = (
+                WideCsr::assemble(rows, cols, &triplets),
+                WideCsr::assemble(cols, k, &other),
+            );
+            assert_eq!(WideCsr::of(&a), wide_a, "case {case}: assembly");
+            assert_eq!(
+                WideCsr::of(&a.transpose()),
+                wide_a.transpose(),
+                "case {case}: transpose"
+            );
+            assert_eq!(
+                WideCsr::of(&a.multiply(&b).unwrap()),
+                wide_a.multiply(&wide_b),
+                "case {case}: multiply"
+            );
+            assert_eq!(a.diag_indices(), wide_a.diag_indices(), "case {case}");
+            let x: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.61).sin()).collect();
+            let y: Vec<u64> = a.mul_vec(&x).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(y, wide_a.mul_vec(&x), "case {case}: mul_vec");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "triplet out of bounds")]
+    fn a_dimension_past_u32_is_refused_at_the_first_triplet() {
+        // Refused before anything of that size is allocated.
+        let mut b = TripletBuilder::new(1 << 33, 1);
+        b.add(0, 0, 1.0);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! 2:1-coarsened hierarchy of Galerkin operators `Aᶜ = R·A·P` handles
 //! the smooth remainder, so one V-cycle contracts the error by a
 //! grid-size-independent factor. Used as the [`Preconditioner`] of
-//! [`solve_cg`](super::solve_cg), it turns the hundreds-of-iterations
+//! [`solve_cg`](super::solve_cg) (a [`VCycle`] on the fine matrix the
+//! caller keeps), it turns the hundreds-of-iterations
 //! fine-grid solves into 10–20 iterations regardless of resolution
 //! (measured — BENCH.md).
 //!
@@ -100,24 +101,20 @@ impl GridGeometry {
     }
 }
 
-/// One smoothed level of the hierarchy.
+/// One smoothed level of the hierarchy. Its operator is not stored
+/// here: level 0's is the caller's matrix, and every other level's is
+/// the `coarse` of the level above it.
 #[derive(Debug, Clone)]
 struct Level {
-    /// The operator on this level (level 0: the fine matrix).
-    a: CsrMatrix,
-    /// Inverse diagonal of `a` for the damped-Jacobi smoother.
+    /// Inverse diagonal of the level's operator, for the damped-Jacobi
+    /// smoother.
     inv_diag: Vec<f64>,
     /// Prolongation from the next-coarser level into this one.
     p: CsrMatrix,
     /// Restriction `R = Pᵀ` from this level to the next-coarser one.
     r: CsrMatrix,
-}
-
-/// The coarsest level: its Galerkin operator and cached LDLᵀ factor.
-#[derive(Debug, Clone)]
-struct Bottom {
-    a: CsrMatrix,
-    factor: LdltFactor,
+    /// The next-coarser level's operator, the Galerkin product `R·A·P`.
+    coarse: CsrMatrix,
 }
 
 /// Per-level scratch of one V-cycle; lives behind a `Mutex` so
@@ -125,13 +122,13 @@ struct Bottom {
 /// the preconditioner immutably) while the cycle remains allocation-free.
 #[derive(Debug, Default)]
 struct Work {
-    /// Per smoothed level: restricted right-hand side, iterate, and a
-    /// product/residual buffer.
+    /// Per level below the finest, the bottom last: the restricted
+    /// right-hand side and the iterate. The finest level's are the
+    /// caller's `r` and `z`.
     rhs: Vec<Vec<f64>>,
     z: Vec<Vec<f64>>,
+    /// Per smoothed level: a product/residual buffer.
     tmp: Vec<Vec<f64>>,
-    bottom_rhs: Vec<f64>,
-    bottom_z: Vec<f64>,
     ldlt_ws: LdltWorkspace,
 }
 
@@ -145,6 +142,10 @@ struct Work {
 /// products in place and refactors the bottom level without re-deriving
 /// any structure.
 ///
+/// The hierarchy keeps no copy of the fine matrix: its owner keeps that
+/// matrix anyway, and hands it to [`MultigridPreconditioner::v_cycle`],
+/// whose [`VCycle`] is the preconditioner CG applies.
+///
 /// Each coarse operator is formed row by row, reading rows of `A·P` as
 /// it needs them, so `A·P` is never held whole; it equals
 /// `R.multiply(&A.multiply(&P))` bit for bit (see [`CsrMatrix::multiply`]).
@@ -153,7 +154,9 @@ pub struct MultigridPreconditioner {
     geometry: GridGeometry,
     bottom_limit: usize,
     levels: Vec<Level>,
-    bottom: Bottom,
+    /// The LDLᵀ factor of the coarsest operator: the last level's
+    /// `coarse`, or the fine matrix itself when no level is smoothed.
+    bottom: LdltFactor,
     work: Mutex<Work>,
 }
 
@@ -200,44 +203,43 @@ impl MultigridPreconditioner {
         bottom_nodes: usize,
     ) -> Result<Self> {
         let n = geometry.nodes();
-        if matrix.rows() != n || matrix.cols() != n {
-            return Err(Error::DimensionMismatch {
-                expected: n,
-                actual: matrix.rows(),
-            });
-        }
+        check_square(matrix, n)?;
         if n == 0 {
             return Err(Error::invalid_argument("empty multigrid geometry"));
         }
-        let mut levels = Vec::new();
-        let mut a = matrix.clone();
+        let mut levels: Vec<Level> = Vec::new();
         let mut g = geometry;
         while g.nodes() > bottom_nodes.max(1) {
             let cg = g.coarsen();
             if cg.nodes() >= g.nodes() {
                 break; // 1×1 layers (or extra-only): nothing left to coarsen.
             }
+            let a = levels.last().map_or(matrix, |above| &above.coarse);
             let p = prolongation(g, cg);
             let r = p.transpose();
-            let coarse = galerkin_product(&r, &a, &p);
-            let inv_diag = inverse_diag(&a)?;
-            levels.push(Level { a, inv_diag, p, r });
-            a = coarse;
+            let coarse = galerkin_product(&r, a, &p)?;
+            let inv_diag = inverse_diag(a)?;
+            levels.push(Level {
+                inv_diag,
+                p,
+                r,
+                coarse,
+            });
             g = cg;
         }
-        let factor = LdltFactor::new(&a)?;
+        let bottom = LdltFactor::new(levels.last().map_or(matrix, |l| &l.coarse))?;
         let mut pre = MultigridPreconditioner {
             geometry,
             bottom_limit: bottom_nodes,
             levels,
-            bottom: Bottom { a, factor },
+            bottom,
             work: Mutex::new(Work::default()),
         };
         pre.size_work();
         Ok(pre)
     }
 
-    /// Re-derives the numeric hierarchy from `matrix`: when the sparsity
+    /// Re-derives the numeric hierarchy from `matrix`: when its sparsity
     /// pattern matches the matrix the hierarchy was built from (the
     /// cached-matrix-with-patched-values case), the transfer operators
     /// and every coarse pattern are reused, the Galerkin products refilled
@@ -245,35 +247,39 @@ impl MultigridPreconditioner {
     /// [`LdltFactor::refactor`] fast path; otherwise the full hierarchy
     /// is rebuilt.
     ///
+    /// With smoothed levels the match is exact: the transfer operators
+    /// depend on the geometry alone, so the hierarchy depends on the
+    /// pattern only through the coarse patterns, which the refill checks
+    /// row by row. With none, the hierarchy is the bottom factor of
+    /// `matrix` itself, under [`LdltFactor::refactor`]'s contract: a
+    /// matrix with another entry count is rebuilt, and another pattern
+    /// of the same size is the caller's bug.
+    ///
     /// # Errors
     ///
     /// See [`MultigridPreconditioner::new`].
     pub fn update(&mut self, matrix: &CsrMatrix) -> Result<()> {
-        let fine = self.fine_matrix();
-        let same_pattern = matrix.rows == fine.rows
-            && matrix.cols == fine.cols
-            && matrix.row_ptr == fine.row_ptr
-            && matrix.col_idx == fine.col_idx;
-        if !same_pattern {
-            *self = Self::with_bottom_limit(matrix, self.geometry, self.bottom_limit)?;
-            return Ok(());
-        }
-        if self.levels.is_empty() {
-            self.bottom.a.values.copy_from_slice(&matrix.values);
-        } else {
-            self.levels[0].a.values.copy_from_slice(&matrix.values);
-            for l in 0..self.levels.len() {
-                let (upper, lower) = self.levels.split_at_mut(l + 1);
-                let lev = &mut upper[l];
-                lev.inv_diag = inverse_diag(&lev.a)?;
-                let coarse = match lower.first_mut() {
-                    Some(next) => &mut next.a,
-                    None => &mut self.bottom.a,
-                };
-                galerkin_refill(&lev.r, &lev.a, &lev.p, coarse);
+        check_square(matrix, self.geometry.nodes())?;
+        for l in 0..self.levels.len() {
+            let (upper, lower) = self.levels.split_at_mut(l);
+            let a = upper.last().map_or(matrix, |above| &above.coarse);
+            let lev = &mut lower[0];
+            lev.inv_diag = inverse_diag(a)?;
+            if !galerkin_refill(&lev.r, a, &lev.p, &mut lev.coarse) {
+                return self.rebuild(matrix);
             }
         }
-        self.bottom.factor.refactor(&self.bottom.a)?;
+        let bottom = self.levels.last().map_or(matrix, |l| &l.coarse);
+        match self.bottom.refactor(bottom) {
+            // With no smoothed level: `matrix` stores another entry count.
+            Err(Error::DimensionMismatch { .. }) => self.rebuild(matrix),
+            refactored => refactored,
+        }
+    }
+
+    /// Replaces the hierarchy with a fresh build for `matrix`.
+    fn rebuild(&mut self, matrix: &CsrMatrix) -> Result<()> {
+        *self = Self::with_bottom_limit(matrix, self.geometry, self.bottom_limit)?;
         Ok(())
     }
 
@@ -283,19 +289,16 @@ impl MultigridPreconditioner {
         self.levels.len()
     }
 
-    /// The operator on smoothed level `level` (0 = the fine matrix).
+    /// The Galerkin operator `R·A·P` that smoothed level `level` hands
+    /// down: level `level + 1`'s operator, or, from the last level, the
+    /// one solved directly at the bottom. Level 0's own operator is the
+    /// fine matrix, which the hierarchy does not hold.
     ///
     /// # Panics
     ///
     /// Panics when `level >= num_levels()`.
-    pub fn level_matrix(&self, level: usize) -> &CsrMatrix {
-        &self.levels[level].a
-    }
-
-    /// The Galerkin operator solved directly at the bottom of the
-    /// hierarchy.
-    pub fn bottom_matrix(&self) -> &CsrMatrix {
-        &self.bottom.a
+    pub fn coarse_matrix(&self, level: usize) -> &CsrMatrix {
+        &self.levels[level].coarse
     }
 
     /// Prolongation from level `level + 1` into level `level`.
@@ -316,89 +319,120 @@ impl MultigridPreconditioner {
         &self.levels[level].r
     }
 
-    fn fine_matrix(&self) -> &CsrMatrix {
-        self.levels.first().map_or(&self.bottom.a, |l| &l.a)
+    /// The preconditioner CG applies: one V-cycle whose finest level is
+    /// `fine`, the matrix the hierarchy was built or last updated from.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::DimensionMismatch`] when `fine` is not square of the
+    /// hierarchy's dimension.
+    pub fn v_cycle<'a>(&'a self, fine: &'a CsrMatrix) -> Result<VCycle<'a>> {
+        check_square(fine, self.geometry.nodes())?;
+        Ok(VCycle { mg: self, fine })
     }
 
     /// Sizes every V-cycle buffer for its level so `apply_into` never
     /// allocates.
     fn size_work(&mut self) {
         let work = self.work.get_mut().unwrap_or_else(|e| e.into_inner());
-        work.rhs = self.levels.iter().map(|l| vec![0.0; l.a.rows()]).collect();
-        work.z = self.levels.iter().map(|l| vec![0.0; l.a.rows()]).collect();
-        work.tmp = self.levels.iter().map(|l| vec![0.0; l.a.rows()]).collect();
-        work.bottom_rhs = vec![0.0; self.bottom.a.rows()];
-        work.bottom_z = vec![0.0; self.bottom.a.rows()];
+        let below = |l: &Level| vec![0.0; l.coarse.rows()];
+        work.rhs = self.levels.iter().map(below).collect();
+        work.z = self.levels.iter().map(below).collect();
+        work.tmp = self.levels.iter().map(|l| vec![0.0; l.p.rows()]).collect();
     }
 
-    /// One V(1,1) cycle on `A·z = r` from a zero initial guess.
-    fn vcycle(&self, r: &[f64], z: &mut [f64]) -> Result<()> {
+    /// One V(1,1) cycle on `A·z = r` from a zero initial guess, with
+    /// `fine` as level 0's operator. Level 0 smooths straight in `r` and
+    /// `z`.
+    fn vcycle(&self, fine: &CsrMatrix, r: &[f64], z: &mut [f64]) -> Result<()> {
         let work = &mut *self.work.lock().unwrap_or_else(|e| e.into_inner());
-        if self.levels.is_empty() {
-            return self.bottom.factor.solve_into(r, z, &mut work.ldlt_ws);
+        let Work {
+            rhs,
+            z: iterate,
+            tmp,
+            ldlt_ws,
+        } = work;
+        let depth = self.levels.len();
+        if depth == 0 {
+            return self.bottom.solve_into(r, z, ldlt_ws);
         }
-        work.rhs[0].copy_from_slice(r);
+        let operator = |l: usize| match l {
+            0 => fine,
+            _ => &self.levels[l - 1].coarse,
+        };
         // Down sweep: pre-smooth, form the residual, restrict.
-        for l in 0..self.levels.len() {
-            let lev = &self.levels[l];
-            let n = lev.a.rows();
-            for i in 0..n {
-                work.z[l][i] = JACOBI_OMEGA * lev.inv_diag[i] * work.rhs[l][i];
+        for (l, lev) in self.levels.iter().enumerate() {
+            let (above, below) = rhs.split_at_mut(l);
+            let (r_l, z_l) = match l {
+                0 => (r, &mut *z),
+                _ => (&above[l - 1][..], &mut iterate[l - 1][..]),
+            };
+            let tmp_l = &mut tmp[l];
+            for i in 0..r_l.len() {
+                z_l[i] = JACOBI_OMEGA * lev.inv_diag[i] * r_l[i];
             }
-            let (z_l, tmp_l) = (&work.z[l], &mut work.tmp[l]);
-            lev.a.mul_vec_into(z_l, tmp_l);
-            for i in 0..n {
-                work.tmp[l][i] = work.rhs[l][i] - work.tmp[l][i];
+            operator(l).mul_vec_into(z_l, tmp_l);
+            for i in 0..r_l.len() {
+                tmp_l[i] = r_l[i] - tmp_l[i];
             }
-            if l + 1 < self.levels.len() {
-                let (tmp_l, rhs_next) = (&work.tmp[l], &mut work.rhs[l + 1]);
-                lev.r.mul_vec_into(tmp_l, rhs_next);
-            } else {
-                lev.r.mul_vec_into(&work.tmp[l], &mut work.bottom_rhs);
-            }
+            lev.r.mul_vec_into(tmp_l, &mut below[0]);
         }
         self.bottom
-            .factor
-            .solve_into(&work.bottom_rhs, &mut work.bottom_z, &mut work.ldlt_ws)?;
+            .solve_into(&rhs[depth - 1], &mut iterate[depth - 1], ldlt_ws)?;
         // Up sweep: prolong the coarse correction, post-smooth.
-        for l in (0..self.levels.len()).rev() {
-            let lev = &self.levels[l];
-            let n = lev.a.rows();
-            if l + 1 < self.levels.len() {
-                let (z_next, tmp_l) = (&work.z[l + 1], &mut work.tmp[l]);
-                lev.p.mul_vec_into(z_next, tmp_l);
-            } else {
-                lev.p.mul_vec_into(&work.bottom_z, &mut work.tmp[l]);
+        for (l, lev) in self.levels.iter().enumerate().rev() {
+            let (above, below) = iterate.split_at_mut(l);
+            let tmp_l = &mut tmp[l];
+            lev.p.mul_vec_into(&below[0], tmp_l);
+            let (r_l, z_l) = match l {
+                0 => (r, &mut *z),
+                _ => (&rhs[l - 1][..], &mut above[l - 1][..]),
+            };
+            for i in 0..r_l.len() {
+                z_l[i] += tmp_l[i];
             }
-            for i in 0..n {
-                work.z[l][i] += work.tmp[l][i];
-            }
-            let (z_l, tmp_l) = (&work.z[l], &mut work.tmp[l]);
-            lev.a.mul_vec_into(z_l, tmp_l);
-            for i in 0..n {
-                work.z[l][i] += JACOBI_OMEGA * lev.inv_diag[i] * (work.rhs[l][i] - work.tmp[l][i]);
+            operator(l).mul_vec_into(z_l, tmp_l);
+            for i in 0..r_l.len() {
+                z_l[i] += JACOBI_OMEGA * lev.inv_diag[i] * (r_l[i] - tmp_l[i]);
             }
         }
-        z.copy_from_slice(&work.z[0]);
         Ok(())
     }
 }
 
-impl Preconditioner for MultigridPreconditioner {
+/// One V-cycle of a [`MultigridPreconditioner`] on its fine matrix: the
+/// [`Preconditioner`] of multigrid-CG, from
+/// [`MultigridPreconditioner::v_cycle`].
+#[derive(Debug, Clone, Copy)]
+pub struct VCycle<'a> {
+    mg: &'a MultigridPreconditioner,
+    fine: &'a CsrMatrix,
+}
+
+impl Preconditioner for VCycle<'_> {
     fn dim(&self) -> usize {
-        self.fine_matrix().rows()
+        self.fine.rows()
     }
 
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.dim());
-        debug_assert_eq!(z.len(), self.dim());
         // The bottom factor was validated at construction/update time, so
         // a triangular-solve failure here is unreachable for the SPD
         // systems this type accepts; fall back to identity (= unpreconditioned
         // CG step) rather than panicking inside the solver loop.
-        if self.vcycle(r, z).is_err() {
+        if self.mg.vcycle(self.fine, r, z).is_err() {
             z.copy_from_slice(r);
         }
+    }
+}
+
+/// [`Error::DimensionMismatch`] unless `matrix` is square of dimension `n`.
+fn check_square(matrix: &CsrMatrix, n: usize) -> Result<()> {
+    match matrix.rows() == n && matrix.cols() == n {
+        true => Ok(()),
+        false => Err(Error::DimensionMismatch {
+            expected: n,
+            actual: matrix.rows(),
+        }),
     }
 }
 
@@ -423,14 +457,14 @@ struct Galerkin<'m> {
     ap: Vec<f64>,
     ap_mark: Vec<usize>,
     /// Per fine row: the slot of its kept row of `A·P`, if any.
-    slot_of: Vec<Option<usize>>,
+    slot_of: Vec<Option<u32>>,
     /// Kept rows of `A·P` as `(column, value)` in formation order.
-    slots: Vec<Vec<(usize, f64)>>,
-    free: Vec<usize>,
+    slots: Vec<Vec<(u32, f64)>>,
+    free: Vec<u32>,
     /// Dense accumulator, marker and touched columns of the coarse row.
     acc: Vec<f64>,
     mark: Vec<usize>,
-    cols: Vec<usize>,
+    cols: Vec<u32>,
     stamp: usize,
 }
 
@@ -454,61 +488,63 @@ impl<'m> Galerkin<'m> {
     }
 
     /// Accumulates coarse row `row` of `R·A·P` into `acc`, listing its
-    /// columns, unsorted, in `cols`: `acc[J] += R[row, i]·(A·P)[i, J]`
+    /// columns, unsorted, in `cols`, and returns the row's stamp, which
+    /// marks exactly those columns: `acc[J] += R[row, i]·(A·P)[i, J]`
     /// over the entries `i` of `R`'s row. Both sums run in exactly
     /// [`CsrMatrix::multiply`]'s order (the left factor's row in stored
     /// order, each sum from 0.0), so the result equals
     /// `R.multiply(&A.multiply(&P))` bit for bit.
-    fn accumulate_row(&mut self, row: usize) {
+    fn accumulate_row(&mut self, row: usize) -> usize {
         let r = self.r;
         self.stamp += 1;
         let row_stamp = self.stamp;
         self.cols.clear();
-        for kr in r.row_ptr[row]..r.row_ptr[row + 1] {
-            let (fine, weight) = (r.col_idx[kr], r.values[kr]);
+        for kr in r.row_range(row) {
+            let (fine, weight) = (r.col_idx[kr] as usize, r.values[kr]);
             let slot = match self.slot_of[fine] {
                 Some(slot) => slot,
                 None => self.form_ap_row(fine),
             };
-            for &(col, v) in &self.slots[slot] {
-                if self.mark[col] != row_stamp {
-                    self.mark[col] = row_stamp;
+            for &(col, v) in &self.slots[slot as usize] {
+                if self.mark[col as usize] != row_stamp {
+                    self.mark[col as usize] = row_stamp;
                     self.cols.push(col);
                 }
-                self.acc[col] += weight * v;
+                self.acc[col as usize] += weight * v;
             }
             let p = self.p;
-            if p.col_idx[p.row_ptr[fine]..p.row_ptr[fine + 1]].last() == Some(&row) {
+            if p.col_idx[p.row_range(fine)].last() == Some(&(row as u32)) {
                 self.slot_of[fine] = None;
                 self.free.push(slot);
             }
         }
+        row_stamp
     }
 
     /// Forms row `fine` of `A·P` into a free slot, as
     /// [`CsrMatrix::multiply`] forms it, and returns the slot.
-    fn form_ap_row(&mut self, fine: usize) -> usize {
+    fn form_ap_row(&mut self, fine: usize) -> u32 {
         let (a, p) = (self.a, self.p);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(Vec::new());
-            self.slots.len() - 1
+            (self.slots.len() - 1) as u32
         });
         self.stamp += 1;
-        let row = &mut self.slots[slot];
+        let row = &mut self.slots[slot as usize];
         row.clear();
-        for ka in a.row_ptr[fine]..a.row_ptr[fine + 1] {
-            let (mid, av) = (a.col_idx[ka], a.values[ka]);
-            for kp in p.row_ptr[mid]..p.row_ptr[mid + 1] {
+        for ka in a.row_range(fine) {
+            let av = a.values[ka];
+            for kp in p.row_range(a.col_idx[ka] as usize) {
                 let col = p.col_idx[kp];
-                if self.ap_mark[col] != self.stamp {
-                    self.ap_mark[col] = self.stamp;
+                if self.ap_mark[col as usize] != self.stamp {
+                    self.ap_mark[col as usize] = self.stamp;
                     row.push((col, 0.0));
                 }
-                self.ap[col] += av * p.values[kp];
+                self.ap[col as usize] += av * p.values[kp];
             }
         }
         for (col, v) in row.iter_mut() {
-            *v = std::mem::take(&mut self.ap[*col]);
+            *v = std::mem::take(&mut self.ap[*col as usize]);
         }
         self.slot_of[fine] = Some(slot);
         slot
@@ -521,7 +557,12 @@ impl<'m> Galerkin<'m> {
 /// per row, grows as a coarse operator's denser rows need, and is trimmed
 /// to its exact size at the end. Scratch beyond the output is O(coarse
 /// nodes) plus a band of `A·P` rows.
-fn galerkin_product(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
+///
+/// # Errors
+///
+/// [`Error::InvalidArgument`] when the product would store more than
+/// `u32::MAX` entries.
+fn galerkin_product(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix) -> Result<CsrMatrix> {
     let mut g = Galerkin::new(r, a, p);
     let guess = a.nnz() * r.rows / a.rows.max(1);
     let mut row_ptr = Vec::with_capacity(r.rows + 1);
@@ -533,32 +574,45 @@ fn galerkin_product(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
         g.cols.sort_unstable();
         for &col in &g.cols {
             col_idx.push(col);
-            values.push(std::mem::take(&mut g.acc[col]));
+            values.push(std::mem::take(&mut g.acc[col as usize]));
         }
-        row_ptr.push(col_idx.len());
+        row_ptr.push(u32::try_from(col_idx.len()).map_err(|_| {
+            Error::invalid_argument("a Galerkin product stores more than u32::MAX entries")
+        })?);
     }
     col_idx.shrink_to_fit();
     values.shrink_to_fit();
-    CsrMatrix {
+    Ok(CsrMatrix {
         rows: r.rows,
         cols: p.cols,
         row_ptr,
         col_idx,
         values,
-    }
+    })
 }
 
 /// Refills `coarse`, whose pattern [`galerkin_product`] built from
-/// operators of the same patterns as `r`, `a` and `p`, with the values of
-/// `R·A·P`, in place.
-fn galerkin_refill(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix, coarse: &mut CsrMatrix) {
+/// operators of the same patterns as `r` and `p`, with the values of
+/// `R·A·P`, in place. Returns whether `R·A·P` has `coarse`'s pattern
+/// (else `coarse` is left part-filled): each row must touch exactly the
+/// columns the row stores.
+fn galerkin_refill(r: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix, coarse: &mut CsrMatrix) -> bool {
     let mut g = Galerkin::new(r, a, p);
     for row in 0..coarse.rows {
-        g.accumulate_row(row);
-        for k in coarse.row_ptr[row]..coarse.row_ptr[row + 1] {
-            coarse.values[k] = std::mem::take(&mut g.acc[coarse.col_idx[k]]);
+        let stamp = g.accumulate_row(row);
+        let range = coarse.row_range(row);
+        if g.cols.len() != range.len() {
+            return false;
+        }
+        for k in range {
+            let col = coarse.col_idx[k] as usize;
+            if g.mark[col] != stamp {
+                return false;
+            }
+            coarse.values[k] = std::mem::take(&mut g.acc[col]);
         }
     }
+    true
 }
 
 /// Inverse diagonal of `a`, rejecting zero entries (no smoother).
@@ -732,10 +786,8 @@ pub(crate) mod tests {
             let (geometry, matrix) = build_case(nx, ny, scale, sink);
             let mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 4)
                 .map_err(|e| format!("build failed: {e}"))?;
-            let mut ops: Vec<&CsrMatrix> =
-                (1..mg.num_levels()).map(|l| mg.level_matrix(l)).collect();
-            ops.push(mg.bottom_matrix());
-            for (depth, a) in ops.iter().enumerate() {
+            for depth in 0..mg.num_levels() {
+                let a = mg.coarse_matrix(depth);
                 let max = a.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
                 for (row, col, v) in a.iter_entries() {
                     let vt = a.get(col, row);
@@ -754,19 +806,18 @@ pub(crate) mod tests {
     }
 
     /// Every coarse operator equals `R.multiply(&A.multiply(&P))` of the
-    /// level above, bit for bit.
-    fn galerkin_is_exact(mg: &MultigridPreconditioner) -> check::TestResult {
+    /// level above, bit for bit, where level 0's `A` is `fine`.
+    fn galerkin_is_exact(mg: &MultigridPreconditioner, fine: &CsrMatrix) -> check::TestResult {
         for l in 0..mg.num_levels() {
-            let a = mg.level_matrix(l);
+            let a = match l {
+                0 => fine,
+                _ => mg.coarse_matrix(l - 1),
+            };
             let explicit = mg
                 .restriction(l)
                 .multiply(&a.multiply(mg.prolongation(l)).map_err(|e| e.to_string())?)
                 .map_err(|e| e.to_string())?;
-            let coarse = if l + 1 < mg.num_levels() {
-                mg.level_matrix(l + 1)
-            } else {
-                mg.bottom_matrix()
-            };
+            let coarse = mg.coarse_matrix(l);
             let bits = |m: &CsrMatrix| -> Vec<(usize, usize, u64)> {
                 m.iter_entries()
                     .map(|(r, c, v)| (r, c, v.to_bits()))
@@ -788,7 +839,7 @@ pub(crate) mod tests {
                 let (geometry, mut matrix) = build_case(nx, ny, scale, sink);
                 let mut mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 4)
                     .map_err(|e| format!("build failed: {e}"))?;
-                galerkin_is_exact(&mg)?;
+                galerkin_is_exact(&mg, &matrix)?;
                 // Refilled in place for new values, as the PDN's patches do:
                 // a stronger ground path on every third node.
                 for i in (0..matrix.rows()).step_by(3) {
@@ -798,7 +849,7 @@ pub(crate) mod tests {
                 }
                 mg.update(&matrix)
                     .map_err(|e| format!("update failed: {e}"))?;
-                galerkin_is_exact(&mg)
+                galerkin_is_exact(&mg, &matrix)
             },
         );
     }
@@ -814,8 +865,17 @@ pub(crate) mod tests {
             let jac = JacobiPreconditioner::new(&matrix).map_err(|e| e.to_string())?;
             let mut ws = CgWorkspace::new();
             let mut x_mg = vec![0.0; n];
-            solve_cg(&matrix, &b, &mut x_mg, &mg, &mut ws, 1e-12, 50 * n.max(20))
-                .map_err(|e| format!("mgcg solve failed: {e}"))?;
+            let cycle = mg.v_cycle(&matrix).map_err(|e| e.to_string())?;
+            solve_cg(
+                &matrix,
+                &b,
+                &mut x_mg,
+                &cycle,
+                &mut ws,
+                1e-12,
+                50 * n.max(20),
+            )
+            .map_err(|e| format!("mgcg solve failed: {e}"))?;
             let mut x_jac = vec![0.0; n];
             solve_cg(
                 &matrix,
@@ -848,7 +908,8 @@ pub(crate) mod tests {
             let mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 64).unwrap();
             let mut ws = CgWorkspace::new();
             let mut x = vec![0.0; n];
-            let stats = solve_cg(&matrix, &b, &mut x, &mg, &mut ws, 1e-10, 10 * n).unwrap();
+            let cycle = mg.v_cycle(&matrix).unwrap();
+            let stats = solve_cg(&matrix, &b, &mut x, &cycle, &mut ws, 1e-10, 10 * n).unwrap();
             mg_iters.push(stats.iterations);
         }
         let spread = mg_iters.iter().max().unwrap() - mg_iters.iter().min().unwrap();
@@ -872,7 +933,17 @@ pub(crate) mod tests {
         // converges immediately.
         let b = vec![1.0; 16];
         let mut x = vec![0.0; 16];
-        let stats = solve_cg(&matrix, &b, &mut x, &mg, &mut CgWorkspace::new(), 1e-12, 10).unwrap();
+        let cycle = mg.v_cycle(&matrix).unwrap();
+        let stats = solve_cg(
+            &matrix,
+            &b,
+            &mut x,
+            &cycle,
+            &mut CgWorkspace::new(),
+            1e-12,
+            10,
+        )
+        .unwrap();
         assert!(stats.iterations <= 2, "iterations {}", stats.iterations);
     }
 
@@ -888,16 +959,45 @@ pub(crate) mod tests {
         mg.update(&matrix).unwrap();
         let fresh = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 8).unwrap();
         for l in 0..mg.num_levels() {
-            let a = mg.level_matrix(l);
-            let f = fresh.level_matrix(l);
+            let a = mg.coarse_matrix(l);
+            let f = fresh.coarse_matrix(l);
             let diff = crate::linalg::vec_ops::max_abs_diff(a.values(), f.values());
-            assert!(diff <= 1e-12, "level {l} drifted after update: {diff}");
+            assert!(
+                diff <= 1e-12,
+                "level {} drifted after update: {diff}",
+                l + 1
+            );
         }
-        let diff = crate::linalg::vec_ops::max_abs_diff(
-            mg.bottom_matrix().values(),
-            fresh.bottom_matrix().values(),
-        );
-        assert!(diff <= 1e-12, "bottom drifted after update: {diff}");
+    }
+
+    #[test]
+    fn update_rebuilds_for_a_new_pattern() {
+        let geometry = GridGeometry::new(12, 10, 1, 0);
+        let matrix = grid_laplacian(geometry, &[1.0, 0.4], 0.2);
+        let n = matrix.rows();
+        let mut b = TripletBuilder::new(n, n);
+        for (r, c, v) in matrix.iter_entries() {
+            b.add(r, c, v);
+        }
+        // A coupling between far corners: coarse entries the hierarchy
+        // built from `matrix` does not store.
+        for (u, v) in [(0, n - 1), (n - 1, 0)] {
+            b.add(u, u, 0.3);
+            b.add(u, v, -0.3);
+        }
+        let rewired = b.build();
+        let mut mg = MultigridPreconditioner::with_bottom_limit(&matrix, geometry, 8).unwrap();
+        mg.update(&rewired).unwrap();
+        let fresh = MultigridPreconditioner::with_bottom_limit(&rewired, geometry, 8).unwrap();
+        assert_eq!(mg.num_levels(), fresh.num_levels());
+        for l in 0..mg.num_levels() {
+            assert_eq!(
+                mg.coarse_matrix(l),
+                fresh.coarse_matrix(l),
+                "level {}",
+                l + 1
+            );
+        }
     }
 
     #[test]

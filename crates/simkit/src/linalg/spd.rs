@@ -78,18 +78,23 @@ impl SpdSolver {
         Ok(started.elapsed().as_secs_f64())
     }
 
-    /// Solves `a·x = b`, where `a` applies the matrix the solver was
-    /// built from (that matrix or a matrix-free stencil of it), and
-    /// returns the statistics with the solve's seconds. `x` is the warm
-    /// start and the solution; CG stops at relative residual `tolerance`
-    /// or `max_iter` iterations. A direct solve reports one iteration and
-    /// its [`LinearOperator::relative_residual`].
+    /// Solves `a·x = b`, where `matrix` is the matrix the solver was
+    /// built or last refreshed from and `a` applies it (that matrix or a
+    /// matrix-free stencil of it), and returns the statistics with the
+    /// solve's seconds. CG applies `a`; the multigrid V-cycle smooths its
+    /// finest level with `matrix`, of which the hierarchy keeps no copy.
+    /// `x` is the warm start and the solution; CG stops at relative
+    /// residual `tolerance` or `max_iter` iterations. A direct solve
+    /// reports one iteration and its
+    /// [`LinearOperator::relative_residual`].
     ///
     /// # Errors
     ///
     /// [`Error::DimensionMismatch`] or, from CG, [`Error::NonConverged`].
+    #[allow(clippy::too_many_arguments)] // the fine matrix joins CG's six
     pub fn solve<A: LinearOperator + ?Sized>(
         &self,
+        matrix: &CsrMatrix,
         a: &A,
         b: &[f64],
         x: &mut [f64],
@@ -100,7 +105,10 @@ impl SpdSolver {
         let started = Instant::now();
         let stats = match self {
             SpdSolver::Cg(pre) => solve_cg(a, b, x, pre, &mut ws.cg, tolerance, max_iter)?,
-            SpdSolver::Mgcg(mg) => solve_cg(a, b, x, &**mg, &mut ws.cg, tolerance, max_iter)?,
+            SpdSolver::Mgcg(mg) => {
+                let cycle = mg.v_cycle(matrix)?;
+                solve_cg(a, b, x, &cycle, &mut ws.cg, tolerance, max_iter)?
+            }
             SpdSolver::Direct(factor) => {
                 factor.solve_into(b, x, &mut ws.ldlt)?;
                 SolveStats {
@@ -201,7 +209,7 @@ mod tests {
                 }
                 let mut x = vec![0.0; a.rows()];
                 let (stats, _) = solver
-                    .solve(matrix, &b, &mut x, &mut ws, 1e-12, 5_000)
+                    .solve(matrix, matrix, &b, &mut x, &mut ws, 1e-12, 5_000)
                     .unwrap();
                 assert!(vec_ops::max_abs_diff(&x, want) < 1e-8, "{backend}");
                 assert!(stats.residual <= 1e-11, "{backend}: {}", stats.residual);

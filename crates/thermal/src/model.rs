@@ -38,8 +38,9 @@ pub struct ThermalModel {
     /// Cell footprint area, m².
     cell_area: f64,
     /// The assembled `G`, kept only where a matrix is needed: building
-    /// the steady solver, `balance_residual` and
-    /// [`ThermalModel::conductance_matrix`]. Solves apply `operator`.
+    /// the steady solver, the finest level of its multigrid V-cycle
+    /// (the hierarchy holds no copy), `balance_residual` and
+    /// [`ThermalModel::conductance_matrix`]. CG applies `operator`.
     conductance: CsrMatrix,
     /// `G` as a matrix-free stencil (`d = 0`).
     operator: ThermalOperator,
@@ -405,6 +406,7 @@ impl ThermalModel {
         self.rhs_into(power, &mut scratch.rhs);
         let (solver, factor_s) = self.steady_solver()?;
         let (stats, solve_s) = solver.solve(
+            &self.conductance,
             &self.operator,
             &scratch.rhs,
             state.raw_mut(),

@@ -9,14 +9,17 @@
 //! `ScenarioSpec::content_hash` allocates nothing, and neither does
 //! nested phase timing under disabled telemetry. The allocator also
 //! keeps per-thread live and peak bytes, which bound what a standard
-//! run holds at once (less than one full-resolution activity trace) and
-//! what a multigrid build holds beyond its hierarchy (less than `A·P`).
+//! run holds at once (less than one full-resolution activity trace),
+//! what a multigrid build holds beyond its hierarchy (less than `A·P`),
+//! what a thermal build holds beyond its model (less than its triplets
+//! at `usize` width), and what the steady solver keeps beside the
+//! model's `G` (no copy of it).
 
 use experiments::service::ScenarioSpec;
 use floorplan::reference::power8_like;
 use pdn::transient::DidtResponse;
 use pdn::{PdnConfig, PdnModel};
-use simkit::linalg::MultigridPreconditioner;
+use simkit::linalg::{CsrMatrix, MultigridPreconditioner, SolverBackend};
 use simkit::perf::PhaseTimes;
 use simkit::telemetry::Telemetry;
 use simkit::units::{Hertz, Seconds, Watts};
@@ -269,34 +272,106 @@ fn a_standard_run_never_holds_a_full_resolution_trace() {
     );
 }
 
+/// Bytes of a CSR matrix's arrays at its stored widths: a `u32` column
+/// index and an `f64` value per entry, a `u32` pointer per row plus one.
+fn csr_bytes(m: &CsrMatrix) -> isize {
+    (m.nnz() * 12 + (m.rows() + 1) * 4) as isize
+}
+
+/// The thermal model on a 128 × 128 grid, its steady solves on the
+/// multigrid backend whatever `SIMKIT_SOLVER` says.
+fn thermal_config_128() -> ThermalConfig {
+    ThermalConfig {
+        nx: 128,
+        ny: 128,
+        solver: SolverBackend::Mgcg,
+        ..ThermalConfig::coarse()
+    }
+}
+
 /// The multigrid hierarchy forms each coarse operator row by row and
 /// never holds `A·P` whole: on the 128² thermal `G`, what
 /// `MultigridPreconditioner::new` holds on its calling thread at its peak,
-/// beyond the hierarchy it returns, is less than `A·P` alone would take.
+/// beyond the hierarchy it returns, is less than `A·P` alone would take
+/// at the stored index width (12 B an entry, 4 B a row).
 /// The counter sees a `realloc` only as its size change, not the old and
 /// new buffers a copying one holds together, so this peak is a lower
 /// bound on the build's true transient.
 #[test]
 fn a_multigrid_build_never_holds_the_fine_product_a_p() {
     let chip = power8_like();
-    let config = ThermalConfig {
-        nx: 128,
-        ny: 128,
-        ..ThermalConfig::coarse()
-    };
-    let model = ThermalModel::new(&chip, config);
+    let model = ThermalModel::new(&chip, thermal_config_128());
     let g = model.conductance_matrix();
     let before = live_bytes();
     reset_peak();
     let mg = MultigridPreconditioner::new(g, model.grid_geometry()).unwrap();
     let transient = peak_bytes() - live_bytes();
     let held = live_bytes() - before;
-    let ap = g.multiply(mg.prolongation(0)).unwrap();
-    let ap_bytes = (ap.nnz() * 16 + (ap.rows() + 1) * 8) as isize;
+    let ap_bytes = csr_bytes(&g.multiply(mg.prolongation(0)).unwrap());
     assert!(
         transient < ap_bytes,
         "the build peaked {transient} B above the {held} B hierarchy it returned; A·P takes {ap_bytes} B"
     );
+}
+
+/// The steady solver shares the model's `G` instead of copying it: what
+/// a 128² model's first steady solve leaves held, less the state it
+/// returns and the transfer and coarse operators of its hierarchy
+/// (measured on an identical hierarchy built beside it), is smaller than
+/// one `G`. The rest is the smoothers' inverse diagonals, the V-cycle
+/// buffers and the bottom factor.
+#[test]
+fn the_steady_solver_holds_no_second_conductance_matrix() {
+    let chip = power8_like();
+    let model = ThermalModel::new(&chip, thermal_config_128());
+    let mut power = PowerMap::new(&model);
+    for block in chip.blocks() {
+        power.add_block(block.id(), Watts::new(1.0)).unwrap();
+    }
+    let before = live_bytes();
+    let _state = model.steady_state(&power).unwrap();
+    let held = live_bytes() - before;
+    let g = model.conductance_matrix();
+    let twin = MultigridPreconditioner::new(g, model.grid_geometry()).unwrap();
+    let operators: isize = (0..twin.num_levels())
+        .map(|l| {
+            csr_bytes(twin.prolongation(l))
+                + csr_bytes(twin.restriction(l))
+                + csr_bytes(twin.coarse_matrix(l))
+        })
+        .sum();
+    let rest = held - operators - (model.node_count() * 8) as isize;
+    assert!(
+        rest < csr_bytes(g),
+        "the first steady solve held {held} B: {operators} B of operators and {rest} B \
+         besides, as much as G's {} B",
+        csr_bytes(g)
+    );
+}
+
+/// Triplet assembly stores 16-byte triplets and sorts a `u32`
+/// permutation of them: what `ThermalModel::new` holds at its peak on a
+/// 128² grid, beyond what the model keeps, is less than its triplets
+/// took alone at 24 bytes each, as `(usize, usize, f64)`.
+#[test]
+fn a_thermal_build_holds_less_than_wide_triplets_beyond_the_model() {
+    let chip = power8_like();
+    let (nx, ny) = (128, 128);
+    // Four triplets per conductance edge plus the convection diagonal,
+    // as `ThermalModel::new` reserves them.
+    let edges = 2 * ((nx - 1) * ny + nx * (ny - 1)) + 2 * nx * ny;
+    let wide_triplets = ((4 * edges + 1) * 24) as isize;
+    let before = live_bytes();
+    reset_peak();
+    let model = ThermalModel::new(&chip, thermal_config_128());
+    let transient = peak_bytes() - live_bytes();
+    let kept = live_bytes() - before;
+    assert!(
+        transient < wide_triplets,
+        "the build peaked {transient} B above the {kept} B model it returned; \
+         {wide_triplets} B of (usize, usize, f64) triplets"
+    );
+    drop(model);
 }
 
 /// A scenario's content hash folds every configuration field straight
