@@ -14,14 +14,14 @@
 //! backends, the differential references, solve every analysis.
 
 use crate::config::PdnConfig;
-use floorplan::{DomainId, Floorplan, VrId};
+use floorplan::{DomainId, Floorplan, VddDomain, VrId};
 use simkit::linalg::{
-    CsrMatrix, GridGeometry, LdltFactor, SolveSites, SolveStats, SolverBackend, SpdSolver,
-    SpdWorkspace, TripletBuilder,
+    CsrMatrix, CsrRowWriter, GridGeometry, LdltFactor, SolveSites, SolveStats, SolverBackend,
+    SpdSolver, SpdWorkspace,
 };
 use simkit::perf::{SolverAgg, Timer};
-use simkit::units::Watts;
-use simkit::{Error, Result};
+use simkit::units::{Meters, Watts};
+use simkit::{Error, Point, Rect, Result};
 use std::sync::{Mutex, PoisonError};
 use vreg::GatingState;
 
@@ -338,6 +338,122 @@ impl DomainGrid {
     }
 }
 
+/// A domain grid's lower-left corner, in metres, and its `(nx, ny)`
+/// cells of side `cell_m`: the bounding box of the domain's blocks.
+fn domain_extent(
+    chip: &Floorplan,
+    domain: &VddDomain,
+    cell_m: f64,
+) -> ((f64, f64), (usize, usize)) {
+    let rects: Vec<_> = domain
+        .blocks()
+        .iter()
+        .map(|&b| chip.block(b).rect())
+        .collect();
+    let low = |edge: fn(&Rect) -> f64| rects.iter().map(edge).fold(f64::INFINITY, f64::min);
+    let high = |edge: fn(&Rect) -> f64| rects.iter().map(edge).fold(f64::NEG_INFINITY, f64::max);
+    let (x0, y0) = (low(|r| r.origin.x.get()), low(|r| r.origin.y.get()));
+    let (x1, y1) = (high(|r| r.right().get()), high(|r| r.top().get()));
+    let nx = (((x1 - x0) / cell_m).ceil() as usize).max(1);
+    let ny = (((y1 - y0) / cell_m).ceil() as usize).max(1);
+    ((x0, y0), (nx, ny))
+}
+
+/// Cell `(i, j)` of a domain grid with lower-left corner `origin` and
+/// square cells of side `cell_m`, in metres.
+fn cell_rect(origin: (f64, f64), cell_m: f64, i: usize, j: usize) -> Rect {
+    let corner = Point::new(
+        Meters::new(origin.0 + i as f64 * cell_m),
+        Meters::new(origin.1 + j as f64 * cell_m),
+    );
+    Rect::new(corner, Meters::new(cell_m), Meters::new(cell_m))
+}
+
+/// The `(cell, fraction of the block's area)` cover of `rect` over an
+/// `nx × ny` domain grid, row-major. Only the cells under the block's
+/// extent are scanned, widened by one cell on each side so that no
+/// rounding of the range drops a cell with `overlap > 0`.
+fn block_cover(
+    rect: &Rect,
+    origin: (f64, f64),
+    cell_m: f64,
+    (nx, ny): (usize, usize),
+) -> Vec<(usize, f64)> {
+    // Float-to-usize casts saturate: a negative start becomes 0.
+    let span = |lo: f64, hi: f64, origin: f64, cells: usize| {
+        let first = ((lo - origin) / cell_m).floor() as usize;
+        let end = ((hi - origin) / cell_m).ceil() as usize;
+        first.saturating_sub(1)..end.saturating_add(1).min(cells)
+    };
+    let xs = span(rect.origin.x.get(), rect.right().get(), origin.0, nx);
+    let ys = span(rect.origin.y.get(), rect.top().get(), origin.1, ny);
+    let area = rect.area();
+    let mut cover = Vec::new();
+    for j in ys {
+        for i in xs.clone() {
+            let overlap = cell_rect(origin, cell_m, i, j).intersection_area(rect);
+            if overlap > 0.0 {
+                cover.push((j * nx + i, overlap / area));
+            }
+        }
+    }
+    cover
+}
+
+/// A domain's sheet conductance matrix on an `nx × ny` grid, written row
+/// by row, with each regulator's `(vr id, diagonal slot)`.
+///
+/// Each cell couples to its lateral neighbours through `g_sheet`. Its
+/// diagonal sums the edges to row `j − 1`, column `i − 1`, column
+/// `i + 1` and row `j + 1`, then adds one zero-valued placeholder per
+/// regulator on the cell, so a gating configuration is applied by
+/// patching the slot's value, not by re-assembling the matrix. A cell
+/// with no edge and no regulator (a 1×1 domain without one) stores no
+/// diagonal.
+fn sheet_matrix(
+    nx: usize,
+    ny: usize,
+    g_sheet: f64,
+    vr_cells: &[(VrId, usize)],
+) -> (CsrMatrix, Vec<(VrId, usize)>) {
+    let n = nx * ny;
+    let edges = (nx - 1) * ny + nx * (ny - 1);
+    let mut w = CsrRowWriter::new(n, n, n + 2 * edges);
+    // Regulators in cell order: each row takes the next run of them.
+    let mut by_cell: Vec<usize> = (0..vr_cells.len()).collect();
+    by_cell.sort_by_key(|&v| vr_cells[v].1);
+    let mut slots = vec![0; vr_cells.len()];
+    let mut next = 0;
+    for j in 0..ny {
+        for i in 0..nx {
+            let c = j * nx + i;
+            let start = next;
+            while next < by_cell.len() && vr_cells[by_cell[next]].1 == c {
+                next += 1;
+            }
+            let on_cell = &by_cell[start..next];
+            let below = (j > 0).then(|| c - nx);
+            let left = (i > 0).then(|| c - 1);
+            let right = (i + 1 < nx).then(|| c + 1);
+            let above = (j + 1 < ny).then(|| c + nx);
+            for neighbour in [below, left].into_iter().flatten() {
+                w.push(c, neighbour, -g_sheet);
+            }
+            let lateral = [below, left, right, above].into_iter().flatten();
+            let terms = lateral.map(|_| g_sheet).chain(on_cell.iter().map(|_| 0.0));
+            if let Some(diagonal) = terms.reduce(|sum, g| sum + g) {
+                let k = w.push(c, c, diagonal);
+                on_cell.iter().for_each(|&v| slots[v] = k);
+            }
+            for neighbour in [right, above].into_iter().flatten() {
+                w.push(c, neighbour, -g_sheet);
+            }
+        }
+    }
+    let vr_entries = vr_cells.iter().zip(slots).map(|(&(vid, _), k)| (vid, k));
+    (w.finish(), vr_entries.collect())
+}
+
 /// The error for a domain whose regulators are all gated off.
 fn floating(domain: usize) -> Error {
     Error::invalid_argument(format!(
@@ -390,30 +506,7 @@ impl PdnModel {
             .domains()
             .iter()
             .map(|domain| {
-                // Bounding box over the domain's blocks.
-                let rects: Vec<_> = domain
-                    .blocks()
-                    .iter()
-                    .map(|&b| chip.block(b).rect())
-                    .collect();
-                let x0 = rects
-                    .iter()
-                    .map(|r| r.origin.x.get())
-                    .fold(f64::INFINITY, f64::min);
-                let y0 = rects
-                    .iter()
-                    .map(|r| r.origin.y.get())
-                    .fold(f64::INFINITY, f64::min);
-                let x1 = rects
-                    .iter()
-                    .map(|r| r.right().get())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let y1 = rects
-                    .iter()
-                    .map(|r| r.top().get())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let nx = (((x1 - x0) / cell_m).ceil() as usize).max(1);
-                let ny = (((y1 - y0) / cell_m).ceil() as usize).max(1);
+                let ((x0, y0), (nx, ny)) = domain_extent(chip, domain, cell_m);
 
                 // Area-weighted block→cell coverage.
                 let block_cells = domain
@@ -421,25 +514,7 @@ impl PdnModel {
                     .iter()
                     .map(|&bid| {
                         let rect = chip.block(bid).rect();
-                        let area = rect.area();
-                        let mut cover = Vec::new();
-                        for j in 0..ny {
-                            for i in 0..nx {
-                                let cell = simkit::Rect::new(
-                                    simkit::Point::new(
-                                        simkit::units::Meters::new(x0 + i as f64 * cell_m),
-                                        simkit::units::Meters::new(y0 + j as f64 * cell_m),
-                                    ),
-                                    simkit::units::Meters::new(cell_m),
-                                    simkit::units::Meters::new(cell_m),
-                                );
-                                let overlap = cell.intersection_area(&rect);
-                                if overlap > 0.0 {
-                                    cover.push((j * nx + i, overlap / area));
-                                }
-                            }
-                        }
-                        (bid.0, cover)
+                        (bid.0, block_cover(&rect, (x0, y0), cell_m, (nx, ny)))
                     })
                     .collect();
 
@@ -453,45 +528,7 @@ impl PdnModel {
                         (vid, j * nx + i)
                     })
                     .collect();
-
-                // Assemble the sheet conductances once. Regulator cells
-                // get a zero-valued diagonal placeholder so the gating
-                // conductance can later be patched in via `values_mut`.
-                let g_sheet = 1.0 / config.r_sheet_ohm;
-                let n = nx * ny;
-                let edges = (nx - 1) * ny + nx * (ny - 1);
-                let mut b = TripletBuilder::with_capacity(n, n, 4 * edges + vr_cells.len());
-                for j in 0..ny {
-                    for i in 0..nx {
-                        let c = j * nx + i;
-                        if i + 1 < nx {
-                            b.add(c, c, g_sheet);
-                            b.add(c + 1, c + 1, g_sheet);
-                            b.add(c, c + 1, -g_sheet);
-                            b.add(c + 1, c, -g_sheet);
-                        }
-                        if j + 1 < ny {
-                            let cn = c + nx;
-                            b.add(c, c, g_sheet);
-                            b.add(cn, cn, g_sheet);
-                            b.add(c, cn, -g_sheet);
-                            b.add(cn, c, -g_sheet);
-                        }
-                    }
-                }
-                for &(_, cell) in &vr_cells {
-                    b.add(cell, cell, 0.0);
-                }
-                let base = b.build();
-                let vr_entries = vr_cells
-                    .iter()
-                    .map(|&(vid, cell)| {
-                        let k = base
-                            .entry_index(cell, cell)
-                            .expect("placeholder guarantees a diagonal entry");
-                        (vid, k)
-                    })
-                    .collect();
+                let (base, vr_entries) = sheet_matrix(nx, ny, 1.0 / config.r_sheet_ohm, &vr_cells);
 
                 DomainGrid {
                     nx,
@@ -886,6 +923,142 @@ mod tests {
 
     fn uniform_powers(chip: &floorplan::Floorplan, w: f64) -> Vec<Watts> {
         vec![Watts::new(w); chip.blocks().len()]
+    }
+
+    /// A sheet matrix as triplet assembly builds it: four triplets per
+    /// edge, cell by cell (x edge, then y edge), then a zero per regulator
+    /// on its cell's diagonal, the slots looked up afterwards. The
+    /// reference [`sheet_matrix`] is held to.
+    fn triplet_sheet(
+        nx: usize,
+        ny: usize,
+        g_sheet: f64,
+        vr_cells: &[(VrId, usize)],
+    ) -> (CsrMatrix, Vec<(VrId, usize)>) {
+        let n = nx * ny;
+        let mut b = simkit::linalg::TripletBuilder::new(n, n);
+        for j in 0..ny {
+            for i in 0..nx {
+                let c = j * nx + i;
+                for (along, other) in [(i + 1 < nx, c + 1), (j + 1 < ny, c + nx)] {
+                    if along {
+                        b.add(c, c, g_sheet);
+                        b.add(other, other, g_sheet);
+                        b.add(c, other, -g_sheet);
+                        b.add(other, c, -g_sheet);
+                    }
+                }
+            }
+        }
+        for &(_, cell) in vr_cells {
+            b.add(cell, cell, 0.0);
+        }
+        let base = b.build();
+        let slots = vr_cells
+            .iter()
+            .map(|&(vid, cell)| (vid, base.entry_index(cell, cell).unwrap()))
+            .collect();
+        (base, slots)
+    }
+
+    /// Every stored `(row, column, value bits)` of `m`, in storage order.
+    fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u64)> {
+        m.iter_entries()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn every_sheet_matrix_is_the_triplet_assembly_bit_for_bit() {
+        let (_, model) = setup();
+        let g_sheet = 1.0 / model.config.r_sheet_ohm;
+        // `(nx, ny, regulator cells)`.
+        let mut cases: Vec<(usize, usize, Vec<_>)> = model
+            .grids
+            .iter()
+            .map(|grid| (grid.nx, grid.ny, grid.vr_cells.clone()))
+            .collect();
+        // Degenerate grids: a 1×1 domain without a regulator (an empty
+        // row), with one and with two on its cell; strips; regulators
+        // listed out of cell order and sharing a cell.
+        let vrs = |cells: &[usize]| {
+            cells
+                .iter()
+                .enumerate()
+                .map(|(v, &c)| (VrId(v), c))
+                .collect()
+        };
+        for (nx, ny, cells) in [
+            (1, 1, vec![]),
+            (1, 1, vec![0]),
+            (1, 1, vec![0, 0]),
+            (1, 5, vec![4, 1]),
+            (4, 1, vec![0]),
+            (3, 2, vec![5, 2, 2, 0]),
+        ] {
+            cases.push((nx, ny, vrs(&cells)));
+        }
+        for (nx, ny, vr_cells) in cases {
+            let (base, slots) = sheet_matrix(nx, ny, g_sheet, &vr_cells);
+            let (reference, reference_slots) = triplet_sheet(nx, ny, g_sheet, &vr_cells);
+            assert_eq!(entry_bits(&base), entry_bits(&reference), "{nx}x{ny}");
+            assert_eq!(base, reference, "{nx}x{ny}");
+            assert_eq!(slots, reference_slots, "{nx}x{ny} {vr_cells:?}");
+        }
+        assert_eq!(sheet_matrix(1, 1, g_sheet, &[]).0.nnz(), 0);
+        for grid in &model.grids {
+            let (base, slots) = triplet_sheet(grid.nx, grid.ny, g_sheet, &grid.vr_cells);
+            assert_eq!((&grid.base, &grid.vr_entries), (&base, &slots));
+        }
+    }
+
+    /// A block's cover from every cell of the domain grid: the reference
+    /// [`block_cover`]'s widened range is held to.
+    fn full_scan_cover(
+        rect: &Rect,
+        origin: (f64, f64),
+        cell_m: f64,
+        (nx, ny): (usize, usize),
+    ) -> Vec<(usize, f64)> {
+        let mut cover = Vec::new();
+        for j in 0..ny {
+            for i in 0..nx {
+                let overlap = cell_rect(origin, cell_m, i, j).intersection_area(rect);
+                if overlap > 0.0 {
+                    cover.push((j * nx + i, overlap / rect.area()));
+                }
+            }
+        }
+        cover
+    }
+
+    #[test]
+    fn every_block_cover_equals_the_full_scan_bit_for_bit() {
+        let chip = power8_like();
+        let bits = |cover: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            cover.iter().map(|&(c, f)| (c, f.to_bits())).collect()
+        };
+        // The default cell and sizes that do not divide the blocks evenly.
+        for cell_mm in [PdnConfig::default().cell_mm, 0.137, 0.3, 0.71, 2.5] {
+            let config = PdnConfig {
+                cell_mm,
+                ..PdnConfig::default()
+            };
+            let cell_m = cell_mm * 1e-3;
+            let model = PdnModel::new(&chip, config);
+            for (domain, grid) in chip.domains().iter().zip(&model.grids) {
+                let (origin, size) = domain_extent(&chip, domain, cell_m);
+                assert_eq!(size, (grid.nx, grid.ny));
+                assert_eq!(grid.block_cells.len(), domain.blocks().len());
+                for (&bid, (index, cover)) in domain.blocks().iter().zip(&grid.block_cells) {
+                    let rect = chip.block(bid).rect();
+                    let want = full_scan_cover(&rect, origin, cell_m, size);
+                    assert_eq!(*index, bid.0);
+                    assert!(!cover.is_empty(), "{cell_mm} mm: block {}", bid.0);
+                    assert_eq!(bits(cover), bits(&want), "{cell_mm} mm: block {}", bid.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,10 @@ pub enum Error {
         /// Value of the offending pivot.
         pivot: f64,
     },
+    /// A matrix's sparsity pattern differs from the one a cached
+    /// structure was built for (an LDLᵀ factor's elimination tree and
+    /// column windows), though its size and entry count match.
+    PatternMismatch,
     /// An argument was outside its legal range.
     InvalidArgument {
         /// Human-readable description of the violated precondition.
@@ -85,6 +89,9 @@ impl fmt::Display for Error {
                 f,
                 "matrix is not positive definite: pivot {pivot:.3e} at index {index}"
             ),
+            Error::PatternMismatch => {
+                write!(f, "sparsity pattern differs from the factored matrix's")
+            }
             Error::InvalidArgument { reason } => write!(f, "invalid argument: {reason}"),
             Error::EmptyDomain => write!(f, "empty interpolation or lookup domain"),
         }

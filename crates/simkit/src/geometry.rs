@@ -153,30 +153,20 @@ impl Rect {
         self.intersection_area(other) > 0.0
     }
 
-    /// Subdivides this rectangle into an `nx × ny` uniform grid of tiles,
-    /// returned row-major from the lower-left.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nx` or `ny` is zero.
-    pub fn tiles(&self, nx: usize, ny: usize) -> Vec<Rect> {
-        assert!(nx > 0 && ny > 0, "tile counts must be positive");
+    /// Tile `(i, j)` of this rectangle's `nx × ny` uniform grid of tiles,
+    /// counted row-major from the lower-left. `nx` and `ny` must be
+    /// positive: a zero count gives an unbounded tile.
+    pub fn tile(&self, nx: usize, ny: usize, i: usize, j: usize) -> Rect {
         let tw = self.width / nx as f64;
         let th = self.height / ny as f64;
-        let mut out = Vec::with_capacity(nx * ny);
-        for j in 0..ny {
-            for i in 0..nx {
-                out.push(Rect {
-                    origin: Point {
-                        x: self.origin.x + tw * i as f64,
-                        y: self.origin.y + th * j as f64,
-                    },
-                    width: tw,
-                    height: th,
-                });
-            }
+        Rect {
+            origin: Point {
+                x: self.origin.x + tw * i as f64,
+                y: self.origin.y + th * j as f64,
+            },
+            width: tw,
+            height: th,
         }
-        out
     }
 }
 
@@ -230,8 +220,9 @@ mod tests {
     #[test]
     fn tiles_cover_parent_exactly() {
         let r = Rect::from_mm(0.0, 0.0, 8.0, 4.0);
-        let tiles = r.tiles(4, 2);
-        assert_eq!(tiles.len(), 8);
+        let tiles: Vec<Rect> = (0..2)
+            .flat_map(|j| (0..4).map(move |i| r.tile(4, 2, i, j)))
+            .collect();
         let total: f64 = tiles.iter().map(Rect::area).sum();
         assert!((total - r.area()).abs() < 1e-12);
         // Row-major from the lower-left: first tile starts at origin.
@@ -240,11 +231,5 @@ mod tests {
         let last = tiles.last().unwrap();
         assert!((last.right().get() - r.right().get()).abs() < 1e-12);
         assert!((last.top().get() - r.top().get()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile counts")]
-    fn tiles_zero_panics() {
-        Rect::from_mm(0.0, 0.0, 1.0, 1.0).tiles(0, 2);
     }
 }

@@ -278,6 +278,8 @@ impl LdltWorkspace {
 pub struct LdltFactor {
     n: usize,
     nnz_a: usize,
+    /// [`CsrMatrix::pattern_fingerprint`] of the factored matrix.
+    pattern_a: u64,
     /// `perm[k]` = original row eliminated at step `k`.
     perm: Vec<u32>,
     /// Inverse permutation: `iperm[perm[k]] == k`.
@@ -381,6 +383,7 @@ impl LdltFactor {
         let mut factor = LdltFactor {
             n,
             nnz_a: matrix.nnz(),
+            pattern_a: matrix.pattern_fingerprint(),
             perm,
             iperm,
             parent,
@@ -401,15 +404,17 @@ impl LdltFactor {
     /// Re-runs the numeric factorization against new values with the
     /// cached ordering, elimination tree, and L pattern. Allocation-free.
     ///
-    /// The caller must pass a matrix with the same sparsity pattern the
-    /// factor was built from — the contract of patching values through
-    /// [`CsrMatrix::values_mut`]. Dimensions and nnz are checked; a
-    /// different pattern of equal size is the caller's bug.
+    /// `matrix` must have the sparsity pattern the factor was built
+    /// from — the contract of patching values through
+    /// [`CsrMatrix::values_mut`]. The pattern is checked against a hash
+    /// of the factored one (O(n + nnz), no allocation), since the numeric
+    /// pass over another pattern would write past `L`'s column windows.
     ///
     /// # Errors
     ///
     /// * [`Error::DimensionMismatch`] — size or nnz differs from the
     ///   factored matrix;
+    /// * [`Error::PatternMismatch`] — same size and nnz, another pattern;
     /// * [`Error::NotPositiveDefinite`] — a pivot is not positive finite.
     pub fn refactor(&mut self, matrix: &CsrMatrix) -> Result<()> {
         if matrix.rows() != self.n || matrix.cols() != self.n || matrix.nnz() != self.nnz_a {
@@ -417,6 +422,9 @@ impl LdltFactor {
                 expected: self.n,
                 actual: matrix.rows(),
             });
+        }
+        if matrix.pattern_fingerprint() != self.pattern_a {
+            return Err(Error::PatternMismatch);
         }
         self.numeric(matrix)
     }
@@ -809,6 +817,35 @@ mod tests {
         let mut x = vec![0.0; 40];
         f.solve_into(&b, &mut x, &mut ws).unwrap();
         assert!(vec_ops::max_abs_diff(&x, &x_true) < 1e-10);
+    }
+
+    #[test]
+    fn refactor_refuses_another_pattern_with_the_same_entry_count() {
+        // tridiag(8) with its (0, 1) coupling moved to (0, 7): the same
+        // size and nnz, another elimination tree.
+        let n = 8;
+        let mut f = LdltFactor::new(&tridiag(n)).unwrap();
+        let mut b = TripletBuilder::new(n, n);
+        for (r, c, v) in tridiag(n).iter_entries() {
+            let (r, c) = match (r, c) {
+                (0, 1) => (0, 7),
+                (1, 0) => (7, 0),
+                rc => rc,
+            };
+            b.add(r, c, v);
+        }
+        let moved = b.build();
+        assert_eq!(
+            (moved.nnz(), moved.get(0, 7), moved.get(0, 1)),
+            (f.nnz_a, -1.0, 0.0)
+        );
+        assert_eq!(f.refactor(&moved), Err(Error::PatternMismatch));
+        // The factor is untouched and still refactors its own pattern.
+        f.refactor(&tridiag(n)).unwrap();
+        let b = tridiag(n).mul_vec(&[1.0; 8]).unwrap();
+        let mut x = vec![0.0; n];
+        f.solve_into(&b, &mut x, &mut LdltWorkspace::new()).unwrap();
+        assert!(vec_ops::max_abs_diff(&x, &[1.0; 8]) < 1e-12);
     }
 
     #[test]

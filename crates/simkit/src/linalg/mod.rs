@@ -108,9 +108,12 @@ pub mod vec_ops {
     }
 }
 
-/// Builder that accumulates `(row, col, value)` triplets; duplicate
-/// coordinates are summed, which makes assembling finite-difference
-/// stencils convenient.
+/// Builder that accumulates `(row, col, value)` triplets in any order;
+/// duplicate coordinates are summed. It serves assemblies whose entries
+/// do not come in row order (the multigrid prolongation, verification
+/// matrices, test references); a stencil that can name each row's
+/// entries in column order writes them with [`CsrRowWriter`] instead,
+/// and never holds or sorts triplets.
 ///
 /// # Duplicate order
 ///
@@ -150,17 +153,10 @@ pub struct TripletBuilder {
 impl TripletBuilder {
     /// Creates a builder for an `rows × cols` matrix.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Self::with_capacity(rows, cols, 0)
-    }
-
-    /// Creates a builder for an `rows × cols` matrix with room for
-    /// `capacity` triplets, so an assembler that knows its triplet count
-    /// never regrows the buffer.
-    pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
         TripletBuilder {
             rows,
             cols,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
         }
     }
 
@@ -235,6 +231,119 @@ impl TripletBuilder {
     }
 }
 
+/// Writes a CSR matrix entry by entry in row-major order: rows in order,
+/// and within a row, columns strictly increasing. A fixed stencil (the
+/// thermal grid, a PDN domain's sheet) can name each row's entries that
+/// way, so its matrix goes straight into the final arrays: no triplets,
+/// no sort, and each entry's value is whatever sum the stencil wrote.
+///
+/// Every [`push`](CsrRowWriter::push) checks the order, so a misordered
+/// or out-of-range entry panics while the stencil that wrote it is on
+/// the stack, not later as a wrong product or factor. A row that gets no
+/// entry stays empty, as under [`TripletBuilder`].
+///
+/// # Examples
+///
+/// ```
+/// use simkit::linalg::CsrRowWriter;
+///
+/// // [2 −1; −1 2] over two columns, then an empty third row.
+/// let mut w = CsrRowWriter::new(3, 2, 4);
+/// w.push(0, 0, 2.0);
+/// w.push(0, 1, -1.0);
+/// w.push(1, 0, -1.0);
+/// let slot = w.push(1, 1, 2.0);
+/// let m = w.finish();
+/// assert_eq!(m.values()[slot], 2.0);
+/// assert_eq!(m.mul_vec(&[1.0, 1.0]).unwrap(), vec![1.0, 1.0, 0.0]);
+/// ```
+#[derive(Debug)]
+pub struct CsrRowWriter {
+    rows: usize,
+    cols: usize,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
+    values: Vec<f64>,
+    /// The least `row << 32 | col` the next entry may take: one past the
+    /// last entry's.
+    next: u64,
+}
+
+impl CsrRowWriter {
+    /// A writer for an `rows × cols` matrix with room for `nnz` entries.
+    /// An assembler that reserves its exact count never regrows a buffer,
+    /// and its matrix keeps no spare capacity.
+    pub fn new(rows: usize, cols: usize, nnz: usize) -> Self {
+        // Past `u32`, reserve nothing: the first entry is refused.
+        let fits = rows <= MAX_INDEX && cols <= MAX_INDEX && nnz <= MAX_INDEX;
+        let room = |n: usize| if fits { n } else { 0 };
+        CsrRowWriter {
+            rows,
+            cols,
+            row_ptr: Vec::with_capacity(room(rows) + 1),
+            col_idx: Vec::with_capacity(room(nnz)),
+            values: Vec::with_capacity(room(nnz)),
+            next: 0,
+        }
+    }
+
+    /// Appends `value` at `(row, col)` and returns its index into the
+    /// finished matrix's [`CsrMatrix::values`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the coordinate is out of bounds or does not come after
+    /// the previous entry's (an earlier row, or the same row at an equal
+    /// or smaller column), when a dimension is past `u32::MAX`, or past
+    /// `u32::MAX` entries.
+    pub fn push(&mut self, row: usize, col: usize, value: f64) -> usize {
+        let k = self.values.len();
+        // Exact once the bounds below hold: both halves fit 32 bits.
+        let key = ((row as u64) << 32) | col as u64;
+        assert!(
+            row < self.rows
+                && col < self.cols
+                && self.rows <= MAX_INDEX
+                && self.cols <= MAX_INDEX
+                && k < MAX_INDEX
+                && key >= self.next,
+            "row-order entry ({row}, {col}) is out of bounds or out of order"
+        );
+        while self.row_ptr.len() <= row {
+            self.row_ptr.push(k as u32);
+        }
+        self.col_idx.push(col as u32);
+        self.values.push(value);
+        // `col < u32::MAX`, so this never carries into the row.
+        self.next = key + 1;
+        k
+    }
+
+    /// The matrix, with the rows after the last entry's left empty.
+    pub fn finish(self) -> CsrMatrix {
+        let CsrRowWriter {
+            rows,
+            cols,
+            mut row_ptr,
+            mut col_idx,
+            mut values,
+            ..
+        } = self;
+        while row_ptr.len() <= rows {
+            row_ptr.push(values.len() as u32);
+        }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+}
+
 /// The largest dimension, and entry count, a matrix indexes with `u32`.
 const MAX_INDEX: usize = u32::MAX as usize;
 
@@ -276,8 +385,8 @@ fn row_major_order(rows: usize, entries: &[(u32, u32, f64)]) -> Vec<u32> {
 /// Row pointers and column indices are stored as `u32`, half the bytes
 /// of `usize`; every method takes and returns `usize` indices. So a
 /// matrix has at most `u32::MAX` rows, columns and stored entries
-/// ([`TripletBuilder::add`] enforces it, and [`CsrMatrix::multiply`]
-/// reports a product past it).
+/// ([`TripletBuilder::add`] and [`CsrRowWriter::push`] enforce it, and
+/// [`CsrMatrix::multiply`] reports a product past it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
@@ -305,11 +414,11 @@ impl CsrMatrix {
 
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
-        let mut b = TripletBuilder::new(n, n);
+        let mut w = CsrRowWriter::new(n, n, n);
         for i in 0..n {
-            b.add(i, i, 1.0);
+            w.push(i, i, 1.0);
         }
-        b.build()
+        w.finish()
     }
 
     /// Value at `(row, col)`; zero when the entry is not stored.
@@ -524,6 +633,19 @@ impl CsrMatrix {
         cached.len() == n
             && cached.iter().enumerate().all(|(i, &k)| {
                 self.row_range(i).contains(&(k as usize)) && self.col_idx[k as usize] as usize == i
+            })
+    }
+
+    /// A 64-bit hash of the sparsity pattern (row pointers and column
+    /// indices, not values): what a structure built for one pattern
+    /// keeps to recognise another. O(rows + nnz), allocation-free.
+    pub(crate) fn pattern_fingerprint(&self) -> u64 {
+        // FxHash's step: rotate, mix in one index, multiply.
+        self.row_ptr
+            .iter()
+            .chain(&self.col_idx)
+            .fold(self.rows as u64, |h, &i| {
+                (h.rotate_left(5) ^ u64::from(i)).wrapping_mul(0x517c_c1b7_2722_0a95)
             })
     }
 
@@ -1205,7 +1327,7 @@ mod tests {
         cols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> std::result::Result<(), String> {
-        let mut b = TripletBuilder::with_capacity(rows, cols, triplets.len());
+        let mut b = TripletBuilder::new(rows, cols);
         for &(r, c, v) in triplets {
             b.add(r, c, v);
         }
@@ -1471,6 +1593,70 @@ mod tests {
         // Refused before anything of that size is allocated.
         let mut b = TripletBuilder::new(1 << 33, 1);
         b.add(0, 0, 1.0);
+    }
+
+    #[test]
+    fn a_row_written_matrix_equals_its_triplet_assembly() {
+        // Random patterns with empty rows (leading, inner and trailing),
+        // written in row order and added as triplets in a shuffled order.
+        let mut rng = crate::DeterministicRng::new(0x2077);
+        for case in 0..40 {
+            let (rows, cols) = (1 + rng.uniform_usize(30), 1 + rng.uniform_usize(30));
+            let mut entries = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if rng.uniform_usize(4) == 0 {
+                        entries.push((r, c, rng.uniform_range(-2.0, 2.0)));
+                    }
+                }
+            }
+            let mut w = CsrRowWriter::new(rows, cols, entries.len());
+            for (k, &(r, c, v)) in entries.iter().enumerate() {
+                assert_eq!(w.push(r, c, v), k);
+            }
+            let written = w.finish();
+            let mut b = TripletBuilder::new(rows, cols);
+            for k in 0..entries.len() {
+                let (r, c, v) = entries[(k * 7919) % entries.len()];
+                b.add(r, c, v);
+            }
+            let built = b.build();
+            assert_eq!(WideCsr::of(&written), WideCsr::of(&built), "case {case}");
+            assert_eq!(written, built, "case {case}");
+            assert_eq!(written.values().len(), written.values.capacity());
+        }
+        // No entry at all: every row empty.
+        let empty = CsrRowWriter::new(3, 2, 0).finish();
+        assert_eq!(empty, TripletBuilder::new(3, 2).build());
+        assert_eq!(empty.row_ptr, vec![0; 4]);
+    }
+
+    #[test]
+    fn a_row_writer_refuses_every_misordered_or_out_of_range_entry() {
+        let refused = |entries: &[(usize, usize)]| {
+            std::panic::catch_unwind(|| {
+                let mut w = CsrRowWriter::new(3, 3, entries.len());
+                for &(r, c) in entries {
+                    w.push(r, c, 1.0);
+                }
+                w.finish()
+            })
+            .is_err()
+        };
+        assert!(!refused(&[(0, 0), (0, 2), (1, 0), (2, 1)]));
+        assert!(refused(&[(0, 1), (0, 1)]), "repeated column");
+        assert!(refused(&[(0, 2), (0, 1)]), "descending column");
+        assert!(refused(&[(1, 0), (0, 2)]), "earlier row");
+        assert!(refused(&[(3, 0)]), "row out of range");
+        assert!(refused(&[(0, 3)]), "column out of range");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds or out of order")]
+    fn a_row_writer_past_u32_is_refused_at_the_first_entry() {
+        // Refused before anything of that size is allocated.
+        let mut w = CsrRowWriter::new(1 << 33, 1, 1 << 33);
+        w.push(0, 0, 1.0);
     }
 
     #[test]

@@ -251,9 +251,8 @@ impl MultigridPreconditioner {
     /// depend on the geometry alone, so the hierarchy depends on the
     /// pattern only through the coarse patterns, which the refill checks
     /// row by row. With none, the hierarchy is the bottom factor of
-    /// `matrix` itself, under [`LdltFactor::refactor`]'s contract: a
-    /// matrix with another entry count is rebuilt, and another pattern
-    /// of the same size is the caller's bug.
+    /// `matrix` itself, which [`LdltFactor::refactor`] refuses when its
+    /// entry count or pattern differs: such a matrix is rebuilt too.
     ///
     /// # Errors
     ///
@@ -271,8 +270,8 @@ impl MultigridPreconditioner {
         }
         let bottom = self.levels.last().map_or(matrix, |l| &l.coarse);
         match self.bottom.refactor(bottom) {
-            // With no smoothed level: `matrix` stores another entry count.
-            Err(Error::DimensionMismatch { .. }) => self.rebuild(matrix),
+            // With no smoothed level: `matrix` has another pattern.
+            Err(Error::DimensionMismatch { .. } | Error::PatternMismatch) => self.rebuild(matrix),
             refactored => refactored,
         }
     }

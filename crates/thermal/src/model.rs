@@ -64,13 +64,12 @@ pub struct ThermalModel {
 impl ThermalModel {
     /// Discretises `chip` and assembles the RC network.
     ///
-    /// `G` is assembled from four triplets per conductance edge, reserved
-    /// exactly, in one fixed order: cell by cell, x edge, y edge, then
-    /// the vertical edges. [`TripletBuilder::build`] sums a node's
-    /// diagonal contributions in that order, so `G`'s bits are fixed by
-    /// this loop alone. It deals the triplets to their rows in
-    /// O(n + rows); only the sink row, which couples to every spreader
-    /// cell, takes a k·log k sort.
+    /// The [`ThermalOperator`] sums each node's diagonal in its fixed
+    /// edge order, and `G` is written row by row from the operator's
+    /// coefficients ([`CsrRowWriter`](simkit::linalg::CsrRowWriter)):
+    /// no triplets are held or sorted, and the arrays are reserved at
+    /// their exact size, so the build holds little beyond the model it
+    /// returns.
     ///
     /// # Panics
     ///
@@ -81,7 +80,6 @@ impl ThermalModel {
         let ny = config.ny;
         let n_cells = nx * ny;
         let n_nodes = 2 * n_cells + 1;
-        let sink = 2 * n_cells;
 
         let die = chip.die();
         let die_w = die.width.get();
@@ -103,38 +101,9 @@ impl ThermalModel {
         let g_vert_si_sp = 1.0 / (r_si_half + r_tim + r_sp_half);
         let r_sp_sink = r_sp_half + p.sink_base_resistance * n_cells as f64;
         let g_vert_sp_sink = 1.0 / r_sp_sink;
+        // Convection to ambient: diagonal-only (ambient enters the rhs).
         let g_convection = 1.0 / p.convection_resistance;
 
-        // Four triplets per edge: the x and y neighbours of both layers,
-        // each cell's silicon–spreader and spreader–sink edges, plus the
-        // convection diagonal.
-        let edges = 2 * ((nx - 1) * ny + nx * (ny - 1)) + 2 * n_cells;
-        let mut g = TripletBuilder::with_capacity(n_nodes, n_nodes, 4 * edges + 1);
-        let mut add_edge = |a: usize, b: usize, cond: f64| {
-            g.add(a, a, cond);
-            g.add(b, b, cond);
-            g.add(a, b, -cond);
-            g.add(b, a, -cond);
-        };
-        for j in 0..ny {
-            for i in 0..nx {
-                let c = j * nx + i;
-                let sp = n_cells + c;
-                if i + 1 < nx {
-                    add_edge(c, c + 1, g_lat_si_x);
-                    add_edge(sp, sp + 1, g_lat_sp_x);
-                }
-                if j + 1 < ny {
-                    add_edge(c, c + nx, g_lat_si_y);
-                    add_edge(sp, sp + nx, g_lat_sp_y);
-                }
-                add_edge(c, sp, g_vert_si_sp);
-                add_edge(sp, sink, g_vert_sp_sink);
-            }
-        }
-        // Convection to ambient: diagonal-only (ambient enters the rhs).
-        g.add(sink, sink, g_convection);
-        let conductance = g.build();
         let operator = ThermalOperator::new(
             nx,
             ny,
@@ -142,8 +111,9 @@ impl ThermalModel {
             (g_lat_sp_x, g_lat_sp_y),
             g_vert_si_sp,
             g_vert_sp_sink,
-            &conductance,
+            g_convection,
         );
+        let conductance = operator.to_matrix();
         // Past the multigrid crossover Jacobi-CG iteration counts track
         // the grid diameter and LDLᵀ fill-in makes factoring prohibitive;
         // below it Jacobi-CG wins (DESIGN.md §11–12).
@@ -156,12 +126,12 @@ impl ThermalModel {
         // --- Capacitances --------------------------------------------------
         let c_si = p.c_silicon * cell_area * p.t_silicon;
         let c_sp = p.c_spreader * cell_area * p.t_spreader;
-        let mut capacitance = vec![c_si; n_cells];
+        let mut capacitance = Vec::with_capacity(n_nodes);
+        capacitance.extend(std::iter::repeat_n(c_si, n_cells));
         capacitance.extend(std::iter::repeat_n(c_sp, n_cells));
         capacitance.push(p.sink_capacitance);
 
         // --- Geometry maps --------------------------------------------------
-        let tiles = die.tiles(nx, ny);
         let block_cells = chip
             .blocks()
             .iter()
@@ -179,7 +149,7 @@ impl ThermalModel {
                 for j in y0..y1 {
                     for i in x0..x1 {
                         let idx = j * nx + i;
-                        let overlap = tiles[idx].intersection_area(&rect);
+                        let overlap = die.tile(nx, ny, i, j).intersection_area(&rect);
                         if overlap > 0.0 {
                             cover.push((idx, overlap / area));
                         }
@@ -436,8 +406,7 @@ impl ThermalModel {
             SpdSolver::build(self.steady_backend, &self.conductance, self.grid_geometry())?;
         // Threads racing to the first solve each build; the first to
         // store wins and the others' copies are dropped.
-        let _ = self.steady.set(solver);
-        Ok((self.steady.get().expect("stored above"), factor_s))
+        Ok((self.steady.get_or_init(|| solver), factor_s))
     }
 
     /// Iterates steady-state solves against a temperature-dependent power

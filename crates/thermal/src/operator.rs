@@ -1,6 +1,6 @@
 //! The matrix-free thermal stencil `G + diag(d)`.
 
-use simkit::linalg::{vec_ops, CsrMatrix, LinearOperator};
+use simkit::linalg::{vec_ops, CsrMatrix, CsrRowWriter, LinearOperator};
 
 /// The thermal network's system `G + diag(d)` applied as a stencil, with
 /// no stored matrix.
@@ -12,9 +12,22 @@ use simkit::linalg::{vec_ops, CsrMatrix, LinearOperator};
 /// spreader cell to the lumped sink, and convection from the sink to
 /// ambient. Six conductances describe every off-diagonal entry, so the
 /// operator stores those plus one per-node diagonal: `G`'s own diagonal
-/// (taken from the assembled matrix, so it is bit-identical) plus `d`.
-/// The steady solves use `d = 0`; a backward-Euler stepper uses
-/// `d = C/Δt`.
+/// plus `d`. The steady solves use `d = 0`; a backward-Euler stepper
+/// uses `d = C/Δt`.
+///
+/// # The diagonal's order
+///
+/// A node's diagonal is the sum of its edges' conductances, and
+/// floating-point addition is not associative, so the order of the sum
+/// is part of `G`. It is the order in which edge-by-edge assembly
+/// (cell by cell, each cell's x edge, y edge, then vertical edges)
+/// reaches the node: the lateral edges to row `j − 1`, column `i − 1`,
+/// column `i + 1` and row `j + 1`, then silicon–spreader, then, on the
+/// spreader, spreader–sink. The sink sums its cells' edges in cell
+/// order, then convection. Each sum starts at its first term.
+/// [`ThermalModel::new`](crate::ThermalModel::new) writes `G` from this
+/// operator (`ThermalOperator::to_matrix`), so the stencil is
+/// described here once.
 ///
 /// One application streams `x`, `y` and the diagonal once — about a
 /// third of the bytes of a CSR product over the same system, which also
@@ -36,8 +49,8 @@ pub struct ThermalOperator {
 }
 
 impl ThermalOperator {
-    /// The operator of `conductance` (the assembled `G` of an `nx × ny`
-    /// model with these stencil conductances) with `d = 0`.
+    /// The operator of `G` (`d = 0`) on an `nx × ny` grid with these
+    /// stencil conductances and `g_convection` from the sink to ambient.
     pub(crate) fn new(
         nx: usize,
         ny: usize,
@@ -45,9 +58,21 @@ impl ThermalOperator {
         g_sp: (f64, f64),
         g_si_sp: f64,
         g_sp_sink: f64,
-        conductance: &CsrMatrix,
+        g_convection: f64,
     ) -> Self {
-        debug_assert_eq!(conductance.rows(), 2 * nx * ny + 1);
+        let cells = nx * ny;
+        let mut diag = Vec::with_capacity(2 * cells + 1);
+        for (g_lateral, vertical) in [(g_si, &[g_si_sp][..]), (g_sp, &[g_si_sp, g_sp_sink])] {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let lateral = lateral_neighbours(nx, ny, i, j, g_lateral);
+                    let edges = lateral.iter().flatten().map(|&(_, g)| g);
+                    diag.push(sum_in_order(edges.chain(vertical.iter().copied())));
+                }
+            }
+        }
+        let sink_edges = std::iter::repeat_n(g_sp_sink, cells);
+        diag.push(sum_in_order(sink_edges.chain([g_convection])));
         ThermalOperator {
             nx,
             ny,
@@ -55,8 +80,52 @@ impl ThermalOperator {
             g_sp,
             g_si_sp,
             g_sp_sink,
-            diag: conductance.diagonal(),
+            diag,
         }
+    }
+
+    /// The operator as a CSR matrix, written row by row with no triplets:
+    /// each row's columns ascend, so its entries come in stencil order.
+    /// Node layout as in [`ThermalModel`](crate::ThermalModel): silicon
+    /// cells, spreader cells, the sink.
+    pub(crate) fn to_matrix(&self) -> CsrMatrix {
+        let (nx, ny) = (self.nx, self.ny);
+        let cells = nx * ny;
+        let sink = 2 * cells;
+        let lateral_edges = (nx - 1) * ny + nx * (ny - 1);
+        let nnz = 4 * lateral_edges + 6 * cells + 1;
+        let mut w = CsrRowWriter::new(sink + 1, sink + 1, nnz);
+        // Row `base + c` of a layer: its lateral neighbours and diagonal.
+        let layer_row = |w: &mut CsrRowWriter, base: usize, (i, j): (usize, usize), g| {
+            let row = base + j * nx + i;
+            let [below, left, right, above] = lateral_neighbours(nx, ny, i, j, g);
+            for (cell, g) in [below, left].into_iter().flatten() {
+                w.push(row, base + cell, -g);
+            }
+            w.push(row, row, self.diag[row]);
+            for (cell, g) in [right, above].into_iter().flatten() {
+                w.push(row, base + cell, -g);
+            }
+        };
+        for j in 0..ny {
+            for i in 0..nx {
+                layer_row(&mut w, 0, (i, j), self.g_si);
+                w.push(j * nx + i, cells + j * nx + i, -self.g_si_sp);
+            }
+        }
+        for j in 0..ny {
+            for i in 0..nx {
+                let (c, sp) = (j * nx + i, cells + j * nx + i);
+                w.push(sp, c, -self.g_si_sp);
+                layer_row(&mut w, cells, (i, j), self.g_sp);
+                w.push(sp, sink, -self.g_sp_sink);
+            }
+        }
+        for sp in cells..sink {
+            w.push(sink, sp, -self.g_sp_sink);
+        }
+        w.push(sink, sink, self.diag[sink]);
+        w.finish()
     }
 
     /// A copy with the diagonal shifted by `capacitance[i] / dt` — the
@@ -75,6 +144,32 @@ impl ThermalOperator {
     pub fn diagonal(&self) -> &[f64] {
         &self.diag
     }
+}
+
+/// The lateral neighbours of cell `(i, j)` of an `nx × ny` layer with
+/// conductances `(gx, gy)`, as `(cell, conductance)`: row `j − 1`,
+/// column `i − 1`, column `i + 1`, row `j + 1`, where they exist. That
+/// is ascending cell order and the order of the diagonal's sum.
+fn lateral_neighbours(
+    nx: usize,
+    ny: usize,
+    i: usize,
+    j: usize,
+    (gx, gy): (f64, f64),
+) -> [Option<(usize, f64)>; 4] {
+    let c = j * nx + i;
+    [
+        (j > 0).then(|| (c - nx, gy)),
+        (i > 0).then(|| (c - 1, gx)),
+        (i + 1 < nx).then(|| (c + 1, gx)),
+        (j + 1 < ny).then(|| (c + nx, gy)),
+    ]
+}
+
+/// The sum of `terms` in order, starting at the first term (not at
+/// `0.0`, which would turn a `-0.0` first term into `0.0`); 0 for none.
+fn sum_in_order(terms: impl IntoIterator<Item = f64>) -> f64 {
+    terms.into_iter().reduce(|sum, g| sum + g).unwrap_or(0.0)
 }
 
 /// Rows `j − 1` and `j + 1` of an `nx × ny` layer, where they exist.
@@ -167,6 +262,7 @@ mod tests {
     use crate::model::ThermalModel;
     use floorplan::reference::power8_like;
     use simkit::check::{self, Checker};
+    use simkit::linalg::TripletBuilder;
     use simkit::units::Seconds;
 
     /// ‖stencil·x − CSR·x‖∞ / ‖CSR·x‖∞ on an `nx × ny` model.
@@ -198,6 +294,73 @@ mod tests {
         op.apply_into(&x, &mut got);
         let scale = want.iter().fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
         simkit::linalg::vec_ops::max_abs_diff(&got, &want) / scale
+    }
+
+    /// `G` as edge-by-edge triplet assembly builds it from the operator's
+    /// conductances: four triplets per edge, cell by cell (x edge, y edge,
+    /// silicon–spreader, spreader–sink), then convection. The reference
+    /// the row-written `G` and the operator's diagonal are held to.
+    fn triplet_conductance(op: &ThermalOperator, g_convection: f64) -> CsrMatrix {
+        let (nx, ny) = (op.nx, op.ny);
+        let n_cells = nx * ny;
+        let sink = 2 * n_cells;
+        let mut g = TripletBuilder::new(sink + 1, sink + 1);
+        let mut add_edge = |a: usize, b: usize, cond: f64| {
+            g.add(a, a, cond);
+            g.add(b, b, cond);
+            g.add(a, b, -cond);
+            g.add(b, a, -cond);
+        };
+        for j in 0..ny {
+            for i in 0..nx {
+                let c = j * nx + i;
+                let sp = n_cells + c;
+                if i + 1 < nx {
+                    add_edge(c, c + 1, op.g_si.0);
+                    add_edge(sp, sp + 1, op.g_sp.0);
+                }
+                if j + 1 < ny {
+                    add_edge(c, c + nx, op.g_si.1);
+                    add_edge(sp, sp + nx, op.g_sp.1);
+                }
+                add_edge(c, sp, op.g_si_sp);
+                add_edge(sp, sink, op.g_sp_sink);
+            }
+        }
+        g.add(sink, sink, g_convection);
+        g.build()
+    }
+
+    /// Every stored `(row, column, value bits)` of `m`, in storage order.
+    fn entry_bits(m: &CsrMatrix) -> Vec<(usize, usize, u64)> {
+        m.iter_entries()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn the_row_written_conductance_matrix_is_the_triplet_assembly_bit_for_bit() {
+        let chip = power8_like();
+        for base in [ThermalConfig::standard(), ThermalConfig::coarse()] {
+            let grids = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (12, 12)];
+            for (nx, ny) in grids.into_iter().chain([(64, 64), (128, 128)]) {
+                let config = ThermalConfig {
+                    nx,
+                    ny,
+                    ..base.clone()
+                };
+                let g_convection = 1.0 / config.package.convection_resistance;
+                let model = ThermalModel::new(&chip, config);
+                let (g, op) = (model.conductance_matrix(), model.operator());
+                let reference = triplet_conductance(op, g_convection);
+                // Same rows, columns and value bits, so the same row
+                // pointers, column indices and values.
+                assert_eq!(entry_bits(g), entry_bits(&reference), "{nx}x{ny}");
+                assert_eq!(g, &reference, "{nx}x{ny}");
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(op.diagonal()), bits(&reference.diagonal()));
+            }
+        }
     }
 
     #[test]
