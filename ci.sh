@@ -35,6 +35,23 @@ cargo test -q
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== window stream: the two-thread tests, repeated to shake out ordering races =="
+# The window-stream tests race the producer thread against the decision
+# loop (which fills windows itself when the producer is behind), and
+# each run interleaves them differently; skip_window's exactness
+# property checks the draw-only pass the producer plans with. A hundred
+# rounds of the core::windows tests, the zero-allocation stream test
+# and the skip_window property take 15–30 s on two vCPUs.
+mkdir -p target/ci
+for _ in $(seq 100); do
+    for filter in "-p thermogater --lib windows::" "--test zero_alloc a_window_stream" \
+        "-p workload --lib skip_window"; do
+        # shellcheck disable=SC2086 # each filter is several words
+        cargo test --release -q $filter > target/ci/window_races.txt 2>&1 ||
+            { cat target/ci/window_races.txt; exit 1; }
+    done
+done
+
 echo "== telemetry smoke: traced run + machine-readable validation =="
 TELEMETRY_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_DIR"' EXIT

@@ -34,14 +34,19 @@
 //! spec and the configuration, never on what the engine ran before: a
 //! batch worker keeps one engine for every cell of one configuration.
 //!
-//! A run uses two threads. Once the trace phase ends, a scoped producer
-//! thread (see `windows`) draws each noise window and convolves it into
-//! its di/dt responses, in window order from the run's one noise RNG,
-//! while this thread calibrates, settles and steps the run; the loop
-//! takes an interval's windows before its decision and hands each back
-//! once it is measured. The windows depend only on the trace, the
-//! benchmark and the seed, so the overlap changes no number, and the
-//! `noise` phase holds the loop's wait for them rather than their cost.
+//! A run uses two threads. Before the trace phase, a scoped producer
+//! thread (see [`crate::windows`]) plans the noise windows: a draw-only
+//! pass finds each window's starting state in the run's one noise RNG
+//! while this thread builds the trace. As the trace reaches each
+//! window's step, the producer can draw the window and convolve it into
+//! its di/dt responses, which it does while this thread finishes the
+//! trace, calibrates, settles and steps the run;
+//! the loop takes an interval's windows before its decision, filling
+//! the next planned ones itself when they are not ready, and hands each
+//! back once it is measured. Every window is drawn from the state the
+//! serial stream reaches at it, so the overlap changes no number, and
+//! the `noise` phase holds what obtaining the windows costs the loop
+//! (its waits and its own fills) rather than their whole cost.
 //!
 //! Every phase is timed at one call site through
 //! [`PhaseTimes::timed`], which also opens the phase's span. Each
@@ -67,7 +72,7 @@ use crate::policy::{gating_from_rankings, rank_regulators, PolicyInputs, PolicyK
 use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
-use crate::windows::{with_window_stream, WindowStream};
+use crate::windows::{with_window_stream, FillScratch, WindowStream};
 use floorplan::{DomainId, Floorplan, VddDomain};
 use pdn::transient::DidtResponse;
 use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
@@ -82,7 +87,7 @@ use simkit::{DeterministicRng, Error, Result};
 use std::sync::{Arc, Mutex, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
-use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
+use workload::microtrace::{generate_window_into, skip_window, WARMUP_CYCLES, WINDOW_CYCLES};
 use workload::{ActivityTrace, Benchmark, StepMeans, TraceGenerator, WorkloadSpec};
 
 /// Configuration of a co-simulation.
@@ -707,12 +712,18 @@ impl<'c> SimulationEngine<'c> {
     /// The per-thermal-step block activities of `spec`'s synthetic trace
     /// over its first `n_decisions` decisions, streamed from the
     /// generator so the 1 µs trace is never held, and its
-    /// `workload.trace` event.
-    fn synthetic_steps(&self, spec: &WorkloadSpec, n_decisions: usize) -> Result<Vec<Vec<f64>>> {
+    /// `workload.trace` event. `step_closed(i, row)` sees each step as
+    /// the generator completes it.
+    fn synthetic_steps(
+        &self,
+        spec: &WorkloadSpec,
+        n_decisions: usize,
+        step_closed: impl FnMut(usize, &[f64]),
+    ) -> Result<Vec<Vec<f64>>> {
         let dt = workload::trace::DEFAULT_DT;
         let mut means = self.step_means(dt, n_decisions)?;
         let duration = self.config.decision_interval * n_decisions as f64;
-        TraceGenerator::new(self.chip).generate_into(spec, duration, &mut means)?;
+        TraceGenerator::new(self.chip).generate_into(spec, duration, &mut means, step_closed)?;
         means.emit_telemetry(&self.telemetry, spec);
         means.finish()
     }
@@ -893,7 +904,7 @@ impl<'c> SimulationEngine<'c> {
     /// Propagates solver failures and degenerate-statistics errors.
     pub fn calibrate_predictor_spec(&self, spec: &WorkloadSpec) -> Result<(ThermalPredictor, f64)> {
         let n_dec = self.profiling_decisions();
-        self.calibrate_on(&self.synthetic_steps(spec, n_dec)?, n_dec)
+        self.calibrate_on(&self.synthetic_steps(spec, n_dec, |_, _| ())?, n_dec)
     }
 
     /// The profiling pass over the first `n_dec` decisions of prepared
@@ -1009,20 +1020,28 @@ impl<'c> SimulationEngine<'c> {
     ///
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
-        let mut perf = PhaseTimes::new();
-        let acts = PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
-            self.memoised(
-                spec,
-                "engine.trace_reused",
-                |m| &mut m.trace,
-                || {
-                    Ok(Arc::new(
-                        self.synthetic_steps(spec, self.trace_decisions())?,
-                    ))
-                },
-            )
-        })?;
-        self.replay(policy, spec, true, &acts, perf)
+        self.with_noise_windows(spec, policy, |windows| {
+            let mut perf = PhaseTimes::new();
+            let acts =
+                PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
+                    self.memoised(
+                        spec,
+                        "engine.trace_reused",
+                        |m| &mut m.trace,
+                        || {
+                            let publish = |step: usize, row: &[f64]| {
+                                self.publish_window(windows, step, row);
+                            };
+                            Ok(Arc::new(self.synthetic_steps(
+                                spec,
+                                self.trace_decisions(),
+                                publish,
+                            )?))
+                        },
+                    )
+                })?;
+            self.replay(policy, spec, true, &acts, perf, windows)
+        })
     }
 
     /// Runs the governor against an externally supplied activity trace
@@ -1043,21 +1062,101 @@ impl<'c> SimulationEngine<'c> {
     ///   number of the trace's samples;
     /// * solver and calibration failures are propagated.
     pub fn run_trace(&self, trace: &ActivityTrace, policy: PolicyKind) -> Result<SimulationResult> {
-        let mut perf = PhaseTimes::new();
-        let acts = PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
-            let mut means = self.step_means(trace.dt(), self.trace_decisions())?;
-            means.push_trace(trace)?;
-            trace.emit_telemetry(&self.telemetry);
-            means.finish()
-        })?;
-        self.replay(policy, trace.spec(), false, &acts, perf)
+        self.with_noise_windows(trace.spec(), policy, |windows| {
+            let mut perf = PhaseTimes::new();
+            let acts =
+                PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
+                    let mut means = self.step_means(trace.dt(), self.trace_decisions())?;
+                    means.push_trace(trace)?;
+                    trace.emit_telemetry(&self.telemetry);
+                    means.finish()
+                })?;
+            self.replay(policy, trace.spec(), false, &acts, perf, windows)
+        })
+    }
+
+    /// Runs `run` against the stream of the noise windows a run of
+    /// `spec` under `policy` analyses: `noise_window_count` windows
+    /// evenly spread over the run, none for the off-chip policy. Each
+    /// window is one cycle window per domain, drawn from the run's one
+    /// noise RNG at the domain's mean activity in the window's step and
+    /// reduced to its di/dt responses; `didt` is indexed by domain, so
+    /// multiprogrammed mixes give each core domain its own benchmark's
+    /// di/dt character. The stream's producer thread starts planning the
+    /// windows at once, so the plan is laid while `run` builds the
+    /// trace, and a window can be filled as soon as `run` publishes its
+    /// activities ([`Self::publish_window`]).
+    fn with_noise_windows<R>(
+        &self,
+        spec: &WorkloadSpec,
+        policy: PolicyKind,
+        run: impl FnOnce(&mut WindowStream<'_>) -> Result<R>,
+    ) -> Result<R> {
+        let spd = self.steps_per_decision;
+        let run_steps = self.n_decisions * spd;
+        let n_windows = match policy {
+            PolicyKind::OffChip => 0,
+            _ => self.config.noise_window_count,
+        };
+        let window_steps: Vec<usize> = (0..n_windows)
+            .map(|w| ((w as f64 + 0.5) / n_windows as f64 * run_steps as f64) as usize)
+            .collect();
+        let didt = self.domain_didt(spec);
+        let rng = DeterministicRng::new(self.config.seed ^ spec.seed() ^ 0x4E01);
+        let domains = self.chip.domains();
+        let skip = |rng: &mut DeterministicRng| {
+            for domain in domains {
+                skip_window(rng, WINDOW_CYCLES, didt[domain.id().0]);
+            }
+        };
+        let pdn = self.pdn.config();
+        let (response_time, frequency) = (self.analyzer.response_time(), self.analyzer.frequency());
+        let fill = |activities: &[f64],
+                    rng: &mut DeterministicRng,
+                    slot: &mut [DidtResponse],
+                    scratch: &mut FillScratch| {
+            for ((domain, response), &activity) in domains.iter().zip(slot).zip(activities) {
+                generate_window_into(
+                    rng,
+                    WINDOW_CYCLES,
+                    activity,
+                    didt[domain.id().0],
+                    &mut scratch.multipliers,
+                );
+                response.refill(
+                    pdn,
+                    response_time,
+                    frequency,
+                    &scratch.multipliers,
+                    WARMUP_CYCLES,
+                    &mut scratch.steps,
+                );
+            }
+        };
+        with_window_stream(&window_steps, spd, domains.len(), rng, skip, &fill, run)
+    }
+
+    /// Publishes to `windows` the inputs of the window at thermal step
+    /// `step`, if it is the next one, whose per-block activities are
+    /// `row`: every domain's mean activity. Windows fall on distinct
+    /// steps (`EngineConfig::validate`).
+    fn publish_window(&self, windows: &mut WindowStream<'_>, step: usize, row: &[f64]) {
+        if windows.next_unpublished() == Some(step) {
+            windows.publish(|activities| {
+                for (activity, domain) in activities.iter_mut().zip(self.chip.domains()) {
+                    let blocks = domain.blocks();
+                    *activity = blocks.iter().map(|&b| row[b.0]).sum::<f64>() / blocks.len() as f64;
+                }
+            });
+        }
     }
 
     /// The one run path after the `trace` phase (timed into `perf`):
-    /// drop the PDN's IR warm starts, start drawing the noise windows of
-    /// the resampled trace steps `acts` on a producer thread, and run
-    /// [`Self::run_decisions`] against them. `synthetic` says whether
-    /// `acts` are `spec`'s synthetic steps, whose θ the memo keeps.
+    /// drop the PDN's IR warm starts, publish the noise `windows` the
+    /// trace phase did not from the resampled trace steps `acts`, and
+    /// run [`Self::run_decisions`] against them. `synthetic` says
+    /// whether `acts` are `spec`'s synthetic steps, whose θ the memo
+    /// keeps.
     fn replay(
         &self,
         policy: PolicyKind,
@@ -1065,65 +1164,20 @@ impl<'c> SimulationEngine<'c> {
         synthetic: bool,
         acts: &[Vec<f64>],
         perf: PhaseTimes,
+        windows: &mut WindowStream<'_>,
     ) -> Result<SimulationResult> {
         // The memo replays only what a run would recompute bit for bit,
         // the solvers are pure functions of the configuration and the
         // key, and without its warm starts a CG IR solve is too: a run
         // does not depend on the runs this engine made before.
         self.pdn.forget_warm_starts();
-        let cfg = &self.config;
-        let spd = self.steps_per_decision;
-        // Noise windows, evenly spread over the run; the off-chip policy
-        // analyses no noise and draws none. From here on a producer
-        // thread draws and convolves them, one window after another from
-        // the run's noise RNG, while this thread calibrates, settles and
-        // steps the run.
-        let run_steps = self.n_decisions * spd;
-        let n_windows = match policy {
-            PolicyKind::OffChip => 0,
-            _ => cfg.noise_window_count,
-        };
-        let window_steps: Vec<usize> = (0..n_windows)
-            .map(|w| ((w as f64 + 0.5) / n_windows as f64 * run_steps as f64) as usize)
-            .collect();
-        // Each window is one cycle window per domain, drawn from the
-        // run's one noise RNG and reduced to its di/dt response. `didt`
-        // is indexed by domain, so multiprogrammed mixes give each core
-        // domain its own benchmark's di/dt character. The two scratch
-        // buffers are sized here so that the producer never allocates.
-        let didt = self.domain_didt(spec);
-        let mut rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
-        let mut multipliers = Vec::with_capacity(WINDOW_CYCLES);
-        let mut scratch = Vec::with_capacity(WINDOW_CYCLES);
-        let pdn = self.pdn.config();
-        let (response_time, frequency) = (self.analyzer.response_time(), self.analyzer.frequency());
-        let fill = |step: usize, slot: &mut [DidtResponse]| {
-            for (domain, response) in self.chip.domains().iter().zip(slot) {
-                let blocks = domain.blocks();
-                let mean_act =
-                    blocks.iter().map(|&b| acts[step][b.0]).sum::<f64>() / blocks.len() as f64;
-                let severity = didt[domain.id().0];
-                generate_window_into(
-                    &mut rng,
-                    WINDOW_CYCLES,
-                    mean_act,
-                    severity,
-                    &mut multipliers,
-                );
-                response.refill(
-                    pdn,
-                    response_time,
-                    frequency,
-                    &multipliers,
-                    WARMUP_CYCLES,
-                    &mut scratch,
-                );
-            }
-        };
-        let domains = self.chip.domains().len();
-        with_window_stream(&window_steps, spd, domains, fill, |windows| {
-            self.run_decisions(policy, spec, synthetic, acts, perf, windows)
-        })
+        while let Some(step) = windows.next_unpublished() {
+            let Some(row) = acts.get(step) else {
+                break;
+            };
+            self.publish_window(windows, step, row);
+        }
+        self.run_decisions(policy, spec, synthetic, acts, perf, windows)
     }
 
     /// The run after its trace phase: profile θ on the leading
@@ -1205,9 +1259,10 @@ impl<'c> SimulationEngine<'c> {
             // decision so that (a) the window stream is identical across
             // policies (one benchmark = one set of sampled windows, as in
             // the paper's methodology) and (b) the VT policies' oracle
-            // judges the *same* windows that will be measured. The
-            // producer has already reduced each to its gating-independent
-            // di/dt responses; waiting for it counts as noise time.
+            // judges the *same* windows that will be measured. Each is
+            // reduced to its gating-independent di/dt responses, by the
+            // producer or, when it is behind, here; waiting for it or
+            // filling here counts as noise time.
             PhaseTimes::timed(&mut metrics, tel, "noise", "engine.noise.wait", |_| {
                 windows.take_interval(k, &mut interval_windows)
             })?;

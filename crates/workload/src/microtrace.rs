@@ -8,6 +8,7 @@
 //! the high-frequency di/dt events (pipeline flushes, cache-miss stalls
 //! and returns) that create voltage noise.
 
+use simkit::rng::SkippedNormals;
 use simkit::DeterministicRng;
 
 /// Number of sample windows per benchmark (paper Section 5).
@@ -90,6 +91,55 @@ pub fn generate_window_into(
     didt_severity: f64,
     multipliers: &mut Vec<f64>,
 ) {
+    multipliers.clear();
+    let mut sum = 0.0;
+    for_each_cycle(
+        rng,
+        cycles,
+        activity,
+        didt_severity,
+        |rng, level, shot_sigma| {
+            let v = (level + shot_sigma * rng.normal()).max(0.0);
+            sum += v;
+            multipliers.push(v);
+        },
+    );
+    // Renormalise so the window's mean current equals the µs-scale value.
+    if sum > 0.0 {
+        let scale = cycles as f64 / sum;
+        for v in multipliers.iter_mut() {
+            *v *= scale;
+        }
+    }
+}
+
+/// Advances `rng` exactly as [`generate_window_into`] with the same
+/// `cycles` and `didt_severity` would, at any activity (the activity
+/// scales values, never which numbers are drawn), without producing the
+/// window. Each cycle's shot noise is skipped untransformed
+/// ([`SkippedNormals`]); the only transcendentals left are the dwell
+/// draws' `ln`, which steer the control flow, and one Box–Muller
+/// transform when the window leaves a spare pending.
+pub fn skip_window(rng: &mut DeterministicRng, cycles: usize, didt_severity: f64) {
+    let mut normals = SkippedNormals::default();
+    for_each_cycle(rng, cycles, 0.0, didt_severity, |rng, _, _| {
+        normals.skip(rng)
+    });
+    normals.settle(rng);
+}
+
+/// The window process's control flow, shared by [`generate_window_into`]
+/// and [`skip_window`]: draws the run/stall dwells and the di/dt events
+/// and calls `cycle(rng, level, shot_sigma)` once per cycle, in order,
+/// with the cycle's level (base plus any event) and the shot-noise
+/// standard deviation; `cycle` makes the cycle's one normal draw.
+fn for_each_cycle(
+    rng: &mut DeterministicRng,
+    cycles: usize,
+    activity: f64,
+    didt_severity: f64,
+    mut cycle: impl FnMut(&mut DeterministicRng, f64, f64),
+) {
     let activity = activity.clamp(0.0, 1.0);
     let severity = didt_severity.clamp(0.0, 1.0);
     // Quiet base: small shot noise + shallow run/stall modulation.
@@ -104,13 +154,11 @@ pub fn generate_window_into(
     let event_mag = (0.28 + 0.17 * severity) * (1.0 - 0.40 * activity);
     let event_dwell = 120.0;
 
-    multipliers.clear();
     let mut high = rng.bernoulli(0.5);
     let mut base_remaining = sample_dwell(rng, base_dwell);
     let mut event_remaining = 0usize;
     let mut event_sign = 1.0;
     let mut event_scale = 1.0;
-    let mut sum = 0.0;
     for _ in 0..cycles {
         if base_remaining == 0 {
             high = !high;
@@ -135,16 +183,7 @@ pub fn generate_window_into(
         } else {
             0.0
         };
-        let v = (base + event + shot_sigma * rng.normal()).max(0.0);
-        sum += v;
-        multipliers.push(v);
-    }
-    // Renormalise so the window's mean current equals the µs-scale value.
-    if sum > 0.0 {
-        let scale = cycles as f64 / sum;
-        for v in multipliers.iter_mut() {
-            *v *= scale;
-        }
+        cycle(rng, base + event, shot_sigma);
     }
 }
 
@@ -167,6 +206,7 @@ pub fn max_didt_step(window: &CycleWindow) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::check;
 
     fn rng() -> DeterministicRng {
         DeterministicRng::new(0xABCD)
@@ -240,6 +280,44 @@ mod tests {
             assert_eq!(buffer, fresh.multipliers());
             assert_eq!(into_rng, fresh_rng);
         }
+    }
+
+    /// After [`skip_window`], the generator equals the one
+    /// [`generate_window_into`] leaves, pending Box–Muller spare
+    /// included, for random activities and severities (out-of-range
+    /// ones too), 1, 2, 3, odd and [`WINDOW_CYCLES`] cycles, and
+    /// starting states with and without a pending spare.
+    #[test]
+    fn skip_window_leaves_the_rng_where_generation_does() {
+        const CYCLES: [usize; 8] = [1, 2, 3, 5, 17, 999, 1000, WINDOW_CYCLES];
+        let gen = (
+            check::f64_in(-0.25, 1.25),
+            check::f64_in(-0.25, 1.25),
+            check::usize_in(0, CYCLES.len() - 1),
+            (check::usize_in(0, 1 << 20), check::bool_any()),
+        );
+        let checker = check::Checker::new(check::CheckConfig {
+            seed: 0x5C1B,
+            cases: 256,
+            ..check::CheckConfig::default()
+        });
+        checker.assert(
+            "workload.skip_window",
+            &gen,
+            |&(activity, severity, c, (seed, spare))| {
+                let mut generated = DeterministicRng::new(seed as u64);
+                if spare {
+                    generated.normal();
+                }
+                let mut skipped = generated.clone();
+                let mut buffer = Vec::new();
+                generate_window_into(&mut generated, CYCLES[c], activity, severity, &mut buffer);
+                skip_window(&mut skipped, CYCLES[c], severity);
+                check::ensure(skipped == generated, || {
+                    format!("{skipped:?} after the skip, {generated:?} after generation")
+                })
+            },
+        );
     }
 
     #[test]

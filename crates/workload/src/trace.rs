@@ -160,7 +160,7 @@ fn sum_start() -> f64 {
 /// let duration = Seconds::from_micros(100.0);
 /// // Five 20 µs steps of 1 µs samples, streamed without holding the trace…
 /// let mut streamed = StepMeans::new(chip.blocks().len(), 20, 5).unwrap();
-/// generator.generate_into(&spec, duration, &mut streamed).unwrap();
+/// generator.generate_into(&spec, duration, &mut streamed, |_, _| ()).unwrap();
 /// assert_eq!(streamed.sample_count(), 100);
 /// // …equal to the means of the held trace.
 /// let mut held = StepMeans::new(chip.blocks().len(), 20, 5).unwrap();
@@ -239,23 +239,26 @@ impl StepMeans {
         }
     }
 
-    /// Adds the next sample instant, one value per channel.
-    fn fold(&mut self, column: &[f64]) {
+    /// Adds the next sample instant, one value per channel; whether it
+    /// closed a step.
+    fn fold(&mut self, column: &[f64]) -> bool {
         for (total, &v) in self.totals.iter_mut().zip(column) {
             *total += v;
         }
         self.last.copy_from_slice(column);
         self.samples += 1;
         if self.means.len() == self.steps {
-            return;
+            return false;
         }
         for (sum, &v) in self.step_sums.iter_mut().zip(column) {
             *sum += v;
         }
         self.filled += 1;
-        if self.filled == self.samples_per_step {
+        let closes = self.filled == self.samples_per_step;
+        if closes {
             self.close_step();
         }
+        closes
     }
 
     /// Sample instants pushed so far.
@@ -412,7 +415,11 @@ impl<'a> TraceGenerator<'a> {
     /// Streams the trace [`TraceGenerator::generate_spec`] would return
     /// into `means`, one sample instant at a time, so the trace itself is
     /// never held: only the generator's per-core and per-block state and
-    /// one column of activities live while it runs.
+    /// one column of activities live while it runs. As each step closes,
+    /// `step_closed(i, row)` sees its index and its means, the row
+    /// [`StepMeans::finish`] returns at `i`, so a caller can use a step
+    /// while later ones are still being generated; steps that `finish`
+    /// pads past the trace's end are not reported.
     ///
     /// # Panics
     ///
@@ -427,9 +434,16 @@ impl<'a> TraceGenerator<'a> {
         spec: &WorkloadSpec,
         duration: Seconds,
         means: &mut StepMeans,
+        mut step_closed: impl FnMut(usize, &[f64]),
     ) -> Result<()> {
         means.check_channels(self.chip.blocks().len())?;
-        self.for_each_column(spec, duration, |column| means.fold(column));
+        self.for_each_column(spec, duration, |column| {
+            if means.fold(column) {
+                if let Some(row) = means.means.last() {
+                    step_closed(means.means.len() - 1, row);
+                }
+            }
+        });
         Ok(())
     }
 
@@ -776,8 +790,11 @@ mod tests {
         for (per_step, steps) in [(20, 50), (20, 1), (7, 183), (1000, 3), (3, 100)] {
             let blocks = chip.blocks().len();
             let mut streamed = StepMeans::new(blocks, per_step, steps).unwrap();
+            let mut closed = Vec::new();
             generator
-                .generate_into(&spec, duration, &mut streamed)
+                .generate_into(&spec, duration, &mut streamed, |i, row| {
+                    closed.push((i, row.to_vec()));
+                })
                 .unwrap();
             let mut replayed = StepMeans::new(blocks, per_step, steps).unwrap();
             replayed.push_trace(&trace).unwrap();
@@ -787,6 +804,16 @@ mod tests {
                 trace.mean_activity().to_bits()
             );
             let expected = bits(&held_step_means(&trace, per_step, steps));
+            // Each step the samples close is reported once, in order, as
+            // its final row; the padded steps are not.
+            let whole = steps.min(trace.sample_count() / per_step);
+            let (indices, rows): (Vec<usize>, Vec<Vec<f64>>) = closed.into_iter().unzip();
+            assert_eq!(
+                indices,
+                (0..whole).collect::<Vec<_>>(),
+                "{per_step}×{steps}"
+            );
+            assert_eq!(bits(&rows), expected[..whole], "{per_step}×{steps}");
             assert_eq!(
                 bits(&streamed.finish().unwrap()),
                 expected,
@@ -819,7 +846,7 @@ mod tests {
         let spec = WorkloadSpec::Single(Benchmark::Fft);
         let generator = TraceGenerator::new(&chip);
         assert!(generator
-            .generate_into(&spec, duration, &mut means)
+            .generate_into(&spec, duration, &mut means, |_, _| ())
             .is_err());
         assert_eq!(means.sample_count(), 0);
     }
@@ -839,7 +866,7 @@ mod tests {
         let (streamed_tel, streamed) = Telemetry::recorder();
         let mut means = StepMeans::new(chip.blocks().len(), 20, 100).unwrap();
         generator
-            .generate_into(&spec, duration, &mut means)
+            .generate_into(&spec, duration, &mut means, |_, _| ())
             .unwrap();
         means.emit_telemetry(&streamed_tel, &spec);
         means.emit_telemetry(&Telemetry::disabled(), &spec);

@@ -3,7 +3,8 @@
 //! allocator wraps the system allocator and each test asserts the
 //! per-thread allocation count does not move across warmed-up
 //! `TransientStepper::step`, `generate_window_into` and
-//! `DidtResponse::refill` calls. An IR analysis whose regulator key is
+//! `DidtResponse::refill` calls, nor between the window fills of either
+//! thread of a window stream. An IR analysis whose regulator key is
 //! not kept (a refactor and a superposition-basis rebuild into a recycled
 //! buffer) allocates no more than one whose key repeats. A warmed-up
 //! `ScenarioSpec::content_hash` allocates nothing, and neither does
@@ -26,10 +27,13 @@ use simkit::units::{Hertz, Seconds, Watts};
 use simkit::DeterministicRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
+use thermogater::windows::{with_window_stream, FillScratch};
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
 use vreg::GatingState;
-use workload::microtrace::{generate_window_into, WARMUP_CYCLES, WINDOW_CYCLES};
+use workload::microtrace::{generate_window_into, skip_window, WARMUP_CYCLES, WINDOW_CYCLES};
 use workload::Benchmark;
 
 thread_local! {
@@ -206,6 +210,98 @@ fn noise_window_refills_perform_no_heap_allocation() {
         "window refills allocated {} times over 50 windows",
         after - before
     );
+}
+
+/// A window stream whose producer sleeps before each fill, so that the
+/// decision loop fills most windows itself, allocates nothing per
+/// window on either thread: each thread's allocation count is the same
+/// as every fill after its first starts.
+#[test]
+fn a_window_stream_the_loop_fills_allocates_nothing_per_window() {
+    thread_local! {
+        static ON_LOOP: Cell<bool> = const { Cell::new(false) };
+    }
+    const WINDOWS: usize = 48;
+    const LOOP: usize = 1;
+    const PRODUCER: usize = 2;
+    let config = PdnConfig::default();
+    let (response_time, frequency) = (Seconds::from_nanos(15.0), Hertz::from_ghz(4.0));
+    // Per window: the thread that filled it and its allocation count as
+    // the fill started.
+    let seen: Vec<(AtomicUsize, AtomicUsize)> = (0..WINDOWS).map(|_| Default::default()).collect();
+    let by_producer = AtomicUsize::new(0);
+    let steps: Vec<usize> = (0..WINDOWS).map(|w| 4 * w).collect();
+    // Each window's inputs carry its index.
+    let fill = |inputs: &[f64],
+                rng: &mut DeterministicRng,
+                slot: &mut [DidtResponse],
+                scratch: &mut FillScratch| {
+        let on_loop = ON_LOOP.with(Cell::get);
+        let (thread, allocs) = &seen[inputs[0] as usize];
+        thread.store(if on_loop { LOOP } else { PRODUCER }, Ordering::SeqCst);
+        allocs.store(thread_allocs(), Ordering::SeqCst);
+        if !on_loop {
+            by_producer.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for response in slot {
+            generate_window_into(rng, WINDOW_CYCLES, 0.5, 0.5, &mut scratch.multipliers);
+            response.refill(
+                &config,
+                response_time,
+                frequency,
+                &scratch.multipliers,
+                WARMUP_CYCLES,
+                &mut scratch.steps,
+            );
+        }
+    };
+    let skip = |rng: &mut DeterministicRng| {
+        for _ in 0..2 {
+            skip_window(rng, WINDOW_CYCLES, 0.5);
+        }
+    };
+    let rng = DeterministicRng::new(0x4E01);
+    with_window_stream(&steps, 16, 2, rng, skip, &fill, |stream| {
+        ON_LOOP.with(|l| l.set(true));
+        for w in 0..WINDOWS {
+            stream.publish(|inputs| inputs.fill(w as f64));
+        }
+        // The producer fills the first windows, so that both threads
+        // fill more than one.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while by_producer.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut interval = Vec::with_capacity(16);
+        for k in 0..12 {
+            stream.take_interval(k, &mut interval)?;
+            for (_, slot) in interval.drain(..) {
+                stream.give_back(slot);
+            }
+        }
+        Ok(())
+    })
+    .unwrap();
+    for thread in [LOOP, PRODUCER] {
+        let counts: Vec<usize> = seen
+            .iter()
+            .filter(|(t, _)| t.load(Ordering::SeqCst) == thread)
+            .map(|(_, allocs)| allocs.load(Ordering::SeqCst))
+            .collect();
+        assert!(counts.len() >= 3, "thread {thread} filled {counts:?}");
+        assert!(
+            counts[1..].iter().all(|&c| c == counts[1]),
+            "thread {thread} allocated between its fills: counts {counts:?}"
+        );
+        if thread == LOOP {
+            assert!(
+                counts.len() > WINDOWS / 2,
+                "the loop filled {}",
+                counts.len()
+            );
+        }
+    }
 }
 
 /// A key a domain does not keep refactors it and rebuilds the least
