@@ -39,13 +39,20 @@ echo "== window stream: the two-thread tests, repeated to shake out ordering rac
 # The window-stream tests race the producer thread against the decision
 # loop (which fills windows itself when the producer is behind), and
 # each run interleaves them differently; skip_window's exactness
-# property checks the draw-only pass the producer plans with. A hundred
-# rounds of the core::windows tests, the zero-allocation stream test
-# and the skip_window property take 15–30 s on two vCPUs.
+# property checks the draw-only pass the producer plans with, and the
+# window-book tests check that a run reading the windows another run
+# drew and booked renders that run's bits. A hundred rounds of the
+# core::windows tests, the zero-allocation stream and book tests and the
+# skip_window property take 15–30 s on two vCPUs; the engine's book
+# tests, about 70 runs a round (3.5 s), run in every fifth round.
 mkdir -p target/ci
-for _ in $(seq 100); do
+for round in $(seq 100); do
     for filter in "-p thermogater --lib windows::" "--test zero_alloc a_window_stream" \
-        "-p workload --lib skip_window"; do
+        "--test zero_alloc a_booked_window" "-p workload --lib skip_window" \
+        "-p thermogater --lib -- engine::tests::interleaved_policies engine::tests::the_spec_table"; do
+        if [[ $filter == *engine::tests* ]] && ((round % 5 != 0)); then
+            continue
+        fi
         # shellcheck disable=SC2086 # each filter is several words
         cargo test --release -q $filter > target/ci/window_races.txt 2>&1 ||
             { cat target/ci/window_races.txt; exit 1; }

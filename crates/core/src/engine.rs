@@ -23,18 +23,24 @@
 //! [`SimulationEngine::trace_duration`] long, straight into the means,
 //! so its 1 µs samples are never held) and profiles
 //! θ on the trace's first `max(profiling_decisions, 3)` decisions. A
-//! synthetic trace, and so the θ fitted on its head, depends only on the
-//! chip, the workload spec and the engine's configuration, never on the
-//! policy. So an engine keeps two entries keyed by spec: the last
-//! synthetic run's resampled steps and the last calibrating synthetic
-//! run's fit. A synthetic run of the same spec replays them instead of
-//! generating the trace or profiling θ again; a replayed external trace
-//! neither reads nor writes them. A run also drops the PDN's IR warm
+//! synthetic trace, the θ fitted on its head and the noise windows drawn
+//! along it depend only on the chip, the workload spec and the engine's
+//! configuration, never on the policy (the off-chip policy draws no
+//! window). So an engine keeps, keyed by spec, the last synthetic run's
+//! resampled steps, and for each of the last 16 specs its synthetic runs
+//! met (least recently used first out) the θ fit and R² of the first that
+//! calibrated and the window book of the first that drew windows: each
+//! window's starting RNG state and each domain's response peak
+//! ([`crate::windows::WindowBook`]). A synthetic run of a kept spec
+//! replays them instead of generating the trace, profiling θ or drawing
+//! its windows again; a replayed external trace neither reads nor writes
+//! them. A run also drops the PDN's IR warm
 //! starts before its first analysis, so a record depends only on the
 //! spec and the configuration, never on what the engine ran before: a
 //! batch worker keeps one engine for every cell of one configuration.
 //!
-//! A run uses two threads. Before the trace phase, a scoped producer
+//! A run that draws its windows uses two threads. Before the trace
+//! phase, a scoped producer
 //! thread (see [`crate::windows`]) plans the noise windows: a draw-only
 //! pass finds each window's starting state in the run's one noise RNG
 //! while this thread builds the trace. As the trace reaches each
@@ -46,7 +52,14 @@
 //! back once it is measured. Every window is drawn from the state the
 //! serial stream reaches at it, so the overlap changes no number, and
 //! the `noise` phase holds what obtaining the windows costs the loop
-//! (its waits and its own fills) rather than their whole cost.
+//! (its waits and its own fills) rather than their whole cost. A run
+//! whose windows are booked starts no producer and draws no window
+//! ahead: the truth check and a measurement read the booked peaks, and
+//! only a domain whose peak crosses the emergency threshold (its cycles
+//! over it are counted) or that holds a new worst window (its per-cycle
+//! trace is kept) is drawn again, on this thread, from its window's
+//! booked start. The counts are 0 below the threshold, so every number
+//! is the drawing run's.
 //!
 //! Every phase is timed at one call site through
 //! [`PhaseTimes::timed`], which also opens the phase's span. Each
@@ -72,7 +85,7 @@ use crate::policy::{gating_from_rankings, rank_regulators, PolicyInputs, PolicyK
 use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
-use crate::windows::{with_window_stream, FillScratch, WindowStream};
+use crate::windows::{with_window_stream, FillScratch, WindowBook, WindowStream};
 use floorplan::{DomainId, Floorplan, VddDomain};
 use pdn::transient::DidtResponse;
 use pdn::{EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel};
@@ -82,9 +95,10 @@ use simkit::perf::{PhaseTimes, SolverProfile};
 use simkit::series::{TimeSeries, TraceMatrix};
 use simkit::telemetry::manifest::{ContentHasher, KeyPrefix};
 use simkit::telemetry::{EventKind, Telemetry};
-use simkit::units::{Amps, Seconds, Watts};
+use simkit::units::{Amps, Hertz, Seconds, Watts};
 use simkit::{DeterministicRng, Error, Result};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use thermal::{FeedbackStats, PowerMap, ThermalConfig, ThermalModel, ThermalState};
 use vreg::{GatingState, RegulatorBank, RegulatorDesign};
 use workload::microtrace::{generate_window_into, skip_window, WARMUP_CYCLES, WINDOW_CYCLES};
@@ -386,17 +400,58 @@ pub struct SimulationEngine<'c> {
     memo: Mutex<Memo>,
 }
 
-/// The entries an engine keeps from its last synthetic runs, each keyed
-/// by the spec it was made for: a synthetic run's trace steps and θ fit
-/// are pure functions of the chip, the spec and the engine's
-/// configuration (steady solves take fresh scratch on every call, and
-/// the profiling pass's solves never enter a run's solver profile).
+/// Specs whose θ fit and window book an engine keeps: a whole 14-benchmark
+/// grid with room for two mixes. A book is 48 bytes per window plus 8 per
+/// domain window (35 KB at the standard configuration's 200 windows over
+/// 16 domains), so the table stays under 0.6 MB.
+const KEPT_SPECS: usize = 16;
+
+/// The entries an engine keeps from its synthetic runs, each keyed by
+/// the spec it was made for: a synthetic run's trace steps, θ fit and
+/// noise windows are pure functions of the chip, the spec and the
+/// engine's configuration (steady solves take fresh scratch on every
+/// call, and the profiling pass's solves never enter a run's solver
+/// profile).
 #[derive(Debug, Default)]
 struct Memo {
-    /// The last synthetic run's resampled trace steps.
+    /// The last synthetic run's resampled trace steps (one slot: a trace
+    /// is 125–416 KB).
     trace: Option<(WorkloadSpec, Arc<Vec<Vec<f64>>>)>,
-    /// The last calibrating synthetic run's θ fit and its R².
-    theta: Option<(WorkloadSpec, (ThermalPredictor, f64))>,
+    /// What the last [`KEPT_SPECS`] specs' synthetic runs left, least
+    /// recently used first.
+    specs: Vec<(WorkloadSpec, SpecMemo)>,
+}
+
+/// The policy-independent results an engine keeps for one spec.
+#[derive(Debug, Default)]
+struct SpecMemo {
+    /// The first calibrating run's θ fit and its R².
+    theta: Option<(ThermalPredictor, f64)>,
+    /// The first windowed run's window book.
+    windows: Option<Arc<WindowBook>>,
+}
+
+impl Memo {
+    /// `spec`'s entry, if kept, now the most recently used.
+    fn spec(&mut self, spec: &WorkloadSpec) -> Option<&mut SpecMemo> {
+        let i = self.specs.iter().position(|(key, _)| key == spec)?;
+        self.specs[i..].rotate_left(1);
+        self.specs.last_mut().map(|(_, entry)| entry)
+    }
+
+    /// `spec`'s entry, now the most recently used; an empty one if it was
+    /// not kept, in place of the least recently used when the table is
+    /// full.
+    fn spec_or_insert(&mut self, spec: &WorkloadSpec) -> &mut SpecMemo {
+        if self.spec(spec).is_none() {
+            if self.specs.len() == KEPT_SPECS {
+                self.specs.remove(0);
+            }
+            self.specs.push((spec.clone(), SpecMemo::default()));
+        }
+        let last = self.specs.len() - 1;
+        &mut self.specs[last].1
+    }
 }
 
 /// The simulated chip between thermal steps: its state, the transient
@@ -592,6 +647,206 @@ impl RunMetrics {
 /// A domain's demand: the sum of its blocks' powers.
 fn domain_demand(domain: &VddDomain, block_powers: &[Watts]) -> Watts {
     domain.blocks().iter().map(|&b| block_powers[b.0]).sum()
+}
+
+/// A domain's mean activity over its blocks, whose activities are `row`:
+/// the input its noise window is drawn at.
+fn domain_activity(domain: &VddDomain, row: &[f64]) -> f64 {
+    let blocks = domain.blocks();
+    blocks.iter().map(|&b| row[b.0]).sum::<f64>() / blocks.len() as f64
+}
+
+/// How a run draws its noise windows, one domain at a time: each
+/// domain's di/dt severity (indexed by domain, so multiprogrammed mixes
+/// give each core domain its own benchmark's di/dt character) and the
+/// PDN and regulator parameters of its response.
+struct WindowDraw<'e> {
+    domains: &'e [VddDomain],
+    didt: Vec<f64>,
+    pdn: &'e PdnConfig,
+    response_time: Seconds,
+    frequency: Hertz,
+}
+
+impl WindowDraw<'_> {
+    /// Advances `rng` past domain `d`'s window without drawing it.
+    fn skip(&self, d: usize, rng: &mut DeterministicRng) {
+        skip_window(rng, WINDOW_CYCLES, self.didt[d]);
+    }
+
+    /// Draws domain `d`'s window at `activity` from `rng` and convolves
+    /// it into `response`.
+    fn fill(
+        &self,
+        d: usize,
+        activity: f64,
+        rng: &mut DeterministicRng,
+        response: &mut DidtResponse,
+        scratch: &mut FillScratch,
+    ) {
+        generate_window_into(
+            rng,
+            WINDOW_CYCLES,
+            activity,
+            self.didt[d],
+            &mut scratch.multipliers,
+        );
+        response.refill(
+            self.pdn,
+            self.response_time,
+            self.frequency,
+            &scratch.multipliers,
+            WARMUP_CYCLES,
+            &mut scratch.steps,
+        );
+    }
+}
+
+/// A run's noise windows as its decision loop reads them, one interval
+/// at a time: each window's response peaks, one per domain, which are
+/// all the VT truth check and most measurements read, and one domain's
+/// whole response when a measurement needs its cycles.
+struct RunWindows<'r, 's> {
+    /// Every window's thermal step, in order.
+    steps: &'r [usize],
+    steps_per_decision: usize,
+    /// The current interval's windows: `first..next`.
+    first: usize,
+    next: usize,
+    source: WindowSource<'r, 's>,
+}
+
+/// Where a run's noise windows come from.
+enum WindowSource<'r, 's> {
+    /// The run's window stream, which records their book as the loop
+    /// takes them. `held` are the taken windows not yet released, with
+    /// their steps, oldest first.
+    Stream {
+        stream: &'r mut WindowStream<'s>,
+        held: Vec<(usize, Vec<DidtResponse>)>,
+    },
+    /// The book an earlier run of the spec recorded. A domain's response
+    /// is drawn again into `response` from its window's booked start, at
+    /// its activity in the resampled trace steps `acts`.
+    Book {
+        book: &'r WindowBook,
+        draw: &'r WindowDraw<'r>,
+        acts: &'r [Vec<f64>],
+        scratch: FillScratch,
+        response: DidtResponse,
+    },
+}
+
+impl<'r, 's> RunWindows<'r, 's> {
+    /// The windows of a run in intervals of `steps_per_decision` thermal
+    /// steps, taken from `stream`.
+    fn streamed(steps_per_decision: usize, stream: &'r mut WindowStream<'s>) -> Self {
+        let steps = stream.steps();
+        let held = Vec::with_capacity(steps_per_decision.min(steps.len()));
+        let source = WindowSource::Stream { stream, held };
+        RunWindows {
+            steps,
+            steps_per_decision,
+            first: 0,
+            next: 0,
+            source,
+        }
+    }
+
+    /// The windows at `steps` read from `book`, a domain drawn again by
+    /// `draw` at its activity in `acts`; the scratch for that is sized
+    /// here, once.
+    fn booked(
+        steps: &'r [usize],
+        steps_per_decision: usize,
+        book: &'r WindowBook,
+        draw: &'r WindowDraw<'r>,
+        acts: &'r [Vec<f64>],
+    ) -> Self {
+        let source = WindowSource::Book {
+            book,
+            draw,
+            acts,
+            scratch: FillScratch::default(),
+            response: DidtResponse::with_capacity(WINDOW_CYCLES - WARMUP_CYCLES),
+        };
+        RunWindows {
+            steps,
+            steps_per_decision,
+            first: 0,
+            next: 0,
+            source,
+        }
+    }
+
+    /// Moves on to interval `k`'s windows, taking them from the stream.
+    ///
+    /// # Errors
+    ///
+    /// The stream's ([`WindowStream::take_interval`]).
+    fn take_interval(&mut self, k: usize) -> Result<()> {
+        let end = (k + 1) * self.steps_per_decision;
+        self.first = self.next;
+        while self.steps.get(self.next).is_some_and(|&s| s < end) {
+            self.next += 1;
+        }
+        match &mut self.source {
+            WindowSource::Stream { stream, held } => stream.take_interval(k, held),
+            WindowSource::Book { .. } => Ok(()),
+        }
+    }
+
+    /// The current interval's windows.
+    fn interval(&self) -> Range<usize> {
+        self.first..self.next
+    }
+
+    /// Window `w`'s thermal step.
+    fn step(&self, w: usize) -> usize {
+        self.steps[w]
+    }
+
+    /// Window `w`'s response peaks, one per domain.
+    fn peaks(&self, w: usize) -> &[f64] {
+        match &self.source {
+            WindowSource::Stream { stream, .. } => stream.peaks(w),
+            WindowSource::Book { book, .. } => book.peaks(w),
+        }
+    }
+
+    /// Domain `d`'s whole response in window `w` of the current
+    /// interval, drawn again when the window is booked.
+    fn response(&mut self, w: usize, d: usize) -> &DidtResponse {
+        match &mut self.source {
+            WindowSource::Stream { held, .. } => &held[w + held.len() - self.next].1[d],
+            WindowSource::Book {
+                book,
+                draw,
+                acts,
+                scratch,
+                response,
+            } => {
+                let activity = domain_activity(&draw.domains[d], &acts[self.steps[w]]);
+                book.redraw(
+                    w,
+                    d,
+                    |before, rng| draw.skip(before, rng),
+                    |rng| draw.fill(d, activity, rng, response, scratch),
+                );
+                response
+            }
+        }
+    }
+
+    /// Releases the oldest window held, once it is measured: the stream
+    /// may refill its slot.
+    fn release_oldest(&mut self) {
+        if let WindowSource::Stream { stream, held } = &mut self.source {
+            if !held.is_empty() {
+                stream.give_back(held.remove(0).1);
+            }
+        }
+    }
 }
 
 impl<'c> SimulationEngine<'c> {
@@ -958,33 +1213,30 @@ impl<'c> SimulationEngine<'c> {
         Ok((predictor, r2))
     }
 
-    /// The value `entry` of the memo holds for `spec`, or else `make`'s,
-    /// which replaces it; the counter `reused` records which. The stale
-    /// value is released before `make` runs, and the lock is not held
-    /// while it runs, so runs sharing an engine never wait on one
-    /// another.
+    /// The engine's memo. No update of it panics midway, so a poisoned
+    /// lock still guards a valid memo.
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value `read` finds in the memo, or else `make`'s, which
+    /// `write` stores; the counter `reused` records which. The lock is
+    /// not held while `make` runs, so runs sharing an engine never wait
+    /// on one another.
     fn memoised<T: Clone>(
         &self,
-        spec: &WorkloadSpec,
         reused: &'static str,
-        entry: fn(&mut Memo) -> &mut Option<(WorkloadSpec, T)>,
+        read: impl FnOnce(&mut Memo) -> Option<T>,
         make: impl FnOnce() -> Result<T>,
+        write: impl FnOnce(&mut Memo, T),
     ) -> Result<T> {
-        let hit = {
-            let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            let slot = entry(&mut memo);
-            if slot.as_ref().is_some_and(|(key, _)| key != spec) {
-                *slot = None;
-            }
-            slot.as_ref().map(|(_, value)| value.clone())
-        };
+        let hit = read(&mut self.memo());
         self.telemetry.counter(reused, u64::from(hit.is_some()));
         if let Some(value) = hit {
             return Ok(value);
         }
         let value = make()?;
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        *entry(&mut memo) = Some((spec.clone(), value.clone()));
+        write(&mut self.memo(), value.clone());
         Ok(value)
     }
 
@@ -1012,35 +1264,70 @@ impl<'c> SimulationEngine<'c> {
     /// trace, and replays them as [`SimulationEngine::run_trace`] does;
     /// the means are bit-identical to those of the held trace. A run of
     /// the same spec as the engine's last synthetic run replays that
-    /// run's steps without generating the trace again, and
-    /// one of the same spec as its last calibrating synthetic run takes
-    /// that run's θ without profiling again.
+    /// run's steps without generating the trace again; one of a spec the
+    /// engine keeps takes its θ without profiling again, and its noise
+    /// windows' book without drawing them again (see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates solver and calibration failures.
     pub fn run_spec(&self, spec: &WorkloadSpec, policy: PolicyKind) -> Result<SimulationResult> {
-        self.with_noise_windows(spec, policy, |windows| {
+        let (steps, draw) = (self.window_steps(policy), self.window_draw(spec));
+        let booked = if steps.is_empty() {
+            Some(Arc::default())
+        } else {
+            let book = self.memo().spec(spec).and_then(|m| m.windows.clone());
+            self.telemetry
+                .counter("engine.windows_reused", u64::from(book.is_some()));
+            book
+        };
+        if let Some(book) = booked {
             let mut perf = PhaseTimes::new();
-            let acts =
-                PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
-                    self.memoised(
-                        spec,
-                        "engine.trace_reused",
-                        |m| &mut m.trace,
-                        || {
-                            let publish = |step: usize, row: &[f64]| {
-                                self.publish_window(windows, step, row);
-                            };
-                            Ok(Arc::new(self.synthetic_steps(
-                                spec,
-                                self.trace_decisions(),
-                                publish,
-                            )?))
-                        },
-                    )
-                })?;
-            self.replay(policy, spec, true, &acts, perf, windows)
+            let acts = self.synthetic_trace(spec, &mut perf, |_, _| ())?;
+            let windows = RunWindows::booked(&steps, self.steps_per_decision, &book, &draw, &acts);
+            return self.run_decisions(policy, spec, true, &acts, perf, windows);
+        }
+        let (result, book) = self.with_noise_windows(spec, &steps, &draw, |stream| {
+            let mut perf = PhaseTimes::new();
+            let acts = self.synthetic_trace(spec, &mut perf, |step, row| {
+                self.publish_window(stream, step, row);
+            })?;
+            let result = self.run_streamed(policy, spec, true, &acts, perf, stream)?;
+            Ok((result, stream.take_book()))
+        })?;
+        if let Some(book) = book {
+            self.memo().spec_or_insert(spec).windows = Some(Arc::new(book));
+        }
+        Ok(result)
+    }
+
+    /// `spec`'s synthetic steps over [`Self::trace_decisions`] (the
+    /// memo's, when it holds them), timed as the `trace` phase into
+    /// `perf`; `step_closed(i, row)` sees each step as a generated trace
+    /// closes it.
+    fn synthetic_trace(
+        &self,
+        spec: &WorkloadSpec,
+        perf: &mut PhaseTimes,
+        step_closed: impl FnMut(usize, &[f64]),
+    ) -> Result<Arc<Vec<Vec<f64>>>> {
+        PhaseTimes::timed(perf, &self.telemetry, "trace", "engine.trace", |_| {
+            self.memoised(
+                "engine.trace_reused",
+                |m| match m.trace.take() {
+                    Some((key, acts)) if key == *spec => {
+                        m.trace = Some((key, Arc::clone(&acts)));
+                        Some(acts)
+                    }
+                    // A stale trace goes before the new one is made.
+                    _ => None,
+                },
+                || {
+                    let n_dec = self.trace_decisions();
+                    Ok(Arc::new(self.synthetic_steps(spec, n_dec, step_closed)?))
+                },
+                |m, acts| m.trace = Some((spec.clone(), acts)),
+            )
         })
     }
 
@@ -1051,8 +1338,8 @@ impl<'c> SimulationEngine<'c> {
     /// ([`StepMeans`]) and its final sample held if it ends before the
     /// configured duration or the θ profiling pass, which runs on the
     /// trace's leading decisions.
-    /// It neither reads nor replaces the trace and θ synthetic runs
-    /// reuse.
+    /// It neither reads nor replaces the trace, θ and windows synthetic
+    /// runs reuse: it draws its windows.
     ///
     /// # Errors
     ///
@@ -1062,7 +1349,9 @@ impl<'c> SimulationEngine<'c> {
     ///   number of the trace's samples;
     /// * solver and calibration failures are propagated.
     pub fn run_trace(&self, trace: &ActivityTrace, policy: PolicyKind) -> Result<SimulationResult> {
-        self.with_noise_windows(trace.spec(), policy, |windows| {
+        let spec = trace.spec();
+        let (steps, draw) = (self.window_steps(policy), self.window_draw(spec));
+        self.with_noise_windows(spec, &steps, &draw, |stream| {
             let mut perf = PhaseTimes::new();
             let acts =
                 PhaseTimes::timed(&mut perf, &self.telemetry, "trace", "engine.trace", |_| {
@@ -1071,69 +1360,74 @@ impl<'c> SimulationEngine<'c> {
                     trace.emit_telemetry(&self.telemetry);
                     means.finish()
                 })?;
-            self.replay(policy, trace.spec(), false, &acts, perf, windows)
+            self.run_streamed(policy, spec, false, &acts, perf, stream)
         })
     }
 
-    /// Runs `run` against the stream of the noise windows a run of
-    /// `spec` under `policy` analyses: `noise_window_count` windows
-    /// evenly spread over the run, none for the off-chip policy. Each
-    /// window is one cycle window per domain, drawn from the run's one
-    /// noise RNG at the domain's mean activity in the window's step and
-    /// reduced to its di/dt responses; `didt` is indexed by domain, so
-    /// multiprogrammed mixes give each core domain its own benchmark's
-    /// di/dt character. The stream's producer thread starts planning the
-    /// windows at once, so the plan is laid while `run` builds the
-    /// trace, and a window can be filled as soon as `run` publishes its
-    /// activities ([`Self::publish_window`]).
-    fn with_noise_windows<R>(
-        &self,
-        spec: &WorkloadSpec,
-        policy: PolicyKind,
-        run: impl FnOnce(&mut WindowStream<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let spd = self.steps_per_decision;
-        let run_steps = self.n_decisions * spd;
+    /// The thermal steps of the noise windows a run under `policy`
+    /// analyses: `noise_window_count` windows evenly spread over the
+    /// run, none for the off-chip policy.
+    fn window_steps(&self, policy: PolicyKind) -> Vec<usize> {
+        let run_steps = self.n_decisions * self.steps_per_decision;
         let n_windows = match policy {
             PolicyKind::OffChip => 0,
             _ => self.config.noise_window_count,
         };
-        let window_steps: Vec<usize> = (0..n_windows)
+        (0..n_windows)
             .map(|w| ((w as f64 + 0.5) / n_windows as f64 * run_steps as f64) as usize)
-            .collect();
-        let didt = self.domain_didt(spec);
+            .collect()
+    }
+
+    /// How `spec`'s noise windows are drawn, one domain at a time.
+    fn window_draw(&self, spec: &WorkloadSpec) -> WindowDraw<'_> {
+        WindowDraw {
+            domains: self.chip.domains(),
+            didt: self.domain_didt(spec),
+            pdn: self.pdn.config(),
+            response_time: self.analyzer.response_time(),
+            frequency: self.analyzer.frequency(),
+        }
+    }
+
+    /// Runs `run` against a stream of the noise windows at `steps` of a
+    /// run of `spec`. Each window is one cycle window per domain, drawn
+    /// by `draw` from the run's one noise RNG at the domain's mean
+    /// activity in the window's step and reduced to its di/dt responses.
+    /// The stream's producer thread starts planning the windows at once,
+    /// so the plan is laid while `run` builds the trace, and a window can
+    /// be filled as soon as `run` publishes its activities
+    /// ([`Self::publish_window`]).
+    fn with_noise_windows<R>(
+        &self,
+        spec: &WorkloadSpec,
+        steps: &[usize],
+        draw: &WindowDraw<'_>,
+        run: impl FnOnce(&mut WindowStream<'_>) -> Result<R>,
+    ) -> Result<R> {
         let rng = DeterministicRng::new(self.config.seed ^ spec.seed() ^ 0x4E01);
-        let domains = self.chip.domains();
+        let domains = draw.domains.len();
         let skip = |rng: &mut DeterministicRng| {
-            for domain in domains {
-                skip_window(rng, WINDOW_CYCLES, didt[domain.id().0]);
+            for d in 0..domains {
+                draw.skip(d, rng);
             }
         };
-        let pdn = self.pdn.config();
-        let (response_time, frequency) = (self.analyzer.response_time(), self.analyzer.frequency());
         let fill = |activities: &[f64],
                     rng: &mut DeterministicRng,
                     slot: &mut [DidtResponse],
                     scratch: &mut FillScratch| {
-            for ((domain, response), &activity) in domains.iter().zip(slot).zip(activities) {
-                generate_window_into(
-                    rng,
-                    WINDOW_CYCLES,
-                    activity,
-                    didt[domain.id().0],
-                    &mut scratch.multipliers,
-                );
-                response.refill(
-                    pdn,
-                    response_time,
-                    frequency,
-                    &scratch.multipliers,
-                    WARMUP_CYCLES,
-                    &mut scratch.steps,
-                );
+            for (d, (response, &activity)) in slot.iter_mut().zip(activities).enumerate() {
+                draw.fill(d, activity, rng, response, scratch);
             }
         };
-        with_window_stream(&window_steps, spd, domains.len(), rng, skip, &fill, run)
+        with_window_stream(
+            steps,
+            self.steps_per_decision,
+            domains,
+            rng,
+            skip,
+            &fill,
+            run,
+        )
     }
 
     /// Publishes to `windows` the inputs of the window at thermal step
@@ -1144,48 +1438,41 @@ impl<'c> SimulationEngine<'c> {
         if windows.next_unpublished() == Some(step) {
             windows.publish(|activities| {
                 for (activity, domain) in activities.iter_mut().zip(self.chip.domains()) {
-                    let blocks = domain.blocks();
-                    *activity = blocks.iter().map(|&b| row[b.0]).sum::<f64>() / blocks.len() as f64;
+                    *activity = domain_activity(domain, row);
                 }
             });
         }
     }
 
-    /// The one run path after the `trace` phase (timed into `perf`):
-    /// drop the PDN's IR warm starts, publish the noise `windows` the
-    /// trace phase did not from the resampled trace steps `acts`, and
-    /// run [`Self::run_decisions`] against them. `synthetic` says
-    /// whether `acts` are `spec`'s synthetic steps, whose θ the memo
-    /// keeps.
-    fn replay(
+    /// The run against a window stream after the `trace` phase (timed
+    /// into `perf`): publish the noise windows the trace phase did not
+    /// from the resampled trace steps `acts`, and run
+    /// [`Self::run_decisions`] against the `stream`.
+    fn run_streamed(
         &self,
         policy: PolicyKind,
         spec: &WorkloadSpec,
         synthetic: bool,
         acts: &[Vec<f64>],
         perf: PhaseTimes,
-        windows: &mut WindowStream<'_>,
+        stream: &mut WindowStream<'_>,
     ) -> Result<SimulationResult> {
-        // The memo replays only what a run would recompute bit for bit,
-        // the solvers are pure functions of the configuration and the
-        // key, and without its warm starts a CG IR solve is too: a run
-        // does not depend on the runs this engine made before.
-        self.pdn.forget_warm_starts();
-        while let Some(step) = windows.next_unpublished() {
+        while let Some(step) = stream.next_unpublished() {
             let Some(row) = acts.get(step) else {
                 break;
             };
-            self.publish_window(windows, step, row);
+            self.publish_window(stream, step, row);
         }
+        let windows = RunWindows::streamed(self.steps_per_decision, stream);
         self.run_decisions(policy, spec, synthetic, acts, perf, windows)
     }
 
-    /// The run after its trace phase: profile θ on the leading
-    /// decisions of `acts` (or, for `synthetic` steps, reuse the
-    /// engine's fit for `spec`), settle the initial steady state, then
-    /// alternate [`Self::decide`] and a simulated interval, taking each
-    /// interval's noise `windows` before its decision and handing each
-    /// back once it is measured.
+    /// The run after its trace phase: drop the PDN's IR warm starts,
+    /// profile θ on the leading decisions of `acts` (or, for `synthetic`
+    /// steps, reuse the engine's fit for `spec`), settle the initial
+    /// steady state, then alternate [`Self::decide`] and a simulated
+    /// interval, taking each interval's noise `windows` before its
+    /// decision and releasing each once it is measured.
     fn run_decisions(
         &self,
         policy: PolicyKind,
@@ -1193,8 +1480,13 @@ impl<'c> SimulationEngine<'c> {
         synthetic: bool,
         acts: &[Vec<f64>],
         mut perf: PhaseTimes,
-        windows: &mut WindowStream<'_>,
+        mut windows: RunWindows<'_, '_>,
     ) -> Result<SimulationResult> {
+        // The memo replays only what a run would recompute bit for bit,
+        // the solvers are pure functions of the configuration and the
+        // key, and without its warm starts a CG IR solve is too: a run
+        // does not depend on the runs this engine made before.
+        self.pdn.forget_warm_starts();
         let (cfg, tel) = (&self.config, &self.telemetry);
         let spd = self.steps_per_decision;
         let n_prof = self.profiling_decisions();
@@ -1209,7 +1501,12 @@ impl<'c> SimulationEngine<'c> {
                 "engine.calibrate",
                 |_| {
                     if synthetic {
-                        self.memoised(spec, "engine.calibrate_reused", |m| &mut m.theta, fit)
+                        self.memoised(
+                            "engine.calibrate_reused",
+                            |m| m.spec(spec)?.theta.clone(),
+                            fit,
+                            |m, theta| m.spec_or_insert(spec).theta = Some(theta),
+                        )
                     } else {
                         fit()
                     }
@@ -1251,7 +1548,6 @@ impl<'c> SimulationEngine<'c> {
         // Per-domain supply lanes: Vdd scaled by the most recent
         // measured droop fraction, held between noise windows.
         let mut lanes = vec![cfg.tech.vdd.get(); n_domains];
-        let mut interval_windows = Vec::with_capacity(spd);
 
         for k in 0..self.n_decisions {
             let step0 = k * spd;
@@ -1262,12 +1558,13 @@ impl<'c> SimulationEngine<'c> {
             // judges the *same* windows that will be measured. Each is
             // reduced to its gating-independent di/dt responses, by the
             // producer or, when it is behind, here; waiting for it or
-            // filling here counts as noise time.
+            // filling here counts as noise time. A booked window is
+            // already reduced to its peaks.
             PhaseTimes::timed(&mut metrics, tel, "noise", "engine.noise.wait", |_| {
-                windows.take_interval(k, &mut interval_windows)
+                windows.take_interval(k)
             })?;
             let decision = PhaseTimes::timed(&mut metrics, tel, "policy", "engine.policy", |m| {
-                let decision = self.decide(&mut gov, k, acts, &plant, &interval_windows, m)?;
+                let decision = self.decide(&mut gov, k, acts, &plant, &windows, m)?;
                 self.record_decision(k, &decision, policy, m)?;
                 Ok::<_, Error>(decision)
             })?;
@@ -1275,18 +1572,19 @@ impl<'c> SimulationEngine<'c> {
                 PhaseTimes::timed(&mut metrics, tel, "transient", "engine.transient", |m| {
                     let mut domain_power = vec![0.0f64; n_domains];
                     // `EngineConfig::validate` allows at most one window per step.
-                    let mut pending = interval_windows.drain(..).peekable();
+                    let mut pending = windows.interval().peekable();
                     for (s, act) in acts.iter().enumerate().skip(step0).take(spd) {
                         let solve = self.step(&mut plant, act, &decision.gating)?;
                         m.observe_step(self, &plant, &decision.gating, solve, &mut domain_power)?;
                         gov.sensors.record(&m.vr_temps_now);
-                        if let Some((_, responses)) = pending.next_if(|(w, _)| *w == s) {
+                        if let Some(w) = pending.next_if(|&w| windows.step(w) == s) {
                             PhaseTimes::timed(m, tel, "noise", "engine.noise.measure", |m| {
+                                let window = (&mut windows, w);
                                 self.measure_window(
-                                    &plant, &decision, &responses, policy, &mut lanes, m,
+                                    &plant, &decision, window, policy, &mut lanes, m,
                                 )
                             })?;
-                            windows.give_back(responses);
+                            windows.release_oldest();
                         }
                         if let Some(recorder) = frame_recorder.as_mut() {
                             recorder.observe(s, &plant.state, &decision.gating, &lanes);
@@ -1331,7 +1629,7 @@ impl<'c> SimulationEngine<'c> {
         k: usize,
         acts: &[Vec<f64>],
         plant: &Plant<'_>,
-        windows: &[(usize, Vec<DidtResponse>)],
+        windows: &RunWindows<'_, '_>,
         metrics: &mut RunMetrics,
     ) -> Result<Decision> {
         let policy = gov.policy;
@@ -1405,20 +1703,20 @@ impl<'c> SimulationEngine<'c> {
         let rankings = rank_regulators(policy, &inputs)?;
         let mut gating = gating_from_rankings(policy, self.chip, &rankings, &n_on, &no_emergency)?;
         let mut emergency = no_emergency;
-        if policy.reacts_to_emergencies() && !windows.is_empty() {
+        if policy.reacts_to_emergencies() && !windows.interval().is_empty() {
             // Ground truth: would the planned gating put any domain over
             // the emergency threshold during this interval's windows?
             let tel = &self.telemetry;
             let truth = PhaseTimes::timed(metrics, tel, "noise", "engine.noise.truth", |m| {
                 let threshold = EmergencyDetector::new().threshold_fraction();
                 let mut truth = vec![false; n_domains];
-                for (_, responses) in windows {
+                for w in windows.interval() {
                     let report = self.analyzer.analyze_responses(
                         self.chip,
                         &self.pdn,
                         &gating,
                         &block_powers_next,
-                        responses,
+                        windows.peaks(w),
                     )?;
                     m.solver_profile
                         .merge_agg("noise", &report.ir_solve_stats());
@@ -1446,7 +1744,7 @@ impl<'c> SimulationEngine<'c> {
                 self.telemetry
                     .event(EventKind::Emergency, "engine.emergency_check")
                     .field_u64("decision", k as u64)
-                    .field_u64("windows", windows.len() as u64)
+                    .field_u64("windows", windows.interval().len() as u64)
                     .field_u64("true_domains", truth_count as u64)
                     .field_u64("flagged_domains", flagged as u64)
                     .field_u64("mispredicted", mispredicted as u64)
@@ -1518,16 +1816,16 @@ impl<'c> SimulationEngine<'c> {
         Ok(())
     }
 
-    /// Measures one noise window at the step `plant` just took under
-    /// `decision`: per-domain droop fractions (the VT policies' on-line
-    /// detector clips a droop the predictor missed shortly past the
-    /// threshold), the supply lanes, emergency residency (Table 2) and
-    /// the worst window's per-cycle trace (Fig. 14).
+    /// Measures noise window `w` of `windows` at the step `plant` just
+    /// took under `decision`: per-domain droop fractions (the VT
+    /// policies' on-line detector clips a droop the predictor missed
+    /// shortly past the threshold), the supply lanes, emergency residency
+    /// (Table 2) and the worst window's per-cycle trace (Fig. 14).
     fn measure_window(
         &self,
         plant: &Plant<'_>,
         decision: &Decision,
-        responses: &[DidtResponse],
+        (windows, w): (&mut RunWindows<'_, '_>, usize),
         policy: PolicyKind,
         lanes: &mut [f64],
         metrics: &mut RunMetrics,
@@ -1537,22 +1835,30 @@ impl<'c> SimulationEngine<'c> {
             &self.pdn,
             &decision.gating,
             &plant.block_powers,
-            responses,
+            windows.peaks(w),
         )?;
         metrics
             .solver_profile
             .merge_agg("noise", &report.ir_solve_stats());
         let threshold = EmergencyDetector::new().threshold_fraction();
-        let mut fractions = Vec::with_capacity(responses.len());
+        let mut fractions = Vec::with_capacity(lanes.len());
         let mut window_emergency_cycles = 0usize;
-        for (d, response) in responses.iter().enumerate() {
+        for (d, lane) in lanes.iter_mut().enumerate() {
             let id = DomainId(d);
             let mut fraction = report.domain_fraction(id);
             // The report carries the static IR component and the
             // transient scale, so neither a second grid solve nor a
-            // second convolution.
+            // second convolution. A cycle's noise `scale · c + ir` grows
+            // with its magnitude `c`, and `fraction` is that of the peak,
+            // so no cycle is over the threshold unless `fraction` is: only
+            // then are the domain's cycles read.
             let scale = report.domain_transient_scale(id);
-            let mut over = response.cycles_over(scale, report.domain_ir_fraction(id), threshold);
+            let mut over = if fraction > threshold {
+                let ir = report.domain_ir_fraction(id);
+                windows.response(w, d).cycles_over(scale, ir, threshold)
+            } else {
+                0
+            };
             if policy.reacts_to_emergencies() && !decision.emergency[d] {
                 // A droop the predictor missed is still caught by the
                 // on-line detector within a ring period: its reaction
@@ -1561,7 +1867,7 @@ impl<'c> SimulationEngine<'c> {
                 fraction = fraction.min(threshold + DETECTOR_OVERSHOOT_FRACTION);
                 over = over.min(DETECTOR_REACTION_CYCLES);
             }
-            lanes[d] = self.config.tech.vdd.get() * (1.0 - fraction);
+            *lane = self.config.tech.vdd.get() * (1.0 - fraction);
             fractions.push(fraction);
             window_emergency_cycles = window_emergency_cycles.max(over);
         }
@@ -1582,7 +1888,8 @@ impl<'c> SimulationEngine<'c> {
                 .unwrap_or(0);
             let scale = report.domain_transient_scale(DomainId(worst_domain));
             let ir = report.domain_ir_fraction(DomainId(worst_domain));
-            let trace = responses[worst_domain]
+            let trace = windows
+                .response(w, worst_domain)
                 .magnitudes()
                 .iter()
                 .map(|&c| (scale * c + ir) * 100.0)
@@ -1991,20 +2298,133 @@ mod tests {
         engine.set_telemetry(tel);
         engine.run(Benchmark::LuNcb, PolicyKind::AllOn).unwrap();
         // Neither replaying lu_ncb's own trace nor another benchmark's
-        // reads the memo, and neither replaces it.
+        // reads the memo or the spec table, and neither writes them, even
+        // under a policy that calibrates and draws windows.
         let generator = TraceGenerator::new(&chip);
         for benchmark in [Benchmark::LuNcb, Benchmark::Barnes] {
             let trace = generator.generate(benchmark, engine.trace_duration());
             engine.run_trace(&trace, PolicyKind::AllOn).unwrap();
+            engine.run_trace(&trace, PolicyKind::PracT).unwrap();
         }
         engine.calibrate_predictor(Benchmark::Barnes).unwrap();
         assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0]);
+        assert_eq!(counter_deltas(&sink, "engine.windows_reused"), [0]);
+        assert_eq!(reuse_counts(&sink), []);
         let reused = engine.run(Benchmark::LuNcb, PolicyKind::AllOn).unwrap();
         assert_eq!(counter_deltas(&sink, "engine.trace_reused"), [0, 1]);
+        assert_eq!(counter_deltas(&sink, "engine.windows_reused"), [0, 1]);
         let fresh = SimulationEngine::new(&chip, tiny_config())
             .run(Benchmark::LuNcb, PolicyKind::AllOn)
             .unwrap();
         assert_eq!(masked_debug(&reused), masked_debug(&fresh));
+        // barnes' replays left it out of the table: its synthetic run
+        // draws its windows and fits its θ.
+        engine.run(Benchmark::Barnes, PolicyKind::OracT).unwrap();
+        assert_eq!(counter_deltas(&sink, "engine.windows_reused"), [0, 1, 0]);
+        assert_eq!(reuse_counts(&sink), [0]);
+    }
+
+    /// `config` with `windows` noise windows, enough for some domain
+    /// windows to cross the emergency threshold.
+    fn windowed(windows: usize) -> EngineConfig {
+        EngineConfig {
+            noise_window_count: windows,
+            ..tiny_config()
+        }
+    }
+
+    #[test]
+    fn interleaved_policies_on_one_engine_match_fresh_engines() {
+        // Every policy on three benchmarks in a sweep's interleaved order,
+        // no two cells of one benchmark side by side: all but the first
+        // windowed cell of each benchmark read its window book, and every
+        // record renders what a fresh engine's run of the cell does,
+        // worst-window trace, window noise and emergency cycles included.
+        let chip = power8_like();
+        let mut shared = SimulationEngine::new(&chip, windowed(24));
+        let (tel, sink) = Telemetry::recorder();
+        shared.set_telemetry(tel);
+        let benchmarks = [Benchmark::LuNcb, Benchmark::Fft, Benchmark::Raytrace];
+        let (mut drawn, mut expected) = (Vec::new(), Vec::new());
+        let mut redrawn_emergencies = 0;
+        for round in 0..PolicyKind::ALL.len() {
+            for (b, &benchmark) in benchmarks.iter().enumerate() {
+                let policy = PolicyKind::ALL[(b + round) % PolicyKind::ALL.len()];
+                let reused = shared.run(benchmark, policy).unwrap();
+                let fresh = SimulationEngine::new(&chip, windowed(24))
+                    .run(benchmark, policy)
+                    .unwrap();
+                assert_eq!(
+                    masked_debug(&reused),
+                    masked_debug(&fresh),
+                    "{benchmark} {policy}"
+                );
+                if policy != PolicyKind::OffChip {
+                    let hit = drawn.contains(&benchmark);
+                    expected.push(u64::from(hit));
+                    drawn.push(benchmark);
+                    // On a hit, a cycle over the threshold is only
+                    // counted by drawing its domain again.
+                    if hit && reused.emergency_cycle_fraction().is_some_and(|f| f > 0.0) {
+                        redrawn_emergencies += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(counter_deltas(&sink, "engine.windows_reused"), expected);
+        assert!(
+            redrawn_emergencies > 0,
+            "no booked cell drew a domain over the threshold again"
+        );
+    }
+
+    #[test]
+    fn the_spec_table_evicts_its_least_recently_used_spec() {
+        // Seventeen specs, one past the table: the fourteen benchmarks and
+        // three mixes.
+        let chip = power8_like();
+        let mix = |a, b| workload::WorkloadMix::alternating(a, b, 8).into();
+        let specs: Vec<WorkloadSpec> = Benchmark::ALL
+            .into_iter()
+            .map(WorkloadSpec::Single)
+            .chain([
+                mix(Benchmark::Cholesky, Benchmark::Raytrace),
+                mix(Benchmark::Fft, Benchmark::Barnes),
+                mix(Benchmark::LuNcb, Benchmark::Volrend),
+            ])
+            .collect();
+        assert_eq!(specs.len(), KEPT_SPECS + 1);
+        let mut engine = SimulationEngine::new(&chip, tiny_config());
+        let (tel, sink) = Telemetry::recorder();
+        engine.set_telemetry(tel);
+        let run = |spec: &WorkloadSpec| engine.run_spec(spec, PolicyKind::PracT).unwrap();
+        let reused = |name| counter_deltas(&sink, name).last().copied();
+        for spec in &specs {
+            run(spec);
+        }
+        // The first spec went out with the seventeenth: it misses both
+        // its book and its θ, and renders its fresh record.
+        let again = run(&specs[0]);
+        assert_eq!(reused("engine.windows_reused"), Some(0));
+        assert_eq!(reused("engine.calibrate_reused"), Some(0));
+        let fresh = SimulationEngine::new(&chip, tiny_config())
+            .run_spec(&specs[0], PolicyKind::PracT)
+            .unwrap();
+        assert_eq!(masked_debug(&again), masked_debug(&fresh));
+        assert!(counter_deltas(&sink, "engine.windows_reused")
+            .iter()
+            .all(|&d| d == 0));
+        // It took the place of the second, the least recently used; the
+        // third is still kept, and reading it keeps it.
+        run(&specs[2]);
+        assert_eq!(reused("engine.windows_reused"), Some(1));
+        assert_eq!(reused("engine.calibrate_reused"), Some(1));
+        run(&specs[1]);
+        assert_eq!(reused("engine.windows_reused"), Some(0));
+        run(&specs[2]);
+        assert_eq!(reused("engine.windows_reused"), Some(1));
+        run(&specs[3]);
+        assert_eq!(reused("engine.windows_reused"), Some(0));
     }
 
     #[test]

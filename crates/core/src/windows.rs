@@ -34,6 +34,15 @@
 //! enough free slots for every window of the next.
 //! Neither planning nor filling emits telemetry, so a traced run's
 //! event order does not depend on thread timing.
+//!
+//! As the loop takes each window, the stream records its responses'
+//! peaks, and a run that takes every window leaves a [`WindowBook`]:
+//! each window's planned starting state and each domain's peak. That is
+//! all a later run of the same windows needs to read most of them,
+//! since an analysis reads only the peaks
+//! (`pdn::NoiseAnalyzer::analyze_responses`), and to draw any one
+//! domain's window again, bit for bit ([`WindowBook::redraw`]), when a
+//! measurement needs its every cycle.
 
 use pdn::transient::DidtResponse;
 use simkit::{DeterministicRng, Error, Result};
@@ -51,12 +60,65 @@ pub struct FillScratch {
     pub steps: Vec<f64>,
 }
 
-impl FillScratch {
-    fn new() -> Self {
+impl Default for FillScratch {
+    fn default() -> Self {
         FillScratch {
             multipliers: Vec::with_capacity(WINDOW_CYCLES),
             steps: Vec::with_capacity(WINDOW_CYCLES),
         }
+    }
+}
+
+/// A run's noise windows as a later run of the same windows reads them:
+/// each window's starting RNG state (48 bytes) and each domain's
+/// response peak ([`DidtResponse::peak`]), not the responses. The
+/// stream records one ([`WindowStream::take_book`]); the empty book
+/// holds no window.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WindowBook {
+    domains: usize,
+    starts: Vec<DeterministicRng>,
+    /// Each window's peaks, one per domain, window after window.
+    peaks: Vec<f64>,
+}
+
+impl WindowBook {
+    /// Windows recorded.
+    pub fn windows(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Window `window`'s response peaks, one per domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the book holds no window `window`.
+    pub fn peaks(&self, window: usize) -> &[f64] {
+        &self.peaks[window * self.domains..(window + 1) * self.domains]
+    }
+
+    /// Draws domain `domain` of window `window` again, from the same
+    /// state the stream drew it from: from the window's starting state,
+    /// `skip(d, rng)` walks past each domain `d` before it, as
+    /// `workload::microtrace::skip_window` does, and `draw(rng)` then
+    /// draws the domain. With the stream's inputs, that gives the
+    /// stream's bits. Allocates nothing itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the book holds no window `window`.
+    pub fn redraw<T>(
+        &self,
+        window: usize,
+        domain: usize,
+        mut skip: impl FnMut(usize, &mut DeterministicRng),
+        draw: impl FnOnce(&mut DeterministicRng) -> T,
+    ) -> T {
+        let mut rng = self.starts[window].clone();
+        for d in 0..domain {
+            skip(d, &mut rng);
+        }
+        draw(&mut rng)
     }
 }
 
@@ -77,7 +139,7 @@ struct Filler {
 impl Filler {
     fn new(domains: usize) -> Self {
         Filler {
-            scratch: FillScratch::new(),
+            scratch: FillScratch::default(),
             inputs: Vec::with_capacity(domains),
         }
     }
@@ -253,13 +315,22 @@ pub struct WindowStream<'s> {
     published: usize,
     /// Windows taken so far.
     taken: usize,
+    /// The book being recorded: the taken windows' peaks, with room for
+    /// every window's from the start. The starts go in once every
+    /// window is taken.
+    book: WindowBook,
     fill: &'s FillFn<'s>,
     /// This thread's side of filling.
     filler: Filler,
     exchange: &'s Exchange,
 }
 
-impl WindowStream<'_> {
+impl<'s> WindowStream<'s> {
+    /// The steps of the stream's windows, in order.
+    pub(crate) fn steps(&self) -> &'s [usize] {
+        self.steps
+    }
+
     /// The step of the next window whose inputs are not yet published.
     pub fn next_unpublished(&self) -> Option<usize> {
         self.steps.get(self.published).copied()
@@ -318,6 +389,7 @@ impl WindowStream<'_> {
                 .wait_for(|s| s.front_filled() || s.claimable() || s.producer_gone);
             if let Some(slot) = slots.take_front() {
                 drop(slots);
+                self.book.peaks.extend(slot.iter().map(DidtResponse::peak));
                 out.push((step, slot));
                 self.taken += 1;
                 continue;
@@ -337,6 +409,27 @@ impl WindowStream<'_> {
     /// Returns a measured window's slot to the pool for refilling.
     pub fn give_back(&self, slot: Vec<DidtResponse>) {
         self.exchange.update(|s| s.free.push(slot));
+    }
+
+    /// Taken window `window`'s response peaks, one per domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics when window `window` is not yet taken.
+    pub(crate) fn peaks(&self, window: usize) -> &[f64] {
+        self.book.peaks(window)
+    }
+
+    /// The book of the stream's windows, once every one is taken: each
+    /// window's planned starting state and the peaks recorded as it was
+    /// taken, which move into the book. `None` before then.
+    pub fn take_book(&mut self) -> Option<WindowBook> {
+        if self.taken < self.steps.len() {
+            return None;
+        }
+        let mut book = std::mem::take(&mut self.book);
+        book.starts = self.exchange.lock().planned.clone();
+        Some(book)
     }
 }
 
@@ -423,6 +516,11 @@ pub fn with_window_stream<R>(
             steps_per_interval,
             published: 0,
             taken: 0,
+            book: WindowBook {
+                domains,
+                starts: Vec::new(),
+                peaks: Vec::with_capacity(steps.len() * domains),
+            },
             fill,
             filler: consumer,
             exchange: &exchange,
@@ -513,7 +611,7 @@ mod tests {
     /// The `windows` windows of `domains` domains, drawn one after
     /// another from one RNG.
     fn serial(windows: usize, domains: usize) -> Vec<Vec<DidtResponse>> {
-        let (mut rng, mut scratch) = (seed(), FillScratch::new());
+        let (mut rng, mut scratch) = (seed(), FillScratch::default());
         (0..windows)
             .map(|w| {
                 let inputs: Vec<f64> = (0..domains).map(|d| activity(w, d)).collect();

@@ -165,19 +165,21 @@ struct DomainGrid {
     block_cells: Vec<(usize, Vec<(usize, f64)>)>,
     /// Per VR of this domain: `(vr id, cell)`.
     vr_cells: Vec<(VrId, usize)>,
-    /// Sheet conductance matrix, assembled once, with zero-valued
-    /// placeholder entries on every regulator cell's diagonal so that a
-    /// gating configuration is applied by patching values, not by
-    /// re-assembling the matrix.
-    base: CsrMatrix,
+    /// Values of the sheet conductance matrix, assembled once, with
+    /// zero-valued placeholder entries on every regulator cell's diagonal
+    /// so that a gating configuration is applied by patching values, not
+    /// by re-assembling the matrix. The pattern is held once, by the
+    /// domain's [`DomainScratch::matrix`].
+    base_values: Vec<f64>,
     /// Per VR of this domain: `(vr id, index into the matrix values of
     /// its cell's diagonal entry)`.
     vr_entries: Vec<(VrId, usize)>,
 }
 
 /// Per-domain solver scratch, reused across [`PdnModel::ir_drop`] calls:
-/// the patched conductance matrix, its solver, the load/solution vectors
-/// and the solver workspace.
+/// the patched conductance matrix (the domain's one copy of the sheet
+/// pattern), its solver, the load/solution vectors and the solver
+/// workspace.
 ///
 /// The matrix and its solver are keyed by the active-regulator count per
 /// diagonal slot (regulators sharing a cell share its slot), which fixes
@@ -329,7 +331,7 @@ impl DomainGrid {
     /// active regulator's low-impedance path to the supply onto its
     /// cell's diagonal.
     fn patch(&self, gating: &GatingState, g_vr: f64, values: &mut [f64]) {
-        values.copy_from_slice(self.base.values());
+        values.copy_from_slice(&self.base_values);
         for &(vid, k) in &self.vr_entries {
             if gating.is_on(vid) {
                 values[k] += g_vr;
@@ -502,7 +504,7 @@ impl PdnModel {
     /// Discretises every Vdd-domain's local grid.
     pub fn new(chip: &Floorplan, config: PdnConfig) -> Self {
         let cell_m = config.cell_mm * 1e-3;
-        let grids = chip
+        let (grids, sheets): (Vec<DomainGrid>, Vec<CsrMatrix>) = chip
             .domains()
             .iter()
             .map(|domain| {
@@ -528,32 +530,33 @@ impl PdnModel {
                         (vid, j * nx + i)
                     })
                     .collect();
-                let (base, vr_entries) = sheet_matrix(nx, ny, 1.0 / config.r_sheet_ohm, &vr_cells);
-
-                DomainGrid {
+                let (sheet, vr_entries) = sheet_matrix(nx, ny, 1.0 / config.r_sheet_ohm, &vr_cells);
+                let grid = DomainGrid {
                     nx,
                     ny,
                     cell_mm: config.cell_mm,
                     block_cells,
                     vr_cells,
-                    base,
+                    base_values: sheet.values().to_vec(),
                     vr_entries,
-                }
+                };
+                (grid, sheet)
             })
-            .collect::<Vec<DomainGrid>>();
+            .unzip();
         // Cold IR solves at every gating state: `Auto` factors, and the
         // symbolic analysis serves every state of a domain.
         let backend = config.solver.resolve(SolverBackend::Direct);
         let scratch = grids
             .iter()
-            .map(|grid| {
+            .zip(sheets)
+            .map(|(grid, matrix)| {
                 let n = grid.nx * grid.ny;
                 let kept = match backend {
                     SolverBackend::Direct => KEPT_BASES,
                     _ => 0,
                 };
                 DomainScratch {
-                    matrix: grid.base.clone(),
+                    matrix,
                     i_load: vec![0.0; n],
                     volts: vec![0.0; n],
                     ws: SpdWorkspace::default(),
@@ -803,7 +806,9 @@ impl PdnModel {
         if !grid.vr_entries.iter().any(|&(vid, _)| gating.is_on(vid)) {
             return Err(floating(domain.0));
         }
-        let mut matrix = grid.base.clone();
+        let scratches = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut matrix = scratches[domain.0].matrix.clone();
+        drop(scratches);
         grid.patch(gating, 1.0 / self.config.r_vr_ohm, matrix.values_mut());
         Ok(matrix)
     }
@@ -925,6 +930,16 @@ mod tests {
         vec![Watts::new(w); chip.blocks().len()]
     }
 
+    /// Domain `d`'s unpatched sheet matrix: its scratch's pattern with
+    /// the grid's base values.
+    fn sheet(model: &PdnModel, d: usize) -> CsrMatrix {
+        let mut sheet = model.scratch.lock().unwrap()[d].matrix.clone();
+        sheet
+            .values_mut()
+            .copy_from_slice(&model.grids[d].base_values);
+        sheet
+    }
+
     /// A sheet matrix as triplet assembly builds it: four triplets per
     /// edge, cell by cell (x edge, then y edge), then a zero per regulator
     /// on its cell's diagonal, the slots looked up afterwards. The
@@ -1006,9 +1021,9 @@ mod tests {
             assert_eq!(slots, reference_slots, "{nx}x{ny} {vr_cells:?}");
         }
         assert_eq!(sheet_matrix(1, 1, g_sheet, &[]).0.nnz(), 0);
-        for grid in &model.grids {
+        for (d, grid) in model.grids.iter().enumerate() {
             let (base, slots) = triplet_sheet(grid.nx, grid.ny, g_sheet, &grid.vr_cells);
-            assert_eq!((&grid.base, &grid.vr_entries), (&base, &slots));
+            assert_eq!((&sheet(&model, d), &grid.vr_entries), (&base, &slots));
         }
     }
 
@@ -1458,10 +1473,11 @@ mod tests {
     #[test]
     fn vr_entries_point_at_diagonal_slots() {
         let (_, model) = setup();
-        for grid in &model.grids {
+        for (d, grid) in model.grids.iter().enumerate() {
+            let sheet = sheet(&model, d);
             for (&(vid_a, cell), &(vid_b, k)) in grid.vr_cells.iter().zip(&grid.vr_entries) {
                 assert_eq!(vid_a, vid_b);
-                assert_eq!(grid.base.entry_index(cell, cell), Some(k));
+                assert_eq!(sheet.entry_index(cell, cell), Some(k));
             }
         }
     }

@@ -182,18 +182,19 @@ impl NoiseAnalyzer {
         gating: &GatingState,
         inputs: &WindowInputs<'_>,
     ) -> Result<NoiseReport> {
-        let responses: Vec<DidtResponse> = inputs
+        let peaks: Vec<f64> = inputs
             .domain_multipliers
             .iter()
-            .map(|m| self.response(model.config(), m, inputs.warmup))
+            .map(|m| self.response(model.config(), m, inputs.warmup).peak())
             .collect();
-        self.analyze_responses(chip, model, gating, inputs.block_powers, &responses)
+        self.analyze_responses(chip, model, gating, inputs.block_powers, &peaks)
     }
 
-    /// [`NoiseAnalyzer::analyze`] over windows already reduced to their
-    /// responses (indexed by [`DomainId`]): one IR solve, then each
-    /// domain's transient peak is its response peak times the gating's
-    /// scale.
+    /// [`NoiseAnalyzer::analyze`] over windows already reduced to the
+    /// peaks of their responses ([`DidtResponse::peak`], indexed by
+    /// [`DomainId`]): one IR solve, then each domain's transient peak is
+    /// its response peak times the gating's scale. The peak is all of a
+    /// window this reads.
     ///
     /// # Errors
     ///
@@ -205,7 +206,7 @@ impl NoiseAnalyzer {
         model: &PdnModel,
         gating: &GatingState,
         block_powers: &[Watts],
-        responses: &[DidtResponse],
+        peaks: &[f64],
     ) -> Result<NoiseReport> {
         let ir = model.ir_drop(gating, block_powers)?;
         let config: &PdnConfig = model.config();
@@ -236,7 +237,7 @@ impl NoiseAnalyzer {
                 let scale = response_scale(config, &params)? / vdd.get();
                 per_domain_ir.push(ir.domain_fraction(d));
                 per_domain_scale.push(scale);
-                Ok(ir.domain_fraction(d) + scale * responses[d.0].peak())
+                Ok(ir.domain_fraction(d) + scale * peaks[d.0])
             })
             .collect::<Result<_>>()?;
         let report = NoiseReport {
@@ -377,8 +378,9 @@ mod tests {
             .iter()
             .map(|w| analyzer.response(model.config(), w, 1000))
             .collect();
+        let peaks: Vec<f64> = responses.iter().map(DidtResponse::peak).collect();
         let again = analyzer
-            .analyze_responses(&chip, &model, &gating, &powers, &responses)
+            .analyze_responses(&chip, &model, &gating, &powers, &peaks)
             .unwrap();
         assert_eq!(report.fractions(), again.fractions());
         for domain in chip.domains() {

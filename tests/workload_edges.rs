@@ -8,7 +8,7 @@
 use experiments::sweep::SweepRecord;
 use floorplan::reference::power8_like;
 use simkit::telemetry::analyze::EventView;
-use simkit::telemetry::Telemetry;
+use simkit::telemetry::{MemorySink, Telemetry};
 use simkit::units::Seconds;
 use thermal::ThermalConfig;
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine, SimulationResult};
@@ -91,7 +91,8 @@ fn physics(r: &SimulationResult) -> String {
 
 /// `simulate --export-trace` then `--trace`: a synthetic trace written
 /// to CSV and read back replays exactly the synthetic run, θ included,
-/// though the replay profiles θ itself rather than reading the memo.
+/// though the replay profiles θ and draws its windows itself rather
+/// than reading or writing the engine's table of them.
 #[test]
 fn round_tripped_trace_replays_the_synthetic_run_exactly() {
     let chip = power8_like();
@@ -109,14 +110,26 @@ fn round_tripped_trace_replays_the_synthetic_run_exactly() {
     let synthetic = engine.run_spec(&spec, PolicyKind::PracVT).unwrap();
     let from_csv = engine.run_trace(&replayed, PolicyKind::PracVT).unwrap();
     assert_eq!(physics(&from_csv), physics(&synthetic));
-    let reused: Vec<_> = sink
-        .events()
-        .iter()
-        .filter(|e| e.name == "engine.calibrate_reused")
-        .map(|e| e.num_u64("delta"))
-        .collect();
-    // Only the synthetic run consults the θ memo; the replay fits anew.
-    assert_eq!(reused, [Some(0)]);
+    let reused = |sink: &MemorySink, name: &str| -> Vec<Option<u64>> {
+        let events = sink.events();
+        let deltas = events.iter().filter(|e| e.name == name);
+        deltas.map(|e| e.num_u64("delta")).collect()
+    };
+    // Only the synthetic run consults the engine's table of θ fits and
+    // window books; the replay fits θ and draws its windows anew.
+    assert_eq!(reused(&sink, "engine.calibrate_reused"), [Some(0)]);
+    assert_eq!(reused(&sink, "engine.windows_reused"), [Some(0)]);
+
+    // Nor does a replay write the table: a synthetic run after it fits
+    // θ and draws its windows itself, with the same physics.
+    let mut engine = SimulationEngine::new(&chip, tiny_config());
+    let (tel, sink) = Telemetry::recorder();
+    engine.set_telemetry(tel);
+    let from_csv = engine.run_trace(&replayed, PolicyKind::PracVT).unwrap();
+    let synthetic = engine.run_spec(&spec, PolicyKind::PracVT).unwrap();
+    assert_eq!(physics(&synthetic), physics(&from_csv));
+    assert_eq!(reused(&sink, "engine.calibrate_reused"), [Some(0)]);
+    assert_eq!(reused(&sink, "engine.windows_reused"), [Some(0)]);
 }
 
 /// The per-kind activity weights intentionally sum to more than the

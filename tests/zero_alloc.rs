@@ -4,9 +4,10 @@
 //! per-thread allocation count does not move across warmed-up
 //! `TransientStepper::step`, `generate_window_into` and
 //! `DidtResponse::refill` calls, nor between the window fills of either
-//! thread of a window stream. An IR analysis whose regulator key is
-//! not kept (a refactor and a superposition-basis rebuild into a recycled
-//! buffer) allocates no more than one whose key repeats. A warmed-up
+//! thread of a window stream, nor between the windows a run reads back
+//! from a window book and draws again. An IR analysis whose regulator
+//! key is not kept (a refactor and a superposition-basis rebuild into a
+//! recycled buffer) allocates no more than one whose key repeats. A warmed-up
 //! `ScenarioSpec::content_hash` allocates nothing, and neither does
 //! nested phase timing under disabled telemetry. The allocator also
 //! keeps per-thread live and peak bytes, which bound what a standard
@@ -302,6 +303,105 @@ fn a_window_stream_the_loop_fills_allocates_nothing_per_window() {
             );
         }
     }
+}
+
+/// A run reading a window book (a synthetic run whose spec the engine
+/// keeps) allocates nothing per window: reading a window's peaks and
+/// drawing one of its domains again from the book into warmed buffers,
+/// window after window, leaves the allocation count where the first
+/// redraw left it. Each redrawn response is the stream's, bit for bit.
+#[test]
+fn a_booked_window_read_and_redrawn_allocates_nothing_per_window() {
+    const WINDOWS: usize = 12;
+    const SEVERITY: [f64; 3] = [0.3, 0.9, 0.6];
+    let config = PdnConfig::default();
+    let (response_time, frequency) = (Seconds::from_nanos(15.0), Hertz::from_ghz(4.0));
+    let draw = |rng: &mut DeterministicRng, d: usize, activity: f64, scratch: &mut FillScratch| {
+        generate_window_into(
+            rng,
+            WINDOW_CYCLES,
+            activity,
+            SEVERITY[d],
+            &mut scratch.multipliers,
+        );
+    };
+    let activity = |w: usize, d: usize| ((w + 2 * d) % 7) as f64 / 7.0;
+    let fill = |inputs: &[f64],
+                rng: &mut DeterministicRng,
+                slot: &mut [DidtResponse],
+                scratch: &mut FillScratch| {
+        for (d, (response, &activity)) in slot.iter_mut().zip(inputs).enumerate() {
+            draw(rng, d, activity, scratch);
+            response.refill(
+                &config,
+                response_time,
+                frequency,
+                &scratch.multipliers,
+                WARMUP_CYCLES,
+                &mut scratch.steps,
+            );
+        }
+    };
+    let skip = |rng: &mut DeterministicRng| {
+        for severity in SEVERITY {
+            skip_window(rng, WINDOW_CYCLES, severity);
+        }
+    };
+    let steps: Vec<usize> = (0..WINDOWS).map(|w| 3 * w).collect();
+    let rng = DeterministicRng::new(0x4E01);
+    let domains = SEVERITY.len();
+    let (book, streamed) = with_window_stream(&steps, 6, domains, rng, skip, &fill, |stream| {
+        for w in 0..WINDOWS {
+            stream.publish(|inputs| {
+                for (d, input) in inputs.iter_mut().enumerate() {
+                    *input = activity(w, d);
+                }
+            });
+        }
+        let (mut streamed, mut interval) = (Vec::new(), Vec::new());
+        for k in 0..WINDOWS / 2 {
+            stream.take_interval(k, &mut interval)?;
+            for (_, slot) in interval.drain(..) {
+                streamed.push(slot.clone());
+                stream.give_back(slot);
+            }
+        }
+        Ok((stream.take_book(), streamed))
+    })
+    .unwrap();
+    let book = book.expect("every window was taken");
+    assert_eq!(book.windows(), WINDOWS);
+
+    let mut scratch = FillScratch::default();
+    let mut response = DidtResponse::with_capacity(WINDOW_CYCLES - WARMUP_CYCLES);
+    let mut counts = Vec::with_capacity(WINDOWS * domains);
+    for (w, windows) in streamed.iter().enumerate() {
+        for (d, drawn) in windows.iter().enumerate() {
+            counts.push(thread_allocs());
+            assert_eq!(book.peaks(w)[d].to_bits(), drawn.peak().to_bits());
+            book.redraw(
+                w,
+                d,
+                |before, rng| skip_window(rng, WINDOW_CYCLES, SEVERITY[before]),
+                |rng| {
+                    draw(rng, d, activity(w, d), &mut scratch);
+                    response.refill(
+                        &config,
+                        response_time,
+                        frequency,
+                        &scratch.multipliers,
+                        WARMUP_CYCLES,
+                        &mut scratch.steps,
+                    );
+                },
+            );
+            assert!(response == *drawn, "window {w} domain {d} drew other bits");
+        }
+    }
+    assert!(
+        counts[1..].iter().all(|&c| c == counts[1]),
+        "redraws allocated: counts {counts:?}"
+    );
 }
 
 /// A key a domain does not keep refactors it and rebuilds the least
